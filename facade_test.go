@@ -50,7 +50,9 @@ func legacyReport(rep *casestudy.Report) *aid.Report {
 // TestPipelineMatchesCaseStudyRun pins the facade to the pre-refactor
 // behavior: for every case study, aid.Pipeline.Run produces a report
 // byte-identical (as JSON) to the internal casestudy.Run pipeline under
-// the same configuration.
+// the same configuration. casestudy.Run answers TAGT's oracle from
+// Intervene's observations, the reference for Pipeline.Run's
+// verdict-only Persists query.
 func TestPipelineMatchesCaseStudyRun(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range casestudy.All() {

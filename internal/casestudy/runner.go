@@ -173,16 +173,24 @@ const collectChunk = 16
 // results are consumed in seed order with the same quota logic as a
 // sequential sweep, so the collected corpus is bit-identical for any
 // worker count. The sweep cuts off at the first chunk that fills both
-// quotas (at most one chunk of executions is wasted).
+// quotas (at most one chunk of executions is wasted). Counts only grow,
+// so a run whose outcome class is already full when its chunk starts —
+// or whose failure has another signature — can never be kept: it
+// returns its verdict alone and its trace is never assembled.
 //
 // An empty Study.FailureSig accepts failures of any signature (used by
 // ad-hoc programs behind the public facade; the built-in studies all
 // pin a signature). Cancelling ctx aborts the sweep within one
 // task-drain with ctx's error.
 func Collect(ctx context.Context, s *Study, rc RunConfig) (*trace.Set, []int64, error) {
+	pp, err := sim.Prepare(s.Program, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
+	}
 	set := &trace.Set{}
 	var failSeeds []int64
 	succ, fail := 0, 0
+	ours := func(v sim.Verdict) bool { return s.FailureSig == "" || v.Sig == s.FailureSig }
 	chunk := int64(par.Workers(rc.Workers) * collectChunk)
 	var seeds []int64
 	for base := int64(1); base <= int64(rc.SeedCap); base += chunk {
@@ -197,19 +205,26 @@ func Collect(ctx context.Context, s *Study, rc RunConfig) (*trace.Set, []int64, 
 		for seed := base; seed <= hi; seed++ {
 			seeds = append(seeds, seed)
 		}
-		execs, err := sim.RunBatch(ctx, s.Program, seeds, sim.BatchOptions{
-			Run:     sim.RunOptions{MaxSteps: s.MaxSteps},
-			Workers: rc.Workers,
+		wantSucc, wantFail := succ < rc.Successes, fail < rc.Failures
+		keep := func(v sim.Verdict) bool {
+			if v.Failed {
+				return wantFail && ours(v)
+			}
+			return wantSucc
+		}
+		runs, err := par.Map(ctx, len(seeds), rc.Workers, func(i int) (collected, error) {
+			exec, v := pp.RunIf(seeds[i], s.MaxSteps, keep)
+			return collected{exec, v}, nil
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
 		}
-		for i, exec := range execs {
+		for i, r := range runs {
 			if succ >= rc.Successes && fail >= rc.Failures {
 				break
 			}
-			if exec.Failed() {
-				if (s.FailureSig != "" && exec.FailureSig != s.FailureSig) || fail >= rc.Failures {
+			if r.v.Failed {
+				if !ours(r.v) || fail >= rc.Failures {
 					continue
 				}
 				fail++
@@ -220,7 +235,7 @@ func Collect(ctx context.Context, s *Study, rc RunConfig) (*trace.Set, []int64, 
 				}
 				succ++
 			}
-			set.Executions = append(set.Executions, exec)
+			set.Executions = append(set.Executions, r.exec)
 		}
 		if rc.OnCollect != nil {
 			rc.OnCollect(succ, fail, hi)
@@ -231,6 +246,13 @@ func Collect(ctx context.Context, s *Study, rc RunConfig) (*trace.Set, []int64, 
 			s.Name, succ, fail, rc.SeedCap, rc.Successes, rc.Failures)
 	}
 	return set, failSeeds, nil
+}
+
+// collected is one collection run: its trace, when assembled, and its
+// verdict.
+type collected struct {
+	exec trace.Execution
+	v    sim.Verdict
 }
 
 // Run executes the full pipeline for one study. Cancelling ctx aborts
@@ -276,7 +298,9 @@ func Run(ctx context.Context, s *Study, rc RunConfig) (*Report, error) {
 	}
 
 	// TAGT runs on the same safely-intervenable candidate pool with the
-	// same intervention oracle, but no DAG knowledge.
+	// same intervention oracle, but no DAG knowledge. The oracle reads
+	// Intervene's full observations: it is the reference that
+	// aid.Pipeline.Run's verdict-only Persists oracle is pinned to.
 	var pool []predicate.ID
 	noPath := 0
 	for _, id := range dag.Nodes() {

@@ -25,7 +25,9 @@ import (
 
 // PlanFor builds the sim.Plan that simultaneously repairs the given
 // predicates. Predicates must exist in the corpus and carry a usable
-// repair (Kind != IvNone).
+// repair (Kind != IvNone). Every recipe composes into one plan in
+// place: copying the plan per predicate was quadratic on TAGT's
+// whole-pool groups.
 func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
 	plan := sim.Plan{}
 	for _, id := range preds {
@@ -33,66 +35,62 @@ func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
 		if p == nil {
 			return nil, fmt.Errorf("inject: unknown predicate %q", id)
 		}
-		sub, err := planForIntervention(string(id), p.Repair)
-		if err != nil {
+		if err := addIntervention(plan, string(id), p.Repair); err != nil {
 			return nil, err
 		}
-		plan = plan.Merge(sub)
 	}
 	return plan, nil
 }
 
-func planForIntervention(tag string, iv predicate.Intervention) (sim.Plan, error) {
-	plan := sim.Plan{}
+// addIntervention composes one repair recipe's injections into plan.
+func addIntervention(plan sim.Plan, tag string, iv predicate.Intervention) error {
 	switch iv.Kind {
 	case predicate.IvNone:
-		return nil, fmt.Errorf("inject: predicate %s has no repair", tag)
+		return fmt.Errorf("inject: predicate %s has no repair", tag)
 	case predicate.IvLockMethods:
 		mu := "aid.lock:" + tag
 		for _, m := range iv.Methods {
-			plan[m] = sim.MethodInjection{GlobalLocks: []string{mu}}
+			plan.Add(m, sim.MethodInjection{GlobalLocks: []string{mu}})
 		}
 	case predicate.IvCatchException:
 		for _, m := range iv.Methods {
-			plan[m] = sim.MethodInjection{CatchExceptions: true, CatchValue: iv.Value}
+			plan.Add(m, sim.MethodInjection{CatchExceptions: true, CatchValue: iv.Value})
 		}
 	case predicate.IvPrematureReturn:
 		for _, m := range iv.Methods {
 			if iv.Void {
-				plan[m] = sim.MethodInjection{ForceReturnVoid: true}
+				plan.Add(m, sim.MethodInjection{ForceReturnVoid: true})
 			} else {
 				v := iv.Value
-				plan[m] = sim.MethodInjection{ForceReturn: &v}
+				plan.Add(m, sim.MethodInjection{ForceReturn: &v})
 			}
 		}
 	case predicate.IvDelayReturn:
 		for _, m := range iv.Methods {
-			plan[m] = sim.MethodInjection{DelayReturn: trace.Time(iv.Delay)}
+			plan.Add(m, sim.MethodInjection{DelayReturn: trace.Time(iv.Delay)})
 		}
 	case predicate.IvOverrideReturn:
 		for _, m := range iv.Methods {
 			v := iv.Value
-			plan[m] = sim.MethodInjection{OverrideReturn: &v}
+			plan.Add(m, sim.MethodInjection{OverrideReturn: &v})
 		}
 	case predicate.IvEnforceOrder:
 		if len(iv.Methods) != 2 {
-			return nil, fmt.Errorf("inject: order intervention %s needs 2 methods, got %d", tag, len(iv.Methods))
+			return fmt.Errorf("inject: order intervention %s needs 2 methods, got %d", tag, len(iv.Methods))
 		}
 		flag := "aid.order:" + tag
-		plan[iv.Methods[0]] = sim.MethodInjection{SignalAfter: []sim.Signal{{Var: flag, Val: 1}}}
-		plan[iv.Methods[1]] = sim.MethodInjection{WaitBefore: []sim.Signal{{Var: flag, Val: 1}}}
+		plan.Add(iv.Methods[0], sim.MethodInjection{SignalAfter: []sim.Signal{{Var: flag, Val: 1}}})
+		plan.Add(iv.Methods[1], sim.MethodInjection{WaitBefore: []sim.Signal{{Var: flag, Val: 1}}})
 	case predicate.IvGroup:
 		for i, part := range iv.Parts {
-			sub, err := planForIntervention(fmt.Sprintf("%s.%d", tag, i), part)
-			if err != nil {
-				return nil, err
+			if err := addIntervention(plan, fmt.Sprintf("%s.%d", tag, i), part); err != nil {
+				return err
 			}
-			plan = plan.Merge(sub)
 		}
 	default:
-		return nil, fmt.Errorf("inject: unknown intervention kind %d for %s", iv.Kind, tag)
+		return fmt.Errorf("inject: unknown intervention kind %d for %s", iv.Kind, tag)
 	}
-	return plan, nil
+	return nil
 }
 
 // Executor is a core.Intervener backed by the simulator: each round
@@ -193,7 +191,9 @@ func quarantineKey(group []predicate.ID, seed int64) string {
 func (e *Executor) isQuarantined(group []predicate.ID, seed int64) bool {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
-	return e.quarantined[quarantineKey(group, seed)]
+	// The key joins the whole group; skip building it while nothing is
+	// quarantined (the common case, and TAGT's groups span the pool).
+	return len(e.quarantined) > 0 && e.quarantined[quarantineKey(group, seed)]
 }
 
 func (e *Executor) addQuarantine(group []predicate.ID, seed int64, err error) {
@@ -219,21 +219,87 @@ func (e *Executor) addQuarantine(group []predicate.ID, seed int64, err error) {
 // at exact (group, seed) coordinates.
 var replayHook func(group []predicate.ID, seed int64)
 
-// runOne executes one guarded replay. Every inject replay routes
-// through here: a panic anywhere inside — the hook, plan compilation
-// quirks surfacing at run time, or the engine itself — is recovered
-// into an error instead of escaping through par.Map as a process-level
-// round failure.
-func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64) (exec trace.Execution, err error) {
+// runOne executes one guarded replay, assembling its trace only when
+// keep accepts the verdict (nil keep: always). Every inject replay
+// routes through here: a panic anywhere inside — the hook, plan
+// compilation quirks surfacing at run time, or the engine itself — is
+// recovered into an error instead of escaping through par.Map as a
+// process-level round failure.
+func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64, keep func(sim.Verdict) bool) (exec trace.Execution, v sim.Verdict, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			exec, err = trace.Execution{}, &sim.ReplayPanicError{Seed: seed, Value: rec}
+			exec, v, err = trace.Execution{}, sim.Verdict{}, &sim.ReplayPanicError{Seed: seed, Value: rec}
 		}
 	}()
 	if h := replayHook; h != nil {
 		h(group, seed)
 	}
-	return pp.RunGuarded(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget})
+	return pp.RunGuardedIf(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget}, keep)
+}
+
+// persists reports whether a replay verdict is a persistence of the
+// executor's failure group (§5.1): a crash with another signature is a
+// different bug.
+func (e *Executor) persists(v sim.Verdict) bool {
+	return v.Failed && (e.FailureSig == "" || v.Sig == e.FailureSig)
+}
+
+// verdictOnly is the keep policy of replays whose trace nobody reads.
+func verdictOnly(sim.Verdict) bool { return false }
+
+// Persists reports whether the failure persists under the group's
+// intervention: whether some replay seed still fails with the
+// executor's failure signature. It answers Intervene's question "did
+// some observation fail?" for oracles that need only that bit (TAGT):
+// the group's plan is prepared once, the seeds replay in seed order
+// without assembling a trace or re-extracting predicates, and the sweep
+// stops at the first seed where the failure persists. Guard, quarantine
+// and failure-signature rules are Intervene's, and so is the error when
+// every replay is quarantined. Replays run sequentially at every pool
+// width, so the verdict, the quarantine list and RunsUsed do not depend
+// on Workers. Cancelling ctx stops before the next replay with ctx's
+// error.
+func (e *Executor) Persists(ctx context.Context, group []predicate.ID) (bool, error) {
+	plan, err := PlanFor(e.Corpus, group)
+	if err != nil {
+		return false, err
+	}
+	pp, err := sim.Prepare(e.Prog, plan)
+	if err != nil {
+		return false, fmt.Errorf("inject: re-execution: %w", err)
+	}
+	ran := false
+	for _, seed := range e.Seeds {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		if e.isQuarantined(group, seed) {
+			e.count(&e.Missed)
+			continue
+		}
+		_, v, err := e.runOne(pp, group, seed, verdictOnly)
+		if err != nil {
+			e.addQuarantine(group, seed, err)
+			e.count(&e.Missed)
+			continue
+		}
+		e.count(&e.RunsUsed)
+		if e.persists(v) {
+			return true, nil
+		}
+		ran = true
+	}
+	if !ran {
+		return false, fmt.Errorf("inject: every replay of group %v is quarantined", group)
+	}
+	return false, nil
+}
+
+// count increments one of the executor's mu-guarded run counters.
+func (e *Executor) count(n *int) {
+	e.mu.Lock()
+	*n++
+	e.mu.Unlock()
 }
 
 // replayResult is one (group, seed) replay outcome: an execution, or a
@@ -297,7 +363,7 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 		if e.isQuarantined(group, seed) {
 			return replayResult{missed: true}, nil
 		}
-		exec, rerr := e.runOne(preps[i/nSeeds], group, seed)
+		exec, _, rerr := e.runOne(preps[i/nSeeds], group, seed, nil)
 		if rerr != nil {
 			e.addQuarantine(group, seed, rerr)
 			return replayResult{missed: true}, nil
@@ -362,8 +428,7 @@ func (e *Executor) observe(execs []trace.Execution, preds []predicate.ID) ([]cor
 	for i := range execs {
 		exec := &execs[i]
 		e.RunsUsed++
-		isF := exec.Failed() && (e.FailureSig == "" || exec.FailureSig == e.FailureSig)
-		failed = append(failed, isF)
+		failed = append(failed, e.persists(sim.Verdict{Failed: exec.Failed(), Sig: exec.FailureSig}))
 		// Replays must not contribute to the success baselines that
 		// define duration/return-value predicates — an intervened run
 		// that happens to succeed would otherwise dilute the baselines

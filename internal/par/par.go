@@ -1,7 +1,7 @@
 // Package par is the repo's shared parallel-execution engine: a
 // deterministic ordered fan-out used by the trace-collection sweeps
 // (casestudy), the Fig. 8 synthetic sweep (synthetic), and intervention
-// replay (inject) via sim.RunBatch.
+// replay (inject).
 //
 // Determinism contract: tasks are claimed in index order, results are
 // returned in index order, and on failure the error with the lowest

@@ -3,9 +3,12 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	"aid/internal/trace"
 )
@@ -291,5 +294,100 @@ func TestEquivalenceProperty(t *testing.T) {
 		p := genProgram(r, i)
 		assertEngineParity(t, p, []int64{1, 2, 3}, nil, 2000)
 		assertEngineParity(t, p, []int64{1, 2}, genPlan(r, p), 2000)
+	}
+}
+
+// TestVerdictEquivalenceProperty pins conditional assembly: over the
+// property generator's programs, seeds and plans, a run that skips
+// trace assembly must decide the same (failed, sig) verdict as the
+// assembled trace's Outcome and FailureSig — for every ending (success,
+// uncaught exception, Fail, deadlock, hang), unguarded and guarded —
+// and a kept run must return exactly Run's trace. Panics and blown
+// wall budgets must surface as the same errors RunGuarded reports.
+func TestVerdictEquivalenceProperty(t *testing.T) {
+	n := 60
+	if testing.Short() {
+		n = 15
+	}
+	never := func(Verdict) bool { return false }
+	endings := map[string]int{}
+	check := func(p *Program, plan Plan, seed int64, maxSteps int) {
+		t.Helper()
+		pp, err := Prepare(p, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := pp.Run(seed, maxSteps)
+		wantV := Verdict{Failed: want.Outcome == trace.Failure, Sig: want.FailureSig}
+		switch {
+		case !wantV.Failed:
+			endings["success"]++
+		case wantV.Sig == SigHang || wantV.Sig == SigDeadlock:
+			endings[wantV.Sig]++
+		default:
+			endings["crash"]++
+		}
+		var seen Verdict
+		exec, v := pp.RunIf(seed, maxSteps, func(v Verdict) bool { seen = v; return false })
+		if v != wantV || seen != wantV || exec.ID != "" || exec.Calls != nil {
+			t.Fatalf("%s seed %d: verdict-only run = %+v (keep saw %+v, trace %q), assembled trace says %+v",
+				p.Name, seed, v, seen, exec.ID, wantV)
+		}
+		kept, v := pp.RunIf(seed, maxSteps, func(Verdict) bool { return true })
+		if v != wantV || !reflect.DeepEqual(kept, want) {
+			t.Fatalf("%s seed %d: kept RunIf differs from Run", p.Name, seed)
+		}
+		_, v, err = pp.RunGuardedIf(seed, Budget{MaxSteps: maxSteps}, never)
+		if err != nil || v != wantV {
+			t.Fatalf("%s seed %d: guarded verdict-only run = %+v, %v; want %+v", p.Name, seed, v, err, wantV)
+		}
+	}
+	r := rand.New(rand.NewSource(20261017))
+	for i := 0; i < n; i++ {
+		p := genProgram(r, i)
+		for _, seed := range []int64{1, 2, 3} {
+			check(p, nil, seed, 2000)
+		}
+		plan := genPlan(r, p)
+		for _, seed := range []int64{1, 2} {
+			check(p, plan, seed, 2000)
+		}
+		// A tight step budget cuts runs off mid-flight: the hang
+		// verdict, with spans still open.
+		check(p, plan, 3, 12)
+	}
+	for _, ending := range []string{"success", "crash", SigDeadlock, SigHang} {
+		if endings[ending] == 0 {
+			t.Errorf("generator produced no %s run; endings: %v", ending, endings)
+		}
+	}
+
+	// Guarded failures: the verdict-only path reports what RunGuarded
+	// reports, with no verdict.
+	panicky, err := Prepare(guardPanicProgram(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v, err := panicky.RunGuardedIf(4, Budget{}, never)
+	var pe *ReplayPanicError
+	if !errors.As(err, &pe) || pe.Seed != 4 || v != (Verdict{}) {
+		t.Fatalf("panicking verdict-only run: %+v, %T %v", v, err, err)
+	}
+	spin, err := Prepare(guardSpinProgram(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v, err = spin.RunGuardedIf(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, never)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Seed != 1 || v != (Verdict{}) {
+		t.Fatalf("over-budget verdict-only run: %+v, %T %v", v, err, err)
+	}
+	// keep is never consulted on a blown budget: nothing to assemble.
+	_, _, err = spin.RunGuardedIf(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, func(Verdict) bool {
+		t.Fatal("keep consulted for an over-budget run")
+		return true
+	})
+	if !errors.As(err, &be) {
+		t.Fatalf("over-budget kept run: %T %v", err, err)
 	}
 }

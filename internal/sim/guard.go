@@ -66,41 +66,28 @@ func (e *BudgetError) Error() string {
 // with fault containment (see the package-file comment). The returned
 // error is nil, a *ReplayPanicError, or a *BudgetError; the execution
 // is valid only when the error is nil.
-func (pp *Prepared) RunGuarded(seed int64, b Budget) (exec trace.Execution, err error) {
-	maxSteps := b.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	m := machinePool.Get().(*machine)
-	pooled := false
+func (pp *Prepared) RunGuarded(seed int64, b Budget) (trace.Execution, error) {
+	exec, _, err := pp.RunGuardedIf(seed, b, nil)
+	return exec, err
+}
+
+// RunGuardedIf is RunGuarded that assembles the trace only when keep
+// accepts the run's verdict (nil keep accepts every run), like RunIf.
+// The verdict is valid only when the error is nil; a run that blows
+// its wall budget is never assembled.
+func (pp *Prepared) RunGuardedIf(seed int64, b Budget, keep func(Verdict) bool) (exec trace.Execution, v Verdict, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			// The machine's invariants are unknown after a panic: leak
-			// it to the collector rather than poisoning the pool.
-			exec = trace.Execution{}
-			err = &ReplayPanicError{Seed: seed, Value: rec}
-		} else if !pooled {
-			m.pp = nil
-			machinePool.Put(m)
+			// run leaves a panicked machine out of the pool: its
+			// invariants are unknown.
+			exec, v, err = trace.Execution{}, Verdict{}, &ReplayPanicError{Seed: seed, Value: rec}
 		}
 	}()
-	m.reset(pp, seed)
-	if b.WallClock > 0 {
-		m.wallDeadline = time.Now().Add(b.WallClock)
+	exec, v = pp.run(seed, b, nil, func(v Verdict) bool {
+		return v.Sig != SigBudget && (keep == nil || keep(v))
+	})
+	if v.Sig == SigBudget {
+		return trace.Execution{}, Verdict{}, &BudgetError{Seed: seed, Budget: b.WallClock}
 	}
-	m.pushCall(m.newThread(), pp.c.entryFn, -1, -1)
-	m.loop(maxSteps)
-	if m.failSig == SigBudget {
-		m.pp = nil
-		m.wallDeadline = time.Time{}
-		machinePool.Put(m)
-		pooled = true
-		return trace.Execution{}, &BudgetError{Seed: seed, Budget: b.WallClock}
-	}
-	exec = m.buildExecution(seed)
-	m.pp = nil
-	m.wallDeadline = time.Time{}
-	machinePool.Put(m)
-	pooled = true
-	return exec, nil
+	return exec, v, nil
 }

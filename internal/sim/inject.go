@@ -62,93 +62,87 @@ type Signal struct {
 // Plan maps method names to their injections for one intervened run.
 type Plan map[string]MethodInjection
 
-// Merge combines two plans; same-method entries compose: locks, waits
-// and signals accumulate, delays take the maximum, and scalar overrides
-// from other win.
-func (p Plan) Merge(other Plan) Plan {
-	out := make(Plan, len(p)+len(other))
-	for m, inj := range p {
-		out[m] = inj
+// Add composes inj into p's entry for method, in place. Injections on
+// one method compose: locks, waits and signals accumulate, delays take
+// the maximum, and inj's scalar overrides win. Adding never writes a
+// slice the plan held before the call — an accumulated list is freshly
+// allocated — so slices read out of p, or passed in with an earlier
+// injection, stay as the caller saw them. Like any Plan, p must not
+// change after it has been used in a run (Prepare memoizes by
+// identity).
+func (p Plan) Add(method string, inj MethodInjection) {
+	base, ok := p[method]
+	if !ok {
+		p[method] = inj
+		return
 	}
-	for m, inj := range other {
-		base, ok := out[m]
-		if !ok {
-			out[m] = inj
-			continue
-		}
-		base.GlobalLocks = appendUniqueStrings(base.GlobalLocks, inj.GlobalLocks)
-		if inj.DelayStart > base.DelayStart {
-			base.DelayStart = inj.DelayStart
-		}
-		if inj.DelayReturn > base.DelayReturn {
-			base.DelayReturn = inj.DelayReturn
-		}
-		if inj.ForceReturn != nil {
-			base.ForceReturn = inj.ForceReturn
-		}
-		if inj.ForceReturnVoid {
-			base.ForceReturnVoid = true
-		}
-		if inj.OverrideReturn != nil {
-			base.OverrideReturn = inj.OverrideReturn
-		}
-		if inj.CatchExceptions {
-			base.CatchExceptions = true
-			base.CatchValue = inj.CatchValue
-		}
-		base.WaitBefore = appendUniqueSignals(base.WaitBefore, inj.WaitBefore)
-		base.SignalAfter = appendUniqueSignals(base.SignalAfter, inj.SignalAfter)
-		out[m] = base
+	base.GlobalLocks = unionStrings(base.GlobalLocks, inj.GlobalLocks)
+	if inj.DelayStart > base.DelayStart {
+		base.DelayStart = inj.DelayStart
 	}
-	return out
+	if inj.DelayReturn > base.DelayReturn {
+		base.DelayReturn = inj.DelayReturn
+	}
+	if inj.ForceReturn != nil {
+		base.ForceReturn = inj.ForceReturn
+	}
+	if inj.ForceReturnVoid {
+		base.ForceReturnVoid = true
+	}
+	if inj.OverrideReturn != nil {
+		base.OverrideReturn = inj.OverrideReturn
+	}
+	if inj.CatchExceptions {
+		base.CatchExceptions = true
+		base.CatchValue = inj.CatchValue
+	}
+	base.WaitBefore = unionSignals(base.WaitBefore, inj.WaitBefore)
+	base.SignalAfter = unionSignals(base.SignalAfter, inj.SignalAfter)
+	p[method] = base
 }
 
-// appendUniqueStrings merges src into dst, deduplicated and sorted:
-// append-all, sort, compact — O((n+m)·log(n+m)) instead of the
-// quadratic scan-per-element with a redundant sort per call.
-func appendUniqueStrings(dst, src []string) []string {
-	dst = append(dst, src...)
-	sort.Strings(dst)
-	out := dst[:0]
-	for _, s := range dst {
-		if len(out) == 0 || s != out[len(out)-1] {
+// unionStrings returns a and b merged, deduplicated and sorted, in a
+// fresh slice; with nothing to add it returns a itself. Neither input
+// is written.
+func unionStrings(a, b []string) []string {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]string, 0, len(a)+len(b))
+	out = append(append(out, a...), b...)
+	sort.Strings(out)
+	u := out[:0]
+	for _, s := range out {
+		if len(u) == 0 || s != u[len(u)-1] {
+			u = append(u, s)
+		}
+	}
+	return u
+}
+
+// unionSignals returns a followed by the signals of b it lacks, in
+// first-occurrence order (waits apply in list order), in a fresh slice;
+// with nothing to add it returns a itself. Neither input is written.
+// Lists are short (one or two order-enforcement signals), so the
+// membership test is a linear scan.
+func unionSignals(a, b []Signal) []Signal {
+	if len(b) == 0 {
+		return a
+	}
+	out := append(make([]Signal, 0, len(a)+len(b)), a...)
+	for _, s := range b {
+		found := false
+		for _, d := range out {
+			if d == s {
+				found = true
+				break
+			}
+		}
+		if !found {
 			out = append(out, s)
 		}
 	}
 	return out
-}
-
-// appendUniqueSignals merges src into dst preserving first-occurrence
-// order. Small lists (the common case: one or two order-enforcement
-// signals) keep the allocation-free linear scan; larger merges switch
-// to a set.
-func appendUniqueSignals(dst, src []Signal) []Signal {
-	if len(dst)+len(src) <= 8 {
-		for _, s := range src {
-			found := false
-			for _, d := range dst {
-				if d == s {
-					found = true
-					break
-				}
-			}
-			if !found {
-				dst = append(dst, s)
-			}
-		}
-		return dst
-	}
-	seen := make(map[Signal]struct{}, len(dst)+len(src))
-	for _, d := range dst {
-		seen[d] = struct{}{}
-	}
-	for _, s := range src {
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
-			dst = append(dst, s)
-		}
-	}
-	return dst
 }
 
 // Empty reports whether the injection alters nothing.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"aid/internal/trace"
@@ -219,22 +220,66 @@ func TestInjectOrderEnforcement(t *testing.T) {
 	}
 }
 
-func TestPlanMerge(t *testing.T) {
+// TestPlanAdd checks same-method composition and that composing never
+// rewrites a slice the caller still holds: Prepare memoizes by plan
+// identity, so an aliased write would silently change a plan already
+// used in a run.
+func TestPlanAdd(t *testing.T) {
 	v := int64(1)
-	a := Plan{"M": {DelayStart: 10}, "N": {GlobalLocks: []string{"x"}}}
-	b := Plan{"M": {DelayStart: 5, ForceReturn: &v}, "O": {CatchExceptions: true}}
-	m := a.Merge(b)
-	if len(m) != 3 {
-		t.Fatalf("merged plan has %d entries, want 3", len(m))
+	p := Plan{"M": {DelayStart: 10}, "N": {GlobalLocks: []string{"x"}}}
+	p.Add("M", MethodInjection{DelayStart: 5, ForceReturn: &v})
+	p.Add("O", MethodInjection{CatchExceptions: true})
+	if len(p) != 3 {
+		t.Fatalf("composed plan has %d entries, want 3", len(p))
 	}
-	if m["M"].DelayStart != 10 {
-		t.Fatalf("merge should keep max delay, got %d", m["M"].DelayStart)
+	if p["M"].DelayStart != 10 {
+		t.Fatalf("composition should keep max delay, got %d", p["M"].DelayStart)
 	}
-	if m["M"].ForceReturn == nil || *m["M"].ForceReturn != 1 {
-		t.Fatal("merge lost ForceReturn")
+	if p["M"].ForceReturn == nil || *p["M"].ForceReturn != 1 {
+		t.Fatal("composition lost ForceReturn")
 	}
-	if len(m["N"].GlobalLocks) != 1 || m["N"].GlobalLocks[0] != "x" || !m["O"].CatchExceptions {
-		t.Fatal("merge lost disjoint entries")
+	if len(p["N"].GlobalLocks) != 1 || p["N"].GlobalLocks[0] != "x" || !p["O"].CatchExceptions {
+		t.Fatal("composition lost disjoint entries")
+	}
+
+	// A held lock list with spare capacity: appending in place would
+	// rewrite the caller's backing array.
+	held := append(make([]string, 0, 4), "x", "y", "z")
+	p = Plan{"m": {GlobalLocks: held}}
+	p.Add("m", MethodInjection{GlobalLocks: []string{"a"}})
+	if got := held[:cap(held)]; !reflect.DeepEqual(got[:3], []string{"x", "y", "z"}) || got[3] != "" {
+		t.Fatalf("held lock list rewritten to %q", got)
+	}
+	if got := p["m"].GlobalLocks; !reflect.DeepEqual(got, []string{"a", "x", "y", "z"}) {
+		t.Fatalf("composed locks = %q, want [a x y z]", got)
+	}
+
+	// Adding nothing must not sort an unsorted held list in place.
+	unsorted := []string{"q", "p"}
+	p = Plan{"m": {GlobalLocks: unsorted}}
+	p.Add("m", MethodInjection{})
+	if !reflect.DeepEqual(unsorted, []string{"q", "p"}) {
+		t.Fatalf("held lock list reordered to %q", unsorted)
+	}
+
+	// Slices passed in with an earlier injection belong to the caller
+	// too: later additions to the same method must not write them.
+	sig := append(make([]Signal, 0, 4), Signal{Var: "f", Val: 1})
+	waits := append(make([]Signal, 0, 4), Signal{Var: "w", Val: 1})
+	p = Plan{}
+	p.Add("m", MethodInjection{SignalAfter: sig, WaitBefore: waits})
+	p.Add("m", MethodInjection{SignalAfter: []Signal{{Var: "g", Val: 1}}, WaitBefore: []Signal{{Var: "w", Val: 1}, {Var: "v", Val: 2}}})
+	if got := sig[:cap(sig)]; got[1] != (Signal{}) {
+		t.Fatalf("held signal list rewritten to %v", got)
+	}
+	if got := waits[:cap(waits)]; got[1] != (Signal{}) {
+		t.Fatalf("held wait list rewritten to %v", got)
+	}
+	if got := p["m"].SignalAfter; !reflect.DeepEqual(got, []Signal{{"f", 1}, {"g", 1}}) {
+		t.Fatalf("composed signals = %v", got)
+	}
+	if got := p["m"].WaitBefore; !reflect.DeepEqual(got, []Signal{{"w", 1}, {"v", 2}}) {
+		t.Fatalf("composed waits = %v, want first-occurrence order without duplicates", got)
 	}
 }
 

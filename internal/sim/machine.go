@@ -109,8 +109,8 @@ type machine struct {
 	failSig string
 
 	// wallDeadline, when non-zero, aborts the run with SigBudget once
-	// real time passes it (set only by RunGuarded; the check in loop
-	// samples the clock every 1024 steps).
+	// real time passes it (set only by guarded runs with a wall budget;
+	// the check in loop samples the clock every 1024 steps).
 	wallDeadline time.Time
 }
 
@@ -201,27 +201,57 @@ func execID(name string, seed int64) string {
 	return name + "/seed=" + strconv.FormatInt(seed, 10)
 }
 
+// Verdict is what a finished run decides before any trace exists:
+// whether it failed, and with which failure signature (empty for a
+// success).
+type Verdict struct {
+	Failed bool
+	Sig    string
+}
+
 // Run executes the prepared program once under the given seed; the
 // trace is byte-identical to the interpreter's for the same
 // (program, seed, plan) triple. maxSteps <= 0 means DefaultMaxSteps.
 func (pp *Prepared) Run(seed int64, maxSteps int) trace.Execution {
-	return pp.runCapture(seed, maxSteps, nil)
+	exec, _ := pp.run(seed, Budget{MaxSteps: maxSteps}, nil, nil)
+	return exec
 }
 
-// runCapture is Run plus an optional FinalState snapshot, taken after
-// the run completes and before the machine returns to the pool. The
-// snapshot covers the compiled symbol tables' names — declared plus
+// RunIf is Run for callers that read only some traces: the trace is
+// assembled only when keep accepts the run's verdict (nil keep accepts
+// every run). A rejected run returns the zero Execution and its verdict
+// alone. An assembled trace is byte-identical to Run's.
+func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (trace.Execution, Verdict) {
+	return pp.run(seed, Budget{MaxSteps: maxSteps}, nil, keep)
+}
+
+// run is the one compiled run path: reset, loop, then assemble the
+// trace only if keep (nil = always) accepts the verdict. Trace assembly
+// costs about twice the simulation loop, so callers that need only the
+// verdict skip most of a run's cost. A non-zero b.WallClock arms the
+// loop's wall-clock check (SigBudget). final, when non-nil, receives
+// the FinalState snapshot, taken before the machine returns to the
+// pool; it covers the compiled symbol tables' names — declared plus
 // op-referenced shared state, excluding plan-added injection slots —
-// matching the interpreter's captureFinal exactly.
-func (pp *Prepared) runCapture(seed int64, maxSteps int, final *FinalState) trace.Execution {
+// matching the interpreter's captureFinal exactly. A panic escapes
+// before the machine is pooled, so a possibly-corrupt machine is left
+// to the collector.
+func (pp *Prepared) run(seed int64, b Budget, final *FinalState, keep func(Verdict) bool) (exec trace.Execution, v Verdict) {
+	maxSteps := b.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
 	m := machinePool.Get().(*machine)
 	m.reset(pp, seed)
+	if b.WallClock > 0 {
+		m.wallDeadline = time.Now().Add(b.WallClock)
+	}
 	m.pushCall(m.newThread(), pp.c.entryFn, -1, -1)
 	m.loop(maxSteps)
-	exec := m.buildExecution(seed)
+	v = Verdict{Failed: m.failed, Sig: m.failSig}
+	if keep == nil || keep(v) {
+		exec = m.buildExecution(seed)
+	}
 	if final != nil {
 		final.Globals = make(map[string]int64, len(pp.c.globalNames))
 		for i, n := range pp.c.globalNames {
@@ -234,7 +264,7 @@ func (pp *Prepared) runCapture(seed int64, maxSteps int, final *FinalState) trac
 	}
 	m.pp = nil
 	machinePool.Put(m)
-	return exec
+	return exec, v
 }
 
 func (m *machine) loop(maxSteps int) {

@@ -152,7 +152,8 @@ func Run(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
 		if err != nil {
 			return trace.Execution{}, err
 		}
-		return pp.runCapture(seed, opts.MaxSteps, opts.Final), nil
+		exec, _ := pp.run(seed, Budget{MaxSteps: opts.MaxSteps}, opts.Final, nil)
+		return exec, nil
 	}
 	return runInterpreted(p, seed, opts)
 }

@@ -553,9 +553,8 @@ func (p *Pipeline) executor(tr *Traces, corpus *Corpus) (*inject.Executor, error
 
 // discover is the shared body of Discover and Run: it builds the
 // executor, runs core discovery, and emits DiscoveryDone. The executor
-// is returned so Run can reuse it (and its cached extractor state) as
-// the TAGT oracle; the RobustnessReport is nil outside noise-tolerant
-// mode.
+// is returned so Run can reuse it (and its quarantine) as the TAGT
+// oracle; the RobustnessReport is nil outside noise-tolerant mode.
 func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag *DAG) (*Result, *inject.Executor, *RobustnessReport, error) {
 	exec, err := p.executor(tr, corpus)
 	if err != nil {
@@ -711,7 +710,11 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 	}
 
 	// TAGT runs on the same safely-intervenable candidate pool with the
-	// same intervention oracle, but no DAG knowledge.
+	// same intervention oracle, but no DAG knowledge. Its oracle needs
+	// one bit per group — does the failure persist? — so it asks the
+	// verdict-only query: no trace is assembled or re-extracted, and a
+	// group stops replaying at its first persisting seed. casestudy.Run
+	// keeps the Intervene-derived oracle as the reference.
 	var pool []PredicateID
 	noPath := 0
 	for _, id := range dag.Nodes() {
@@ -724,16 +727,8 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		}
 	}
 	oracle := func(group []predicate.ID) (bool, error) {
-		obs, err := exec.Intervene(ctx, group)
-		if err != nil {
-			return false, err
-		}
-		for _, o := range obs {
-			if o.Failed {
-				return false, nil
-			}
-		}
-		return true, nil
+		persists, err := exec.Persists(ctx, group)
+		return !persists, err
 	}
 	tagtRes, err := grouptest.Adaptive(pool, oracle, p.seed)
 	if err != nil {
