@@ -17,6 +17,22 @@ import (
 	"aid/internal/service"
 )
 
+// The daemon's connection timeouts. A client must finish its request
+// header within readHeaderTimeout, and an idle keep-alive connection is
+// closed after idleTimeout, so a slow or silent client cannot hold a
+// connection forever. Bodies are not timed: a corpus upload may be
+// large, and event streams are long-lived by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server around h, with the given
+// request-header timeout (tests pass a short one).
+func newServer(h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: headerTimeout, IdleTimeout: idleTimeout}
+}
+
 // runServe is the daemon mode: `aid serve` hosts the multi-tenant
 // debugging service over HTTP until SIGTERM/SIGINT, then drains —
 // in-flight sessions get the grace period to finish before being
@@ -86,7 +102,7 @@ func runServe(args []string) {
 		fmt.Fprintln(os.Stderr, "aid serve:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
+	srv := newServer(service.NewHandler(mgr), readHeaderTimeout)
 	fmt.Fprintf(os.Stderr, "aid serve: listening on http://%s\n", ln.Addr())
 
 	errc := make(chan error, 1)

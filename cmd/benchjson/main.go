@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"maps"
-	"math"
 	"os"
 	"runtime"
 	"time"
@@ -49,34 +48,42 @@ type Figure struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// measure runs fn repeat times and keeps the fastest pass — one-shot
-// wall-clock records on shared hosts are dominated by scheduling
-// noise, and the minimum is the standard robust estimator. Every pass
-// re-runs the full deterministic workload, so the caller can (and
+// measure runs fn repeat times and folds the passes with bestOf. Every
+// pass re-runs the full deterministic workload, so the caller can (and
 // does) assert the figure metrics agree across passes.
 func measure(repeat int, fn func() error) (Figure, error) {
-	if repeat < 1 {
-		repeat = 1
-	}
-	best := Figure{NsPerOp: math.MaxInt64}
-	for r := 0; r < repeat; r++ {
+	passes := make([]Figure, max(repeat, 1))
+	for r := range passes {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
 		if err := fn(); err != nil {
 			return Figure{}, err
 		}
-		ns := time.Since(start).Nanoseconds()
+		passes[r].NsPerOp = time.Since(start).Nanoseconds()
 		runtime.ReadMemStats(&after)
-		if ns < best.NsPerOp {
-			best = Figure{
-				NsPerOp:     ns,
-				AllocsPerOp: int64(after.Mallocs - before.Mallocs),
-				BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
-			}
+		passes[r].AllocsPerOp = int64(after.Mallocs - before.Mallocs)
+		passes[r].BytesPerOp = int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	return bestOf(passes), nil
+}
+
+// bestOf folds measurement passes into one record: ns/op from the
+// fastest pass (one-shot wall clock on shared hosts is dominated by
+// scheduling noise, and the minimum is the standard robust estimator),
+// allocs/op and bytes/op from the pass that allocated least. The two
+// need not be one pass: a process's second pass over a study also fills
+// the simulator's seed-state cache, allocations no other pass makes, and
+// on a noisy host that pass can be the fastest.
+func bestOf(passes []Figure) Figure {
+	best := passes[0]
+	for _, p := range passes[1:] {
+		best.NsPerOp = min(best.NsPerOp, p.NsPerOp)
+		if p.AllocsPerOp < best.AllocsPerOp || p.AllocsPerOp == best.AllocsPerOp && p.BytesPerOp < best.BytesPerOp {
+			best.AllocsPerOp, best.BytesPerOp = p.AllocsPerOp, p.BytesPerOp
 		}
 	}
-	return best, nil
+	return best
 }
 
 // checkMetrics enforces the determinism contract across measurement
@@ -175,7 +182,7 @@ func main() {
 		failures  = flag.Int("failures", 30, "Fig. 7 failures per study")
 		workers   = flag.Int("workers", 0, "execution-pool width (0 = GOMAXPROCS)")
 		baseline  = flag.String("baseline", "", "embed this file's current run as the baseline")
-		repeat    = flag.Int("repeat", 3, "measurement passes per figure (fastest is recorded; metrics must agree)")
+		repeat    = flag.Int("repeat", 3, "measurement passes per figure (fastest ns/op and least-allocating pass are recorded; metrics must agree)")
 		check     = flag.Bool("check", false, "fail (exit 1) when allocs/op or bytes/op regress past -tolerance vs -baseline; ns is warn-only")
 		tolerance = flag.Float64("tolerance", 0.15, "relative allocation growth allowed by -check before failing")
 	)
@@ -323,13 +330,10 @@ func main() {
 		const scaleExecs, scalePreds = 50000, 2000
 		name := fmt.Sprintf("CorpusScaling/%dx%d", scaleExecs, scalePreds)
 		fmt.Fprintf(os.Stderr, "benchjson: %s...\n", name)
-		passes := *repeat
-		if passes < 1 {
-			passes = 1 // mirror measure()'s clamp
-		}
 		var metrics map[string]float64
 		var best *aid.CorpusScalingResult
-		for r := 0; r < passes; r++ {
+		passes := make([]Figure, max(*repeat, 1)) // mirror measure()'s clamp
+		for r := range passes {
 			res, err := aid.RunCorpusScaling(scaleExecs, scalePreds, 1)
 			if err != nil {
 				fatal(err)
@@ -343,17 +347,14 @@ func main() {
 			if best == nil || res.ColumnarNs < best.ColumnarNs {
 				best = res
 			}
+			passes[r] = Figure{NsPerOp: res.ColumnarNs, AllocsPerOp: res.ColumnarAllocs, BytesPerOp: res.ColumnarBytes}
 		}
 		metrics["row-ns"] = float64(best.RowNs)
 		metrics["ingest-ns"] = float64(best.IngestNs)
 		metrics["rank+build-speedup"] = best.Speedup
-		run.Figures = append(run.Figures, Figure{
-			Name:        name,
-			NsPerOp:     best.ColumnarNs,
-			AllocsPerOp: best.ColumnarAllocs,
-			BytesPerOp:  best.ColumnarBytes,
-			Metrics:     metrics,
-		})
+		fig := bestOf(passes)
+		fig.Name, fig.Metrics = name, metrics
+		run.Figures = append(run.Figures, fig)
 	}
 
 	// Serve fairness record: a light tenant's p95 session latency alone

@@ -94,3 +94,19 @@ func TestCheckRegressionsGate(t *testing.T) {
 		t.Fatalf("improvement flagged: %v / %v", violations, warnings)
 	}
 }
+
+// TestBestOfSplitsTimeAndAllocations pins where each field of a
+// recorded figure comes from: ns/op from the fastest pass, allocs/op and
+// bytes/op from the pass that allocated least, even when the fastest
+// pass allocated most (a process's second pass fills the simulator's
+// seed-state cache).
+func TestBestOfSplitsTimeAndAllocations(t *testing.T) {
+	got := bestOf([]Figure{
+		{NsPerOp: 90e6, AllocsPerOp: 10_000, BytesPerOp: 2_000_000},
+		{NsPerOp: 70e6, AllocsPerOp: 10_580, BytesPerOp: 3_200_000}, // fastest, allocates most
+		{NsPerOp: 80e6, AllocsPerOp: 10_000, BytesPerOp: 1_900_000},
+	})
+	if got.NsPerOp != 70e6 || got.AllocsPerOp != 10_000 || got.BytesPerOp != 1_900_000 {
+		t.Fatalf("bestOf = %+v, want 70ms from the fastest pass, 10000 allocs and 1.9 MB from the least-allocating", got)
+	}
+}

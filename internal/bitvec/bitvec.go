@@ -64,17 +64,6 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
-// CloneCap returns an independent copy with capacity for n elements.
-func (v Vec) CloneCap(n int) Vec {
-	w := (n + 63) / 64
-	if w < len(v) {
-		w = len(v)
-	}
-	out := make(Vec, w)
-	copy(out, v)
-	return out
-}
-
 // OrWith unions o into v; o must not be longer than v.
 func (v Vec) OrWith(o Vec) {
 	for w := range o {

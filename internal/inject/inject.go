@@ -95,16 +95,18 @@ func addIntervention(plan sim.Plan, tag string, iv predicate.Intervention) error
 
 // Executor is a core.Intervener backed by the simulator: each round
 // re-executes the program under the merged injection plan for every
-// replay seed, re-extracts predicates against the original success
-// baselines, and reports which candidate predicates were observed.
+// replay seed and reports which corpus predicates each replay exhibits,
+// judged against the original success baselines by the corpus's
+// compiled monitors (predicate.Monitors).
 type Executor struct {
 	// Prog is the application under debugging.
 	Prog *sim.Program
 	// Corpus holds the predicates (with repairs) from the SD phase.
 	Corpus *predicate.Corpus
-	// Baselines are the successful executions from the SD phase; they
-	// anchor duration and return-value baselines during re-extraction
-	// so predicate IDs remain comparable across rounds.
+	// Baselines are the successful executions from the SD phase; the
+	// monitors compile their duration, return-value, order and
+	// atomicity baselines from them once, so every round judges replays
+	// against the corpus's own success baselines.
 	Baselines []trace.Execution
 	// Seeds are the scheduler seeds to replay under each intervention —
 	// typically the seeds that produced failures (§5.3 footnote: a
@@ -137,21 +139,13 @@ type Executor struct {
 	// quarantined. Guarded by mu, like RunsUsed.
 	Missed int
 
-	// mu serializes the executor's mutable state (RunsUsed, the lazily
-	// built extractor, and the extraction post-pass, whose cached
-	// baseline structures are not written concurrently). Replays
+	// mu serializes the executor's mutable state: the run counters and
+	// the monitors, which reuse their scratch across replays. Replays
 	// themselves are pure and run outside the lock.
 	mu sync.Mutex
-	// extractor caches the baseline-derived extraction state across
-	// rounds (built lazily on first use).
-	extractor *predicate.Extractor
-	// Per-round scratch, guarded by mu like the extractor: reused
-	// across observe calls so steady-state rounds do not allocate for
-	// bookkeeping (the observation maps themselves escape into the
-	// scheduler memo and stay heap-allocated).
-	execScratch   []trace.Execution
-	failedScratch []bool
-	watchScratch  []watch
+	// monitors answer each replay's observation. They are compiled on
+	// first use, so Corpus and Baselines must not change afterwards.
+	monitors *predicate.Monitors
 
 	// qmu guards the quarantine. It is separate from mu because replays
 	// consult it concurrently from the worker pool, outside the
@@ -375,36 +369,16 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// The baselines never change between rounds: extract them once and
-	// rescan only the replays each round.
-	if e.extractor == nil {
-		x, err := predicate.NewExtractor(e.Baselines, e.Cfg)
+	if e.monitors == nil {
+		ms, err := predicate.CompileMonitors(e.Corpus, e.Baselines, e.Cfg)
 		if err != nil {
 			return nil, fmt.Errorf("inject: %w", err)
 		}
-		e.extractor = x
+		e.monitors = ms
 	}
 	out := make([][]core.Observation, len(groups))
 	for gi, preds := range groups {
-		bundle := results[gi*nSeeds : (gi+1)*nSeeds]
-		execs := e.execScratch[:0]
-		for _, r := range bundle {
-			if r.missed {
-				e.Missed++
-				continue
-			}
-			execs = append(execs, r.exec)
-		}
-		e.execScratch = execs
-		if len(execs) == 0 {
-			// Every replay of the group is quarantined: there is no
-			// evidence to observe, and retrying cannot produce any. The
-			// round fails (the robust layer reports it; discovery
-			// returns its partial result) rather than fabricating an
-			// outcome.
-			return nil, fmt.Errorf("inject: every replay of group %v is quarantined", preds)
-		}
-		obs, err := e.observe(execs, preds)
+		obs, err := e.observe(results[gi*nSeeds:(gi+1)*nSeeds], preds)
 		if err != nil {
 			return nil, err
 		}
@@ -413,88 +387,48 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 	return out, nil
 }
 
-// watch is one SD-corpus predicate interned against the replay corpus:
-// per-row observation is then a bit probe per column with no string
-// lookups.
-type watch struct {
-	id predicate.ID
-	h  predicate.Handle
-}
-
 // observe turns one group's replay bundle into observations; the caller
-// holds e.mu and e.extractor is built.
-func (e *Executor) observe(execs []trace.Execution, preds []predicate.ID) ([]core.Observation, error) {
-	failed := e.failedScratch[:0]
-	for i := range execs {
-		exec := &execs[i]
+// holds e.mu and the monitors are compiled. Observed spans every corpus
+// predicate but F and the intervened group: an intervened predicate is
+// repaired by construction (¬C(r_C) in Definition 2), though injections
+// can perturb timing enough to re-trigger it, so it is pinned to false.
+// The observation maps escape into the scheduler memo; nothing else is
+// allocated once the monitors' scratch has grown.
+func (e *Executor) observe(bundle []replayResult, preds []predicate.ID) ([]core.Observation, error) {
+	ids := e.monitors.IDs()
+	out := make([]core.Observation, 0, len(bundle))
+	for i := range bundle {
+		if bundle[i].missed {
+			e.Missed++
+			continue
+		}
 		e.RunsUsed++
-		failed = append(failed, e.persists(sim.Verdict{Failed: exec.Failed(), Sig: exec.FailureSig}))
-		// Replays must not contribute to the success baselines that
-		// define duration/return-value predicates — an intervened run
-		// that happens to succeed would otherwise dilute the baselines
-		// and hide symptom predicates from interventional pruning. Mark
-		// it failed for extraction purposes; the observation's Failed
-		// flag is taken from the real outcome recorded above.
-		exec.Outcome = trace.Failure
-	}
-	e.failedScratch = failed
-	first := len(e.Baselines)
-	// The overlay corpus is reused round to round (valid until the next
-	// extraction); observations are copied out of it below, nothing is
-	// retained.
-	rc := e.extractor.ExtractReplays(execs)
-	// Compound predicates are materialized by statistical debugging,
-	// not by extraction; mirror the corpus's compounds so they stay
-	// observable in intervened runs (a compound occurs iff all its
-	// members do). Only the replay rows are filled: the baseline rows
-	// are shared with the extractor's cached template and must stay
-	// unwritten (observations below read replay rows only).
-	for i := range e.Corpus.Preds {
-		p := &e.Corpus.Preds[i]
-		if p.Kind == predicate.KindCompound {
-			rc.MaterializeCompoundFrom(*p, first)
-		}
-	}
-	watches := e.watchScratch[:0]
-	for i := range e.Corpus.Preds {
-		id := e.Corpus.Preds[i].ID
-		if id == predicate.FailureID {
-			continue
-		}
-		// An intervened predicate is repaired by construction
-		// (¬C(r_C) in Definition 2); injections themselves can
-		// perturb timing enough to re-trigger a nominally forced
-		// predicate, so we pin it to false.
-		if containsID(preds, id) {
-			continue
-		}
-		if h, ok := rc.HandleOf(id); ok {
-			watches = append(watches, watch{id, h})
-		}
-	}
-	e.watchScratch = watches
-	out := make([]core.Observation, 0, rc.NumLogs()-first)
-	for i := first; i < rc.NumLogs(); i++ {
-		log := rc.Log(i)
-		// Pre-count so the escaping observation map is allocated at its
-		// exact final size (it outlives the round inside the scheduler
-		// memo, so it cannot come from round scratch).
-		cnt := 0
-		for _, w := range watches {
-			if log.HasHandle(w.h) {
+		exec := &bundle[i].exec
+		hit, cnt := e.monitors.Eval(exec), 0
+		for j := range hit {
+			hit[j] = hit[j] && ids[j] != predicate.FailureID && !containsID(preds, ids[j])
+			if hit[j] {
 				cnt++
 			}
 		}
+		// Counted first so the escaping map is allocated at its final size.
 		obs := core.Observation{
-			Failed:   failed[i-first],
+			Failed:   e.persists(sim.Verdict{Failed: exec.Failed(), Sig: exec.FailureSig}),
 			Observed: make(map[predicate.ID]bool, cnt),
 		}
-		for _, w := range watches {
-			if log.HasHandle(w.h) {
-				obs.Observed[w.id] = true
+		for j, ok := range hit {
+			if ok {
+				obs.Observed[ids[j]] = true
 			}
 		}
 		out = append(out, obs)
+	}
+	if len(out) == 0 {
+		// Every replay of the group is quarantined: there is no evidence
+		// to observe, and retrying cannot produce any. The round fails
+		// (the robust layer reports it; discovery returns its partial
+		// result) rather than fabricating an outcome.
+		return nil, fmt.Errorf("inject: every replay of group %v is quarantined", preds)
 	}
 	return out, nil
 }

@@ -95,12 +95,10 @@ func BenchmarkExtractStream(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractorRounds measures cached re-extraction: one baseline
-// scan, then repeated replay-only rounds (the intervention-replay
-// pattern).
-func BenchmarkExtractorRounds(b *testing.B) {
-	set := benchSet(40, 30)
-	var baselines, replays []trace.Execution
+// splitBenchSet splits benchSet's executions into success baselines and
+// failed replays, with the one-shot corpus over all of them.
+func splitBenchSet(execs, callsPerExec int) (c *Corpus, baselines, replays []trace.Execution) {
+	set := benchSet(execs, callsPerExec)
 	for _, e := range set.Executions {
 		if e.Failed() {
 			replays = append(replays, e)
@@ -108,46 +106,35 @@ func BenchmarkExtractorRounds(b *testing.B) {
 			baselines = append(baselines, e)
 		}
 	}
-	cfg := Config{DurationMargin: 4}
-	x, err := NewExtractor(baselines, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	return Extract(set, Config{DurationMargin: 4}), baselines, replays
+}
+
+// BenchmarkMonitorsCompile measures compiling the corpus's monitors
+// against the baselines: the once-per-executor cost.
+func BenchmarkMonitorsCompile(b *testing.B) {
+	c, baselines, _ := splitBenchSet(40, 30)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := x.Extract(replays)
-		if len(c.Preds) == 0 {
-			b.Fatal("no predicates extracted")
+		if _, err := CompileMonitors(c, baselines, Config{DurationMargin: 4}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkExtractorReplayRounds measures the overlay-reusing
-// steady-state path: after the first round the per-round allocation
-// count should be near zero.
-func BenchmarkExtractorReplayRounds(b *testing.B) {
-	set := benchSet(40, 30)
-	var baselines, replays []trace.Execution
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
-	cfg := Config{DurationMargin: 4}
-	x, err := NewExtractor(baselines, cfg)
+// BenchmarkMonitorsEval measures answering one round of replays: the
+// per-round cost of the intervention loop.
+func BenchmarkMonitorsEval(b *testing.B) {
+	c, baselines, replays := splitBenchSet(40, 30)
+	ms, err := CompileMonitors(c, baselines, Config{DurationMargin: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	x.ExtractReplays(replays) // warm the overlay
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := x.ExtractReplays(replays)
-		if len(c.Preds) == 0 {
-			b.Fatal("no predicates extracted")
+		for j := range replays {
+			ms.Eval(&replays[j])
 		}
 	}
 }

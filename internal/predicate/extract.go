@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -17,10 +18,6 @@ type Config struct {
 	// method is safe for those interventions; timing and locking
 	// interventions are always safe.
 	SideEffectFree func(method string) bool
-	// MaxOrderPairs caps the number of order-violation predicates
-	// (0 = unlimited). Order predicates are quadratic in the number of
-	// method instances; the cap keeps pathological corpora tractable.
-	MaxOrderPairs int
 	// DurationMargin is the significance threshold for duration
 	// predicates: a call is "too slow" only when it exceeds the success
 	// maximum by more than the margin (and "too fast" symmetrically).
@@ -51,27 +48,31 @@ type instKey struct {
 
 func (k instKey) String() string { return k.m + "#" + strconv.Itoa(k.inst) }
 
-// callIDs holds the five predicate IDs extractPerCall can emit for one
-// method instance. Extraction passes share a cache keyed by instKey so
-// each ID string is concatenated once per distinct instance — in the
-// intervention loop (Extractor), once per discovery, not per round.
-type callIDs struct {
-	fails, slow, fast, late, ret ID
-}
+// perCallKinds are the per-call predicate kinds in emission order, and
+// perCallPrefix their ID prefixes: an ID is the prefix followed by the
+// instance key.
+var (
+	perCallKinds  = [...]Kind{KindMethodFails, KindTooSlow, KindTooFast, KindStartsLate, KindWrongReturn}
+	perCallPrefix = map[Kind]string{
+		KindMethodFails: "fails:", KindTooSlow: "slow:", KindTooFast: "fast:",
+		KindStartsLate: "late:", KindWrongReturn: "ret:",
+	}
+)
+
+// callIDs holds the IDs extractPerCall can emit for one method instance,
+// indexed like perCallKinds. Extraction passes share a cache keyed by
+// instKey so each ID string is concatenated once per distinct instance.
+type callIDs [len(perCallKinds)]ID
 
 func idsFor(cache map[instKey]callIDs, k instKey) callIDs {
-	if ci, ok := cache[k]; ok {
-		return ci
+	ci, ok := cache[k]
+	if !ok {
+		ks := k.String()
+		for i, kind := range perCallKinds {
+			ci[i] = ID(perCallPrefix[kind] + ks)
+		}
+		cache[k] = ci
 	}
-	ks := k.String()
-	ci := callIDs{
-		fails: ID("fails:" + ks),
-		slow:  ID("slow:" + ks),
-		fast:  ID("fast:" + ks),
-		late:  ID("late:" + ks),
-		ret:   ID("ret:" + ks),
-	}
-	cache[k] = ci
 	return ci
 }
 
@@ -92,9 +93,9 @@ type succStats struct {
 // successful executions, then every execution is scanned for
 // deviations.
 //
-// When the same success baselines are reused against changing failure
-// replays round after round (intervention replay), use an Extractor
-// instead: it caches all baseline-derived state.
+// Intervention replays are not re-extracted: Monitors answers, per
+// replay, the occurrence bits this function would give a corpus's
+// predicates over the baselines plus that replay marked failed.
 func Extract(s *trace.Set, cfg Config) *Corpus {
 	c := NewCorpus()
 	for i := range s.Executions {
@@ -120,7 +121,7 @@ func Extract(s *trace.Set, cfg Config) *Corpus {
 				rows[i] = callRow(&s.Executions[i], ost.keyIdx, len(ost.keys))
 			}
 		}
-		emitOrderViolations(c, ost, rows, cfg)
+		emitOrderViolations(c, ost, rows)
 	}
 	emitAtomicityViolations(s.Executions, 0, c, buildAtomState(succs), nil)
 
@@ -141,9 +142,7 @@ func Extract(s *trace.Set, cfg Config) *Corpus {
 // predicates, occurrences, and counts); only the predicate registration
 // order differs (first-occurrence order instead of phase order), which
 // no downstream consumer observes — scores, candidate sets, and the
-// AC-DAG all sort by ID. One caveat: with MaxOrderPairs > 0 the cap
-// keeps the first N flipped pairs in stream order rather than baseline
-// pair order.
+// AC-DAG all sort by ID.
 func ExtractStream(s *trace.Set, cfg Config, onRow func(row int, c *Corpus)) *Corpus {
 	c := NewCorpus()
 	succs := s.Successes()
@@ -170,7 +169,6 @@ func ExtractStream(s *trace.Set, cfg Config, onRow func(row int, c *Corpus)) *Co
 			pairHandle[i] = NoHandle
 		}
 	}
-	orderEmitted := 0
 
 	ids := make(map[instKey]callIDs)
 	raceSc := newRaceScratch()
@@ -198,12 +196,8 @@ func ExtractStream(s *trace.Set, cfg Config, onRow func(row int, c *Corpus)) *Co
 				}
 				h := pairHandle[pi]
 				if h == NoHandle {
-					if cfg.MaxOrderPairs > 0 && orderEmitted >= cfg.MaxOrderPairs {
-						continue
-					}
 					h = c.AddPred(orderPredicate(ost.keys[pr[0]], ost.keys[pr[1]]))
 					pairHandle[pi] = h
-					orderEmitted++
 				}
 				c.SetOcc(row, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
 			}
@@ -250,164 +244,137 @@ func successBaselines(succs []*trace.Execution) map[instKey]*succStats {
 			k := instKey{call.Method, call.Instance}
 			st, ok := stats[k]
 			if !ok {
-				st = &succStats{
-					minDur:        call.Duration(),
-					maxDur:        call.Duration(),
-					retConsistent: true,
-				}
+				st = &succStats{}
 				stats[k] = st
 			}
-			st.present++
-			if d := call.Duration(); d < st.minDur {
-				st.minDur = d
-			} else if d > st.maxDur {
-				st.maxDur = d
-			}
-			if call.Start > st.maxStart {
-				st.maxStart = call.Start
-			}
-			if call.Failed() {
-				// A throwing success-run call has no usable return value.
-				st.retConsistent = false
-				continue
-			}
-			if !st.retSet {
-				st.ret = call.Return
-				st.retSet = true
-			} else if !st.ret.Equal(call.Return) {
-				st.retConsistent = false
-			}
+			st.add(call)
 		}
 	}
 	return stats
 }
 
-// extractPerCall emits method-fails, too-slow, too-fast and wrong-return
-// predicates for every method instance; execs[k] corresponds to row
-// off+k. ids caches the per-instance ID strings across calls and rounds.
+// add folds one success-run call of the instance into the baseline.
+func (st *succStats) add(call *trace.MethodCall) {
+	if st.present == 0 {
+		st.minDur, st.maxDur, st.retConsistent = call.Duration(), call.Duration(), true
+	}
+	st.present++
+	if d := call.Duration(); d < st.minDur {
+		st.minDur = d
+	} else if d > st.maxDur {
+		st.maxDur = d
+	}
+	if call.Start > st.maxStart {
+		st.maxStart = call.Start
+	}
+	if call.Failed() {
+		// A throwing success-run call has no usable return value.
+		st.retConsistent = false
+		return
+	}
+	if !st.retSet {
+		st.ret = call.Return
+		st.retSet = true
+	} else if !st.ret.Equal(call.Return) {
+		st.retConsistent = false
+	}
+}
+
+// holds reports whether the per-call predicate of kind k holds for call
+// in execution e, given the instance's success baseline st (nil when
+// the instance never ran in a success). It is the one definition that
+// extraction and the replay monitors share.
+func holds(k Kind, e *trace.Execution, call *trace.MethodCall, st *succStats, margin trace.Time) bool {
+	if k == KindMethodFails {
+		return call.Failed()
+	}
+	if st == nil {
+		return false
+	}
+	switch k {
+	case KindTooSlow:
+		return call.Duration() > st.maxDur+margin
+	case KindTooFast:
+		return !call.Failed() && call.Duration() < st.minDur-margin
+	case KindStartsLate:
+		// Lateness of a nested call is subsumed by its enclosing span's
+		// behaviour; only thread-root spans carry a meaningful
+		// scheduling-lateness signal (§4 Case 2: the caller's late start
+		// causes the callee's).
+		return call.Start > st.maxStart+margin && isThreadRoot(e, call)
+	case KindWrongReturn:
+		_, ok := st.usableRet()
+		return ok && !call.Failed() && !call.Return.Void && !call.Return.Equal(st.ret)
+	}
+	return false
+}
+
+// extractPerCall emits the per-call predicates (perCallKinds) for
+// every method instance; execs[k] corresponds to row off+k. ids caches
+// the per-instance ID strings across calls.
 func extractPerCall(execs []trace.Execution, off int, c *Corpus, stats map[instKey]*succStats, cfg Config, ids map[instKey]callIDs) {
 	for i := range execs {
 		e := &execs[i]
-		row := off + i
 		for j := range e.Calls {
 			call := &e.Calls[j]
 			k := instKey{call.Method, call.Instance}
-			ci := idsFor(ids, k)
-			window := Occurrence{Start: call.Start, End: call.End, Thread: call.Thread}
-
-			if call.Failed() {
-				id := ci.fails
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindMethodFails,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: catchRepair(k, stats[k], cfg),
-						Desc:   fmt.Sprintf("method %s (call #%d) throws %s", k.m, k.inst, call.Exception),
-					})
-				}
-				c.SetOcc(row, h, window)
-			}
-
 			st := stats[k]
-			if st == nil {
-				continue // no success baseline for this instance
-			}
-			if call.Duration() > st.maxDur+cfg.DurationMargin {
-				id := ci.slow
+			for ki, kind := range perCallKinds {
+				if !holds(kind, e, call, st, cfg.DurationMargin) {
+					continue
+				}
+				id := idsFor(ids, k)[ki]
 				h, ok := c.HandleOf(id)
 				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindTooSlow,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: prematureRepair(k, st, cfg),
-						Desc: fmt.Sprintf("method %s (call #%d) runs too slow (> %d ticks)",
-							k.m, k.inst, st.maxDur),
-					})
+					h = c.AddPred(perCallPredicate(id, kind, k, call, st, cfg))
 				}
-				c.SetOcc(row, h, window)
-			}
-			if !call.Failed() && call.Duration() < st.minDur-cfg.DurationMargin {
-				id := ci.fast
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindTooFast,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: Intervention{
-							Kind: IvDelayReturn, Methods: []string{k.m},
-							Delay: int64(st.minDur), Safe: true,
-						},
-						Desc: fmt.Sprintf("method %s (call #%d) runs too fast (< %d ticks)",
-							k.m, k.inst, st.minDur),
-					})
-				}
-				c.SetOcc(row, h, window)
-			}
-			// Lateness of a nested call is subsumed by its enclosing
-			// span's behaviour; only thread-root spans carry a
-			// meaningful scheduling-lateness signal (§4 Case 2: the
-			// caller's late start causes the callee's).
-			if call.Start > st.maxStart+cfg.DurationMargin && isThreadRoot(e, call) {
-				id := ci.late
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindStartsLate,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByStart,
-						// Lateness has no local repair (§4 Case 2): the cause
-						// lies upstream, so the predicate is diagnostic only.
-						Repair: Intervention{Kind: IvNone},
-						Desc: fmt.Sprintf("method %s (call #%d) starts later than expected (> tick %d)",
-							k.m, k.inst, st.maxStart),
-					})
-				}
-				c.SetOcc(row, h, window)
-			}
-			if !call.Failed() && st.retSet && st.retConsistent && !st.ret.Void &&
-				!call.Return.Void && !call.Return.Equal(st.ret) {
-				id := ci.ret
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(Predicate{
-						ID: id, Kind: KindWrongReturn,
-						Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd,
-						Repair: Intervention{
-							Kind: IvOverrideReturn, Methods: []string{k.m},
-							Value: st.ret.Int, Safe: cfg.sideEffectFree(k.m),
-						},
-						Desc: fmt.Sprintf("method %s (call #%d) returns incorrect value (correct: %s)",
-							k.m, k.inst, st.ret),
-					})
-				}
-				c.SetOcc(row, h, window)
+				c.SetOcc(off+i, h, Occurrence{Start: call.Start, End: call.End, Thread: call.Thread})
 			}
 		}
 	}
 }
 
-func catchRepair(k instKey, st *succStats, cfg Config) Intervention {
-	var val int64
-	if st != nil && st.retSet && st.retConsistent && !st.ret.Void {
-		val = st.ret.Int
+// perCallPredicate builds the per-call predicate of the given kind for
+// instance k, first seen holding at call; st is k's success baseline
+// (nil only for a method that fails).
+func perCallPredicate(id ID, kind Kind, k instKey, call *trace.MethodCall, st *succStats, cfg Config) Predicate {
+	p := Predicate{ID: id, Kind: kind, Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd}
+	safe := cfg.sideEffectFree(k.m)
+	switch kind {
+	case KindMethodFails:
+		p.Repair = Intervention{Kind: IvCatchException, Methods: []string{k.m}, Safe: safe}
+		if st != nil {
+			p.Repair.Value, _ = st.usableRet()
+		}
+		p.Desc = fmt.Sprintf("method %s (call #%d) throws %s", k.m, k.inst, call.Exception)
+	case KindTooSlow:
+		p.Repair = Intervention{Kind: IvPrematureReturn, Methods: []string{k.m}, Safe: safe}
+		var ok bool
+		p.Repair.Value, ok = st.usableRet()
+		p.Repair.Void = !ok
+		p.Desc = fmt.Sprintf("method %s (call #%d) runs too slow (> %d ticks)", k.m, k.inst, st.maxDur)
+	case KindTooFast:
+		p.Repair = Intervention{Kind: IvDelayReturn, Methods: []string{k.m}, Delay: int64(st.minDur), Safe: true}
+		p.Desc = fmt.Sprintf("method %s (call #%d) runs too fast (< %d ticks)", k.m, k.inst, st.minDur)
+	case KindStartsLate:
+		// Lateness has no local repair (§4 Case 2): the cause lies
+		// upstream, so the predicate is diagnostic only.
+		p.Stamp, p.Repair = ByStart, Intervention{Kind: IvNone}
+		p.Desc = fmt.Sprintf("method %s (call #%d) starts later than expected (> tick %d)", k.m, k.inst, st.maxStart)
+	case KindWrongReturn:
+		p.Repair = Intervention{Kind: IvOverrideReturn, Methods: []string{k.m}, Value: st.ret.Int, Safe: safe}
+		p.Desc = fmt.Sprintf("method %s (call #%d) returns incorrect value (correct: %s)", k.m, k.inst, st.ret)
 	}
-	return Intervention{
-		Kind: IvCatchException, Methods: []string{k.m},
-		Value: val, Safe: cfg.sideEffectFree(k.m),
-	}
+	return p
 }
 
-func prematureRepair(k instKey, st *succStats, cfg Config) Intervention {
-	iv := Intervention{
-		Kind: IvPrematureReturn, Methods: []string{k.m},
-		Safe: cfg.sideEffectFree(k.m),
-	}
+// usableRet returns the instance's success return value when every
+// success returned the same non-void value.
+func (st *succStats) usableRet() (int64, bool) {
 	if st.retSet && st.retConsistent && !st.ret.Void {
-		iv.Value = st.ret.Int
-	} else {
-		iv.Void = true
+		return st.ret.Int, true
 	}
-	return iv
+	return 0, false
 }
 
 // accessWindow summarizes one span's accesses to one object: the time
@@ -423,12 +390,10 @@ type accessWindow struct {
 	locks    []string // intersection of the window's access locksets
 }
 
-// raceScratch holds extractRaces's reusable buffers. A one-shot
-// extraction builds a fresh set; an Extractor keeps one across rounds
-// so steady-state replay extraction reuses the maps, the bucket
-// backings, and the arena slabs behind the per-window locksets (the
-// lock pool is rewound wholesale at the start of each pass — the
-// slices never outlive it).
+// raceScratch holds extractRaces's reusable buffers. ExtractStream
+// keeps one across rows, reusing the maps, the bucket backings, and the
+// arena slabs behind the per-window locksets (the lock pool is rewound
+// wholesale at the start of each pass — the slices never outlive it).
 type raceScratch struct {
 	winIdx    map[trace.ObjectID]int
 	wins      []accessWindow
@@ -518,25 +483,14 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 			for x := 0; x < len(ws); x++ {
 				for y := x + 1; y < len(ws); y++ {
 					a, b := &ws[x], &ws[y]
-					if a.call.Thread == b.call.Thread {
-						continue
-					}
-					if !a.hasWrite && !b.hasWrite {
-						continue
-					}
-					// Strict interleaving: each window starts before
-					// the other ends.
-					if !(a.start < b.end && b.start < a.end) {
-						continue
-					}
-					if sharesLock(a.locks, b.locks) {
+					if !races(a, b) {
 						continue
 					}
 					m1, m2 := a.call.Method, b.call.Method
 					if m1 > m2 {
 						m1, m2 = m2, m1
 					}
-					id := ID("race:" + m1 + "|" + m2 + "@" + string(obj))
+					id := raceID(m1, m2, obj)
 					h, ok := c.HandleOf(id)
 					if !ok {
 						h = c.AddPred(Predicate{
@@ -572,6 +526,34 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 	}
 }
 
+// races reports whether two calls' access windows on one object race:
+// different threads, at least one write, strictly interleaved windows
+// (each starts before the other ends), and no lock held across both.
+func races(a, b *accessWindow) bool {
+	return a.call.Thread != b.call.Thread && (a.hasWrite || b.hasWrite) &&
+		a.start < b.end && b.start < a.end && !sharesLock(a.locks, b.locks)
+}
+
+// windowOn is call's access window on obj, as extractRaces builds it;
+// ok is false when the call does not touch obj. The lockset comes from
+// pool.
+func windowOn(call *trace.MethodCall, obj trace.ObjectID, pool *arena.Pool[string]) (w accessWindow, ok bool) {
+	for i := range call.Accesses {
+		acc := &call.Accesses[i]
+		if acc.Object != obj {
+			continue
+		}
+		if !ok {
+			w, ok = accessWindow{call: call, start: acc.At, end: acc.At, locks: pool.Clone(acc.Locks)}, true
+		} else {
+			w.start, w.end = min(w.start, acc.At), max(w.end, acc.At)
+			w.locks = intersectInPlace(w.locks, acc.Locks)
+		}
+		w.hasWrite = w.hasWrite || acc.Kind == trace.Write
+	}
+	return w, ok
+}
+
 // intersectInPlace filters a down to the elements also present in b,
 // reusing a's backing (a is always pool-owned scratch here).
 func intersectInPlace(a, b []string) []string {
@@ -597,6 +579,11 @@ func sharesLock(a, b []string) bool {
 		}
 	}
 	return false
+}
+
+// raceID names the data race between methods m1 <= m2 on obj.
+func raceID(m1, m2 string, obj trace.ObjectID) ID {
+	return ID("race:" + m1 + "|" + m2 + "@" + string(obj))
 }
 
 func dedupe(ms ...string) []string {
@@ -647,8 +634,7 @@ func minTime(a, b trace.Time) trace.Time {
 //
 // orderState is the success-derived half of order-violation extraction:
 // the baseline instance keys, which pairs stayed strictly ordered in
-// every success, and the keys' access profiles. It is immutable once
-// built, so an Extractor reuses it across replay rounds.
+// every success, and the keys' access profiles.
 type orderState struct {
 	keys     []instKey
 	keyIdx   map[instKey]int
@@ -726,27 +712,20 @@ func buildOrderState(succs []*trace.Execution, stats map[instKey]*succStats) (*o
 // probe — the dominant cost of large corpora.
 func callRow(e *trace.Execution, keyIdx map[instKey]int, nk int) []*trace.MethodCall {
 	row := make([]*trace.MethodCall, nk)
-	callRowInto(e, keyIdx, row)
-	return row
-}
-
-// callRowInto is callRow into caller-provided zeroed storage of length
-// nk — the scratch-reusing form for the per-round extraction path.
-func callRowInto(e *trace.Execution, keyIdx map[instKey]int, row []*trace.MethodCall) {
 	for ci := range e.Calls {
 		call := &e.Calls[ci]
 		if ki, ok := keyIdx[instKey{call.Method, call.Instance}]; ok {
 			row[ki] = call
 		}
 	}
+	return row
 }
 
 // emitOrderViolations emits the predicate "B starts before A ends" for
 // every baseline-ordered conflicting pair wherever the order flips;
 // rows[i] is the callRow of the execution behind corpus row i.
-func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall, cfg Config) {
+func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall) {
 	nk := len(st.keys)
-	emitted := 0
 	for ai := range st.keys {
 		for bi := range st.keys {
 			if ai == bi || !st.ordered[ai*nk+bi] {
@@ -754,9 +733,6 @@ func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall, 
 			}
 			if !conflicting(st.profiles[ai], st.profiles[bi]) {
 				continue
-			}
-			if cfg.MaxOrderPairs > 0 && emitted >= cfg.MaxOrderPairs {
-				return
 			}
 			var h Handle
 			added := false
@@ -768,7 +744,6 @@ func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall, 
 				if !added {
 					h = c.AddPred(orderPredicate(st.keys[ai], st.keys[bi]))
 					added = true
-					emitted++
 				}
 				c.SetOcc(i, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
 			}
@@ -776,11 +751,14 @@ func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall, 
 	}
 }
 
+// orderID names the order violation "kb starts before ka ends".
+func orderID(ka, kb instKey) ID { return ID("order:" + ka.String() + "<" + kb.String()) }
+
 // orderPredicate builds the order-violation predicate "kb starts before
 // ka ends" for a baseline-ordered pair.
 func orderPredicate(ka, kb instKey) Predicate {
 	return Predicate{
-		ID:      ID("order:" + ka.String() + "<" + kb.String()),
+		ID:      orderID(ka, kb),
 		Kind:    KindOrderViolation,
 		Methods: dedupe(ka.m, kb.m), Instance: ka.inst, Stamp: ByStart,
 		Repair: Intervention{
@@ -825,8 +803,8 @@ type atomAccess struct {
 
 // atomScratch holds scanAtomicity's per-object access buckets. The
 // same objects recur in every trace of a corpus, so a persistent
-// scratch retains the map and the bucket backings across executions
-// and rounds, truncating instead of reallocating.
+// scratch retains the map and the bucket backings across executions,
+// truncating instead of reallocating.
 type atomScratch struct {
 	byObj map[trace.ObjectID][]atomAccess
 }
@@ -855,38 +833,14 @@ func scanAtomicity(e *trace.Execution, sc *atomScratch, record func(cd atomCand,
 		if len(accs) == 0 {
 			continue
 		}
-		slices.SortFunc(accs, func(x, y atomAccess) int {
-			switch {
-			case x.at < y.at:
-				return -1
-			case x.at > y.at:
-				return 1
-			}
-			return 0
+		sortAccesses(accs)
+		atomPairs(accs, func(a, b *trace.MethodCall, violated bool, gapStart, gapEnd trace.Time) {
+			record(atomCand{
+				a:   instKey{a.Method, a.Instance},
+				b:   instKey{b.Method, b.Instance},
+				obj: obj,
+			}, violated, gapStart, gapEnd)
 		})
-		for x := 0; x < len(accs); x++ {
-			for y := x + 1; y < len(accs); y++ {
-				a, b := accs[x], accs[y]
-				if a.call.Thread != b.call.Thread || a.call == b.call {
-					continue
-				}
-				cd := atomCand{
-					a:   instKey{a.call.Method, a.call.Instance},
-					b:   instKey{b.call.Method, b.call.Instance},
-					obj: obj,
-				}
-				violated := false
-				for z := x + 1; z < y; z++ {
-					w := accs[z]
-					if w.call.Thread != a.call.Thread && w.kind == trace.Write {
-						violated = true
-						break
-					}
-				}
-				record(cd, violated, a.at, b.at)
-				y = len(accs) // only the next foreign-span access matters
-			}
-		}
 	}
 	// Truncate the touched buckets so the next execution appends into
 	// the retained backings.
@@ -895,6 +849,44 @@ func scanAtomicity(e *trace.Execution, sc *atomScratch, record func(cd atomCand,
 			byObj[obj] = accs[:0]
 		}
 	}
+}
+
+// sortAccesses orders one object's accesses by time. The sort is
+// unstable: equal-time accesses end in an order fixed by the input
+// order, which every caller builds the same way (calls in trace order,
+// each call's accesses in order), so extraction and the monitors see
+// the same sequence.
+func sortAccesses(accs []atomAccess) {
+	slices.SortFunc(accs, func(x, y atomAccess) int { return cmp.Compare(x.at, y.at) })
+}
+
+// atomPairs reports, for each access in one object's sorted sequence,
+// the pair it forms with the next access by another span of the same
+// thread, and whether a remote write slips between the two.
+func atomPairs(accs []atomAccess, record func(a, b *trace.MethodCall, violated bool, gapStart, gapEnd trace.Time)) {
+	for x := 0; x < len(accs); x++ {
+		for y := x + 1; y < len(accs); y++ {
+			a, b := accs[x], accs[y]
+			if a.call.Thread != b.call.Thread || a.call == b.call {
+				continue
+			}
+			violated := false
+			for z := x + 1; z < y; z++ {
+				w := accs[z]
+				if w.call.Thread != a.call.Thread && w.kind == trace.Write {
+					violated = true
+					break
+				}
+			}
+			record(a.call, b.call, violated, a.at, b.at)
+			break // only the next foreign-span access matters
+		}
+	}
+}
+
+// atomID names the atomicity violation of a candidate pair.
+func atomID(cd atomCand) ID {
+	return ID("atom:" + cd.a.String() + "," + cd.b.String() + "@" + string(cd.obj))
 }
 
 // buildAtomState collects candidate pairs from the successes:
@@ -909,7 +901,7 @@ func buildAtomState(succs []*trace.Execution) *atomState {
 	for _, e := range succs {
 		scanAtomicity(e, sc, func(cd atomCand, violated bool, _, _ trace.Time) {
 			if _, ok := st.ids[cd]; !ok {
-				st.ids[cd] = ID("atom:" + cd.a.String() + "," + cd.b.String() + "@" + string(cd.obj))
+				st.ids[cd] = atomID(cd)
 			}
 			if violated {
 				st.violatedInSuccess[cd] = true
@@ -960,16 +952,28 @@ func emitAtomicityViolations(execs []trace.Execution, off int, c *Corpus, st *at
 // encloses the call.
 func isThreadRoot(e *trace.Execution, call *trace.MethodCall) bool {
 	for i := range e.Calls {
-		p := &e.Calls[i]
-		if p == call || p.Thread != call.Thread {
-			continue
-		}
-		if p.Start <= call.Start && p.End >= call.End &&
-			(p.Start < call.Start || p.End > call.End) {
+		if strictlyEncloses(&e.Calls[i], call) {
 			return false
 		}
 	}
 	return true
+}
+
+// enclosesSpan reports whether p strictly encloses another span of e.
+func enclosesSpan(e *trace.Execution, p *trace.MethodCall) bool {
+	for i := range e.Calls {
+		if strictlyEncloses(p, &e.Calls[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// strictlyEncloses reports whether p is another span of c's thread that
+// covers c's window and is longer than it.
+func strictlyEncloses(p, c *trace.MethodCall) bool {
+	return p != c && p.Thread == c.Thread && p.Start <= c.Start && p.End >= c.End &&
+		(p.Start < c.Start || p.End > c.End)
 }
 
 // accessProfile records which objects an instance reads and writes.
@@ -984,26 +988,28 @@ type accessProfile struct {
 func accessProfiles(rows [][]*trace.MethodCall, keys []instKey) []accessProfile {
 	out := make([]accessProfile, len(keys))
 	for ki := range keys {
-		p := accessProfile{
-			reads:  make(map[trace.ObjectID]bool, 4),
-			writes: make(map[trace.ObjectID]bool, 4),
-		}
 		for _, row := range rows {
-			call := row[ki]
-			if call == nil {
-				continue
-			}
-			for _, a := range call.Accesses {
-				if a.Kind == trace.Write {
-					p.writes[a.Object] = true
-				} else {
-					p.reads[a.Object] = true
-				}
+			if call := row[ki]; call != nil {
+				out[ki].add(call)
 			}
 		}
-		out[ki] = p
 	}
 	return out
+}
+
+// add unions one call's accesses into the profile.
+func (p *accessProfile) add(call *trace.MethodCall) {
+	if p.reads == nil {
+		p.reads = make(map[trace.ObjectID]bool, 4)
+		p.writes = make(map[trace.ObjectID]bool, 4)
+	}
+	for _, a := range call.Accesses {
+		if a.Kind == trace.Write {
+			p.writes[a.Object] = true
+		} else {
+			p.reads[a.Object] = true
+		}
+	}
 }
 
 // conflicting reports whether two profiles touch a common object with
@@ -1031,19 +1037,8 @@ func nonLeafKeys(succs []*trace.Execution) map[instKey]bool {
 		for i := range e.Calls {
 			parent := &e.Calls[i]
 			k := instKey{parent.Method, parent.Instance}
-			if out[k] {
-				continue
-			}
-			for j := range e.Calls {
-				child := &e.Calls[j]
-				if child == parent || child.Thread != parent.Thread {
-					continue
-				}
-				if child.Start >= parent.Start && child.End <= parent.End &&
-					(child.Start > parent.Start || child.End < parent.End) {
-					out[k] = true
-					break
-				}
+			if !out[k] && enclosesSpan(e, parent) {
+				out[k] = true
 			}
 		}
 	}

@@ -349,39 +349,6 @@ func TestOrderViolationNotEmittedWhenConsistent(t *testing.T) {
 	}
 }
 
-func TestMaxOrderPairsCap(t *testing.T) {
-	// Three methods strictly ordered in successes, fully flipped in the
-	// failure: 3 candidate pairs, capped to 1.
-	mk := func(id string, outcome trace.Outcome, flip bool) trace.Execution {
-		ts := [][2]trace.Time{{0, 10}, {20, 30}, {40, 50}}
-		if flip {
-			ts = [][2]trace.Time{{40, 50}, {20, 30}, {0, 10}}
-		}
-		var calls []trace.MethodCall
-		for i, m := range []string{"A", "B", "C"} {
-			cl := call(m, trace.ThreadID(i+1), ts[i][0], ts[i][1])
-			kind := trace.Read
-			if i == 0 {
-				kind = trace.Write
-			}
-			cl.Accesses = []trace.Access{{Object: "data", Kind: kind, At: ts[i][0] + 1}}
-			calls = append(calls, cl)
-		}
-		return trace.Execution{ID: id, Outcome: outcome, Calls: calls}
-	}
-	s := buildSet(mk("s", trace.Success, false), mk("f", trace.Failure, true))
-	c := Extract(s, Config{MaxOrderPairs: 1})
-	n := 0
-	for _, id := range c.IDs() {
-		if strings.HasPrefix(string(id), "order:") {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("order predicates = %d, want 1 (capped)", n)
-	}
-}
-
 func atomicityExec(id string, outcome trace.Outcome, interleaved bool) trace.Execution {
 	parent := call("Parent", 1, 0, 100)
 	a := call("ReadCfg", 1, 10, 20)

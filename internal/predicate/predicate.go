@@ -287,10 +287,6 @@ type Corpus struct {
 	partFail []ExecLog
 	partSucc []ExecLog
 
-	// sealed guards rows shared with an extraction template (see
-	// Extractor): writes below it would mutate another corpus's columns.
-	sealed int
-
 	// effectPruned counts predicates removed by DropPure (the
 	// effect-guided pruning pass); see EffectPruned.
 	effectPruned int
@@ -315,8 +311,6 @@ func (c *Corpus) AddPred(p Predicate) Handle {
 }
 
 // Has reports whether a predicate with the given ID is registered.
-// Extractors use it to skip re-building predicate metadata (notably
-// description strings) for IDs they have already emitted.
 func (c *Corpus) Has(id ID) bool {
 	_, ok := c.byID[id]
 	return ok
@@ -384,9 +378,6 @@ func (c *Corpus) AddRow(execID string, failed bool) int {
 // nondecreasing row order (re-writing the current row merges by
 // overwrite, matching map semantics); earlier rows are immutable.
 func (c *Corpus) SetOcc(row int, h Handle, occ Occurrence) {
-	if row < c.sealed {
-		panic(fmt.Sprintf("predicate: write to sealed baseline row %d", row))
-	}
 	col := &c.cols[h]
 	if int32(row) == col.last {
 		col.occs[len(col.occs)-1] = occ
@@ -573,50 +564,6 @@ func allMethodsPure(p *Predicate, pure func(method string) bool) bool {
 // from this corpus.
 func (c *Corpus) EffectPruned() int { return c.effectPruned }
 
-// deriveSealed returns a corpus that shares this one's rows and columns
-// as an immutable prefix, sized to take extraRows appended rows — the
-// zero-copy round template of predicate.Extractor. Shared occurrence
-// arrays are full-capped so any append reallocates (copy-on-write); the
-// per-column row bitmaps are cloned (a few words each, since appended
-// row bits can land in a shared trailing word). Writes into the shared
-// prefix panic via the sealed guard.
-func (c *Corpus) deriveSealed(extraRows int) *Corpus {
-	n := c.NumLogs()
-	d := &Corpus{
-		Preds:      append([]Predicate(nil), c.Preds...),
-		byID:       make(map[ID]Handle, len(c.byID)+8),
-		cols:       make([]column, len(c.cols)),
-		execIDs:    c.execIDs[:n:n],
-		failedRows: c.failedRows.CloneCap(n + extraRows),
-		failOrd:    c.failOrd[:n:n],
-		nFail:      c.nFail,
-		sealed:     n,
-	}
-	for id, h := range c.byID {
-		d.byID[id] = h
-	}
-	for i := range c.cols {
-		b := &c.cols[i]
-		d.cols[i] = column{
-			rows:    b.rows.Clone(),
-			occs:    b.occs[:len(b.occs):len(b.occs)],
-			last:    b.last,
-			failCnt: b.failCnt,
-		}
-	}
-	d.partFail = make([]ExecLog, 0, c.nFail+extraRows)
-	d.partSucc = make([]ExecLog, 0, n-c.nFail)
-	for row := 0; row < n; row++ {
-		v := ExecLog{c: d, row: int32(row)}
-		if d.failedRows.Has(row) {
-			d.partFail = append(d.partFail, v)
-		} else {
-			d.partSucc = append(d.partSucc, v)
-		}
-	}
-	return d
-}
-
 // FailureID is the ID of the distinguished failure predicate F.
 const FailureID ID = "FAILURE"
 
@@ -671,17 +618,10 @@ func (c *Corpus) CompoundAnd(members ...ID) (Predicate, error) {
 }
 
 // MaterializeCompound registers the compound predicate and fills its
-// occurrences in every row where all members occur.
+// occurrences in every row where all members occur. The membership test
+// is a word-parallel AND of the member bitmaps; windows are merged in
+// one pass per member.
 func (c *Corpus) MaterializeCompound(p Predicate) {
-	c.MaterializeCompoundFrom(p, 0)
-}
-
-// MaterializeCompoundFrom is MaterializeCompound restricted to rows
-// [from, NumLogs()). Use it when the earlier rows are shared with a
-// cached extraction template (predicate.Extractor) and must stay
-// unwritten. The membership test is a word-parallel AND of the member
-// bitmaps; windows are merged in one pass per member.
-func (c *Corpus) MaterializeCompoundFrom(p Predicate, from int) {
 	h := c.AddPred(p)
 	if len(p.Members) == 0 {
 		return
@@ -706,11 +646,7 @@ func (c *Corpus) MaterializeCompoundFrom(p Predicate, from int) {
 		}
 	}
 	var rows []int
-	and.ForEach(func(row int) {
-		if row >= from {
-			rows = append(rows, row)
-		}
-	})
+	and.ForEach(func(row int) { rows = append(rows, row) })
 	if len(rows) == 0 {
 		return
 	}

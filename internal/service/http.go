@@ -9,6 +9,10 @@ import (
 	"strconv"
 )
 
+// maxSpecBytes caps a session-spec body: a spec is a few hundred bytes
+// of JSON, and an unbounded decode would let one request hold memory.
+const maxSpecBytes = 1 << 20
+
 // NewHandler builds the daemon's HTTP API over a manager. The surface
 // is JSON everywhere, JSON *lines* on the two streaming-shaped
 // endpoints (corpus ingest bodies and event streams), mirroring the
@@ -30,7 +34,8 @@ import (
 // manager speaks typed errors: SaturatedError → 429 with Retry-After,
 // DrainingError → 503, NotFoundError/unknown session → 404,
 // UnknownStudyError and ValidationError → 400, an ingest body over the
-// configured cap → 413. Untyped errors are server faults → 500.
+// configured cap or a session spec over maxSpecBytes → 413. Untyped
+// errors are server faults → 500.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
@@ -76,7 +81,7 @@ func NewHandler(m *Manager) http.Handler {
 
 	mux.HandleFunc("POST /v1/tenants/{tenant}/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec SessionSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			writeError(w, m, validationf("service: bad session spec: %w", err))

@@ -368,6 +368,30 @@ func TestHTTPCorpusTooLarge(t *testing.T) {
 	}
 }
 
+// TestHTTPSessionSpecTooLarge: a session spec over maxSpecBytes is
+// refused with 413 rather than decoded without bound, and the daemon
+// keeps answering.
+func TestHTTPSessionSpecTooLarge(t *testing.T) {
+	_, srv := newTestServer(t, Config{})
+	body := `{"study":"npgsql","corpus":"` + strings.Repeat("a", 2*maxSpecBytes) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: HTTP %d, want 413", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after an oversized spec: HTTP %d", resp.StatusCode)
+	}
+}
+
 // failStore simulates a broken storage backend: every operation returns
 // an untyped I/O-ish error.
 type failStore struct{}
