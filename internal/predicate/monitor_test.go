@@ -198,3 +198,108 @@ func TestMonitorsIgnoreMismatchedIDs(t *testing.T) {
 		t.Error("the well-formed race did not occur")
 	}
 }
+
+// splitBench returns benchSet's successful executions as baselines and
+// its failed ones as replays, with the corpus extracted over all of
+// them plus a compound of two predicates that occur in failures. The
+// replays are cut to different lengths, so each lacks calls (and their
+// predicates) that others have.
+func splitBench(t *testing.T, cfg Config) (c *Corpus, baselines, replays []trace.Execution) {
+	t.Helper()
+	set := benchSet(30, 24)
+	for _, e := range set.Executions {
+		if e.Failed() {
+			replays = append(replays, e)
+		} else {
+			baselines = append(baselines, e)
+		}
+	}
+	for r := range replays {
+		replays[r].Calls = replays[r].Calls[:len(replays[r].Calls)-3*(r%4)]
+	}
+	c = Extract(set, cfg)
+	var members []ID
+	for _, p := range c.Preds {
+		if _, inF, _ := c.Counts(p.ID); p.Kind != KindFailure && inF > 0 && len(members) < 2 {
+			members = append(members, p.ID)
+		}
+	}
+	p, err := c.CompoundAnd(members...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.MaterializeCompound(p)
+	return c, baselines, replays
+}
+
+// requireBits compares one round's monitor answers with the reference
+// and counts the predicate bits that were set.
+func requireBits(t *testing.T, c *Corpus, ms *Monitors, baselines, round []trace.Execution, cfg Config) (set int) {
+	t.Helper()
+	want := referenceBits(c, baselines, round, cfg)
+	for r := range round {
+		got := ms.Eval(&round[r])
+		for i, p := range c.Preds {
+			if got[i] != want[r][i] {
+				t.Fatalf("replay %s: %s monitor says %v, reference %v", round[r].ID, p.ID, got[i], want[r][i])
+			}
+			if got[i] {
+				set++
+			}
+		}
+	}
+	return set
+}
+
+// TestExtractorSubsetReplays checks that a replay's observation does not
+// depend on which other replays share its round: monitors compiled once
+// against the baselines answer every prefix of the replays exactly as
+// one-shot extraction over baselines ++ that prefix does. (The name is
+// kept from the replay Extractor the monitors replaced.)
+func TestExtractorSubsetReplays(t *testing.T) {
+	cfg := Config{DurationMargin: 4}
+	c, baselines, replays := splitBench(t, cfg)
+	ms, err := CompileMonitors(c, baselines, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ms.IDs(), c.IDs()) {
+		t.Fatalf("monitors watch %v, corpus has %v", ms.IDs(), c.IDs())
+	}
+	for cut := 1; cut <= len(replays); cut++ {
+		if requireBits(t, c, ms, baselines, replays[:cut], cfg) == 0 {
+			t.Fatalf("cut %d: no predicate occurred in any replay", cut)
+		}
+	}
+}
+
+// TestExtractReplaysMatchesExtract checks that reused monitors carry
+// nothing from one round to the next: across rounds that shrink, grow
+// and reverse the replay set, every answer equals one-shot extraction
+// over baselines ++ that round, compound included. (The name is kept
+// from ExtractReplays, whose reused overlay the monitors replaced.)
+func TestExtractReplaysMatchesExtract(t *testing.T) {
+	cfg := Config{DurationMargin: 4}
+	c, baselines, replays := splitBench(t, cfg)
+	ms, err := CompileMonitors(c, baselines, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compound := c.Preds[len(c.Preds)-1].ID
+	h, _ := c.HandleOf(compound)
+	cuts := []int{len(replays), 3, len(replays) / 2, len(replays), 1, len(replays)}
+	sawCompound := false
+	for round, cut := range cuts {
+		sub := slices.Clone(replays[:cut])
+		if round%2 == 1 {
+			slices.Reverse(sub)
+		}
+		requireBits(t, c, ms, baselines, sub, cfg)
+		for r := range sub {
+			sawCompound = sawCompound || ms.Eval(&sub[r])[h]
+		}
+	}
+	if !sawCompound {
+		t.Fatalf("compound %s never occurred", compound)
+	}
+}
