@@ -716,42 +716,6 @@ func (d *DAG) IsAntichain(ids []predicate.ID) bool {
 	return ok
 }
 
-// Unordered reports whether no precedence edge crosses the two groups
-// in either direction — the scheduler's independence test for batching
-// two candidate groups into one logical round.
-func (d *DAG) Unordered(a, b []predicate.ID) bool {
-	maskB := bitvec.New(len(d.nodes))
-	for _, id := range b {
-		if i, ok := d.idx[id]; ok {
-			maskB.SetInCap(i)
-		}
-	}
-	for _, id := range a {
-		i, ok := d.idx[id]
-		if !ok {
-			continue
-		}
-		if maskB.Has(i) || d.prec[i].Intersects(maskB) || d.pred[i].Intersects(maskB) {
-			return false
-		}
-	}
-	return true
-}
-
-// UnorderedIndex is Unordered over dense node indices.
-func (d *DAG) UnorderedIndex(a, b []int) bool {
-	maskB := bitvec.New(len(d.nodes))
-	for _, i := range b {
-		maskB.SetInCap(i)
-	}
-	for _, i := range a {
-		if maskB.Has(i) || d.prec[i].Intersects(maskB) || d.pred[i].Intersects(maskB) {
-			return false
-		}
-	}
-	return true
-}
-
 // FrontierIndex returns the dense indices of alive\exclude members at
 // the minimum topological level computed within alive — the junction
 // members Algorithm 2 visits next, in ID order. The result is empty

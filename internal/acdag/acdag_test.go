@@ -423,18 +423,6 @@ func TestIsAntichainAndUnordered(t *testing.T) {
 	if !d.IsAntichain([]predicate.ID{"P4", "ghost"}) {
 		t.Fatal("unknown node broke the antichain test")
 	}
-	// The two exclusive branches under P3 are mutually unordered...
-	if !d.Unordered([]predicate.ID{"P4", "P5", "P6"}, []predicate.ID{"P7", "P8", "P9"}) {
-		t.Fatal("independent branches reported ordered")
-	}
-	// ...but anything containing an ancestor of the other group is not.
-	if d.Unordered([]predicate.ID{"P3", "P4"}, []predicate.ID{"P7"}) {
-		t.Fatal("P3 precedes P7 — groups are not unordered")
-	}
-	// Overlap counts as ordered.
-	if d.Unordered([]predicate.ID{"P4"}, []predicate.ID{"P4"}) {
-		t.Fatal("overlapping groups reported unordered")
-	}
 }
 
 func TestLevelFrontierWithin(t *testing.T) {

@@ -174,67 +174,6 @@ func (v Vec) IntersectsExcept(o Vec, i, j int) bool {
 	return false
 }
 
-// AndNotCount returns |v \ o| — the number of elements of v not in o —
-// without materializing the difference. o is zero-extended.
-func (v Vec) AndNotCount(o Vec) int {
-	c := 0
-	for w, word := range v {
-		if w < len(o) {
-			word &^= o[w]
-		}
-		c += bits.OnesCount64(word)
-	}
-	return c
-}
-
-// IntersectInto writes v ∩ o into dst and returns it, reusing dst's
-// backing when it has capacity — the scratch-friendly form of an
-// intersection for per-round kernel loops. Both operands are
-// zero-extended to v's length.
-func (v Vec) IntersectInto(o Vec, dst Vec) Vec {
-	if cap(dst) < len(v) {
-		dst = make(Vec, len(v))
-	}
-	dst = dst[:len(v)]
-	for w := range v {
-		if w < len(o) {
-			dst[w] = v[w] & o[w]
-		} else {
-			dst[w] = 0
-		}
-	}
-	return dst
-}
-
-// AndNotInto writes v \ o into dst and returns it, reusing dst's
-// backing when it has capacity. o is zero-extended to v's length.
-func (v Vec) AndNotInto(o Vec, dst Vec) Vec {
-	if cap(dst) < len(v) {
-		dst = make(Vec, len(v))
-	}
-	dst = dst[:len(v)]
-	for w := range v {
-		if w < len(o) {
-			dst[w] = v[w] &^ o[w]
-		} else {
-			dst[w] = v[w]
-		}
-	}
-	return dst
-}
-
-// IterateWords calls fn(w, word) for every non-zero word of v, giving
-// fused kernels direct access to the packed representation without
-// per-bit callbacks; fn receives the word index, so bit i of word w is
-// element w<<6 + i.
-func (v Vec) IterateWords(fn func(w int, word uint64)) {
-	for w, word := range v {
-		if word != 0 {
-			fn(w, word)
-		}
-	}
-}
-
 // ClearFrom removes every element >= n, truncating a reused vector
 // back to a prefix without reallocating — the epoch-reset primitive
 // for overlay bitmaps that grow past a sealed baseline and rewind.

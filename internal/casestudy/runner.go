@@ -111,10 +111,6 @@ func (rc RunConfig) Options() (core.Options, error) {
 	}
 	opts.OnRound = rc.OnRound
 	opts.OnConfirm = rc.OnConfirm
-	// The execution-pool width feeds the intervention scheduler too:
-	// replay bundles batch across it, and a single-worker configuration
-	// disables speculative prefetch.
-	opts.Workers = rc.Workers
 	return opts, nil
 }
 

@@ -80,13 +80,6 @@ type Options struct {
 	// Seed drives tie resolution in topological grouping and the random
 	// branch choice at junctions.
 	Seed int64
-	// Workers mirrors the caller's replay pool width so the scheduler
-	// knows whether speculative prefetch could overlap anything at all:
-	// exactly 1 hard-disables it for schedulers that opted in (see
-	// SchedulerConfig). Bundles themselves execute at the intervener's
-	// own width (e.g. inject.Executor.Workers); this field sizes no
-	// pool, and it never affects the Result.
-	Workers int
 	// Scheduler, when non-nil, supplies an externally built (possibly
 	// shared) intervention scheduler; Discover then intervenes through
 	// it and ignores its own iv argument's scheduling. Sharing one
@@ -218,22 +211,18 @@ type discoverer struct {
 	byRank []int
 	// Per-round scratch, reused across rounds so the steady-state
 	// discovery loop allocates only what escapes into the Result:
-	// aliveBuf backs the pruning loops' alive snapshots, hintBuf the
-	// speculative-hint candidates, intervenedSet and obsMasks the
-	// per-round node sets of the counterfactual pruning rule.
+	// aliveBuf backs the pruning loops' alive snapshots, intervenedSet
+	// and obsMasks the per-round node sets of the counterfactual pruning
+	// rule.
 	aliveBuf      []int
-	hintBuf       []int
-	seenLevels    map[int]bool
 	intervenedSet *acdag.NodeSet
 	obsMasks      []*acdag.NodeSet
 }
 
 // Discover runs causal path discovery (Algorithm 3) on the AC-DAG.
 // All interventions flow through the intervention scheduler (see
-// scheduler.go): outcomes are memoized by forced-predicate set and,
-// when opts.Workers allows and the intervener can batch, independent
-// continuation groups replay concurrently — without affecting the
-// Result, which is byte-identical for any worker count.
+// scheduler.go), which memoizes outcomes by forced-predicate set
+// without affecting the Result.
 // Cancelling ctx aborts the run before the next intervention round (and
 // mid-round, through the Intervener) with ctx's error.
 func Discover(ctx context.Context, dag *acdag.DAG, iv Intervener, opts Options) (*Result, error) {
@@ -243,9 +232,8 @@ func Discover(ctx context.Context, dag *acdag.DAG, iv Intervener, opts Options) 
 	}
 	sched := opts.Scheduler
 	if sched == nil {
-		sched = NewScheduler(iv, SchedulerConfig{Workers: opts.Workers})
+		sched = NewScheduler(iv, SchedulerConfig{})
 	}
-	defer sched.Wait()
 	d := &discoverer{
 		ctx:       ctx,
 		dag:       dag,
@@ -259,7 +247,6 @@ func Discover(ctx context.Context, dag *acdag.DAG, iv Intervener, opts Options) 
 		spur:      dag.NewNodeSet(),
 
 		byRank:        make([]int, dag.Len()),
-		seenLevels:    make(map[int]bool),
 		intervenedSet: dag.NewNodeSet(),
 	}
 	// IDRank is a permutation of the dense indices, so inverting it
@@ -401,17 +388,14 @@ func (d *discoverer) topoSorted(set *acdag.NodeSet) []predicate.ID {
 }
 
 // intervene performs one group-intervention round through the scheduler
-// and applies both pruning rules; group is the dense form of req.Preds.
-// It returns whether the failure stopped. The request's continuation
-// hints, if any, are prefetched concurrently when speculation is
-// enabled.
-func (d *discoverer) intervene(req Request, group []int, phase string) (bool, error) {
+// and applies both pruning rules. It returns whether the failure
+// stopped.
+func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 	if err := d.ctx.Err(); err != nil {
 		return false, err
 	}
-	preds := req.Preds
-	req.Escalation = d.escalation
-	obs, meta, err := d.sched.Outcome(d.ctx, req)
+	preds := d.idsOf(group)
+	obs, meta, err := d.sched.Outcome(d.ctx, Request{Preds: preds, Escalation: d.escalation})
 	if err != nil {
 		return false, fmt.Errorf("core: intervention on %v: %w", preds, err)
 	}
@@ -567,23 +551,7 @@ func (d *discoverer) giwp(pool []int, positive bool) (causes, spurious []int, er
 		levels := d.dag.LevelsIndex(d.aliveAndF)
 		ordered := d.topoOrderPool(pool, levels)
 		half := ordered[:(len(ordered)+1)/2] // first ⌈n/2⌉ in topo order
-		req := Request{Preds: d.idsOf(half)}
-		if d.sched.Speculative() {
-			rest := ordered[len(half):]
-			// Under a persisted outcome the loop continues on the rest;
-			// under a stopped outcome it recurses into the half — unless
-			// the half is a singleton, which confirms in place and also
-			// continues on the rest. The hints reuse this round's level
-			// map: recomputing it per hint would triple the decision cost
-			// of the latency-optimized path.
-			req.IfPersisted = d.idsOf(d.nextGiwpHalf(rest, levels))
-			if len(half) > 1 {
-				req.IfStopped = d.idsOf(d.nextGiwpHalf(half, levels))
-			} else {
-				req.IfStopped = req.IfPersisted
-			}
-		}
-		stopped, err := d.intervene(req, half, "giwp")
+		stopped, err := d.intervene(half, "giwp")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -606,36 +574,6 @@ func (d *discoverer) giwp(pool []int, positive bool) (causes, spurious []int, er
 			spurious = append(spurious, half...)
 		}
 	}
-}
-
-// nextGiwpHalf predicts the group the giwp loop would test next over
-// the given remaining candidates, as a speculative-prefetch hint. The
-// prediction must be independent of the rng's tie-breaking, so it is
-// offered only when the candidates' topological levels are pairwise
-// distinct (a chain — the shuffle cannot reorder it). Observation-based
-// pruning between now and the next round may still invalidate the
-// prediction, which only wastes the prefetched bundle: the cache is
-// keyed by exact membership, so a stale hint is never consumed.
-func (d *discoverer) nextGiwpHalf(rest []int, levels []int) []int {
-	if len(rest) == 0 {
-		return nil
-	}
-	seen := d.seenLevels
-	clear(seen)
-	for _, p := range rest {
-		if seen[levels[p]] {
-			return nil
-		}
-		seen[levels[p]] = true
-	}
-	// The hint candidates never escape the round (idsOf copies what the
-	// request keeps), so they go through the shared scratch buffer. The
-	// levels are pairwise distinct here, so the unstable sort is
-	// deterministic.
-	out := append(d.hintBuf[:0], rest...)
-	d.hintBuf = out
-	slices.SortFunc(out, func(i, j int) int { return levels[i] - levels[j] })
-	return out[:(len(out)+1)/2]
 }
 
 func (d *discoverer) filterAlive(pool []int) []int {
@@ -774,37 +712,7 @@ func (d *discoverer) resolveJunction(members []int) error {
 			heads = rest
 			continue
 		}
-		req := Request{Preds: d.idsOf(group)}
-		if d.sched.Speculative() {
-			// Continuation hints for the scheduler: the next group under
-			// either outcome. Both live in branch sets of the same
-			// junction frontier, and branches are exclusive descendant
-			// sets of an antichain — a predicate ordered after two heads
-			// belongs to neither branch — so the hinted groups are
-			// provably disjoint and mutually unordered: independent
-			// bundles the scheduler batches into one logical round. The
-			// Unordered check enforces that invariant rather than trusting
-			// it (a future Branches change must not silently batch
-			// dependent groups).
-			var ifStopped, ifPersisted []int
-			if len(half) > 1 {
-				ifStopped = collect(half[:(len(half)+1)/2])
-			}
-			if len(rest) > 1 {
-				ifPersisted = collect(rest[:(len(rest)+1)/2])
-			}
-			if len(ifStopped) > 0 && len(ifPersisted) > 0 &&
-				!d.dag.UnorderedIndex(ifStopped, ifPersisted) {
-				ifStopped, ifPersisted = nil, nil
-			}
-			if len(ifStopped) > 0 {
-				req.IfStopped = d.idsOf(ifStopped)
-			}
-			if len(ifPersisted) > 0 {
-				req.IfPersisted = d.idsOf(ifPersisted)
-			}
-		}
-		stopped, err := d.intervene(req, group, "branch")
+		stopped, err := d.intervene(group, "branch")
 		if err != nil {
 			return err
 		}

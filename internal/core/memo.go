@@ -15,14 +15,13 @@ type MemoEntry struct {
 	Obs   []Observation  `json:"obs"`
 }
 
-// ExportMemo snapshots the completed outcome cache as memo entries, in
-// canonical key order so identical caches export identical bytes.
-// Entries that cannot safely be replayed into a fresh scheduler are
-// skipped: in-flight speculative bundles, failed outcomes (never
-// memoized across runs), and empty observation sets. Robust mode and
-// NoCache export nothing — the robust cache is entangled with the
-// verdict index, whose contradiction-repair history does not survive a
-// round trip, and NoCache has no cache to export.
+// ExportMemo snapshots the outcome cache as memo entries, in canonical
+// key order so identical caches export identical bytes. The cache holds
+// only completed, successful outcomes; entries with an empty group or
+// observation set are skipped, as ImportMemo would refuse them. Robust
+// mode and NoCache export nothing — the robust cache is entangled with
+// the verdict index, whose contradiction-repair history does not
+// survive a round trip, and NoCache has no cache to export.
 func (s *Scheduler) ExportMemo() []MemoEntry {
 	if s.noCache || s.robust {
 		return nil
@@ -37,12 +36,7 @@ func (s *Scheduler) ExportMemo() []MemoEntry {
 	out := make([]MemoEntry, 0, len(keys))
 	for _, k := range keys {
 		e := s.cache[k]
-		select {
-		case <-e.done:
-		default:
-			continue // speculative bundle still in flight
-		}
-		if e.err != nil || len(e.obs) == 0 || len(e.preds) == 0 {
+		if len(e.obs) == 0 || len(e.preds) == 0 {
 			continue
 		}
 		out = append(out, MemoEntry{
@@ -79,7 +73,6 @@ func (s *Scheduler) ImportMemo(entries []MemoEntry) int {
 			continue
 		}
 		s.cache[key] = &outcomeEntry{
-			done:  closedChan,
 			obs:   append([]Observation(nil), me.Obs...),
 			preds: append([]predicate.ID(nil), me.Preds...),
 		}

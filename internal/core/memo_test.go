@@ -16,7 +16,7 @@ import (
 // JSON round trip, which is how the daemon stores it.
 func TestMemoExportImportRoundTrip(t *testing.T) {
 	w1 := chainWorld()
-	s1 := NewScheduler(w1, SchedulerConfig{Workers: 1})
+	s1 := NewScheduler(w1, SchedulerConfig{})
 	ctx := context.Background()
 	groups := [][]predicate.ID{{"A"}, {"A", "B"}, {"A", "B", "C"}}
 	want := map[string][]Observation{}
@@ -47,7 +47,7 @@ func TestMemoExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2 := chainWorld()
-	s2 := NewScheduler(w2, SchedulerConfig{Workers: 1})
+	s2 := NewScheduler(w2, SchedulerConfig{})
 	if n := s2.ImportMemo(restored); n != len(groups) {
 		t.Fatalf("imported %d entries, want %d", n, len(groups))
 	}
@@ -75,7 +75,7 @@ func TestMemoExportImportRoundTrip(t *testing.T) {
 // least as fresh as a persisted one — the import must not clobber it.
 func TestMemoImportExistingWins(t *testing.T) {
 	w := chainWorld()
-	s := NewScheduler(w, SchedulerConfig{Workers: 1})
+	s := NewScheduler(w, SchedulerConfig{})
 	ctx := context.Background()
 	live, _, err := s.Outcome(ctx, Request{Preds: []predicate.ID{"A"}})
 	if err != nil {

@@ -2,26 +2,18 @@
 // discovery logic (Algorithms 1–3) and the Intervener.
 //
 // Discovery is adaptive — each round's group depends on the previous
-// outcome — so the scheduler cannot reorder rounds. What it can do:
+// outcome — so the scheduler cannot reorder or run ahead of rounds.
+// What it does is memoize outcomes keyed by the forced-predicate set,
+// so a group retested across the branch-prune and GIWP phases, or
+// across ablation variants sharing one scheduler, never re-replays.
+// Every other request calls Intervene on the decision goroutine.
 //
-//   - memoize outcomes keyed by the forced-predicate set, so a group
-//     retested across the branch-prune and GIWP phases, or across
-//     ablation variants sharing one scheduler, never re-replays;
-//   - batch provably independent candidate groups into one logical
-//     round and execute their replay bundles concurrently: when the
-//     decision logic can name the group it will need next under either
-//     outcome of the current round (continuation hints), those bundles
-//     run ahead of time through the Intervener's batch interface and
-//     land in the cache before they are requested.
-//
-// Every bundle is a pure function of its forced-predicate set (the
-// Intervener contract for deterministic replay), so neither caching nor
-// speculative batching can change an outcome: a discovery run reads the
-// same observations in the same order for any worker count, and the
-// Result is byte-identical whether the scheduler ran one worker, many,
-// or was shared with a previous variant's run. Only the RoundMeta
-// reported to observers (batch ids, cache hits) reflects how outcomes
-// were produced.
+// Every outcome is a pure function of its forced-predicate set (the
+// Intervener contract for deterministic replay), so caching cannot
+// change it: the Result is byte-identical whether the scheduler was
+// fresh or shared with a previous variant's run. Only the RoundMeta
+// reported to observers (execution ordinals, cache hits) reflects how
+// outcomes were produced.
 package core
 
 import (
@@ -32,12 +24,14 @@ import (
 	"aid/internal/predicate"
 )
 
-// BatchIntervener is an Intervener that can execute several independent
-// groups' replay bundles in one concurrent sweep (inject.Executor
-// flattens them across a single worker pool). Outcomes must be
-// independent per group: each group's observations are a pure function
-// of its forced-predicate set, identical to a standalone Intervene
-// call.
+// BatchIntervener is an Intervener that can also execute several
+// independent groups' replay bundles in one concurrent sweep
+// (inject.Executor flattens them across a single worker pool). The
+// scheduler asks for one group at a time and never calls
+// InterveneBatch; the interface stays for callers that replay a known
+// set of groups at once. Outcomes must be independent per group: each
+// group's observations are a pure function of its forced-predicate set,
+// identical to a standalone Intervene call.
 type BatchIntervener interface {
 	Intervener
 	InterveneBatch(ctx context.Context, groups [][]predicate.ID) ([][]Observation, error)
@@ -47,14 +41,6 @@ type BatchIntervener interface {
 type Request struct {
 	// Preds is the group to intervene on.
 	Preds []predicate.ID
-	// IfStopped and IfPersisted optionally hint the group the caller
-	// will request next under each outcome of Preds, computed against
-	// the current alive set. Hints must be rng-independent (provable
-	// from the decision state alone); observation-based pruning may
-	// still invalidate one, in which case its prefetched outcome simply
-	// stays unused in the cache. Hints are ignored unless speculation is
-	// enabled (a batch-capable intervener and more than one worker).
-	IfStopped, IfPersisted []predicate.ID
 	// Escalation, in robust mode, requests a fresh escalated retest of
 	// the group: the cache is bypassed, the trial budget is scaled by
 	// the level, and the outcome overwrites any cached entry. The
@@ -65,20 +51,17 @@ type Request struct {
 }
 
 // RoundMeta describes how a round's outcome was produced. It is
-// observational (wall-clock provenance, not algorithm state): metadata
-// may differ between worker counts even though the Round and Result are
-// byte-identical.
+// observational (provenance, not algorithm state): metadata may differ
+// between a fresh and a shared scheduler even though the Round and
+// Result are byte-identical.
 type RoundMeta struct {
-	// Batch is the 1-based id of the execution batch that produced the
-	// outcome. Rounds sharing an id had their replay bundles executed
-	// concurrently as one logical round.
+	// Batch is the 1-based ordinal of the execution that produced the
+	// outcome; a cache hit repeats the ordinal of the execution it
+	// serves.
 	Batch int
-	// CacheHit reports that the outcome was already available (or in
-	// flight) when requested — no new replays were started.
+	// CacheHit reports that the outcome was already memoized when
+	// requested — no new replays were started.
 	CacheHit bool
-	// Speculative reports that the outcome was produced by a
-	// continuation-hint prefetch rather than a direct request.
-	Speculative bool
 	// Trials and Retries report the adaptive trial oracle's cost for
 	// the outcome (zero outside robust mode): executions that produced
 	// observations, and transient-error retries on top. A repaired
@@ -96,13 +79,11 @@ type RoundMeta struct {
 // SchedulerStats aggregates a scheduler's execution accounting.
 type SchedulerStats struct {
 	// Requests counts Outcome calls; Executions counts groups actually
-	// replayed (Requests - CacheHits + wasted speculation).
+	// replayed (Requests - CacheHits, plus repair retests).
 	Requests, Executions int
 	// CacheHits counts requests served without starting new replays.
 	CacheHits int
-	// Speculated counts groups prefetched from continuation hints.
-	Speculated int
-	// Batches counts logical execution batches launched.
+	// Batches counts the execution ordinals handed out (RoundMeta.Batch).
 	Batches int
 	// Contradictions counts monotonicity violations detected between a
 	// fresh outcome and a recorded verdict (robust mode only).
@@ -118,27 +99,10 @@ type SchedulerStats struct {
 
 // SchedulerConfig configures a Scheduler.
 type SchedulerConfig struct {
-	// Workers is the replay pool width the scheduler assumes (<= 0 =
-	// GOMAXPROCS). Exactly 1 disables speculative batching regardless
-	// of Speculate: with a single worker prefetching cannot overlap
-	// anything and would only waste replays.
-	Workers int
-	// Speculate opts in to continuation-hint prefetch (requires a
-	// batch-capable intervener). It is off by default because it trades
-	// wasted replay bundles for latency: each round may execute up to
-	// two extra bundles, and the speculative batch runs concurrently
-	// with the next direct request's own bundle, so the intervener can
-	// see up to twice its configured pool width in flight. That is a
-	// win only when cores comfortably exceed twice the bundle width;
-	// measured on the Figure 7 pipeline with 5-seed bundles on a
-	// saturated pool it cost 10–70% wall-clock, so callers must enable
-	// it deliberately (see DESIGN.md, "Intervention scheduler").
-	// Outcomes are unaffected either way.
-	Speculate bool
-	// NoCache disables outcome memoization (and with it speculation)
-	// while still treating the intervener as deterministic — every
-	// round re-executes, but outcomes are assumed pure. Useful as the
-	// control in cached-vs-uncached equivalence tests.
+	// NoCache disables outcome memoization while still treating the
+	// intervener as deterministic — every round re-executes, but
+	// outcomes are assumed pure. Useful as the control in
+	// cached-vs-uncached equivalence tests.
 	NoCache bool
 	// Nondeterministic declares the intervener stateful or noisy (e.g.
 	// FlakyWorld, whose observation stream must advance on every
@@ -182,13 +146,10 @@ type ContradictionEvent struct {
 	Resolved bool
 }
 
-// outcomeEntry is one cached (or in-flight) group outcome.
+// outcomeEntry is one cached group outcome.
 type outcomeEntry struct {
-	done        chan struct{}
-	obs         []Observation
-	err         error
-	batch       int
-	speculative bool
+	obs   []Observation
+	batch int
 	// preds is the group behind the entry's cache key, kept so the memo
 	// can be exported (the key is a canonical digest, not invertible).
 	preds []predicate.ID
@@ -196,6 +157,12 @@ type outcomeEntry struct {
 	// outcome, replayed into RoundMeta on cache hits.
 	info          TrialInfo
 	contradiction bool
+}
+
+// meta is the entry's provenance as reported to observers.
+func (e *outcomeEntry) meta(hit bool) RoundMeta {
+	return RoundMeta{Batch: e.batch, CacheHit: hit, Trials: e.info.Trials, Retries: e.info.Retries,
+		Confidence: e.info.Confidence, Contradiction: e.contradiction}
 }
 
 // verdictRec is one recorded group verdict in the robust scheduler's
@@ -216,24 +183,20 @@ type verdictRec struct {
 //
 // Concurrency contract: Outcome is called from a single decision
 // thread (discovery is adaptive — there is never a second concurrent
-// requester); the scheduler's own speculative batches are the only
-// concurrent intervener callers, and only batch-capable interveners
-// receive them.
+// requester), and the intervener is called on that thread only. Stats
+// and ExportMemo may be read from other goroutines while a run is in
+// progress; the cache holds only completed outcomes.
 type Scheduler struct {
 	iv            Intervener
-	biv           BatchIntervener // nil when iv cannot batch
 	tiv           TrialIntervener // nil when iv runs no adaptive trials
-	speculate     bool
 	noCache       bool
 	deterministic bool
 	robust        bool
 	onContra      func(ContradictionEvent)
 
-	mu      sync.Mutex
-	cache   map[string]*outcomeEntry
-	batches int
-	stats   SchedulerStats
-	wg      sync.WaitGroup
+	mu    sync.Mutex
+	cache map[string]*outcomeEntry
+	stats SchedulerStats
 
 	// verdicts is the monotonicity index of robust mode: every verdict
 	// the scheduler has vouched for, keyed like the cache; verdictKeys
@@ -246,8 +209,7 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler over the intervener. The same
 // scheduler value is safe to pass to several (sequential) Discover
-// calls; in-flight speculative batches are drained before each run
-// returns.
+// calls.
 func NewScheduler(iv Intervener, cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
 		iv:            iv,
@@ -257,16 +219,10 @@ func NewScheduler(iv Intervener, cfg SchedulerConfig) *Scheduler {
 		onContra:      cfg.OnContradiction,
 		cache:         map[string]*outcomeEntry{},
 	}
-	if biv, ok := iv.(BatchIntervener); ok {
-		s.biv = biv
-	}
-	if tiv, ok := iv.(TrialIntervener); ok {
-		s.tiv = tiv
-	}
+	s.tiv, _ = iv.(TrialIntervener)
 	if s.robust {
 		s.verdicts = map[string]*verdictRec{}
 	}
-	s.speculate = cfg.Speculate && !s.noCache && s.biv != nil && cfg.Workers != 1
 	return s
 }
 
@@ -283,18 +239,11 @@ func (s *Scheduler) Intervener() Intervener { return s.iv }
 // same observations), or the cache serves poison; key schedulers by
 // everything that determines outcomes. Exclusivity: Rebind must not
 // race a running Discover — callers serialize runs that share a
-// scheduler (aid.SharedScheduler does). In-flight speculative batches
-// are drained here so none can complete against the swapped intervener.
+// scheduler (aid.SharedScheduler does).
 func (s *Scheduler) Rebind(iv Intervener) {
-	s.wg.Wait()
 	s.iv = iv
-	s.biv, _ = iv.(BatchIntervener)
 	s.tiv, _ = iv.(TrialIntervener)
 }
-
-// Speculative reports whether the scheduler prefetches continuation
-// hints. Callers use it to skip computing hints that would be ignored.
-func (s *Scheduler) Speculative() bool { return s.speculate }
 
 // Deterministic reports whether the intervener was declared a pure
 // function of the forced-predicate set (i.e. Nondeterministic was not
@@ -327,128 +276,57 @@ func (s *Scheduler) Stats() SchedulerStats {
 }
 
 // canonKey is the cache key of a forced-predicate set: membership only,
-// order-insensitive (predicate.GroupKey, shared with grouptest's
-// oracle cache).
+// order-insensitive (predicate.GroupKey).
 func canonKey(preds []predicate.ID) string { return predicate.GroupKey(preds) }
 
-// closedChan is the pre-closed done channel shared by entries completed
-// synchronously — the common, speculation-free path allocates no
-// channel and spawns no goroutine.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// Outcome returns the observations for the requested group, executing
-// it (and, when speculation is enabled, its continuation hints) as
-// needed. It blocks until the requested group's outcome is available.
+// Outcome returns the observations for the requested group: the
+// memoized outcome when there is one, otherwise a fresh Intervene call
+// on the calling goroutine.
 func (s *Scheduler) Outcome(ctx context.Context, req Request) ([]Observation, RoundMeta, error) {
 	if s.robust && req.Escalation > 0 {
 		return s.escalatedOutcome(ctx, req)
 	}
-	if s.noCache {
-		s.mu.Lock()
-		s.stats.Requests++
-		s.stats.Executions++
-		s.stats.Batches++
-		s.batches++
-		batch := s.batches
-		s.mu.Unlock()
-		obs, err := s.iv.Intervene(ctx, req.Preds)
-		meta := RoundMeta{Batch: batch}
-		if err == nil && s.robust {
-			var info TrialInfo
-			var contradicted bool
-			obs, info, contradicted, err = s.vetOutcome(ctx, req.Preds, canonKey(req.Preds), obs)
-			meta.Trials, meta.Retries = info.Trials, info.Retries
-			meta.Confidence = info.Confidence
-			meta.Contradiction = contradicted
-		}
-		return obs, meta, err
-	}
-
 	key := canonKey(req.Preds)
 	s.mu.Lock()
 	s.stats.Requests++
-	e, hit := s.cache[key]
-	if hit {
+	if e, hit := s.cache[key]; hit {
 		s.stats.CacheHits++
-	} else {
-		s.batches++
-		s.stats.Batches++
-		s.stats.Executions++
-		e = &outcomeEntry{done: closedChan, batch: s.batches,
-			preds: append([]predicate.ID(nil), req.Preds...)}
-		s.cache[key] = e
+		s.mu.Unlock()
+		return e.obs, e.meta(true), nil
 	}
-	if s.speculate {
-		s.prefetch(ctx, req, key)
-	}
+	s.stats.Executions++
+	s.stats.Batches++
+	e := &outcomeEntry{batch: s.stats.Batches}
 	s.mu.Unlock()
 
-	if !hit {
-		// Direct request: run synchronously on the calling goroutine,
-		// preserving the intervener's single-threaded calling convention
-		// (speculative batches are the only concurrent callers, and only
-		// batch-capable interveners receive them).
-		e.obs, e.err = s.iv.Intervene(ctx, req.Preds)
-		if e.err == nil && s.robust {
-			e.obs, e.info, e.contradiction, e.err = s.vetOutcome(ctx, req.Preds, key, e.obs)
-		}
-		if e.err != nil {
-			// Never memoize failures: a cancelled context or transient
-			// intervener error must not be served back to a later run
-			// over a shared scheduler.
+	obs, err := s.iv.Intervene(ctx, req.Preds)
+	if err != nil {
+		// Never memoize failures: a cancelled context or transient
+		// intervener error must not be served back to a later run over
+		// a shared scheduler.
+		return obs, e.meta(false), err
+	}
+	e.obs = obs
+	if !s.noCache {
+		e.preds = append([]predicate.ID(nil), req.Preds...)
+		s.mu.Lock()
+		s.cache[key] = e
+		s.mu.Unlock()
+	}
+	if s.robust {
+		// Vetted after caching, because an unresolved contradiction
+		// strikes the entry again. Robust mode exports no memo, so no
+		// other goroutine reads the entry while it is updated here.
+		e.obs, e.info, e.contradiction, err = s.vetOutcome(ctx, req.Preds, key, obs)
+		if err != nil {
 			s.mu.Lock()
 			if s.cache[key] == e {
 				delete(s.cache, key)
 			}
 			s.mu.Unlock()
 		}
-		meta := RoundMeta{Batch: e.batch, Trials: e.info.Trials, Retries: e.info.Retries,
-			Confidence: e.info.Confidence, Contradiction: e.contradiction}
-		return e.obs, meta, e.err
 	}
-
-	<-e.done
-	if e.err != nil && e.speculative {
-		// A speculative bundle failed; retry it as a direct request so a
-		// transient batch failure cannot poison the round, and a
-		// deterministic one surfaces exactly as it would have without
-		// speculation.
-		// Only this decision thread writes the cache (prefetch runs
-		// inside Outcome), so after the delete no other entry can appear
-		// under the key: re-execute unconditionally. The hit recorded
-		// above turned into a fresh execution — undo it so the stats
-		// stay reconcilable (CacheHits counts requests served without
-		// new replays).
-		s.mu.Lock()
-		s.stats.CacheHits--
-		if s.cache[key] == e {
-			delete(s.cache, key)
-		}
-		s.batches++
-		s.stats.Batches++
-		s.stats.Executions++
-		retry := &outcomeEntry{done: closedChan, batch: s.batches,
-			preds: append([]predicate.ID(nil), req.Preds...)}
-		s.cache[key] = retry
-		s.mu.Unlock()
-		retry.obs, retry.err = s.iv.Intervene(ctx, req.Preds)
-		if retry.err != nil {
-			s.mu.Lock()
-			if s.cache[key] == retry {
-				delete(s.cache, key)
-			}
-			s.mu.Unlock()
-		}
-		e, hit = retry, false
-	}
-	meta := RoundMeta{Batch: e.batch, CacheHit: hit, Speculative: e.speculative,
-		Trials: e.info.Trials, Retries: e.info.Retries,
-		Confidence: e.info.Confidence, Contradiction: e.contradiction}
-	return e.obs, meta, e.err
+	return e.obs, e.meta(false), err
 }
 
 // escalatedOutcome serves a Request with Escalation > 0: a fresh
@@ -462,8 +340,7 @@ func (s *Scheduler) escalatedOutcome(ctx context.Context, req Request) ([]Observ
 	s.stats.Executions++
 	s.stats.Escalated++
 	s.stats.Batches++
-	s.batches++
-	batch := s.batches
+	batch := s.stats.Batches
 	s.mu.Unlock()
 	obs, info, err := s.escalatedIntervene(ctx, req.Preds, req.Escalation)
 	if err != nil {
@@ -473,7 +350,7 @@ func (s *Scheduler) escalatedOutcome(ctx context.Context, req Request) ([]Observ
 		return nil, RoundMeta{Batch: batch}, err
 	}
 	if !s.noCache {
-		e := &outcomeEntry{done: closedChan, obs: obs, batch: batch, info: info,
+		e := &outcomeEntry{obs: obs, batch: batch, info: info,
 			preds: append([]predicate.ID(nil), req.Preds...)}
 		s.mu.Lock()
 		s.cache[key] = e
@@ -541,7 +418,7 @@ func (s *Scheduler) vetOutcome(ctx context.Context, preds []predicate.ID, key st
 	curStopped := !anyFailed(curObs)
 	otherStopped := !anyFailed(otherObs)
 	s.mu.Lock()
-	if e, ok := s.cache[conflictKey]; ok && e.done == closedChan {
+	if e, ok := s.cache[conflictKey]; ok {
 		e.obs, e.info = otherObs, otherInfo
 	}
 	s.mu.Unlock()
@@ -658,58 +535,3 @@ func subsetIDs(sub, super []predicate.ID) bool {
 	}
 	return true
 }
-
-// prefetch launches the request's continuation hints as one concurrent
-// speculative batch. The caller holds s.mu and has already keyed the
-// primary group.
-func (s *Scheduler) prefetch(ctx context.Context, req Request, primaryKey string) {
-	var groups [][]predicate.ID
-	var entries []*outcomeEntry
-	seen := map[string]bool{primaryKey: true}
-	for _, hint := range [][]predicate.ID{req.IfStopped, req.IfPersisted} {
-		if len(hint) == 0 {
-			continue
-		}
-		key := canonKey(hint)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if _, ok := s.cache[key]; ok {
-			continue
-		}
-		cp := append([]predicate.ID(nil), hint...)
-		e := &outcomeEntry{done: make(chan struct{}), speculative: true, preds: cp}
-		s.cache[key] = e
-		entries = append(entries, e)
-		groups = append(groups, cp)
-	}
-	if len(groups) == 0 {
-		return
-	}
-	s.batches++
-	s.stats.Batches++
-	batch := s.batches
-	s.stats.Executions += len(groups)
-	s.stats.Speculated += len(groups)
-	for _, e := range entries {
-		e.batch = batch
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		results, err := s.biv.InterveneBatch(ctx, groups)
-		for i, e := range entries {
-			if err != nil {
-				e.err = err
-			} else {
-				e.obs = results[i]
-			}
-			close(e.done)
-		}
-	}()
-}
-
-// Wait blocks until every in-flight batch has drained. Discover calls
-// it on exit so no speculative replay outlives the run.
-func (s *Scheduler) Wait() { s.wg.Wait() }

@@ -5,37 +5,25 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"aid/internal/predicate"
 )
 
-// batchWorld adapts truthWorld to BatchIntervener so scheduler tests
-// can exercise speculative prefetch; the mutex makes the shared calls
-// counter safe under concurrent batches.
+// batchWorld adapts truthWorld to BatchIntervener, counting
+// InterveneBatch calls so tests can check the scheduler never makes
+// one.
 type batchWorld struct {
-	mu sync.Mutex
-	w  *truthWorld
-	// batchCalls counts InterveneBatch invocations; batchErr, when
-	// non-nil, fails them (direct Intervene still succeeds).
+	w          *truthWorld
 	batchCalls int
-	batchErr   error
 }
 
 func (b *batchWorld) Intervene(ctx context.Context, preds []predicate.ID) ([]Observation, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.w.Intervene(ctx, preds)
 }
 
 func (b *batchWorld) InterveneBatch(ctx context.Context, groups [][]predicate.ID) ([][]Observation, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.batchCalls++
-	if b.batchErr != nil {
-		return nil, b.batchErr
-	}
 	out := make([][]Observation, len(groups))
 	for i, g := range groups {
 		obs, err := b.w.Intervene(ctx, g)
@@ -47,12 +35,6 @@ func (b *batchWorld) InterveneBatch(ctx context.Context, groups [][]predicate.ID
 	return out, nil
 }
 
-func (b *batchWorld) calls() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.w.calls
-}
-
 func chainWorld() *truthWorld {
 	return &truthWorld{
 		parent: map[predicate.ID]predicate.ID{"A": "", "B": "A", "C": "B", "D": "C"},
@@ -62,7 +44,7 @@ func chainWorld() *truthWorld {
 
 func TestSchedulerMemoizesOutcomes(t *testing.T) {
 	w := chainWorld()
-	s := NewScheduler(w, SchedulerConfig{Workers: 1})
+	s := NewScheduler(w, SchedulerConfig{})
 	ctx := context.Background()
 
 	obs1, m1, err := s.Outcome(ctx, Request{Preds: []predicate.ID{"A", "B"}})
@@ -106,97 +88,12 @@ func TestSchedulerNoCache(t *testing.T) {
 	if w.calls != 3 {
 		t.Fatalf("intervener called %d times, want 3", w.calls)
 	}
-	if s.Speculative() {
-		t.Error("NoCache scheduler speculates")
-	}
 }
 
-func TestSchedulerSpeculativePrefetch(t *testing.T) {
-	bw := &batchWorld{w: chainWorld()}
-	s := NewScheduler(bw, SchedulerConfig{Workers: 8, Speculate: true})
-	if !s.Speculative() {
-		t.Fatal("batch-capable intervener opted in with 8 workers should speculate")
-	}
-	ctx := context.Background()
-
-	_, _, err := s.Outcome(ctx, Request{
-		Preds:       []predicate.ID{"A", "B"},
-		IfStopped:   []predicate.ID{"A"},
-		IfPersisted: []predicate.ID{"C"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Wait()
-	if got := bw.calls(); got != 3 {
-		t.Fatalf("after prefetch: %d interventions executed, want 3", got)
-	}
-	// Consuming a hinted group must not re-execute it.
-	_, m, err := s.Outcome(ctx, Request{Preds: []predicate.ID{"C"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.CacheHit || !m.Speculative {
-		t.Fatalf("hinted group meta = %+v, want cache hit from speculation", m)
-	}
-	if got := bw.calls(); got != 3 {
-		t.Fatalf("after consuming hint: %d interventions executed, want 3", got)
-	}
-	st := s.Stats()
-	if st.Speculated != 2 || st.Batches != 2 {
-		t.Fatalf("stats = %+v, want 2 speculated groups in 1 extra batch", st)
-	}
-}
-
-func TestSchedulerSingleWorkerDoesNotSpeculate(t *testing.T) {
-	bw := &batchWorld{w: chainWorld()}
-	s := NewScheduler(bw, SchedulerConfig{Workers: 1, Speculate: true})
-	if s.Speculative() {
-		t.Fatal("single-worker scheduler speculates despite opt-in")
-	}
-	_, _, err := s.Outcome(context.Background(), Request{
-		Preds:     []predicate.ID{"A"},
-		IfStopped: []predicate.ID{"B"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Wait()
-	if got := bw.calls(); got != 1 {
-		t.Fatalf("%d interventions executed, want 1 (hints ignored)", got)
-	}
-}
-
-func TestSchedulerSpeculativeErrorRetried(t *testing.T) {
-	bw := &batchWorld{w: chainWorld(), batchErr: errors.New("transient batch failure")}
-	s := NewScheduler(bw, SchedulerConfig{Workers: 8, Speculate: true})
-	ctx := context.Background()
-
-	if _, _, err := s.Outcome(ctx, Request{
-		Preds:     []predicate.ID{"A"},
-		IfStopped: []predicate.ID{"B"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.Wait()
-	// The hinted group's batch failed; consuming it must retry directly
-	// and succeed, exactly as it would have without speculation.
-	obs, m, err := s.Outcome(ctx, Request{Preds: []predicate.ID{"B"}})
-	if err != nil {
-		t.Fatalf("consuming failed speculative entry: %v", err)
-	}
-	if len(obs) == 0 {
-		t.Fatal("no observations from retry")
-	}
-	if m.Speculative {
-		t.Error("retried outcome still marked speculative")
-	}
-}
-
-// TestDiscoverDeterministicAcrossWorkers pins the scheduler's core
-// contract: discovery over a batch-capable intervener produces an
-// identical Result for one worker (no speculation) and many (hints
-// prefetched concurrently).
+// TestDiscoverDeterministicAcrossWorkers pins that the scheduler asks
+// for one group at a time: discovery over a batch-capable intervener
+// never calls InterveneBatch and yields the same Result as over a plain
+// one.
 func TestDiscoverDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 60; i++ {
@@ -204,22 +101,20 @@ func TestDiscoverDeterministicAcrossWorkers(t *testing.T) {
 		seed := rng.Int63()
 		variants := []func(int64) Options{AIDOptions, AIDPOptions, AIDPBOptions}
 		for vi, variant := range variants {
-			opts1 := variant(seed)
-			opts1.Workers = 1
-			res1, err := Discover(context.Background(), dag, &batchWorld{w: &truthWorld{parent: w.parent, last: w.last}}, opts1)
+			plain, err := Discover(context.Background(), dag, &truthWorld{parent: w.parent, last: w.last}, variant(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			optsN := variant(seed)
-			optsN.Workers = 8
 			bw := &batchWorld{w: &truthWorld{parent: w.parent, last: w.last}}
-			optsN.Scheduler = NewScheduler(bw, SchedulerConfig{Workers: 8, Speculate: true})
-			resN, err := Discover(context.Background(), dag, bw, optsN)
+			batched, err := Discover(context.Background(), dag, bw, variant(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(res1, resN) {
-				t.Fatalf("world %d variant %d: results differ between 1 and 8 workers:\n1: %+v\nN: %+v", i, vi, res1, resN)
+			if bw.batchCalls != 0 {
+				t.Fatalf("world %d variant %d: scheduler made %d InterveneBatch calls, want 0", i, vi, bw.batchCalls)
+			}
+			if !reflect.DeepEqual(plain, batched) {
+				t.Fatalf("world %d variant %d: results differ between plain and batch-capable interveners:\nplain:   %+v\nbatched: %+v", i, vi, plain, batched)
 			}
 		}
 	}
@@ -296,12 +191,9 @@ func TestSchedulerDoesNotMemoizeErrors(t *testing.T) {
 
 func TestSchedulerNondeterministic(t *testing.T) {
 	w := chainWorld()
-	s := NewScheduler(w, SchedulerConfig{Nondeterministic: true, Speculate: true, Workers: 8})
+	s := NewScheduler(w, SchedulerConfig{Nondeterministic: true})
 	if s.Deterministic() {
 		t.Fatal("nondeterministic intervener reported deterministic")
-	}
-	if s.Speculative() {
-		t.Fatal("nondeterministic scheduler speculates")
 	}
 	// Implies NoCache: every request re-executes.
 	for i := 0; i < 2; i++ {

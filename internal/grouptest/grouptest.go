@@ -24,52 +24,6 @@ import (
 // (i.e. the group contains at least one causal predicate).
 type Oracle func(group []predicate.ID) (stopped bool, err error)
 
-// BatchOracle answers several independent group tests whose membership
-// is fixed in advance — the groups of a non-adaptive design — allowing
-// the backend to execute their replay bundles concurrently. Results are
-// returned in group order and must equal per-group Oracle calls.
-type BatchOracle func(groups [][]predicate.ID) ([]bool, error)
-
-// OracleCache memoizes group-test outcomes keyed by the canonical
-// (sorted) group membership — the grouptest analog of the intervention
-// scheduler's outcome cache in package core. One cache may be shared
-// across Adaptive, Halving, NonAdaptive and Linear runs over the same
-// deterministic oracle (e.g. the four approaches measured on one
-// synthetic instance): a group any strategy already tested is never
-// re-executed. Test counters are unaffected — every strategy still
-// counts its own calls — and a cache must not wrap a noisy oracle,
-// whose outcome stream has to advance on every test.
-type OracleCache struct {
-	m map[string]bool
-}
-
-// NewOracleCache returns an empty cache.
-func NewOracleCache() *OracleCache { return &OracleCache{m: map[string]bool{}} }
-
-// Wrap returns an oracle that consults the cache before o. A nil cache
-// returns o unchanged.
-func (c *OracleCache) Wrap(o Oracle) Oracle {
-	if c == nil {
-		return o
-	}
-	return func(group []predicate.ID) (bool, error) {
-		key := canonKey(group)
-		if stopped, ok := c.m[key]; ok {
-			return stopped, nil
-		}
-		stopped, err := o(group)
-		if err != nil {
-			return false, err
-		}
-		c.m[key] = stopped
-		return stopped, nil
-	}
-}
-
-// canonKey is the membership-only cache key of a group
-// (predicate.GroupKey, shared with the core intervention scheduler).
-func canonKey(group []predicate.ID) string { return predicate.GroupKey(group) }
-
 // Result reports the identified causal items and the test count.
 type Result struct {
 	Causes []predicate.ID
@@ -209,81 +163,25 @@ func halve(pool []predicate.ID, tst *tester) error {
 // (adaptive testing is required then).
 func NonAdaptive(items []predicate.ID, oracle Oracle) (*Result, error) {
 	res := &Result{}
-	groups, masks := nonAdaptiveDesign(items)
-	tst := &tester{oracle: oracle, res: res}
-	outcomes := make([]bool, len(groups))
-	for i, group := range groups {
-		positive, err := tst.test(group)
-		if err != nil {
-			return nil, err
-		}
-		outcomes[i] = positive
-	}
-	return nonAdaptiveDecode(items, masks, outcomes, tst)
-}
-
-// NonAdaptiveBatched runs the same predetermined bit-mask design, but
-// asks the oracle for all ⌈log₂N⌉ design groups in one call. The
-// design's groups are fixed in advance and mutually outcome-independent
-// — the defining property of a non-adaptive scheme — so a batch-capable
-// backend (e.g. inject.Executor via the intervention scheduler) can
-// execute their replay bundles concurrently as one logical round. The
-// result and test count are identical to NonAdaptive over the same
-// deterministic oracle; only the verification test remains a second,
-// dependent step.
-func NonAdaptiveBatched(items []predicate.ID, oracle Oracle, batch BatchOracle) (*Result, error) {
-	res := &Result{}
-	groups, masks := nonAdaptiveDesign(items)
-	tst := &tester{oracle: oracle, res: res}
-	var outcomes []bool
-	if len(groups) > 0 {
-		var err error
-		outcomes, err = batch(groups)
-		if err != nil {
-			return nil, fmt.Errorf("grouptest: %w", err)
-		}
-		res.Tests += len(groups)
-	}
-	return nonAdaptiveDecode(items, masks, outcomes, tst)
-}
-
-// nonAdaptiveDesign builds the bit-mask design: group b holds every
-// item whose index has bit b set. Empty groups are dropped; masks
-// remembers each group's bit.
-func nonAdaptiveDesign(items []predicate.ID) (groups [][]predicate.ID, masks []int) {
 	n := len(items)
-	bits := 0
-	for 1<<bits < n {
-		bits++
+	if n == 0 {
+		return res, nil
 	}
-	for b := 0; b < bits; b++ {
+	tst := &tester{oracle: oracle, res: res}
+	idx := 0
+	for b := 0; 1<<b < n; b++ {
 		var group []predicate.ID
 		for i, it := range items {
 			if i&(1<<b) != 0 {
 				group = append(group, it)
 			}
 		}
-		if len(group) == 0 {
-			continue
+		positive, err := tst.test(group)
+		if err != nil {
+			return nil, err
 		}
-		groups = append(groups, group)
-		masks = append(masks, 1<<b)
-	}
-	return groups, masks
-}
-
-// nonAdaptiveDecode spells the defective's index from the design
-// outcomes and runs the verification test.
-func nonAdaptiveDecode(items []predicate.ID, masks []int, outcomes []bool, tst *tester) (*Result, error) {
-	res := tst.res
-	n := len(items)
-	if n == 0 {
-		return res, nil
-	}
-	idx := 0
-	for i, positive := range outcomes {
 		if positive {
-			idx |= masks[i]
+			idx |= 1 << b
 		}
 	}
 	if idx >= n {

@@ -266,112 +266,3 @@ func TestUpperBound(t *testing.T) {
 		t.Fatalf("UpperBound(10,0) = %d", got)
 	}
 }
-
-// TestOracleCacheSharedAcrossStrategies checks a shared cache serves
-// repeated groups without re-executing them and without changing any
-// strategy's result or test count.
-func TestOracleCacheSharedAcrossStrategies(t *testing.T) {
-	items := ids(20)
-	causal := map[predicate.ID]bool{"p011": true}
-
-	freshAdaptive, err := Adaptive(items, setOracle(causal, nil), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshHalving, err := Halving(items, setOracle(causal, nil), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := NewOracleCache()
-	calls := 0
-	shared := cache.Wrap(setOracle(causal, &calls))
-	cachedAdaptive, err := Adaptive(items, shared, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedHalving, err := Halving(items, shared, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(freshAdaptive, cachedAdaptive) || !reflect.DeepEqual(freshHalving, cachedHalving) {
-		t.Fatal("cached results differ from fresh ones")
-	}
-	total := cachedAdaptive.Tests + cachedHalving.Tests
-	if calls >= total {
-		t.Fatalf("cache ineffective: %d oracle calls for %d tests", calls, total)
-	}
-}
-
-func TestOracleCacheKeyIsMembershipOnly(t *testing.T) {
-	calls := 0
-	o := NewOracleCache().Wrap(setOracle(map[predicate.ID]bool{"a": true}, &calls))
-	if _, err := o([]predicate.ID{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	stopped, err := o([]predicate.ID{"b", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stopped || calls != 1 {
-		t.Fatalf("reordered group re-executed: stopped=%v calls=%d", stopped, calls)
-	}
-}
-
-func TestNilOracleCacheWrapIsIdentity(t *testing.T) {
-	var c *OracleCache
-	calls := 0
-	o := c.Wrap(setOracle(nil, &calls))
-	if _, err := o([]predicate.ID{"a"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o([]predicate.ID{"a"}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("nil cache memoized: calls = %d", calls)
-	}
-}
-
-// TestNonAdaptiveBatchedMatchesSequential pins the batched bit-mask
-// design to the sequential one: same result, same test count, and the
-// design groups arrive as one batch (the groups are fixed in advance
-// and mutually independent, so a batch backend may replay them
-// concurrently).
-func TestNonAdaptiveBatchedMatchesSequential(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16, 33} {
-		items := ids(n)
-		for _, d := range []int{0, n / 2, n - 1} {
-			causal := map[predicate.ID]bool{items[d]: true}
-			want, err := NonAdaptive(items, setOracle(causal, nil))
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			batches := 0
-			oracle := setOracle(causal, nil)
-			batch := func(groups [][]predicate.ID) ([]bool, error) {
-				batches++
-				out := make([]bool, len(groups))
-				for i, g := range groups {
-					v, err := oracle(g)
-					if err != nil {
-						return nil, err
-					}
-					out[i] = v
-				}
-				return out, nil
-			}
-			got, err := NonAdaptiveBatched(items, oracle, batch)
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("n=%d d=%d: batched = %+v, sequential = %+v", n, d, got, want)
-			}
-			if n > 1 && batches != 1 {
-				t.Fatalf("n=%d: design executed in %d batches, want 1", n, batches)
-			}
-		}
-	}
-}

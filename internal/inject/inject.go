@@ -131,8 +131,8 @@ type Executor struct {
 	// in seed order, so observations are identical for any width.
 	Workers int
 	// RunsUsed counts total re-executions across rounds (for reporting).
-	// Guarded by mu: the intervention scheduler may run a speculative
-	// batch concurrently with a direct request.
+	// Guarded by mu: an Executor may serve calls from several goroutines
+	// at once.
 	RunsUsed int
 	// Missed counts replays that produced no observation because their
 	// (plan, seed) pair panicked, blew the wall budget, or was already
@@ -321,8 +321,9 @@ func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.
 // InterveneBatch implements core.BatchIntervener: it executes several
 // groups' replay bundles in one flattened concurrent sweep — the
 // len(groups)·len(Seeds) re-executions share a single ordered worker
-// pool, so narrow replay sets still fill every worker when the
-// scheduler batches independent groups into one logical round. Each
+// pool, so narrow replay sets still fill every worker when a caller
+// replays several independent groups at once (the intervention
+// scheduler asks for one group at a time, through Intervene). Each
 // group's observations are a pure function of its forced-predicate set:
 // the result is identical to calling Intervene once per group, in
 // order, for any pool width.

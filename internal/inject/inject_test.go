@@ -300,10 +300,9 @@ func TestExecutorBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestExecutorConcurrentBatches exercises the executor under the
-// scheduler's concurrency pattern — a direct request racing a
-// speculative batch — and checks both see consistent observations
-// (run with -race).
+// TestExecutorConcurrentBatches exercises one executor from two
+// goroutines at once — a single-group batch racing a two-group one —
+// and checks both see consistent observations (run with -race).
 func TestExecutorConcurrentBatches(t *testing.T) {
 	_, _, exec := executorFixture(t)
 	exec.Workers = 4

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 
-	"aid/internal/arena"
 	"aid/internal/trace"
 )
 
@@ -392,22 +391,21 @@ type accessWindow struct {
 
 // raceScratch holds extractRaces's reusable buffers. ExtractStream
 // keeps one across rows, reusing the maps, the bucket backings, and the
-// arena slabs behind the per-window locksets (the lock pool is rewound
-// wholesale at the start of each pass — the slices never outlive it).
+// buffer behind the per-window locksets (rewound for each execution:
+// a window never outlives its execution's pass).
 type raceScratch struct {
 	winIdx    map[trace.ObjectID]int
 	wins      []accessWindow
 	bucketIdx map[trace.ObjectID]int
 	buckets   [][]accessWindow
 	objs      []trace.ObjectID
-	locks     *arena.Pool[string]
+	locks     []string
 }
 
 func newRaceScratch() *raceScratch {
 	return &raceScratch{
 		winIdx:    make(map[trace.ObjectID]int),
 		bucketIdx: make(map[trace.ObjectID]int),
-		locks:     arena.NewPool[string](256),
 	}
 }
 
@@ -423,19 +421,20 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 	if sc == nil {
 		sc = newRaceScratch()
 	}
-	sc.locks.Reset()
 	winIdx := sc.winIdx
 	wins := sc.wins
 	bucketIdx := sc.bucketIdx
 	buckets := sc.buckets
 	objs := sc.objs
+	locks := sc.locks
 	defer func() {
-		sc.wins, sc.buckets, sc.objs = wins, buckets, objs
+		sc.wins, sc.buckets, sc.objs, sc.locks = wins, buckets, objs, locks
 	}()
 	for i := range execs {
 		e := &execs[i]
 		row := off + i
 		objs = objs[:0]
+		locks = locks[:0]
 		for j := range e.Calls {
 			call := &e.Calls[j]
 			clear(winIdx)
@@ -446,10 +445,9 @@ func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) 
 				if !ok {
 					wi = len(wins)
 					winIdx[acc.Object] = wi
-					wins = append(wins, accessWindow{
-						call: call, start: acc.At, end: acc.At,
-						locks: sc.locks.Clone(acc.Locks),
-					})
+					var held []string
+					locks, held = cloneLocks(locks, acc.Locks)
+					wins = append(wins, accessWindow{call: call, start: acc.At, end: acc.At, locks: held})
 				} else {
 					w := &wins[wi]
 					if acc.At < w.start {
@@ -535,16 +533,17 @@ func races(a, b *accessWindow) bool {
 }
 
 // windowOn is call's access window on obj, as extractRaces builds it;
-// ok is false when the call does not touch obj. The lockset comes from
-// pool.
-func windowOn(call *trace.MethodCall, obj trace.ObjectID, pool *arena.Pool[string]) (w accessWindow, ok bool) {
+// ok is false when the call does not touch obj. The lockset is carved
+// from *buf.
+func windowOn(call *trace.MethodCall, obj trace.ObjectID, buf *[]string) (w accessWindow, ok bool) {
 	for i := range call.Accesses {
 		acc := &call.Accesses[i]
 		if acc.Object != obj {
 			continue
 		}
 		if !ok {
-			w, ok = accessWindow{call: call, start: acc.At, end: acc.At, locks: pool.Clone(acc.Locks)}, true
+			w, ok = accessWindow{call: call, start: acc.At, end: acc.At}, true
+			*buf, w.locks = cloneLocks(*buf, acc.Locks)
 		} else {
 			w.start, w.end = min(w.start, acc.At), max(w.end, acc.At)
 			w.locks = intersectInPlace(w.locks, acc.Locks)
@@ -554,8 +553,17 @@ func windowOn(call *trace.MethodCall, obj trace.ObjectID, pool *arena.Pool[strin
 	return w, ok
 }
 
+// cloneLocks copies locks onto the end of buf and returns the grown
+// buffer and the copy. The copy's capacity ends at its length, so
+// intersectInPlace never writes into a neighbouring window's lockset.
+func cloneLocks(buf, locks []string) (grown, clone []string) {
+	n := len(buf)
+	buf = append(buf, locks...)
+	return buf, buf[n:len(buf):len(buf)]
+}
+
 // intersectInPlace filters a down to the elements also present in b,
-// reusing a's backing (a is always pool-owned scratch here).
+// reusing a's backing (a is always a cloneLocks copy here).
 func intersectInPlace(a, b []string) []string {
 	n := 0
 	for _, x := range a {

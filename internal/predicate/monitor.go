@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"aid/internal/arena"
 	"aid/internal/trace"
 )
 
@@ -40,7 +39,7 @@ type Monitors struct {
 	objs    map[trace.ObjectID]int
 	accs    [][]atomAccess
 	wins    []accessWindow
-	locks   *arena.Pool[string] // backs the windows' locksets
+	locks   []string // backs the windows' locksets
 }
 
 // monitor is one predicate's compiled occurrence test.
@@ -73,7 +72,6 @@ func CompileMonitors(c *Corpus, baselines []trace.Execution, cfg Config) (*Monit
 		margin:  cfg.DurationMargin,
 		methods: make(map[string]int),
 		objs:    make(map[trace.ObjectID]int),
-		locks:   arena.NewPool[string](64),
 	}
 	for i := range c.Preds {
 		m := &ms.mons[i]
@@ -262,11 +260,11 @@ func (ms *Monitors) index(e *trace.Execution) {
 // race reports whether two calls of the race's methods have racing
 // access windows on its object (extractRaces's rule).
 func (ms *Monitors) race(m *monitor) bool {
-	ms.locks.Reset()
+	ms.locks = ms.locks[:0]
 	w := ms.wins[:0]
 	for _, calls := range [][]*trace.MethodCall{ms.calls[m.a], ms.calls[m.b]} {
 		for _, call := range calls {
-			if win, ok := windowOn(call, m.obj, ms.locks); ok {
+			if win, ok := windowOn(call, m.obj, &ms.locks); ok {
 				w = append(w, win)
 			}
 		}

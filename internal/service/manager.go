@@ -514,7 +514,9 @@ func (m *Manager) runPipeline(ctx context.Context, s *Session, source aid.TraceS
 
 // finish records a session's terminal state and, with the result cache
 // on, retains a successful shareable session's outcome for later
-// identical sessions.
+// identical sessions. s.done closes last, once the result is cached and
+// the tenant's active count released: a client that sees the session
+// end and repeats the spec at once must find both.
 func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 	var cacheRep *aid.Report
 	var cacheJS []byte
@@ -548,7 +550,6 @@ func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 		cacheJS = s.reportJS
 	}
 	s.mu.Unlock()
-	close(s.done)
 
 	m.mu.Lock()
 	ts := m.tenants[s.tenant]
@@ -563,12 +564,14 @@ func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 	m.terminal++
 	m.pruneLocked()
 	m.mu.Unlock()
+	close(s.done)
 }
 
 // finishCached records the terminal state of a session served from the
 // result cache: done, with a fresh detached copy of the cached report
 // and the cached canonical JSON verbatim (no re-marshal). Its scheduler
-// counters stay zero — it never touched the scheduler.
+// counters stay zero — it never touched the scheduler. Like finish, it
+// closes s.done last.
 func (m *Manager) finishCached(s *Session, cached *cachedResult) {
 	s.mu.Lock()
 	s.finished = time.Now()
@@ -577,7 +580,6 @@ func (m *Manager) finishCached(s *Session, cached *cachedResult) {
 	s.report = cached.report.Detach()
 	s.reportJS = cached.reportJS
 	s.mu.Unlock()
-	close(s.done)
 
 	m.mu.Lock()
 	if ts := m.tenants[s.tenant]; ts != nil {
@@ -586,6 +588,7 @@ func (m *Manager) finishCached(s *Session, cached *cachedResult) {
 	m.terminal++
 	m.pruneLocked()
 	m.mu.Unlock()
+	close(s.done)
 }
 
 // storeResultLocked retains a completed session's outcome in the

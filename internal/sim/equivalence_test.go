@@ -297,6 +297,54 @@ func TestEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestStdlibSourceMatchesInterpreter exercises the fallback
+// newSchedulerSource takes when fastSource fails verification: one
+// compiled machine seeded from rand.NewSource runs the property
+// generator's programs, seeds and plans, and every trace must be
+// byte-identical to the interpreter oracle's.
+func TestStdlibSourceMatchesInterpreter(t *testing.T) {
+	n := 60
+	if testing.Short() {
+		n = 15
+	}
+	m := &machine{src: rand.NewSource(0)}
+	m.rng = rand.New(m.src)
+	check := func(p *Program, plan Plan, seed int64) {
+		t.Helper()
+		want, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: 2000, Engine: EngineInterpreter})
+		if err != nil {
+			t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
+		}
+		pp, err := Prepare(p, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := pp.run(m, seed, Budget{MaxSteps: 2000}, nil, nil)
+		wj, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gj, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wj, gj) {
+			t.Fatalf("%s seed %d: stdlib-source machine diverges\ninterpreter: %s\ncompiled:    %s", p.Name, seed, wj, gj)
+		}
+	}
+	r := rand.New(rand.NewSource(20260728))
+	for i := 0; i < n; i++ {
+		p := genProgram(r, i)
+		for _, seed := range []int64{1, 2, 3} {
+			check(p, nil, seed)
+		}
+		plan := genPlan(r, p)
+		for _, seed := range []int64{1, 2} {
+			check(p, plan, seed)
+		}
+	}
+}
+
 // TestVerdictEquivalenceProperty pins conditional assembly: over the
 // property generator's programs, seeds and plans, a run that skips
 // trace assembly must decide the same (failed, sig) verdict as the

@@ -83,7 +83,7 @@ func (pp *Prepared) RunGuardedIf(seed int64, b Budget, keep func(Verdict) bool) 
 			exec, v, err = trace.Execution{}, Verdict{}, &ReplayPanicError{Seed: seed, Value: rec}
 		}
 	}()
-	exec, v = pp.run(seed, b, nil, func(v Verdict) bool {
+	exec, v = pp.run(nil, seed, b, nil, func(v Verdict) bool {
 		return v.Sig != SigBudget && (keep == nil || keep(v))
 	})
 	if v.Sig == SigBudget {

@@ -213,7 +213,7 @@ type Verdict struct {
 // trace is byte-identical to the interpreter's for the same
 // (program, seed, plan) triple. maxSteps <= 0 means DefaultMaxSteps.
 func (pp *Prepared) Run(seed int64, maxSteps int) trace.Execution {
-	exec, _ := pp.run(seed, Budget{MaxSteps: maxSteps}, nil, nil)
+	exec, _ := pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil, nil)
 	return exec
 }
 
@@ -222,13 +222,15 @@ func (pp *Prepared) Run(seed int64, maxSteps int) trace.Execution {
 // every run). A rejected run returns the zero Execution and its verdict
 // alone. An assembled trace is byte-identical to Run's.
 func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (trace.Execution, Verdict) {
-	return pp.run(seed, Budget{MaxSteps: maxSteps}, nil, keep)
+	return pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil, keep)
 }
 
-// run is the one compiled run path: reset, loop, then assemble the
-// trace only if keep (nil = always) accepts the verdict. Trace assembly
-// costs about twice the simulation loop, so callers that need only the
-// verdict skip most of a run's cost. A non-zero b.WallClock arms the
+// run is the one compiled run path: reset m, loop, then assemble the
+// trace only if keep (nil = always) accepts the verdict. A nil m takes
+// a machine from the pool and returns it afterwards; a caller-supplied
+// machine (a test's, seeded from another source) stays the caller's.
+// Trace assembly costs about twice the simulation loop, so callers that
+// need only the verdict skip most of a run's cost. A non-zero b.WallClock arms the
 // loop's wall-clock check (SigBudget). final, when non-nil, receives
 // the FinalState snapshot, taken before the machine returns to the
 // pool; it covers the compiled symbol tables' names — declared plus
@@ -236,12 +238,15 @@ func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (tr
 // matching the interpreter's captureFinal exactly. A panic escapes
 // before the machine is pooled, so a possibly-corrupt machine is left
 // to the collector.
-func (pp *Prepared) run(seed int64, b Budget, final *FinalState, keep func(Verdict) bool) (exec trace.Execution, v Verdict) {
+func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState, keep func(Verdict) bool) (exec trace.Execution, v Verdict) {
 	maxSteps := b.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	m := machinePool.Get().(*machine)
+	pooled := m == nil
+	if pooled {
+		m = machinePool.Get().(*machine)
+	}
 	m.reset(pp, seed)
 	if b.WallClock > 0 {
 		m.wallDeadline = time.Now().Add(b.WallClock)
@@ -263,7 +268,9 @@ func (pp *Prepared) run(seed int64, b Budget, final *FinalState, keep func(Verdi
 		}
 	}
 	m.pp = nil
-	machinePool.Put(m)
+	if pooled {
+		machinePool.Put(m)
+	}
 	return exec, v
 }
 

@@ -152,7 +152,7 @@ func Run(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
 		if err != nil {
 			return trace.Execution{}, err
 		}
-		exec, _ := pp.run(seed, Budget{MaxSteps: opts.MaxSteps}, opts.Final, nil)
+		exec, _ := pp.run(nil, seed, Budget{MaxSteps: opts.MaxSteps}, opts.Final, nil)
 		return exec, nil
 	}
 	return runInterpreted(p, seed, opts)

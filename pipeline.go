@@ -149,11 +149,11 @@ func (s *SharedScheduler) acquire(ctx context.Context) (release func(), err erro
 
 // bind attaches the run's executor, building the scheduler on first
 // use and rebinding it afterwards. The caller holds the discovery slot.
-func (s *SharedScheduler) bind(iv core.Intervener, workers int) *core.Scheduler {
+func (s *SharedScheduler) bind(iv core.Intervener) *core.Scheduler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sched == nil {
-		s.sched = core.NewScheduler(iv, core.SchedulerConfig{Workers: workers})
+		s.sched = core.NewScheduler(iv, core.SchedulerConfig{})
 		if len(s.pending) > 0 {
 			s.sched.ImportMemo(s.pending)
 			s.pending = nil
@@ -368,7 +368,6 @@ func (p *Pipeline) coreOptions() (core.Options, error) {
 				Round:         r,
 				Batch:         m.Batch,
 				CacheHit:      m.CacheHit,
-				Speculative:   m.Speculative,
 				Trials:        m.Trials,
 				Retries:       m.Retries,
 				Confidence:    m.Confidence,
@@ -379,10 +378,6 @@ func (p *Pipeline) coreOptions() (core.Options, error) {
 			p.emit(CauseConfirmed{ID: id})
 		}
 	}
-	// WithWorkers feeds the intervention scheduler as well as the
-	// collection and replay pools: replay bundles batch across the same
-	// width, and a single-worker pipeline disables speculative prefetch.
-	opts.Workers = p.workers
 	return opts, nil
 }
 
@@ -581,7 +576,7 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 			return nil, nil, nil, err
 		}
 		defer release()
-		sharedSched = p.shared.bind(exec, p.workers)
+		sharedSched = p.shared.bind(exec)
 		// Snapshot the memo accounting while holding the slot: sibling
 		// runs are excluded, so the SchedulerUsage delta emitted below is
 		// exactly this run's.
@@ -601,8 +596,7 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 			Seed:          p.seed,
 		})
 		sched = core.NewScheduler(robust, core.SchedulerConfig{
-			Workers: p.workers,
-			Robust:  true,
+			Robust: true,
 			OnContradiction: func(ev core.ContradictionEvent) {
 				p.emit(ContradictionDetected{
 					Stopped:   ev.Stopped,
@@ -737,10 +731,6 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 
 	pathLen := len(aidRes.Path) - 1 // excluding F
 	s1, s2 := aidRes.PruningStats()
-	// The report assembles in pooled arena storage; Detach below is the
-	// one copy out, so the returned report owns its memory and the
-	// slabs go back to the pool for the next run.
-	ra := reportArenas.Get().(*reportArena)
 	report := &Report{
 		Study:             tr.Source,
 		Issue:             tr.Issue,
@@ -754,13 +744,15 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		TAGTInterventions: tagtRes.Tests,
 		TAGTWorstCase:     grouptest.UpperBound(len(pool), pathLen),
 		RootCause:         string(aidRes.RootCause()),
+		Path:              idStrings(aidRes.Path),
+		Explanation:       make([]string, len(aidRes.Path)),
+		Narrative:         explain.Build(corpus, aidRes).String(),
+		Rounds:            make([]ReportRound, len(aidRes.Rounds)), // never nil: no rounds serialize as []
 		PruningS1:         s1,
 		PruningS2:         s2,
 		Robustness:        robustness,
 		Result:            aidRes,
 	}
-	report.Path = ra.ids(aidRes.Path)
-	report.Explanation = ra.strings(len(aidRes.Path))
 	for i, id := range aidRes.Path {
 		desc := string(id)
 		if pr := corpus.Pred(id); pr != nil {
@@ -768,9 +760,29 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		}
 		report.Explanation[i] = fmt.Sprintf("(%d) %s", i+1, desc)
 	}
-	report.Narrative = explain.Build(corpus, aidRes).String()
-	report.Rounds = ra.reportRounds(aidRes.Rounds)
-	return ra.detach(report), nil
+	for i, r := range aidRes.Rounds {
+		report.Rounds[i] = ReportRound{
+			Phase:      r.Phase,
+			Stopped:    r.Stopped,
+			Confirmed:  string(r.Confirmed),
+			Intervened: idStrings(r.Intervened),
+			Pruned:     idStrings(r.Pruned),
+		}
+	}
+	return report, nil
+}
+
+// idStrings converts predicate IDs to plain strings. An empty list
+// stays nil, so omitempty drops an empty Pruned.
+func idStrings(ids []PredicateID) []string {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = string(id)
+	}
+	return out
 }
 
 func baselineSuccesses(set *trace.Set) []trace.Execution {

@@ -140,14 +140,12 @@ type ReportRound struct {
 }
 
 // Detach returns a deep copy of the report that shares no slice
-// storage with the original — the one copy out of pooled construction
-// arenas. Pipeline.Run builds its report in per-run pooled storage and
-// returns the detached copy, so reports handed to callers are always
-// stable; callers that carve reports from their own reused buffers use
-// Detach as the same boundary. Nil-ness of every slice is preserved,
-// so the detached report's JSON is byte-identical to the original's.
-// The unserialized Result pointer is shared, not copied: discovery
-// results are immutable once returned.
+// storage with the original. The service's result cache copies through
+// it, so no two sessions served from one cached report share mutable
+// storage. Nil-ness of every slice is preserved, so the detached
+// report's JSON is byte-identical to the original's. The unserialized
+// Result pointer is shared, not copied: discovery results are
+// immutable once returned.
 func (r *Report) Detach() *Report {
 	if r == nil {
 		return nil
