@@ -5,7 +5,8 @@
 //
 // Usage:
 //
-//	synthbench [-instances 500] [-seed 1]
+//	synthbench [-instances 500] [-seed 1] [-workers 0]
+//	synthbench -flaky [-instances 500]   # noisy worlds, adaptive trial oracle
 package main
 
 import (
@@ -23,17 +24,13 @@ func main() {
 		instances = flag.Int("instances", 500, "applications per MAXt setting (paper: 500)")
 		seed      = flag.Int64("seed", 1, "base generation seed")
 		flaky     = flag.Bool("flaky", false, "add runtime nondeterminism: 75% failure manifestation, 20% symptom flicker, adaptive trial oracle")
-		fixedRuns = flag.Int("fixed-runs", 0, "with -flaky, use the legacy fixed runs-per-round repetition (e.g. 6) instead of the adaptive oracle")
 		workers   = flag.Int("workers", 0, "instance-pool width (0 = GOMAXPROCS); output is identical for any width")
 	)
 	flag.Parse()
 
 	noise := aid.SyntheticNoise{}
 	if *flaky {
-		noise = aid.SyntheticNoise{ManifestProb: 0.75, SymptomNoise: 0.2, Adaptive: true}
-		if *fixedRuns > 0 {
-			noise = aid.SyntheticNoise{Runs: *fixedRuns, ManifestProb: 0.75, SymptomNoise: 0.2}
-		}
+		noise = aid.SyntheticNoise{ManifestProb: 0.75, SymptomNoise: 0.2}
 	}
 	var settings []*aid.SyntheticSetting
 	for _, maxT := range aid.Figure8MaxTs() {
@@ -47,13 +44,8 @@ func main() {
 	}
 	mode := "deterministic worlds"
 	if *flaky {
-		if noise.Adaptive {
-			mode = fmt.Sprintf("flaky worlds (adaptive trial oracle, %.0f%% manifestation, %.0f%% flicker)",
-				noise.ManifestProb*100, noise.SymptomNoise*100)
-		} else {
-			mode = fmt.Sprintf("flaky worlds (%d runs/round, %.0f%% manifestation, %.0f%% flicker)",
-				noise.Runs, noise.ManifestProb*100, noise.SymptomNoise*100)
-		}
+		mode = fmt.Sprintf("flaky worlds (adaptive trial oracle, %.0f%% manifestation, %.0f%% flicker)",
+			noise.ManifestProb*100, noise.SymptomNoise*100)
 	}
 	fmt.Printf("Figure 8 — synthetic benchmark, %d applications per setting, %s\n\n", *instances, mode)
 

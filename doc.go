@@ -23,7 +23,7 @@
 //
 // The algorithms live under internal/:
 //
-//	trace      execution-trace model (spans, accesses, logical clocks)
+//	trace      execution-trace model (spans, accesses, codec)
 //	sim        deterministic concurrency simulator + fault injection
 //	par        shared worker-pool engine (deterministic ordered fan-out)
 //	predicate  predicate vocabulary and extraction from traces

@@ -18,7 +18,7 @@ func TestEventWireRoundTrip(t *testing.T) {
 		aid.TracesCollected{Source: "npgsql", Successes: 50, Failures: 50},
 		aid.EffectsAnalyzed{Functions: 13, SideEffectFree: 10, Prunable: 8, Pruned: 6, Contradicted: 1},
 		aid.PredicatesExtracted{Total: 123},
-		aid.Ranked{FullyDiscriminative: 7, RowsIngested: 40, RowsTotal: 100},
+		aid.Ranked{FullyDiscriminative: 7},
 		aid.DAGBuilt{Nodes: 9, Unsafe: 2},
 		aid.RoundDone{Index: 4, Round: aid.Round{Phase: "branch", Intervened: []aid.PredicateID{"p1", "p2"}, Stopped: true, Confirmed: "p1"}, Batch: 2, CacheHit: true, Trials: 6, Confidence: 0.97},
 		aid.ContradictionDetected{Stopped: []aid.PredicateID{"a"}, Persisted: []aid.PredicateID{"a", "b"}, Resolved: true},

@@ -546,11 +546,6 @@ func (d *DAG) ReachesAny(i int, s *NodeSet) bool {
 	return d.prec[i].Intersects(s.bits)
 }
 
-// ReachedFromAny reports whether any member of s precedes node i.
-func (d *DAG) ReachedFromAny(i int, s *NodeSet) bool {
-	return d.pred[i].Intersects(s.bits)
-}
-
 // OrDescendantsInto unions node i's descendant row into s — the
 // incremental-reachability primitive: a walk that ORs each walked
 // node's row maintains "reached from any walked node" as one set,
@@ -677,43 +672,6 @@ func (d *DAG) TopoOrderWithin(alive *NodeSet, rng *rand.Rand) []predicate.ID {
 		}
 	}
 	return out
-}
-
-// MinimalWithin returns the minimal elements of the suborder induced by
-// set — the members with no ancestor inside set. They form an antichain
-// (mutual incomparability follows from closure): the candidate frontier
-// an intervention scheduler materializes each round. Output is sorted
-// by ID.
-func (d *DAG) MinimalWithin(set *NodeSet) []predicate.ID {
-	mask := d.maskFor(set)
-	var out []predicate.ID
-	mask.ForEach(func(i int) {
-		if !d.pred[i].Intersects(mask) {
-			out = append(out, d.nodes[i])
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// IsAntichain reports whether the given nodes are mutually unordered —
-// no precedence between any pair. Unknown nodes are ignored. Groups
-// drawn from an antichain are independent: no intervention on one can
-// silence or reorder another through the DAG's precedence relation.
-func (d *DAG) IsAntichain(ids []predicate.ID) bool {
-	mask := bitvec.New(len(d.nodes))
-	for _, id := range ids {
-		if i, ok := d.idx[id]; ok {
-			mask.SetInCap(i)
-		}
-	}
-	ok := true
-	mask.ForEach(func(i int) {
-		if ok && d.prec[i].Intersects(mask) {
-			ok = false
-		}
-	})
-	return ok
 }
 
 // FrontierIndex returns the dense indices of alive\exclude members at

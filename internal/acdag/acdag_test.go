@@ -390,41 +390,6 @@ func TestPathTo(t *testing.T) {
 	}
 }
 
-func TestMinimalWithin(t *testing.T) {
-	d := paperDAG(t)
-	// Whole graph: P1 is the unique root.
-	if got := d.MinimalWithin(nil); !reflect.DeepEqual(got, []predicate.ID{"P1"}) {
-		t.Fatalf("MinimalWithin(all) = %v, want [P1]", got)
-	}
-	// Restricted to the two parallel branches after P3: their heads are
-	// the frontier, and they form an antichain.
-	set := d.NewNodeSet("P4", "P5", "P7", "P8", "P9")
-	got := d.MinimalWithin(set)
-	if !reflect.DeepEqual(got, []predicate.ID{"P4", "P7"}) {
-		t.Fatalf("MinimalWithin = %v, want [P4 P7]", got)
-	}
-	if !d.IsAntichain(got) {
-		t.Fatal("frontier is not an antichain")
-	}
-}
-
-func TestIsAntichainAndUnordered(t *testing.T) {
-	d := paperDAG(t)
-	if !d.IsAntichain([]predicate.ID{"P4", "P8", "P9"}) {
-		t.Fatal("parallel branch members should be an antichain")
-	}
-	if d.IsAntichain([]predicate.ID{"P4", "P5"}) {
-		t.Fatal("chain members reported as antichain")
-	}
-	if !d.IsAntichain(nil) || !d.IsAntichain([]predicate.ID{"P4"}) {
-		t.Fatal("trivial antichains rejected")
-	}
-	// Unknown nodes are ignored.
-	if !d.IsAntichain([]predicate.ID{"P4", "ghost"}) {
-		t.Fatal("unknown node broke the antichain test")
-	}
-}
-
 func TestLevelFrontierWithin(t *testing.T) {
 	d := paperDAG(t)
 	alive := d.NewNodeSet("P3", "P4", "P7", "P8", "F")
@@ -443,44 +408,5 @@ func TestLevelFrontierWithin(t *testing.T) {
 	all := d.NewNodeSet("P3", "P4", "P7", "P8", "F")
 	if got := d.LevelFrontierWithin(alive, all); len(got) != 0 {
 		t.Fatalf("fully excluded frontier = %v, want empty", got)
-	}
-}
-
-// TestMinimalWithinMatchesBruteForce cross-checks the word-parallel
-// frontier against a quadratic reference on random subsets.
-func TestMinimalWithinMatchesBruteForce(t *testing.T) {
-	d := paperDAG(t)
-	rng := rand.New(rand.NewSource(5))
-	nodes := d.Nodes()
-	for trial := 0; trial < 200; trial++ {
-		set := map[predicate.ID]bool{}
-		ns := d.NewNodeSet()
-		for _, id := range nodes {
-			if rng.Intn(2) == 0 {
-				set[id] = true
-				ns.Add(id)
-			}
-		}
-		var want []predicate.ID
-		for id := range set {
-			minimal := true
-			for other := range set {
-				if other != id && d.Precedes(other, id) {
-					minimal = false
-					break
-				}
-			}
-			if minimal {
-				want = append(want, id)
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got := d.MinimalWithin(ns)
-		if len(got) == 0 && len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: MinimalWithin = %v, brute force = %v (set %v)", trial, got, want, set)
-		}
 	}
 }

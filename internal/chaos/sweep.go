@@ -161,7 +161,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 
 		// Chaos stack: world → flaky manifestation → injected faults →
 		// adaptive trial oracle → robust scheduler.
-		flaky := synthetic.NewFlakyWorld(inst.World, 1, cfg.Manifest, 0, seed^0x51ab5)
+		flaky := synthetic.NewFlakyWorld(inst.World, cfg.Manifest, 0, seed^0x51ab5)
 		var under core.Intervener = flaky
 		if cfg.Manifest <= 0 || cfg.Manifest >= 1 {
 			under = inst.World
@@ -174,7 +174,7 @@ func Sweep(ctx context.Context, cfg SweepConfig) (*SweepResult, error) {
 			PanicRate: cfg.PanicRate,
 		})
 		robust := core.NewRobustIntervener(ch, cfg.oracleConfig(seed^0x9e3779b9))
-		sched := core.NewScheduler(robust, core.SchedulerConfig{Robust: true})
+		sched := core.NewScheduler(robust, core.SchedulerConfig{})
 		opts := core.AIDOptions(algoSeed)
 		opts.Scheduler = sched
 

@@ -100,7 +100,7 @@ func TestZeroNoiseByteIdentical(t *testing.T) {
 		// the robust stack then issues exactly the deterministic path's
 		// oracle calls.
 		robust := core.NewRobustIntervener(ch, core.RobustConfig{ManifestFloor: 1, Seed: seed})
-		sched := core.NewScheduler(robust, core.SchedulerConfig{Robust: true})
+		sched := core.NewScheduler(robust, core.SchedulerConfig{})
 		opts := core.AIDOptions(algoSeed)
 		opts.Scheduler = sched
 		got, err := core.Discover(ctx, dag, robust, opts)

@@ -49,14 +49,14 @@ type Observation struct {
 // suffices for pruning (§5.3, footnote 1). Implementations should honor
 // ctx and return its error promptly when cancelled.
 //
-// Discover's default scheduler assumes the returned observations are a
+// Discover's scheduler assumes a plain Intervener's observations are a
 // pure function of the forced set (true for inject.Executor, which
 // replays fixed seeds): outcomes are memoized and group-testing
 // deductions replace confirming retests. An intervener whose outcomes
 // vary call-to-call (e.g. fresh randomized runs per round) must be
-// wrapped via Options.Scheduler with
-// SchedulerConfig{Nondeterministic: true}, which re-executes every
-// round and keeps the retests.
+// wrapped in a RobustIntervener, which repeats trials until each
+// verdict reaches a confidence bound; the scheduler then runs in
+// robust mode (see NewScheduler).
 type Intervener interface {
 	Intervene(ctx context.Context, preds []predicate.ID) ([]Observation, error)
 }
@@ -534,16 +534,12 @@ func (d *discoverer) giwp(pool []int, positive bool) (causes, spurious []int, er
 			}
 			return causes, spurious, nil
 		}
-		if positive && len(pool) == 1 && d.sched.Deductive() {
+		if positive && len(pool) == 1 {
 			// Deduced confirmation: the pool contains a cause and every
-			// other candidate has been eliminated. Gated on Deductive —
-			// under a plain noisy intervener the "positive" premise may
-			// itself be a missed manifestation, and the confirming
-			// retest the deduction skips is what keeps a spurious
-			// candidate from being reported causal. In robust mode the
-			// premise carries the trial oracle's confidence bound and
-			// the known-positive repair below catches the residue, so
-			// the deduction (and with it the ≤ N+1 bound) is restored.
+			// other candidate has been eliminated. In robust mode the
+			// positive premise carries the trial oracle's confidence
+			// bound, and the known-positive repair above catches the
+			// residue.
 			d.markCause(pool[0])
 			causes = append(causes, pool[0])
 			return causes, spurious, nil

@@ -106,12 +106,16 @@ func TestMemoRefusedWhereCachingIsUnsound(t *testing.T) {
 	entries := []MemoEntry{{Preds: []predicate.ID{"A"}, Obs: []Observation{{}}}}
 	for _, tc := range []struct {
 		name string
+		iv   Intervener
 		cfg  SchedulerConfig
 	}{
-		{"NoCache", SchedulerConfig{NoCache: true}},
-		{"Robust", SchedulerConfig{Robust: true, Nondeterministic: true}},
+		{"NoCache", chainWorld(), SchedulerConfig{NoCache: true}},
+		{"Robust", NewRobustIntervener(chainWorld(), RobustConfig{}), SchedulerConfig{}},
 	} {
-		s := NewScheduler(chainWorld(), tc.cfg)
+		s := NewScheduler(tc.iv, tc.cfg)
+		if s.Robust() != (tc.name == "Robust") {
+			t.Fatalf("%s: Robust() = %v", tc.name, s.Robust())
+		}
 		if got := s.ExportMemo(); got != nil {
 			t.Errorf("%s: ExportMemo = %d entries, want nil", tc.name, len(got))
 		}

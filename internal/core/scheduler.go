@@ -97,32 +97,13 @@ type SchedulerStats struct {
 	Escalated int
 }
 
-// SchedulerConfig configures a Scheduler.
+// SchedulerConfig configures a Scheduler. The scheduler's mode is not
+// configured: it follows from the intervener (see NewScheduler).
 type SchedulerConfig struct {
-	// NoCache disables outcome memoization while still treating the
-	// intervener as deterministic — every round re-executes, but
-	// outcomes are assumed pure. Useful as the control in
-	// cached-vs-uncached equivalence tests.
+	// NoCache disables outcome memoization — every round re-executes.
+	// It is the uncached reference in cached-vs-uncached equivalence
+	// tests.
 	NoCache bool
-	// Nondeterministic declares the intervener stateful or noisy (e.g.
-	// FlakyWorld, whose observation stream must advance on every
-	// round). It implies NoCache and additionally disables the
-	// group-testing deductions that substitute elimination for a
-	// confirming retest: under noise the "positive pool" premise may
-	// itself be a missed manifestation, and the retest is what keeps a
-	// spurious candidate from being confirmed causal.
-	Nondeterministic bool
-	// Robust declares the intervener noisy but verdict-stabilized —
-	// wrapped in a RobustIntervener (or equivalent) whose outcomes
-	// carry a confidence bound. Unlike Nondeterministic, which abandons
-	// memoization and deduction wholesale, Robust re-enables both under
-	// guards: outcomes are memoized (each verdict is already a
-	// high-confidence aggregate, so replaying it from cache is no worse
-	// than re-asking the oracle), every fresh verdict is checked
-	// against the recorded ones for monotonicity violations, and a
-	// contradiction triggers invalidation plus an escalated retest
-	// instead of silent trust. Takes precedence over Nondeterministic.
-	Robust bool
 	// OnContradiction, when non-nil in robust mode, is invoked for each
 	// detected contradiction after its repair completed. Purely
 	// observational.
@@ -179,7 +160,7 @@ type verdictRec struct {
 // (e.g. the AID / AID-P / AID-P-B ablation variants of one instance),
 // in which case the memo cache carries over and repeated groups are
 // never re-replayed. A Scheduler must not be shared across different
-// interveners or non-deterministic ones (see SchedulerConfig.NoCache).
+// interveners.
 //
 // Concurrency contract: Outcome is called from a single decision
 // thread (discovery is adaptive — there is never a second concurrent
@@ -187,12 +168,11 @@ type verdictRec struct {
 // and ExportMemo may be read from other goroutines while a run is in
 // progress; the cache holds only completed outcomes.
 type Scheduler struct {
-	iv            Intervener
-	tiv           TrialIntervener // nil when iv runs no adaptive trials
-	noCache       bool
-	deterministic bool
-	robust        bool
-	onContra      func(ContradictionEvent)
+	iv       Intervener
+	tiv      TrialIntervener // iv's trial oracle; nil outside robust mode
+	noCache  bool
+	robust   bool
+	onContra func(ContradictionEvent)
 
 	mu    sync.Mutex
 	cache map[string]*outcomeEntry
@@ -210,16 +190,24 @@ type Scheduler struct {
 // NewScheduler builds a scheduler over the intervener. The same
 // scheduler value is safe to pass to several (sequential) Discover
 // calls.
+//
+// The mode follows from the intervener, once. A plain Intervener is a
+// pure function of the forced-predicate set, so its outcomes are
+// memoized outright. A TrialIntervener (RobustIntervener) is noisy but
+// verdict-stabilized, and the scheduler runs in robust mode: outcomes
+// are still memoized (each verdict is already a high-confidence
+// aggregate, so replaying it from cache is no worse than re-asking the
+// oracle), but every fresh verdict is checked against the recorded
+// ones for monotonicity violations, and a contradiction triggers
+// invalidation plus an escalated retest instead of silent trust.
 func NewScheduler(iv Intervener, cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
-		iv:            iv,
-		noCache:       cfg.NoCache || (cfg.Nondeterministic && !cfg.Robust),
-		deterministic: !cfg.Nondeterministic && !cfg.Robust,
-		robust:        cfg.Robust,
-		onContra:      cfg.OnContradiction,
-		cache:         map[string]*outcomeEntry{},
+		iv:       iv,
+		noCache:  cfg.NoCache,
+		onContra: cfg.OnContradiction,
+		cache:    map[string]*outcomeEntry{},
 	}
-	s.tiv, _ = iv.(TrialIntervener)
+	s.tiv, s.robust = iv.(TrialIntervener)
 	if s.robust {
 		s.verdicts = map[string]*verdictRec{}
 	}
@@ -239,34 +227,20 @@ func (s *Scheduler) Intervener() Intervener { return s.iv }
 // same observations), or the cache serves poison; key schedulers by
 // everything that determines outcomes. Exclusivity: Rebind must not
 // race a running Discover — callers serialize runs that share a
-// scheduler (aid.SharedScheduler does).
+// scheduler (aid.SharedScheduler does). The mode stays the one
+// NewScheduler chose, so a robust scheduler must be rebound to another
+// TrialIntervener. Rebinding to nil releases the intervener, and with
+// it whatever the intervener holds, between runs.
 func (s *Scheduler) Rebind(iv Intervener) {
 	s.iv = iv
 	s.tiv, _ = iv.(TrialIntervener)
 }
-
-// Deterministic reports whether the intervener was declared a pure
-// function of the forced-predicate set (i.e. Nondeterministic was not
-// set). The discovery logic consults it before substituting a
-// group-testing deduction for a confirming retest: under noise a
-// falsely-stopped group must still be retested, or a single missed
-// manifestation confirms a spurious candidate.
-func (s *Scheduler) Deterministic() bool { return s.deterministic }
 
 // Robust reports that the scheduler runs in robust mode: a noisy but
 // verdict-stabilized intervener with guarded memoization, contradiction
 // repair, and escalated retests available. The discovery logic consults
 // it to enable the known-positive invariant repair.
 func (s *Scheduler) Robust() bool { return s.robust }
-
-// Deductive reports whether the discovery logic may substitute a
-// group-testing deduction for a confirming retest. True for declared
-// deterministic interveners (the deduction is sound outright) and in
-// robust mode (each verdict carries a confidence bound and the
-// known-positive repair catches the residual error); false under plain
-// Nondeterministic, where a single missed manifestation would confirm a
-// spurious candidate unchecked.
-func (s *Scheduler) Deductive() bool { return s.deterministic || s.robust }
 
 // Stats returns a snapshot of the execution accounting.
 func (s *Scheduler) Stats() SchedulerStats {
@@ -362,23 +336,10 @@ func (s *Scheduler) escalatedOutcome(ctx context.Context, req Request) ([]Observ
 }
 
 // escalatedIntervene runs one escalated retest through the trial
-// oracle, or a plain Intervene when the intervener runs no trials.
+// oracle.
 func (s *Scheduler) escalatedIntervene(ctx context.Context, preds []predicate.ID, level int) ([]Observation, TrialInfo, error) {
-	if s.tiv != nil {
-		obs, err := s.tiv.InterveneEscalated(ctx, preds, level)
-		return obs, s.tiv.LastInfo(), err
-	}
-	obs, err := s.iv.Intervene(ctx, preds)
-	return obs, TrialInfo{}, err
-}
-
-// lastInfo reads the trial provenance of the most recent round, when
-// the intervener exposes it.
-func (s *Scheduler) lastInfo() TrialInfo {
-	if s.tiv != nil {
-		return s.tiv.LastInfo()
-	}
-	return TrialInfo{}
+	obs, err := s.tiv.InterveneEscalated(ctx, preds, level)
+	return obs, s.tiv.LastInfo(), err
 }
 
 // vetOutcome is robust mode's admission check for a fresh outcome: the
@@ -387,7 +348,7 @@ func (s *Scheduler) lastInfo() TrialInfo {
 // (repair), and the surviving verdict is recorded in the index. Runs on
 // the decision thread only.
 func (s *Scheduler) vetOutcome(ctx context.Context, preds []predicate.ID, key string, obs []Observation) ([]Observation, TrialInfo, bool, error) {
-	info := s.lastInfo()
+	info := s.tiv.LastInfo()
 	stopped := !anyFailed(obs)
 	conflictKey, conflict := s.findConflict(key, preds, stopped)
 	if conflict == nil {

@@ -12,12 +12,22 @@ import (
 
 // liarsWorld scripts per-group verdict sequences: each Intervene on a
 // group consumes the next scripted verdict (true = stopped), repeating
-// the last entry forever. It stands in for a noisy oracle whose lies
-// are placed exactly where a test needs them.
+// the last entry forever. It stands in for a noisy trial oracle whose
+// lies are placed exactly where a test needs them, so the scheduler
+// runs over it in robust mode; an escalated retest is one more scripted
+// verdict, and no round reports trial provenance.
 type liarsWorld struct {
 	script map[string][]bool
 	calls  map[string]int
 }
+
+var _ TrialIntervener = (*liarsWorld)(nil)
+
+func (w *liarsWorld) InterveneEscalated(ctx context.Context, preds []predicate.ID, _ int) ([]Observation, error) {
+	return w.Intervene(ctx, preds)
+}
+
+func (w *liarsWorld) LastInfo() TrialInfo { return TrialInfo{} }
 
 func liarsKey(preds []predicate.ID) string {
 	ids := make([]string, len(preds))
@@ -60,7 +70,6 @@ func TestSchedulerContradictionRepaired(t *testing.T) {
 	}}
 	var events []ContradictionEvent
 	s := NewScheduler(w, SchedulerConfig{
-		Robust:          true,
 		OnContradiction: func(ev ContradictionEvent) { events = append(events, ev) },
 	})
 
@@ -122,7 +131,6 @@ func TestSchedulerContradictionUnresolved(t *testing.T) {
 	}}
 	var events []ContradictionEvent
 	s := NewScheduler(w, SchedulerConfig{
-		Robust:          true,
 		OnContradiction: func(ev ContradictionEvent) { events = append(events, ev) },
 	})
 	if _, _, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"a"}}); err != nil {
@@ -164,11 +172,11 @@ func TestSchedulerContradictionUnresolved(t *testing.T) {
 }
 
 // TestSchedulerRobustMemoizes pins robust mode's guarded memoization:
-// unlike plain nondeterministic mode (which disables the cache
-// entirely), robust mode re-serves vetted outcomes from cache.
+// a TrialIntervener puts the scheduler in robust mode, and robust mode
+// re-serves vetted outcomes from cache.
 func TestSchedulerRobustMemoizes(t *testing.T) {
 	w := &liarsWorld{script: map[string][]bool{"a": {false}}}
-	s := NewScheduler(w, SchedulerConfig{Robust: true})
+	s := NewScheduler(w, SchedulerConfig{})
 	if _, meta, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"a"}}); err != nil || meta.CacheHit {
 		t.Fatalf("first outcome: err=%v cacheHit=%v", err, meta.CacheHit)
 	}
@@ -182,9 +190,11 @@ func TestSchedulerRobustMemoizes(t *testing.T) {
 	if w.calls["a"] != 1 {
 		t.Fatalf("oracle asked %d times, want 1", w.calls["a"])
 	}
-	if !s.Robust() || !s.Deductive() || s.Deterministic() {
-		t.Fatalf("mode flags wrong: robust=%v deductive=%v deterministic=%v",
-			s.Robust(), s.Deductive(), s.Deterministic())
+	if !s.Robust() {
+		t.Fatal("a TrialIntervener must put the scheduler in robust mode")
+	}
+	if NewScheduler(chainWorld(), SchedulerConfig{}).Robust() {
+		t.Fatal("a plain Intervener must not put the scheduler in robust mode")
 	}
 }
 
@@ -194,7 +204,7 @@ func TestSchedulerRobustMemoizes(t *testing.T) {
 func TestSchedulerRobustMetaCarriesTrials(t *testing.T) {
 	inner := &scriptedIntervener{script: []func() ([]Observation, error){ret(obsClean())}}
 	robust := NewRobustIntervener(inner, RobustConfig{})
-	s := NewScheduler(robust, SchedulerConfig{Robust: true})
+	s := NewScheduler(robust, SchedulerConfig{})
 	_, meta, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"a"}})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +219,7 @@ func TestSchedulerRobustMetaCarriesTrials(t *testing.T) {
 // retest overwrites the cached outcome.
 func TestSchedulerEscalatedRequestBypassesCache(t *testing.T) {
 	w := &liarsWorld{script: map[string][]bool{"a": {true, false}}}
-	s := NewScheduler(w, SchedulerConfig{Robust: true})
+	s := NewScheduler(w, SchedulerConfig{})
 	obs, _, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"a"}})
 	if err != nil {
 		t.Fatal(err)

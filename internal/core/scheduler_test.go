@@ -188,24 +188,3 @@ func TestSchedulerDoesNotMemoizeErrors(t *testing.T) {
 		t.Fatalf("third request: err=%v meta=%+v, want cache hit", err, m)
 	}
 }
-
-func TestSchedulerNondeterministic(t *testing.T) {
-	w := chainWorld()
-	s := NewScheduler(w, SchedulerConfig{Nondeterministic: true})
-	if s.Deterministic() {
-		t.Fatal("nondeterministic intervener reported deterministic")
-	}
-	// Implies NoCache: every request re-executes.
-	for i := 0; i < 2; i++ {
-		if _, m, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"A"}}); err != nil || m.CacheHit {
-			t.Fatalf("request %d: err=%v meta=%+v", i, err, m)
-		}
-	}
-	if w.calls != 2 {
-		t.Fatalf("intervener called %d times, want 2", w.calls)
-	}
-	// NoCache alone keeps the deterministic declaration.
-	if !NewScheduler(w, SchedulerConfig{NoCache: true}).Deterministic() {
-		t.Fatal("NoCache-only scheduler must stay deterministic")
-	}
-}

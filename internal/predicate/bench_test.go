@@ -76,22 +76,7 @@ func BenchmarkExtractRaces(b *testing.B) {
 			e := &set.Executions[j]
 			c.AddRow(e.ID, e.Failed())
 		}
-		extractRaces(set.Executions, 0, c, nil)
-	}
-}
-
-// BenchmarkExtractStream measures the per-row streaming ingest against
-// the batch path's corpus (same predicates and counts).
-func BenchmarkExtractStream(b *testing.B) {
-	set := benchSet(40, 30)
-	cfg := Config{DurationMargin: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := ExtractStream(set, cfg, nil)
-		if c.NumPreds() == 0 {
-			b.Fatal("no predicates extracted")
-		}
+		extractRaces(set.Executions, c)
 	}
 }
 

@@ -59,8 +59,8 @@ var (
 )
 
 // callIDs holds the IDs extractPerCall can emit for one method instance,
-// indexed like perCallKinds. Extraction passes share a cache keyed by
-// instKey so each ID string is concatenated once per distinct instance.
+// indexed like perCallKinds. extractPerCall caches them by instKey so
+// each ID string is concatenated once per distinct instance.
 type callIDs [len(perCallKinds)]ID
 
 func idsFor(cache map[instKey]callIDs, k instKey) callIDs {
@@ -106,9 +106,9 @@ func Extract(s *trace.Set, cfg Config) *Corpus {
 	stats := successBaselines(succs)
 
 	c.AddPred(FailurePredicate())
-	stampFailures(s.Executions, 0, c)
-	extractPerCall(s.Executions, 0, c, stats, cfg, make(map[instKey]callIDs))
-	extractRaces(s.Executions, 0, c, nil)
+	stampFailures(s.Executions, c)
+	extractPerCall(s.Executions, c, stats, cfg)
+	extractRaces(s.Executions, c)
 	if ost, succRows := buildOrderState(succs, stats); ost != nil {
 		rows := make([][]*trace.MethodCall, len(s.Executions))
 		si := 0
@@ -122,90 +122,8 @@ func Extract(s *trace.Set, cfg Config) *Corpus {
 		}
 		emitOrderViolations(c, ost, rows)
 	}
-	emitAtomicityViolations(s.Executions, 0, c, buildAtomState(succs), nil)
+	emitAtomicityViolations(s.Executions, c, buildAtomState(succs))
 
-	c.DropPure(cfg.PureMethods)
-	if !cfg.keepUnobserved {
-		c.DropUnobserved()
-	}
-	return c
-}
-
-// ExtractStream evaluates the same predicate vocabulary as Extract but
-// ingests the corpus one execution row at a time, invoking onRow after
-// each row lands — the streaming path behind rank-as-you-ingest: the
-// corpus maintains per-predicate counts incrementally, so the callback
-// can read live statistical-debugging scores in O(predicates).
-//
-// The resulting corpus is analytically identical to Extract's (same
-// predicates, occurrences, and counts); only the predicate registration
-// order differs (first-occurrence order instead of phase order), which
-// no downstream consumer observes — scores, candidate sets, and the
-// AC-DAG all sort by ID.
-func ExtractStream(s *trace.Set, cfg Config, onRow func(row int, c *Corpus)) *Corpus {
-	c := NewCorpus()
-	succs := s.Successes()
-	stats := successBaselines(succs)
-	c.AddPred(FailurePredicate())
-	ost, succRows := buildOrderState(succs, stats)
-	atom := buildAtomState(succs)
-
-	// Candidate order pairs (baseline-ordered, conflicting) and their
-	// lazily assigned handles.
-	var pairs [][2]int
-	var pairHandle []Handle
-	if ost != nil {
-		nk := len(ost.keys)
-		for ai := 0; ai < nk; ai++ {
-			for bi := 0; bi < nk; bi++ {
-				if ai != bi && ost.ordered[ai*nk+bi] && conflicting(ost.profiles[ai], ost.profiles[bi]) {
-					pairs = append(pairs, [2]int{ai, bi})
-				}
-			}
-		}
-		pairHandle = make([]Handle, len(pairs))
-		for i := range pairHandle {
-			pairHandle[i] = NoHandle
-		}
-	}
-
-	ids := make(map[instKey]callIDs)
-	raceSc := newRaceScratch()
-	atomSc := newAtomScratch()
-	si := 0
-	for i := range s.Executions {
-		e := &s.Executions[i]
-		row := c.AddRow(e.ID, e.Failed())
-		one := s.Executions[i : i+1]
-		stampFailures(one, row, c)
-		extractPerCall(one, row, c, stats, cfg, ids)
-		extractRaces(one, row, c, raceSc)
-		if ost != nil {
-			var cr []*trace.MethodCall
-			if e.Outcome == trace.Success {
-				cr = succRows[si]
-				si++
-			} else {
-				cr = callRow(e, ost.keyIdx, len(ost.keys))
-			}
-			for pi, pr := range pairs {
-				a, b := cr[pr[0]], cr[pr[1]]
-				if a == nil || b == nil || a.End <= b.Start {
-					continue
-				}
-				h := pairHandle[pi]
-				if h == NoHandle {
-					h = c.AddPred(orderPredicate(ost.keys[pr[0]], ost.keys[pr[1]]))
-					pairHandle[pi] = h
-				}
-				c.SetOcc(row, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
-			}
-		}
-		emitAtomicityViolations(one, row, c, atom, atomSc)
-		if onRow != nil {
-			onRow(row, c)
-		}
-	}
 	c.DropPure(cfg.PureMethods)
 	if !cfg.keepUnobserved {
 		c.DropUnobserved()
@@ -214,8 +132,8 @@ func ExtractStream(s *trace.Set, cfg Config, onRow func(row int, c *Corpus)) *Co
 }
 
 // stampFailures records the failure predicate F in every failed
-// execution's log; execs[k] corresponds to row off+k.
-func stampFailures(execs []trace.Execution, off int, c *Corpus) {
+// execution's log; execs[i] is corpus row i.
+func stampFailures(execs []trace.Execution, c *Corpus) {
 	fh, _ := c.HandleOf(FailureID)
 	for i := range execs {
 		e := &execs[i]
@@ -231,7 +149,7 @@ func stampFailures(execs []trace.Execution, off int, c *Corpus) {
 		// F is stamped strictly after the last event: the failure
 		// manifests once everything observed has happened, so any
 		// predicate completing by the crash can temporally precede F.
-		c.SetOcc(off+i, fh, Occurrence{Start: end, End: end + 1, Thread: NoThread})
+		c.SetOcc(i, fh, Occurrence{Start: end, End: end + 1, Thread: NoThread})
 	}
 }
 
@@ -309,9 +227,9 @@ func holds(k Kind, e *trace.Execution, call *trace.MethodCall, st *succStats, ma
 }
 
 // extractPerCall emits the per-call predicates (perCallKinds) for
-// every method instance; execs[k] corresponds to row off+k. ids caches
-// the per-instance ID strings across calls.
-func extractPerCall(execs []trace.Execution, off int, c *Corpus, stats map[instKey]*succStats, cfg Config, ids map[instKey]callIDs) {
+// every method instance; execs[i] is corpus row i.
+func extractPerCall(execs []trace.Execution, c *Corpus, stats map[instKey]*succStats, cfg Config) {
+	ids := make(map[instKey]callIDs)
 	for i := range execs {
 		e := &execs[i]
 		for j := range e.Calls {
@@ -327,7 +245,7 @@ func extractPerCall(execs []trace.Execution, off int, c *Corpus, stats map[instK
 				if !ok {
 					h = c.AddPred(perCallPredicate(id, kind, k, call, st, cfg))
 				}
-				c.SetOcc(off+i, h, Occurrence{Start: call.Start, End: call.End, Thread: call.Thread})
+				c.SetOcc(i, h, Occurrence{Start: call.Start, End: call.End, Thread: call.Thread})
 			}
 		}
 	}
@@ -389,26 +307,6 @@ type accessWindow struct {
 	locks    []string // intersection of the window's access locksets
 }
 
-// raceScratch holds extractRaces's reusable buffers. ExtractStream
-// keeps one across rows, reusing the maps, the bucket backings, and the
-// buffer behind the per-window locksets (rewound for each execution:
-// a window never outlives its execution's pass).
-type raceScratch struct {
-	winIdx    map[trace.ObjectID]int
-	wins      []accessWindow
-	bucketIdx map[trace.ObjectID]int
-	buckets   [][]accessWindow
-	objs      []trace.ObjectID
-	locks     []string
-}
-
-func newRaceScratch() *raceScratch {
-	return &raceScratch{
-		winIdx:    make(map[trace.ObjectID]int),
-		bucketIdx: make(map[trace.ObjectID]int),
-	}
-}
-
 // extractRaces emits data-race predicates using access-window
 // interleaving: two method invocations on different threads race on X
 // when their access windows on X strictly interleave (each window's
@@ -417,22 +315,20 @@ func newRaceScratch() *raceScratch {
 // interleaving captures the harmful schedules — e.g. two read-modify-
 // write sections losing an update — while mere span-envelope overlap
 // with disjoint access windows does not race.
-func extractRaces(execs []trace.Execution, off int, c *Corpus, sc *raceScratch) {
-	if sc == nil {
-		sc = newRaceScratch()
-	}
-	winIdx := sc.winIdx
-	wins := sc.wins
-	bucketIdx := sc.bucketIdx
-	buckets := sc.buckets
-	objs := sc.objs
-	locks := sc.locks
-	defer func() {
-		sc.wins, sc.buckets, sc.objs, sc.locks = wins, buckets, objs, locks
-	}()
-	for i := range execs {
-		e := &execs[i]
-		row := off + i
+//
+// The maps, the bucket backings and the buffer behind the per-window
+// locksets are reused across executions (the locks buffer is rewound
+// for each one: a window never outlives its execution's pass); execs[i]
+// is corpus row i.
+func extractRaces(execs []trace.Execution, c *Corpus) {
+	winIdx := make(map[trace.ObjectID]int)
+	var wins []accessWindow
+	bucketIdx := make(map[trace.ObjectID]int)
+	var buckets [][]accessWindow
+	var objs []trace.ObjectID
+	var locks []string
+	for row := range execs {
+		e := &execs[row]
 		objs = objs[:0]
 		locks = locks[:0]
 		for j := range e.Calls {
@@ -824,9 +720,6 @@ func newAtomScratch() *atomScratch {
 // scanAtomicity walks one execution's object-access sequences and
 // reports each candidate pair with whether a remote write intervened.
 func scanAtomicity(e *trace.Execution, sc *atomScratch, record func(cd atomCand, violated bool, gapStart, gapEnd trace.Time)) {
-	if sc == nil {
-		sc = newAtomScratch()
-	}
 	byObj := sc.byObj
 	for j := range e.Calls {
 		call := &e.Calls[j]
@@ -920,13 +813,13 @@ func buildAtomState(succs []*trace.Execution) *atomState {
 }
 
 // emitAtomicityViolations emits a predicate wherever a remote write
-// slips between a success-established candidate pair; execs[k]
-// corresponds to row off+k. Successful executions can never emit
-// (a violation there is, by construction, violatedInSuccess).
-func emitAtomicityViolations(execs []trace.Execution, off int, c *Corpus, st *atomState, sc *atomScratch) {
-	for i := range execs {
-		e := &execs[i]
-		row := off + i
+// slips between a success-established candidate pair; execs[i] is
+// corpus row i. Successful executions can never emit (a violation
+// there is, by construction, violatedInSuccess).
+func emitAtomicityViolations(execs []trace.Execution, c *Corpus, st *atomState) {
+	sc := newAtomScratch()
+	for row := range execs {
+		e := &execs[row]
 		scanAtomicity(e, sc, func(cd atomCand, violated bool, gapStart, gapEnd trace.Time) {
 			id, cand := st.ids[cd]
 			if !violated || !cand || st.violatedInSuccess[cd] {

@@ -1,7 +1,6 @@
 package predicate
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -439,49 +438,6 @@ func TestCompoundMaterialization(t *testing.T) {
 	}
 	if _, err := c.CompoundAnd("fails:Query#0", "nope"); err == nil {
 		t.Fatal("unknown member accepted")
-	}
-}
-
-// TestExtractStreamMatchesBatch pins the streaming ingest's contract:
-// row-by-row extraction produces the same corpus as the batch path —
-// same predicate set, same per-row occurrences, same maintained counts
-// — differing only in registration order.
-func TestExtractStreamMatchesBatch(t *testing.T) {
-	set := benchSet(40, 30)
-	cfg := Config{DurationMargin: 4}
-	batch := Extract(set, cfg)
-	rows := 0
-	lastFail := -1
-	stream := ExtractStream(set, cfg, func(row int, c *Corpus) {
-		rows++
-		if c.NumLogs() != row+1 {
-			t.Fatalf("callback at row %d sees %d rows", row, c.NumLogs())
-		}
-		lastFail = c.FailedCount()
-	})
-	if rows != len(set.Executions) {
-		t.Fatalf("onRow fired %d times for %d executions", rows, len(set.Executions))
-	}
-	if lastFail != stream.FailedCount() {
-		t.Fatalf("incremental failed count %d, final %d", lastFail, stream.FailedCount())
-	}
-	if batch.NumPreds() != stream.NumPreds() {
-		t.Fatalf("stream extracted %d predicates, batch %d", stream.NumPreds(), batch.NumPreds())
-	}
-	if batch.NumLogs() != stream.NumLogs() {
-		t.Fatalf("stream has %d rows, batch %d", stream.NumLogs(), batch.NumLogs())
-	}
-	for i := 0; i < batch.NumLogs(); i++ {
-		if !reflect.DeepEqual(batch.Log(i).OccMap(), stream.Log(i).OccMap()) {
-			t.Fatalf("row %d differs between stream and batch", i)
-		}
-	}
-	for _, id := range batch.IDs() {
-		bo, bf, bn := batch.Counts(id)
-		so, sf, sn := stream.Counts(id)
-		if bo != so || bf != sf || bn != sn {
-			t.Fatalf("counts for %s: stream (%d,%d,%d), batch (%d,%d,%d)", id, so, sf, sn, bo, bf, bn)
-		}
 	}
 }
 

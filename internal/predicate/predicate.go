@@ -18,9 +18,9 @@
 // execution rows plus a rank-aligned occurrence-window array. Corpus-
 // wide queries (precision/recall counts, conjunction tests, the AC-DAG's
 // counterfactual filter) run word-parallel over the bitmaps, and
-// per-predicate counts are maintained incrementally on ingest, so
-// statistical debugging over a streamed corpus is O(predicates-touched)
-// per appended execution. String IDs survive only at the API edges:
+// per-predicate counts are maintained incrementally on ingest, so a
+// statistical-debugging score is an O(1) read. String IDs survive only
+// at the API edges:
 // reports, trace files, DOT output, and the intervention scheduler's
 // memo keys.
 package predicate
@@ -41,9 +41,6 @@ type ID string
 // Handles are stable for the life of a corpus except across
 // DropUnobserved, which compacts them.
 type Handle int32
-
-// NoHandle marks the absence of a handle.
-const NoHandle Handle = -1
 
 // Kind classifies predicates by the runtime condition they capture.
 type Kind int
@@ -235,11 +232,6 @@ func (l ExecLog) Has(id ID) bool {
 	return ok && l.c.cols[h].rows.Has(int(l.row))
 }
 
-// HasHandle is Has over an interned handle — no string lookup.
-func (l ExecLog) HasHandle(h Handle) bool {
-	return l.c.cols[h].rows.Has(int(l.row))
-}
-
 // Occ returns the predicate's occurrence window in this execution.
 func (l ExecLog) Occ(id ID) (Occurrence, bool) {
 	h, ok := l.c.byID[id]
@@ -267,8 +259,7 @@ func (l ExecLog) OccMap() map[ID]Occurrence {
 // Corpus is a set of predicates plus their occurrence columns over a
 // set of executions — the input to statistical debugging and the
 // AC-DAG. Rows (executions) are append-only; columns are written in
-// nondecreasing row order (the natural order of both batch extraction
-// and streaming ingest).
+// nondecreasing row order (the natural order of extraction).
 type Corpus struct {
 	Preds []Predicate // indexed by Handle
 	byID  map[ID]Handle
@@ -276,10 +267,7 @@ type Corpus struct {
 
 	execIDs    []string
 	failedRows bitvec.Vec
-	// failOrd[row] is the row's index among failed rows (-1 for
-	// successes) — the alignment the AC-DAG's occurrence matrices use.
-	failOrd []int32
-	nFail   int
+	nFail      int
 
 	// partFail and partSucc are the cached partition views returned by
 	// FailedLogs/SuccessLogs, maintained on ingest (a row's outcome
@@ -355,19 +343,17 @@ func (c *Corpus) FailedCount() int { return c.nFail }
 // Log returns the view of execution row i.
 func (c *Corpus) Log(i int) ExecLog { return ExecLog{c: c, row: int32(i)} }
 
-// AddRow appends one execution row (streaming ingest) and returns its
-// index. Occurrences are then recorded with SetOcc.
+// AddRow appends one execution row and returns its index. Occurrences
+// are then recorded with SetOcc.
 func (c *Corpus) AddRow(execID string, failed bool) int {
 	row := len(c.execIDs)
 	c.execIDs = append(c.execIDs, execID)
 	view := ExecLog{c: c, row: int32(row)}
 	if failed {
 		c.failedRows.Set(row)
-		c.failOrd = append(c.failOrd, int32(c.nFail))
 		c.nFail++
 		c.partFail = append(c.partFail, view)
 	} else {
-		c.failOrd = append(c.failOrd, -1)
 		c.partSucc = append(c.partSucc, view)
 	}
 	return row
@@ -395,7 +381,7 @@ func (c *Corpus) SetOcc(row int, h Handle, occ Occurrence) {
 }
 
 // AddLog appends one execution row from its row-oriented form — the
-// streaming ingest entry used by the codec, tests, and offline corpora.
+// ingest entry used by the codec, tests, and offline corpora.
 // Every occurrence's predicate must already be registered.
 func (c *Corpus) AddLog(execID string, failed bool, occ map[ID]Occurrence) int {
 	row := c.AddRow(execID, failed)
@@ -438,9 +424,6 @@ func (c *Corpus) Rows(h Handle) bitvec.Vec { return c.cols[h].rows }
 
 // FailedMask returns the bitmap of failed execution rows (read-only).
 func (c *Corpus) FailedMask() bitvec.Vec { return c.failedRows }
-
-// FailOrd returns row's index among the failed rows, or -1.
-func (c *Corpus) FailOrd(row int) int { return int(c.failOrd[row]) }
 
 // CountsAt returns the maintained (#rows where the predicate occurred,
 // #failed rows where it occurred) — O(1), no scan.

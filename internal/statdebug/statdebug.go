@@ -134,25 +134,6 @@ func FullyDiscriminative(c *predicate.Corpus) []predicate.ID {
 	return out
 }
 
-// CountFully returns the number of fully-discriminative predicates
-// without sorting or allocating the ID list — the O(P) live metric a
-// streaming ingest reads after every appended row.
-func CountFully(c *predicate.Corpus) int {
-	if c.NumLogs()-c.FailedCount() == 0 || c.FailedCount() == 0 {
-		return 0
-	}
-	n := 0
-	for h := 0; h < c.NumPreds(); h++ {
-		if c.PredAt(predicate.Handle(h)).ID == predicate.FailureID {
-			continue
-		}
-		if fullyAt(c, predicate.Handle(h)) {
-			n++
-		}
-	}
-	return n
-}
-
 // GenerateCompounds finds pairs of partially-discriminative predicates
 // whose conjunction is fully discriminative, materializes them in the
 // corpus, and returns the new predicates. This is the paper's modeling
@@ -209,27 +190,6 @@ func GenerateCompounds(c *predicate.Corpus, maxCompounds int) []predicate.Predic
 		}
 	}
 	return out
-}
-
-// Summary aggregates SD output for reporting: counts at each filter
-// level, as in Fig. 7.
-type Summary struct {
-	TotalPredicates       int
-	Discriminative        int
-	FullyDiscriminative   int
-	FullyDiscriminativeID []predicate.ID
-}
-
-// Summarize computes the SD summary of a corpus. Discriminative counts
-// use the conventional thresholds precision >= 0.5, recall = 1.
-func Summarize(c *predicate.Corpus) Summary {
-	full := FullyDiscriminative(c)
-	return Summary{
-		TotalPredicates:       c.NumPreds(),
-		Discriminative:        len(Discriminative(c, 0.5, 1)),
-		FullyDiscriminative:   len(full),
-		FullyDiscriminativeID: full,
-	}
 }
 
 // EntropyGain ranks a predicate by the information its occurrence gives

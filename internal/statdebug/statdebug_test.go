@@ -161,21 +161,6 @@ func TestGenerateCompoundsRespectsCap(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	outcomes := []bool{false, true}
-	c := corpus(outcomes, map[predicate.ID][]bool{
-		"good": {false, true},
-		"bad":  {true, false},
-	})
-	sum := Summarize(c)
-	if sum.FullyDiscriminative != 1 || sum.FullyDiscriminativeID[0] != "good" {
-		t.Fatalf("Summarize = %+v", sum)
-	}
-	if sum.TotalPredicates != 3 { // includes FAILURE
-		t.Fatalf("TotalPredicates = %d", sum.TotalPredicates)
-	}
-}
-
 func TestEntropyGain(t *testing.T) {
 	outcomes := []bool{false, false, true, true}
 	c := corpus(outcomes, map[predicate.ID][]bool{

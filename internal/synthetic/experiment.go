@@ -15,8 +15,8 @@ import (
 
 // ErrMisidentified reports that an approach's discovered causes differ
 // from the ground truth. On deterministic worlds this is a bug; under
-// noise it is a measurable event — a round's repeated runs can all miss
-// the failure's manifestation, making a spurious group look causal.
+// noise it is a measurable event — a round's trials can all miss the
+// failure's manifestation, making a spurious group look causal.
 var ErrMisidentified = errors.New("discovered causes do not match ground truth")
 
 // Approach names the four strategies compared in Fig. 8.
@@ -51,40 +51,31 @@ type Setting struct {
 	Cells    map[Approach]Cell
 	// Misidentified counts instances whose discovered path deviated
 	// from the ground truth — zero on deterministic worlds, possible
-	// under noise when every run of a round misses the manifestation.
+	// under noise when every trial of a round misses the manifestation.
 	Misidentified map[Approach]int
 }
 
 // Noise configures optional runtime nondeterminism for experiment runs
-// (zero value = deterministic single-observation worlds).
+// (zero value = deterministic single-observation worlds). A noisy
+// world's rounds go through the adaptive trial oracle
+// (core.RobustIntervener with ManifestFloor = ManifestProb) and the
+// robust scheduler: each trial is one FlakyWorld run, and the oracle
+// decides per round how many trials its confidence bound needs.
 type Noise struct {
-	// Runs is the number of executions per intervention round (min 1).
-	Runs int
 	// ManifestProb is the per-run chance the bug trigger recurs.
 	ManifestProb float64
 	// SymptomNoise is the per-run chance a spurious predicate flickers.
 	SymptomNoise float64
-	// Adaptive routes rounds through the adaptive trial oracle
-	// (core.RobustIntervener with ManifestFloor = ManifestProb) and the
-	// robust scheduler instead of the legacy fixed-Runs repetition: the
-	// oracle then runs one execution per trial and decides per round how
-	// many trials its confidence bound needs. Runs is ignored.
-	Adaptive bool
 }
 
 func (n Noise) enabled() bool {
-	return n.Runs > 1 || n.SymptomNoise > 0 || (n.ManifestProb > 0 && n.ManifestProb < 1)
+	return n.SymptomNoise > 0 || (n.ManifestProb > 0 && n.ManifestProb < 1)
 }
 
 // RunInstance measures one approach on one instance, verifying that the
 // discovered causal path matches the ground truth.
 func RunInstance(ctx context.Context, inst *Instance, approach Approach, seed int64) (int, error) {
-	return RunInstanceNoisy(ctx, inst, approach, seed, Noise{})
-}
-
-// RunInstanceNoisy is RunInstance under an optional noise model.
-func RunInstanceNoisy(ctx context.Context, inst *Instance, approach Approach, seed int64, noise Noise) (int, error) {
-	return runInstance(ctx, inst, approach, seed, noise, nil)
+	return runInstance(ctx, inst, approach, seed, Noise{}, nil)
 }
 
 // runInstance measures one approach, optionally drawing outcomes
@@ -93,35 +84,25 @@ func RunInstanceNoisy(ctx context.Context, inst *Instance, approach Approach, se
 // set, so sharing never changes a measured count — every approach still
 // logs one test per oracle call — it only skips re-evaluating groups an
 // earlier approach already intervened on (the singleton confirmations
-// of TAGT and AID overlap heavily). Noisy runs never share and never
-// cache: FlakyWorld's observation stream must advance on every round.
+// of TAGT and AID overlap heavily). Noisy runs never share a
+// scheduler: each approach draws its own FlakyWorld noise stream.
 func runInstance(ctx context.Context, inst *Instance, approach Approach, seed int64, noise Noise, shared *core.Scheduler) (int, error) {
 	w := inst.World
 	var sched *core.Scheduler
 	var oracle grouptest.Oracle
 	if noise.enabled() {
-		var iv core.Intervener
-		if noise.Adaptive {
-			// One execution per trial: the oracle, not a fixed Runs
-			// count, decides how much evidence each round needs.
-			fw := NewFlakyWorld(w, 1, noise.ManifestProb, noise.SymptomNoise, seed^0x51ab5)
-			floor := noise.ManifestProb
-			if floor <= 0 || floor > 1 {
-				floor = 1
-			}
-			robust := core.NewRobustIntervener(fw, core.RobustConfig{
-				ManifestFloor: floor,
-				Seed:          seed ^ 0x9e3779b9,
-			})
-			sched = core.NewScheduler(robust, core.SchedulerConfig{Robust: true})
-			iv = robust
-		} else {
-			fw := NewFlakyWorld(w, noise.Runs, noise.ManifestProb, noise.SymptomNoise, seed^0x51ab5)
-			sched = core.NewScheduler(fw, core.SchedulerConfig{Nondeterministic: true})
-			iv = fw
+		fw := NewFlakyWorld(w, noise.ManifestProb, noise.SymptomNoise, seed^0x51ab5)
+		floor := noise.ManifestProb
+		if floor <= 0 || floor > 1 {
+			floor = 1
 		}
+		robust := core.NewRobustIntervener(fw, core.RobustConfig{
+			ManifestFloor: floor,
+			Seed:          seed ^ 0x9e3779b9,
+		})
+		sched = core.NewScheduler(robust, core.SchedulerConfig{})
 		oracle = func(group []predicate.ID) (bool, error) {
-			obs, err := iv.Intervene(ctx, group)
+			obs, err := robust.Intervene(ctx, group)
 			if err != nil {
 				return false, err
 			}
@@ -212,12 +193,6 @@ func RunSetting(ctx context.Context, maxT, instances int, baseSeed int64) (*Sett
 	return RunSettingOpts(ctx, maxT, instances, baseSeed, SweepOptions{})
 }
 
-// RunSettingNoisy is RunSetting under an optional noise model,
-// measuring robustness of the sweep to runtime nondeterminism.
-func RunSettingNoisy(ctx context.Context, maxT, instances int, baseSeed int64, noise Noise) (*Setting, error) {
-	return RunSettingOpts(ctx, maxT, instances, baseSeed, SweepOptions{Noise: noise})
-}
-
 // instResult is one instance's measurement across the four approaches.
 type instResult struct {
 	n, d  int
@@ -304,17 +279,3 @@ func RunSettingOpts(ctx context.Context, maxT, instances int, baseSeed int64, op
 
 // Figure8MaxTs are the x-axis values of Fig. 8.
 var Figure8MaxTs = []int{2, 10, 18, 26, 34, 42}
-
-// RunFigure8 runs the full sweep: `instances` applications per MAXt
-// (the paper uses 500).
-func RunFigure8(ctx context.Context, instances int, baseSeed int64) ([]*Setting, error) {
-	var out []*Setting
-	for _, maxT := range Figure8MaxTs {
-		s, err := RunSetting(ctx, maxT, instances, baseSeed+int64(maxT)*1000003)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}

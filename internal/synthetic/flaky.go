@@ -15,7 +15,7 @@ import (
 // application's runs differ — spurious symptoms may fail to manifest,
 // and the failure itself may need several runs to reproduce.
 //
-// Per observation run:
+// Each Intervene call is one run:
 //   - the hidden bug trigger recurs only with probability ManifestProb
 //     (the buggy interleaving does not reproduce every run); a run
 //     without the trigger observes no discriminative predicates at all,
@@ -26,12 +26,11 @@ import (
 //     depends on timing), while the causal chain fires
 //     deterministically (the deterministic-effect assumption).
 //
-// Each Intervene call performs Runs executions; a single failing run is
-// a counter-example (core treats stopped = no run failed).
+// Repetition is the adaptive trial oracle's job: wrapped in a
+// core.RobustIntervener, each trial is one Intervene call, and the
+// oracle decides how many a round's verdict needs.
 type FlakyWorld struct {
 	World *World
-	// Runs is the number of executions per intervention round.
-	Runs int
 	// ManifestProb is the chance the bug trigger recurs per run.
 	ManifestProb float64
 	// SymptomNoise is the chance a spurious predicate flickers off.
@@ -41,10 +40,9 @@ type FlakyWorld struct {
 }
 
 // NewFlakyWorld wraps w with the given noise parameters.
-func NewFlakyWorld(w *World, runs int, manifestProb, symptomNoise float64, seed int64) *FlakyWorld {
+func NewFlakyWorld(w *World, manifestProb, symptomNoise float64, seed int64) *FlakyWorld {
 	return &FlakyWorld{
 		World:        w,
-		Runs:         runs,
 		ManifestProb: manifestProb,
 		SymptomNoise: symptomNoise,
 		rng:          rand.New(rand.NewSource(seed)),
@@ -53,10 +51,16 @@ func NewFlakyWorld(w *World, runs int, manifestProb, symptomNoise float64, seed 
 
 var _ core.Intervener = (*FlakyWorld)(nil)
 
-// Intervene implements core.Intervener with noisy repeated runs.
+// Intervene implements core.Intervener with one noisy run.
 func (f *FlakyWorld) Intervene(ctx context.Context, preds []predicate.ID) ([]core.Observation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	obs := core.Observation{Observed: make(map[predicate.ID]bool)}
+	if f.rng.Float64() >= f.ManifestProb {
+		// The buggy interleaving did not recur: a clean run with no
+		// discriminative predicates and no failure.
+		return []core.Observation{obs}, nil
 	}
 	forced := make(map[predicate.ID]bool, len(preds))
 	for _, p := range preds {
@@ -66,31 +70,20 @@ func (f *FlakyWorld) Intervene(ctx context.Context, preds []predicate.ID) ([]cor
 	for _, c := range f.World.Path {
 		causal[c] = true
 	}
-	out := make([]core.Observation, 0, f.Runs)
-	for r := 0; r < f.Runs; r++ {
-		obs := core.Observation{Observed: make(map[predicate.ID]bool)}
-		if f.rng.Float64() >= f.ManifestProb {
-			// The buggy interleaving did not recur: a clean run with no
-			// discriminative predicates and no failure.
-			out = append(out, obs)
-			continue
-		}
-		fired, wouldFail := f.World.Fire(forced)
-		// Draw flicker decisions in sorted ID order: iterating the map
-		// directly would pair RNG draws with predicates in Go's random
-		// map order, making the noise irreproducible despite the seed.
-		ids := make([]predicate.ID, 0, len(fired))
-		for id := range fired {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			if causal[id] || f.rng.Float64() >= f.SymptomNoise {
-				obs.Observed[id] = true
-			}
-		}
-		obs.Failed = wouldFail
-		out = append(out, obs)
+	fired, wouldFail := f.World.Fire(forced)
+	// Draw flicker decisions in sorted ID order: iterating the map
+	// directly would pair RNG draws with predicates in Go's random map
+	// order, making the noise irreproducible despite the seed.
+	ids := make([]predicate.ID, 0, len(fired))
+	for id := range fired {
+		ids = append(ids, id)
 	}
-	return out, nil
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if causal[id] || f.rng.Float64() >= f.SymptomNoise {
+			obs.Observed[id] = true
+		}
+	}
+	obs.Failed = wouldFail
+	return []core.Observation{obs}, nil
 }

@@ -9,18 +9,28 @@ import (
 	"aid/internal/predicate"
 )
 
+// runs calls the single-run Intervene n times on the same group.
+func runs(t *testing.T, f *FlakyWorld, preds []predicate.ID, n int) []core.Observation {
+	t.Helper()
+	var out []core.Observation
+	for i := 0; i < n; i++ {
+		obs, err := f.Intervene(context.Background(), preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(obs) != 1 {
+			t.Fatalf("Intervene returned %d observations, want one run", len(obs))
+		}
+		out = append(out, obs[0])
+	}
+	return out
+}
+
 func TestFlakyWorldObservationSemantics(t *testing.T) {
 	inst := mustGen(t, 4, 3)
-	f := NewFlakyWorld(inst.World, 50, 0.5, 0.3, 7)
-	obs, err := f.Intervene(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(obs) != 50 {
-		t.Fatalf("got %d observations, want 50", len(obs))
-	}
+	f := NewFlakyWorld(inst.World, 0.5, 0.3, 7)
 	manifested, clean := 0, 0
-	for _, o := range obs {
+	for _, o := range runs(t, f, nil, 50) {
 		if o.Failed {
 			manifested++
 			// Causal predicates never flicker when the trigger recurs.
@@ -45,13 +55,9 @@ func TestFlakyWorldSymptomFlicker(t *testing.T) {
 	if inst.N-inst.D < 2 {
 		t.Skip("instance has too few spurious predicates")
 	}
-	f := NewFlakyWorld(inst.World, 200, 1.0, 0.4, 9)
-	obs, err := f.Intervene(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := NewFlakyWorld(inst.World, 1.0, 0.4, 9)
 	flickered := false
-	for _, o := range obs {
+	for _, o := range runs(t, f, nil, 200) {
 		for _, p := range inst.World.Preds {
 			if !o.Observed[p] {
 				flickered = true
@@ -64,9 +70,11 @@ func TestFlakyWorldSymptomFlicker(t *testing.T) {
 }
 
 // AID must still recover the exact causal path under realistic
-// flakiness, because a single failing run per round is a sufficient
-// counter-example and lucky runs silence causal predicates together
-// with the failure.
+// flakiness through the adaptive trial oracle: a single failing run is
+// a conclusive counter-example, lucky runs silence causal predicates
+// together with the failure, and a "stopped" verdict waits for enough
+// clean trials. The RobustIntervener puts Discover's scheduler in
+// robust mode.
 func TestAIDConvergesOnFlakyWorlds(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		inst := mustGen(t, 6, seed)
@@ -74,24 +82,33 @@ func TestAIDConvergesOnFlakyWorlds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 8 runs/round, 70% manifestation: a missed counter-example in
-		// a round needs 0.3^8 ≈ 0.007% — negligible.
-		flaky := NewFlakyWorld(inst.World, 8, 0.7, 0.25, seed^0x9e37)
-		res, err := core.Discover(context.Background(), dag, flaky, core.AIDOptions(seed))
+		flaky := NewFlakyWorld(inst.World, 0.7, 0.25, seed^0x9e37)
+		robust := core.NewRobustIntervener(flaky, core.RobustConfig{ManifestFloor: 0.7, Seed: seed})
+		opts := core.AIDOptions(seed)
+		opts.Scheduler = core.NewScheduler(robust, core.SchedulerConfig{})
+		if !opts.Scheduler.Robust() {
+			t.Fatal("a RobustIntervener must put the scheduler in robust mode")
+		}
+		res, err := core.Discover(context.Background(), dag, robust, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res.Path, inst.World.WantPath()) {
 			t.Fatalf("seed %d: flaky path = %v, want %v", seed, res.Path, inst.World.WantPath())
 		}
+		if robust.Stats().Trials <= res.Interventions() {
+			t.Fatalf("seed %d: %d trials for %d rounds; the oracle never repeated a run",
+				seed, robust.Stats().Trials, res.Interventions())
+		}
 	}
 }
 
-// Under extreme noise (one run per round, rare manifestation) some
-// instances get misidentified; RunSettingNoisy must count them instead
-// of failing, and deterministic runs must never report any.
+// Under extreme noise (rare manifestation, heavy flicker) some
+// instances get misidentified even through the adaptive trial oracle;
+// a noisy sweep must count them instead of failing, and deterministic
+// runs must never report any.
 func TestMisidentificationAccounting(t *testing.T) {
-	noisy, err := RunSettingNoisy(context.Background(), 6, 30, 77, Noise{Runs: 1, ManifestProb: 0.5, SymptomNoise: 0.3})
+	noisy, err := RunSettingOpts(context.Background(), 6, 30, 77, SweepOptions{Noise: Noise{ManifestProb: 0.5, SymptomNoise: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +134,9 @@ func TestMisidentificationAccounting(t *testing.T) {
 // must agree with the deterministic world round for round.
 func TestFlakyWorldDegeneratesToDeterministic(t *testing.T) {
 	inst := mustGen(t, 5, 2)
-	f := NewFlakyWorld(inst.World, 1, 1.0, 0, 1)
+	f := NewFlakyWorld(inst.World, 1.0, 0, 1)
 	probe := []predicate.ID{inst.World.Path[0]}
-	flakyObs, err := f.Intervene(context.Background(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flakyObs := runs(t, f, probe, 1)
 	detObs, err := inst.World.Intervene(context.Background(), probe)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // regression test: a sweep setting must be byte-identical whether the
 // instance pool runs one worker or many, with and without noise.
 func TestRunSettingDeterministicAcrossWorkers(t *testing.T) {
-	for _, noise := range []Noise{{}, {Runs: 4, ManifestProb: 0.7, SymptomNoise: 0.15}} {
+	for _, noise := range []Noise{{}, {ManifestProb: 0.7, SymptomNoise: 0.15}} {
 		seq, err := RunSettingOpts(context.Background(), 10, 20, 99, SweepOptions{Noise: noise, Workers: 1})
 		if err != nil {
 			t.Fatal(err)

@@ -8,8 +8,7 @@
 // evaluated offline against these traces (see package predicate).
 //
 // Times are logical ticks of the global scheduler clock (package sim),
-// which plays the role of the paper's computer clock; a Lamport clock is
-// also provided for settings where a total tick order is unavailable.
+// which plays the role of the paper's computer clock.
 package trace
 
 import (

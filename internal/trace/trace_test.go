@@ -2,13 +2,11 @@ package trace
 
 import (
 	"bytes"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func span(method string, th ThreadID, start, end Time) MethodCall {
@@ -211,91 +209,6 @@ func TestCodecFiles(t *testing.T) {
 func TestDecodeCorrupt(t *testing.T) {
 	if _, err := Decode(bytes.NewBufferString("{not json")); err == nil {
 		t.Fatal("Decode of corrupt input succeeded")
-	}
-}
-
-func TestLamportClock(t *testing.T) {
-	var c LamportClock
-	if c.Now() != 0 {
-		t.Fatal("zero clock not at 0")
-	}
-	if c.Tick() != 1 || c.Tick() != 2 {
-		t.Fatal("Tick sequence wrong")
-	}
-	// Witnessing an older timestamp still advances.
-	if got := c.Witness(1); got != 3 {
-		t.Fatalf("Witness(1) = %d, want 3", got)
-	}
-	// Witnessing a newer timestamp jumps past it.
-	if got := c.Witness(10); got != 11 {
-		t.Fatalf("Witness(10) = %d, want 11", got)
-	}
-}
-
-func TestVectorClockOrdering(t *testing.T) {
-	a := NewVectorClock()
-	b := NewVectorClock()
-	a.Tick(1) // a = {1:1}
-	if !a.Concurrent(b) == false && b.HappensBefore(a) == false {
-		t.Fatal("empty clock should happen before a")
-	}
-	if !b.HappensBefore(a) {
-		t.Fatal("{} should happen before {1:1}")
-	}
-	b.Tick(2) // b = {2:1}
-	if !a.Concurrent(b) {
-		t.Fatal("{1:1} and {2:1} should be concurrent")
-	}
-	c := a.Copy()
-	c.Join(b) // c = {1:1,2:1}
-	if !a.HappensBefore(c) || !b.HappensBefore(c) {
-		t.Fatal("joined clock must dominate both inputs")
-	}
-	if c.HappensBefore(a) || c.HappensBefore(c) {
-		t.Fatal("HappensBefore must be strict")
-	}
-}
-
-// Property: HappensBefore is a strict partial order on random clocks and
-// Concurrent is its symmetric complement.
-func TestVectorClockProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	randClock := func() VectorClock {
-		v := NewVectorClock()
-		for th := ThreadID(0); th < 4; th++ {
-			if rng.Intn(2) == 1 {
-				v[th] = Time(rng.Intn(3))
-			}
-		}
-		return v
-	}
-	prop := func() bool {
-		a, b := randClock(), randClock()
-		ab := a.HappensBefore(b)
-		ba := b.HappensBefore(a)
-		if ab && ba {
-			return false // antisymmetry
-		}
-		if a.HappensBefore(a) {
-			return false // irreflexivity
-		}
-		if a.Concurrent(b) != (!ab && !ba) {
-			return false
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 500}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVectorClockTransitivity(t *testing.T) {
-	a := VectorClock{1: 1}
-	b := VectorClock{1: 2, 2: 1}
-	c := VectorClock{1: 2, 2: 2}
-	if !a.HappensBefore(b) || !b.HappensBefore(c) || !a.HappensBefore(c) {
-		t.Fatal("transitivity violated on chain a<b<c")
 	}
 }
 

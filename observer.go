@@ -120,24 +120,13 @@ func (e PredicatesExtracted) String() string {
 	return fmt.Sprintf("extracted %d predicates", e.Total)
 }
 
-// Ranked reports the statistical-debugging stage. In streaming mode
-// (Pipeline.ExtractStream, cmd/aid -stream) it fires incrementally as
-// execution rows are ingested — the columnar corpus maintains scores on
-// ingest, so each event reads live counts; RowsIngested/RowsTotal track
-// progress. The batch path emits one final event with both fields zero.
+// Ranked reports the statistical-debugging stage.
 type Ranked struct {
-	// FullyDiscriminative counts the predicates SD keeps at this point.
+	// FullyDiscriminative counts the predicates SD keeps.
 	FullyDiscriminative int
-	// RowsIngested and RowsTotal report streaming-ingest progress
-	// (zero outside streaming mode).
-	RowsIngested, RowsTotal int
 }
 
 func (e Ranked) String() string {
-	if e.RowsTotal > 0 {
-		return fmt.Sprintf("statistical debugging: %d fully-discriminative after %d/%d executions",
-			e.FullyDiscriminative, e.RowsIngested, e.RowsTotal)
-	}
 	return fmt.Sprintf("statistical debugging kept %d fully-discriminative predicates",
 		e.FullyDiscriminative)
 }

@@ -48,7 +48,6 @@ type Pipeline struct {
 	variant   Variant
 	workers   int
 	observer  Observer
-	streaming bool
 	effects   bool
 	noise     *NoiseTolerance
 	shared    *SharedScheduler
@@ -127,7 +126,7 @@ type SharedScheduler struct {
 	sched *core.Scheduler
 	// pending stages memo entries imported before the first run binds an
 	// intervener (restoring persisted state happens at daemon startup,
-	// when no executor exists yet); bind applies them to the fresh
+	// when no executor exists yet); acquire applies them to the fresh
 	// scheduler.
 	pending []core.MemoEntry
 }
@@ -137,19 +136,17 @@ func NewSharedScheduler() *SharedScheduler {
 	return &SharedScheduler{sem: make(chan struct{}, 1)}
 }
 
-// acquire claims the single discovery slot, honoring ctx while waiting.
-func (s *SharedScheduler) acquire(ctx context.Context) (release func(), err error) {
+// acquire claims the single discovery slot, honoring ctx while waiting,
+// and binds the run's executor: the scheduler is built on first use
+// and rebound afterwards. release unbinds the executor before it frees
+// the slot, so a memo held between runs keeps only its outcomes, not
+// the last run's corpus, baselines, monitors and program.
+func (s *SharedScheduler) acquire(ctx context.Context, iv core.Intervener) (sched *core.Scheduler, release func(), err error) {
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
-}
-
-// bind attaches the run's executor, building the scheduler on first
-// use and rebinding it afterwards. The caller holds the discovery slot.
-func (s *SharedScheduler) bind(iv core.Intervener) *core.Scheduler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sched == nil {
@@ -161,7 +158,11 @@ func (s *SharedScheduler) bind(iv core.Intervener) *core.Scheduler {
 	} else {
 		s.sched.Rebind(iv)
 	}
-	return s.sched
+	sched = s.sched
+	return sched, func() {
+		sched.Rebind(nil)
+		<-s.sem
+	}, nil
 }
 
 // ExportMemo serializes the accumulated intervention memo as a JSON
@@ -305,14 +306,6 @@ func WithEffectAnalysis(on bool) Option {
 	return func(p *Pipeline) { p.effects = on }
 }
 
-// WithStreamingExtract makes Extract ingest the corpus one execution
-// row at a time, firing incremental Ranked events as the maintained
-// scores evolve (rank-as-you-ingest). Analysis results are identical
-// to the batch path; see Pipeline.ExtractStream.
-func WithStreamingExtract(on bool) Option {
-	return func(p *Pipeline) { p.streaming = on }
-}
-
 // New builds a Pipeline with the paper's defaults: a 50+50 corpus
 // within 4000 seeds, 5 replays per round, seed 1, the full AID variant.
 func New(opts ...Option) *Pipeline {
@@ -399,12 +392,8 @@ func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error
 }
 
 // Extract evaluates the predicate vocabulary over the corpus,
-// materializing compound predicates when configured. With
-// WithStreamingExtract it delegates to ExtractStream.
+// materializing compound predicates when configured.
 func (p *Pipeline) Extract(tr *Traces) *Corpus {
-	if p.streaming {
-		return p.ExtractStream(tr)
-	}
 	an := p.applyEffects(tr)
 	corpus := predicate.Extract(tr.Set, tr.Config)
 	if p.compounds > 0 {
@@ -456,41 +445,6 @@ func (p *Pipeline) emitEffects(an *effects.Analysis, corpus *Corpus) {
 		}
 	}
 	p.emit(ev)
-}
-
-// ExtractStream is Extract's rank-as-you-ingest path: execution rows
-// stream into the columnar corpus one at a time, and incremental Ranked
-// events report the live fully-discriminative count as the maintained
-// scores evolve (about twenty progress events per corpus). The
-// resulting corpus yields the same scores, candidate sets, and AC-DAG
-// as the batch path — only the predicate registration order differs
-// (first occurrence instead of phase order), which no analysis output
-// observes.
-func (p *Pipeline) ExtractStream(tr *Traces) *Corpus {
-	an := p.applyEffects(tr)
-	total := len(tr.Set.Executions)
-	every := total / 20
-	if every < 1 {
-		every = 1
-	}
-	corpus := predicate.ExtractStream(tr.Set, tr.Config, func(row int, c *Corpus) {
-		if p.observer == nil {
-			return
-		}
-		if (row+1)%every == 0 || row == total-1 {
-			p.emit(Ranked{
-				FullyDiscriminative: statdebug.CountFully(c),
-				RowsIngested:        row + 1,
-				RowsTotal:           total,
-			})
-		}
-	})
-	if p.compounds > 0 {
-		statdebug.GenerateCompounds(corpus, p.compounds)
-	}
-	p.emitEffects(an, corpus)
-	p.emit(PredicatesExtracted{Total: len(corpus.Preds)})
-	return corpus
 }
 
 // Ranking is the statistical-debugging stage's output: the
@@ -569,14 +523,14 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 	if p.noise == nil && p.shared != nil {
 		// Cross-run memo sharing: claim the shared scheduler's single
 		// discovery slot (ctx-aware, so cancellation never blocks on a
-		// sibling run's rounds), rebind it to this run's executor, and
+		// sibling run's rounds), bound to this run's executor, and
 		// route all interventions through the carried-over cache.
-		release, err := p.shared.acquire(ctx)
+		var release func()
+		sharedSched, release, err = p.shared.acquire(ctx, exec)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		defer release()
-		sharedSched = p.shared.bind(exec)
 		// Snapshot the memo accounting while holding the slot: sibling
 		// runs are excluded, so the SchedulerUsage delta emitted below is
 		// exactly this run's.
@@ -596,7 +550,6 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 			Seed:          p.seed,
 		})
 		sched = core.NewScheduler(robust, core.SchedulerConfig{
-			Robust: true,
 			OnContradiction: func(ev core.ContradictionEvent) {
 				p.emit(ContradictionDetected{
 					Stopped:   ev.Stopped,

@@ -60,7 +60,8 @@ func RunSyntheticInstance(ctx context.Context, inst *SyntheticInstance, approach
 }
 
 // SyntheticNoise configures optional runtime nondeterminism for sweeps
-// (zero value = deterministic single-observation worlds).
+// (zero value = deterministic single-observation worlds). Noisy worlds
+// run through the adaptive trial oracle.
 type SyntheticNoise = synthetic.Noise
 
 // SyntheticSweepOptions configures a synthetic sweep beyond its shape:
