@@ -65,9 +65,10 @@ func BenchmarkExtract(b *testing.B) {
 }
 
 // BenchmarkExtractRaces isolates the race detector on overlap-heavy
-// traces.
+// traces: the corpus is interned once, outside the timed loop.
 func BenchmarkExtractRaces(b *testing.B) {
 	set := benchSet(20, 60)
+	x := newCorpusIndex(set.Executions)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,7 +77,7 @@ func BenchmarkExtractRaces(b *testing.B) {
 			e := &set.Executions[j]
 			c.AddRow(e.ID, e.Failed())
 		}
-		extractRaces(set.Executions, c)
+		x.extractRaces(c)
 	}
 }
 

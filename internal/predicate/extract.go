@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
+	"aid/internal/bitvec"
 	"aid/internal/trace"
 )
 
@@ -58,23 +58,6 @@ var (
 	}
 )
 
-// callIDs holds the IDs extractPerCall can emit for one method instance,
-// indexed like perCallKinds. extractPerCall caches them by instKey so
-// each ID string is concatenated once per distinct instance.
-type callIDs [len(perCallKinds)]ID
-
-func idsFor(cache map[instKey]callIDs, k instKey) callIDs {
-	ci, ok := cache[k]
-	if !ok {
-		ks := k.String()
-		for i, kind := range perCallKinds {
-			ci[i] = ID(perCallPrefix[kind] + ks)
-		}
-		cache[k] = ci
-	}
-	return ci
-}
-
 // succStats aggregates per-instance behaviour over successful runs.
 type succStats struct {
 	present       int
@@ -92,6 +75,10 @@ type succStats struct {
 // successful executions, then every execution is scanned for
 // deviations.
 //
+// The corpus is interned once (corpusIndex), and every pass indexes
+// slices by the interned ids. internal/oracle/extractref keeps the
+// map-keyed extractor this replaced as the test reference.
+//
 // Intervention replays are not re-extracted: Monitors answers, per
 // replay, the occurrence bits this function would give a corpus's
 // predicates over the baselines plus that replay marked failed.
@@ -101,34 +88,228 @@ func Extract(s *trace.Set, cfg Config) *Corpus {
 		e := &s.Executions[i]
 		c.AddRow(e.ID, e.Failed())
 	}
-
-	succs := s.Successes()
-	stats := successBaselines(succs)
-
+	x := newCorpusIndex(s.Executions)
 	c.AddPred(FailurePredicate())
 	stampFailures(s.Executions, c)
-	extractPerCall(s.Executions, c, stats, cfg)
-	extractRaces(s.Executions, c)
-	if ost, succRows := buildOrderState(succs, stats); ost != nil {
-		rows := make([][]*trace.MethodCall, len(s.Executions))
-		si := 0
-		for i := range s.Executions {
-			if s.Executions[i].Outcome == trace.Success {
-				rows[i] = succRows[si] // already indexed by buildOrderState
-				si++
-			} else {
-				rows[i] = callRow(&s.Executions[i], ost.keyIdx, len(ost.keys))
-			}
-		}
-		emitOrderViolations(c, ost, rows)
-	}
-	emitAtomicityViolations(s.Executions, c, buildAtomState(succs))
+	x.extractPerCall(c, cfg)
+	x.extractRaces(c)
+	x.extractOrder(c)
+	x.extractAtomicity(c)
 
 	c.DropPure(cfg.PureMethods)
 	if !cfg.keepUnobserved {
 		c.DropUnobserved()
 	}
 	return c
+}
+
+// corpusIndex is the interned corpus the extraction passes read. Every
+// (method, instance) key, method and object has a dense id, numbered in
+// sorted order (keys by method name, then instance), so comparing ids
+// compares names. The tables are sized by the corpus's calls, accesses
+// and distinct keys; nothing is indexed by a trace-supplied number,
+// since aid serve extracts corpora that arrive over the network.
+type corpusIndex struct {
+	execs   []trace.Execution
+	keys    []instKey
+	method  []int32  // key -> method id
+	methods []string // method id -> name
+	objs    []trace.ObjectID
+	// Execution i's calls, and then their accesses in order, have the
+	// flat numbers from callOff[i] and accOff[i] on.
+	callOff, accOff []int
+	callKey         []int32 // flat call -> key
+	accObj          []int32 // flat access -> object
+	// root[f] reports that no other span of flat call f's thread
+	// strictly encloses it.
+	root []bool
+	// stats[k] is key k's success baseline (present 0: it never ran in
+	// a success), and nonLeaf[k] reports that some success call of k
+	// strictly encloses another span of its thread.
+	stats   []succStats
+	nonLeaf []bool
+	succs   int
+}
+
+// newCorpusIndex interns execs, with at most one map probe per call for
+// its key and one per access for its object, renumbers the ids in
+// sorted order, folds the success baselines, and sweeps each
+// execution's spans once.
+func newCorpusIndex(execs []trace.Execution) *corpusIndex {
+	x := &corpusIndex{execs: execs, callOff: make([]int, len(execs)), accOff: make([]int, len(execs))}
+	nCalls, nAccs := 0, 0
+	for i := range execs {
+		nCalls += len(execs[i].Calls)
+		for j := range execs[i].Calls {
+			nAccs += len(execs[i].Calls[j].Accesses)
+		}
+	}
+	x.callKey = make([]int32, nCalls)
+	x.accObj = make([]int32, nAccs)
+	keyIdx := make(map[instKey]int)
+	objIdx := make(map[trace.ObjectID]int)
+	var seen []instKey // keys by first-seen id
+	f, a, prev := 0, 0, 0
+	for i := range execs {
+		x.callOff[i], x.accOff[i] = f, a
+		for j := range execs[i].Calls {
+			call := &execs[i].Calls[j]
+			k := instKey{call.Method, call.Instance}
+			// Runs of one program mostly repeat the previous run's calls,
+			// so the key at the same position there is tried first.
+			if p := prev + j; p < x.callOff[i] && seen[x.callKey[p]] == k {
+				x.callKey[f] = x.callKey[p]
+			} else {
+				id := intern(keyIdx, k)
+				if id == len(seen) {
+					seen = append(seen, k)
+				}
+				x.callKey[f] = int32(id)
+			}
+			for n := range call.Accesses {
+				x.accObj[a] = int32(intern(objIdx, call.Accesses[n].Object))
+				a++
+			}
+			f++
+		}
+		prev = x.callOff[i]
+	}
+
+	x.keys = renumber(keyIdx, x.callKey, func(p, q instKey) int {
+		return cmp.Or(cmp.Compare(p.m, q.m), cmp.Compare(p.inst, q.inst))
+	})
+	x.objs = renumber(objIdx, x.accObj, cmp.Compare[trace.ObjectID])
+	x.method = make([]int32, len(x.keys))
+	for k, key := range x.keys {
+		if k == 0 || key.m != x.keys[k-1].m {
+			x.methods = append(x.methods, key.m)
+		}
+		x.method[k] = int32(len(x.methods) - 1)
+	}
+
+	x.stats = make([]succStats, len(x.keys))
+	for i := range execs {
+		if execs[i].Failed() {
+			continue
+		}
+		x.succs++
+		for j := range execs[i].Calls {
+			x.stats[x.callKey[x.callOff[i]+j]].add(&execs[i].Calls[j])
+		}
+	}
+	x.sweep()
+	return x
+}
+
+// renumber gives the keys of idx, interned in first-seen order, new ids
+// in compare order, rewrites ids to them, and returns the keys by new
+// id.
+func renumber[K comparable](idx map[K]int, ids []int32, compare func(a, b K) int) []K {
+	names := make([]K, 0, len(idx))
+	for k := range idx {
+		names = append(names, k)
+	}
+	slices.SortFunc(names, compare)
+	rank := make([]int32, len(names))
+	for id, k := range names {
+		rank[idx[k]] = int32(id)
+	}
+	for i, id := range ids {
+		ids[i] = rank[id]
+	}
+	return names
+}
+
+// baseline returns key k's success baseline, or nil when it never ran
+// in a success.
+func (x *corpusIndex) baseline(k int32) *succStats {
+	if x.stats[k].present == 0 {
+		return nil
+	}
+	return &x.stats[k]
+}
+
+// sweep fills root for every call and nonLeaf from the successes, with
+// one sort per execution in place of a scan per span pair. With spans
+// sorted by thread, start, then end descending, a span's strict
+// enclosers are the earlier spans of its thread that have another
+// window and end at or after it does, and the spans it strictly
+// encloses are the later ones that end at or before it does. That
+// holds for any windows, nested or not.
+func (x *corpusIndex) sweep() {
+	x.root = make([]bool, len(x.callKey))
+	x.nonLeaf = make([]bool, len(x.keys))
+	var order []int32
+	for i := range x.execs {
+		calls := x.execs[i].Calls
+		base := x.callOff[i]
+		order = order[:0]
+		for j := range calls {
+			order = append(order, int32(j))
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			p, q := &calls[a], &calls[b]
+			switch {
+			case p.Thread != q.Thread:
+				return cmp.Compare(p.Thread, q.Thread)
+			case p.Start != q.Start:
+				return cmp.Compare(p.Start, q.Start)
+			}
+			return cmp.Compare(q.End, p.End)
+		})
+		// same reports whether order[a] and order[b] share a thread and
+		// a window, so that neither strictly encloses the other.
+		same := func(a, b int) bool {
+			p, q := &calls[order[a]], &calls[order[b]]
+			return p.Thread == q.Thread && p.Start == q.Start && p.End == q.End
+		}
+		for lo := 0; lo < len(order); {
+			hi := lo + 1
+			for hi < len(order) && calls[order[hi]].Thread == calls[order[lo]].Thread {
+				hi++
+			}
+			// Forward over the thread's windows [lo, hi): a span is a
+			// root when every earlier window ends before it does.
+			var maxEnd trace.Time
+			for g := lo; g < hi; {
+				h := g + 1
+				for h < hi && same(g, h) {
+					h++
+				}
+				end := calls[order[g]].End
+				root := g == lo || maxEnd < end
+				for k := g; k < h; k++ {
+					x.root[base+int(order[k])] = root
+				}
+				if g == lo || end > maxEnd {
+					maxEnd = end
+				}
+				g = h
+			}
+			if !x.execs[i].Failed() {
+				// Backward: a span is a non-leaf when some later window
+				// ends at or before it does.
+				var minEnd trace.Time
+				for g := hi; g > lo; {
+					h := g - 1
+					for h > lo && same(h-1, g-1) {
+						h--
+					}
+					end := calls[order[h]].End
+					if g < hi && minEnd <= end {
+						for k := h; k < g; k++ {
+							x.nonLeaf[x.callKey[base+int(order[k])]] = true
+						}
+					}
+					if g == hi || end < minEnd {
+						minEnd = end
+					}
+					g = h
+				}
+			}
+			lo = hi
+		}
+	}
 }
 
 // stampFailures records the failure predicate F in every failed
@@ -151,23 +332,6 @@ func stampFailures(execs []trace.Execution, c *Corpus) {
 		// predicate completing by the crash can temporally precede F.
 		c.SetOcc(i, fh, Occurrence{Start: end, End: end + 1, Thread: NoThread})
 	}
-}
-
-func successBaselines(succs []*trace.Execution) map[instKey]*succStats {
-	stats := make(map[instKey]*succStats)
-	for _, e := range succs {
-		for i := range e.Calls {
-			call := &e.Calls[i]
-			k := instKey{call.Method, call.Instance}
-			st, ok := stats[k]
-			if !ok {
-				st = &succStats{}
-				stats[k] = st
-			}
-			st.add(call)
-		}
-	}
-	return stats
 }
 
 // add folds one success-run call of the instance into the baseline.
@@ -197,11 +361,13 @@ func (st *succStats) add(call *trace.MethodCall) {
 	}
 }
 
-// holds reports whether the per-call predicate of kind k holds for call
-// in execution e, given the instance's success baseline st (nil when
-// the instance never ran in a success). It is the one definition that
-// extraction and the replay monitors share.
-func holds(k Kind, e *trace.Execution, call *trace.MethodCall, st *succStats, margin trace.Time) bool {
+// holds reports whether the per-call predicate of kind k holds for
+// call, given the instance's success baseline st (nil when the instance
+// never ran in a success); root reports whether no other span of the
+// call's thread strictly encloses it, and is asked only of a late call.
+// It is the one definition that extraction and the replay monitors
+// share.
+func holds(k Kind, call *trace.MethodCall, st *succStats, margin trace.Time, root func() bool) bool {
 	if k == KindMethodFails {
 		return call.Failed()
 	}
@@ -218,7 +384,7 @@ func holds(k Kind, e *trace.Execution, call *trace.MethodCall, st *succStats, ma
 		// behaviour; only thread-root spans carry a meaningful
 		// scheduling-lateness signal (§4 Case 2: the caller's late start
 		// causes the callee's).
-		return call.Start > st.maxStart+margin && isThreadRoot(e, call)
+		return call.Start > st.maxStart+margin && root()
 	case KindWrongReturn:
 		_, ok := st.usableRet()
 		return ok && !call.Failed() && !call.Return.Void && !call.Return.Equal(st.ret)
@@ -227,25 +393,34 @@ func holds(k Kind, e *trace.Execution, call *trace.MethodCall, st *succStats, ma
 }
 
 // extractPerCall emits the per-call predicates (perCallKinds) for
-// every method instance; execs[i] is corpus row i.
-func extractPerCall(execs []trace.Execution, c *Corpus, stats map[instKey]*succStats, cfg Config) {
-	ids := make(map[instKey]callIDs)
-	for i := range execs {
-		e := &execs[i]
+// every method instance, resolving each (key, kind)'s handle once.
+func (x *corpusIndex) extractPerCall(c *Corpus, cfg Config) {
+	nk := len(perCallKinds)
+	handles := make([]Handle, len(x.keys)*nk)
+	for i := range handles {
+		handles[i] = -1
+	}
+	for i := range x.execs {
+		e := &x.execs[i]
 		for j := range e.Calls {
 			call := &e.Calls[j]
-			k := instKey{call.Method, call.Instance}
-			st := stats[k]
+			f := x.callOff[i] + j
+			k := x.callKey[f]
+			st := x.baseline(k)
+			root := func() bool { return x.root[f] }
 			for ki, kind := range perCallKinds {
-				if !holds(kind, e, call, st, cfg.DurationMargin) {
+				if !holds(kind, call, st, cfg.DurationMargin, root) {
 					continue
 				}
-				id := idsFor(ids, k)[ki]
-				h, ok := c.HandleOf(id)
-				if !ok {
-					h = c.AddPred(perCallPredicate(id, kind, k, call, st, cfg))
+				h := &handles[int(k)*nk+ki]
+				if *h < 0 {
+					id := ID(perCallPrefix[kind] + x.keys[k].String())
+					var ok bool
+					if *h, ok = c.HandleOf(id); !ok {
+						*h = c.AddPred(perCallPredicate(id, kind, x.keys[k], call, st, cfg))
+					}
 				}
-				c.SetOcc(i, h, Occurrence{Start: call.Start, End: call.End, Thread: call.Thread})
+				c.SetOcc(i, *h, Occurrence{Start: call.Start, End: call.End, Thread: call.Thread})
 			}
 		}
 	}
@@ -307,6 +482,20 @@ type accessWindow struct {
 	locks    []string // intersection of the window's access locksets
 }
 
+// raceWindow is extractRaces's access window, with its object and its
+// call's method.
+type raceWindow struct {
+	accessWindow
+	m, o int32
+}
+
+// raceEntry is the handle of the race between methods m1 <= m2 on the
+// object whose list holds it.
+type raceEntry struct {
+	m1, m2 int32
+	h      Handle
+}
+
 // extractRaces emits data-race predicates using access-window
 // interleaving: two method invocations on different threads race on X
 // when their access windows on X strictly interleave (each window's
@@ -316,108 +505,113 @@ type accessWindow struct {
 // write sections losing an update — while mere span-envelope overlap
 // with disjoint access windows does not race.
 //
-// The maps, the bucket backings and the buffer behind the per-window
-// locksets are reused across executions (the locks buffer is rewound
-// for each one: a window never outlives its execution's pass); execs[i]
-// is corpus row i.
-func extractRaces(execs []trace.Execution, c *Corpus) {
-	winIdx := make(map[trace.ObjectID]int)
-	var wins []accessWindow
-	bucketIdx := make(map[trace.ObjectID]int)
-	var buckets [][]accessWindow
-	var objs []trace.ObjectID
+// Windows are bucketed by object, and each object keeps its races'
+// handles sorted by method pair. The bucket backings and the buffer
+// behind the per-window locksets are reused across executions (the
+// locks buffer is rewound for each one: a window never outlives its
+// execution's pass).
+func (x *corpusIndex) extractRaces(c *Corpus) {
+	winOf := make([]int32, len(x.objs)) // object -> the current call's window, -1 none
+	for o := range winOf {
+		winOf[o] = -1
+	}
+	buckets := make([][]raceWindow, len(x.objs))
+	handles := make([][]raceEntry, len(x.objs))
+	var wins []raceWindow
+	var objs []int32
 	var locks []string
-	for row := range execs {
-		e := &execs[row]
+	for row := range x.execs {
+		e := &x.execs[row]
 		objs = objs[:0]
 		locks = locks[:0]
+		n := x.accOff[row]
 		for j := range e.Calls {
 			call := &e.Calls[j]
-			clear(winIdx)
+			m := x.method[x.callKey[x.callOff[row]+j]]
 			wins = wins[:0]
 			for a := range call.Accesses {
 				acc := &call.Accesses[a]
-				wi, ok := winIdx[acc.Object]
-				if !ok {
-					wi = len(wins)
-					winIdx[acc.Object] = wi
+				o := x.accObj[n]
+				n++
+				wi := winOf[o]
+				if wi < 0 {
+					wi = int32(len(wins))
+					winOf[o] = wi
 					var held []string
 					locks, held = cloneLocks(locks, acc.Locks)
-					wins = append(wins, accessWindow{call: call, start: acc.At, end: acc.At, locks: held})
+					wins = append(wins, raceWindow{
+						accessWindow: accessWindow{call: call, start: acc.At, end: acc.At, locks: held},
+						m:            m,
+						o:            o,
+					})
 				} else {
 					w := &wins[wi]
-					if acc.At < w.start {
-						w.start = acc.At
-					}
-					if acc.At > w.end {
-						w.end = acc.At
-					}
+					w.start = min(w.start, acc.At)
+					w.end = max(w.end, acc.At)
 					w.locks = intersectInPlace(w.locks, acc.Locks)
 				}
 				if acc.Kind == trace.Write {
 					wins[wi].hasWrite = true
 				}
 			}
-			for obj, wi := range winIdx {
-				bi, ok := bucketIdx[obj]
-				if !ok {
-					bi = len(buckets)
-					bucketIdx[obj] = bi
-					buckets = append(buckets, nil)
+			for _, w := range wins {
+				winOf[w.o] = -1
+				if len(buckets[w.o]) == 0 {
+					objs = append(objs, w.o)
 				}
-				if len(buckets[bi]) == 0 {
-					objs = append(objs, obj)
-				}
-				buckets[bi] = append(buckets[bi], wins[wi])
+				buckets[w.o] = append(buckets[w.o], w)
 			}
 		}
 		slices.Sort(objs)
-		for _, obj := range objs {
-			ws := buckets[bucketIdx[obj]]
-			for x := 0; x < len(ws); x++ {
-				for y := x + 1; y < len(ws); y++ {
-					a, b := &ws[x], &ws[y]
-					if !races(a, b) {
+		for _, o := range objs {
+			ws := buckets[o]
+			for p := 0; p < len(ws); p++ {
+				for q := p + 1; q < len(ws); q++ {
+					a, b := &ws[p], &ws[q]
+					if !races(&a.accessWindow, &b.accessWindow) {
 						continue
 					}
-					m1, m2 := a.call.Method, b.call.Method
-					if m1 > m2 {
-						m1, m2 = m2, m1
-					}
-					id := raceID(m1, m2, obj)
-					h, ok := c.HandleOf(id)
-					if !ok {
-						h = c.AddPred(Predicate{
-							ID: id, Kind: KindDataRace,
-							Methods: dedupe(m1, m2), Object: obj, Stamp: ByStart,
-							Repair: Intervention{
-								Kind: IvLockMethods, Methods: dedupe(m1, m2), Safe: true,
-							},
-							Desc: "data race between " + m1 + " and " + m2 + " on " + string(obj),
-						})
-					}
-					start := maxTime(a.start, b.start)
-					end := minTime(a.end, b.end)
+					h := x.raceHandle(c, handles, min(a.m, b.m), max(a.m, b.m), o)
+					start, end := max(a.start, b.start), min(a.end, b.end)
 					// Merge with an earlier pair's window in this row
 					// (an O(1) read: the column's last write is this row).
 					if prev, ok := c.OccAt(row, h); ok {
-						if prev.Start < start {
-							start = prev.Start
-						}
-						if prev.End > end {
-							end = prev.End
-						}
+						start, end = min(start, prev.Start), max(end, prev.End)
 					}
 					c.SetOcc(row, h, Occurrence{Start: start, End: end, Thread: NoThread})
 				}
 			}
-		}
-		// Truncate this execution's buckets for reuse by the next one.
-		for _, obj := range objs {
-			bi := bucketIdx[obj]
-			buckets[bi] = buckets[bi][:0]
+			// Truncate the bucket for reuse by the next execution.
+			buckets[o] = ws[:0]
 		}
 	}
+}
+
+// raceHandle returns the handle of the race between methods m1 <= m2 on
+// object o, registering the predicate when it is new.
+func (x *corpusIndex) raceHandle(c *Corpus, handles [][]raceEntry, m1, m2, o int32) Handle {
+	list := handles[o]
+	i, found := slices.BinarySearchFunc(list, raceEntry{m1: m1, m2: m2}, func(p, q raceEntry) int {
+		return cmp.Or(cmp.Compare(p.m1, q.m1), cmp.Compare(p.m2, q.m2))
+	})
+	if found {
+		return list[i].h
+	}
+	n1, n2, obj := x.methods[m1], x.methods[m2], x.objs[o]
+	id := raceID(n1, n2, obj)
+	h, ok := c.HandleOf(id)
+	if !ok {
+		h = c.AddPred(Predicate{
+			ID: id, Kind: KindDataRace,
+			Methods: dedupe(n1, n2), Object: obj, Stamp: ByStart,
+			Repair: Intervention{
+				Kind: IvLockMethods, Methods: dedupe(n1, n2), Safe: true,
+			},
+			Desc: "data race between " + n1 + " and " + n2 + " on " + string(obj),
+		})
+	}
+	handles[o] = slices.Insert(list, i, raceEntry{m1, m2, h})
+	return h
 }
 
 // races reports whether two calls' access windows on one object race:
@@ -506,23 +700,9 @@ func dedupe(ms ...string) []string {
 	return out
 }
 
-func maxTime(a, b trace.Time) trace.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minTime(a, b trace.Time) trace.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// extractOrderViolations finds instance pairs (A, B) that are strictly
-// ordered A-then-B in every successful execution and emits the
-// predicate "B starts before A ends" wherever the order flips.
+// extractOrder finds instance pairs (A, B) that are strictly ordered
+// A-then-B in every successful execution and emits the predicate "B
+// starts before A ends" wherever the order flips.
 //
 // Two restrictions keep the predicate set meaningful:
 //
@@ -535,123 +715,121 @@ func minTime(a, b trace.Time) trace.Time {
 //   - The pair must conflict on a shared object (both access some X,
 //     at least one writing): without a data dependency, the relative
 //     order of two methods cannot affect the outcome.
-//
-// orderState is the success-derived half of order-violation extraction:
-// the baseline instance keys, which pairs stayed strictly ordered in
-// every success, and the keys' access profiles.
-type orderState struct {
-	keys     []instKey
-	keyIdx   map[instKey]int
-	ordered  []bool // flat keys×keys matrix: a-then-b in all successes
-	profiles []accessProfile
-}
-
-// buildOrderState computes the order baseline from the successes, or
-// nil when no order predicate can exist. It also returns the callRows
-// of the successes (aligned with succs) so callers reuse them instead
-// of re-indexing the same executions.
-func buildOrderState(succs []*trace.Execution, stats map[instKey]*succStats) (*orderState, [][]*trace.MethodCall) {
-	if len(succs) == 0 {
-		return nil, nil
+func (x *corpusIndex) extractOrder(c *Corpus) {
+	if x.succs == 0 {
+		return
 	}
-	// Keys present in every success are order-baseline candidates.
-	nonLeaf := nonLeafKeys(succs)
-	var keys []instKey
-	for k, st := range stats {
-		if st.present == len(succs) && !nonLeaf[k] {
-			keys = append(keys, k)
+	// The baseline keys, in key order: present in every success and a
+	// leaf in all of them.
+	slot := make([]int32, len(x.keys))
+	var keys []int32
+	for k := range x.keys {
+		slot[k] = -1
+		if x.stats[k].present == x.succs && !x.nonLeaf[k] {
+			slot[k] = int32(len(keys))
+			keys = append(keys, int32(k))
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].m != keys[j].m {
-			return keys[i].m < keys[j].m
-		}
-		return keys[i].inst < keys[j].inst
-	})
 	nk := len(keys)
 	if nk == 0 {
-		return nil, nil
+		return
 	}
-	keyIdx := make(map[instKey]int, nk)
-	for i, k := range keys {
-		keyIdx[k] = i
+	// Execution i's last call of baseline key s is its Calls[rows[i*nk+s]]
+	// (-1: none).
+	rows := make([]int32, len(x.execs)*nk)
+	for i := range rows {
+		rows[i] = -1
 	}
-	succRows := make([][]*trace.MethodCall, len(succs))
-	for si, e := range succs {
-		succRows[si] = callRow(e, keyIdx, nk)
-	}
-	// ordered[ai*nk+bi] = true while A ends before B starts in all
-	// successes seen so far (flat matrix, not a struct-keyed map).
-	ordered := make([]bool, nk*nk)
-	for ai := 0; ai < nk; ai++ {
-		for bi := 0; bi < nk; bi++ {
-			if ai != bi {
-				ordered[ai*nk+bi] = true
+	for i := range x.execs {
+		for j := range x.execs[i].Calls {
+			if s := slot[x.callKey[x.callOff[i]+j]]; s >= 0 {
+				rows[i*nk+int(s)] = int32(j)
 			}
 		}
 	}
-	for _, row := range succRows {
-		for ai := 0; ai < nk; ai++ {
-			a := row[ai]
-			for bi := 0; bi < nk; bi++ {
-				if ai == bi || !ordered[ai*nk+bi] {
-					continue
-				}
-				if b := row[bi]; a == nil || b == nil || a.End > b.Start {
-					ordered[ai*nk+bi] = false
+	call := func(i, s int) *trace.MethodCall {
+		if j := rows[i*nk+s]; j >= 0 {
+			return &x.execs[i].Calls[j]
+		}
+		return nil
+	}
+	// ordered[a] is the set of baseline keys b such that a ends before b
+	// starts in every success; profiles union each key's accesses over
+	// the successes.
+	w := (nk + 63) / 64
+	ordered := make([]bitvec.Vec, nk)
+	for a := range ordered {
+		ordered[a] = bitvec.Ones(nk)
+		ordered[a].Unset(a)
+	}
+	profiles := make([]accessProfile[int32], nk)
+	// A success's baseline calls in start order, their starts, and
+	// after[p*w:(p+1)*w] the set of the slots from position p on.
+	type slotStart struct {
+		s     int32
+		start trace.Time
+	}
+	var byStart []slotStart
+	var starts []trace.Time
+	after := make(bitvec.Vec, (nk+1)*w)
+	for i := range x.execs {
+		if x.execs[i].Failed() {
+			continue
+		}
+		// Gathered in trace order, which canonical traces have sorted by
+		// start already, so sorting them is cheap.
+		byStart = byStart[:0]
+		off := x.accOff[i]
+		for j, c := range x.execs[i].Calls {
+			if s := slot[x.callKey[x.callOff[i]+j]]; s >= 0 && rows[i*nk+int(s)] == int32(j) {
+				byStart = append(byStart, slotStart{s, c.Start})
+				for k, acc := range c.Accesses {
+					profiles[s].add(x.accObj[off+k], acc.Kind == trace.Write)
 				}
 			}
+			off += len(c.Accesses)
 		}
-	}
-	return &orderState{
-		keys:     keys,
-		keyIdx:   keyIdx,
-		ordered:  ordered,
-		profiles: accessProfiles(succRows, keys),
-	}, succRows
-}
-
-// callRow indexes one execution's calls by baseline key: one pass per
-// execution replaces a linear Execution.Call scan per (pair, execution)
-// probe — the dominant cost of large corpora.
-func callRow(e *trace.Execution, keyIdx map[instKey]int, nk int) []*trace.MethodCall {
-	row := make([]*trace.MethodCall, nk)
-	for ci := range e.Calls {
-		call := &e.Calls[ci]
-		if ki, ok := keyIdx[instKey{call.Method, call.Instance}]; ok {
-			row[ki] = call
+		slices.SortFunc(byStart, func(p, q slotStart) int { return cmp.Compare(p.start, q.start) })
+		starts = starts[:0]
+		n := len(byStart)
+		clear(after[n*w : (n+1)*w])
+		for p := n - 1; p >= 0; p-- {
+			copy(after[p*w:(p+1)*w], after[(p+1)*w:(p+2)*w])
+			after[p*w : (p+1)*w].SetInCap(int(byStart[p].s))
 		}
-	}
-	return row
-}
-
-// emitOrderViolations emits the predicate "B starts before A ends" for
-// every baseline-ordered conflicting pair wherever the order flips;
-// rows[i] is the callRow of the execution behind corpus row i.
-func emitOrderViolations(c *Corpus, st *orderState, rows [][]*trace.MethodCall) {
-	nk := len(st.keys)
-	for ai := range st.keys {
-		for bi := range st.keys {
-			if ai == bi || !st.ordered[ai*nk+bi] {
+		for _, bs := range byStart {
+			starts = append(starts, bs.start)
+		}
+		for a := range ordered {
+			ca := call(i, a)
+			if ca == nil {
+				clear(ordered[a])
 				continue
 			}
-			if !conflicting(st.profiles[ai], st.profiles[bi]) {
-				continue
-			}
-			var h Handle
-			added := false
-			for i := range rows {
-				a, b := rows[i][ai], rows[i][bi]
-				if a == nil || b == nil || a.End <= b.Start {
-					continue
-				}
-				if !added {
-					h = c.AddPred(orderPredicate(st.keys[ai], st.keys[bi]))
-					added = true
-				}
-				c.SetOcc(i, h, Occurrence{Start: b.Start, End: a.End, Thread: NoThread})
+			// The slots that start once a has ended.
+			p, _ := slices.BinarySearch(starts, ca.End)
+			for k := range ordered[a] {
+				ordered[a][k] &= after[p*w+k]
 			}
 		}
+	}
+	for a := range ordered {
+		ordered[a].ForEach(func(b int) {
+			if !conflicting(profiles[a], profiles[b]) {
+				return
+			}
+			h := Handle(-1)
+			for i := range x.execs {
+				ca, cb := call(i, a), call(i, b)
+				if ca == nil || cb == nil || ca.End <= cb.Start {
+					continue
+				}
+				if h < 0 {
+					h = c.AddPred(orderPredicate(x.keys[keys[a]], x.keys[keys[b]]))
+				}
+				c.SetOcc(i, h, Occurrence{Start: cb.Start, End: ca.End, Thread: NoThread})
+			}
+		})
 	}
 }
 
@@ -673,83 +851,167 @@ func orderPredicate(ka, kb instKey) Predicate {
 	}
 }
 
-// Atomicity violations (buildAtomState + emitAtomicityViolations) find
-// same-thread span pairs (A, B) both accessing an object X with no
-// intervening remote write in any successful run, and emit a predicate
-// where a remote write slips between them. The repair serializes the
-// pair's common parent with the writer; without a common parent the
-// violation cannot be safely repaired at method granularity and the
-// intervention is marked unsafe.
+// accessProfile records the objects an instance touches, sorted, each
+// with whether any of its accesses writes. O is an object name for the
+// monitors and an interned object id for extraction.
+type accessProfile[O cmp.Ordered] []profileEntry[O]
 
-// atomCand is a candidate atomicity pair: two same-thread spans with
-// consecutive accesses to one object.
-type atomCand struct {
-	a, b instKey
-	obj  trace.ObjectID
+type profileEntry[O cmp.Ordered] struct {
+	obj   O
+	write bool
 }
 
-// atomState is the success-derived half of atomicity extraction,
-// immutable once built. ids doubles as the candidate set: only
-// success-established pairs can emit, so their predicate IDs are
-// interned here once instead of per emission.
-type atomState struct {
-	ids               map[atomCand]ID
-	violatedInSuccess map[atomCand]bool
+// add records one access to obj.
+func (p *accessProfile[O]) add(obj O, write bool) {
+	i, found := slices.BinarySearchFunc(*p, obj, func(e profileEntry[O], o O) int { return cmp.Compare(e.obj, o) })
+	if !found {
+		*p = slices.Insert(*p, i, profileEntry[O]{obj: obj})
+	}
+	(*p)[i].write = (*p)[i].write || write
 }
 
-// atomAccess is one object access in scanAtomicity's per-object
-// sequence.
+// conflicting reports whether two profiles touch a common object with
+// at least one write.
+func conflicting[O cmp.Ordered](a, b accessProfile[O]) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch d := cmp.Compare(a[i].obj, b[j].obj); {
+		case d < 0:
+			i++
+		case d > 0:
+			j++
+		case a[i].write || b[j].write:
+			return true
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return false
+}
+
+// Atomicity violations (extractAtomicity) find same-thread span pairs
+// (A, B) both accessing an object X with no intervening remote write in
+// any successful run, and emit a predicate where a remote write slips
+// between them. The repair serializes the pair's common parent with the
+// writer; without a common parent the violation cannot be safely
+// repaired at method granularity and the intervention is marked unsafe.
+
+// atomAccess is one object access in an execution's per-object access
+// sequence. key is the call's interned key; the monitors, which match
+// calls by method and instance, leave it 0.
 type atomAccess struct {
 	call *trace.MethodCall
 	at   trace.Time
 	kind trace.AccessKind
+	key  int32
 }
 
-// atomScratch holds scanAtomicity's per-object access buckets. The
-// same objects recur in every trace of a corpus, so a persistent
-// scratch retains the map and the bucket backings across executions,
-// truncating instead of reallocating.
-type atomScratch struct {
-	byObj map[trace.ObjectID][]atomAccess
+// atomCandidate is a candidate pair (A, B) on object o, held on the
+// list of A's key: B's key, whether a remote write slipped between the
+// pair in some success, and the predicate's handle once emitted (-1
+// before).
+type atomCandidate struct {
+	b, o     int32
+	violated bool
+	h        Handle
 }
 
-func newAtomScratch() *atomScratch {
-	return &atomScratch{byObj: make(map[trace.ObjectID][]atomAccess)}
-}
-
-// scanAtomicity walks one execution's object-access sequences and
-// reports each candidate pair with whether a remote write intervened.
-func scanAtomicity(e *trace.Execution, sc *atomScratch, record func(cd atomCand, violated bool, gapStart, gapEnd trace.Time)) {
-	byObj := sc.byObj
-	for j := range e.Calls {
-		call := &e.Calls[j]
-		for a := range call.Accesses {
-			acc := &call.Accesses[a]
-			byObj[acc.Object] = append(byObj[acc.Object], atomAccess{call, acc.At, acc.Kind})
-		}
-	}
-	// Buckets left empty by this execution are skipped, so a persistent
-	// scratch sees exactly the objects a fresh map would.
-	for obj, accs := range byObj {
-		if len(accs) == 0 {
-			continue
-		}
-		sortAccesses(accs)
-		atomPairs(accs, func(a, b *trace.MethodCall, violated bool, gapStart, gapEnd trace.Time) {
-			record(atomCand{
-				a:   instKey{a.Method, a.Instance},
-				b:   instKey{b.Method, b.Instance},
-				obj: obj,
-			}, violated, gapStart, gapEnd)
+// extractAtomicity collects the candidate pairs from the successes
+// onto per-key lists sorted by (B, object), then emits wherever a
+// remote write slips between a candidate pair in a failed execution. A
+// successful execution never emits: a violation there makes the pair
+// violated in a success.
+func (x *corpusIndex) extractAtomicity(c *Corpus) {
+	byObj := make([][]atomAccess, len(x.objs))
+	cands := make([][]atomCandidate, len(x.keys))
+	var objs []int32
+	find := func(a, b *atomAccess, o int32) (int, bool) {
+		return slices.BinarySearchFunc(cands[a.key], atomCandidate{b: b.key, o: o}, func(p, q atomCandidate) int {
+			return cmp.Or(cmp.Compare(p.b, q.b), cmp.Compare(p.o, q.o))
 		})
 	}
-	// Truncate the touched buckets so the next execution appends into
-	// the retained backings.
-	for obj, accs := range byObj {
-		if len(accs) != 0 {
-			byObj[obj] = accs[:0]
+	// scan reports the candidate pairs of execution row, object by
+	// object in name order.
+	scan := func(row int, record func(a, b *atomAccess, o int32, violated bool)) {
+		e := &x.execs[row]
+		objs = objs[:0]
+		n := x.accOff[row]
+		for j := range e.Calls {
+			call := &e.Calls[j]
+			key := x.callKey[x.callOff[row]+j]
+			for k := range call.Accesses {
+				o := x.accObj[n]
+				n++
+				if len(byObj[o]) == 0 {
+					objs = append(objs, o)
+				}
+				acc := &call.Accesses[k]
+				byObj[o] = append(byObj[o], atomAccess{call: call, at: acc.At, kind: acc.Kind, key: key})
+			}
+		}
+		slices.Sort(objs)
+		for _, o := range objs {
+			accs := byObj[o]
+			sortAccesses(accs)
+			atomPairs(accs, func(a, b *atomAccess, violated bool) { record(a, b, o, violated) })
+			byObj[o] = accs[:0]
 		}
 	}
+	for row := range x.execs {
+		if x.execs[row].Failed() {
+			continue
+		}
+		scan(row, func(a, b *atomAccess, o int32, violated bool) {
+			i, found := find(a, b, o)
+			if !found {
+				cands[a.key] = slices.Insert(cands[a.key], i, atomCandidate{b: b.key, o: o, h: -1})
+			}
+			cands[a.key][i].violated = cands[a.key][i].violated || violated
+		})
+	}
+	for row := range x.execs {
+		if !x.execs[row].Failed() {
+			continue
+		}
+		scan(row, func(a, b *atomAccess, o int32, violated bool) {
+			if !violated {
+				return
+			}
+			i, found := find(a, b, o)
+			if !found || cands[a.key][i].violated {
+				return
+			}
+			cd := &cands[a.key][i]
+			if cd.h < 0 {
+				cd.h = x.atomHandle(c, &x.execs[row], x.keys[a.key], x.keys[b.key], x.objs[o])
+			}
+			c.SetOcc(row, cd.h, Occurrence{Start: a.at, End: b.at, Thread: NoThread})
+		})
+	}
+}
+
+// atomHandle returns the handle of the atomicity violation of ka then
+// kb on obj, registering the predicate when it is new; its repair locks
+// the pair's common parent in e.
+func (x *corpusIndex) atomHandle(c *Corpus, e *trace.Execution, ka, kb instKey, obj trace.ObjectID) Handle {
+	id := atomID(ka, kb, obj)
+	if h, ok := c.HandleOf(id); ok {
+		return h
+	}
+	repair := Intervention{Kind: IvNone}
+	if parent := commonParent(e, ka, kb); parent != "" {
+		repair = Intervention{
+			Kind:    IvLockMethods,
+			Methods: []string{parent},
+			Safe:    true,
+		}
+	}
+	return c.AddPred(Predicate{
+		ID: id, Kind: KindAtomicityViolation,
+		Methods: dedupe(ka.m, kb.m), Object: obj, Stamp: ByStart,
+		Repair: repair,
+		Desc: fmt.Sprintf("atomicity of %s then %s on %s violated by a remote write",
+			ka, kb, obj),
+	})
 }
 
 // sortAccesses orders one object's accesses by time. The sort is
@@ -764,89 +1026,29 @@ func sortAccesses(accs []atomAccess) {
 // atomPairs reports, for each access in one object's sorted sequence,
 // the pair it forms with the next access by another span of the same
 // thread, and whether a remote write slips between the two.
-func atomPairs(accs []atomAccess, record func(a, b *trace.MethodCall, violated bool, gapStart, gapEnd trace.Time)) {
+func atomPairs(accs []atomAccess, record func(a, b *atomAccess, violated bool)) {
 	for x := 0; x < len(accs); x++ {
 		for y := x + 1; y < len(accs); y++ {
-			a, b := accs[x], accs[y]
+			a, b := &accs[x], &accs[y]
 			if a.call.Thread != b.call.Thread || a.call == b.call {
 				continue
 			}
 			violated := false
 			for z := x + 1; z < y; z++ {
-				w := accs[z]
-				if w.call.Thread != a.call.Thread && w.kind == trace.Write {
+				if w := &accs[z]; w.call.Thread != a.call.Thread && w.kind == trace.Write {
 					violated = true
 					break
 				}
 			}
-			record(a.call, b.call, violated, a.at, b.at)
+			record(a, b, violated)
 			break // only the next foreign-span access matters
 		}
 	}
 }
 
-// atomID names the atomicity violation of a candidate pair.
-func atomID(cd atomCand) ID {
-	return ID("atom:" + cd.a.String() + "," + cd.b.String() + "@" + string(cd.obj))
-}
-
-// buildAtomState collects candidate pairs from the successes:
-// consecutive same-thread accesses to the same object from two
-// different spans.
-func buildAtomState(succs []*trace.Execution) *atomState {
-	st := &atomState{
-		ids:               make(map[atomCand]ID),
-		violatedInSuccess: make(map[atomCand]bool),
-	}
-	sc := newAtomScratch()
-	for _, e := range succs {
-		scanAtomicity(e, sc, func(cd atomCand, violated bool, _, _ trace.Time) {
-			if _, ok := st.ids[cd]; !ok {
-				st.ids[cd] = atomID(cd)
-			}
-			if violated {
-				st.violatedInSuccess[cd] = true
-			}
-		})
-	}
-	return st
-}
-
-// emitAtomicityViolations emits a predicate wherever a remote write
-// slips between a success-established candidate pair; execs[i] is
-// corpus row i. Successful executions can never emit (a violation
-// there is, by construction, violatedInSuccess).
-func emitAtomicityViolations(execs []trace.Execution, c *Corpus, st *atomState) {
-	sc := newAtomScratch()
-	for row := range execs {
-		e := &execs[row]
-		scanAtomicity(e, sc, func(cd atomCand, violated bool, gapStart, gapEnd trace.Time) {
-			id, cand := st.ids[cd]
-			if !violated || !cand || st.violatedInSuccess[cd] {
-				return
-			}
-			h, ok := c.HandleOf(id)
-			if !ok {
-				parent := commonParent(e, cd.a, cd.b)
-				repair := Intervention{Kind: IvNone}
-				if parent != "" {
-					repair = Intervention{
-						Kind:    IvLockMethods,
-						Methods: []string{parent},
-						Safe:    true,
-					}
-				}
-				h = c.AddPred(Predicate{
-					ID: id, Kind: KindAtomicityViolation,
-					Methods: dedupe(cd.a.m, cd.b.m), Object: cd.obj, Stamp: ByStart,
-					Repair: repair,
-					Desc: fmt.Sprintf("atomicity of %s then %s on %s violated by a remote write",
-						cd.a, cd.b, cd.obj),
-				})
-			}
-			c.SetOcc(row, h, Occurrence{Start: gapStart, End: gapEnd, Thread: NoThread})
-		})
-	}
+// atomID names the atomicity violation of ka then kb on obj.
+func atomID(ka, kb instKey, obj trace.ObjectID) ID {
+	return ID("atom:" + ka.String() + "," + kb.String() + "@" + string(obj))
 }
 
 // isThreadRoot reports whether no other same-thread span strictly
@@ -875,75 +1077,6 @@ func enclosesSpan(e *trace.Execution, p *trace.MethodCall) bool {
 func strictlyEncloses(p, c *trace.MethodCall) bool {
 	return p != c && p.Thread == c.Thread && p.Start <= c.Start && p.End >= c.End &&
 		(p.Start < c.Start || p.End > c.End)
-}
-
-// accessProfile records which objects an instance reads and writes.
-type accessProfile struct {
-	reads  map[trace.ObjectID]bool
-	writes map[trace.ObjectID]bool
-}
-
-// accessProfiles unions each key's object accesses over the success
-// rows (rows[s][ki] is success s's call for key ki), returning one
-// profile per key index.
-func accessProfiles(rows [][]*trace.MethodCall, keys []instKey) []accessProfile {
-	out := make([]accessProfile, len(keys))
-	for ki := range keys {
-		for _, row := range rows {
-			if call := row[ki]; call != nil {
-				out[ki].add(call)
-			}
-		}
-	}
-	return out
-}
-
-// add unions one call's accesses into the profile.
-func (p *accessProfile) add(call *trace.MethodCall) {
-	if p.reads == nil {
-		p.reads = make(map[trace.ObjectID]bool, 4)
-		p.writes = make(map[trace.ObjectID]bool, 4)
-	}
-	for _, a := range call.Accesses {
-		if a.Kind == trace.Write {
-			p.writes[a.Object] = true
-		} else {
-			p.reads[a.Object] = true
-		}
-	}
-}
-
-// conflicting reports whether two profiles touch a common object with
-// at least one write.
-func conflicting(a, b accessProfile) bool {
-	for obj := range a.writes {
-		if b.reads[obj] || b.writes[obj] {
-			return true
-		}
-	}
-	for obj := range b.writes {
-		if a.reads[obj] {
-			return true
-		}
-	}
-	return false
-}
-
-// nonLeafKeys finds every instance that strictly encloses another
-// same-thread span in some success — one pass over each execution's
-// span pairs instead of a per-key Execution.Call scan.
-func nonLeafKeys(succs []*trace.Execution) map[instKey]bool {
-	out := make(map[instKey]bool)
-	for _, e := range succs {
-		for i := range e.Calls {
-			parent := &e.Calls[i]
-			k := instKey{parent.Method, parent.Instance}
-			if !out[k] && enclosesSpan(e, parent) {
-				out[k] = true
-			}
-		}
-	}
-	return out
 }
 
 // commonParent returns the innermost span of the pair's thread that

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -382,6 +383,38 @@ func TestAtomicityViolationExtraction(t *testing.T) {
 	}
 	if c.Log(0).Has(p.ID) || !c.Log(1).Has(p.ID) {
 		t.Fatal("atomicity occurrence wrong")
+	}
+}
+
+// TestAtomicityOrderDeterministic pins the registration order of
+// atomicity predicates whose violations first appear in the same row:
+// A then B on thread 0 touch four objects, and in the failure one remote
+// write per object slips between them. The predicates must be added in
+// sorted-object order, the same in every extraction.
+func TestAtomicityOrderDeterministic(t *testing.T) {
+	objs := []trace.ObjectID{"X", "Y", "Z", "V"}
+	exec := func(id string, outcome trace.Outcome) trace.Execution {
+		a, b := call("A", 0, 0, 10), call("B", 0, 20, 30)
+		for k, obj := range objs {
+			a.Accesses = append(a.Accesses, trace.Access{Object: obj, Kind: trace.Read, At: trace.Time(1 + k)})
+			b.Accesses = append(b.Accesses, trace.Access{Object: obj, Kind: trace.Read, At: trace.Time(21 + k)})
+		}
+		calls := []trace.MethodCall{a, b}
+		if outcome == trace.Failure {
+			w := call("W", 1, 11, 19)
+			for k, obj := range objs {
+				w.Accesses = append(w.Accesses, trace.Access{Object: obj, Kind: trace.Write, At: trace.Time(12 + k)})
+			}
+			calls = append(calls, w)
+		}
+		return trace.Execution{ID: id, Outcome: outcome, Calls: calls}
+	}
+	s := buildSet(exec("s1", trace.Success), exec("s2", trace.Success), exec("f", trace.Failure))
+	want := []ID{FailureID, "atom:A#0,B#0@V", "atom:A#0,B#0@X", "atom:A#0,B#0@Y", "atom:A#0,B#0@Z"}
+	for i := 0; i < 100; i++ {
+		if got := Extract(s, Config{}).IDs(); !slices.Equal(got, want) {
+			t.Fatalf("extraction %d registered %v, want %v", i, got, want)
+		}
 	}
 }
 

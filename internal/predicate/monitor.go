@@ -58,7 +58,7 @@ type monitor struct {
 
 	// Compile-time baseline facts: order's access profiles of ka and kb,
 	// and whether atomicity's pair was a candidate in some baseline.
-	prof [2]accessProfile
+	prof [2]accessProfile[trace.ObjectID]
 	cand bool
 }
 
@@ -105,7 +105,7 @@ func CompileMonitors(c *Corpus, baselines []trace.Execution, cfg Config) (*Monit
 		case m.st != nil && m.st.present == 0:
 			m.st = nil
 		}
-		m.prof = [2]accessProfile{}
+		m.prof = [2]accessProfile[trace.ObjectID]{}
 	}
 	return ms, nil
 }
@@ -146,7 +146,7 @@ func (m *monitor) compile(c *Corpus, i int) bool {
 		m.kb.inst = lastInst(id)
 		a, _, _ := strings.Cut(strings.TrimPrefix(id, "atom:"+m.ka.m+"#"), ",")
 		m.ka.inst, _ = strconv.Atoi(a)
-		return p.ID == atomID(atomCand{m.ka, m.kb, p.Object})
+		return p.ID == atomID(m.ka, m.kb, p.Object)
 	}
 	return false
 }
@@ -169,12 +169,15 @@ func (m *monitor) learn(ms *Monitors, e *trace.Execution) {
 		ca, na := findCall(ms.calls[m.a], m.ka.inst)
 		cb, nb := findCall(ms.calls[m.b], m.kb.inst)
 		if m.never = na != 1 || nb != 1 || ca.End > cb.Start || enclosesSpan(e, ca) || enclosesSpan(e, cb); !m.never {
-			m.prof[0].add(ca)
-			m.prof[1].add(cb)
+			for i, call := range [2]*trace.MethodCall{ca, cb} {
+				for _, a := range call.Accesses {
+					m.prof[i].add(a.Object, a.Kind == trace.Write)
+				}
+			}
 		}
 	case m.kind == KindAtomicityViolation:
-		atomPairs(ms.accs[m.o], func(a, b *trace.MethodCall, violated bool, _, _ trace.Time) {
-			if isInst(a, m.ka) && isInst(b, m.kb) {
+		atomPairs(ms.accs[m.o], func(a, b *atomAccess, violated bool) {
+			if isInst(a.call, m.ka) && isInst(b.call, m.kb) {
 				m.cand = true
 				m.never = m.never || violated
 			}
@@ -218,13 +221,13 @@ func (ms *Monitors) occurs(e *trace.Execution, m *monitor) bool {
 		return ca != nil && cb != nil && ca.End > cb.Start
 	case KindAtomicityViolation:
 		found := false
-		atomPairs(ms.accs[m.o], func(a, b *trace.MethodCall, violated bool, _, _ trace.Time) {
-			found = found || violated && isInst(a, m.ka) && isInst(b, m.kb)
+		atomPairs(ms.accs[m.o], func(a, b *atomAccess, violated bool) {
+			found = found || violated && isInst(a.call, m.ka) && isInst(b.call, m.kb)
 		})
 		return found
 	}
 	for _, call := range ms.calls[m.a] {
-		if call.Instance == m.ka.inst && holds(m.kind, e, call, m.st, ms.margin) {
+		if call.Instance == m.ka.inst && holds(m.kind, call, m.st, ms.margin, func() bool { return isThreadRoot(e, call) }) {
 			return true
 		}
 	}
@@ -248,7 +251,7 @@ func (ms *Monitors) index(e *trace.Execution) {
 		for a := 0; a < len(call.Accesses) && len(ms.objs) > 0; a++ {
 			acc := &call.Accesses[a]
 			if s, ok := ms.objs[acc.Object]; ok {
-				ms.accs[s] = append(ms.accs[s], atomAccess{call, acc.At, acc.Kind})
+				ms.accs[s] = append(ms.accs[s], atomAccess{call: call, at: acc.At, kind: acc.Kind})
 			}
 		}
 	}

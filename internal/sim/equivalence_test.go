@@ -74,6 +74,19 @@ func TestEquivalenceHandWrittenPrograms(t *testing.T) {
 	for _, plan := range plans {
 		assertEngineParity(t, racyProgram(), seeds, plan, 0)
 	}
+
+	// The one start-time tie, at tick 0: the entry span and the span its
+	// first op opens. A self-call ties on (thread, method), and the
+	// callee comes first with instance 0; it recurses until the step
+	// budget declares a hang. A spawn ties on start alone.
+	self := NewProgram("selfcall", "Main")
+	self.AddFunc("Main", Call{Fn: "Main"})
+	assertEngineParity(t, self, seeds, nil, 50)
+	spawn := NewProgram("spawnfirst", "Main")
+	spawn.Globals["g"] = 0
+	spawn.AddFunc("A", WriteGlobal{Var: "g", Src: Lit(1)})
+	spawn.AddFunc("Main", Spawn{Fn: "A", Dst: "t"}, Join{Thread: V("t")}, ReadGlobal{Var: "g", Dst: "x"})
+	assertEngineParity(t, spawn, seeds, nil, 0)
 }
 
 func TestEquivalenceOrderInjection(t *testing.T) {

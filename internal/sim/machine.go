@@ -15,6 +15,13 @@ import (
 // returned trace at the end of the run. Machines are pooled and reset
 // between runs, so steady-state replay allocates only the buffers that
 // escape into the returned trace.Execution.
+//
+// The span log is already in canonical order (trace.Canonicalize's:
+// start, then thread, then method), so the trace needs no sort. Every
+// step runs at a later tick than the one before and opens at most one
+// span, so spans open in start order; the one tie is at tick 0, between
+// the entry span and a span its first step opens (see buildExecution).
+// Instance numbers come from a per-function counter as each call opens.
 
 const (
 	mRun uint8 = iota
@@ -97,9 +104,11 @@ type machine struct {
 	arrays  [][]int64
 	owners  []int32 // per mutex slot: owning thread, -1 free
 
-	spans      []trace.MethodCall
-	finalOrder []int32
-	accs       []accRec
+	spans []trace.MethodCall
+	accs  []accRec
+	// calls[f] counts the spans function f has opened this run: the
+	// next one's instance number.
+	calls []int
 
 	runnable []int32
 	accCount []int32
@@ -130,8 +139,12 @@ func (m *machine) reset(pp *Prepared, seed int64) {
 	m.wallDeadline = time.Time{}
 	m.threads = m.threads[:0]
 	m.spans = m.spans[:0]
-	m.finalOrder = m.finalOrder[:0]
 	m.accs = m.accs[:0]
+	if cap(m.calls) < len(pp.c.funcs) {
+		m.calls = make([]int, len(pp.c.funcs))
+	}
+	m.calls = m.calls[:len(pp.c.funcs)]
+	clear(m.calls)
 
 	if cap(m.globals) < pp.nGlobals {
 		m.globals = make([]int64, pp.nGlobals)
@@ -387,11 +400,13 @@ func (m *machine) pushCall(ti, fnIdx, dstSlot, retPC int32) {
 	spanIdx := int32(len(m.spans))
 	m.spans = append(m.spans, trace.MethodCall{
 		Method:   m.pp.c.funcs[fnIdx].name,
+		Instance: m.calls[fnIdx],
 		Thread:   trace.ThreadID(ti),
 		Start:    m.now,
 		Return:   trace.VoidValue(),
 		Injected: m.pp.inj[fnIdx].injected,
 	})
+	m.calls[fnIdx]++
 	th.stack = append(th.stack, ctlRec{
 		kind: ctlCall, fnIdx: fnIdx, retPC: retPC, dstSlot: dstSlot,
 		spanIdx: spanIdx, prevSpan: th.curSpan,
@@ -679,7 +694,6 @@ func (m *machine) finalizeCall(ti int32, fr *ctlRec, retVoid bool, retInt int64,
 	span.End = m.now
 	span.Return = ret
 	span.Exception = exc
-	m.finalOrder = append(m.finalOrder, fr.spanIdx)
 	th := m.threads[ti]
 	for _, mu := range meta.release {
 		m.release(ti, mu)
@@ -777,15 +791,15 @@ func (m *machine) finalizeOpenSpans() {
 			if th.mode == mThrow {
 				span.Exception = m.pp.c.strs[th.excIdx]
 			}
-			m.finalOrder = append(m.finalOrder, fr.spanIdx)
 		}
 		th.stack = th.stack[:0]
 	}
 }
 
-// buildExecution assembles the returned trace: one exact-size Calls
-// slice plus one exact-size Access arena carved into per-span
-// subslices, so a whole replay costs a handful of allocations.
+// buildExecution assembles the returned trace in canonical order: one
+// exact-size Calls slice, in span-log order, plus one exact-size Access
+// arena carved into per-span subslices, so a whole replay costs a
+// handful of allocations.
 func (m *machine) buildExecution(seed int64) trace.Execution {
 	exec := trace.Execution{ID: execID(m.pp.c.name, seed), Seed: seed}
 	if m.failed {
@@ -831,17 +845,26 @@ func (m *machine) buildExecution(seed int64) trace.Execution {
 		}
 	}
 
-	calls := make([]trace.MethodCall, len(m.finalOrder))
-	for k, spanIdx := range m.finalOrder {
-		c := m.spans[spanIdx]
-		if n := m.accCount[spanIdx]; n > 0 {
-			end := m.accOff[spanIdx] // cursor == original offset + count
-			start := end - n
-			c.Accesses = arena[start:end:end]
+	calls := make([]trace.MethodCall, nSpans)
+	for i := range calls {
+		calls[i] = m.spans[i]
+		if n := m.accCount[i]; n > 0 {
+			end := m.accOff[i] // cursor == original offset + count
+			calls[i].Accesses = arena[end-n : end : end]
 		}
-		calls[k] = c
+	}
+	// The tick-0 tie: the entry span (thread 0) and the span its first
+	// step opens, on thread 0 for a call or a new thread for a spawn.
+	// Canonical order puts the lower (thread, method) first and, on a
+	// self-call, the callee: Canonicalize's stable sort keeps the
+	// completion order, and the callee completes first. Instance
+	// numbers follow that order.
+	if len(calls) > 1 && calls[1].Start == 0 && calls[1].Thread == 0 && calls[1].Method <= calls[0].Method {
+		calls[0], calls[1] = calls[1], calls[0]
+		if calls[0].Method == calls[1].Method {
+			calls[0].Instance, calls[1].Instance = 0, 1
+		}
 	}
 	exec.Calls = calls
-	exec.Canonicalize()
 	return exec
 }

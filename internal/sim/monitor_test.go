@@ -13,6 +13,7 @@ import (
 	"aid/internal/casestudy"
 	"aid/internal/core"
 	"aid/internal/inject"
+	"aid/internal/oracle/extractref"
 	"aid/internal/predicate"
 	"aid/internal/sim"
 	"aid/internal/statdebug"
@@ -251,6 +252,52 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 		}
 	}
 	t.Logf("occurrences by kind: %v", seen)
+}
+
+// TestExtractMatchesReferenceGenerated requires predicate.Extract to
+// encode byte-identically to the map-keyed reference extractor
+// (internal/oracle/extractref) on corpora of the equivalence
+// generator's programs, run in the two-worker harness: unplanned and
+// planned runs, labelled by their own outcome and by a random one, with
+// and without a duration margin, a side-effect-free oracle and a
+// pure-method oracle.
+func TestExtractMatchesReferenceGenerated(t *testing.T) {
+	const n = 200
+	r := rand.New(rand.NewSource(20261018))
+	with := predicate.Config{
+		DurationMargin: 2,
+		SideEffectFree: func(m string) bool { return m < "F2" },
+		PureMethods:    func(m string) bool { return m == "F1" },
+	}
+	preds := 0
+	for i := 0; i < n; i++ {
+		p := sim.GenProgram(r, i)
+		harness(r, p)
+		var rows []trace.Execution
+		for _, plan := range []sim.Plan{nil, sim.GenPlan(r, p)} {
+			pp, err := sim.Prepare(p, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 12; seed++ {
+				rows = append(rows, pp.Run(seed, 2000))
+			}
+		}
+		relabelled := slices.Clone(rows)
+		for k := range relabelled {
+			relabelled[k].Outcome = trace.Outcome(r.Intn(2))
+		}
+		for _, execs := range [][]trace.Execution{rows, relabelled} {
+			set := &trace.Set{Executions: execs}
+			for _, cfg := range []predicate.Config{with, {}} {
+				if err := extractref.Compare(set, cfg); err != nil {
+					t.Fatalf("program %d: %v", i, err)
+				}
+			}
+			preds += predicate.Extract(set, with).NumPreds()
+		}
+	}
+	t.Logf("%d predicates over %d programs", preds, n)
 }
 
 func seedRange(lo, hi int64) []int64 {

@@ -156,10 +156,9 @@ type Execution struct {
 // Failed reports whether the execution's outcome is Failure.
 func (e *Execution) Failed() bool { return e.Outcome == Failure }
 
-// compareCallsByStart is the canonical span order. The replay path
-// sorts once per execution, so the sort must not allocate — the
-// generic stable sort boxes nothing (sort.Stable's interface
-// conversion escapes; sort.SliceStable adds a reflect-based swapper).
+// compareCallsByStart is the canonical span order. The generic stable
+// sort boxes nothing (sort.Stable's interface conversion escapes;
+// sort.SliceStable adds a reflect-based swapper).
 func compareCallsByStart(a, b MethodCall) int {
 	switch {
 	case a.Start != b.Start:
@@ -178,9 +177,10 @@ func (e *Execution) SortCalls() {
 }
 
 // Canonicalize puts the execution in canonical form: spans sorted and
-// instance numbers assigned. Every trace producer (both sim engines,
-// Set.Add) funnels through it, so canonical traces are comparable
-// byte-for-byte.
+// instance numbers assigned, so canonical traces are comparable
+// byte-for-byte. Set.Add and the sim interpreter funnel through it; the
+// compiled sim engine records spans in this order and numbers them as
+// it runs, and the engine equivalence tests hold it to this definition.
 func (e *Execution) Canonicalize() {
 	e.SortCalls()
 	e.NumberInstances()
@@ -189,9 +189,8 @@ func (e *Execution) Canonicalize() {
 // NumberInstances assigns Instance indices to calls: the k-th start of a
 // method within the execution gets instance k. Calls must be sorted.
 func (e *Execution) NumberInstances() {
-	// A linear-scan counter over a stack array instead of a map: this
-	// runs once per replayed execution on the intervention hot path,
-	// and programs have a handful of distinct methods — the array only
+	// A linear-scan counter over a stack array instead of a map:
+	// programs have a handful of distinct methods, and the array only
 	// spills to the heap past 32 of them.
 	type methodCount struct {
 		method string
