@@ -65,10 +65,10 @@ func BenchmarkExtract(b *testing.B) {
 }
 
 // BenchmarkExtractRaces isolates the race detector on overlap-heavy
-// traces: the corpus is interned once, outside the timed loop.
+// traces. Each iteration interns the corpus too, since the race pass
+// reads the interned ids.
 func BenchmarkExtractRaces(b *testing.B) {
 	set := benchSet(20, 60)
-	x := newCorpusIndex(set.Executions)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,7 +77,7 @@ func BenchmarkExtractRaces(b *testing.B) {
 			e := &set.Executions[j]
 			c.AddRow(e.ID, e.Failed())
 		}
-		x.extractRaces(c)
+		newCorpusIndex(set.Executions).extractRaces(c)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 
-	"aid/internal/bitvec"
 	"aid/internal/trace"
 )
 
@@ -131,10 +130,9 @@ type corpusIndex struct {
 	succs   int
 }
 
-// newCorpusIndex interns execs, with at most one map probe per call for
-// its key and one per access for its object, renumbers the ids in
-// sorted order, folds the success baselines, and sweeps each
-// execution's spans once.
+// newCorpusIndex interns execs, with one map probe per call for its key
+// and one per access for its object, renumbers the ids in sorted order,
+// folds the success baselines, and sweeps each execution's spans once.
 func newCorpusIndex(execs []trace.Execution) *corpusIndex {
 	x := &corpusIndex{execs: execs, callOff: make([]int, len(execs)), accOff: make([]int, len(execs))}
 	nCalls, nAccs := 0, 0
@@ -148,31 +146,18 @@ func newCorpusIndex(execs []trace.Execution) *corpusIndex {
 	x.accObj = make([]int32, nAccs)
 	keyIdx := make(map[instKey]int)
 	objIdx := make(map[trace.ObjectID]int)
-	var seen []instKey // keys by first-seen id
-	f, a, prev := 0, 0, 0
+	f, a := 0, 0
 	for i := range execs {
 		x.callOff[i], x.accOff[i] = f, a
 		for j := range execs[i].Calls {
 			call := &execs[i].Calls[j]
-			k := instKey{call.Method, call.Instance}
-			// Runs of one program mostly repeat the previous run's calls,
-			// so the key at the same position there is tried first.
-			if p := prev + j; p < x.callOff[i] && seen[x.callKey[p]] == k {
-				x.callKey[f] = x.callKey[p]
-			} else {
-				id := intern(keyIdx, k)
-				if id == len(seen) {
-					seen = append(seen, k)
-				}
-				x.callKey[f] = int32(id)
-			}
+			x.callKey[f] = int32(intern(keyIdx, instKey{call.Method, call.Instance}))
 			for n := range call.Accesses {
 				x.accObj[a] = int32(intern(objIdx, call.Accesses[n].Object))
 				a++
 			}
 			f++
 		}
-		prev = x.callOff[i]
 	}
 
 	x.keys = renumber(keyIdx, x.callKey, func(p, q instKey) int {
@@ -753,70 +738,54 @@ func (x *corpusIndex) extractOrder(c *Corpus) {
 		}
 		return nil
 	}
-	// ordered[a] is the set of baseline keys b such that a ends before b
-	// starts in every success; profiles union each key's accesses over
-	// the successes.
-	w := (nk + 63) / 64
-	ordered := make([]bitvec.Vec, nk)
-	for a := range ordered {
-		ordered[a] = bitvec.Ones(nk)
-		ordered[a].Unset(a)
+	// ordered[a*nk+b] reports that a ends before b starts in every
+	// success; profiles union each key's accesses over the successes.
+	ordered := make([]bool, nk*nk)
+	for a := range nk {
+		for b := range nk {
+			ordered[a*nk+b] = a != b
+		}
 	}
 	profiles := make([]accessProfile[int32], nk)
-	// A success's baseline calls in start order, their starts, and
-	// after[p*w:(p+1)*w] the set of the slots from position p on.
-	type slotStart struct {
-		s     int32
-		start trace.Time
-	}
-	var byStart []slotStart
-	var starts []trace.Time
-	after := make(bitvec.Vec, (nk+1)*w)
+	// A success's baseline calls' starts and ends, by slot.
+	start := make([]trace.Time, nk)
+	end := make([]trace.Time, nk)
 	for i := range x.execs {
 		if x.execs[i].Failed() {
 			continue
 		}
-		// Gathered in trace order, which canonical traces have sorted by
-		// start already, so sorting them is cheap.
-		byStart = byStart[:0]
 		off := x.accOff[i]
 		for j, c := range x.execs[i].Calls {
 			if s := slot[x.callKey[x.callOff[i]+j]]; s >= 0 && rows[i*nk+int(s)] == int32(j) {
-				byStart = append(byStart, slotStart{s, c.Start})
 				for k, acc := range c.Accesses {
 					profiles[s].add(x.accObj[off+k], acc.Kind == trace.Write)
 				}
 			}
 			off += len(c.Accesses)
 		}
-		slices.SortFunc(byStart, func(p, q slotStart) int { return cmp.Compare(p.start, q.start) })
-		starts = starts[:0]
-		n := len(byStart)
-		clear(after[n*w : (n+1)*w])
-		for p := n - 1; p >= 0; p-- {
-			copy(after[p*w:(p+1)*w], after[(p+1)*w:(p+2)*w])
-			after[p*w : (p+1)*w].SetInCap(int(byStart[p].s))
-		}
-		for _, bs := range byStart {
-			starts = append(starts, bs.start)
-		}
-		for a := range ordered {
-			ca := call(i, a)
-			if ca == nil {
-				clear(ordered[a])
+		for s := range nk {
+			if c := call(i, s); c != nil {
+				start[s], end[s] = c.Start, c.End
 				continue
 			}
-			// The slots that start once a has ended.
-			p, _ := slices.BinarySearch(starts, ca.End)
-			for k := range ordered[a] {
-				ordered[a][k] &= after[p*w+k]
+			// A key missing from a success is ordered against none.
+			for t := range nk {
+				ordered[s*nk+t], ordered[t*nk+s] = false, false
+			}
+		}
+		for a := range nk {
+			row := ordered[a*nk : (a+1)*nk]
+			for b, sb := range start {
+				if end[a] > sb {
+					row[b] = false
+				}
 			}
 		}
 	}
-	for a := range ordered {
-		ordered[a].ForEach(func(b int) {
-			if !conflicting(profiles[a], profiles[b]) {
-				return
+	for a := range nk {
+		for b := range nk {
+			if !ordered[a*nk+b] || !conflicting(profiles[a], profiles[b]) {
+				continue
 			}
 			h := Handle(-1)
 			for i := range x.execs {
@@ -829,7 +798,7 @@ func (x *corpusIndex) extractOrder(c *Corpus) {
 				}
 				c.SetOcc(i, h, Occurrence{Start: cb.Start, End: ca.End, Thread: NoThread})
 			}
-		})
+		}
 	}
 }
 

@@ -153,8 +153,8 @@ func (m *monitor) compile(c *Corpus, i int) bool {
 
 // learn folds one indexed baseline into the monitor's baseline facts:
 // per-call success stats; for order, ka once and ending before kb once
-// starts, both leaf spans, in every baseline (buildOrderState's keys
-// and ordering); for atomicity, a candidate in some baseline and
+// starts, both leaf spans, in every baseline (extractOrder's keys and
+// ordering); for atomicity, a candidate in some baseline and
 // violated in none.
 func (m *monitor) learn(ms *Monitors, e *trace.Execution) {
 	switch {
@@ -235,7 +235,7 @@ func (ms *Monitors) occurs(e *trace.Execution, m *monitor) bool {
 }
 
 // index records e's calls of every watched method and, per atomicity
-// object, e's accesses to it in the order scanAtomicity sorts them.
+// object, e's accesses to it in the order sortAccesses leaves them.
 func (ms *Monitors) index(e *trace.Execution) {
 	for i := range ms.calls {
 		ms.calls[i] = ms.calls[i][:0]
