@@ -13,7 +13,12 @@
 // With -check (requires -baseline), the freshly measured figures are
 // compared against the baseline's: an allocs/op or bytes/op increase
 // beyond the tolerance band fails the run (exit 1) — the CI allocation
-// gate. Wall clock is warn-only: ns/op on shared hosts is scheduling
+// gate — and leaves the -o file untouched, so one checked run both
+// gates and regenerates the record:
+//
+//	GOMAXPROCS=1 benchjson -check -baseline <parent's record> -o BENCH_pipeline.json
+//
+// Wall clock is warn-only: ns/op on shared hosts is scheduling
 // noise, while allocation counts are near-deterministic for the same
 // workload, especially under GOMAXPROCS=1. Compare like with like:
 // the baseline must have been generated at the same scale flags and
@@ -25,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"runtime"
@@ -474,30 +480,38 @@ func main() {
 		run.Figures = append(run.Figures, fig)
 	}
 
-	doc := &Doc{Baseline: prevRun, Current: run}
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
+	if err := finish(*out, &Doc{Baseline: prevRun, Current: run}, *check, *tolerance, *baseline, os.Stderr); err != nil {
 		fatal(err)
 	}
-	enc = append(enc, '\n')
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d figures)\n", *out, len(run.Figures))
+}
 
-	if *check {
-		violations, warnings := checkRegressions(prevRun, run, *tolerance)
+// finish runs the -check gate when asked and writes the record to out
+// only once the gate has passed: a run that fails the check leaves out
+// as it was, so the committed record is always one that passed.
+func finish(out string, doc *Doc, check bool, tol float64, baseline string, log io.Writer) error {
+	if check {
+		violations, warnings := checkRegressions(doc.Baseline, doc.Current, tol)
 		for _, w := range warnings {
-			fmt.Fprintln(os.Stderr, "benchjson: warning:", w)
+			fmt.Fprintln(log, "benchjson: warning:", w)
 		}
 		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "benchjson: regression:", v)
+			fmt.Fprintln(log, "benchjson: regression:", v)
 		}
 		if len(violations) > 0 {
-			fatal(fmt.Errorf("%d allocation regression(s) against %s", len(violations), *baseline))
+			return fmt.Errorf("%d allocation regression(s) against %s; %s not written", len(violations), baseline, out)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: check passed: %d baseline figures within tolerance\n", len(prevRun.Figures))
+		fmt.Fprintf(log, "benchjson: check passed: %d baseline figures within tolerance\n", len(doc.Baseline.Figures))
 	}
+	enc, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if err := os.WriteFile(out, enc, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(log, "benchjson: wrote %s (%d figures)\n", out, len(doc.Current.Figures))
+	return nil
 }
 
 func fatal(err error) {

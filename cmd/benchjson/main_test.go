@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -108,5 +111,32 @@ func TestBestOfSplitsTimeAndAllocations(t *testing.T) {
 	})
 	if got.NsPerOp != 70e6 || got.AllocsPerOp != 10_000 || got.BytesPerOp != 1_900_000 {
 		t.Fatalf("bestOf = %+v, want 70ms from the fastest pass, 10000 allocs and 1.9 MB from the least-allocating", got)
+	}
+}
+
+// TestFailedCheckLeavesOutputUntouched pins that -check gates the
+// write: a run that regresses past the band fails without touching the
+// -o file, and a run that passes replaces it.
+func TestFailedCheckLeavesOutputUntouched(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_pipeline.json")
+	const old = "the committed record\n"
+	if err := os.WriteFile(out, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, cur := runPair(10000, 2_000_000, 5e6, 15000, 2_000_000, 5e6)
+	err := finish(out, &Doc{Baseline: base, Current: cur}, true, 0.15, "parent.json", io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "not written") {
+		t.Fatalf("violating run: err = %v, want a regression error", err)
+	}
+	if got, err := os.ReadFile(out); err != nil || string(got) != old {
+		t.Fatalf("violating run rewrote the record: %q, %v", got, err)
+	}
+
+	base, cur = runPair(10000, 2_000_000, 5e6, 10000, 2_000_000, 5e6)
+	if err := finish(out, &Doc{Baseline: base, Current: cur}, true, 0.15, "parent.json", io.Discard); err != nil {
+		t.Fatalf("passing run: %v", err)
+	}
+	if got, err := os.ReadFile(out); err != nil || !strings.Contains(string(got), `"Figure7/npgsql"`) {
+		t.Fatalf("passing run did not write the record: %q, %v", got, err)
 	}
 }

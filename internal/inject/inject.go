@@ -27,9 +27,11 @@ import (
 // predicates. Predicates must exist in the corpus and carry a usable
 // repair (Kind != IvNone). Every recipe composes into one plan in
 // place: copying the plan per predicate was quadratic on TAGT's
-// whole-pool groups.
+// whole-pool groups. The map is made with room for one entry per
+// predicate: a recipe touches one or two methods and a large group's
+// predicates share methods, so it seldom grows while recipes fold in.
 func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
-	plan := sim.Plan{}
+	plan := make(sim.Plan, len(preds))
 	for _, id := range preds {
 		p := c.Pred(id)
 		if p == nil {

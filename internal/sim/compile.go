@@ -2,9 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"sort"
-	"sync/atomic"
 
 	"aid/internal/trace"
 )
@@ -90,7 +89,10 @@ func litExpr(v int64) cexpr { return cexpr{slot: -1, lit: v} }
 // instr is one machine instruction. Field use varies by opcode:
 // a is a destination local slot (-1 none), b is a symbol slot, jump
 // target, function index or string index, c is a secondary jump target
-// or catch-kind index, aux packs the Arith/Cmp operator.
+// or catch-kind index, aux packs the Arith/Cmp operator. The three ops
+// an injection prologue is made of (opWaitUntil, opLock, opSleep) keep
+// the pc they continue at in c: the next instruction in compiled code,
+// the next prologue step or the method's body in a plan's stubs.
 type instr struct {
 	op   opcode
 	aux  uint8
@@ -143,20 +145,16 @@ type compiled struct {
 	// Fixed indices of the runtime-thrown exception kinds.
 	kindDiv0, kindOOB, kindSync int32
 
+	// mutexSorted is mutexNames in name order: Prepare ranks a plan's
+	// new mutexes among the program's by binary search in it.
+	mutexSorted []string
+	// objects names the machine's access-log object ids: the globals'
+	// slots, then each array's slot offset by len(globalNames).
+	objects []trace.ObjectID
+
 	// base is the nil-plan Prepared, built eagerly so uninstrumented
 	// runs (trace collection) have zero per-run preparation cost.
 	base *Prepared
-	// lastPlan memoizes the most recent plan splicing, so Run called in
-	// a loop with one Plan value (the replay pattern) prepares once.
-	lastPlan atomic.Pointer[planMemo]
-}
-
-// planMemo pins the plan map it was built from: while the memo is
-// live the map's address cannot be recycled, so pointer equality in
-// Prepare identifies the same plan value.
-type planMemo struct {
-	plan Plan
-	pp   *Prepared
 }
 
 // ensureCompiled returns the cached compilation, validating and
@@ -222,6 +220,14 @@ func compileProgram(p *Program) *compiled {
 	}
 	c.entryFn = c.fnIdx[p.Entry]
 	c.mutexRank = mutexRanks(c.mutexNames)
+	c.mutexSorted = slices.Sorted(slices.Values(c.mutexNames))
+	c.objects = make([]trace.ObjectID, 0, len(c.globalNames)+len(c.arrayNames))
+	for _, n := range c.globalNames {
+		c.objects = append(c.objects, trace.ObjectID(n))
+	}
+	for _, n := range c.arrayNames {
+		c.objects = append(c.objects, trace.ObjectID(n))
+	}
 	c.uncaughtSig = make([]string, len(c.strs))
 	for i, s := range c.strs {
 		c.uncaughtSig[i] = UncaughtSig(s)
@@ -304,6 +310,9 @@ func (c *compiled) expr(e Expr) cexpr {
 	return litExpr(e.Value)
 }
 
+// next is the pc after the instruction about to be emitted.
+func (c *compiled) next() int32 { return int32(len(c.code)) + 1 }
+
 func (c *compiled) emit(in instr) int32 {
 	c.code = append(c.code, in)
 	return int32(len(c.code) - 1)
@@ -334,13 +343,13 @@ func (c *compiled) emitOp(op Op) {
 	case ArrayResize:
 		c.emit(instr{op: opArrayResize, b: c.array(o.Arr), x: c.expr(o.Len)})
 	case Lock:
-		c.emit(instr{op: opLock, b: c.mutex(o.Mu)})
+		c.emit(instr{op: opLock, b: c.mutex(o.Mu), c: c.next()})
 	case Unlock:
 		c.emit(instr{op: opUnlock, b: c.mutex(o.Mu)})
 	case Sleep:
-		c.emit(instr{op: opSleep, x: c.expr(o.Ticks)})
+		c.emit(instr{op: opSleep, c: c.next(), x: c.expr(o.Ticks)})
 	case WaitUntil:
-		c.emit(instr{op: opWaitUntil, b: c.global(o.Var), x: c.expr(o.Val)})
+		c.emit(instr{op: opWaitUntil, b: c.global(o.Var), c: c.next(), x: c.expr(o.Val)})
 	case Call:
 		c.emit(instr{op: opCall, a: c.localOpt(o.Dst), b: c.fnIdx[o.Fn]})
 	case Return:
@@ -402,21 +411,6 @@ func (c *compiled) emitOp(op Op) {
 	}
 }
 
-// relocate shifts the pc-target fields of a copied instruction by
-// delta. All jump targets are intra-function, so a function body copied
-// into an injection stub relocates with a constant offset.
-func relocate(in *instr, delta int32) {
-	switch in.op {
-	case opTryEnter, opEndBlock, opWhileEnter, opWhileCheck:
-		in.b += delta
-	case opIf:
-		if in.b >= 0 {
-			in.b += delta
-		}
-		in.c += delta
-	}
-}
-
 // slotVal is a pre-resolved injector signal: globals[slot] = val.
 type slotVal struct {
 	slot int32
@@ -425,7 +419,6 @@ type slotVal struct {
 
 // injMeta is the compiled end-of-call half of one method's injection.
 type injMeta struct {
-	injected   bool
 	override   *int64
 	catchAll   bool
 	catchValue int64
@@ -434,12 +427,23 @@ type injMeta struct {
 	release    []int32 // injector mutex slots, in sorted-name order
 }
 
+// fnPlan is how a Prepared enters one function: the entry pc (the body
+// in the shared code, or the plan's stub) and the index of its
+// injection metadata, -1 when the plan leaves it alone.
+type fnPlan struct {
+	entry int32
+	inj   int32
+}
+
 // Prepared is a program compiled together with a fault-injection plan:
 // the precompute-once handle for replay sweeps. Injection plans are
-// applied by instruction splicing — each injected method gets an entry
-// stub (waits, sorted lock acquisitions, start delay, then either a
-// forced return or a relocated copy of the original body) — so
-// individual replays pay nothing for instrumentation.
+// applied as overlays: the compiled program's instructions are shared,
+// and each injected method with an entry part gets a stub in a small
+// per-plan segment addressed past the end of the shared code (waits,
+// sorted lock acquisitions and a start delay, each continuing at the
+// next, then a forced return or the method's own body), so individual
+// replays pay nothing for instrumentation and preparing one allocates
+// in proportion to the plan.
 //
 // A Prepared is immutable and safe for concurrent use; Run draws its
 // mutable machine state from a pool.
@@ -447,9 +451,10 @@ type Prepared struct {
 	prog *Program
 	c    *compiled
 
-	code    []instr
-	entries []int32 // per-function entry pc (stub or base body)
-	inj     []injMeta
+	code  []instr  // the compiled program's, shared
+	stubs []instr  // this plan's entry stubs, at pc len(code) onwards
+	fns   []fnPlan // per function
+	inj   []injMeta
 
 	nGlobals    int
 	globalNames []string
@@ -460,6 +465,15 @@ type Prepared struct {
 	// sets are kept rank-sorted so access locksets come out name-sorted
 	// without per-access sorting.
 	mutexRank []int32
+}
+
+// instrAt returns the instruction at pc, in the shared code or the
+// stubs.
+func (pp *Prepared) instrAt(pc int32) *instr {
+	if int(pc) < len(pp.code) {
+		return &pp.code[pc]
+	}
+	return &pp.stubs[int(pc)-len(pp.code)]
 }
 
 type slotsByName struct {
@@ -489,8 +503,7 @@ func newBasePrepared(p *Program, c *compiled) *Prepared {
 		prog:        p,
 		c:           c,
 		code:        c.code,
-		entries:     make([]int32, len(c.funcs)),
-		inj:         make([]injMeta, len(c.funcs)),
+		fns:         make([]fnPlan, len(c.funcs)),
 		nGlobals:    len(c.globalNames),
 		globalNames: c.globalNames,
 		globalInit:  c.globalInit,
@@ -499,9 +512,56 @@ func newBasePrepared(p *Program, c *compiled) *Prepared {
 		mutexRank:   c.mutexRank,
 	}
 	for i := range c.funcs {
-		pp.entries[i] = c.funcs[i].entry
+		pp.fns[i] = fnPlan{entry: c.funcs[i].entry, inj: -1}
 	}
 	return pp
+}
+
+// planned is one injected method of a plan being prepared.
+type planned struct {
+	fi  int32
+	inj MethodInjection
+}
+
+// stubLen is the number of stub instructions inj's entry part needs:
+// one per wait, lock and start delay, plus a forced return.
+func stubLen(inj *MethodInjection) int {
+	n := len(inj.WaitBefore) + len(inj.GlobalLocks)
+	if inj.DelayStart > 0 {
+		n++
+	}
+	if inj.ForceReturn != nil || inj.ForceReturnVoid {
+		n++
+	}
+	return n
+}
+
+// extSymbols holds the names a plan references that the compiled
+// program does not define (order flags, injector locks), sorted and
+// deduplicated: the i-th gets slot len(base)+i.
+type extSymbols struct {
+	base  map[string]int32
+	n0    int32
+	names []string
+}
+
+func (x *extSymbols) add(name string) {
+	if _, ok := x.base[name]; !ok {
+		x.names = append(x.names, name)
+	}
+}
+
+func (x *extSymbols) seal() {
+	slices.Sort(x.names)
+	x.names = slices.Compact(x.names)
+}
+
+func (x *extSymbols) slot(name string) int32 {
+	if i, ok := x.base[name]; ok {
+		return i
+	}
+	i, _ := slices.BinarySearch(x.names, name)
+	return x.n0 + int32(i)
 }
 
 // Prepare compiles the program (cached) and splices the plan's
@@ -509,150 +569,173 @@ func newBasePrepared(p *Program, c *compiled) *Prepared {
 // returns the shared base compilation. Methods the program does not
 // define are ignored, like the interpreter ignores plan entries that
 // are never called.
-//
-// The most recent splicing is memoized by plan identity, so a Plan
-// must not be mutated after it has been used in a run.
 func Prepare(p *Program, plan Plan) (*Prepared, error) {
 	c, err := p.ensureCompiled()
 	if err != nil {
 		return nil, err
 	}
-	if plan == nil {
+	if len(plan) == 0 {
 		return c.base, nil
 	}
-	if m := c.lastPlan.Load(); m != nil &&
-		reflect.ValueOf(m.plan).Pointer() == reflect.ValueOf(plan).Pointer() {
-		return m.pp, nil
+	// Copy the injections of the methods the program defines out of the
+	// map once, and size the overlay.
+	var buf [32]planned
+	todo := buf[:0]
+	if len(plan) > len(buf) {
+		todo = make([]planned, 0, len(plan))
 	}
-	active := false
+	var nStubs, nLocks, nSignals, nWaits int
 	for fn, inj := range plan {
-		if _, ok := c.fnIdx[fn]; ok && !inj.Empty() {
-			active = true
-			break
-		}
-	}
-	if !active {
-		return c.base, nil
-	}
-
-	pp := &Prepared{
-		prog:        p,
-		c:           c,
-		code:        append([]instr(nil), c.code...),
-		entries:     make([]int32, len(c.funcs)),
-		inj:         make([]injMeta, len(c.funcs)),
-		globalNames: c.globalNames,
-		globalInit:  c.globalInit,
-		mutexNames:  c.mutexNames,
-	}
-	for i := range c.funcs {
-		pp.entries[i] = c.funcs[i].entry
-	}
-	// The plan may reference shared variables (order-enforcement flags)
-	// and mutexes (injector locks) the program itself never names;
-	// extend the symbol tables copy-on-write.
-	var extG, extM map[string]int32
-	gslot := func(name string) int32 {
-		if i, ok := c.globalIdx[name]; ok {
-			return i
-		}
-		if i, ok := extG[name]; ok {
-			return i
-		}
-		i := int32(len(pp.globalNames))
-		if len(pp.globalNames) == len(c.globalNames) {
-			// Copy-on-write: leave the shared base tables untouched.
-			pp.globalNames = append(make([]string, 0, len(c.globalNames)+4), c.globalNames...)
-			pp.globalInit = append(make([]int64, 0, len(c.globalInit)+4), c.globalInit...)
-		}
-		pp.globalNames = append(pp.globalNames, name)
-		pp.globalInit = append(pp.globalInit, 0)
-		if extG == nil {
-			extG = make(map[string]int32, 4)
-		}
-		extG[name] = i
-		return i
-	}
-	mslot := func(name string) int32 {
-		if i, ok := c.mutexIdx[name]; ok {
-			return i
-		}
-		if i, ok := extM[name]; ok {
-			return i
-		}
-		i := int32(len(pp.mutexNames))
-		if len(pp.mutexNames) == len(c.mutexNames) {
-			pp.mutexNames = append(make([]string, 0, len(c.mutexNames)+4), c.mutexNames...)
-		}
-		pp.mutexNames = append(pp.mutexNames, name)
-		if extM == nil {
-			extM = make(map[string]int32, 4)
-		}
-		extM[name] = i
-		return i
-	}
-
-	for _, fn := range sortedKeys(plan) {
-		inj := plan[fn]
 		fi, ok := c.fnIdx[fn]
 		if !ok || inj.Empty() {
 			continue
 		}
+		todo = append(todo, planned{fi: fi, inj: inj})
+		nStubs += stubLen(&inj)
+		nLocks += len(inj.GlobalLocks)
+		nSignals += len(inj.SignalAfter)
+		nWaits += len(inj.WaitBefore)
+	}
+	if len(todo) == 0 {
+		return c.base, nil
+	}
+	// The names the program lacks get slots past its own, in name order.
+	extG := extSymbols{base: c.globalIdx, n0: int32(len(c.globalNames))}
+	extM := extSymbols{base: c.mutexIdx, n0: int32(len(c.mutexNames))}
+	if nWaits+nSignals > 0 {
+		extG.names = make([]string, 0, nWaits+nSignals)
+	}
+	if nLocks > 0 {
+		extM.names = make([]string, 0, nLocks)
+	}
+	for i := range todo {
+		inj := &todo[i].inj
+		for _, s := range inj.WaitBefore {
+			extG.add(s.Var)
+		}
+		for _, s := range inj.SignalAfter {
+			extG.add(s.Var)
+		}
+		for _, mu := range inj.GlobalLocks {
+			extM.add(mu)
+		}
+	}
+	extG.seal()
+	extM.seal()
+
+	pp := &Prepared{
+		prog:        p,
+		c:           c,
+		code:        c.code,
+		fns:         make([]fnPlan, len(c.funcs)),
+		inj:         make([]injMeta, 0, len(todo)),
+		globalNames: c.globalNames,
+		globalInit:  c.globalInit,
+		mutexNames:  c.mutexNames,
+		mutexRank:   c.mutexRank,
+	}
+	copy(pp.fns, c.base.fns)
+	for k := range todo {
+		pp.fns[todo[k].fi].inj = int32(k) // until the walk below
+	}
+	if nStubs > 0 {
+		pp.stubs = make([]instr, 0, nStubs)
+	}
+	if len(extG.names) > 0 {
+		pp.globalNames = slices.Concat(c.globalNames, extG.names)
+		pp.globalInit = make([]int64, len(pp.globalNames))
+		copy(pp.globalInit, c.globalInit)
+	}
+	if len(extM.names) > 0 {
+		// The plan's mutexes rank among the program's by name: each
+		// rank counts the names of the other list that sort before it.
+		pp.mutexNames = slices.Concat(c.mutexNames, extM.names)
+		pp.mutexRank = make([]int32, len(pp.mutexNames))
+		for s, n := range c.mutexNames {
+			i, _ := slices.BinarySearch(extM.names, n)
+			pp.mutexRank[s] = c.mutexRank[s] + int32(i)
+		}
+		for j, n := range extM.names {
+			i, _ := slices.BinarySearch(c.mutexSorted, n)
+			pp.mutexRank[int(extM.n0)+j] = int32(j + i)
+		}
+	}
+	pp.nGlobals = len(pp.globalNames)
+	pp.nMutexes = len(pp.mutexNames)
+	var release []int32
+	if nLocks > 0 {
+		release = make([]int32, 0, nLocks)
+	}
+	var signals []slotVal
+	if nSignals > 0 {
+		signals = make([]slotVal, 0, nSignals)
+	}
+
+	// Walk the injected methods in function-index order: emit each
+	// entry part as a chain in the stubs, every step continuing at the
+	// next and the last at the method's body, and lay the end-of-call
+	// halves out together.
+	base := int32(len(c.code))
+	for fi := range pp.fns {
+		if pp.fns[fi].inj < 0 {
+			continue
+		}
+		inj := &todo[pp.fns[fi].inj].inj
 		meta := injMeta{
-			injected:   true,
 			override:   inj.OverrideReturn,
 			catchAll:   inj.CatchExceptions,
 			catchValue: inj.CatchValue,
 			endDelay:   inj.DelayReturn,
 		}
-		entry := int32(len(pp.code))
+		entry := base + int32(len(pp.stubs))
 		for _, wb := range inj.WaitBefore {
-			pp.code = append(pp.code, instr{op: opWaitUntil, b: gslot(wb.Var), x: litExpr(wb.Val)})
+			pp.stubs = append(pp.stubs, instr{op: opWaitUntil, b: extG.slot(wb.Var), x: litExpr(wb.Val)})
 		}
 		// Sorted acquisition order keeps simultaneous multi-lock
-		// injections deadlock-free (see pushCall).
-		locks := inj.GlobalLocks
-		if len(locks) > 1 {
-			locks = append([]string(nil), locks...)
-			sort.Strings(locks)
+		// injections deadlock-free (see pushCall): the locks are sorted
+		// by rank, i.e. by name, in place in the stubs.
+		first := len(pp.stubs)
+		r0 := len(release)
+		for _, mu := range inj.GlobalLocks {
+			ms := extM.slot(mu)
+			k := len(pp.stubs)
+			pp.stubs = append(pp.stubs, instr{op: opLock, b: ms})
+			for k > first && pp.mutexRank[pp.stubs[k-1].b] > pp.mutexRank[ms] {
+				pp.stubs[k] = pp.stubs[k-1]
+				k--
+			}
+			pp.stubs[k] = instr{op: opLock, b: ms}
 		}
-		for _, mu := range locks {
-			ms := mslot(mu)
-			pp.code = append(pp.code, instr{op: opLock, b: ms})
-			meta.release = append(meta.release, ms)
+		for _, in := range pp.stubs[first:] {
+			release = append(release, in.b)
 		}
+		meta.release = release[r0:len(release):len(release)]
 		if inj.DelayStart > 0 {
-			pp.code = append(pp.code, instr{op: opSleep, x: litExpr(int64(inj.DelayStart))})
+			pp.stubs = append(pp.stubs, instr{op: opSleep, x: litExpr(int64(inj.DelayStart))})
+		}
+		// Link the prologue: each step continues at the next, and the
+		// last at the forced return or the method's own body.
+		n := int32(len(pp.stubs)) - (entry - base)
+		for k := int32(0); k < n; k++ {
+			pp.stubs[entry-base+k].c = entry + k + 1
 		}
 		switch {
 		case inj.ForceReturn != nil:
-			pp.code = append(pp.code, instr{op: opReturn, x: litExpr(*inj.ForceReturn)})
+			pp.stubs = append(pp.stubs, instr{op: opReturn, x: litExpr(*inj.ForceReturn)})
 		case inj.ForceReturnVoid:
-			pp.code = append(pp.code, instr{op: opReturnVoid})
+			pp.stubs = append(pp.stubs, instr{op: opReturnVoid})
+		case n > 0:
+			pp.stubs[entry-base+n-1].c = c.funcs[fi].entry
 		default:
-			f := c.funcs[fi]
-			delta := int32(len(pp.code)) - f.entry
-			for pc := f.entry; pc < f.end; pc++ {
-				in := c.code[pc]
-				relocate(&in, delta)
-				pp.code = append(pp.code, in)
-			}
+			entry = c.funcs[fi].entry // no entry part: enter the body directly
 		}
+		s0 := len(signals)
 		for _, sg := range inj.SignalAfter {
-			meta.signals = append(meta.signals, slotVal{slot: gslot(sg.Var), val: sg.Val})
+			signals = append(signals, slotVal{slot: extG.slot(sg.Var), val: sg.Val})
 		}
-		pp.entries[fi] = entry
-		pp.inj[fi] = meta
+		meta.signals = signals[s0:len(signals):len(signals)]
+		pp.fns[fi] = fnPlan{entry: entry, inj: int32(len(pp.inj))}
+		pp.inj = append(pp.inj, meta)
 	}
-	pp.nGlobals = len(pp.globalNames)
-	pp.nMutexes = len(pp.mutexNames)
-	if len(pp.mutexNames) == len(c.mutexNames) {
-		// No injected lock added a mutex: the slot set (and order) is
-		// the compiled program's, so its precomputed ranks apply.
-		pp.mutexRank = c.mutexRank
-	} else {
-		pp.mutexRank = mutexRanks(pp.mutexNames)
-	}
-	c.lastPlan.Store(&planMemo{plan: plan, pp: pp})
 	return pp, nil
 }

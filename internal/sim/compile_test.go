@@ -28,27 +28,44 @@ func TestPrepareNilPlanSharesBase(t *testing.T) {
 	}
 }
 
-func TestPrepareMemoizesPlanIdentity(t *testing.T) {
+// TestPrepareSharesCompiledCode pins overlay splicing: a plan's
+// Prepared runs on the compiled program's own instruction array, adds
+// one stub per entry step, and its last prologue step continues at the
+// method's body in the shared code. A method injected only at its end
+// enters its body directly.
+func TestPrepareSharesCompiledCode(t *testing.T) {
 	p := racyProgram()
-	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}}}
+	base, err := Prepare(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Plan{
+		"Worker": {GlobalLocks: []string{"inj"}, DelayStart: 2},
+		"Main":   {DelayReturn: 1},
+	}
 	a, err := Prepare(p, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Prepare(p, plan)
-	if err != nil {
-		t.Fatal(err)
+	if &a.code[0] != &base.code[0] || len(a.code) != len(base.code) {
+		t.Fatal("a plan's Prepared must share the compiled instruction array")
 	}
-	if a != b {
-		t.Fatal("same plan value should hit the memo")
+	if len(a.stubs) != 2 || len(a.inj) != 2 {
+		t.Fatalf("stubs %d, metadata %d; want 2 (lock, sleep) and 2 (Main, Worker)", len(a.stubs), len(a.inj))
 	}
-	other := Plan{"Worker": {GlobalLocks: []string{"inj"}}}
-	c, err := Prepare(p, other)
-	if err != nil {
-		t.Fatal(err)
+	c := base.c
+	w, mainFn := c.fnIdx["Worker"], c.fnIdx["Main"]
+	if got := a.fns[w].entry; got != int32(len(a.code)) {
+		t.Fatalf("Worker enters at %d, want its stub at %d", got, len(a.code))
 	}
-	if c == a {
-		t.Fatal("distinct plan maps must not alias through the memo")
+	if got := a.stubs[1].c; a.stubs[0].c != a.fns[w].entry+1 || got != c.funcs[w].entry {
+		t.Fatalf("prologue links %d -> %d; want %d -> body at %d", a.stubs[0].c, got, a.fns[w].entry+1, c.funcs[w].entry)
+	}
+	if a.fns[mainFn].entry != c.funcs[mainFn].entry || a.fns[mainFn].inj < 0 {
+		t.Fatal("an end-only injection must enter the body directly and keep its metadata")
+	}
+	if base.fns[w].inj != -1 || base.fns[w].entry != c.funcs[w].entry {
+		t.Fatal("preparing a plan changed the shared base")
 	}
 }
 
@@ -80,13 +97,24 @@ func TestFastSourceStream(t *testing.T) {
 			}
 		}
 	}
-	// Through rand.Rand, as the scheduler consumes it.
+	// Through rand.Rand, as opRandom consumes it.
 	fr := rand.New(&fs)
 	fs.Seed(777)
 	wr := rand.New(rand.NewSource(777))
 	for i := 0; i < 100; i++ {
 		if got, w := fr.Intn(7), wr.Intn(7); got != w {
 			t.Fatalf("Intn draw %d: fast %d, stdlib %d", i, got, w)
+		}
+	}
+	// The scheduler's inlined draw, over powers of two, small counts and
+	// bounds large enough to reject draws.
+	fs.Seed(778)
+	wr = rand.New(rand.NewSource(778))
+	for _, n := range []int32{1, 2, 3, 4, 5, 7, 8, 13, 64, 100, 1<<30 + 1, 1<<31 - 1} {
+		for i := 0; i < 200; i++ {
+			if got, w := fs.int31n(n), int32(wr.Intn(int(n))); got != w {
+				t.Fatalf("int31n(%d) draw %d: fast %d, stdlib %d", n, i, got, w)
+			}
 		}
 	}
 }

@@ -255,14 +255,23 @@ func (g *fuzzGen) op(depth int) Op {
 }
 
 // genPlan builds a random injection plan over the program's functions.
+// Besides each mechanism alone it emits order waits, on flags other
+// injected methods may or may not signal (a wait nobody releases ends
+// the run in a deadlock or a hang) and on a program global, and mixed
+// prologues: waits, two locks (one of them sometimes the program's own
+// mutex) and a start delay on one method, ending in a forced return or
+// the body. Together they reach every stub chain Prepare builds.
 func genPlan(r *rand.Rand, p *Program) Plan {
+	flags := []string{"aid.order:a", "aid.order:b", "g0"}
+	locks := []string{"aid.lock:x", "aid.lock:y", "m1", "z.lock"}
+	wait := func() Signal { return Signal{Var: flags[r.Intn(len(flags))], Val: int64(r.Intn(2))} }
 	plan := Plan{}
 	for _, fn := range p.FuncNames() {
 		if r.Intn(3) != 0 {
 			continue
 		}
 		var inj MethodInjection
-		switch r.Intn(6) {
+		switch r.Intn(8) {
 		case 0:
 			inj.GlobalLocks = []string{"aid.lock:x"}
 			if r.Intn(2) == 0 {
@@ -282,9 +291,28 @@ func genPlan(r *rand.Rand, p *Program) Plan {
 		case 5:
 			inj.CatchExceptions = true
 			inj.CatchValue = int64(r.Intn(5))
+		case 6:
+			inj.WaitBefore = []Signal{wait()}
+		case 7:
+			inj.WaitBefore = []Signal{wait()}
+			if r.Intn(2) == 0 {
+				inj.WaitBefore = append(inj.WaitBefore, wait())
+			}
+			// Two distinct locks, listed in either order.
+			a := r.Intn(len(locks))
+			b := (a + 1 + r.Intn(len(locks)-1)) % len(locks)
+			inj.GlobalLocks = []string{locks[a], locks[b]}
+			inj.DelayStart = trace.Time(1 + r.Intn(3))
+			switch r.Intn(3) {
+			case 0:
+				v := int64(r.Intn(5))
+				inj.ForceReturn = &v
+			case 1:
+				inj.ForceReturnVoid = true
+			}
 		}
-		if r.Intn(4) == 0 {
-			inj.SignalAfter = []Signal{{Var: "aid.flag", Val: 1}}
+		if r.Intn(3) == 0 {
+			inj.SignalAfter = []Signal{{Var: flags[r.Intn(2)], Val: 1}}
 		}
 		if !inj.Empty() {
 			plan[fn] = inj

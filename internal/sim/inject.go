@@ -68,8 +68,7 @@ type Plan map[string]MethodInjection
 // slice the plan held before the call — an accumulated list is freshly
 // allocated — so slices read out of p, or passed in with an earlier
 // injection, stay as the caller saw them. Like any Plan, p must not
-// change after it has been used in a run (Prepare memoizes by
-// identity).
+// change after it has been used in a run.
 func (p Plan) Add(method string, inj MethodInjection) {
 	base, ok := p[method]
 	if !ok {

@@ -221,9 +221,8 @@ func TestInjectOrderEnforcement(t *testing.T) {
 }
 
 // TestPlanAdd checks same-method composition and that composing never
-// rewrites a slice the caller still holds: Prepare memoizes by plan
-// identity, so an aliased write would silently change a plan already
-// used in a run.
+// rewrites a slice the caller still holds: an aliased write would
+// silently change a plan already used in a run.
 func TestPlanAdd(t *testing.T) {
 	v := int64(1)
 	p := Plan{"M": {DelayStart: 10}, "N": {GlobalLocks: []string{"x"}}}

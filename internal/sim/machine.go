@@ -12,9 +12,13 @@ import (
 // machine is the mutable state of one compiled execution: slot slices
 // instead of string-keyed maps, a flat control stack instead of frame
 // objects, and append-only span/access logs distributed into the
-// returned trace at the end of the run. Machines are pooled and reset
-// between runs, so steady-state replay allocates only the buffers that
-// escape into the returned trace.Execution.
+// returned trace at the end of the run. The logs are symbol-indexed
+// (function, object, exception, lockset and mutex ids, no names) and
+// hold no pointers, so the loop pays no GC write barriers for them.
+// Machines are pooled and reset between runs, so steady-state replay
+// allocates only the buffers that escape into the returned
+// trace.Execution, and a run whose trace is not assembled allocates
+// nothing.
 //
 // The span log is already in canonical order (trace.Canonicalize's:
 // start, then thread, then method), so the trace needs no sort. Every
@@ -44,7 +48,7 @@ type ctlRec struct {
 	delayApplied bool
 	catchKind    int32 // try: interned kind, or catchAny
 	handlerPC    int32 // try: handler entry
-	fnIdx        int32 // call
+	inj          int32 // call: index into Prepared.inj, -1 not injected
 	retPC        int32 // call: caller resume pc
 	dstSlot      int32 // call: caller local for the return value, -1 none
 	spanIdx      int32 // call: index into machine.spans
@@ -70,32 +74,47 @@ type mthread struct {
 	lockWait   int32 // -1 = not blocked on a mutex
 
 	held []int32 // mutex slots, kept rank- (i.e. name-) sorted
-	// lockset is the current held set as sorted names, shared by every
-	// access recorded until the next lock/unlock. It escapes into the
-	// trace, so it is freshly allocated per change, never pooled.
-	lockset      []string
+	// lockset is the id of the current held set in the machine's
+	// lockset log (-1 none), shared by every access recorded until the
+	// next lock/unlock.
+	lockset      int32
 	locksetStale bool
 
 	curSpan int32 // innermost open call span, -1 none
 	done    bool
 }
 
+// spanRec is one call span: a trace.MethodCall by symbol index, named
+// when the trace is assembled.
+type spanRec struct {
+	fn, inst, thread int32
+	exc              int32 // interned exception kind; -1 none
+	start, end       trace.Time
+	ret              int64
+	void             bool
+}
+
 // accRec is one shared-object access, tagged with its span so the
 // per-span access slices can be carved from a single exact-size arena
-// after the run.
+// after the run. obj indexes compiled.objects; lockset indexes the
+// machine's lockset log, -1 for none held.
 type accRec struct {
-	span  int32
-	obj   string
-	kind  trace.AccessKind
-	at    trace.Time
-	locks []string
+	span    int32
+	obj     int32
+	lockset int32
+	kind    uint8 // a trace.AccessKind
+	at      trace.Time
 }
 
 type machine struct {
-	pp  *Prepared
-	src rand.Source
-	rng *rand.Rand
-	now trace.Time
+	pp *Prepared
+	// fast is src when it is the bit-exact fastSource: the scheduler
+	// draws from it directly. rng wraps src for the stdlib fallback's
+	// draws and for opRandom.
+	src  rand.Source
+	fast *fastSource
+	rng  *rand.Rand
+	now  trace.Time
 
 	threads []*mthread
 	spare   []*mthread // thread objects retained across resets
@@ -104,11 +123,15 @@ type machine struct {
 	arrays  [][]int64
 	owners  []int32 // per mutex slot: owning thread, -1 free
 
-	spans []trace.MethodCall
+	spans []spanRec
 	accs  []accRec
+	// The lockset log: lockset i holds the mutex slots
+	// lsSlots[lsEnd[i-1]:lsEnd[i]] (from 0 for i = 0), in rank order.
+	lsSlots []int32
+	lsEnd   []int32
 	// calls[f] counts the spans function f has opened this run: the
 	// next one's instance number.
-	calls []int
+	calls []int32
 
 	runnable []int32
 	accCount []int32
@@ -123,12 +146,14 @@ type machine struct {
 	wallDeadline time.Time
 }
 
-var machinePool = sync.Pool{New: func() any {
-	m := &machine{}
-	m.src = newSchedulerSource()
-	m.rng = rand.New(m.src)
+var machinePool = sync.Pool{New: func() any { return newMachine(newSchedulerSource()) }}
+
+// newMachine returns a machine whose scheduler draws from src.
+func newMachine(src rand.Source) *machine {
+	m := &machine{src: src, rng: rand.New(src)}
+	m.fast, _ = src.(*fastSource)
 	return m
-}}
+}
 
 func (m *machine) reset(pp *Prepared, seed int64) {
 	m.pp = pp
@@ -140,8 +165,10 @@ func (m *machine) reset(pp *Prepared, seed int64) {
 	m.threads = m.threads[:0]
 	m.spans = m.spans[:0]
 	m.accs = m.accs[:0]
+	m.lsSlots = m.lsSlots[:0]
+	m.lsEnd = m.lsEnd[:0]
 	if cap(m.calls) < len(pp.c.funcs) {
-		m.calls = make([]int, len(pp.c.funcs))
+		m.calls = make([]int32, len(pp.c.funcs))
 	}
 	m.calls = m.calls[:len(pp.c.funcs)]
 	clear(m.calls)
@@ -202,7 +229,7 @@ func (m *machine) newThread() int32 {
 	th.joinTarget = 0
 	th.lockWait = -1
 	th.held = th.held[:0]
-	th.lockset = nil
+	th.lockset = -1
 	th.locksetStale = false
 	th.curSpan = -1
 	th.done = false
@@ -242,8 +269,10 @@ func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (tr
 // trace only if keep (nil = always) accepts the verdict. A nil m takes
 // a machine from the pool and returns it afterwards; a caller-supplied
 // machine (a test's, seeded from another source) stays the caller's.
-// Trace assembly costs about twice the simulation loop, so callers that
-// need only the verdict skip most of a run's cost. A non-zero b.WallClock arms the
+// Trace assembly costs from half as much as the simulation loop to as
+// much again (the six case studies' collection runs), and a run that
+// skips it allocates nothing, so callers that need only the verdict
+// skip a good part of a run's cost. A non-zero b.WallClock arms the
 // loop's wall-clock check (SigBudget). final, when non-nil, receives
 // the FinalState snapshot, taken before the machine returns to the
 // pool; it covers the compiled symbol tables' names — declared plus
@@ -328,7 +357,13 @@ func (m *machine) loop(maxSteps int) {
 			}
 			continue
 		}
-		ti := m.runnable[m.rng.Intn(len(m.runnable))]
+		var k int32
+		if m.fast != nil {
+			k = m.fast.int31n(int32(len(m.runnable)))
+		} else {
+			k = int32(m.rng.Intn(len(m.runnable)))
+		}
+		ti := m.runnable[k]
 		m.step(ti)
 		m.now++
 	}
@@ -398,21 +433,17 @@ func evalCmp(op uint8, a, b int64) bool {
 func (m *machine) pushCall(ti, fnIdx, dstSlot, retPC int32) {
 	th := m.threads[ti]
 	spanIdx := int32(len(m.spans))
-	m.spans = append(m.spans, trace.MethodCall{
-		Method:   m.pp.c.funcs[fnIdx].name,
-		Instance: m.calls[fnIdx],
-		Thread:   trace.ThreadID(ti),
-		Start:    m.now,
-		Return:   trace.VoidValue(),
-		Injected: m.pp.inj[fnIdx].injected,
+	m.spans = append(m.spans, spanRec{
+		fn: fnIdx, inst: m.calls[fnIdx], thread: ti, exc: -1, start: m.now, void: true,
 	})
 	m.calls[fnIdx]++
+	f := m.pp.fns[fnIdx]
 	th.stack = append(th.stack, ctlRec{
-		kind: ctlCall, fnIdx: fnIdx, retPC: retPC, dstSlot: dstSlot,
+		kind: ctlCall, inj: f.inj, retPC: retPC, dstSlot: dstSlot,
 		spanIdx: spanIdx, prevSpan: th.curSpan,
 	})
 	th.curSpan = spanIdx
-	th.pc = m.pp.entries[fnIdx]
+	th.pc = f.entry
 }
 
 func (m *machine) heldInsert(th *mthread, mu int32) {
@@ -442,26 +473,29 @@ func (m *machine) release(ti int32, mu int32) {
 	th.locksetStale = true
 }
 
-func (m *machine) recordAccess(th *mthread, obj string, kind trace.AccessKind) {
+// recordAccess logs an access to object obj (an index into
+// compiled.objects) by th's innermost span.
+func (m *machine) recordAccess(th *mthread, obj int32, kind trace.AccessKind) {
 	if th.curSpan < 0 {
 		return
 	}
 	if th.locksetStale {
 		th.locksetStale = false
 		if len(th.held) == 0 {
-			th.lockset = nil
+			th.lockset = -1
 		} else {
-			names := make([]string, len(th.held))
-			for i, mu := range th.held {
-				names[i] = m.pp.mutexNames[mu]
-			}
-			th.lockset = names
+			m.lsSlots = append(m.lsSlots, th.held...)
+			m.lsEnd = append(m.lsEnd, int32(len(m.lsSlots)))
+			th.lockset = int32(len(m.lsEnd) - 1)
 		}
 	}
 	m.accs = append(m.accs, accRec{
-		span: th.curSpan, obj: obj, kind: kind, at: m.now, locks: th.lockset,
+		span: th.curSpan, obj: obj, lockset: th.lockset, kind: uint8(kind), at: m.now,
 	})
 }
+
+// arrayObj is the object id of array slot a.
+func (m *machine) arrayObj(a int32) int32 { return int32(len(m.pp.c.globalNames)) + a }
 
 func (m *machine) throw(th *mthread, kindIdx int32) {
 	th.mode = mThrow
@@ -482,7 +516,7 @@ func (m *machine) step(ti int32) {
 		th.done = true
 		return
 	}
-	in := &m.pp.code[th.pc]
+	in := m.pp.instrAt(th.pc)
 	switch in.op {
 	case opNop:
 		th.pc++
@@ -517,15 +551,15 @@ func (m *machine) step(ti int32) {
 		th.locals[in.a] = v
 		th.pc++
 	case opReadGlobal:
-		m.recordAccess(th, m.pp.globalNames[in.b], trace.Read)
+		m.recordAccess(th, in.b, trace.Read)
 		th.locals[in.a] = m.globals[in.b]
 		th.pc++
 	case opWriteGlobal:
-		m.recordAccess(th, m.pp.globalNames[in.b], trace.Write)
+		m.recordAccess(th, in.b, trace.Write)
 		m.globals[in.b] = m.ev(th, in.x)
 		th.pc++
 	case opArrayRead:
-		m.recordAccess(th, m.pp.c.arrayNames[in.b], trace.Read)
+		m.recordAccess(th, m.arrayObj(in.b), trace.Read)
 		arr := m.arrays[in.b]
 		idx := m.ev(th, in.x)
 		th.pc++
@@ -535,7 +569,7 @@ func (m *machine) step(ti int32) {
 		}
 		th.locals[in.a] = arr[idx]
 	case opArrayWrite:
-		m.recordAccess(th, m.pp.c.arrayNames[in.b], trace.Write)
+		m.recordAccess(th, m.arrayObj(in.b), trace.Write)
 		arr := m.arrays[in.b]
 		idx := m.ev(th, in.x)
 		th.pc++
@@ -545,11 +579,11 @@ func (m *machine) step(ti int32) {
 		}
 		arr[idx] = m.ev(th, in.y)
 	case opArrayLen:
-		m.recordAccess(th, m.pp.c.arrayNames[in.b], trace.Read)
+		m.recordAccess(th, m.arrayObj(in.b), trace.Read)
 		th.locals[in.a] = int64(len(m.arrays[in.b]))
 		th.pc++
 	case opArrayResize:
-		m.recordAccess(th, m.pp.c.arrayNames[in.b], trace.Write)
+		m.recordAccess(th, m.arrayObj(in.b), trace.Write)
 		n := m.ev(th, in.x)
 		if n < 0 {
 			n = 0
@@ -566,7 +600,7 @@ func (m *machine) step(ti int32) {
 		m.owners[in.b] = ti
 		m.heldInsert(th, in.b)
 		th.lockWait = -1
-		th.pc++
+		th.pc = in.c
 	case opUnlock:
 		if m.owners[in.b] != ti {
 			th.pc++
@@ -581,12 +615,12 @@ func (m *machine) step(ti int32) {
 			d = 0
 		}
 		th.sleepUntil = m.now + trace.Time(d)
-		th.pc++
+		th.pc = in.c
 	case opWaitUntil:
 		v := m.ev(th, in.x)
 		if m.globals[in.b] == v {
 			th.waitSlot = -1
-			th.pc++
+			th.pc = in.c
 			return
 		}
 		th.waitSlot = in.b
@@ -678,32 +712,30 @@ func (m *machine) step(ti int32) {
 // finalizeCall completes a call record's span, releasing injector locks
 // and firing injector signals; the caller has already popped the record.
 func (m *machine) finalizeCall(ti int32, fr *ctlRec, retVoid bool, retInt int64, excIdx int32) {
-	meta := &m.pp.inj[fr.fnIdx]
-	ret := trace.Value{Void: retVoid, Int: retInt}
 	if retVoid {
-		ret.Int = 0
+		retInt = 0
 	}
-	exc := ""
-	if excIdx >= 0 {
-		exc = m.pp.c.strs[excIdx]
-	}
-	if meta.override != nil && exc == "" {
-		ret = trace.IntValue(*meta.override)
+	th := m.threads[ti]
+	if fr.inj >= 0 {
+		meta := &m.pp.inj[fr.inj]
+		if meta.override != nil && excIdx < 0 {
+			retVoid, retInt = false, *meta.override
+		}
+		for _, mu := range meta.release {
+			m.release(ti, mu)
+		}
+		for _, sg := range meta.signals {
+			// Injector-internal write: not a traced program access.
+			m.globals[sg.slot] = sg.val
+		}
 	}
 	span := &m.spans[fr.spanIdx]
-	span.End = m.now
-	span.Return = ret
-	span.Exception = exc
-	th := m.threads[ti]
-	for _, mu := range meta.release {
-		m.release(ti, mu)
-	}
-	for _, sg := range meta.signals {
-		// Injector-internal write: not a traced program access.
-		m.globals[sg.slot] = sg.val
-	}
-	if fr.dstSlot >= 0 && !ret.Void {
-		th.locals[fr.dstSlot] = ret.Int
+	span.end = m.now
+	span.void = retVoid
+	span.ret = retInt
+	span.exc = excIdx
+	if fr.dstSlot >= 0 && !retVoid {
+		th.locals[fr.dstSlot] = retInt
 	}
 	th.curSpan = fr.prevSpan
 }
@@ -720,10 +752,12 @@ func (m *machine) unwindReturn(ti int32) {
 		th.stack = th.stack[:len(th.stack)-1]
 		return
 	}
-	if d := m.pp.inj[fr.fnIdx].endDelay; d > 0 && !fr.delayApplied {
-		fr.delayApplied = true
-		th.sleepUntil = m.now + d
-		return
+	if fr.inj >= 0 && !fr.delayApplied {
+		if d := m.pp.inj[fr.inj].endDelay; d > 0 {
+			fr.delayApplied = true
+			th.sleepUntil = m.now + d
+			return
+		}
 	}
 	rec := *fr
 	th.stack = th.stack[:len(th.stack)-1]
@@ -752,11 +786,11 @@ func (m *machine) unwindThrow(ti int32) {
 		th.pc = fr.handlerPC
 		th.excIdx = -1
 		th.mode = mRun
-	case fr.kind == ctlCall && m.pp.inj[fr.fnIdx].catchAll:
+	case fr.kind == ctlCall && fr.inj >= 0 && m.pp.inj[fr.inj].catchAll:
 		// Injected try-catch: the span completes as if the body
 		// succeeded, repairing the "method fails" predicate.
 		th.stack = th.stack[:len(th.stack)-1]
-		m.finalizeCall(ti, &fr, false, m.pp.inj[fr.fnIdx].catchValue, -1)
+		m.finalizeCall(ti, &fr, false, m.pp.inj[fr.inj].catchValue, -1)
 		th.excIdx = -1
 		th.mode = mRun
 		th.pc = fr.retPC
@@ -787,9 +821,9 @@ func (m *machine) finalizeOpenSpans() {
 				continue
 			}
 			span := &m.spans[fr.spanIdx]
-			span.End = m.now
+			span.end = m.now
 			if th.mode == mThrow {
-				span.Exception = m.pp.c.strs[th.excIdx]
+				span.exc = th.excIdx
 			}
 		}
 		th.stack = th.stack[:0]
@@ -797,16 +831,35 @@ func (m *machine) finalizeOpenSpans() {
 }
 
 // buildExecution assembles the returned trace in canonical order: one
-// exact-size Calls slice, in span-log order, plus one exact-size Access
-// arena carved into per-span subslices, so a whole replay costs a
-// handful of allocations.
+// exact-size Calls slice, in span-log order, one exact-size Access
+// arena carved into per-span subslices, and one arena of lockset names
+// carved into each lockset's slice, shared by the accesses that held
+// it; method, object, exception and mutex names come from the symbol
+// tables. A whole replay costs a handful of allocations.
 func (m *machine) buildExecution(seed int64) trace.Execution {
-	exec := trace.Execution{ID: execID(m.pp.c.name, seed), Seed: seed}
+	pp, c := m.pp, m.pp.c
+	exec := trace.Execution{ID: execID(c.name, seed), Seed: seed}
 	if m.failed {
 		exec.Outcome = trace.Failure
 		exec.FailureSig = m.failSig
 	} else {
 		exec.Outcome = trace.Success
+	}
+
+	var locks []string
+	if len(m.lsSlots) > 0 {
+		locks = make([]string, len(m.lsSlots))
+		for i, mu := range m.lsSlots {
+			locks[i] = pp.mutexNames[mu]
+		}
+	}
+	lockset := func(id int32) []string {
+		var start int32
+		if id > 0 {
+			start = m.lsEnd[id-1]
+		}
+		end := m.lsEnd[id]
+		return locks[start:end:end]
 	}
 
 	nSpans := len(m.spans)
@@ -833,13 +886,16 @@ func (m *machine) buildExecution(seed int64) trace.Execution {
 		fill := m.accOff
 		// fill doubles as the running cursor; restore it from counts
 		// when slicing below (off = cursor - count after the pass).
+		// Fields are set one by one on the zeroed arena: a composite
+		// literal would be copied in whole, under a bulk write barrier.
 		for i := range m.accs {
 			a := &m.accs[i]
-			arena[fill[a.span]] = trace.Access{
-				Object: trace.ObjectID(a.obj),
-				Kind:   a.kind,
-				At:     a.at,
-				Locks:  a.locks,
+			acc := &arena[fill[a.span]]
+			acc.Object = c.objects[a.obj]
+			acc.Kind = trace.AccessKind(a.kind)
+			acc.At = a.at
+			if a.lockset >= 0 {
+				acc.Locks = lockset(a.lockset)
 			}
 			fill[a.span]++
 		}
@@ -847,10 +903,20 @@ func (m *machine) buildExecution(seed int64) trace.Execution {
 
 	calls := make([]trace.MethodCall, nSpans)
 	for i := range calls {
-		calls[i] = m.spans[i]
+		s := &m.spans[i]
+		call := &calls[i]
+		call.Method = c.funcs[s.fn].name
+		call.Instance = int(s.inst)
+		call.Thread = trace.ThreadID(s.thread)
+		call.Start, call.End = s.start, s.end
+		call.Return = trace.Value{Void: s.void, Int: s.ret}
+		call.Injected = pp.fns[s.fn].inj >= 0
+		if s.exc >= 0 {
+			call.Exception = c.strs[s.exc]
+		}
 		if n := m.accCount[i]; n > 0 {
 			end := m.accOff[i] // cursor == original offset + count
-			calls[i].Accesses = arena[end-n : end : end]
+			call.Accesses = arena[end-n : end : end]
 		}
 	}
 	// The tick-0 tie: the entry span (thread 0) and the span its first

@@ -209,6 +209,21 @@ func (s *fastSource) uint64() uint64 {
 func (s *fastSource) Int63() int64   { return int64(s.uint64() & rngMask) }
 func (s *fastSource) Uint64() uint64 { return s.uint64() }
 
+// int31n is math/rand's Rand.Int31n over s, inlined for the machine's
+// per-step scheduler draw: the same draws and the same result, without
+// the interface call per draw. n must be positive.
+func (s *fastSource) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return int32(s.Int63()>>32) & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := int32(s.Int63() >> 32)
+	for v > max {
+		v = int32(s.Int63() >> 32)
+	}
+	return v % n
+}
+
 // newSchedulerSource returns the fastest available source that is
 // bit-identical to rand.NewSource.
 func newSchedulerSource() rand.Source {
