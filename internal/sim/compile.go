@@ -105,12 +105,11 @@ type instr struct {
 // catchAny is the catch-kind index of a "*" handler.
 const catchAny int32 = -2
 
-// cfunc is one compiled function: its code range in the program's
-// instruction array ([entry, end), end past the trailing implicit
-// return).
+// cfunc is one compiled function: its name and the pc of its body's
+// first instruction in the program's instruction array.
 type cfunc struct {
-	name       string
-	entry, end int32
+	name  string
+	entry int32
 }
 
 // compiled is the per-Program compilation artifact, built once and
@@ -145,9 +144,6 @@ type compiled struct {
 	// Fixed indices of the runtime-thrown exception kinds.
 	kindDiv0, kindOOB, kindSync int32
 
-	// mutexSorted is mutexNames in name order: Prepare ranks a plan's
-	// new mutexes among the program's by binary search in it.
-	mutexSorted []string
 	// objects names the machine's access-log object ids: the globals'
 	// slots, then each array's slot offset by len(globalNames).
 	objects []trace.ObjectID
@@ -216,11 +212,10 @@ func compileProgram(p *Program) *compiled {
 		entry := int32(len(c.code))
 		c.emitOps(p.Funcs[n].Body)
 		c.emit(instr{op: opReturnVoid})
-		c.funcs[i] = cfunc{name: n, entry: entry, end: int32(len(c.code))}
+		c.funcs[i] = cfunc{name: n, entry: entry}
 	}
 	c.entryFn = c.fnIdx[p.Entry]
 	c.mutexRank = mutexRanks(c.mutexNames)
-	c.mutexSorted = slices.Sorted(slices.Values(c.mutexNames))
 	c.objects = make([]trace.ObjectID, 0, len(c.globalNames)+len(c.arrayNames))
 	for _, n := range c.globalNames {
 		c.objects = append(c.objects, trace.ObjectID(n))
@@ -456,11 +451,11 @@ type Prepared struct {
 	fns   []fnPlan // per function
 	inj   []injMeta
 
-	nGlobals    int
-	globalNames []string
-	globalInit  []int64
-	nMutexes    int
-	mutexNames  []string
+	// nGlobals counts the program's globals and the plan's order flags;
+	// the flags start at 0, past the program's initial values.
+	nGlobals   int
+	nMutexes   int
+	mutexNames []string
 	// mutexRank[slot] is the slot's rank in name-sorted order; held-lock
 	// sets are kept rank-sorted so access locksets come out name-sorted
 	// without per-access sorting.
@@ -500,16 +495,14 @@ func mutexRanks(names []string) []int32 {
 
 func newBasePrepared(p *Program, c *compiled) *Prepared {
 	pp := &Prepared{
-		prog:        p,
-		c:           c,
-		code:        c.code,
-		fns:         make([]fnPlan, len(c.funcs)),
-		nGlobals:    len(c.globalNames),
-		globalNames: c.globalNames,
-		globalInit:  c.globalInit,
-		nMutexes:    len(c.mutexNames),
-		mutexNames:  c.mutexNames,
-		mutexRank:   c.mutexRank,
+		prog:       p,
+		c:          c,
+		code:       c.code,
+		fns:        make([]fnPlan, len(c.funcs)),
+		nGlobals:   len(c.globalNames),
+		nMutexes:   len(c.mutexNames),
+		mutexNames: c.mutexNames,
+		mutexRank:  c.mutexRank,
 	}
 	for i := range c.funcs {
 		pp.fns[i] = fnPlan{entry: c.funcs[i].entry, inj: -1}
@@ -579,11 +572,7 @@ func Prepare(p *Program, plan Plan) (*Prepared, error) {
 	}
 	// Copy the injections of the methods the program defines out of the
 	// map once, and size the overlay.
-	var buf [32]planned
-	todo := buf[:0]
-	if len(plan) > len(buf) {
-		todo = make([]planned, 0, len(plan))
-	}
+	todo := make([]planned, 0, len(plan))
 	var nStubs, nLocks, nSignals, nWaits int
 	for fn, inj := range plan {
 		fi, ok := c.fnIdx[fn]
@@ -624,15 +613,14 @@ func Prepare(p *Program, plan Plan) (*Prepared, error) {
 	extM.seal()
 
 	pp := &Prepared{
-		prog:        p,
-		c:           c,
-		code:        c.code,
-		fns:         make([]fnPlan, len(c.funcs)),
-		inj:         make([]injMeta, 0, len(todo)),
-		globalNames: c.globalNames,
-		globalInit:  c.globalInit,
-		mutexNames:  c.mutexNames,
-		mutexRank:   c.mutexRank,
+		prog:       p,
+		c:          c,
+		code:       c.code,
+		fns:        make([]fnPlan, len(c.funcs)),
+		inj:        make([]injMeta, 0, len(todo)),
+		nGlobals:   len(c.globalNames) + len(extG.names),
+		mutexNames: c.mutexNames,
+		mutexRank:  c.mutexRank,
 	}
 	copy(pp.fns, c.base.fns)
 	for k := range todo {
@@ -641,26 +629,10 @@ func Prepare(p *Program, plan Plan) (*Prepared, error) {
 	if nStubs > 0 {
 		pp.stubs = make([]instr, 0, nStubs)
 	}
-	if len(extG.names) > 0 {
-		pp.globalNames = slices.Concat(c.globalNames, extG.names)
-		pp.globalInit = make([]int64, len(pp.globalNames))
-		copy(pp.globalInit, c.globalInit)
-	}
 	if len(extM.names) > 0 {
-		// The plan's mutexes rank among the program's by name: each
-		// rank counts the names of the other list that sort before it.
 		pp.mutexNames = slices.Concat(c.mutexNames, extM.names)
-		pp.mutexRank = make([]int32, len(pp.mutexNames))
-		for s, n := range c.mutexNames {
-			i, _ := slices.BinarySearch(extM.names, n)
-			pp.mutexRank[s] = c.mutexRank[s] + int32(i)
-		}
-		for j, n := range extM.names {
-			i, _ := slices.BinarySearch(c.mutexSorted, n)
-			pp.mutexRank[int(extM.n0)+j] = int32(j + i)
-		}
+		pp.mutexRank = mutexRanks(pp.mutexNames)
 	}
-	pp.nGlobals = len(pp.globalNames)
 	pp.nMutexes = len(pp.mutexNames)
 	var release []int32
 	if nLocks > 0 {

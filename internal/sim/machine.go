@@ -177,7 +177,7 @@ func (m *machine) reset(pp *Prepared, seed int64) {
 		m.globals = make([]int64, pp.nGlobals)
 	}
 	m.globals = m.globals[:pp.nGlobals]
-	copy(m.globals, pp.globalInit)
+	clear(m.globals[copy(m.globals, pp.c.globalInit):])
 
 	if cap(m.arrays) < len(pp.c.arrayInit) {
 		m.arrays = make([][]int64, len(pp.c.arrayInit))
