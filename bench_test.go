@@ -108,30 +108,6 @@ func BenchmarkPoolScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkCorpusScaling exercises the columnar corpus at a trimmed
-// scale (CI smoke): rank + AC-DAG build through the columnar store vs
-// the row-oriented oracle on an identical synthetic corpus, outputs
-// cross-checked inside RunCorpusScaling. cmd/benchjson records the
-// full ≥50k×2k measurement in BENCH_pipeline.json.
-func BenchmarkCorpusScaling(b *testing.B) {
-	b.ReportAllocs()
-	var last *aid.CorpusScalingResult
-	for i := 0; i < b.N; i++ {
-		res, err := aid.RunCorpusScaling(4000, 400, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(float64(last.Speedup), "rank+build-speedup")
-	b.ReportMetric(float64(last.ColumnarNs), "columnar-ns")
-	b.ReportMetric(float64(last.RowNs), "row-ns")
-	b.ReportMetric(float64(last.FullyDiscriminative), "fully-discriminative")
-	if last.Speedup < 5 {
-		b.Fatalf("columnar rank+build speedup %.1fx, want >= 5x", last.Speedup)
-	}
-}
-
 // BenchmarkFigure6 evaluates the Fig. 6 bounds table on the symmetric
 // AC-DAG.
 func BenchmarkFigure6(b *testing.B) {

@@ -7,11 +7,12 @@ import (
 
 	"aid"
 	"aid/internal/casestudy"
+	"aid/internal/oracle/caserun"
 )
 
-// legacyReport projects a pre-facade casestudy.Report onto the public
+// legacyReport projects a pre-facade caserun.Report onto the public
 // Report shape, field by field.
-func legacyReport(rep *casestudy.Report) *aid.Report {
+func legacyReport(rep *caserun.Report) *aid.Report {
 	s1, s2 := rep.AID.PruningStats()
 	out := &aid.Report{
 		Study:             rep.Study,
@@ -49,19 +50,17 @@ func legacyReport(rep *casestudy.Report) *aid.Report {
 
 // TestPipelineMatchesCaseStudyRun pins the facade to the pre-refactor
 // behavior: for every case study, aid.Pipeline.Run produces a report
-// byte-identical (as JSON) to the internal casestudy.Run pipeline under
-// the same configuration. casestudy.Run answers TAGT's oracle from
-// Intervene's observations, the reference for Pipeline.Run's
-// verdict-only Persists query.
+// byte-identical (as JSON) to the pre-facade runner kept in
+// internal/oracle/caserun under the same configuration. caserun.Run
+// answers TAGT's oracle from Intervene's observations, the reference
+// for Pipeline.Run's verdict-only Persists query.
 func TestPipelineMatchesCaseStudyRun(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range casestudy.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			rc := casestudy.DefaultRunConfig()
-			rc.Successes, rc.Failures = 30, 30
-			want, err := casestudy.Run(ctx, s, rc)
+			want, err := caserun.Run(ctx, s, casestudy.CollectConfig{Successes: 30, Failures: 30, SeedCap: 4000})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +80,7 @@ func TestPipelineMatchesCaseStudyRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("facade report differs from casestudy.Run:\n--- casestudy.Run\n%s\n--- Pipeline.Run\n%s", wantJSON, gotJSON)
+				t.Errorf("facade report differs from caserun.Run:\n--- caserun.Run\n%s\n--- Pipeline.Run\n%s", wantJSON, gotJSON)
 			}
 		})
 	}

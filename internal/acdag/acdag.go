@@ -566,17 +566,6 @@ func (d *DAG) Ancestors(id predicate.ID) []predicate.ID {
 	return out
 }
 
-// Descendants returns every node that id precedes.
-func (d *DAG) Descendants(id predicate.ID) []predicate.ID {
-	i, ok := d.idx[id]
-	if !ok {
-		return nil
-	}
-	var out []predicate.ID
-	d.prec[i].ForEach(func(j int) { out = append(out, d.nodes[j]) })
-	return out
-}
-
 // levelsDense computes topological levels restricted to the alive mask:
 // level(P) = length of the longest precedence chain ending at P among
 // alive nodes. The returned slice is indexed by dense node index; only
@@ -700,17 +689,6 @@ func (d *DAG) FrontierIndex(alive, exclude *NodeSet) []int {
 	return out
 }
 
-// LevelFrontierWithin is FrontierIndex at the ID edge: the frontier
-// members as IDs, sorted.
-func (d *DAG) LevelFrontierWithin(alive, exclude *NodeSet) []predicate.ID {
-	idxs := d.FrontierIndex(alive, exclude)
-	out := make([]predicate.ID, len(idxs))
-	for k, i := range idxs {
-		out[k] = d.nodes[i]
-	}
-	return out
-}
-
 // Roots returns nodes with no ancestors.
 func (d *DAG) Roots() []predicate.ID {
 	var out []predicate.ID
@@ -817,13 +795,4 @@ func (d *DAG) Dot() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// PathTo reports whether a path exists from id to the failure predicate
-// (trivially true for F itself).
-func (d *DAG) PathTo(id, target predicate.ID) bool {
-	if id == target {
-		return true
-	}
-	return d.Precedes(id, target)
 }

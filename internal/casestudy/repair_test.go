@@ -4,110 +4,9 @@ import (
 	"context"
 	"testing"
 
-	"aid/internal/inject"
 	"aid/internal/predicate"
-	"aid/internal/sim"
 	"aid/internal/statdebug"
 )
-
-// TestRootCausePathRepairsEveryFailingSeed is the strongest end-to-end
-// property: for each case study, every predicate on AID's discovered
-// causal path, when repaired on its own, must prevent the failure on
-// every failing seed of the corpus — each path element is a
-// counterfactual cause, not just a correlate (Definition 1).
-func TestRootCausePathRepairsEveryFailingSeed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repair validation is slow")
-	}
-	for _, s := range All() {
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 25, 25
-			set, failSeeds, err := Collect(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := s.Config()
-			corpus := predicate.Extract(set, cfg)
-			rep, err := Run(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cause := range rep.Path {
-				if cause == predicate.FailureID {
-					continue
-				}
-				plan, err := inject.PlanFor(corpus, []predicate.ID{cause})
-				if err != nil {
-					t.Fatalf("plan for %s: %v", cause, err)
-				}
-				for _, seed := range failSeeds {
-					exec := sim.MustRun(s.Program, seed, sim.RunOptions{Plan: plan, MaxSteps: s.MaxSteps})
-					if exec.Failed() && exec.FailureSig == s.FailureSig {
-						t.Fatalf("repairing %s did not prevent the failure on seed %d",
-							cause, seed)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSpuriousPredicatesDoNotRepair checks the complementary property
-// on a sample: repairing a predicate AID classified spurious leaves the
-// failure reproducible on at least one failing seed.
-func TestSpuriousPredicatesDoNotRepair(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repair validation is slow")
-	}
-	for _, name := range []string{"npgsql", "network", "healthtelemetry"} {
-		s := ByName(name)
-		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 25, 25
-			set, failSeeds, err := Collect(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := s.Config()
-			corpus := predicate.Extract(set, cfg)
-			rep, err := Run(context.Background(), s, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checked := 0
-			for _, spur := range rep.AID.Spurious {
-				if checked >= 5 {
-					break
-				}
-				p := corpus.Pred(spur)
-				if p == nil || p.Repair.Kind == predicate.IvNone || !p.Repair.Safe {
-					continue
-				}
-				plan, err := inject.PlanFor(corpus, []predicate.ID{spur})
-				if err != nil {
-					t.Fatalf("plan for %s: %v", spur, err)
-				}
-				stillFails := false
-				for _, seed := range failSeeds {
-					exec := sim.MustRun(s.Program, seed, sim.RunOptions{Plan: plan, MaxSteps: s.MaxSteps})
-					if exec.Failed() && exec.FailureSig == s.FailureSig {
-						stillFails = true
-						break
-					}
-				}
-				if !stillFails {
-					t.Errorf("repairing spurious %s prevented the failure on every seed", spur)
-				}
-				checked++
-			}
-			if checked == 0 {
-				t.Skip("no safely-repairable spurious predicates to check")
-			}
-		})
-	}
-}
 
 // TestStudyPredicateInventories asserts each study's corpus contains
 // the predicate kinds its bug class is built around.
@@ -123,8 +22,7 @@ func TestStudyPredicateInventories(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			rc := DefaultRunConfig()
-			rc.Successes, rc.Failures = 20, 20
+			rc := CollectConfig{Successes: 20, Failures: 20, SeedCap: 4000}
 			set, _, err := Collect(context.Background(), s, rc)
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +44,7 @@ func TestStudyPredicateInventories(t *testing.T) {
 	}
 }
 
-// TestRunnerHelpers covers the small runner plumbing.
+// TestRunnerHelpers covers the study registry.
 func TestRunnerHelpers(t *testing.T) {
 	if ByName("npgsql") == nil || ByName("ghost") != nil {
 		t.Fatal("ByName lookup broken")
@@ -154,46 +52,11 @@ func TestRunnerHelpers(t *testing.T) {
 	if len(All()) != 6 {
 		t.Fatalf("All() = %d studies, want 6", len(All()))
 	}
-	reports := []*Report{{Study: "x", Issue: "i", Discriminative: 3, CausalPathLen: 1,
-		AIDInterventions: 2, TAGTInterventions: 4, TAGTWorstCase: 5}}
-	out := FormatFigure7(reports)
-	if out == "" || len(out) < 20 {
-		t.Fatal("FormatFigure7 produced nothing")
-	}
-}
-
-func TestRunVariants(t *testing.T) {
-	if testing.Short() {
-		t.Skip("variant comparison is slow")
-	}
-	s := Network()
-	counts := map[string]int{}
-	for _, v := range []string{"aid", "aid-p", "aid-p-b"} {
-		rc := DefaultRunConfig()
-		rc.Successes, rc.Failures = 25, 25
-		rc.Variant = v
-		rep, err := Run(context.Background(), s, rc)
-		if err != nil {
-			t.Fatalf("variant %s: %v", v, err)
-		}
-		if rep.AID.RootCause() == "" {
-			t.Fatalf("variant %s found no root cause", v)
-		}
-		counts[v] = rep.AIDInterventions
-	}
-	if counts["aid"] > counts["aid-p-b"] {
-		t.Fatalf("full AID (%d rounds) should not exceed AID-P-B (%d)", counts["aid"], counts["aid-p-b"])
-	}
-	rc := DefaultRunConfig()
-	rc.Variant = "bogus"
-	if _, err := Run(context.Background(), s, rc); err == nil {
-		t.Fatal("unknown variant accepted")
-	}
 }
 
 func TestCollectErrorsWhenTargetsUnreachable(t *testing.T) {
 	s := Npgsql()
-	rc := RunConfig{Successes: 10, Failures: 10, SeedCap: 3}
+	rc := CollectConfig{Successes: 10, Failures: 10, SeedCap: 3}
 	if _, _, err := Collect(context.Background(), s, rc); err == nil {
 		t.Fatal("Collect with tiny seed cap should fail")
 	}

@@ -27,8 +27,7 @@ func TestPersistsMatchesIntervene(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			rc := casestudy.DefaultRunConfig()
-			rc.Successes, rc.Failures = 30, 30
+			rc := casestudy.CollectConfig{Successes: 30, Failures: 30, SeedCap: 4000}
 			set, failSeeds, err := casestudy.Collect(ctx, s, rc)
 			if err != nil {
 				t.Fatal(err)
@@ -54,7 +53,7 @@ func TestPersistsMatchesIntervene(t *testing.T) {
 				}
 				return &inject.Executor{
 					Prog: s.Program, Corpus: corpus, Baselines: baselines,
-					Seeds: failSeeds[:rc.ReplaySeeds], Cfg: cfg,
+					Seeds: failSeeds[:5], Cfg: cfg,
 					FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: workers,
 				}
 			}
@@ -90,7 +89,7 @@ func TestPersistsMatchesIntervene(t *testing.T) {
 				tests++
 				return !check(group), nil
 			}
-			if _, err := grouptest.Adaptive(pool, oracle, rc.Seed); err != nil {
+			if _, err := grouptest.Adaptive(pool, oracle, 1); err != nil {
 				t.Fatal(err)
 			}
 			if tests == 0 {

@@ -25,8 +25,7 @@ func TestExtractMatchesReference(t *testing.T) {
 			with := s.Config()
 			with.PureMethods = effects.Analyze(s.Program).Prunable
 			for _, size := range [][2]int{{50, 50}, {10, 40}} {
-				rc := casestudy.DefaultRunConfig()
-				rc.Successes, rc.Failures = size[0], size[1]
+				rc := casestudy.CollectConfig{Successes: size[0], Failures: size[1], SeedCap: 4000}
 				set, _, err := casestudy.Collect(context.Background(), s, rc)
 				if err != nil {
 					t.Fatal(err)

@@ -9,7 +9,7 @@
 // Everything here is intentionally the old shape: logs are a slice of
 // ID-keyed occurrence maps, counts re-scan the logs on every query, and
 // pairwise tests probe maps per (pair, log). Do not "optimize" it —
-// its cost model is the point.
+// its cost model is the point. Only tests import it.
 package roworacle
 
 import (

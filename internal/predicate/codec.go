@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // The on-disk corpus format is a single JSON document holding the
@@ -77,27 +76,4 @@ func DecodeCorpus(r io.Reader) (*Corpus, error) {
 		c.AddLog(l.ExecID, l.Failed, l.Occ)
 	}
 	return c, nil
-}
-
-// WriteCorpusFile saves the corpus to path.
-func WriteCorpusFile(path string, c *Corpus) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("predicate: %w", err)
-	}
-	defer f.Close()
-	if err := c.Encode(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// ReadCorpusFile loads a corpus saved by WriteCorpusFile.
-func ReadCorpusFile(path string) (*Corpus, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("predicate: %w", err)
-	}
-	defer f.Close()
-	return DecodeCorpus(f)
 }

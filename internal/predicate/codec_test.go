@@ -2,7 +2,6 @@ package predicate
 
 import (
 	"bytes"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,26 +60,6 @@ func TestCorpusCodecRoundTrip(t *testing.T) {
 	// Index rebuilt: lookups work on the decoded corpus.
 	if got.Pred("race:A|B@x") == nil || !got.Pred("race:A|B@x").Repair.Safe {
 		t.Fatal("decoded corpus lost predicate index or repair")
-	}
-}
-
-func TestCorpusCodecFiles(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "corpus.json")
-	c := corpusFixture()
-	if err := WriteCorpusFile(path, c); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCorpusFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	occ, inFail, failed := got.Counts("race:A|B@x")
-	if occ != 1 || inFail != 1 || failed != 1 {
-		t.Fatalf("Counts on decoded corpus = (%d,%d,%d)", occ, inFail, failed)
-	}
-	if _, err := ReadCorpusFile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

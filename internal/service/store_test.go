@@ -17,7 +17,7 @@ import (
 func collectSmall(t *testing.T) *trace.Set {
 	t.Helper()
 	study := casestudy.ByName("npgsql")
-	set, _, err := casestudy.Collect(t.Context(), study, casestudy.RunConfig{Successes: 5, Failures: 5, SeedCap: 20000})
+	set, _, err := casestudy.Collect(t.Context(), study, casestudy.CollectConfig{Successes: 5, Failures: 5, SeedCap: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}

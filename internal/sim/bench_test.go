@@ -21,8 +21,8 @@ func BenchmarkRunRacyInterpreted(b *testing.B) {
 	p := racyProgram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := MustRun(p, int64(i), RunOptions{Engine: EngineInterpreter})
-		if len(e.Calls) == 0 {
+		e, err := runInterpreted(p, int64(i), RunOptions{})
+		if err != nil || len(e.Calls) == 0 {
 			b.Fatal("no spans recorded")
 		}
 	}
@@ -68,8 +68,8 @@ func BenchmarkRunInjectedInterpreted(b *testing.B) {
 	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}, DelayStart: 3}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := MustRun(p, int64(i), RunOptions{Plan: plan, Engine: EngineInterpreter})
-		if e.Failed() {
+		e, err := runInterpreted(p, int64(i), RunOptions{Plan: plan})
+		if err != nil || e.Failed() {
 			b.Fatal("injected run failed")
 		}
 	}
@@ -101,6 +101,8 @@ func BenchmarkSchedulerInterpreted(b *testing.B) {
 	p := schedulerProgram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MustRun(p, 1, RunOptions{Engine: EngineInterpreter})
+		if _, err := runInterpreted(p, 1, RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // without any string hashing or per-step tree walking.
 //
 // The compiled form is step-exact with the tree-walking interpreter
-// (runtime.go): every interpreter scheduler step — including the
+// (the test oracle in interp_test.go): every interpreter scheduler step — including the
 // "invisible" ones like block-frame pops, the two-step while-loop exit,
 // and one-frame-per-step unwinding — maps to exactly one instruction
 // execution. Step-exactness is what makes the traces byte-identical:

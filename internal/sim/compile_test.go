@@ -118,13 +118,3 @@ func TestFastSourceStream(t *testing.T) {
 		}
 	}
 }
-
-// TestCompiledEngineIsDefault pins the zero-value RunOptions to the
-// compiled engine so the speedup cannot silently regress to the
-// interpreter.
-func TestCompiledEngineIsDefault(t *testing.T) {
-	var opts RunOptions
-	if opts.Engine != EngineCompiled {
-		t.Fatal("zero-value RunOptions must select the compiled engine")
-	}
-}

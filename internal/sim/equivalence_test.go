@@ -15,7 +15,7 @@ import (
 
 // This file is the compiled engine's oracle harness: every program is
 // run by both engines and the JSON-encoded traces must be
-// byte-identical. The interpreter (EngineInterpreter) is the reference
+// byte-identical. The interpreter (runInterpreted) is the reference
 // semantics; the compiled engine must match it step for step, because
 // timestamps and the scheduler's RNG draws are step counters.
 
@@ -24,11 +24,11 @@ import (
 func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxSteps int) {
 	t.Helper()
 	for _, seed := range seeds {
-		want, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps, Engine: EngineInterpreter})
+		want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
 		}
-		got, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps, Engine: EngineCompiled})
+		got, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatalf("%s seed %d: compiled: %v", p.Name, seed, err)
 		}
@@ -352,7 +352,7 @@ func TestStdlibSourceMatchesInterpreter(t *testing.T) {
 	m.rng = rand.New(m.src)
 	check := func(p *Program, plan Plan, seed int64) {
 		t.Helper()
-		want, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: 2000, Engine: EngineInterpreter})
+		want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: 2000})
 		if err != nil {
 			t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
 		}

@@ -1,8 +1,9 @@
 package sim
 
-// The equivalence generator, for the replay-monitor differential tests
-// in package sim_test: it stays test-only.
+// The equivalence generator and the interpreter oracle, for the
+// differential tests in package sim_test: they stay test-only.
 var (
-	GenProgram = genProgram
-	GenPlan    = genPlan
+	GenProgram     = genProgram
+	GenPlan        = genPlan
+	RunInterpreted = runInterpreted
 )

@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // FinalState is a post-run snapshot of a program's shared state: the
 // final values of every global variable and array the program declares
 // or references. It is the observability hook behind the effect
@@ -11,8 +9,7 @@ import "sort"
 //
 // The snapshot covers the program's own state only — shared variables
 // an injection plan introduces (order-enforcement signal flags) are
-// excluded — and both engines produce identical snapshots for the same
-// (program, seed, plan) triple.
+// excluded.
 type FinalState struct {
 	// Globals maps every declared or referenced shared variable to its
 	// final value (zero if never written).
@@ -20,77 +17,4 @@ type FinalState struct {
 	// Arrays maps every declared or referenced shared array to a copy
 	// of its final contents (nil if empty).
 	Arrays map[string][]int64
-}
-
-// stateNames returns the program's shared-state name universe — the
-// declared globals and arrays plus every name referenced by an op —
-// sorted and deduplicated. It matches the compiled engine's symbol
-// tables, so interpreter snapshots cover the same keys.
-func (p *Program) stateNames() (globals, arrays []string) {
-	gset := make(map[string]bool, len(p.Globals))
-	aset := make(map[string]bool, len(p.Arrays))
-	for k := range p.Globals {
-		gset[k] = true
-	}
-	for k := range p.Arrays {
-		aset[k] = true
-	}
-	var walk func(ops []Op)
-	walk = func(ops []Op) {
-		for _, op := range ops {
-			switch o := op.(type) {
-			case ReadGlobal:
-				gset[o.Var] = true
-			case WriteGlobal:
-				gset[o.Var] = true
-			case WaitUntil:
-				gset[o.Var] = true
-			case ArrayRead:
-				aset[o.Arr] = true
-			case ArrayWrite:
-				aset[o.Arr] = true
-			case ArrayLen:
-				aset[o.Arr] = true
-			case ArrayResize:
-				aset[o.Arr] = true
-			case Try:
-				walk(o.Body)
-				walk(o.Handler)
-			case If:
-				walk(o.Then)
-				walk(o.Else)
-			case While:
-				walk(o.Body)
-			}
-		}
-	}
-	for _, f := range p.Funcs {
-		if f != nil {
-			walk(f.Body)
-		}
-	}
-	globals = make([]string, 0, len(gset))
-	for k := range gset {
-		globals = append(globals, k)
-	}
-	arrays = make([]string, 0, len(aset))
-	for k := range aset {
-		arrays = append(arrays, k)
-	}
-	sort.Strings(globals)
-	sort.Strings(arrays)
-	return globals, arrays
-}
-
-// captureFinal snapshots the interpreter world's shared state.
-func (w *world) captureFinal(fs *FinalState) {
-	gnames, anames := w.prog.stateNames()
-	fs.Globals = make(map[string]int64, len(gnames))
-	for _, n := range gnames {
-		fs.Globals[n] = w.globals[n]
-	}
-	fs.Arrays = make(map[string][]int64, len(anames))
-	for _, n := range anames {
-		fs.Arrays[n] = append([]int64(nil), w.arrays[n]...)
-	}
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"reflect"
 	"testing"
+
+	"aid/internal/trace"
 )
 
 // finalStateProgram exercises every shared-state op kind: declared and
@@ -45,7 +47,7 @@ func TestFinalStateEngineEquivalence(t *testing.T) {
 			if _, err := Run(p, seed, RunOptions{Plan: plan, Final: &compiled}); err != nil {
 				t.Fatalf("compiled seed %d plan %d: %v", seed, pi, err)
 			}
-			if _, err := Run(p, seed, RunOptions{Plan: plan, Engine: EngineInterpreter, Final: &interpreted}); err != nil {
+			if _, err := runInterpreted(p, seed, RunOptions{Plan: plan, Final: &interpreted}); err != nil {
 				t.Fatalf("interpreted seed %d plan %d: %v", seed, pi, err)
 			}
 			if !reflect.DeepEqual(compiled, interpreted) {
@@ -92,17 +94,21 @@ func TestFinalStateEmptyArrayNil(t *testing.T) {
 	p := NewProgram("empty", "Main")
 	p.Arrays["empty"] = nil
 	p.AddFunc("Main", ArrayLen{Arr: "empty", Dst: "n"})
-	for _, eng := range []Engine{EngineCompiled, EngineInterpreter} {
+	engines := []struct {
+		name string
+		run  func(*Program, int64, RunOptions) (trace.Execution, error)
+	}{{"compiled", Run}, {"interpreter", runInterpreted}}
+	for _, eng := range engines {
 		var fs FinalState
-		if _, err := Run(p, 1, RunOptions{Engine: eng, Final: &fs}); err != nil {
+		if _, err := eng.run(p, 1, RunOptions{Final: &fs}); err != nil {
 			t.Fatal(err)
 		}
 		v, ok := fs.Arrays["empty"]
 		if !ok {
-			t.Fatalf("engine %v: empty array missing from snapshot", eng)
+			t.Fatalf("%s: empty array missing from snapshot", eng.name)
 		}
 		if v != nil {
-			t.Errorf("engine %v: empty array = %v, want nil", eng, v)
+			t.Errorf("%s: empty array = %v, want nil", eng.name, v)
 		}
 	}
 }

@@ -7,6 +7,32 @@ import (
 	"time"
 )
 
+// panicOp is a test-only operation whose execution panics, standing in
+// for engine bugs inside one replay.
+type panicOp struct{}
+
+func (panicOp) opName() string { return "panic" }
+
+// batchProgram is a small two-thread racy program: failure-or-success
+// depends on the schedule seed.
+func batchProgram() *Program {
+	p := NewProgram("batch", "Main")
+	p.Globals["x"] = 0
+	p.AddFunc("Main",
+		Spawn{Fn: "Writer", Dst: "t"},
+		ReadGlobal{Dst: "v", Var: "x"},
+		Arith{Dst: "v", A: V("v"), Op: OpAdd, B: Lit(1)},
+		WriteGlobal{Var: "x", Src: V("v")},
+		Join{Thread: V("t")},
+	)
+	p.AddFunc("Writer",
+		ReadGlobal{Dst: "w", Var: "x"},
+		Arith{Dst: "w", A: V("w"), Op: OpAdd, B: Lit(1)},
+		WriteGlobal{Var: "x", Src: V("w")},
+	)
+	return p
+}
+
 // guardPanicProgram always hits the test-only panicking op.
 func guardPanicProgram() *Program {
 	p := NewProgram("guard-panic", "Main")

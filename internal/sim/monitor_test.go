@@ -143,8 +143,7 @@ func TestObserveMatchesExtractStudies(t *testing.T) {
 			t.Parallel()
 			bundles, observed := 0, 0
 			for _, size := range [][2]int{{50, 50}, {10, 40}} {
-				rc := casestudy.DefaultRunConfig()
-				rc.Successes, rc.Failures = size[0], size[1]
+				rc := casestudy.CollectConfig{Successes: size[0], Failures: size[1], SeedCap: 4000}
 				set, failSeeds, err := casestudy.Collect(ctx, s, rc)
 				if err != nil {
 					t.Fatal(err)
@@ -161,10 +160,10 @@ func TestObserveMatchesExtractStudies(t *testing.T) {
 					}
 					rec := &recorder{Executor: &inject.Executor{
 						Prog: s.Program, Corpus: corpus, Baselines: successes(set),
-						Seeds: failSeeds[:rc.ReplaySeeds], Cfg: cfg,
+						Seeds: failSeeds[:5], Cfg: cfg,
 						FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: 1,
 					}}
-					for _, opts := range []core.Options{core.AIDOptions(rc.Seed), core.AIDPOptions(rc.Seed), core.AIDPBOptions(rc.Seed)} {
+					for _, opts := range []core.Options{core.AIDOptions(1), core.AIDPOptions(1), core.AIDPBOptions(1)} {
 						if _, err := core.Discover(ctx, dag, rec, opts); err != nil {
 							t.Fatal(err)
 						}
@@ -378,8 +377,7 @@ func addCompounds(r *rand.Rand, c *predicate.Corpus) {
 func TestObserveEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	s := casestudy.ByName("npgsql")
-	rc := casestudy.DefaultRunConfig()
-	rc.Successes, rc.Failures = 20, 20
+	rc := casestudy.CollectConfig{Successes: 20, Failures: 20, SeedCap: 4000}
 	set, failSeeds, err := casestudy.Collect(ctx, s, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +385,7 @@ func TestObserveEdgeCases(t *testing.T) {
 	cfg := s.Config()
 	executor := func(c *predicate.Corpus, baselines []trace.Execution) *inject.Executor {
 		return &inject.Executor{
-			Prog: s.Program, Corpus: c, Baselines: baselines, Seeds: failSeeds[:rc.ReplaySeeds],
+			Prog: s.Program, Corpus: c, Baselines: baselines, Seeds: failSeeds[:5],
 			Cfg: cfg, FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: 1,
 		}
 	}

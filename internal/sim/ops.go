@@ -62,24 +62,6 @@ type Cond struct {
 	B  Expr
 }
 
-func (c Cond) eval(a, b int64) bool {
-	switch c.Op {
-	case EQ:
-		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	case GE:
-		return a >= b
-	}
-	return false
-}
-
 // ArithOp is an arithmetic operator for local computation.
 type ArithOp int
 

@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -111,12 +110,6 @@ func (c *MethodCall) Duration() Time { return c.End - c.Start }
 
 // Failed reports whether the call completed with an exception.
 func (c *MethodCall) Failed() bool { return c.Exception != "" }
-
-// Overlaps reports whether the spans of c and o intersect in time.
-// Touching endpoints (c ends exactly when o starts) do not overlap.
-func (c *MethodCall) Overlaps(o *MethodCall) bool {
-	return c.Start < o.End && o.Start < c.End
-}
 
 // Outcome labels an execution as successful or failed.
 type Outcome int
@@ -234,21 +227,6 @@ func (e *Execution) Call(method string, instance int) *MethodCall {
 	return nil
 }
 
-// Methods returns the set of method names appearing in the execution,
-// sorted for determinism.
-func (e *Execution) Methods() []string {
-	set := make(map[string]bool)
-	for i := range e.Calls {
-		set[e.Calls[i].Method] = true
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Set is a corpus of executions of one application with one input —
 // the raw material of statistical debugging.
 type Set struct {
@@ -292,34 +270,4 @@ func (s *Set) Counts() (succ, fail int) {
 		}
 	}
 	return succ, fail
-}
-
-// FilterSignature keeps failures matching sig (and all successes),
-// implementing the paper's grouping of failures by failure signature so
-// each group has a single root cause.
-func (s *Set) FilterSignature(sig string) *Set {
-	out := &Set{}
-	for i := range s.Executions {
-		e := s.Executions[i]
-		if !e.Failed() || e.FailureSig == sig {
-			out.Executions = append(out.Executions, e)
-		}
-	}
-	return out
-}
-
-// Signatures returns the distinct failure signatures present, sorted.
-func (s *Set) Signatures() []string {
-	set := make(map[string]bool)
-	for i := range s.Executions {
-		if s.Executions[i].Failed() {
-			set[s.Executions[i].FailureSig] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for sig := range set {
-		out = append(out, sig)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -27,30 +27,6 @@ func TestMethodCallDurationAndFailed(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b MethodCall
-		want bool
-	}{
-		{"disjoint", span("A", 1, 0, 10), span("B", 2, 20, 30), false},
-		{"touching", span("A", 1, 0, 10), span("B", 2, 10, 20), false},
-		{"partial", span("A", 1, 0, 15), span("B", 2, 10, 20), true},
-		{"nested", span("A", 1, 0, 100), span("B", 2, 10, 20), true},
-		{"identical", span("A", 1, 5, 9), span("B", 2, 5, 9), true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.a.Overlaps(&tc.b); got != tc.want {
-				t.Errorf("a.Overlaps(b) = %v, want %v", got, tc.want)
-			}
-			if got := tc.b.Overlaps(&tc.a); got != tc.want {
-				t.Errorf("b.Overlaps(a) = %v, want %v (symmetry)", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestValueEqualAndString(t *testing.T) {
 	if !IntValue(5).Equal(IntValue(5)) {
 		t.Error("IntValue(5) != IntValue(5)")
@@ -128,9 +104,6 @@ func TestExecutionQueries(t *testing.T) {
 	if c := e.Call("C", 0); c != nil {
 		t.Fatalf("Call(C,0) = %+v, want nil", c)
 	}
-	if got := e.Methods(); !reflect.DeepEqual(got, []string{"A", "B"}) {
-		t.Fatalf("Methods() = %v", got)
-	}
 }
 
 func TestSetOutcomesAndSignatures(t *testing.T) {
@@ -149,14 +122,6 @@ func TestSetOutcomesAndSignatures(t *testing.T) {
 	}
 	if got := len(s.Failures()); got != 3 {
 		t.Fatalf("Failures = %d", got)
-	}
-	sigs := s.Signatures()
-	if !reflect.DeepEqual(sigs, []string{"crash@Foo", "hang@Bar"}) {
-		t.Fatalf("Signatures = %v", sigs)
-	}
-	filtered := s.FilterSignature("crash@Foo")
-	if succ, fail := filtered.Counts(); succ != 1 || fail != 2 {
-		t.Fatalf("filtered Counts = (%d,%d), want (1,2)", succ, fail)
 	}
 }
 

@@ -638,7 +638,8 @@ func (p *Pipeline) Explain(corpus *Corpus, res *Result) string {
 // the AC-DAG, discover the causal path, run the TAGT baseline on the
 // same candidate pool, and assemble the serializable Report. The
 // output is bit-identical for any worker count, and — for the built-in
-// case studies — to the pre-facade internal runner.
+// case studies — to the pre-facade runner kept as a test oracle in
+// internal/oracle/caserun.
 func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 	tr, err := p.Collect(ctx, src)
 	if err != nil {
@@ -660,8 +661,9 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 	// same intervention oracle, but no DAG knowledge. Its oracle needs
 	// one bit per group — does the failure persist? — so it asks the
 	// verdict-only query: no trace is assembled or re-extracted, and a
-	// group stops replaying at its first persisting seed. casestudy.Run
-	// keeps the Intervene-derived oracle as the reference.
+	// group stops replaying at its first persisting seed. The test
+	// oracle internal/oracle/caserun keeps the Intervene-derived oracle
+	// as the reference.
 	var pool []PredicateID
 	noPath := 0
 	for _, id := range dag.Nodes() {

@@ -3,6 +3,7 @@ package aid_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,7 +12,7 @@ import (
 	"aid"
 )
 
-var updateGoldens = flag.Bool("update", false, "rewrite testdata/reports goldens from the current tree")
+var updateGoldens = flag.Bool("update", false, "rewrite the testdata goldens from the current tree")
 
 // TestCaseStudyReportGoldens pins the full JSON report of every case
 // study, byte for byte, against goldens captured from the PR 9 tree.
@@ -54,6 +55,40 @@ func TestCaseStudyReportGoldens(t *testing.T) {
 					s.Name, len(got), len(want), firstDiff(got, want))
 			}
 		})
+	}
+}
+
+// TestFormatFigure7Golden pins the paper's Fig. 7 table as
+// FormatFigure7 renders it from the six pinned reports: the goldens
+// decode into Reports, and the table must match testdata/figure7.txt
+// byte for byte (-update rewrites it).
+func TestFormatFigure7Golden(t *testing.T) {
+	var reports []*aid.Report
+	for _, s := range aid.CaseStudies() {
+		raw, err := os.ReadFile(filepath.Join("testdata", "reports", s.Name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep aid.Report
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		reports = append(reports, &rep)
+	}
+	got := []byte(aid.FormatFigure7(reports))
+	path := filepath.Join("testdata", "figure7.txt")
+	if *updateGoldens {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Fig. 7 table drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 

@@ -7,17 +7,16 @@ import (
 
 	"aid/internal/acdag"
 	"aid/internal/predicate"
-	"aid/internal/roworacle"
 	"aid/internal/statdebug"
 )
 
-// CorpusScalingResult records one corpus-scaling measurement: the same
+// CorpusScalingResult records one corpus-scaling measurement: a
 // synthetic predicate corpus ranked and AC-DAG-built through the
-// columnar store and through the preserved row-oriented oracle
-// (internal/roworacle), with both outputs cross-checked equal. It is
-// the evidence behind the "production-rate corpora" claim: scores are
-// maintained counters and the counterfactual filter is O(1) per
-// candidate, so rank+build cost stops scaling with corpus size.
+// columnar store. It is the evidence behind the "production-rate
+// corpora" claim: scores are maintained counters and the
+// counterfactual filter is O(1) per candidate, so rank+build cost
+// stops scaling with corpus size. BenchmarkCorpusScaling compares the
+// same rank+build with the row-oriented test oracle.
 type CorpusScalingResult struct {
 	// Executions and Predicates are the corpus dimensions.
 	Executions int `json:"executions"`
@@ -25,18 +24,14 @@ type CorpusScalingResult struct {
 	// IngestNs is the wall-clock of streaming the corpus into the
 	// columnar store row by row (scores maintained as it lands).
 	IngestNs int64 `json:"ingest_ns"`
-	// ColumnarNs and RowNs time rank (Scores + FullyDiscriminative) +
-	// AC-DAG Build on each path.
+	// ColumnarNs times rank (Scores + FullyDiscriminative) + AC-DAG
+	// Build.
 	ColumnarNs int64 `json:"columnar_ns"`
-	RowNs      int64 `json:"row_ns"`
 	// ColumnarAllocs and ColumnarBytes are heap-allocation deltas
-	// (runtime.MemStats) across the columnar rank+build phase.
+	// (runtime.MemStats) across the rank+build phase.
 	ColumnarAllocs int64 `json:"columnar_allocs"`
 	ColumnarBytes  int64 `json:"columnar_bytes"`
-	// Speedup is RowNs / ColumnarNs.
-	Speedup float64 `json:"speedup"`
-	// FullyDiscriminative and DAGNodes sanity-check the workload shape
-	// (and are asserted identical across the two paths).
+	// FullyDiscriminative and DAGNodes sanity-check the workload shape.
 	FullyDiscriminative int `json:"fully_discriminative"`
 	DAGNodes            int `json:"dag_nodes"`
 }
@@ -50,16 +45,15 @@ func (g *scalingLCG) next() uint64 {
 	return uint64(*g) >> 11
 }
 
-// RunCorpusScaling generates a synthetic corpus of the given dimensions
+// scalingCorpus generates a synthetic corpus of the given dimensions
 // — a causal chain of 24 fully-discriminative predicates over the
 // failed rows plus noise predicates occurring in ~1.5% of rows, mixed
-// durational and instantaneous kinds — ingests it into both corpus
-// representations, and times rank+build on each. The two paths'
-// outputs are verified identical before returning.
-func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error) {
+// durational and instantaneous kinds — streamed into the columnar
+// store. It returns the corpus and the wall-clock of the ingest.
+func scalingCorpus(execs, preds int, seed int64) (*predicate.Corpus, int64, error) {
 	const causal = 24
 	if preds < causal+2 || execs < 4 {
-		return nil, fmt.Errorf("aid: corpus scaling needs >= %d predicates and >= 4 executions", causal+2)
+		return nil, 0, fmt.Errorf("aid: corpus scaling needs >= %d predicates and >= 4 executions", causal+2)
 	}
 	table := make([]predicate.Predicate, 0, preds+1)
 	table = append(table, predicate.FailurePredicate())
@@ -80,15 +74,12 @@ func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error
 	}
 
 	col := predicate.NewCorpus()
-	row := roworacle.NewCorpus()
 	for _, p := range table {
 		col.AddPred(p)
-		row.AddPred(p)
 	}
 
-	// Generate every row's occurrence map once; stream it into the
-	// columnar store (timed: the production ingest path) and hand the
-	// same map to the row corpus (its representation IS the map).
+	// Generate every row's occurrence map and stream it into the
+	// columnar store (timed: the production ingest path).
 	g := scalingLCG(seed)
 	var ingestNs int64
 	for r := 0; r < execs; r++ {
@@ -122,66 +113,37 @@ func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error
 		t0 := time.Now()
 		col.AddLog(id, failed, occ)
 		ingestNs += time.Since(t0).Nanoseconds()
-		row.AddLog(id, failed, occ)
 	}
+	return col, ingestNs, nil
+}
 
-	// Columnar rank+build, with the allocation profile of the phase.
+// RunCorpusScaling generates the synthetic corpus of the given
+// dimensions (see scalingCorpus) and times rank+build on it, with the
+// allocation profile of that phase.
+func RunCorpusScaling(execs, preds int, seed int64) (*CorpusScalingResult, error) {
+	col, ingestNs, err := scalingCorpus(execs, preds, seed)
+	if err != nil {
+		return nil, err
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	colScores := statdebug.Scores(col)
-	colFully := statdebug.FullyDiscriminative(col)
-	colDAG, _, err := acdag.Build(col, colFully, acdag.BuildOptions{})
+	statdebug.Scores(col)
+	fully := statdebug.FullyDiscriminative(col)
+	dag, _, err := acdag.Build(col, fully, acdag.BuildOptions{})
 	colNs := time.Since(t0).Nanoseconds()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return nil, fmt.Errorf("aid: corpus scaling: columnar build: %w", err)
 	}
-
-	// Row-oracle rank+build over the identical corpus.
-	t0 = time.Now()
-	rowScores := roworacle.Scores(row)
-	rowFully := roworacle.FullyDiscriminative(row)
-	rowDAG, _, err := roworacle.Build(row, rowFully, acdag.BuildOptions{})
-	rowNs := time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, fmt.Errorf("aid: corpus scaling: row build: %w", err)
-	}
-
-	// The refactor's contract: same answers from both layouts.
-	if len(colScores) != len(rowScores) {
-		return nil, fmt.Errorf("aid: corpus scaling: score count diverges (%d vs %d)", len(colScores), len(rowScores))
-	}
-	for i := range colScores {
-		if colScores[i] != rowScores[i] {
-			return nil, fmt.Errorf("aid: corpus scaling: score %d diverges (%+v vs %+v)", i, colScores[i], rowScores[i])
-		}
-	}
-	if len(colFully) != len(rowFully) {
-		return nil, fmt.Errorf("aid: corpus scaling: fully-discriminative sets diverge")
-	}
-	for i := range colFully {
-		if colFully[i] != rowFully[i] {
-			return nil, fmt.Errorf("aid: corpus scaling: fully-discriminative sets diverge at %d", i)
-		}
-	}
-	if colDAG.Len() != rowDAG.Len() || len(colDAG.ReductionEdges()) != len(rowDAG.ReductionEdges()) {
-		return nil, fmt.Errorf("aid: corpus scaling: DAGs diverge (%d/%d nodes)", colDAG.Len(), rowDAG.Len())
-	}
-
-	res := &CorpusScalingResult{
+	return &CorpusScalingResult{
 		Executions:          execs,
 		Predicates:          preds,
 		IngestNs:            ingestNs,
 		ColumnarNs:          colNs,
-		RowNs:               rowNs,
 		ColumnarAllocs:      int64(after.Mallocs - before.Mallocs),
 		ColumnarBytes:       int64(after.TotalAlloc - before.TotalAlloc),
-		FullyDiscriminative: len(colFully),
-		DAGNodes:            colDAG.Len(),
-	}
-	if colNs > 0 {
-		res.Speedup = float64(rowNs) / float64(colNs)
-	}
-	return res, nil
+		FullyDiscriminative: len(fully),
+		DAGNodes:            dag.Len(),
+	}, nil
 }

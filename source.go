@@ -96,7 +96,7 @@ func (s *StudySource) Study() *CaseStudy { return s.study }
 // corpus quotas are met (identical to the pre-facade collection loop:
 // the corpus is bit-identical for any worker count).
 func (s *StudySource) Collect(ctx context.Context, spec CollectSpec) (*Traces, error) {
-	rc := casestudy.RunConfig{
+	rc := casestudy.CollectConfig{
 		Successes: spec.Successes, Failures: spec.Failures,
 		SeedCap: spec.SeedCap, Workers: spec.Workers,
 		OnCollect: spec.observeCollect(),
@@ -173,7 +173,7 @@ func (s *ProgramSource) Collect(ctx context.Context, spec CollectSpec) (*Traces,
 	if err := s.Program.Validate(); err != nil {
 		return nil, err
 	}
-	rc := casestudy.RunConfig{
+	rc := casestudy.CollectConfig{
 		Successes: spec.Successes, Failures: spec.Failures,
 		SeedCap: spec.SeedCap, Workers: spec.Workers,
 		OnCollect: spec.observeCollect(),
