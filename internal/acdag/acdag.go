@@ -17,13 +17,15 @@
 // Nodes are dense indices internally (predicate IDs survive at the API
 // edges: construction input, reports, DOT). Construction consumes the
 // corpus's columnar store directly — the counterfactual filter is a
-// maintained counter comparison and the pairwise precedence loops run
-// over dense per-node occurrence arrays, with no per-log map probes.
-// Node-set arguments (alive/exclude sets threaded through discovery)
-// are bitsets (NodeSet), so set queries run word-parallel end-to-end.
+// maintained counter comparison, and pairwise precedence compares one
+// dense key per node and failed log, as per-log order bitsets. Node-set
+// arguments (alive/exclude sets threaded through discovery) are bitsets
+// (NodeSet), so set queries run word-parallel end-to-end; topological
+// levels follow one topological order fixed when the DAG is built.
 package acdag
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -33,6 +35,7 @@ import (
 
 	"aid/internal/bitvec"
 	"aid/internal/predicate"
+	"aid/internal/trace"
 )
 
 // bitset is the local alias for the shared packed bit-vector.
@@ -47,6 +50,11 @@ type DAG struct {
 	idRank []int    // idRank[i] = rank of nodes[i] in ID sort order
 	prec   []bitset // prec[i] has j: node i consistently precedes node j
 	pred   []bitset // transpose of prec, built by close()
+	// topo is a topological order of the closed DAG, fixed by close():
+	// nodes by ancestor count (an ancestor has fewer), then by ID.
+	topo []int
+	// levels are the topological levels over every node.
+	levels []int
 }
 
 // NodeSet is a set of DAG nodes backed by one bitset — the
@@ -169,7 +177,9 @@ type BuildReport struct {
 // filter compares each candidate's maintained failed-occurrence count
 // against the corpus's failed-row count (O(1) per candidate), and the
 // pairwise precedence policies run over dense occurrence arrays
-// materialized once per node — no per-(pair, log) map probes.
+// materialized once per node — no per-(pair, log) map probes. Every
+// pair but two durational nodes compares one key per node and log
+// (keyRows); durational–durational pairs take pairPrecedes's full rule.
 func Build(c *predicate.Corpus, candidates []predicate.ID, opts BuildOptions) (*DAG, *BuildReport, error) {
 	nFails := c.FailedCount()
 	if nFails == 0 {
@@ -213,14 +223,79 @@ func Build(c *predicate.Corpus, candidates []predicate.ID, opts BuildOptions) (*
 		preds[i] = c.PredAt(h)
 		occ[i] = c.FailedOccurrences(h)
 	}
-	return assemble(nodes, preds, func(i, j int) bool {
-		for f := 0; f < nFails; f++ {
-			if !pairPrecedes(preds[i], preds[j], occ[i][f], occ[j][f]) {
-				return false
+	rows := keyRows(preds, occ, nFails)
+	for i := range nodes {
+		if !preds[i].Kind.Durational() {
+			continue
+		}
+		for j := range nodes {
+			if j == i || !preds[j].Kind.Durational() {
+				continue
+			}
+			rows[i].Unset(j)
+			ok := true
+			for f := 0; f < nFails && ok; f++ {
+				ok = pairPrecedes(preds[i], preds[j], occ[i][f], occ[j][f])
+			}
+			if ok {
+				rows[i].SetInCap(j)
 			}
 		}
-		return true
-	}), report, nil
+	}
+	return assemble(nodes, preds, rows), report, nil
+}
+
+// pointKey is what pairPrecedes compares of an occurrence of p against
+// any node when p or the other is not durational: a durational
+// predicate's window start, and otherwise its policy stamp.
+func pointKey(p *predicate.Predicate, o predicate.Occurrence) trace.Time {
+	if p.Kind.Durational() {
+		return o.Start
+	}
+	return o.StampTime(p.Stamp)
+}
+
+// keyRows returns the precedence rows of the nodes under their keys
+// (pointKey of occ[i][f], node i's occurrence in log f): i precedes j
+// when i's key is smaller than j's in every log. Row i is the
+// intersection, over the logs, of the nodes whose key in that log is
+// larger than i's: per log, one sort of the nodes by key, then one
+// word-parallel AND per node.
+func keyRows(preds []*predicate.Predicate, occ [][]predicate.Occurrence, logs int) []bitset {
+	n := len(preds)
+	rows := make([]bitset, n)
+	for i := range rows {
+		rows[i] = bitvec.Ones(n)
+	}
+	k := make([]trace.Time, n) // the nodes' keys in the current log
+	order := make([]int, n)
+	larger := bitvec.New(n)
+	for f := 0; f < logs; f++ {
+		for i := range k {
+			k[i] = pointKey(preds[i], occ[i][f])
+		}
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(k[a], k[b]) })
+		// From the largest key down, one group of equal keys at a time:
+		// larger holds the nodes of every group above.
+		larger.ClearFrom(0)
+		for hi := n; hi > 0; {
+			lo := hi - 1
+			for lo > 0 && k[order[lo-1]] == k[order[hi-1]] {
+				lo--
+			}
+			for _, i := range order[lo:hi] {
+				rows[i].AndWith(larger)
+			}
+			for _, i := range order[lo:hi] {
+				larger.SetInCap(i)
+			}
+			hi = lo
+		}
+	}
+	return rows
 }
 
 // BuildRowOracle is the pre-columnar row-oriented builder, kept as the
@@ -270,36 +345,32 @@ func BuildRowOracle(lookup func(predicate.ID) *predicate.Predicate, failLogs []m
 	for i, id := range nodes {
 		preds[i] = lookup(id)
 	}
-	return assemble(nodes, preds, func(i, j int) bool {
-		for _, l := range failLogs {
-			if !pairPrecedes(preds[i], preds[j], l[nodes[i]], l[nodes[j]]) {
-				return false
+	// The reference: pairPrecedes over every pair and log, one scalar
+	// test at a time.
+	rows := make([]bitset, len(nodes))
+	for i := range nodes {
+		rows[i] = bitvec.New(len(nodes))
+		for j := range nodes {
+			ok := i != j
+			for f := 0; f < len(failLogs) && ok; f++ {
+				ok = pairPrecedes(preds[i], preds[j], failLogs[f][nodes[i]], failLogs[f][nodes[j]])
+			}
+			if ok {
+				rows[i].SetInCap(j)
 			}
 		}
-		return true
-	}), report, nil
+	}
+	return assemble(nodes, preds, rows), report, nil
 }
 
-// assemble runs the shared tail of construction: the pairwise
-// precedence matrix (via the supplied pair test), durational cycle
-// breaking, and closure.
-func assemble(nodes []predicate.ID, preds []*predicate.Predicate, precedes func(i, j int) bool) *DAG {
-	d := newDAG(nodes)
-	durPair := make([]bitset, len(nodes))
-	for i := range durPair {
-		durPair[i] = bitvec.New(len(nodes))
-	}
+// assemble runs the shared tail of construction over the pairwise
+// precedence rows: durational cycle breaking and closure.
+func assemble(nodes []predicate.ID, preds []*predicate.Predicate, rows []bitset) *DAG {
+	d := newDAG(nodes, rows)
+	dur := bitvec.New(len(nodes))
 	for i := range nodes {
-		for j := range nodes {
-			if i == j {
-				continue
-			}
-			if preds[i].Kind.Durational() && preds[j].Kind.Durational() {
-				durPair[i].SetInCap(j)
-			}
-			if precedes(i, j) {
-				d.prec[i].SetInCap(j)
-			}
+		if preds[i].Kind.Durational() {
+			dur.SetInCap(i)
 		}
 	}
 	// Every other rule reduces to comparing fixed per-log timestamps
@@ -308,7 +379,7 @@ func assemble(nodes []predicate.ID, preds []*predicate.Predicate, precedes func(
 	// those inside strongly connected components restores acyclicity
 	// while preserving the point-rule edges (§4: a conservative
 	// precedence heuristic only costs pruning power, never soundness).
-	d.breakCycles(durPair)
+	d.breakCycles(dur)
 	d.close()
 	return d
 }
@@ -356,11 +427,12 @@ func pairPrecedes(pa, pb *predicate.Predicate, oa, ob predicate.Occurrence) bool
 	}
 }
 
-// breakCycles removes durational–durational edges inside strongly
-// connected components until the graph is acyclic; if a cycle somehow
-// survives without such edges, all its edges drop (conservative
-// fallback).
-func (d *DAG) breakCycles(durPair []bitset) {
+// breakCycles removes durational–durational edges (between members of
+// dur) inside strongly connected components until the graph is
+// acyclic; if a cycle somehow survives without such edges, all its
+// edges drop (conservative fallback).
+func (d *DAG) breakCycles(dur bitset) {
+	durOnly := true
 	for iter := 0; iter < len(d.nodes)+1; iter++ {
 		comp := d.sccs()
 		changed := false
@@ -372,7 +444,7 @@ func (d *DAG) breakCycles(durPair []bitset) {
 					return
 				}
 				cyclic = true
-				if durPair == nil || durPair[u].Has(v) {
+				if !durOnly || dur.Has(u) && dur.Has(v) {
 					drop = append(drop, v)
 					changed = true
 				}
@@ -386,7 +458,7 @@ func (d *DAG) breakCycles(durPair []bitset) {
 		}
 		if !changed {
 			// Fallback: no durational edges left to drop.
-			durPair = nil
+			durOnly = false
 		}
 	}
 }
@@ -441,7 +513,7 @@ func (d *DAG) sccs() []int {
 // FromEdges builds a DAG from explicit edges (used by synthetic worlds
 // and tests); it computes the transitive closure and rejects cycles.
 func FromEdges(nodes []predicate.ID, edges [][2]predicate.ID) (*DAG, error) {
-	d := newDAG(append([]predicate.ID(nil), nodes...))
+	d := newDAG(append([]predicate.ID(nil), nodes...), nil)
 	for _, e := range edges {
 		i, ok1 := d.idx[e[0]]
 		j, ok2 := d.idx[e[1]]
@@ -462,15 +534,22 @@ func FromEdges(nodes []predicate.ID, edges [][2]predicate.ID) (*DAG, error) {
 	return d, nil
 }
 
-func newDAG(nodes []predicate.ID) *DAG {
+// newDAG returns the DAG over nodes with the precedence rows prec, or
+// with empty rows when prec is nil.
+func newDAG(nodes []predicate.ID, prec []bitset) *DAG {
 	d := &DAG{
 		nodes: nodes,
 		idx:   make(map[predicate.ID]int, len(nodes)),
-		prec:  make([]bitset, len(nodes)),
+		prec:  prec,
+	}
+	if prec == nil {
+		d.prec = make([]bitset, len(nodes))
+		for i := range d.prec {
+			d.prec[i] = bitvec.New(len(nodes))
+		}
 	}
 	for i, id := range nodes {
 		d.idx[id] = i
-		d.prec[i] = bitvec.New(len(nodes))
 	}
 	// idRank lets dense loops compare nodes in ID order without string
 	// comparisons: idRank[i] < idRank[j] iff nodes[i] < nodes[j].
@@ -487,9 +566,10 @@ func newDAG(nodes []predicate.ID) *DAG {
 }
 
 // close computes the transitive closure in place (word-parallel
-// Floyd–Warshall: row i absorbs row k whenever i reaches k) and builds
-// the transposed relation for ancestor queries. It is the final
-// construction step; the DAG is immutable afterwards.
+// Floyd–Warshall: row i absorbs row k whenever i reaches k), builds the
+// transposed relation for ancestor queries, and fixes the topological
+// order and the levels over every node. It is the final construction
+// step; the DAG is immutable afterwards.
 func (d *DAG) close() {
 	n := len(d.nodes)
 	for k := 0; k < n; k++ {
@@ -501,6 +581,16 @@ func (d *DAG) close() {
 		}
 	}
 	d.pred = bitvec.Transpose(d.prec, n)
+	// In a closed DAG a node's ancestors include its ancestors'
+	// ancestors and not itself, so every ancestor has fewer.
+	anc := make([]int, n)
+	d.topo = make([]int, n)
+	for i := range d.topo {
+		d.topo[i] = i
+		anc[i] = d.pred[i].Count()
+	}
+	slices.SortFunc(d.topo, func(a, b int) int { return cmp.Or(anc[a]-anc[b], d.idRank[a]-d.idRank[b]) })
+	d.levels = d.levelsDense(bitvec.Ones(n))
 }
 
 // Nodes returns all node IDs in stable order.
@@ -570,54 +660,45 @@ func (d *DAG) Ancestors(id predicate.ID) []predicate.ID {
 // level(P) = length of the longest precedence chain ending at P among
 // alive nodes. The returned slice is indexed by dense node index; only
 // alive entries are meaningful. Nodes at the same level are mutually
-// unordered — the junctions of Algorithm 2.
-func (d *DAG) levelsDense(aliveMask bitset) []int {
-	// Longest-chain DP over the partial order: process nodes in
-	// ascending alive-ancestor count (a word-parallel popcount per
-	// node); ties resolve in ID order so the DP order is deterministic.
-	type rec struct {
-		i    int
-		rank int
-	}
-	order := make([]rec, 0, aliveMask.Count())
-	aliveMask.ForEach(func(i int) {
-		order = append(order, rec{i, d.pred[i].CountAnd(aliveMask)})
-	})
-	// Tie-free total order (idRank is a bijection), so the unstable
-	// generic sort is deterministic and allocation-free.
-	slices.SortFunc(order, func(a, b rec) int {
-		if a.rank != b.rank {
-			return a.rank - b.rank
-		}
-		return d.idRank[a.i] - d.idRank[b.i]
-	})
+// unordered — the junctions of Algorithm 2. The longest-chain DP runs
+// over the DAG's topological order, which orders every subset too, so
+// a node's alive ancestors have their levels before it.
+func (d *DAG) levelsDense(alive bitset) []int {
 	lvls := make([]int, len(d.nodes))
-	for _, r := range order {
-		lvl := 0
-		d.pred[r.i].ForEachAnd(aliveMask, func(a int) {
-			if l := lvls[a] + 1; l > lvl {
-				lvl = l
-			}
-		})
-		lvls[r.i] = lvl
+	for _, i := range d.topo {
+		if alive.Has(i) {
+			lvls[i] = d.levelOf(i, alive, lvls)
+		}
 	}
 	return lvls
 }
 
+// levelOf is node i's level within alive, from its alive ancestors'
+// levels in lvls.
+func (d *DAG) levelOf(i int, alive bitset, lvls []int) int {
+	lvl := 0
+	d.pred[i].ForEachAnd(alive, func(a int) { lvl = max(lvl, lvls[a]+1) })
+	return lvl
+}
+
 // LevelsIndex is levelsDense over a node set (nil = all nodes): the
 // per-index topological levels discovery's dense loops consume. Only
-// entries of members are meaningful.
+// entries of members are meaningful. The levels over all nodes are a
+// constant of the DAG, returned as such: the caller must not modify
+// them.
 func (d *DAG) LevelsIndex(alive *NodeSet) []int {
-	return d.levelsDense(d.maskFor(alive))
+	if alive == nil {
+		return d.levels
+	}
+	return d.levelsDense(alive.bits)
 }
 
 // LevelsWithin computes topological levels restricted to the alive set
 // (nil = all nodes), keyed by ID — the edge form of levelsDense.
 func (d *DAG) LevelsWithin(alive *NodeSet) map[predicate.ID]int {
-	mask := d.maskFor(alive)
-	lvls := d.levelsDense(mask)
+	lvls := d.LevelsIndex(alive)
 	levels := make(map[predicate.ID]int)
-	mask.ForEach(func(i int) { levels[d.nodes[i]] = lvls[i] })
+	d.maskFor(alive).ForEach(func(i int) { levels[d.nodes[i]] = lvls[i] })
 	return levels
 }
 
@@ -633,7 +714,7 @@ func (d *DAG) TopoOrder(rng *rand.Rand) []predicate.ID {
 // TopoOrderWithin is TopoOrder restricted to the alive set.
 func (d *DAG) TopoOrderWithin(alive *NodeSet, rng *rand.Rand) []predicate.ID {
 	mask := d.maskFor(alive)
-	lvls := d.levelsDense(mask)
+	lvls := d.LevelsIndex(alive)
 	idxs := make([]int, 0, mask.Count())
 	mask.ForEach(func(i int) { idxs = append(idxs, i) })
 	// Tie-free (level, then the idRank bijection): unstable sort safe.
@@ -667,26 +748,65 @@ func (d *DAG) TopoOrderWithin(alive *NodeSet, rng *rand.Rand) []predicate.ID {
 // the minimum topological level computed within alive — the junction
 // members Algorithm 2 visits next, in ID order. The result is empty
 // when exclude covers alive.
+//
+// Only that minimum is needed. A member attaining it has no alive
+// ancestor outside exclude (that ancestor's level would be lower), so
+// the candidates are the members without one, and the levels needed
+// are theirs and those of their alive ancestors, which are all
+// excluded, as are theirs (the relation is closed).
 func (d *DAG) FrontierIndex(alive, exclude *NodeSet) []int {
 	aliveMask := d.maskFor(alive)
-	lvls := d.levelsDense(aliveMask)
-	minLevel := -1
+	var excl bitset
+	if exclude != nil {
+		excl = exclude.bits
+	}
 	var out []int
+	need := bitvec.New(len(d.nodes)) // the candidates' alive ancestors
 	aliveMask.ForEach(func(i int) {
-		if exclude != nil && exclude.bits.Has(i) {
+		if excl.Has(i) {
 			return
 		}
-		switch {
-		case minLevel == -1 || lvls[i] < minLevel:
-			minLevel = lvls[i]
-			out = out[:0]
-			out = append(out, i)
-		case lvls[i] == minLevel:
-			out = append(out, i)
+		row := d.pred[i]
+		for w := range row {
+			if row[w]&aliveMask[w]&^wordAt(excl, w) != 0 {
+				return // an alive ancestor outside exclude
+			}
+		}
+		out = append(out, i)
+		for w := range row {
+			need[w] |= row[w] & aliveMask[w]
 		}
 	})
+	if len(out) == 0 {
+		return out
+	}
+	lvls := make([]int, len(d.nodes))
+	for _, i := range d.topo {
+		if need.Has(i) {
+			lvls[i] = d.levelOf(i, aliveMask, lvls)
+		}
+	}
+	minLevel, k := -1, 0
+	for _, i := range out {
+		switch l := d.levelOf(i, aliveMask, lvls); {
+		case minLevel == -1 || l < minLevel:
+			minLevel, k = l, 0
+			out[k], k = i, k+1
+		case l == minLevel:
+			out[k], k = i, k+1
+		}
+	}
+	out = out[:k]
 	sort.Slice(out, func(a, b int) bool { return d.idRank[out[a]] < d.idRank[out[b]] })
 	return out
+}
+
+// wordAt is v's w-th word, 0 past its end.
+func wordAt(v bitset, w int) uint64 {
+	if w < len(v) {
+		return v[w]
+	}
+	return 0
 }
 
 // Roots returns nodes with no ancestors.

@@ -64,6 +64,13 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
+// AndWith intersects v with o in place; o must not be shorter than v.
+func (v Vec) AndWith(o Vec) {
+	for w := range v {
+		v[w] &= o[w]
+	}
+}
+
 // OrWith unions o into v; o must not be longer than v.
 func (v Vec) OrWith(o Vec) {
 	for w := range o {

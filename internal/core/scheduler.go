@@ -24,12 +24,11 @@ import (
 	"aid/internal/predicate"
 )
 
-// BatchIntervener is an Intervener that can also execute several
-// independent groups' replay bundles in one concurrent sweep
-// (inject.Executor flattens them across a single worker pool). The
-// scheduler asks for one group at a time and never calls
-// InterveneBatch; the interface stays for callers that replay a known
-// set of groups at once. Outcomes must be independent per group: each
+// BatchIntervener is an Intervener that can also answer several
+// independent groups' replay bundles in one call. The scheduler asks
+// for one group at a time and never calls InterveneBatch; the
+// interface stays for callers that replay a known set of groups at
+// once. Outcomes must be independent per group: each
 // group's observations are a pure function of its forced-predicate set,
 // identical to a standalone Intervene call.
 type BatchIntervener interface {

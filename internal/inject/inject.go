@@ -31,7 +31,12 @@ import (
 // predicate: a recipe touches one or two methods and a large group's
 // predicates share methods, so it seldom grows while recipes fold in.
 func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
-	plan := make(sim.Plan, len(preds))
+	return planFor(c, preds, len(preds))
+}
+
+// planFor is PlanFor with room for hint methods in the plan map.
+func planFor(c *predicate.Corpus, preds []predicate.ID, hint int) (sim.Plan, error) {
+	plan := make(sim.Plan, hint)
 	for _, id := range preds {
 		p := c.Pred(id)
 		if p == nil {
@@ -128,9 +133,9 @@ type Executor struct {
 	// as a missed run, like a panicking one.
 	WallBudget time.Duration
 	// Workers is the pool width for replaying Seeds concurrently within
-	// one intervention round (and, for InterveneBatch, across every
-	// group of the batch); <= 0 means GOMAXPROCS. Replays are consumed
-	// in seed order, so observations are identical for any width.
+	// one intervention round; <= 0 means GOMAXPROCS. Replays are
+	// consumed in seed order, so observations are identical for any
+	// width.
 	Workers int
 	// RunsUsed counts total re-executions across rounds (for reporting).
 	// Guarded by mu: an Executor may serve calls from several goroutines
@@ -142,11 +147,13 @@ type Executor struct {
 	Missed int
 
 	// mu serializes the executor's mutable state: the run counters and
-	// the monitors, which reuse their scratch across replays. Replays
-	// themselves are pure and run outside the lock.
+	// the monitors' compilation. Replays and their observation run
+	// outside the lock.
 	mu sync.Mutex
-	// monitors answer each replay's observation. They are compiled on
-	// first use, so Corpus and Baselines must not change afterwards.
+	// monitors answer each replay's observation from the machine's logs
+	// (compiled monitors are safe for concurrent use). They are compiled
+	// on first use, so Prog, Corpus and Baselines must not change
+	// afterwards.
 	monitors *predicate.Monitors
 
 	// qmu guards the quarantine. It is separate from mu because replays
@@ -215,22 +222,22 @@ func (e *Executor) addQuarantine(group []predicate.ID, seed int64, err error) {
 // at exact (group, seed) coordinates.
 var replayHook func(group []predicate.ID, seed int64)
 
-// runOne executes one guarded replay, assembling its trace only when
-// keep accepts the verdict (nil keep: always). Every inject replay
-// routes through here: a panic anywhere inside — the hook, plan
-// compilation quirks surfacing at run time, or the engine itself — is
-// recovered into an error instead of escaping through par.Map as a
-// process-level round failure.
-func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64, keep func(sim.Verdict) bool) (exec trace.Execution, v sim.Verdict, err error) {
+// runOne executes one guarded replay, handing its verdict and logs to
+// observe (nil: a verdict-only run); no trace is assembled. Every inject
+// replay routes through here: a panic anywhere inside — the hook, plan
+// compilation quirks surfacing at run time, the engine itself or the
+// observation — is recovered into an error instead of escaping through
+// par.Map as a process-level round failure.
+func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64, observe func(sim.Verdict, *trace.RunLog)) (v sim.Verdict, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			exec, v, err = trace.Execution{}, sim.Verdict{}, &sim.ReplayPanicError{Seed: seed, Value: rec}
+			v, err = sim.Verdict{}, &sim.ReplayPanicError{Seed: seed, Value: rec}
 		}
 	}()
 	if h := replayHook; h != nil {
 		h(group, seed)
 	}
-	return pp.RunGuardedIf(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget}, keep)
+	return pp.Observe(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget}, observe)
 }
 
 // persists reports whether a replay verdict is a persistence of the
@@ -240,29 +247,55 @@ func (e *Executor) persists(v sim.Verdict) bool {
 	return v.Failed && (e.FailureSig == "" || v.Sig == e.FailureSig)
 }
 
-// verdictOnly is the keep policy of replays whose trace nobody reads.
-func verdictOnly(sim.Verdict) bool { return false }
+// prepare builds the group's plan and splices it into the program. The
+// plan map's size hint is capped at the program's function count: a
+// plan names no more methods than the program has.
+func (e *Executor) prepare(group []predicate.ID) (*sim.Prepared, error) {
+	plan, err := planFor(e.Corpus, group, min(len(group), len(e.Prog.Funcs)))
+	if err != nil {
+		return nil, err
+	}
+	pp, err := sim.Prepare(e.Prog, plan)
+	if err != nil {
+		return nil, fmt.Errorf("inject: re-execution: %w", err)
+	}
+	return pp, nil
+}
+
+// compiled returns the executor's monitors, compiling them against the
+// program's symbol tables on first use.
+func (e *Executor) compiled() (*predicate.Monitors, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.monitors == nil {
+		syms, err := e.Prog.Symbols()
+		if err != nil {
+			return nil, fmt.Errorf("inject: re-execution: %w", err)
+		}
+		ms, err := predicate.CompileMonitors(e.Corpus, syms, e.Baselines, e.Cfg)
+		if err != nil {
+			return nil, fmt.Errorf("inject: %w", err)
+		}
+		e.monitors = ms
+	}
+	return e.monitors, nil
+}
 
 // Persists reports whether the failure persists under the group's
 // intervention: whether some replay seed still fails with the
 // executor's failure signature. It answers Intervene's question "did
 // some observation fail?" for oracles that need only that bit (TAGT):
 // the group's plan is prepared once, the seeds replay in seed order
-// without assembling a trace or re-extracting predicates, and the sweep
-// stops at the first seed where the failure persists. Guard, quarantine
-// and failure-signature rules are Intervene's, and so is the error when
-// every replay is quarantined. Replays run sequentially at every pool
-// width, so the verdict, the quarantine list and RunsUsed do not depend
-// on Workers. Cancelling ctx stops before the next replay with ctx's
-// error.
+// without being observed, and the sweep stops at the first seed where
+// the failure persists. Guard, quarantine and failure-signature rules
+// are Intervene's, and so is the error when every replay is
+// quarantined. Replays run sequentially at every pool width, so the
+// verdict, the quarantine list and RunsUsed do not depend on Workers.
+// Cancelling ctx stops before the next replay with ctx's error.
 func (e *Executor) Persists(ctx context.Context, group []predicate.ID) (bool, error) {
-	plan, err := PlanFor(e.Corpus, group)
+	pp, err := e.prepare(group)
 	if err != nil {
 		return false, err
-	}
-	pp, err := sim.Prepare(e.Prog, plan)
-	if err != nil {
-		return false, fmt.Errorf("inject: re-execution: %w", err)
 	}
 	ran := false
 	for _, seed := range e.Seeds {
@@ -273,7 +306,7 @@ func (e *Executor) Persists(ctx context.Context, group []predicate.ID) (bool, er
 			e.count(&e.Missed)
 			continue
 		}
-		_, v, err := e.runOne(pp, group, seed, verdictOnly)
+		v, err := e.runOne(pp, group, seed, nil)
 		if err != nil {
 			e.addQuarantine(group, seed, err)
 			e.count(&e.Missed)
@@ -298,90 +331,56 @@ func (e *Executor) count(n *int) {
 	e.mu.Unlock()
 }
 
-// replayResult is one (group, seed) replay outcome: an execution, or a
-// missed run (quarantined now or previously).
-type replayResult struct {
-	exec   trace.Execution
-	missed bool
-}
-
 var (
 	_ core.Intervener      = (*Executor)(nil)
 	_ core.BatchIntervener = (*Executor)(nil)
 )
 
-// Intervene implements core.Intervener. Cancelling ctx aborts the
-// replay sweep within one task-drain and returns ctx's error.
+// Intervene implements core.Intervener: it replays the group's plan
+// under every seed, concurrently up to Workers, and observes each
+// replay from the machine's logs, assembling no trace. Replays are
+// consumed in seed order, so the observations are identical for any
+// pool width. At width 1 the replays run inline, so a round allocates
+// only the plan and what escapes into the scheduler memo. Cancelling
+// ctx aborts the replay sweep within one task-drain and returns ctx's
+// error.
 func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.Observation, error) {
-	out, err := e.InterveneBatch(ctx, [][]predicate.ID{preds})
+	pp, err := e.prepare(preds)
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	ms, err := e.compiled()
+	if err != nil {
+		return nil, err
+	}
+	obs := make([]core.Observation, len(e.Seeds))
+	if par.Workers(e.Workers) == 1 {
+		for i, seed := range e.Seeds {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("inject: re-execution: %w", err)
+			}
+			obs[i] = e.replay(ms, pp, preds, seed)
+		}
+	} else if _, err := par.Map(ctx, len(obs), e.Workers, func(i int) (struct{}, error) {
+		obs[i] = e.replay(ms, pp, preds, e.Seeds[i])
+		return struct{}{}, nil
+	}); err != nil {
+		return nil, fmt.Errorf("inject: re-execution: %w", err)
+	}
+	return e.tally(obs, preds)
 }
 
-// InterveneBatch implements core.BatchIntervener: it executes several
-// groups' replay bundles in one flattened concurrent sweep — the
-// len(groups)·len(Seeds) re-executions share a single ordered worker
-// pool, so narrow replay sets still fill every worker when a caller
-// replays several independent groups at once (the intervention
-// scheduler asks for one group at a time, through Intervene). Each
-// group's observations are a pure function of its forced-predicate set:
-// the result is identical to calling Intervene once per group, in
-// order, for any pool width.
+// InterveneBatch implements core.BatchIntervener: it answers each
+// group in order as Intervene does, so each group's observations are a
+// pure function of its forced-predicate set, identical for any pool
+// width.
 func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) ([][]core.Observation, error) {
 	if len(groups) == 0 {
 		return nil, nil
 	}
-	// Compile each group's plan once (sim.Prepare splices the injection
-	// stubs at the instruction level); the len(groups)·len(Seeds)
-	// replays then run on pooled machine state with no per-call plan
-	// application.
-	preps := make([]*sim.Prepared, len(groups))
-	for i, preds := range groups {
-		plan, err := PlanFor(e.Corpus, preds)
-		if err != nil {
-			return nil, err
-		}
-		pp, err := sim.Prepare(e.Prog, plan)
-		if err != nil {
-			return nil, fmt.Errorf("inject: re-execution: %w", err)
-		}
-		preps[i] = pp
-	}
-	// Replay every (group, seed) pair across one flat pool; par.Map
-	// returns them in (group, seed) order, so everything downstream sees
-	// the per-group sequential view. Each replay is guarded: a panic or
-	// blown wall budget quarantines the (plan, seed) pair and yields a
-	// missed run, never a round failure.
-	nSeeds := len(e.Seeds)
-	results, err := par.Map(ctx, len(groups)*nSeeds, e.Workers, func(i int) (replayResult, error) {
-		group, seed := groups[i/nSeeds], e.Seeds[i%nSeeds]
-		if e.isQuarantined(group, seed) {
-			return replayResult{missed: true}, nil
-		}
-		exec, _, rerr := e.runOne(preps[i/nSeeds], group, seed, nil)
-		if rerr != nil {
-			e.addQuarantine(group, seed, rerr)
-			return replayResult{missed: true}, nil
-		}
-		return replayResult{exec: exec}, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("inject: re-execution: %w", err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.monitors == nil {
-		ms, err := predicate.CompileMonitors(e.Corpus, e.Baselines, e.Cfg)
-		if err != nil {
-			return nil, fmt.Errorf("inject: %w", err)
-		}
-		e.monitors = ms
-	}
 	out := make([][]core.Observation, len(groups))
 	for gi, preds := range groups {
-		obs, err := e.observe(results[gi*nSeeds:(gi+1)*nSeeds], preds)
+		obs, err := e.Intervene(ctx, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -390,41 +389,63 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 	return out, nil
 }
 
-// observe turns one group's replay bundle into observations; the caller
-// holds e.mu and the monitors are compiled. Observed spans every corpus
-// predicate but F and the intervened group: an intervened predicate is
-// repaired by construction (¬C(r_C) in Definition 2), though injections
-// can perturb timing enough to re-trigger it, so it is pinned to false.
-// The observation maps escape into the scheduler memo; nothing else is
-// allocated once the monitors' scratch has grown.
-func (e *Executor) observe(bundle []replayResult, preds []predicate.ID) ([]core.Observation, error) {
-	ids := e.monitors.IDs()
-	out := make([]core.Observation, 0, len(bundle))
-	for i := range bundle {
-		if bundle[i].missed {
+// replay runs one guarded replay of the group's plan and observes it
+// inside the replay, from the machine's logs, before the machine goes
+// back to the pool. It is safe to run concurrently. The zero
+// Observation (nil Observed) is a missed run: the (plan, seed) pair was
+// quarantined before, or is now, because its replay panicked or blew
+// the wall budget.
+func (e *Executor) replay(ms *predicate.Monitors, pp *sim.Prepared, preds []predicate.ID, seed int64) (obs core.Observation) {
+	if e.isQuarantined(preds, seed) {
+		return obs
+	}
+	_, err := e.runOne(pp, preds, seed, func(v sim.Verdict, l *trace.RunLog) {
+		ms.EvalLog(l, func(hit []bool) { obs = e.observation(ms.IDs(), v, hit, preds) })
+	})
+	if err != nil {
+		e.addQuarantine(preds, seed, err)
+		return core.Observation{}
+	}
+	return obs
+}
+
+// observation turns one replay's verdict and occurrence bits into its
+// observation. Observed spans every corpus predicate but F and the
+// intervened group: an intervened predicate is repaired by construction
+// (¬C(r_C) in Definition 2), though injections can perturb timing
+// enough to re-trigger it, so it is pinned to false. The map escapes
+// into the scheduler memo.
+func (e *Executor) observation(ids []predicate.ID, v sim.Verdict, hit []bool, preds []predicate.ID) core.Observation {
+	cnt := 0
+	for j := range hit {
+		hit[j] = hit[j] && ids[j] != predicate.FailureID && !containsID(preds, ids[j])
+		if hit[j] {
+			cnt++
+		}
+	}
+	// Counted first so the escaping map is allocated at its final size.
+	obs := core.Observation{Failed: e.persists(v), Observed: make(map[predicate.ID]bool, cnt)}
+	for j, ok := range hit {
+		if ok {
+			obs.Observed[ids[j]] = true
+		}
+	}
+	return obs
+}
+
+// tally counts one group's replays, in seed order, and drops its missed
+// runs from obs in place.
+func (e *Executor) tally(obs []core.Observation, preds []predicate.ID) ([]core.Observation, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := obs[:0]
+	for _, o := range obs {
+		if o.Observed == nil {
 			e.Missed++
 			continue
 		}
 		e.RunsUsed++
-		exec := &bundle[i].exec
-		hit, cnt := e.monitors.Eval(exec), 0
-		for j := range hit {
-			hit[j] = hit[j] && ids[j] != predicate.FailureID && !containsID(preds, ids[j])
-			if hit[j] {
-				cnt++
-			}
-		}
-		// Counted first so the escaping map is allocated at its final size.
-		obs := core.Observation{
-			Failed:   e.persists(sim.Verdict{Failed: exec.Failed(), Sig: exec.FailureSig}),
-			Observed: make(map[predicate.ID]bool, cnt),
-		}
-		for j, ok := range hit {
-			if ok {
-				obs.Observed[ids[j]] = true
-			}
-		}
-		out = append(out, obs)
+		out = append(out, o)
 	}
 	if len(out) == 0 {
 		// Every replay of the group is quarantined: there is no evidence

@@ -102,7 +102,7 @@ func BenchmarkMonitorsCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompileMonitors(c, baselines, Config{DurationMargin: 4}); err != nil {
+		if _, err := CompileMonitors(c, trace.Symbols{}, baselines, Config{DurationMargin: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func BenchmarkMonitorsCompile(b *testing.B) {
 // per-round cost of the intervention loop.
 func BenchmarkMonitorsEval(b *testing.B) {
 	c, baselines, replays := splitBenchSet(40, 30)
-	ms, err := CompileMonitors(c, baselines, Config{DurationMargin: 4})
+	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, Config{DurationMargin: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func newCorpusIndex(execs []trace.Execution) *corpusIndex {
 		}
 		x.succs++
 		for j := range execs[i].Calls {
-			x.stats[x.callKey[x.callOff[i]+j]].add(&execs[i].Calls[j])
+			x.stats[x.callKey[x.callOff[i]+j]].add(factsOf(&execs[i].Calls[j]))
 		}
 	}
 	x.sweep()
@@ -319,29 +319,44 @@ func stampFailures(execs []trace.Execution, c *Corpus) {
 	}
 }
 
+// callFacts is what the per-call rules read of one call, from either
+// form of a run (an Execution's call or a RunLog's span): its window,
+// whether it threw, and its return value.
+type callFacts struct {
+	start, end trace.Time
+	failed     bool
+	ret        trace.Value
+}
+
+func factsOf(c *trace.MethodCall) callFacts { return callFacts{c.Start, c.End, c.Failed(), c.Return} }
+
+func spanFacts(s *trace.Span) callFacts { return callFacts{s.Start, s.End, s.Failed(), s.Return} }
+
+func (f *callFacts) duration() trace.Time { return f.end - f.start }
+
 // add folds one success-run call of the instance into the baseline.
-func (st *succStats) add(call *trace.MethodCall) {
+func (st *succStats) add(call callFacts) {
 	if st.present == 0 {
-		st.minDur, st.maxDur, st.retConsistent = call.Duration(), call.Duration(), true
+		st.minDur, st.maxDur, st.retConsistent = call.duration(), call.duration(), true
 	}
 	st.present++
-	if d := call.Duration(); d < st.minDur {
+	if d := call.duration(); d < st.minDur {
 		st.minDur = d
 	} else if d > st.maxDur {
 		st.maxDur = d
 	}
-	if call.Start > st.maxStart {
-		st.maxStart = call.Start
+	if call.start > st.maxStart {
+		st.maxStart = call.start
 	}
-	if call.Failed() {
+	if call.failed {
 		// A throwing success-run call has no usable return value.
 		st.retConsistent = false
 		return
 	}
 	if !st.retSet {
-		st.ret = call.Return
+		st.ret = call.ret
 		st.retSet = true
-	} else if !st.ret.Equal(call.Return) {
+	} else if !st.ret.Equal(call.ret) {
 		st.retConsistent = false
 	}
 }
@@ -352,27 +367,27 @@ func (st *succStats) add(call *trace.MethodCall) {
 // call's thread strictly encloses it, and is asked only of a late call.
 // It is the one definition that extraction and the replay monitors
 // share.
-func holds(k Kind, call *trace.MethodCall, st *succStats, margin trace.Time, root func() bool) bool {
+func holds(k Kind, call callFacts, st *succStats, margin trace.Time, root func() bool) bool {
 	if k == KindMethodFails {
-		return call.Failed()
+		return call.failed
 	}
 	if st == nil {
 		return false
 	}
 	switch k {
 	case KindTooSlow:
-		return call.Duration() > st.maxDur+margin
+		return call.duration() > st.maxDur+margin
 	case KindTooFast:
-		return !call.Failed() && call.Duration() < st.minDur-margin
+		return !call.failed && call.duration() < st.minDur-margin
 	case KindStartsLate:
 		// Lateness of a nested call is subsumed by its enclosing span's
 		// behaviour; only thread-root spans carry a meaningful
 		// scheduling-lateness signal (§4 Case 2: the caller's late start
 		// causes the callee's).
-		return call.Start > st.maxStart+margin && root()
+		return call.start > st.maxStart+margin && root()
 	case KindWrongReturn:
 		_, ok := st.usableRet()
-		return ok && !call.Failed() && !call.Return.Void && !call.Return.Equal(st.ret)
+		return ok && !call.failed && !call.ret.Void && !call.ret.Equal(st.ret)
 	}
 	return false
 }
@@ -392,9 +407,10 @@ func (x *corpusIndex) extractPerCall(c *Corpus, cfg Config) {
 			f := x.callOff[i] + j
 			k := x.callKey[f]
 			st := x.baseline(k)
+			facts := factsOf(call)
 			root := func() bool { return x.root[f] }
 			for ki, kind := range perCallKinds {
-				if !holds(kind, call, st, cfg.DurationMargin, root) {
+				if !holds(kind, facts, st, cfg.DurationMargin, root) {
 					continue
 				}
 				h := &handles[int(k)*nk+ki]
@@ -454,23 +470,24 @@ func (st *succStats) usableRet() (int64, bool) {
 	return 0, false
 }
 
-// accessWindow summarizes one span's accesses to one object: the time
-// interval from its first to its last access, whether any access is a
-// write, and the set of locks held by every access (a race needs one
-// unprotected conflicting pair, so only locks held across the whole
-// window rule a pair out).
-type accessWindow struct {
-	call     *trace.MethodCall
+// accessWindow summarizes one span's accesses to one object: its
+// thread, the time interval from its first to its last access, whether
+// any access is a write, and the set of locks held by every access (a
+// race needs one unprotected conflicting pair, so only locks held
+// across the whole window rule a pair out). Locks are mutex names in
+// extraction and a run's mutex ids in the monitors.
+type accessWindow[L comparable] struct {
+	thread   trace.ThreadID
 	start    trace.Time
 	end      trace.Time
 	hasWrite bool
-	locks    []string // intersection of the window's access locksets
+	locks    []L // intersection of the window's access locksets
 }
 
 // raceWindow is extractRaces's access window, with its object and its
 // call's method.
 type raceWindow struct {
-	accessWindow
+	accessWindow[string]
 	m, o int32
 }
 
@@ -525,7 +542,7 @@ func (x *corpusIndex) extractRaces(c *Corpus) {
 					var held []string
 					locks, held = cloneLocks(locks, acc.Locks)
 					wins = append(wins, raceWindow{
-						accessWindow: accessWindow{call: call, start: acc.At, end: acc.At, locks: held},
+						accessWindow: accessWindow[string]{thread: call.Thread, start: acc.At, end: acc.At, locks: held},
 						m:            m,
 						o:            o,
 					})
@@ -602,36 +619,15 @@ func (x *corpusIndex) raceHandle(c *Corpus, handles [][]raceEntry, m1, m2, o int
 // races reports whether two calls' access windows on one object race:
 // different threads, at least one write, strictly interleaved windows
 // (each starts before the other ends), and no lock held across both.
-func races(a, b *accessWindow) bool {
-	return a.call.Thread != b.call.Thread && (a.hasWrite || b.hasWrite) &&
+func races[L comparable](a, b *accessWindow[L]) bool {
+	return a.thread != b.thread && (a.hasWrite || b.hasWrite) &&
 		a.start < b.end && b.start < a.end && !sharesLock(a.locks, b.locks)
-}
-
-// windowOn is call's access window on obj, as extractRaces builds it;
-// ok is false when the call does not touch obj. The lockset is carved
-// from *buf.
-func windowOn(call *trace.MethodCall, obj trace.ObjectID, buf *[]string) (w accessWindow, ok bool) {
-	for i := range call.Accesses {
-		acc := &call.Accesses[i]
-		if acc.Object != obj {
-			continue
-		}
-		if !ok {
-			w, ok = accessWindow{call: call, start: acc.At, end: acc.At}, true
-			*buf, w.locks = cloneLocks(*buf, acc.Locks)
-		} else {
-			w.start, w.end = min(w.start, acc.At), max(w.end, acc.At)
-			w.locks = intersectInPlace(w.locks, acc.Locks)
-		}
-		w.hasWrite = w.hasWrite || acc.Kind == trace.Write
-	}
-	return w, ok
 }
 
 // cloneLocks copies locks onto the end of buf and returns the grown
 // buffer and the copy. The copy's capacity ends at its length, so
 // intersectInPlace never writes into a neighbouring window's lockset.
-func cloneLocks(buf, locks []string) (grown, clone []string) {
+func cloneLocks[L comparable](buf, locks []L) (grown, clone []L) {
 	n := len(buf)
 	buf = append(buf, locks...)
 	return buf, buf[n:len(buf):len(buf)]
@@ -639,7 +635,7 @@ func cloneLocks(buf, locks []string) (grown, clone []string) {
 
 // intersectInPlace filters a down to the elements also present in b,
 // reusing a's backing (a is always a cloneLocks copy here).
-func intersectInPlace(a, b []string) []string {
+func intersectInPlace[L comparable](a, b []L) []L {
 	n := 0
 	for _, x := range a {
 		for _, y := range b {
@@ -653,7 +649,7 @@ func intersectInPlace(a, b []string) []string {
 	return a[:n]
 }
 
-func sharesLock(a, b []string) bool {
+func sharesLock[L comparable](a, b []L) bool {
 	for _, x := range a {
 		for _, y := range b {
 			if x == y {
@@ -865,13 +861,16 @@ func conflicting[O cmp.Ordered](a, b accessProfile[O]) bool {
 // repaired at method granularity and the intervention is marked unsafe.
 
 // atomAccess is one object access in an execution's per-object access
-// sequence. key is the call's interned key; the monitors, which match
-// calls by method and instance, leave it 0.
+// sequence: its time and kind, and its call's thread and index (in the
+// execution's calls, or the run log's spans). ref is the reader's:
+// extraction's interned key of the call, or the monitors' index of the
+// access in the run log.
 type atomAccess struct {
-	call *trace.MethodCall
-	at   trace.Time
-	kind trace.AccessKind
-	key  int32
+	at     trace.Time
+	thread trace.ThreadID
+	kind   trace.AccessKind
+	span   int32
+	ref    int32
 }
 
 // atomCandidate is a candidate pair (A, B) on object o, held on the
@@ -894,7 +893,7 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 	cands := make([][]atomCandidate, len(x.keys))
 	var objs []int32
 	find := func(a, b *atomAccess, o int32) (int, bool) {
-		return slices.BinarySearchFunc(cands[a.key], atomCandidate{b: b.key, o: o}, func(p, q atomCandidate) int {
+		return slices.BinarySearchFunc(cands[a.ref], atomCandidate{b: b.ref, o: o}, func(p, q atomCandidate) int {
 			return cmp.Or(cmp.Compare(p.b, q.b), cmp.Compare(p.o, q.o))
 		})
 	}
@@ -914,7 +913,7 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 					objs = append(objs, o)
 				}
 				acc := &call.Accesses[k]
-				byObj[o] = append(byObj[o], atomAccess{call: call, at: acc.At, kind: acc.Kind, key: key})
+				byObj[o] = append(byObj[o], atomAccess{at: acc.At, thread: call.Thread, kind: acc.Kind, span: int32(j), ref: key})
 			}
 		}
 		slices.Sort(objs)
@@ -932,9 +931,9 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 		scan(row, func(a, b *atomAccess, o int32, violated bool) {
 			i, found := find(a, b, o)
 			if !found {
-				cands[a.key] = slices.Insert(cands[a.key], i, atomCandidate{b: b.key, o: o, h: -1})
+				cands[a.ref] = slices.Insert(cands[a.ref], i, atomCandidate{b: b.ref, o: o, h: -1})
 			}
-			cands[a.key][i].violated = cands[a.key][i].violated || violated
+			cands[a.ref][i].violated = cands[a.ref][i].violated || violated
 		})
 	}
 	for row := range x.execs {
@@ -946,12 +945,12 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 				return
 			}
 			i, found := find(a, b, o)
-			if !found || cands[a.key][i].violated {
+			if !found || cands[a.ref][i].violated {
 				return
 			}
-			cd := &cands[a.key][i]
+			cd := &cands[a.ref][i]
 			if cd.h < 0 {
-				cd.h = x.atomHandle(c, &x.execs[row], x.keys[a.key], x.keys[b.key], x.objs[o])
+				cd.h = x.atomHandle(c, &x.execs[row], x.keys[a.ref], x.keys[b.ref], x.objs[o])
 			}
 			c.SetOcc(row, cd.h, Occurrence{Start: a.at, End: b.at, Thread: NoThread})
 		})
@@ -999,12 +998,12 @@ func atomPairs(accs []atomAccess, record func(a, b *atomAccess, violated bool)) 
 	for x := 0; x < len(accs); x++ {
 		for y := x + 1; y < len(accs); y++ {
 			a, b := &accs[x], &accs[y]
-			if a.call.Thread != b.call.Thread || a.call == b.call {
+			if a.thread != b.thread || a.span == b.span {
 				continue
 			}
 			violated := false
 			for z := x + 1; z < y; z++ {
-				if w := &accs[z]; w.call.Thread != a.call.Thread && w.kind == trace.Write {
+				if w := &accs[z]; w.thread != a.thread && w.kind == trace.Write {
 					violated = true
 					break
 				}
@@ -1018,34 +1017,6 @@ func atomPairs(accs []atomAccess, record func(a, b *atomAccess, violated bool)) 
 // atomID names the atomicity violation of ka then kb on obj.
 func atomID(ka, kb instKey, obj trace.ObjectID) ID {
 	return ID("atom:" + ka.String() + "," + kb.String() + "@" + string(obj))
-}
-
-// isThreadRoot reports whether no other same-thread span strictly
-// encloses the call.
-func isThreadRoot(e *trace.Execution, call *trace.MethodCall) bool {
-	for i := range e.Calls {
-		if strictlyEncloses(&e.Calls[i], call) {
-			return false
-		}
-	}
-	return true
-}
-
-// enclosesSpan reports whether p strictly encloses another span of e.
-func enclosesSpan(e *trace.Execution, p *trace.MethodCall) bool {
-	for i := range e.Calls {
-		if strictlyEncloses(p, &e.Calls[i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// strictlyEncloses reports whether p is another span of c's thread that
-// covers c's window and is longer than it.
-func strictlyEncloses(p, c *trace.MethodCall) bool {
-	return p != c && p.Thread == c.Thread && p.Start <= c.Start && p.End >= c.End &&
-		(p.Start < c.Start || p.End > c.End)
 }
 
 // commonParent returns the innermost span of the pair's thread that

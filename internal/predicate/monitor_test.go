@@ -37,7 +37,7 @@ func referenceBits(c *Corpus, baselines, replays []trace.Execution, cfg Config) 
 func evalMatches(t *testing.T, c *Corpus, baselines, replays []trace.Execution, id ID) []bool {
 	t.Helper()
 	cfg := Config{DurationMargin: 4}
-	ms, err := CompileMonitors(c, baselines, cfg)
+	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestMonitorsAtomicityBaselineFacts(t *testing.T) {
 func TestMonitorsRejectFailedBaselines(t *testing.T) {
 	set := benchSet(9, 10) // every third execution fails
 	c := Extract(set, Config{DurationMargin: 4})
-	if _, err := CompileMonitors(c, set.Executions, Config{DurationMargin: 4}); err == nil {
+	if _, err := CompileMonitors(c, trace.Symbols{}, set.Executions, Config{DurationMargin: 4}); err == nil {
 		t.Fatal("failed baseline accepted")
 	}
 }
@@ -184,7 +184,7 @@ func TestMonitorsIgnoreMismatchedIDs(t *testing.T) {
 	}
 	replay := raceExec("r", trace.Failure, true, nil)
 	replay.Calls[0].Exception = "Boom" // Reader fails and races, as the fields say
-	ms, err := CompileMonitors(c, baselines, Config{DurationMargin: 4})
+	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, Config{DurationMargin: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func requireBits(t *testing.T, c *Corpus, ms *Monitors, baselines, round []trace
 func TestExtractorSubsetReplays(t *testing.T) {
 	cfg := Config{DurationMargin: 4}
 	c, baselines, replays := splitBench(t, cfg)
-	ms, err := CompileMonitors(c, baselines, cfg)
+	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestExtractorSubsetReplays(t *testing.T) {
 func TestExtractReplaysMatchesExtract(t *testing.T) {
 	cfg := Config{DurationMargin: 4}
 	c, baselines, replays := splitBench(t, cfg)
-	ms, err := CompileMonitors(c, baselines, cfg)
+	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,6 +170,21 @@ func (p *Program) ensureCompiled() (*compiled, error) {
 	return c, nil
 }
 
+// Symbols returns the program's symbol tables, which name the ids in
+// the logs Observe hands out: a span's Fn indexes Funcs (in name order)
+// and an access's Obj indexes Objects (the globals, then the arrays).
+func (p *Program) Symbols() (trace.Symbols, error) {
+	c, err := p.ensureCompiled()
+	if err != nil {
+		return trace.Symbols{}, err
+	}
+	fns := make([]string, len(c.funcs))
+	for i := range c.funcs {
+		fns[i] = c.funcs[i].name
+	}
+	return trace.Symbols{Funcs: fns, Objects: slices.Clone(c.objects)}, nil
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

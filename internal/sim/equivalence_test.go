@@ -20,7 +20,8 @@ import (
 // timestamps and the scheduler's RNG draws are step counters.
 
 // assertEngineParity runs p under both engines for each seed and fails
-// on the first byte difference.
+// on the first byte difference, and requires the compiled run's logs
+// to describe the interpreter's trace.
 func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxSteps int) {
 	t.Helper()
 	for _, seed := range seeds {
@@ -44,6 +45,52 @@ func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxS
 			t.Fatalf("%s seed %d: engines diverge\ninterpreter: %s\ncompiled:    %s",
 				p.Name, seed, wj, gj)
 		}
+		assertLogMatches(t, p, plan, seed, maxSteps, want)
+	}
+}
+
+// assertLogMatches requires the logs Observe hands out for (p, plan,
+// seed) to hold what the trace want holds: the same spans in the same
+// order, with the same methods, instance numbers, threads, windows,
+// returns and failures, and each span's accesses, logged in strictly
+// increasing time, with the same objects, kinds, times and lockset
+// sizes.
+func assertLogMatches(t *testing.T, p *Program, plan Plan, seed int64, maxSteps int, want trace.Execution) {
+	t.Helper()
+	pp, err := Prepare(p, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms, err := p.Symbols()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pp.Observe(seed, Budget{MaxSteps: maxSteps}, func(_ Verdict, l *trace.RunLog) {
+		if len(l.Spans) != len(want.Calls) {
+			t.Fatalf("%s seed %d: %d logged spans, %d calls", p.Name, seed, len(l.Spans), len(want.Calls))
+		}
+		next := make([]int, len(want.Calls)) // per span, its call's next access
+		for k, a := range l.Accesses {
+			c := &want.Calls[a.Span]
+			if k > 0 && a.At <= l.Accesses[k-1].At || next[a.Span] == len(c.Accesses) {
+				t.Fatalf("%s seed %d: logged access %d %+v out of order or extra", p.Name, seed, k, a)
+			}
+			w := &c.Accesses[next[a.Span]]
+			next[a.Span]++
+			if syms.Objects[a.Obj] != w.Object || trace.AccessKind(a.Kind) != w.Kind || a.At != w.At || len(l.Lockset(a.Lockset)) != len(w.Locks) {
+				t.Fatalf("%s seed %d: logged access %+v, traced %+v", p.Name, seed, a, *w)
+			}
+		}
+		for i, s := range l.Spans {
+			c := &want.Calls[i]
+			if syms.Funcs[s.Fn] != c.Method || s.Instance != c.Instance || s.Thread != c.Thread || s.Start != c.Start ||
+				s.End != c.End || s.Return != c.Return || s.Failed() != c.Failed() || next[i] != len(c.Accesses) {
+				t.Fatalf("%s seed %d: logged span %d %+v, traced %+v", p.Name, seed, i, s, *c)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -398,7 +445,6 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		n = 15
 	}
-	never := func(Verdict) bool { return false }
 	endings := map[string]int{}
 	check := func(p *Program, plan Plan, seed int64, maxSteps int) {
 		t.Helper()
@@ -426,7 +472,7 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 		if v != wantV || !reflect.DeepEqual(kept, want) {
 			t.Fatalf("%s seed %d: kept RunIf differs from Run", p.Name, seed)
 		}
-		_, v, err = pp.RunGuardedIf(seed, Budget{MaxSteps: maxSteps}, never)
+		v, err = pp.Observe(seed, Budget{MaxSteps: maxSteps}, nil)
 		if err != nil || v != wantV {
 			t.Fatalf("%s seed %d: guarded verdict-only run = %+v, %v; want %+v", p.Name, seed, v, err, wantV)
 		}
@@ -457,7 +503,7 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v, err := panicky.RunGuardedIf(4, Budget{}, never)
+	v, err := panicky.Observe(4, Budget{}, nil)
 	var pe *ReplayPanicError
 	if !errors.As(err, &pe) || pe.Seed != 4 || v != (Verdict{}) {
 		t.Fatalf("panicking verdict-only run: %+v, %T %v", v, err, err)
@@ -466,17 +512,17 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v, err = spin.RunGuardedIf(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, never)
+	v, err = spin.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Seed != 1 || v != (Verdict{}) {
 		t.Fatalf("over-budget verdict-only run: %+v, %T %v", v, err, err)
 	}
-	// keep is never consulted on a blown budget: nothing to assemble.
-	_, _, err = spin.RunGuardedIf(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, func(Verdict) bool {
-		t.Fatal("keep consulted for an over-budget run")
-		return true
+	// observe is never called on a blown budget: there is nothing to
+	// read.
+	_, err = spin.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, func(Verdict, *trace.RunLog) {
+		t.Fatal("observe called for an over-budget run")
 	})
 	if !errors.As(err, &be) {
-		t.Fatalf("over-budget kept run: %T %v", err, err)
+		t.Fatalf("over-budget observed run: %T %v", err, err)
 	}
 }

@@ -66,28 +66,47 @@ func (e *BudgetError) Error() string {
 // with fault containment (see the package-file comment). The returned
 // error is nil, a *ReplayPanicError, or a *BudgetError; the execution
 // is valid only when the error is nil.
-func (pp *Prepared) RunGuarded(seed int64, b Budget) (trace.Execution, error) {
-	exec, _, err := pp.RunGuardedIf(seed, b, nil)
-	return exec, err
+func (pp *Prepared) RunGuarded(seed int64, b Budget) (exec trace.Execution, err error) {
+	if _, err = pp.guarded(seed, b, func(m *machine, _ Verdict) { exec = m.buildExecution(seed) }); err != nil {
+		return trace.Execution{}, err
+	}
+	return exec, nil
 }
 
-// RunGuardedIf is RunGuarded that assembles the trace only when keep
-// accepts the run's verdict (nil keep accepts every run), like RunIf.
-// The verdict is valid only when the error is nil; a run that blows
-// its wall budget is never assembled.
-func (pp *Prepared) RunGuardedIf(seed int64, b Budget, keep func(Verdict) bool) (exec trace.Execution, v Verdict, err error) {
+// Observe is RunGuarded for callers that read the run's logs, not its
+// trace: no trace is assembled, and observe (when non-nil) receives the
+// verdict and a read-only view of the logs before the machine goes back
+// to the pool. observe must not keep the view, and is not called for a
+// run that blows its wall budget; a panic inside it is contained like
+// one inside the run. With a nil observe, Observe is a guarded
+// verdict-only run. The logs hold what the assembled trace would: the
+// same spans in the same order with the same instance numbers, and the
+// same accesses, in time order.
+func (pp *Prepared) Observe(seed int64, b Budget, observe func(Verdict, *trace.RunLog)) (Verdict, error) {
+	return pp.guarded(seed, b, func(m *machine, v Verdict) {
+		if observe != nil {
+			observe(v, m.runLog())
+		}
+	})
+}
+
+// guarded is simulate with the guard's containments: done is called
+// only for a run within its wall budget, and a panic in the run or in
+// done becomes a *ReplayPanicError (simulate leaves a panicked machine
+// out of the pool: its invariants are unknown).
+func (pp *Prepared) guarded(seed int64, b Budget, done func(*machine, Verdict)) (v Verdict, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			// run leaves a panicked machine out of the pool: its
-			// invariants are unknown.
-			exec, v, err = trace.Execution{}, Verdict{}, &ReplayPanicError{Seed: seed, Value: rec}
+			v, err = Verdict{}, &ReplayPanicError{Seed: seed, Value: rec}
 		}
 	}()
-	exec, v = pp.run(nil, seed, b, nil, func(v Verdict) bool {
-		return v.Sig != SigBudget && (keep == nil || keep(v))
+	v = pp.simulate(nil, seed, b, func(m *machine, v Verdict) {
+		if v.Sig != SigBudget {
+			done(m, v)
+		}
 	})
 	if v.Sig == SigBudget {
-		return trace.Execution{}, Verdict{}, &BudgetError{Seed: seed, Budget: b.WallClock}
+		return Verdict{}, &BudgetError{Seed: seed, Budget: b.WallClock}
 	}
-	return exec, v, nil
+	return v, nil
 }

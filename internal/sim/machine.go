@@ -11,21 +11,24 @@ import (
 
 // machine is the mutable state of one compiled execution: slot slices
 // instead of string-keyed maps, a flat control stack instead of frame
-// objects, and append-only span/access logs distributed into the
-// returned trace at the end of the run. The logs are symbol-indexed
-// (function, object, exception, lockset and mutex ids, no names) and
-// hold no pointers, so the loop pays no GC write barriers for them.
-// Machines are pooled and reset between runs, so steady-state replay
-// allocates only the buffers that escape into the returned
-// trace.Execution, and a run whose trace is not assembled allocates
-// nothing.
+// objects, and append-only span/access logs, which a caller reads as
+// they are (Observe hands out a trace.RunLog over them) or has
+// distributed into an assembled trace at the end of the run. The logs
+// are symbol-indexed (function, object, exception, lockset and mutex
+// ids, no names) and hold no pointers, so the loop pays no GC write
+// barriers for them. Machines are pooled and reset between runs, so
+// steady-state replay allocates only the buffers that escape into an
+// assembled trace.Execution, and a run whose trace is not assembled
+// allocates nothing.
 //
-// The span log is already in canonical order (trace.Canonicalize's:
-// start, then thread, then method), so the trace needs no sort. Every
-// step runs at a later tick than the one before and opens at most one
-// span, so spans open in start order; the one tie is at tick 0, between
-// the entry span and a span its first step opens (see buildExecution).
-// Instance numbers come from a per-function counter as each call opens.
+// The span log is in canonical order (trace.Canonicalize's: start, then
+// thread, then method) once the run settles, so neither form needs a
+// sort. Every step runs at a later tick than the one before, opens at
+// most one span and records at most one access, so spans open in start
+// order and accesses are logged in time order with distinct times; the
+// one tie is at tick 0, between the entry span and a span its first
+// step opens (see settleTick0). Instance numbers come from a
+// per-function counter as each call opens.
 
 const (
 	mRun uint8 = iota
@@ -84,28 +87,6 @@ type mthread struct {
 	done    bool
 }
 
-// spanRec is one call span: a trace.MethodCall by symbol index, named
-// when the trace is assembled.
-type spanRec struct {
-	fn, inst, thread int32
-	exc              int32 // interned exception kind; -1 none
-	start, end       trace.Time
-	ret              int64
-	void             bool
-}
-
-// accRec is one shared-object access, tagged with its span so the
-// per-span access slices can be carved from a single exact-size arena
-// after the run. obj indexes compiled.objects; lockset indexes the
-// machine's lockset log, -1 for none held.
-type accRec struct {
-	span    int32
-	obj     int32
-	lockset int32
-	kind    uint8 // a trace.AccessKind
-	at      trace.Time
-}
-
 type machine struct {
 	pp *Prepared
 	// fast is src when it is the bit-exact fastSource: the scheduler
@@ -123,12 +104,18 @@ type machine struct {
 	arrays  [][]int64
 	owners  []int32 // per mutex slot: owning thread, -1 free
 
-	spans []spanRec
-	accs  []accRec
+	// The span and access logs: spans by function index (pp.c.funcs),
+	// accesses by object index (pp.c.objects) and tagged with their
+	// span, so the per-span access slices of an assembled trace can be
+	// carved from one exact-size arena.
+	spans []trace.Span
+	accs  []trace.SpanAccess
 	// The lockset log: lockset i holds the mutex slots
 	// lsSlots[lsEnd[i-1]:lsEnd[i]] (from 0 for i = 0), in rank order.
 	lsSlots []int32
 	lsEnd   []int32
+	// view is the RunLog over the logs that Observe hands out.
+	view trace.RunLog
 	// calls[f] counts the spans function f has opened this run: the
 	// next one's instance number.
 	calls []int32
@@ -265,22 +252,17 @@ func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (tr
 	return pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil, keep)
 }
 
-// run is the one compiled run path: reset m, loop, then assemble the
-// trace only if keep (nil = always) accepts the verdict. A nil m takes
-// a machine from the pool and returns it afterwards; a caller-supplied
-// machine (a test's, seeded from another source) stays the caller's.
-// Trace assembly costs from half as much as the simulation loop to as
-// much again (the six case studies' collection runs), and a run that
-// skips it allocates nothing, so callers that need only the verdict
-// skip a good part of a run's cost. A non-zero b.WallClock arms the
-// loop's wall-clock check (SigBudget). final, when non-nil, receives
-// the FinalState snapshot, taken before the machine returns to the
-// pool; it covers the compiled symbol tables' names — declared plus
-// op-referenced shared state, excluding plan-added injection slots —
-// matching the interpreter's captureFinal exactly. A panic escapes
-// before the machine is pooled, so a possibly-corrupt machine is left
-// to the collector.
-func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState, keep func(Verdict) bool) (exec trace.Execution, v Verdict) {
+// simulate is the one compiled run path: reset m, loop, settle the
+// span log's tick-0 tie, then hand the finished machine and its
+// verdict to done (when non-nil) before the machine goes back to the
+// pool. A nil m takes a machine from the pool and returns it
+// afterwards; a caller-supplied machine (a test's, seeded from another
+// source) stays the caller's. A run that neither assembles a trace nor
+// reads its logs allocates nothing. A non-zero b.WallClock arms the
+// loop's wall-clock check (SigBudget). A panic escapes before the
+// machine is pooled, so a possibly-corrupt machine is left to the
+// collector.
+func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machine, Verdict)) Verdict {
 	maxSteps := b.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
@@ -295,25 +277,82 @@ func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState, kee
 	}
 	m.pushCall(m.newThread(), pp.c.entryFn, -1, -1)
 	m.loop(maxSteps)
-	v = Verdict{Failed: m.failed, Sig: m.failSig}
-	if keep == nil || keep(v) {
-		exec = m.buildExecution(seed)
-	}
-	if final != nil {
-		final.Globals = make(map[string]int64, len(pp.c.globalNames))
-		for i, n := range pp.c.globalNames {
-			final.Globals[n] = m.globals[i]
-		}
-		final.Arrays = make(map[string][]int64, len(pp.c.arrayNames))
-		for i, n := range pp.c.arrayNames {
-			final.Arrays[n] = append([]int64(nil), m.arrays[i]...)
-		}
+	m.settleTick0()
+	v := Verdict{Failed: m.failed, Sig: m.failSig}
+	if done != nil {
+		done(m, v)
 	}
 	m.pp = nil
 	if pooled {
 		machinePool.Put(m)
 	}
+	return v
+}
+
+// run is simulate that assembles the trace only if keep (nil = always)
+// accepts the verdict. Trace assembly costs from half as much as the
+// simulation loop to as much again (the six case studies' collection
+// runs), so callers that need only the verdict skip a good part of a
+// run's cost. final, when non-nil, receives the FinalState snapshot; it
+// covers the compiled symbol tables' names — declared plus
+// op-referenced shared state, excluding plan-added injection slots —
+// matching the interpreter's captureFinal exactly.
+func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState, keep func(Verdict) bool) (exec trace.Execution, v Verdict) {
+	v = pp.simulate(m, seed, b, func(m *machine, v Verdict) {
+		if keep == nil || keep(v) {
+			exec = m.buildExecution(seed)
+		}
+		if final != nil {
+			m.snapshot(final)
+		}
+	})
 	return exec, v
+}
+
+// snapshot fills final with the run's globals and arrays by name.
+func (m *machine) snapshot(final *FinalState) {
+	c := m.pp.c
+	final.Globals = make(map[string]int64, len(c.globalNames))
+	for i, n := range c.globalNames {
+		final.Globals[n] = m.globals[i]
+	}
+	final.Arrays = make(map[string][]int64, len(c.arrayNames))
+	for i, n := range c.arrayNames {
+		final.Arrays[n] = append([]int64(nil), m.arrays[i]...)
+	}
+}
+
+// runLog is the read-only view of the machine's logs.
+func (m *machine) runLog() *trace.RunLog {
+	m.view = trace.RunLog{Spans: m.spans, Accesses: m.accs, LockIDs: m.lsSlots, LockEnd: m.lsEnd}
+	return &m.view
+}
+
+// settleTick0 puts the span log's one start-time tie in canonical
+// order. The entry span (thread 0) and the span its first step opens,
+// on thread 0 for a call or a new thread for a spawn, both start at
+// tick 0. Canonical order puts the lower (thread, method) first and, on
+// a self-call, the callee: Canonicalize's stable sort keeps the
+// completion order, and the callee completes first. Instance numbers
+// follow that order. Function indices are in name order, so comparing
+// them compares names. The accesses of the two spans follow them.
+func (m *machine) settleTick0() {
+	if len(m.spans) < 2 {
+		return
+	}
+	s0, s1 := &m.spans[0], &m.spans[1]
+	if s1.Start != 0 || s1.Thread != 0 || s1.Fn > s0.Fn {
+		return
+	}
+	*s0, *s1 = *s1, *s0
+	if s0.Fn == s1.Fn {
+		s0.Instance, s1.Instance = 0, 1
+	}
+	for i := range m.accs {
+		if a := &m.accs[i]; a.Span < 2 {
+			a.Span = 1 - a.Span
+		}
+	}
 }
 
 func (m *machine) loop(maxSteps int) {
@@ -433,8 +472,9 @@ func evalCmp(op uint8, a, b int64) bool {
 func (m *machine) pushCall(ti, fnIdx, dstSlot, retPC int32) {
 	th := m.threads[ti]
 	spanIdx := int32(len(m.spans))
-	m.spans = append(m.spans, spanRec{
-		fn: fnIdx, inst: m.calls[fnIdx], thread: ti, exc: -1, start: m.now, void: true,
+	m.spans = append(m.spans, trace.Span{
+		Fn: fnIdx, Exc: -1, Instance: int(m.calls[fnIdx]), Thread: trace.ThreadID(ti),
+		Start: m.now, Return: trace.Value{Void: true},
 	})
 	m.calls[fnIdx]++
 	f := m.pp.fns[fnIdx]
@@ -489,8 +529,8 @@ func (m *machine) recordAccess(th *mthread, obj int32, kind trace.AccessKind) {
 			th.lockset = int32(len(m.lsEnd) - 1)
 		}
 	}
-	m.accs = append(m.accs, accRec{
-		span: th.curSpan, obj: obj, lockset: th.lockset, kind: uint8(kind), at: m.now,
+	m.accs = append(m.accs, trace.SpanAccess{
+		Span: th.curSpan, Obj: obj, Lockset: th.lockset, Kind: uint8(kind), At: m.now,
 	})
 }
 
@@ -730,10 +770,9 @@ func (m *machine) finalizeCall(ti int32, fr *ctlRec, retVoid bool, retInt int64,
 		}
 	}
 	span := &m.spans[fr.spanIdx]
-	span.end = m.now
-	span.void = retVoid
-	span.ret = retInt
-	span.exc = excIdx
+	span.End = m.now
+	span.Return = trace.Value{Void: retVoid, Int: retInt}
+	span.Exc = excIdx
 	if fr.dstSlot >= 0 && !retVoid {
 		th.locals[fr.dstSlot] = retInt
 	}
@@ -821,17 +860,17 @@ func (m *machine) finalizeOpenSpans() {
 				continue
 			}
 			span := &m.spans[fr.spanIdx]
-			span.end = m.now
+			span.End = m.now
 			if th.mode == mThrow {
-				span.exc = th.excIdx
+				span.Exc = th.excIdx
 			}
 		}
 		th.stack = th.stack[:0]
 	}
 }
 
-// buildExecution assembles the returned trace in canonical order: one
-// exact-size Calls slice, in span-log order, one exact-size Access
+// buildExecution assembles the returned trace in canonical order (the
+// settled span log's): one exact-size Calls slice, in span-log order, one exact-size Access
 // arena carved into per-span subslices, and one arena of lockset names
 // carved into each lockset's slice, shared by the accesses that held
 // it; method, object, exception and mutex names come from the symbol
@@ -873,7 +912,7 @@ func (m *machine) buildExecution(seed int64) trace.Execution {
 		m.accCount[i] = 0
 	}
 	for i := range m.accs {
-		m.accCount[m.accs[i].span]++
+		m.accCount[m.accs[i].Span]++
 	}
 	var total int32
 	for i, n := range m.accCount {
@@ -890,14 +929,14 @@ func (m *machine) buildExecution(seed int64) trace.Execution {
 		// literal would be copied in whole, under a bulk write barrier.
 		for i := range m.accs {
 			a := &m.accs[i]
-			acc := &arena[fill[a.span]]
-			acc.Object = c.objects[a.obj]
-			acc.Kind = trace.AccessKind(a.kind)
-			acc.At = a.at
-			if a.lockset >= 0 {
-				acc.Locks = lockset(a.lockset)
+			acc := &arena[fill[a.Span]]
+			acc.Object = c.objects[a.Obj]
+			acc.Kind = trace.AccessKind(a.Kind)
+			acc.At = a.At
+			if a.Lockset >= 0 {
+				acc.Locks = lockset(a.Lockset)
 			}
-			fill[a.span]++
+			fill[a.Span]++
 		}
 	}
 
@@ -905,30 +944,18 @@ func (m *machine) buildExecution(seed int64) trace.Execution {
 	for i := range calls {
 		s := &m.spans[i]
 		call := &calls[i]
-		call.Method = c.funcs[s.fn].name
-		call.Instance = int(s.inst)
-		call.Thread = trace.ThreadID(s.thread)
-		call.Start, call.End = s.start, s.end
-		call.Return = trace.Value{Void: s.void, Int: s.ret}
-		call.Injected = pp.fns[s.fn].inj >= 0
-		if s.exc >= 0 {
-			call.Exception = c.strs[s.exc]
+		call.Method = c.funcs[s.Fn].name
+		call.Instance = s.Instance
+		call.Thread = s.Thread
+		call.Start, call.End = s.Start, s.End
+		call.Return = s.Return
+		call.Injected = pp.fns[s.Fn].inj >= 0
+		if s.Exc >= 0 {
+			call.Exception = c.strs[s.Exc]
 		}
 		if n := m.accCount[i]; n > 0 {
 			end := m.accOff[i] // cursor == original offset + count
 			call.Accesses = arena[end-n : end : end]
-		}
-	}
-	// The tick-0 tie: the entry span (thread 0) and the span its first
-	// step opens, on thread 0 for a call or a new thread for a spawn.
-	// Canonical order puts the lower (thread, method) first and, on a
-	// self-call, the callee: Canonicalize's stable sort keeps the
-	// completion order, and the callee completes first. Instance
-	// numbers follow that order.
-	if len(calls) > 1 && calls[1].Start == 0 && calls[1].Thread == 0 && calls[1].Method <= calls[0].Method {
-		calls[0], calls[1] = calls[1], calls[0]
-		if calls[0].Method == calls[1].Method {
-			calls[0].Instance, calls[1].Instance = 0, 1
 		}
 	}
 	exec.Calls = calls

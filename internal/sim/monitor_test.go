@@ -184,8 +184,11 @@ func TestObserveMatchesExtractStudies(t *testing.T) {
 // TestMonitorsMatchExtractProperty compiles monitors for random
 // programs' corpora and checks them against the reference on replays
 // under random seeds and plans, from the equivalence generator (run in
-// a two-worker harness). Every predicate kind must occur in some
-// replay, or the generated set no longer exercises its monitor.
+// a two-worker harness). Each replay is evaluated twice, from the
+// machine's logs (sim.Observe) as the executor reads it and as an
+// assembled execution, and both must match. Every predicate kind must
+// occur in some replay, or the generated set no longer exercises its
+// monitor.
 func TestMonitorsMatchExtractProperty(t *testing.T) {
 	const n = 400
 	r := rand.New(rand.NewSource(20261017))
@@ -193,6 +196,15 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p := sim.GenProgram(r, i)
 		harness(r, p)
+		syms, err := p.Symbols()
+		if err != nil {
+			t.Fatal(err)
+		}
+		type replay struct {
+			pp   *sim.Prepared
+			seed int64
+		}
+		var logs []replay
 		run := func(plan sim.Plan, outcome trace.Outcome, seeds ...int64) []trace.Execution {
 			pp, err := sim.Prepare(p, plan)
 			if err != nil {
@@ -202,6 +214,7 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 			for j, seed := range seeds {
 				out[j] = pp.Run(seed, 2000)
 				out[j].Outcome = outcome
+				logs = append(logs, replay{pp, seed})
 			}
 			return out
 		}
@@ -216,26 +229,40 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 		// Replays: the corpus plan and a fresh one under new seeds, and
 		// unplanned runs (replays are judged as failed whatever their
 		// outcome).
+		logs = nil
 		replays := slices.Concat(run(plan, trace.Failure, seedRange(5, 10)...),
 			run(sim.GenPlan(r, p), trace.Failure, seedRange(1, 4)...), run(nil, trace.Success, seedRange(21, 28)...))
+		replayLogs := logs
 		// Monitors against the corpus's own baselines, as the executor
 		// compiles them, and against other ones, where the baseline facts
 		// compiled into the monitors decide what can occur.
 		for _, base := range [][]trace.Execution{baselines, run(nil, trace.Success, seedRange(5, 12)...)} {
-			ms, err := predicate.CompileMonitors(corpus, base, cfg)
+			ms, err := predicate.CompileMonitors(corpus, syms, base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := referenceBits(corpus, base, replays, cfg)
 			for k := range replays {
-				got := ms.Eval(&replays[k])
-				for j, pr := range corpus.Preds {
-					if got[j] != want[k][j] {
-						t.Fatalf("program %d, replay %d: %s monitor says %v, reference %v", i, k, pr.ID, got[j], want[k][j])
+				check := func(form string, got []bool) {
+					for j, pr := range corpus.Preds {
+						if got[j] != want[k][j] {
+							t.Fatalf("program %d, replay %d (%s): %s monitor says %v, reference %v", i, k, form, pr.ID, got[j], want[k][j])
+						}
 					}
-					if got[j] {
-						seen[pr.Kind]++
-					}
+				}
+				check("execution", ms.Eval(&replays[k]))
+				rl := replayLogs[k]
+				if _, err := rl.pp.Observe(rl.seed, sim.Budget{MaxSteps: 2000}, func(_ sim.Verdict, l *trace.RunLog) {
+					ms.EvalLog(l, func(hit []bool) {
+						check("log", hit)
+						for j, pr := range corpus.Preds {
+							if hit[j] {
+								seen[pr.Kind]++
+							}
+						}
+					})
+				}); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

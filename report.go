@@ -249,14 +249,19 @@ func (r *Report) FormatExplanation() string {
 	return b.String()
 }
 
-// FormatFigure7 renders reports as the paper's Fig. 7 table.
+// FormatFigure7 renders reports as the paper's Fig. 7 table. The Issue
+// column is as wide as its widest label, header included.
 func FormatFigure7(reports []*Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %-14s %12s %12s %8s %8s %10s\n",
-		"Application", "Issue", "#Discrim(SD)", "#CausalPath", "AID", "TAGT", "TAGT-bound")
+	issueW := len("Issue")
 	for _, r := range reports {
-		fmt.Fprintf(&b, "%-16s %-14s %12d %12d %8d %8d %10d\n",
-			r.Study, r.Issue, r.Discriminative, r.CausalPathLen,
+		issueW = max(issueW, len(r.Issue))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-16s %-*s %12s %12s %8s %8s %10s\n",
+		"Application", issueW, "Issue", "#Discrim(SD)", "#CausalPath", "AID", "TAGT", "TAGT-bound")
+	for _, r := range reports {
+		fmt.Fprintf(&b, "%-16s %-*s %12d %12d %8d %8d %10d\n",
+			r.Study, issueW, r.Issue, r.Discriminative, r.CausalPathLen,
 			r.AIDInterventions, r.TAGTInterventions, r.TAGTWorstCase)
 	}
 	return b.String()

@@ -7,6 +7,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"aid"
@@ -61,7 +63,8 @@ func TestCaseStudyReportGoldens(t *testing.T) {
 // TestFormatFigure7Golden pins the paper's Fig. 7 table as
 // FormatFigure7 renders it from the six pinned reports: the goldens
 // decode into Reports, and the table must match testdata/figure7.txt
-// byte for byte (-update rewrites it).
+// byte for byte (-update rewrites it). Every row's numeric columns must
+// end where the header's labels do, whatever the width of its Issue.
 func TestFormatFigure7Golden(t *testing.T) {
 	var reports []*aid.Report
 	for _, s := range aid.CaseStudies() {
@@ -76,6 +79,14 @@ func TestFormatFigure7Golden(t *testing.T) {
 		reports = append(reports, &rep)
 	}
 	got := []byte(aid.FormatFigure7(reports))
+	lines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
+	header := fieldEnds(lines[0])
+	for _, row := range lines[1:] {
+		ends := fieldEnds(row)
+		if !slices.Equal(ends[len(ends)-5:], header[len(header)-5:]) {
+			t.Fatalf("row %q: numeric columns end at %v, the header's at %v", row, ends[len(ends)-5:], header[len(header)-5:])
+		}
+	}
 	path := filepath.Join("testdata", "figure7.txt")
 	if *updateGoldens {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -90,6 +101,18 @@ func TestFormatFigure7Golden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("Fig. 7 table drifted from %s:\n got:\n%s\nwant:\n%s", path, got, want)
 	}
+}
+
+// fieldEnds returns the offset just past each space-separated field of
+// line.
+func fieldEnds(line string) []int {
+	var ends []int
+	for i := range line {
+		if line[i] != ' ' && (i+1 == len(line) || line[i+1] == ' ') {
+			ends = append(ends, i+1)
+		}
+	}
+	return ends
 }
 
 func firstDiff(a, b []byte) int {
