@@ -134,6 +134,43 @@ func TestEquivalenceHandWrittenPrograms(t *testing.T) {
 	spawn.AddFunc("A", WriteGlobal{Var: "g", Src: Lit(1)})
 	spawn.AddFunc("Main", Spawn{Fn: "A", Dst: "t"}, Join{Thread: V("t")}, ReadGlobal{Var: "g", Dst: "x"})
 	assertEngineParity(t, spawn, seeds, nil, 0)
+
+	// Wake-ups caused by a thread that keeps running: an unlock hands
+	// the mutex to a blocked thread, a write releases a thread waiting
+	// on the flag, and an injected SignalAfter releases another method's
+	// WaitBefore. The waiter must become runnable at once, not when the
+	// releaser next blocks or exits. Main sleeps until the waiter has
+	// blocked, then releases it and writes g three times.
+	writes := []Op{
+		WriteGlobal{Var: "g", Src: Lit(1)}, WriteGlobal{Var: "g", Src: Lit(2)}, WriteGlobal{Var: "g", Src: Lit(3)},
+		Join{Thread: V("t")},
+	}
+	handoff := NewProgram("handoff", "Main")
+	handoff.Globals["g"] = 0
+	handoff.AddFunc("Waiter", Lock{Mu: "m"}, ReadGlobal{Var: "g", Dst: "x"}, Unlock{Mu: "m"})
+	handoff.AddFunc("Main", append([]Op{
+		Lock{Mu: "m"}, Spawn{Fn: "Waiter", Dst: "t"}, Sleep{Ticks: Lit(3)}, Unlock{Mu: "m"},
+	}, writes...)...)
+	assertEngineParity(t, handoff, seeds, nil, 0)
+	flag := NewProgram("flagwake", "Main")
+	flag.Globals["f"] = 0
+	flag.Globals["g"] = 0
+	flag.AddFunc("Waiter", WaitUntil{Var: "f", Val: Lit(1)}, ReadGlobal{Var: "g", Dst: "x"})
+	flag.AddFunc("Main", append([]Op{
+		Spawn{Fn: "Waiter", Dst: "t"}, Sleep{Ticks: Lit(3)}, WriteGlobal{Var: "f", Src: Lit(1)},
+	}, writes...)...)
+	assertEngineParity(t, flag, seeds, nil, 0)
+	signal := NewProgram("signalwake", "Main")
+	signal.Globals["g"] = 0
+	signal.AddFunc("A", ReadGlobal{Var: "g", Dst: "x"})
+	signal.AddFunc("Waiter", ReadGlobal{Var: "g", Dst: "x"})
+	signal.AddFunc("Main", append([]Op{
+		Spawn{Fn: "Waiter", Dst: "t"}, Sleep{Ticks: Lit(3)}, Call{Fn: "A"},
+	}, writes...)...)
+	assertEngineParity(t, signal, seeds, Plan{
+		"A":      {SignalAfter: []Signal{{Var: "aid.order:w", Val: 1}}},
+		"Waiter": {WaitBefore: []Signal{{Var: "aid.order:w", Val: 1}}},
+	}, 0)
 }
 
 func TestEquivalenceOrderInjection(t *testing.T) {
@@ -301,6 +338,243 @@ func (g *fuzzGen) op(depth int) Op {
 	}
 }
 
+// genSchedProgram is genProgram's scheduling-weighted mode: programs
+// whose runs turn on the events that change which threads can run.
+// Main draws alone, then spawns 65-72 threads in a loop that picks
+// each one's function with Random while the others run, and ends by
+// setting flags and joining threads that may be sleeping, blocked or
+// finished. The bodies hold mutexes across long sleeps (several
+// waiters per mutex, lock-order deadlocks), wait on flags other
+// threads write, sleep long and overlapping, join any thread id (their
+// own, or one not yet spawned, too), draw Random among many runnable
+// threads, and call the functions after them. Runs end in success or
+// deadlock; the test cuts them off to get hangs.
+func genSchedProgram(r *rand.Rand, id int) *Program {
+	p := NewProgram(fmt.Sprintf("sched%03d", id), "Main")
+	for _, g := range []string{"g0", "g1", "f0", "f1"} {
+		p.Globals[g] = 0
+	}
+	nThreads := 65 + r.Intn(8)
+	nFuncs := 2 + r.Intn(3)
+	names := make([]string, nFuncs)
+	for i := range names {
+		names[i] = fmt.Sprintf("F%d", i)
+	}
+	g := &schedGen{r: r, threads: nThreads}
+	for i := nFuncs - 1; i >= 0; i-- {
+		g.callable = names[i+1:]
+		p.AddFunc(names[i], g.block(3+r.Intn(4))...)
+	}
+	g.callable = names
+	main := []Op{Random{Dst: "k", N: Lit(5)}, Sleep{Ticks: Lit(int64(r.Intn(3)))}, Random{Dst: "k", N: Lit(3)}}
+	pick := []Op{Random{Dst: "k", N: Lit(int64(nFuncs))}}
+	for i, fn := range names {
+		pick = append(pick, If{Cond: Cond{A: V("k"), Op: EQ, B: Lit(int64(i))}, Then: []Op{Spawn{Fn: fn, Dst: "t"}}})
+	}
+	main = append(main,
+		Assign{Dst: "n", Src: Lit(0)},
+		While{Cond: Cond{A: V("n"), Op: LT, B: Lit(int64(nThreads))}, Body: append(pick,
+			Arith{Dst: "n", A: V("n"), Op: OpAdd, B: Lit(1)})},
+	)
+	main = append(main, g.block(2+r.Intn(3))...)
+	for _, f := range []string{"f0", "f1"} {
+		if r.Intn(3) != 0 {
+			main = append(main, WriteGlobal{Var: f, Src: Lit(1)})
+		}
+	}
+	for j := 0; j < 3; j++ {
+		main = append(main, Join{Thread: Lit(int64(1 + r.Intn(nThreads)))})
+	}
+	main = append(main, Join{Thread: V("t")}, Random{Dst: "k", N: Lit(7)}, ReadGlobal{Var: "g0", Dst: "x"})
+	p.AddFunc("Main", main...)
+	return p
+}
+
+type schedGen struct {
+	r        *rand.Rand
+	threads  int
+	callable []string
+}
+
+func (g *schedGen) block(n int) []Op {
+	ops := make([]Op, 0, n)
+	for i := 0; i < n; i++ {
+		ops = append(ops, g.op()...)
+	}
+	return ops
+}
+
+func (g *schedGen) op() []Op {
+	r := g.r
+	mu := fmt.Sprintf("m%d", r.Intn(2))
+	flag := fmt.Sprintf("f%d", r.Intn(2))
+	switch r.Intn(13) {
+	case 0, 1:
+		// A critical section across a long sleep: every other thread
+		// running this body queues on the mutex.
+		return []Op{Lock{Mu: mu}, Sleep{Ticks: Lit(int64(r.Intn(20)))}, WriteGlobal{Var: "g0", Src: Lit(1)}, Unlock{Mu: mu}}
+	case 2:
+		// Nested locks, in either order: lock-order deadlocks.
+		a, b := "m0", "m1"
+		if r.Intn(2) == 0 {
+			a, b = b, a
+		}
+		return []Op{Lock{Mu: a}, Sleep{Ticks: Lit(int64(r.Intn(3)))}, Lock{Mu: b}, Unlock{Mu: b}, Unlock{Mu: a}}
+	case 3:
+		return []Op{Sleep{Ticks: Lit(int64(r.Intn(40)))}}
+	case 4:
+		return []Op{WaitUntil{Var: flag, Val: Lit(1)}}
+	case 5:
+		// A flag set and, sometimes, cleared again: waiters released by
+		// a write may find it unset by the time they run.
+		ops := []Op{WriteGlobal{Var: flag, Src: Lit(1)}}
+		if r.Intn(3) == 0 {
+			ops = append(ops, WriteGlobal{Var: flag, Src: Lit(0)})
+		}
+		return ops
+	case 6:
+		// A thread not yet spawned (or out of range) throws; the handler
+		// keeps the run going.
+		return []Op{Try{Body: []Op{Join{Thread: Lit(int64(r.Intn(g.threads + 2)))}}, CatchKind: "*"}}
+	case 7:
+		return []Op{Random{Dst: "v", N: Lit(int64(1 + r.Intn(6)))}}
+	case 8:
+		return []Op{ReadGlobal{Var: "g1", Dst: "v"}, Arith{Dst: "v", A: V("v"), Op: OpAdd, B: Lit(1)}, WriteGlobal{Var: "g1", Src: V("v")}}
+	case 9, 12:
+		// A call returns into a thread that keeps running: an injected
+		// SignalAfter on the callee releases its waiters mid-thread.
+		if len(g.callable) > 0 {
+			return []Op{Call{Fn: g.callable[r.Intn(len(g.callable))]}}
+		}
+		return []Op{Nop{}}
+	case 10:
+		return []Op{ReadClock{Dst: "v"}}
+	default:
+		return []Op{Nop{}}
+	}
+}
+
+// genSchedPlan is genPlan for genSchedProgram: start and return delays
+// long enough to overlap, order waits and signals on injector flags and
+// on the program's own flags (which the bodies also clear, so waiters
+// block again), and an injected lock shared by several methods. One
+// pair is always there: the last function, which the others call,
+// signals a flag the first one waits for at entry, so a signal releases
+// waiters while the signalling thread runs on.
+func genSchedPlan(r *rand.Rand, p *Program) Plan {
+	flags := []string{"aid.order:a", "f0", "f1"}
+	var fns []string
+	for _, fn := range p.FuncNames() {
+		if fn != p.Entry {
+			fns = append(fns, fn)
+		}
+	}
+	plan := Plan{}
+	for _, fn := range fns {
+		if r.Intn(2) == 0 {
+			continue
+		}
+		var inj MethodInjection
+		switch r.Intn(4) {
+		case 0:
+			inj.DelayStart = trace.Time(r.Intn(30))
+			inj.DelayReturn = trace.Time(r.Intn(30))
+		case 1:
+			inj.WaitBefore = []Signal{{Var: flags[r.Intn(len(flags))], Val: 1}}
+		case 2:
+			inj.GlobalLocks = []string{"aid.lock:s"}
+			inj.DelayReturn = trace.Time(r.Intn(10))
+		}
+		if r.Intn(2) == 0 {
+			inj.SignalAfter = []Signal{{Var: flags[r.Intn(len(flags))], Val: 1}}
+		}
+		if !inj.Empty() {
+			plan[fn] = inj
+		}
+	}
+	f := flags[1+r.Intn(2)]
+	plan.Add(fns[0], MethodInjection{WaitBefore: []Signal{{Var: f, Val: 1}}})
+	plan.Add(fns[len(fns)-1], MethodInjection{SignalAfter: []Signal{{Var: f, Val: 1}}})
+	return plan
+}
+
+// stepsToEnd returns the smallest step budget under which the run of
+// pp under seed does not hang, or 0 when it hangs under max.
+func stepsToEnd(pp *Prepared, seed int64, max int) int {
+	hangs := func(b int) bool {
+		_, v := pp.RunIf(seed, b, func(Verdict) bool { return false })
+		return v.Sig == SigHang
+	}
+	if hangs(max) {
+		return 0
+	}
+	lo, hi := 1, max
+	for lo < hi {
+		if mid := (lo + hi) / 2; hangs(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestEquivalenceScheduling is the property test of genProgram's
+// scheduling-weighted mode, on both scheduler sources: each program,
+// uninstrumented and under a plan, must give the interpreter's trace on
+// the fast source and on the stdlib fallback, with a generous step
+// budget, with the budget the run needs exactly, with one step less,
+// where the run hangs on its last step, and with half and a quarter of
+// it, which cut runs off mid-flight.
+func TestEquivalenceScheduling(t *testing.T) {
+	n := 40
+	if testing.Short() {
+		n = 10
+	}
+	const budget = 6000
+	std := newMachine(rand.NewSource(0))
+	endings := map[string]int{}
+	threads := 0
+	r := rand.New(rand.NewSource(20261019))
+	for i := 0; i < n; i++ {
+		p := genSchedProgram(r, i)
+		for _, plan := range []Plan{nil, genSchedPlan(r, p)} {
+			pp, err := Prepare(p, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []int64{1, 2} {
+				budgets := []int{budget}
+				if end := stepsToEnd(pp, seed, budget); end > 1 {
+					budgets = append(budgets, end, end-1, end/2, end/4)
+				}
+				for _, b := range budgets {
+					assertEngineParity(t, p, []int64{seed}, plan, b)
+					assertStdlibParity(t, std, p, plan, seed, b)
+					exec := pp.Run(seed, b)
+					switch {
+					case !exec.Failed():
+						endings["success"]++
+					case exec.FailureSig == SigHang || exec.FailureSig == SigDeadlock:
+						endings[exec.FailureSig]++
+					}
+					for _, c := range exec.Calls {
+						threads = max(threads, int(c.Thread)+1)
+					}
+				}
+			}
+		}
+	}
+	for _, ending := range []string{"success", SigDeadlock, SigHang} {
+		if endings[ending] == 0 {
+			t.Errorf("generator produced no %s run; endings: %v", ending, endings)
+		}
+	}
+	if threads <= 64 {
+		t.Errorf("no run had more than 64 threads (most: %d)", threads)
+	}
+}
+
 // genPlan builds a random injection plan over the program's functions.
 // Besides each mechanism alone it emits order waits, on flags other
 // injected methods may or may not signal (a wait nobody releases ends
@@ -385,6 +659,33 @@ func TestEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// assertStdlibParity runs p on m, a compiled machine seeded from
+// rand.NewSource (the fallback newSchedulerSource takes when fastSource
+// fails verification), and requires the interpreter oracle's trace.
+func assertStdlibParity(t *testing.T, m *machine, p *Program, plan Plan, seed int64, maxSteps int) {
+	t.Helper()
+	want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
+	if err != nil {
+		t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
+	}
+	pp, err := Prepare(p, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := pp.run(m, seed, Budget{MaxSteps: maxSteps}, nil, nil)
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wj, gj) {
+		t.Fatalf("%s seed %d: stdlib-source machine diverges\ninterpreter: %s\ncompiled:    %s", p.Name, seed, wj, gj)
+	}
+}
+
 // TestStdlibSourceMatchesInterpreter exercises the fallback
 // newSchedulerSource takes when fastSource fails verification: one
 // compiled machine seeded from rand.NewSource runs the property
@@ -395,40 +696,16 @@ func TestStdlibSourceMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		n = 15
 	}
-	m := &machine{src: rand.NewSource(0)}
-	m.rng = rand.New(m.src)
-	check := func(p *Program, plan Plan, seed int64) {
-		t.Helper()
-		want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: 2000})
-		if err != nil {
-			t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
-		}
-		pp, err := Prepare(p, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := pp.run(m, seed, Budget{MaxSteps: 2000}, nil, nil)
-		wj, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wj, gj) {
-			t.Fatalf("%s seed %d: stdlib-source machine diverges\ninterpreter: %s\ncompiled:    %s", p.Name, seed, wj, gj)
-		}
-	}
+	m := newMachine(rand.NewSource(0))
 	r := rand.New(rand.NewSource(20260728))
 	for i := 0; i < n; i++ {
 		p := genProgram(r, i)
 		for _, seed := range []int64{1, 2, 3} {
-			check(p, nil, seed)
+			assertStdlibParity(t, m, p, nil, seed, 2000)
 		}
 		plan := genPlan(r, p)
 		for _, seed := range []int64{1, 2} {
-			check(p, plan, seed)
+			assertStdlibParity(t, m, p, plan, seed, 2000)
 		}
 	}
 }

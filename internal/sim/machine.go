@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -120,7 +121,23 @@ type machine struct {
 	// next one's instance number.
 	calls []int32
 
+	// runnable is the scheduler's choice set, in thread-index order. It
+	// is rebuilt (rebuild) only when dirty is set by an event that can
+	// change it, or when the clock reaches wake, the earliest sleeper's
+	// wake time at the last rebuild; in between, it is what a rebuild
+	// would return.
 	runnable []int32
+	dirty    bool
+	wake     trace.Time
+	// waiters counts the threads blocked on a global (waitSlot >= 0): a
+	// global write changes the runnable set only while one waits.
+	waiters int
+	// pending counts the scheduler draws deferred since the last draw
+	// whose value was read: a draw over one runnable thread picks it
+	// whatever the value, so it is taken only when a later draw reads
+	// the stream.
+	pending int
+
 	accCount []int32
 	accOff   []int32
 
@@ -146,6 +163,9 @@ func (m *machine) reset(pp *Prepared, seed int64) {
 	m.pp = pp
 	m.src.Seed(seed)
 	m.now = 0
+	m.dirty = true
+	m.waiters = 0
+	m.pending = 0
 	m.failed = false
 	m.failSig = ""
 	m.wallDeadline = time.Time{}
@@ -370,43 +390,97 @@ func (m *machine) loop(maxSteps int) {
 			m.fail(SigBudget)
 			break
 		}
-		m.runnable = m.runnable[:0]
-		for i, th := range m.threads {
-			if th.done || th.sleepUntil > m.now {
-				continue
-			}
-			if th.waitSlot >= 0 && m.globals[th.waitSlot] != th.waitVal {
-				continue
-			}
-			if th.joining && !m.threads[th.joinTarget].done {
-				continue
-			}
-			if th.lockWait >= 0 && m.owners[th.lockWait] >= 0 {
-				continue
-			}
-			m.runnable = append(m.runnable, int32(i))
+		if m.dirty || m.now >= m.wake {
+			m.rebuild()
 		}
 		if len(m.runnable) == 0 {
+			// The list is empty only right after a rebuild, so wake is
+			// current: the idle advance moves the clock there.
 			if m.allDone() {
 				break
 			}
-			if !m.advanceToWake() {
+			if m.wake == noWake {
 				m.fail(SigDeadlock)
 				break
 			}
+			m.now = m.wake
+			m.dirty = true
 			continue
 		}
-		var k int32
-		if m.fast != nil {
-			k = m.fast.int31n(int32(len(m.runnable)))
-		} else {
-			k = int32(m.rng.Intn(len(m.runnable)))
+		if len(m.runnable) == 1 {
+			// The lone thread steps on, each step deferring its draw,
+			// until one of the checks above could act: a failure, an
+			// event that changes the runnable set, the wake time, the
+			// step budget or the wall-clock sample.
+			ti := m.runnable[0]
+			th := m.threads[ti]
+			for {
+				m.pending++
+				m.step(ti, th)
+				m.now++
+				if m.failed || m.dirty || m.now >= m.wake || steps+1 >= maxSteps || (steps+1)&1023 == 1023 {
+					break
+				}
+				steps++
+			}
+			continue
 		}
-		ti := m.runnable[k]
-		m.step(ti)
+		if m.pending > 0 {
+			m.drawPending()
+		}
+		var ti int32
+		if m.fast != nil {
+			ti = m.runnable[m.fast.int31n(int32(len(m.runnable)))]
+		} else {
+			ti = m.runnable[m.rng.Intn(len(m.runnable))]
+		}
+		m.step(ti, m.threads[ti])
 		m.now++
 	}
 	m.finalizeOpenSpans()
+}
+
+// noWake is wake when no thread sleeps.
+const noWake = trace.Time(math.MaxInt64)
+
+// rebuild recomputes the runnable list from every thread, and the
+// earliest wake time of a sleeping thread.
+func (m *machine) rebuild() {
+	m.dirty = false
+	m.wake = noWake
+	m.runnable = m.runnable[:0]
+	for i, th := range m.threads {
+		if th.done {
+			continue
+		}
+		if th.sleepUntil > m.now {
+			m.wake = min(m.wake, th.sleepUntil)
+			continue
+		}
+		if th.waitSlot >= 0 && m.globals[th.waitSlot] != th.waitVal {
+			continue
+		}
+		if th.joining && !m.threads[th.joinTarget].done {
+			continue
+		}
+		if th.lockWait >= 0 && m.owners[th.lockWait] >= 0 {
+			continue
+		}
+		m.runnable = append(m.runnable, int32(i))
+	}
+}
+
+// drawPending takes the deferred draws, so that the next draw reads the
+// value it would have read had every step drawn.
+func (m *machine) drawPending() {
+	if m.fast != nil {
+		m.fast.skip(m.pending)
+	} else {
+		for ; m.pending > 0; m.pending-- {
+			m.src.Int63()
+		}
+	}
+	m.pending = 0
 }
 
 func (m *machine) fail(sig string) {
@@ -425,23 +499,11 @@ func (m *machine) allDone() bool {
 	return true
 }
 
-func (m *machine) advanceToWake() bool {
-	var wake trace.Time
-	found := false
-	for _, th := range m.threads {
-		if th.done || th.sleepUntil <= m.now {
-			continue
-		}
-		if !found || th.sleepUntil < wake {
-			wake = th.sleepUntil
-			found = true
-		}
-	}
-	if !found {
-		return false
-	}
-	m.now = wake
-	return true
+// exit marks th finished: it leaves the runnable set, and its joiners
+// may enter it.
+func (m *machine) exit(th *mthread) {
+	th.done = true
+	m.dirty = true
 }
 
 func (m *machine) ev(th *mthread, e cexpr) int64 {
@@ -471,17 +533,24 @@ func evalCmp(op uint8, a, b int64) bool {
 
 func (m *machine) pushCall(ti, fnIdx, dstSlot, retPC int32) {
 	th := m.threads[ti]
+	// The records are appended zeroed and filled field by field: a
+	// composite literal is built in a temporary and copied in with wide
+	// loads that its narrow stores cannot forward to.
 	spanIdx := int32(len(m.spans))
-	m.spans = append(m.spans, trace.Span{
-		Fn: fnIdx, Exc: -1, Instance: int(m.calls[fnIdx]), Thread: trace.ThreadID(ti),
-		Start: m.now, Return: trace.Value{Void: true},
-	})
+	m.spans = append(m.spans, trace.Span{})
+	s := &m.spans[spanIdx]
+	s.Fn, s.Exc = fnIdx, -1
+	s.Instance = int(m.calls[fnIdx])
+	s.Thread = trace.ThreadID(ti)
+	s.Start = m.now
+	s.Return.Void = true
 	m.calls[fnIdx]++
 	f := m.pp.fns[fnIdx]
-	th.stack = append(th.stack, ctlRec{
-		kind: ctlCall, inj: f.inj, retPC: retPC, dstSlot: dstSlot,
-		spanIdx: spanIdx, prevSpan: th.curSpan,
-	})
+	th.stack = append(th.stack, ctlRec{})
+	fr := &th.stack[len(th.stack)-1]
+	fr.kind = ctlCall
+	fr.inj, fr.retPC, fr.dstSlot = f.inj, retPC, dstSlot
+	fr.spanIdx, fr.prevSpan = spanIdx, th.curSpan
 	th.curSpan = spanIdx
 	th.pc = f.entry
 }
@@ -503,6 +572,7 @@ func (m *machine) release(ti int32, mu int32) {
 		return
 	}
 	m.owners[mu] = -1
+	m.dirty = true
 	th := m.threads[ti]
 	for i, h := range th.held {
 		if h == mu {
@@ -529,9 +599,11 @@ func (m *machine) recordAccess(th *mthread, obj int32, kind trace.AccessKind) {
 			th.lockset = int32(len(m.lsEnd) - 1)
 		}
 	}
-	m.accs = append(m.accs, trace.SpanAccess{
-		Span: th.curSpan, Obj: obj, Lockset: th.lockset, Kind: uint8(kind), At: m.now,
-	})
+	m.accs = append(m.accs, trace.SpanAccess{})
+	a := &m.accs[len(m.accs)-1]
+	a.Span, a.Obj, a.Lockset = th.curSpan, obj, th.lockset
+	a.Kind = uint8(kind)
+	a.At = m.now
 }
 
 // arrayObj is the object id of array slot a.
@@ -542,18 +614,18 @@ func (m *machine) throw(th *mthread, kindIdx int32) {
 	th.excIdx = kindIdx
 }
 
-func (m *machine) step(ti int32) {
-	th := m.threads[ti]
+// step runs one step of thread ti; th is m.threads[ti].
+func (m *machine) step(ti int32, th *mthread) {
 	switch th.mode {
 	case mReturn:
-		m.unwindReturn(ti)
+		m.unwindReturn(ti, th)
 		return
 	case mThrow:
-		m.unwindThrow(ti)
+		m.unwindThrow(ti, th)
 		return
 	}
 	if len(th.stack) == 0 {
-		th.done = true
+		m.exit(th)
 		return
 	}
 	in := m.pp.instrAt(th.pc)
@@ -597,6 +669,9 @@ func (m *machine) step(ti int32) {
 	case opWriteGlobal:
 		m.recordAccess(th, in.b, trace.Write)
 		m.globals[in.b] = m.ev(th, in.x)
+		if m.waiters > 0 {
+			m.dirty = true
+		}
 		th.pc++
 	case opArrayRead:
 		m.recordAccess(th, m.arrayObj(in.b), trace.Read)
@@ -633,6 +708,7 @@ func (m *machine) step(ti int32) {
 		m.arrays[in.b] = fresh
 		th.pc++
 	case opLock:
+		m.dirty = true // either this thread blocks, or the mutex's waiters do
 		if m.owners[in.b] >= 0 {
 			th.lockWait = in.b // re-attempted when free
 			return
@@ -655,16 +731,24 @@ func (m *machine) step(ti int32) {
 			d = 0
 		}
 		th.sleepUntil = m.now + trace.Time(d)
+		m.dirty = true
 		th.pc = in.c
 	case opWaitUntil:
 		v := m.ev(th, in.x)
 		if m.globals[in.b] == v {
-			th.waitSlot = -1
+			if th.waitSlot >= 0 {
+				th.waitSlot = -1
+				m.waiters--
+			}
 			th.pc = in.c
 			return
 		}
+		if th.waitSlot < 0 {
+			m.waiters++
+		}
 		th.waitSlot = in.b
 		th.waitVal = v
+		m.dirty = true
 	case opCall:
 		th.pc++
 		m.pushCall(ti, in.b, in.a, th.pc)
@@ -716,6 +800,7 @@ func (m *machine) step(ti int32) {
 			th.locals[in.a] = int64(child)
 		}
 		m.pushCall(child, in.b, -1, -1)
+		m.dirty = true
 	case opJoin:
 		target := m.ev(th, in.x)
 		if target < 0 || target >= int64(len(m.threads)) {
@@ -730,11 +815,15 @@ func (m *machine) step(ti int32) {
 		}
 		th.joining = true
 		th.joinTarget = int32(target)
+		m.dirty = true
 	case opRandom:
 		n := m.ev(th, in.x)
 		if n <= 0 {
 			th.locals[in.a] = 0
 		} else {
+			if m.pending > 0 {
+				m.drawPending()
+			}
 			th.locals[in.a] = m.rng.Int63n(n)
 		}
 		th.pc++
@@ -767,6 +856,9 @@ func (m *machine) finalizeCall(ti int32, fr *ctlRec, retVoid bool, retInt int64,
 		for _, sg := range meta.signals {
 			// Injector-internal write: not a traced program access.
 			m.globals[sg.slot] = sg.val
+			if m.waiters > 0 {
+				m.dirty = true
+			}
 		}
 	}
 	span := &m.spans[fr.spanIdx]
@@ -779,11 +871,10 @@ func (m *machine) finalizeCall(ti int32, fr *ctlRec, retVoid bool, retInt int64,
 	th.curSpan = fr.prevSpan
 }
 
-func (m *machine) unwindReturn(ti int32) {
-	th := m.threads[ti]
+func (m *machine) unwindReturn(ti int32, th *mthread) {
 	if len(th.stack) == 0 {
 		th.mode = mRun
-		th.done = true
+		m.exit(th)
 		return
 	}
 	fr := &th.stack[len(th.stack)-1]
@@ -795,6 +886,7 @@ func (m *machine) unwindReturn(ti int32) {
 		if d := m.pp.inj[fr.inj].endDelay; d > 0 {
 			fr.delayApplied = true
 			th.sleepUntil = m.now + d
+			m.dirty = true
 			return
 		}
 	}
@@ -804,15 +896,14 @@ func (m *machine) unwindReturn(ti int32) {
 	th.mode = mRun
 	th.pc = rec.retPC
 	if len(th.stack) == 0 {
-		th.done = true
+		m.exit(th)
 	}
 }
 
-func (m *machine) unwindThrow(ti int32) {
-	th := m.threads[ti]
+func (m *machine) unwindThrow(ti int32, th *mthread) {
 	if len(th.stack) == 0 {
 		th.mode = mRun
-		th.done = true
+		m.exit(th)
 		m.fail(m.pp.c.uncaughtSig[th.excIdx])
 		return
 	}
@@ -834,7 +925,7 @@ func (m *machine) unwindThrow(ti int32) {
 		th.mode = mRun
 		th.pc = fr.retPC
 		if len(th.stack) == 0 {
-			th.done = true
+			m.exit(th)
 		}
 	case fr.kind == ctlCall:
 		th.stack = th.stack[:len(th.stack)-1]
@@ -842,7 +933,7 @@ func (m *machine) unwindThrow(ti int32) {
 		th.pc = fr.retPC
 		if len(th.stack) == 0 {
 			th.mode = mRun
-			th.done = true
+			m.exit(th)
 			m.fail(m.pp.c.uncaughtSig[th.excIdx])
 		}
 	default:

@@ -11,25 +11,32 @@ import (
 // The scheduler draws from math/rand's default source, and the trace
 // contract pins its exact stream: every historical trace (and the
 // interpreter oracle) was produced by rand.New(rand.NewSource(seed)).
-// Re-seeding that source is the single hottest operation of a short
-// replay — ~1800 sequential Lehmer-LCG steps, ~10µs, more than the
-// whole simulation for small programs (see EXPERIMENTS.md).
+// The stdlib seeds that source with ~1800 sequential Lehmer-LCG steps
+// into a 607-word vector, which would cost more than the whole
+// simulation of a short replay.
 //
 // fastSource reproduces rngSource's stream bit-for-bit but seeds in
-// O(1) sequential depth: seeding computes x_n = 48271^n·x0 mod 2^31-1
-// for the 1821 positions the stdlib reaches by stepping, using a
-// precomputed power table, and XORs in the stdlib's additive-Fibonacci
-// cooked constants. The cooked table is not duplicated from the
+// O(1) sequential depth: word i of the seeded vector is computed from
+// x_n = 48271^n·x0 mod 2^31-1 at its three positions, using a
+// precomputed power table, XORed with the stdlib's additive-Fibonacci
+// cooked constant. The cooked table is not duplicated from the
 // standard library: it is recovered once at init by seeding a real
 // rngSource and XOR-ing out the algebraically known LCG part, then the
 // whole construction is verified output-for-output against math/rand.
 // If recovery or verification fails on some future Go runtime, every
 // consumer falls back to the stock source — slower, never wrong.
 //
-// Seeded states are also memoized (vec depends only on the seed), so
-// intervention replays — which re-run a small fixed seed set under
-// many plans — skip even the O(1)-depth seeding and start from a
-// 4.9KB memcpy.
+// Seeding is lazy. Draw k (k = 1, 2, ...) adds the word at tap
+// position 607-k to the one at feed position 334-k (mod 607) and stores
+// the sum at the feed position, so for k <= 607 its value is the seeded
+// feed word plus the seeded tap word (k <= 273) or draw k-273's value:
+// two to four seeded words, computed directly. Seed therefore computes
+// nothing, and a skipped draw costs a counter increment. Most runs read
+// a few values and stay lazy to the end. A run that reads many takes
+// the whole vector, from the seed cache below, once it has computed
+// lazyReads values, or computed, once it reaches draw 608; it replays
+// the draws taken so far into the vector and steps through it as the
+// stdlib does.
 
 const (
 	rngLen  = 607
@@ -86,16 +93,13 @@ func lcgSeedBase(seed int64) uint64 {
 	return uint64(seed)
 }
 
-// lcgVec fills vec with the pure LCG part of a stdlib seeding (before
-// the cooked XOR) for the given seed.
-func lcgVec(seed int64, vec *[rngLen]uint64) {
-	x0 := lcgSeedBase(seed)
-	for i := 0; i < rngLen; i++ {
-		a := lcgMul(lcgPow[3*i], x0)
-		b := lcgMul(lcgPow[3*i+1], x0)
-		c := lcgMul(lcgPow[3*i+2], x0)
-		vec[i] = a<<40 ^ b<<20 ^ c
-	}
+// lcgWord is word i of the pure LCG part of a stdlib seeding (before
+// the cooked XOR) from the normalized seed x0.
+func lcgWord(x0 uint64, i int) uint64 {
+	a := lcgMul(lcgPow[3*i], x0)
+	b := lcgMul(lcgPow[3*i+1], x0)
+	c := lcgMul(lcgPow[3*i+2], x0)
+	return a<<40 ^ b<<20 ^ c
 }
 
 func recoverCooked() bool {
@@ -108,16 +112,17 @@ func recoverCooked() bool {
 		return false
 	}
 	std := (*stdSourceLayout)(unsafe.Pointer(v.Pointer()))
-	var pure [rngLen]uint64
-	lcgVec(1, &pure)
+	x0 := lcgSeedBase(1)
 	for i := 0; i < rngLen; i++ {
-		rngCookedRec[i] = uint64(std.vec[i]) ^ pure[i]
+		rngCookedRec[i] = uint64(std.vec[i]) ^ lcgWord(x0, i)
 	}
 	return true
 }
 
 // verifyFastSource checks the reconstruction against math/rand across
-// seed normalization edge cases and feed/tap wraparound.
+// seed normalization edge cases and feed/tap wraparound, on the lazy
+// seeding path the machines take, with bulk skips between draws, and
+// across the switch to the computed whole vector at draw 608.
 func verifyFastSource() bool {
 	seeds := []int64{0, 1, 2, 42, -7, lcgM, lcgM + 1, 1 << 40, -1 << 35}
 	var fs fastSource
@@ -125,6 +130,11 @@ func verifyFastSource() bool {
 		want := rand.NewSource(seed)
 		fs.Seed(seed)
 		for i := 0; i < 2*rngLen; i++ {
+			n := i % 3
+			fs.skip(n)
+			for ; n > 0; n-- {
+				want.Int63()
+			}
 			if fs.Int63() != want.Int63() {
 				return false
 			}
@@ -145,12 +155,13 @@ func init() {
 	fastRngOK = recoverCooked() && verifyFastSource()
 }
 
-// seedVecCache memoizes seeded vectors (they depend only on the seed).
-// A seed is only admitted once it has been seen twice (seedSeenOnce),
-// so single-use collection-sweep seeds never pay the 4.9KB copy, while
-// replay seeds — re-run under many plans — hit the memcpy path from
-// their second run on. The cache is generational: at the cap it is
-// cleared wholesale and hot seeds simply re-enter.
+// seedVecCache memoizes seeded vectors (they depend only on the seed)
+// for runs that read many values: a lazy read costs two to four seeded
+// words, while a cached vector is one copy, after which each draw is
+// one add. A seed is admitted only once such a run has seen it twice
+// (seedSeenOnce), so single-use collection-sweep seeds never pay for a
+// whole vector. The cache is generational: at the cap it is cleared
+// wholesale and hot seeds simply re-enter.
 var (
 	seedVecCache  sync.Map // int64 -> *[rngLen]uint64
 	seedVecCount  atomic.Int64
@@ -158,41 +169,93 @@ var (
 	seedSeenOnce  [1024]atomic.Int64 // stores seed+1; 0 = empty
 )
 
+// lazyReads is how many values a run computes from seeded words before
+// it asks the cache for the whole vector.
+const lazyReads = 16
+
 // fastSource is a bit-exact stand-in for math/rand's rngSource with
-// O(1)-depth seeding. It is not safe for concurrent use (like the
+// O(1)-depth, lazy seeding. It is not safe for concurrent use (like the
 // stdlib source); each machine owns one.
 type fastSource struct {
+	seed int64
+	x0   uint64 // normalized seed
+	// While the source is lazy, n counts the draws taken and left the
+	// values to compute before the cache is asked (once) for the whole
+	// vector. Once eager, vec holds the stdlib's state.
+	n, left   int
+	eager     bool
 	tap, feed int
 	vec       [rngLen]uint64
 }
 
 func (s *fastSource) Seed(seed int64) {
-	s.tap = 0
-	s.feed = rngLen - rngTap
-	if v, ok := seedVecCache.Load(seed); ok {
-		s.vec = *v.(*[rngLen]uint64)
-		return
+	s.seed = seed
+	s.x0 = lcgSeedBase(seed)
+	s.n, s.left = 0, lazyReads
+	s.eager = false
+}
+
+// seedWord computes word i of the seeded vector.
+func (s *fastSource) seedWord(i int) uint64 {
+	return lcgWord(s.x0, i) ^ rngCookedRec[i]
+}
+
+// drawValue is the value of draw k, 1 <= k <= rngLen, from seeded
+// words alone: no feed position is written twice in the first rngLen
+// draws, and the tap word of draw k > rngTap is draw k-rngTap's value.
+func (s *fastSource) drawValue(k int) uint64 {
+	var v uint64
+	for ; k > rngTap; k -= rngTap {
+		v += s.seedWord((rngLen - rngTap - k + rngLen) % rngLen)
 	}
-	lcgVec(seed, &s.vec)
-	for i := range s.vec {
-		s.vec[i] ^= rngCookedRec[i]
+	return v + s.seedWord(rngLen-rngTap-k) + s.seedWord(rngLen-k)
+}
+
+// cachedVec returns the seed's memoized vector, admitting it on its
+// second sighting, or nil.
+func (s *fastSource) cachedVec() *[rngLen]uint64 {
+	if v, ok := seedVecCache.Load(s.seed); ok {
+		return v.(*[rngLen]uint64)
 	}
-	slot := &seedSeenOnce[uint64(seed)*2654435761%uint64(len(seedSeenOnce))]
-	if slot.Load() != seed+1 {
-		slot.Store(seed + 1)
-		return
+	slot := &seedSeenOnce[uint64(s.seed)*2654435761%uint64(len(seedSeenOnce))]
+	if slot.Load() != s.seed+1 {
+		slot.Store(s.seed + 1)
+		return nil
 	}
 	if seedVecCount.Load() >= seedVecMaxLen {
 		seedVecCache.Range(func(k, _ any) bool { seedVecCache.Delete(k); return true })
 		seedVecCount.Store(0)
 	}
-	saved := s.vec
-	if _, loaded := seedVecCache.LoadOrStore(seed, &saved); !loaded {
+	vec := new([rngLen]uint64)
+	for i := range vec {
+		vec[i] = s.seedWord(i)
+	}
+	if _, loaded := seedVecCache.LoadOrStore(s.seed, vec); !loaded {
 		seedVecCount.Add(1)
 	}
+	return vec
 }
 
-func (s *fastSource) uint64() uint64 {
+// seedAll turns the source eager: it seeds vec, from vec0 when
+// non-nil, and replays the n draws taken so far into it.
+func (s *fastSource) seedAll(vec0 *[rngLen]uint64) {
+	if vec0 != nil {
+		s.vec = *vec0
+	} else {
+		for i := range s.vec {
+			s.vec[i] = s.seedWord(i)
+		}
+	}
+	s.tap, s.feed = 0, rngLen-rngTap
+	for range s.n {
+		s.next()
+	}
+	s.eager = true
+}
+
+// next is one step of the stdlib's additive lagged Fibonacci generator
+// over vec.
+func (s *fastSource) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -206,12 +269,47 @@ func (s *fastSource) uint64() uint64 {
 	return x
 }
 
+func (s *fastSource) uint64() uint64 {
+	if !s.eager {
+		switch {
+		case s.n == rngLen:
+			s.seedAll(nil)
+		case s.left != 0:
+			s.left--
+			s.n++
+			return s.drawValue(s.n)
+		default:
+			if vec0 := s.cachedVec(); vec0 != nil {
+				s.seedAll(vec0)
+			} else {
+				s.left = -1 // lazy to the end: no more cache lookups
+				s.n++
+				return s.drawValue(s.n)
+			}
+		}
+	}
+	return s.next()
+}
+
 func (s *fastSource) Int63() int64   { return int64(s.uint64() & rngMask) }
 func (s *fastSource) Uint64() uint64 { return s.uint64() }
 
+// skip advances the stream by n values without returning them.
+func (s *fastSource) skip(n int) {
+	if !s.eager {
+		k := min(n, rngLen-s.n)
+		s.n += k
+		n -= k
+	}
+	for ; n > 0; n-- {
+		s.uint64()
+	}
+}
+
 // int31n is math/rand's Rand.Int31n over s, inlined for the machine's
-// per-step scheduler draw: the same draws and the same result, without
-// the interface call per draw. n must be positive.
+// scheduler draw among two or more runnable threads: the same draws and
+// the same result, without the interface call per draw. n must be
+// positive.
 func (s *fastSource) int31n(n int32) int32 {
 	if n&(n-1) == 0 {
 		return int32(s.Int63()>>32) & (n - 1)
