@@ -14,7 +14,10 @@ import (
 // TestVerdictOnlyRunAllocs pins that a run whose trace nobody keeps
 // allocates nothing once the machine has grown: its span, access and
 // lockset logs hold ids, not names, so changing the held set costs no
-// name slice.
+// name slice. A second program's runs read more than lazyReads
+// scheduler values, so each takes the seed's vector from the
+// seed-state cache and replays the draws already taken; that path
+// allocates nothing either.
 func TestVerdictOnlyRunAllocs(t *testing.T) {
 	p := NewProgram("twolocks", "Main")
 	p.Globals["g"] = 0
@@ -34,32 +37,59 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 		Call{Fn: "Worker"},
 		Join{Thread: V("t")},
 	)
-	pp, err := Prepare(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newMachine(newSchedulerSource())
+	// randloop: two threads draw Random and write a global in a loop, so
+	// nearly every step draws among two runnable threads.
+	q := NewProgram("randloop", "Main")
+	q.Globals["g"] = 0
+	q.AddFunc("Worker",
+		While{Cond: Cond{A: V("i"), Op: LT, B: Lit(20)}, Body: []Op{
+			Random{Dst: "x", N: Lit(10)},
+			WriteGlobal{Var: "g", Src: V("x")},
+			Arith{Dst: "i", A: V("i"), Op: OpAdd, B: Lit(1)},
+		}},
+	)
+	q.AddFunc("Main",
+		Spawn{Fn: "Worker", Dst: "t"},
+		Call{Fn: "Worker"},
+		Join{Thread: V("t")},
+	)
 	never := func(Verdict) bool { return false }
 	const seed = 5
-	// Warm up: grow the logs, and let the seed-state cache admit the
-	// seed (it stores a seed's state on its second sighting).
-	for i := 0; i < 3; i++ {
-		pp.run(m, seed, Budget{}, nil, never)
-	}
-	exec, _ := pp.run(m, seed, Budget{}, nil, nil)
-	both := 0
-	for _, c := range exec.Calls {
-		for _, a := range c.Accesses {
-			if len(a.Locks) == 2 {
-				both++
+	for _, prog := range []*Program{p, q} {
+		pp, err := Prepare(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newMachine(newSchedulerSource())
+		// Warm up: grow the logs, and let the seed-state cache admit
+		// the seed (a run that reads more than lazyReads values admits
+		// it on its second sighting, and the third takes it from the
+		// cache).
+		for i := 0; i < 3; i++ {
+			pp.run(m, seed, Budget{}, nil, never)
+		}
+		exec, _ := pp.run(m, seed, Budget{}, nil, nil)
+		switch prog {
+		case p:
+			both := 0
+			for _, c := range exec.Calls {
+				for _, a := range c.Accesses {
+					if len(a.Locks) == 2 {
+						both++
+					}
+				}
+			}
+			if len(exec.Calls) != 3 || both != 2 {
+				t.Fatalf("twolocks did not run as intended: %+v", exec.Calls)
+			}
+		case q:
+			if _, ok := seedVecCache.Load(int64(seed)); m.fast != nil && (!ok || !m.fast.eager) {
+				t.Fatalf("randloop did not take the seed's vector from the cache (cached %v, eager %v)", ok, m.fast.eager)
 			}
 		}
-	}
-	if len(exec.Calls) != 3 || both != 2 {
-		t.Fatalf("program did not run as intended: %+v", exec.Calls)
-	}
-	if n := testing.AllocsPerRun(100, func() { pp.run(m, seed, Budget{}, nil, never) }); n != 0 {
-		t.Fatalf("verdict-only run allocates %v times, want 0", n)
+		if n := testing.AllocsPerRun(100, func() { pp.run(m, seed, Budget{}, nil, never) }); n != 0 {
+			t.Fatalf("%s: verdict-only run allocates %v times, want 0", prog.Name, n)
+		}
 	}
 }
 

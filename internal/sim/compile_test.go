@@ -93,6 +93,11 @@ func TestFastSourceStream(t *testing.T) {
 	}
 	var fs fastSource
 	r := rand.New(rand.NewSource(20261019))
+	// The scheduler's inlined draw, over powers of two, small counts and
+	// bounds large enough to reject draws; 1<<31-1 is the largest int32
+	// bound, where (1<<31)%n is 1.
+	bounds := []int32{1, 2, 3, 4, 5, 7, 8, 13, 64, 100, 1<<30 + 1, 1<<31 - 1}
+	boundDraws, boundNext := make([]int, len(bounds)), 0
 	// stream draws at least 3×rngLen values from fs and the stdlib,
 	// mixing skips of random length with Int63, int31n and rand.Rand
 	// draws, from skipFirst skipped values on.
@@ -121,11 +126,17 @@ func TestFastSourceStream(t *testing.T) {
 				}
 				taken++
 			case 2:
-				n := []int32{1, 2, 3, 5, 8, 13, 64, 100, 1<<30 + 1}[r.Intn(9)]
-				if g, w := fs.int31n(n), want.Int31n(n); g != w {
-					t.Fatalf("seed %d value %d: int31n(%d) fast %d, stdlib %d", seed, taken, n, g, w)
+				// Two draws over the next bound in turn.
+				k := boundNext % len(bounds)
+				boundNext++
+				n := bounds[k]
+				for range 2 {
+					if g, w := fs.int31n(n), want.Int31n(n); g != w {
+						t.Fatalf("seed %d value %d: int31n(%d) fast %d, stdlib %d", seed, taken, n, g, w)
+					}
+					boundDraws[k]++
+					taken++
 				}
-				taken++
 			case 3:
 				if g, w := got.Intn(7), want.Intn(7); g != w {
 					t.Fatalf("seed %d value %d: Intn fast %d, stdlib %d", seed, taken, g, w)
@@ -175,4 +186,9 @@ func TestFastSourceStream(t *testing.T) {
 	// A skip across draw 607 switches to the whole vector mid-skip.
 	stream(777, rngLen-3)
 	stream(778, 2*rngLen)
+	for k, n := range bounds {
+		if boundDraws[k] < 200 {
+			t.Errorf("int31n(%d) drawn %d times, want at least 200", n, boundDraws[k])
+		}
+	}
 }

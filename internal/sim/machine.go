@@ -407,34 +407,22 @@ func (m *machine) loop(maxSteps int) {
 			m.dirty = true
 			continue
 		}
-		if len(m.runnable) == 1 {
-			// The lone thread steps on, each step deferring its draw,
-			// until one of the checks above could act: a failure, an
-			// event that changes the runnable set, the wake time, the
-			// step budget or the wall-clock sample.
-			ti := m.runnable[0]
-			th := m.threads[ti]
-			for {
-				m.pending++
-				m.step(ti, th)
-				m.now++
-				if m.failed || m.dirty || m.now >= m.wake || steps+1 >= maxSteps || (steps+1)&1023 == 1023 {
-					break
-				}
-				steps++
-			}
-			continue
-		}
-		if m.pending > 0 {
-			m.drawPending()
-		}
 		var ti int32
-		if m.fast != nil {
-			ti = m.runnable[m.fast.int31n(int32(len(m.runnable)))]
+		if len(m.runnable) == 1 {
+			// A draw over one thread picks it whatever the value: defer it.
+			m.pending++
+			ti = m.runnable[0]
 		} else {
-			ti = m.runnable[m.rng.Intn(len(m.runnable))]
+			if m.pending > 0 {
+				m.drawPending()
+			}
+			if m.fast != nil {
+				ti = m.runnable[m.fast.int31n(int32(len(m.runnable)))]
+			} else {
+				ti = m.runnable[m.rng.Intn(len(m.runnable))]
+			}
 		}
-		m.step(ti, m.threads[ti])
+		m.step(ti)
 		m.now++
 	}
 	m.finalizeOpenSpans()
@@ -614,14 +602,14 @@ func (m *machine) throw(th *mthread, kindIdx int32) {
 	th.excIdx = kindIdx
 }
 
-// step runs one step of thread ti; th is m.threads[ti].
-func (m *machine) step(ti int32, th *mthread) {
+func (m *machine) step(ti int32) {
+	th := m.threads[ti]
 	switch th.mode {
 	case mReturn:
-		m.unwindReturn(ti, th)
+		m.unwindReturn(ti)
 		return
 	case mThrow:
-		m.unwindThrow(ti, th)
+		m.unwindThrow(ti)
 		return
 	}
 	if len(th.stack) == 0 {
@@ -871,7 +859,8 @@ func (m *machine) finalizeCall(ti int32, fr *ctlRec, retVoid bool, retInt int64,
 	th.curSpan = fr.prevSpan
 }
 
-func (m *machine) unwindReturn(ti int32, th *mthread) {
+func (m *machine) unwindReturn(ti int32) {
+	th := m.threads[ti]
 	if len(th.stack) == 0 {
 		th.mode = mRun
 		m.exit(th)
@@ -900,7 +889,8 @@ func (m *machine) unwindReturn(ti int32, th *mthread) {
 	}
 }
 
-func (m *machine) unwindThrow(ti int32, th *mthread) {
+func (m *machine) unwindThrow(ti int32) {
+	th := m.threads[ti]
 	if len(th.stack) == 0 {
 		th.mode = mRun
 		m.exit(th)
