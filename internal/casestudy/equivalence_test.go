@@ -39,10 +39,10 @@ func assembleAllSweep(t *testing.T, s *Study, rc CollectConfig) (*trace.Set, []i
 }
 
 // TestCollectAssemblyEquivalence pins quota-aware collection: runs
-// whose outcome class is full when their chunk starts skip trace
-// assembly, yet the collected set must be byte-identical (as JSON) to
-// a sweep that assembles every run, with the same failing seeds, at
-// any pool width.
+// whose outcome class is full when their chunk starts are not kept, and
+// kept runs are logs, yet the collected corpus's materialized set must
+// be byte-identical (as JSON) to a sweep that assembles every run, with
+// the same failing seeds, at any pool width.
 func TestCollectAssemblyEquivalence(t *testing.T) {
 	for _, s := range All() {
 		s := s
@@ -57,11 +57,11 @@ func TestCollectAssemblyEquivalence(t *testing.T) {
 				}
 				for _, workers := range []int{1, 4} {
 					rc.Workers = workers
-					set, failSeeds, err := Collect(context.Background(), s, rc)
+					logs, failSeeds, err := Collect(context.Background(), s, rc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := json.Marshal(set)
+					got, err := json.Marshal(logs.Set())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -23,11 +23,11 @@ func TestStudyPredicateInventories(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			rc := CollectConfig{Successes: 20, Failures: 20, SeedCap: 4000}
-			set, _, err := Collect(context.Background(), s, rc)
+			logs, _, err := Collect(context.Background(), s, rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			corpus := predicate.Extract(set, s.Config())
+			corpus := predicate.ExtractLogs(logs, s.Config())
 			fully := statdebug.FullyDiscriminative(corpus)
 			found := false
 			for _, id := range fully {

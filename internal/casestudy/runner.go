@@ -75,8 +75,11 @@ type CollectConfig struct {
 const collectChunk = 16
 
 // Collect runs the program over increasing seeds until the target
-// numbers of successes and failures are gathered; it returns the trace
-// corpus and the failing seeds.
+// numbers of successes and failures are gathered; it returns the corpus
+// in log form, over the program's Symbols, and the failing seeds. A kept
+// run is an owned copy of the machine's logs (sim.Prepared.RunIf): no
+// trace is assembled, and no name is resolved (trace.LogSet.Set builds
+// the interchange form).
 //
 // Seeds are swept in chunks across cc.Workers pool workers; chunk
 // results are consumed in seed order with the same quota logic as a
@@ -85,18 +88,22 @@ const collectChunk = 16
 // quotas (at most one chunk of executions is wasted). Counts only grow,
 // so a run whose outcome class is already full when its chunk starts —
 // or whose failure has another signature — can never be kept: it
-// returns its verdict alone and its trace is never assembled.
+// returns its verdict alone and its logs are never copied.
 //
 // An empty Study.FailureSig accepts failures of any signature (used by
 // ad-hoc programs behind the public facade; the built-in studies all
 // pin a signature). Cancelling ctx aborts the sweep within one
 // task-drain with ctx's error.
-func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.Set, []int64, error) {
+func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.LogSet, []int64, error) {
 	pp, err := sim.Prepare(s.Program, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
 	}
-	set := &trace.Set{}
+	syms, err := s.Program.Symbols()
+	if err != nil {
+		return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
+	}
+	set := &trace.LogSet{Syms: syms}
 	var failSeeds []int64
 	succ, fail := 0, 0
 	ours := func(v sim.Verdict) bool { return s.FailureSig == "" || v.Sig == s.FailureSig }
@@ -122,8 +129,8 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.Set, []int
 			return wantSucc
 		}
 		runs, err := par.Map(ctx, len(seeds), cc.Workers, func(i int) (collected, error) {
-			exec, v := pp.RunIf(seeds[i], s.MaxSteps, keep)
-			return collected{exec, v}, nil
+			run, v := pp.RunIf(seeds[i], s.MaxSteps, keep)
+			return collected{run, v}, nil
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
@@ -144,7 +151,7 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.Set, []int
 				}
 				succ++
 			}
-			set.Executions = append(set.Executions, r.exec)
+			set.Runs = append(set.Runs, r.run)
 		}
 		if cc.OnCollect != nil {
 			cc.OnCollect(succ, fail, hi)
@@ -157,11 +164,11 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.Set, []int
 	return set, failSeeds, nil
 }
 
-// collected is one collection run: its trace, when assembled, and its
+// collected is one collection run: its logs, when kept, and its
 // verdict.
 type collected struct {
-	exec trace.Execution
-	v    sim.Verdict
+	run trace.LogRun
+	v   sim.Verdict
 }
 
 // allMemo builds the six studies once per process. Safe to share: a

@@ -110,10 +110,12 @@ type Executor struct {
 	Prog *sim.Program
 	// Corpus holds the predicates (with repairs) from the SD phase.
 	Corpus *predicate.Corpus
-	// Baselines are the successful executions from the SD phase; the
+	// Baselines, when set, must name exactly the corpus's successful
+	// runs, by ID and in order; the executor fails otherwise. The
 	// monitors compile their duration, return-value, order and
-	// atomicity baselines from them once, so every round judges replays
-	// against the corpus's own success baselines.
+	// atomicity baselines once, from the corpus's own success logs
+	// (predicate.Corpus.Logs), so every round judges replays against the
+	// corpus's success baselines whether Baselines is set or not.
 	Baselines []trace.Execution
 	// Seeds are the scheduler seeds to replay under each intervention —
 	// typically the seeds that produced failures (§5.3 footnote: a
@@ -152,8 +154,7 @@ type Executor struct {
 	mu sync.Mutex
 	// monitors answer each replay's observation from the machine's logs
 	// (compiled monitors are safe for concurrent use). They are compiled
-	// on first use, so Prog, Corpus and Baselines must not change
-	// afterwards.
+	// on first use, so Prog and Corpus must not change afterwards.
 	monitors *predicate.Monitors
 
 	// qmu guards the quarantine. It is separate from mu because replays
@@ -263,7 +264,7 @@ func (e *Executor) prepare(group []predicate.ID) (*sim.Prepared, error) {
 }
 
 // compiled returns the executor's monitors, compiling them against the
-// program's symbol tables on first use.
+// program's symbol tables and the corpus's success logs on first use.
 func (e *Executor) compiled() (*predicate.Monitors, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -272,13 +273,37 @@ func (e *Executor) compiled() (*predicate.Monitors, error) {
 		if err != nil {
 			return nil, fmt.Errorf("inject: re-execution: %w", err)
 		}
-		ms, err := predicate.CompileMonitors(e.Corpus, syms, e.Baselines, e.Cfg)
+		logs := e.Corpus.Logs()
+		if logs == nil {
+			return nil, fmt.Errorf("inject: the corpus carries no run logs to learn baselines from")
+		}
+		base := logs.Successes()
+		if e.Baselines != nil {
+			if err := sameRuns(e.Baselines, base); err != nil {
+				return nil, err
+			}
+		}
+		ms, err := predicate.CompileMonitors(e.Corpus, syms, base, e.Cfg)
 		if err != nil {
 			return nil, fmt.Errorf("inject: %w", err)
 		}
 		e.monitors = ms
 	}
 	return e.monitors, nil
+}
+
+// sameRuns checks that baselines name exactly succ's runs, by ID and in
+// order.
+func sameRuns(baselines []trace.Execution, succ *trace.LogSet) error {
+	if len(baselines) != len(succ.Runs) {
+		return fmt.Errorf("inject: Baselines hold %d executions, the corpus %d successful runs", len(baselines), len(succ.Runs))
+	}
+	for i := range baselines {
+		if baselines[i].ID != succ.Runs[i].ID {
+			return fmt.Errorf("inject: baseline %d is %q, the corpus's successful run %q", i, baselines[i].ID, succ.Runs[i].ID)
+		}
+	}
+	return nil
 }
 
 // Persists reports whether the failure persists under the group's

@@ -11,7 +11,6 @@ import (
 	"aid/internal/inject"
 	"aid/internal/predicate"
 	"aid/internal/statdebug"
-	"aid/internal/trace"
 )
 
 // TestPersistsMatchesIntervene is the verdict query's differential
@@ -28,12 +27,12 @@ func TestPersistsMatchesIntervene(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			rc := casestudy.CollectConfig{Successes: 30, Failures: 30, SeedCap: 4000}
-			set, failSeeds, err := casestudy.Collect(ctx, s, rc)
+			logs, failSeeds, err := casestudy.Collect(ctx, s, rc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := s.Config()
-			corpus := predicate.Extract(set, cfg)
+			corpus := predicate.ExtractLogs(logs, cfg)
 			dag, _, err := acdag.Build(corpus, statdebug.FullyDiscriminative(corpus), acdag.BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -45,14 +44,8 @@ func TestPersistsMatchesIntervene(t *testing.T) {
 				}
 			}
 			executor := func(workers int) *inject.Executor {
-				var baselines []trace.Execution
-				for _, e := range set.Executions {
-					if !e.Failed() {
-						baselines = append(baselines, e)
-					}
-				}
 				return &inject.Executor{
-					Prog: s.Program, Corpus: corpus, Baselines: baselines,
+					Prog: s.Program, Corpus: corpus,
 					Seeds: failSeeds[:5], Cfg: cfg,
 					FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: workers,
 				}

@@ -71,10 +71,13 @@ type Report struct {
 // collects. Cancelling ctx aborts collection and intervention sweeps
 // promptly with ctx's error.
 func Run(ctx context.Context, s *casestudy.Study, cc casestudy.CollectConfig) (*Report, error) {
-	set, failSeeds, err := casestudy.Collect(ctx, s, cc)
+	logs, failSeeds, err := casestudy.Collect(ctx, s, cc)
 	if err != nil {
 		return nil, err
 	}
+	// The reference reads the interchange form, as a trace file's
+	// pipeline does: extraction interns the materialized set again.
+	set := logs.Set()
 	cfg := s.Config()
 	corpus := predicate.Extract(set, cfg)
 	fully := statdebug.FullyDiscriminative(corpus)

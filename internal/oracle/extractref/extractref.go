@@ -969,11 +969,21 @@ func commonParent(e *trace.Execution, a, b instKey) string {
 // returns an error showing where their corpus-codec encodings first
 // differ, or nil when they are byte-identical.
 func Compare(s *trace.Set, cfg predicate.Config) error {
+	return diff(predicate.Extract(s, cfg), Extract(s, cfg))
+}
+
+// CompareLogs is Compare for a corpus in log form: predicate.ExtractLogs
+// reads ls, and the reference its materialized set.
+func CompareLogs(ls *trace.LogSet, cfg predicate.Config) error {
+	return diff(predicate.ExtractLogs(ls, cfg), Extract(ls.Set(), cfg))
+}
+
+func diff(extracted, reference *predicate.Corpus) error {
 	var got, want bytes.Buffer
-	if err := predicate.Extract(s, cfg).Encode(&got); err != nil {
+	if err := extracted.Encode(&got); err != nil {
 		return err
 	}
-	if err := Extract(s, cfg).Encode(&want); err != nil {
+	if err := reference.Encode(&want); err != nil {
 		return err
 	}
 	g, w := got.Bytes(), want.Bytes()

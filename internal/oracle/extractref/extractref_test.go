@@ -9,30 +9,38 @@ import (
 	"aid/internal/effects"
 	"aid/internal/oracle/extractref"
 	"aid/internal/predicate"
+	"aid/internal/sim"
 	"aid/internal/trace"
 )
 
 // TestExtractMatchesReference requires predicate.Extract to encode
 // byte-identically to the map-keyed reference on the six case studies'
-// corpora and on random non-canonical trace sets, with and without a
-// duration margin, a side-effect-free oracle and a pure-method oracle.
-// (The generated programs' corpora are checked in package sim.)
+// corpora, on a program whose global and array share a name, and on
+// random non-canonical trace sets, with and without a duration margin, a
+// side-effect-free oracle and a pure-method oracle. Each collected
+// corpus is extracted twice, from the collection's logs and from the
+// materialized set. (The generated programs' corpora are checked in
+// package sim.)
 func TestExtractMatchesReference(t *testing.T) {
 	t.Run("studies", func(t *testing.T) {
 		// Collection sweeps seeds from 1 whatever the algorithm seed, so
 		// one corpus per size stands for every algorithm seed.
-		for _, s := range casestudy.All() {
+		for _, s := range append(casestudy.All(), sharedNameStudy()) {
 			with := s.Config()
 			with.PureMethods = effects.Analyze(s.Program).Prunable
 			for _, size := range [][2]int{{50, 50}, {10, 40}} {
 				rc := casestudy.CollectConfig{Successes: size[0], Failures: size[1], SeedCap: 4000}
-				set, _, err := casestudy.Collect(context.Background(), s, rc)
+				logs, _, err := casestudy.Collect(context.Background(), s, rc)
 				if err != nil {
 					t.Fatal(err)
 				}
+				set := logs.Set()
 				for _, cfg := range []predicate.Config{with, {}} {
+					if err := extractref.CompareLogs(logs, cfg); err != nil {
+						t.Fatalf("%s at %d+%d, from the logs: %v", s.Name, size[0], size[1], err)
+					}
 					if err := extractref.Compare(set, cfg); err != nil {
-						t.Fatalf("%s at %d+%d: %v", s.Name, size[0], size[1], err)
+						t.Fatalf("%s at %d+%d, from the set: %v", s.Name, size[0], size[1], err)
 					}
 				}
 			}
@@ -64,6 +72,32 @@ func TestExtractMatchesReference(t *testing.T) {
 		}
 		t.Logf("predicates by kind: %v", seen)
 	})
+}
+
+// sharedNameStudy is a program whose global and array are both named
+// "x" (one object in a trace, two ids in the machine's logs): a writer
+// thread writes both while the reader reads both, and the reader throws
+// when it sees the global written before the array.
+func sharedNameStudy() *casestudy.Study {
+	p := sim.NewProgram("sharedname", "Main")
+	p.Globals["x"] = 0
+	p.Arrays["x"] = []int64{0, 0}
+	p.AddFunc("Writer",
+		sim.WriteGlobal{Var: "x", Src: sim.Lit(1)},
+		sim.ArrayWrite{Arr: "x", Index: sim.Lit(0), Src: sim.Lit(1)},
+	)
+	p.AddFunc("Reader",
+		sim.ReadGlobal{Var: "x", Dst: "g"},
+		sim.ArrayRead{Arr: "x", Index: sim.Lit(0), Dst: "a"},
+		sim.If{Cond: sim.Cond{A: sim.V("g"), Op: sim.GT, B: sim.V("a")},
+			Then: []sim.Op{sim.Throw{Kind: "Torn"}}},
+	)
+	p.AddFunc("Main",
+		sim.Spawn{Fn: "Writer", Dst: "w"},
+		sim.Call{Fn: "Reader"},
+		sim.Join{Thread: sim.V("w")},
+	)
+	return &casestudy.Study{Name: p.Name, Program: p, FailureSig: sim.UncaughtSig("Torn")}
 }
 
 // configs is every combination of a duration margin, a side-effect-free

@@ -49,78 +49,45 @@ func benchSet(execs, callsPerExec int) *trace.Set {
 	return s
 }
 
-// BenchmarkExtract measures full predicate extraction over a mixed
-// corpus (the SD phase's dominant cost).
-func BenchmarkExtract(b *testing.B) {
-	set := benchSet(40, 30)
-	cfg := Config{DurationMargin: 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := Extract(set, cfg)
-		if len(c.Preds) == 0 {
-			b.Fatal("no predicates extracted")
-		}
-	}
-}
-
 // BenchmarkExtractRaces isolates the race detector on overlap-heavy
-// traces. Each iteration interns the corpus too, since the race pass
-// reads the interned ids.
+// traces. Each iteration builds the corpus index too (key numbering and
+// access grouping), since the race pass reads it; interning the set is
+// left out.
 func BenchmarkExtractRaces(b *testing.B) {
-	set := benchSet(20, 60)
+	ls := trace.Intern(benchSet(20, 60))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := NewCorpus()
-		for j := range set.Executions {
-			e := &set.Executions[j]
-			c.AddRow(e.ID, e.Failed())
+		for j := range ls.Runs {
+			r := &ls.Runs[j]
+			c.AddRow(r.ID, r.Failed())
 		}
-		newCorpusIndex(set.Executions).extractRaces(c)
+		newCorpusIndex(ls).extractRaces(c)
 	}
 }
 
-// splitBenchSet splits benchSet's executions into success baselines and
-// failed replays, with the one-shot corpus over all of them.
-func splitBenchSet(execs, callsPerExec int) (c *Corpus, baselines, replays []trace.Execution) {
-	set := benchSet(execs, callsPerExec)
-	for _, e := range set.Executions {
-		if e.Failed() {
-			replays = append(replays, e)
-		} else {
-			baselines = append(baselines, e)
-		}
-	}
-	return Extract(set, Config{DurationMargin: 4}), baselines, replays
-}
-
-// BenchmarkMonitorsCompile measures compiling the corpus's monitors
-// against the baselines: the once-per-executor cost.
-func BenchmarkMonitorsCompile(b *testing.B) {
-	c, baselines, _ := splitBenchSet(40, 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileMonitors(c, trace.Symbols{}, baselines, Config{DurationMargin: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMonitorsEval measures answering one round of replays: the
-// per-round cost of the intervention loop.
+// BenchmarkMonitorsEval measures answering one round of replays, from
+// their logs: the per-round cost of the intervention loop.
 func BenchmarkMonitorsEval(b *testing.B) {
-	c, baselines, replays := splitBenchSet(40, 30)
-	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, Config{DurationMargin: 4})
+	set := benchSet(40, 30)
+	c := Extract(set, Config{DurationMargin: 4})
+	ls := trace.Intern(set)
+	ms, err := CompileMonitors(c, ls.Syms, ls.Successes(), Config{DurationMargin: 4})
 	if err != nil {
 		b.Fatal(err)
+	}
+	var replays []trace.RunLog
+	for i := range ls.Runs {
+		if ls.Runs[i].Failed() {
+			replays = append(replays, ls.Runs[i].Log)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range replays {
-			ms.Eval(&replays[j])
+			ms.EvalLog(&replays[j], func([]bool) {})
 		}
 	}
 }

@@ -38,7 +38,7 @@ func (c Config) sideEffectFree(m string) bool {
 	return c.SideEffectFree != nil && c.SideEffectFree(m)
 }
 
-// instKey identifies a dynamic method instance across executions.
+// instKey names a dynamic method instance across executions.
 type instKey struct {
 	m    string
 	inst int
@@ -69,27 +69,31 @@ type succStats struct {
 }
 
 // Extract evaluates the full predicate vocabulary over the trace corpus
-// and returns the predicate logs. It mirrors the paper's offline
-// predicate-extraction phase: success baselines are learned from the
-// successful executions, then every execution is scanned for
-// deviations.
-//
-// The corpus is interned once (corpusIndex), and every pass indexes
-// slices by the interned ids. internal/oracle/extractref keeps the
-// map-keyed extractor this replaced as the test reference.
+// and returns the predicate logs: it interns the set into log form
+// (trace.Intern) and runs ExtractLogs. internal/oracle/extractref keeps
+// the map-keyed extractor over Executions as the test reference.
+func Extract(s *trace.Set, cfg Config) *Corpus { return ExtractLogs(trace.Intern(s), cfg) }
+
+// ExtractLogs mirrors the paper's offline predicate-extraction phase
+// over a corpus in log form: success baselines are learned from the
+// successful runs, then every run is scanned for deviations. Every pass
+// indexes slices by the logs' symbol ids; no name is looked up per call
+// or access. The corpus keeps ls (Corpus.Logs): the replay monitors
+// learn their baselines from its successful runs.
 //
 // Intervention replays are not re-extracted: Monitors answers, per
 // replay, the occurrence bits this function would give a corpus's
 // predicates over the baselines plus that replay marked failed.
-func Extract(s *trace.Set, cfg Config) *Corpus {
+func ExtractLogs(ls *trace.LogSet, cfg Config) *Corpus {
 	c := NewCorpus()
-	for i := range s.Executions {
-		e := &s.Executions[i]
-		c.AddRow(e.ID, e.Failed())
+	c.logs = ls
+	for i := range ls.Runs {
+		r := &ls.Runs[i]
+		c.AddRow(r.ID, r.Failed())
 	}
-	x := newCorpusIndex(s.Executions)
+	x := newCorpusIndex(ls)
 	c.AddPred(FailurePredicate())
-	stampFailures(s.Executions, c)
+	stampFailures(ls.Runs, c)
 	x.extractPerCall(c, cfg)
 	x.extractRaces(c)
 	x.extractOrder(c)
@@ -102,24 +106,29 @@ func Extract(s *trace.Set, cfg Config) *Corpus {
 	return c
 }
 
-// corpusIndex is the interned corpus the extraction passes read. Every
-// (method, instance) key, method and object has a dense id, numbered in
-// sorted order (keys by method name, then instance), so comparing ids
-// compares names. The tables are sized by the corpus's calls, accesses
-// and distinct keys; nothing is indexed by a trace-supplied number,
-// since aid serve extracts corpora that arrive over the network.
+// corpusIndex is what the extraction passes read beside the logs. Every
+// (method, instance) key has a dense id, numbered in name then instance
+// order, so comparing ids compares keys; an object's id is its name's
+// rank. The tables are sized by the corpus's calls, accesses and
+// symbols; nothing is indexed by a trace-supplied number, since aid
+// serve extracts corpora that arrive over the network.
 type corpusIndex struct {
-	execs   []trace.Execution
-	keys    []instKey
-	method  []int32  // key -> method id
-	methods []string // method id -> name
+	runs []trace.LogRun
+	syms *trace.Symbols
+	// keyFn[k] and keyInst[k] are key k's function id and instance.
+	keyFn   []int32
+	keyInst []int
+	// objRank[o] is object id o's name rank, objs the names by rank.
+	objRank []int32
 	objs    []trace.ObjectID
-	// Execution i's calls, and then their accesses in order, have the
-	// flat numbers from callOff[i] and accOff[i] on.
+	// Run i's spans, and then their accesses, have the flat numbers from
+	// callOff[i] and accOff[i] on.
 	callOff, accOff []int
-	callKey         []int32 // flat call -> key
-	accObj          []int32 // flat access -> object
-	// root[f] reports that no other span of flat call f's thread
+	callKey         []int32 // flat span -> key
+	// Run i's accesses grouped by span (groupBySpan) are at accOff[i] in
+	// accOrder, with the group starts at callOff[i]+i in accStart.
+	accStart, accOrder []int32
+	// root[f] reports that no other span of flat span f's thread
 	// strictly encloses it.
 	root []bool
 	// stats[k] is key k's success baseline (present 0: it never ran in
@@ -130,79 +139,154 @@ type corpusIndex struct {
 	succs   int
 }
 
-// newCorpusIndex interns execs, with one map probe per call for its key
-// and one per access for its object, renumbers the ids in sorted order,
-// folds the success baselines, and sweeps each execution's spans once.
-func newCorpusIndex(execs []trace.Execution) *corpusIndex {
-	x := &corpusIndex{execs: execs, callOff: make([]int, len(execs)), accOff: make([]int, len(execs))}
+// newCorpusIndex numbers the keys, groups each run's accesses by span,
+// folds the success baselines, and sweeps each run's spans once.
+func newCorpusIndex(ls *trace.LogSet) *corpusIndex {
+	x := &corpusIndex{runs: ls.Runs, syms: &ls.Syms, callOff: make([]int, len(ls.Runs)), accOff: make([]int, len(ls.Runs))}
 	nCalls, nAccs := 0, 0
-	for i := range execs {
-		nCalls += len(execs[i].Calls)
-		for j := range execs[i].Calls {
-			nAccs += len(execs[i].Calls[j].Accesses)
-		}
+	for i := range ls.Runs {
+		x.callOff[i], x.accOff[i] = nCalls, nAccs
+		nCalls += len(ls.Runs[i].Log.Spans)
+		nAccs += len(ls.Runs[i].Log.Accesses)
 	}
-	x.callKey = make([]int32, nCalls)
-	x.accObj = make([]int32, nAccs)
-	keyIdx := make(map[instKey]int)
-	objIdx := make(map[trace.ObjectID]int)
-	f, a := 0, 0
-	for i := range execs {
-		x.callOff[i], x.accOff[i] = f, a
-		for j := range execs[i].Calls {
-			call := &execs[i].Calls[j]
-			x.callKey[f] = int32(intern(keyIdx, instKey{call.Method, call.Instance}))
-			for n := range call.Accesses {
-				x.accObj[a] = int32(intern(objIdx, call.Accesses[n].Object))
-				a++
-			}
-			f++
-		}
+	x.numberKeys(nCalls)
+	x.objRank, x.objs = objectRanks(ls.Syms.Objects)
+	x.accStart = make([]int32, nCalls+len(ls.Runs))
+	x.accOrder = make([]int32, nAccs)
+	for i := range ls.Runs {
+		l := &ls.Runs[i].Log
+		groupBySpan(l, x.accStart[x.callOff[i]+i:][:len(l.Spans)+1], x.accOrder[x.accOff[i]:][:len(l.Accesses)])
 	}
 
-	x.keys = renumber(keyIdx, x.callKey, func(p, q instKey) int {
-		return cmp.Or(cmp.Compare(p.m, q.m), cmp.Compare(p.inst, q.inst))
-	})
-	x.objs = renumber(objIdx, x.accObj, cmp.Compare[trace.ObjectID])
-	x.method = make([]int32, len(x.keys))
-	for k, key := range x.keys {
-		if k == 0 || key.m != x.keys[k-1].m {
-			x.methods = append(x.methods, key.m)
-		}
-		x.method[k] = int32(len(x.methods) - 1)
-	}
-
-	x.stats = make([]succStats, len(x.keys))
-	for i := range execs {
-		if execs[i].Failed() {
+	x.stats = make([]succStats, len(x.keyFn))
+	for i := range x.runs {
+		if x.runs[i].Failed() {
 			continue
 		}
 		x.succs++
-		for j := range execs[i].Calls {
-			x.stats[x.callKey[x.callOff[i]+j]].add(factsOf(&execs[i].Calls[j]))
+		spans := x.runs[i].Log.Spans
+		for j := range spans {
+			x.stats[x.callKey[x.callOff[i]+j]].add(spanFacts(&spans[j]))
 		}
 	}
 	x.sweep()
 	return x
 }
 
-// renumber gives the keys of idx, interned in first-seen order, new ids
-// in compare order, rewrites ids to them, and returns the keys by new
-// id.
-func renumber[K comparable](idx map[K]int, ids []int32, compare func(a, b K) int) []K {
-	names := make([]K, 0, len(idx))
-	for k := range idx {
-		names = append(names, k)
+// numberKeys gives every span its key. The machine numbers a function's
+// calls from 0 in each run, so a key is its function's base plus the
+// instance, the bases laid out in function (name) order. An interned
+// file's instances are arbitrary (repeated, negative, 4e9); when some
+// instance is not below its function's call count in the corpus, the
+// distinct keys are sorted instead.
+func (x *corpusIndex) numberKeys(nCalls int) {
+	nf := len(x.syms.Funcs)
+	calls := make([]int, nf) // function -> calls, then its key base
+	width := make([]int, nf) // function -> highest instance + 1
+	for i := range x.runs {
+		for _, s := range x.runs[i].Log.Spans {
+			calls[s.Fn]++
+		}
 	}
-	slices.SortFunc(names, compare)
-	rank := make([]int32, len(names))
-	for id, k := range names {
-		rank[idx[k]] = int32(id)
+	dense := true
+	for i := range x.runs {
+		for _, s := range x.runs[i].Log.Spans {
+			if s.Instance < 0 || s.Instance >= calls[s.Fn] {
+				dense = false
+			}
+			width[s.Fn] = max(width[s.Fn], s.Instance+1)
+		}
 	}
-	for i, id := range ids {
-		ids[i] = rank[id]
+	x.callKey = make([]int32, nCalls)
+	if dense {
+		base := calls
+		n := 0
+		for f := range nf {
+			base[f] = n
+			n += width[f]
+		}
+		x.keyFn, x.keyInst = make([]int32, n), make([]int, n)
+		for f := range nf {
+			for i := range width[f] {
+				x.keyFn[base[f]+i], x.keyInst[base[f]+i] = int32(f), i
+			}
+		}
+		for i := range x.runs {
+			for j, s := range x.runs[i].Log.Spans {
+				x.callKey[x.callOff[i]+j] = int32(base[s.Fn] + s.Instance)
+			}
+		}
+		return
 	}
-	return names
+	type keyed struct {
+		fn   int32
+		inst int
+		call int32 // flat span
+	}
+	all := make([]keyed, 0, nCalls)
+	for i := range x.runs {
+		for j, s := range x.runs[i].Log.Spans {
+			all = append(all, keyed{s.Fn, s.Instance, int32(x.callOff[i] + j)})
+		}
+	}
+	slices.SortFunc(all, func(p, q keyed) int { return cmp.Or(cmp.Compare(p.fn, q.fn), cmp.Compare(p.inst, q.inst)) })
+	for k, e := range all {
+		if k == 0 || e.fn != all[k-1].fn || e.inst != all[k-1].inst {
+			x.keyFn, x.keyInst = append(x.keyFn, e.fn), append(x.keyInst, e.inst)
+		}
+		x.callKey[e.call] = int32(len(x.keyFn) - 1)
+	}
+}
+
+// key returns key k's method name and instance.
+func (x *corpusIndex) key(k int32) instKey {
+	return instKey{x.syms.Funcs[x.keyFn[k]], x.keyInst[k]}
+}
+
+// spanAccesses returns the access indices of run row's span j, in the
+// row's log order.
+func (x *corpusIndex) spanAccesses(row, j int) []int32 {
+	s := x.accStart[x.callOff[row]+row+j:]
+	return x.accOrder[x.accOff[row]:][s[0]:s[1]]
+}
+
+// objectRanks returns each object id's rank among the distinct names of
+// objs, and the names by rank: ids that share a name share its rank.
+func objectRanks(objs []trace.ObjectID) (rank []int32, names []trace.ObjectID) {
+	ids := make([]int32, len(objs))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(objs[a], objs[b]) })
+	rank = make([]int32, len(objs))
+	for k, id := range ids {
+		if k == 0 || objs[id] != objs[ids[k-1]] {
+			names = append(names, objs[id])
+		}
+		rank[id] = int32(len(names) - 1)
+	}
+	return rank, names
+}
+
+// groupBySpan fills order with l's access indices grouped by span, each
+// span's in log order, and start (len(l.Spans)+1 entries) with where
+// each span's group begins in order. len(order) is len(l.Accesses).
+func groupBySpan(l *trace.RunLog, start, order []int32) {
+	clear(start)
+	for i := range l.Accesses {
+		start[l.Accesses[i].Span+1]++
+	}
+	for j := 1; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	for i := range l.Accesses {
+		s := l.Accesses[i].Span
+		order[start[s]] = int32(i)
+		start[s]++
+	}
+	// start[s] now ends span s's group, which is where s+1's begins.
+	copy(start[1:], start[:len(start)-1])
+	start[0] = 0
 }
 
 // baseline returns key k's success baseline, or nil when it never ran
@@ -215,18 +299,18 @@ func (x *corpusIndex) baseline(k int32) *succStats {
 }
 
 // sweep fills root for every call and nonLeaf from the successes, with
-// one sort per execution in place of a scan per span pair. With spans
-// sorted by thread, start, then end descending, a span's strict
-// enclosers are the earlier spans of its thread that have another
-// window and end at or after it does, and the spans it strictly
-// encloses are the later ones that end at or before it does. That
-// holds for any windows, nested or not.
+// one sort per run in place of a scan per span pair. With spans sorted
+// by thread, start, then end descending, a span's strict enclosers are
+// the earlier spans of its thread that have another window and end at
+// or after it does, and the spans it strictly encloses are the later
+// ones that end at or before it does. That holds for any windows,
+// nested or not.
 func (x *corpusIndex) sweep() {
 	x.root = make([]bool, len(x.callKey))
-	x.nonLeaf = make([]bool, len(x.keys))
+	x.nonLeaf = make([]bool, len(x.keyFn))
 	var order []int32
-	for i := range x.execs {
-		calls := x.execs[i].Calls
+	for i := range x.runs {
+		calls := x.runs[i].Log.Spans
 		base := x.callOff[i]
 		order = order[:0]
 		for j := range calls {
@@ -271,7 +355,7 @@ func (x *corpusIndex) sweep() {
 				}
 				g = h
 			}
-			if !x.execs[i].Failed() {
+			if !x.runs[i].Failed() {
 				// Backward: a span is a non-leaf when some later window
 				// ends at or before it does.
 				var minEnd trace.Time
@@ -297,20 +381,18 @@ func (x *corpusIndex) sweep() {
 	}
 }
 
-// stampFailures records the failure predicate F in every failed
-// execution's log; execs[i] is corpus row i.
-func stampFailures(execs []trace.Execution, c *Corpus) {
+// stampFailures records the failure predicate F in every failed run's
+// log; runs[i] is corpus row i.
+func stampFailures(runs []trace.LogRun, c *Corpus) {
 	fh, _ := c.HandleOf(FailureID)
-	for i := range execs {
-		e := &execs[i]
-		if !e.Failed() || len(e.Calls) == 0 {
+	for i := range runs {
+		r := &runs[i]
+		if !r.Failed() || len(r.Log.Spans) == 0 {
 			continue
 		}
 		var end trace.Time
-		for j := range e.Calls {
-			if e.Calls[j].End > end {
-				end = e.Calls[j].End
-			}
+		for j := range r.Log.Spans {
+			end = max(end, r.Log.Spans[j].End)
 		}
 		// F is stamped strictly after the last event: the failure
 		// manifests once everything observed has happened, so any
@@ -319,16 +401,13 @@ func stampFailures(execs []trace.Execution, c *Corpus) {
 	}
 }
 
-// callFacts is what the per-call rules read of one call, from either
-// form of a run (an Execution's call or a RunLog's span): its window,
+// callFacts is what the per-call rules read of one span: its window,
 // whether it threw, and its return value.
 type callFacts struct {
 	start, end trace.Time
 	failed     bool
 	ret        trace.Value
 }
-
-func factsOf(c *trace.MethodCall) callFacts { return callFacts{c.Start, c.End, c.Failed(), c.Return} }
 
 func spanFacts(s *trace.Span) callFacts { return callFacts{s.Start, s.End, s.Failed(), s.Return} }
 
@@ -396,18 +475,18 @@ func holds(k Kind, call callFacts, st *succStats, margin trace.Time, root func()
 // every method instance, resolving each (key, kind)'s handle once.
 func (x *corpusIndex) extractPerCall(c *Corpus, cfg Config) {
 	nk := len(perCallKinds)
-	handles := make([]Handle, len(x.keys)*nk)
+	handles := make([]Handle, len(x.keyFn)*nk)
 	for i := range handles {
 		handles[i] = -1
 	}
-	for i := range x.execs {
-		e := &x.execs[i]
-		for j := range e.Calls {
-			call := &e.Calls[j]
+	for i := range x.runs {
+		spans := x.runs[i].Log.Spans
+		for j := range spans {
+			span := &spans[j]
 			f := x.callOff[i] + j
 			k := x.callKey[f]
 			st := x.baseline(k)
-			facts := factsOf(call)
+			facts := spanFacts(span)
 			root := func() bool { return x.root[f] }
 			for ki, kind := range perCallKinds {
 				if !holds(kind, facts, st, cfg.DurationMargin, root) {
@@ -415,22 +494,27 @@ func (x *corpusIndex) extractPerCall(c *Corpus, cfg Config) {
 				}
 				h := &handles[int(k)*nk+ki]
 				if *h < 0 {
-					id := ID(perCallPrefix[kind] + x.keys[k].String())
+					key := x.key(k)
+					id := ID(perCallPrefix[kind] + key.String())
 					var ok bool
 					if *h, ok = c.HandleOf(id); !ok {
-						*h = c.AddPred(perCallPredicate(id, kind, x.keys[k], call, st, cfg))
+						var exc string
+						if span.Exc >= 0 {
+							exc = x.syms.Exceptions[span.Exc]
+						}
+						*h = c.AddPred(perCallPredicate(id, kind, key, exc, st, cfg))
 					}
 				}
-				c.SetOcc(i, *h, Occurrence{Start: call.Start, End: call.End, Thread: call.Thread})
+				c.SetOcc(i, *h, Occurrence{Start: span.Start, End: span.End, Thread: span.Thread})
 			}
 		}
 	}
 }
 
 // perCallPredicate builds the per-call predicate of the given kind for
-// instance k, first seen holding at call; st is k's success baseline
-// (nil only for a method that fails).
-func perCallPredicate(id ID, kind Kind, k instKey, call *trace.MethodCall, st *succStats, cfg Config) Predicate {
+// instance k, first seen holding at a call that threw exc (when it
+// threw); st is k's success baseline (nil only for a method that fails).
+func perCallPredicate(id ID, kind Kind, k instKey, exc string, st *succStats, cfg Config) Predicate {
 	p := Predicate{ID: id, Kind: kind, Methods: []string{k.m}, Instance: k.inst, Stamp: ByEnd}
 	safe := cfg.sideEffectFree(k.m)
 	switch kind {
@@ -439,7 +523,7 @@ func perCallPredicate(id ID, kind Kind, k instKey, call *trace.MethodCall, st *s
 		if st != nil {
 			p.Repair.Value, _ = st.usableRet()
 		}
-		p.Desc = fmt.Sprintf("method %s (call #%d) throws %s", k.m, k.inst, call.Exception)
+		p.Desc = fmt.Sprintf("method %s (call #%d) throws %s", k.m, k.inst, exc)
 	case KindTooSlow:
 		p.Repair = Intervention{Kind: IvPrematureReturn, Methods: []string{k.m}, Safe: safe}
 		var ok bool
@@ -472,26 +556,25 @@ func (st *succStats) usableRet() (int64, bool) {
 
 // accessWindow summarizes one span's accesses to one object: its
 // thread, the time interval from its first to its last access, whether
-// any access is a write, and the set of locks held by every access (a
-// race needs one unprotected conflicting pair, so only locks held
-// across the whole window rule a pair out). Locks are mutex names in
-// extraction and a run's mutex ids in the monitors.
-type accessWindow[L comparable] struct {
+// any access is a write, and the set of mutex ids held by every access
+// (a race needs one unprotected conflicting pair, so only locks held
+// across the whole window rule a pair out).
+type accessWindow struct {
 	thread   trace.ThreadID
 	start    trace.Time
 	end      trace.Time
 	hasWrite bool
-	locks    []L // intersection of the window's access locksets
+	locks    []int32 // intersection of the window's access locksets
 }
 
-// raceWindow is extractRaces's access window, with its object and its
-// call's method.
+// raceWindow is extractRaces's access window, with its object's rank
+// and its call's function.
 type raceWindow struct {
-	accessWindow[string]
+	accessWindow
 	m, o int32
 }
 
-// raceEntry is the handle of the race between methods m1 <= m2 on the
+// raceEntry is the handle of the race between functions m1 <= m2 on the
 // object whose list holds it.
 type raceEntry struct {
 	m1, m2 int32
@@ -507,11 +590,11 @@ type raceEntry struct {
 // write sections losing an update — while mere span-envelope overlap
 // with disjoint access windows does not race.
 //
-// Windows are bucketed by object, and each object keeps its races'
-// handles sorted by method pair. The bucket backings and the buffer
-// behind the per-window locksets are reused across executions (the
+// Windows are bucketed by object, in span order, and each object keeps
+// its races' handles sorted by method pair. The bucket backings and the
+// buffer behind the per-window locksets are reused across runs (the
 // locks buffer is rewound for each one: a window never outlives its
-// execution's pass).
+// run's pass).
 func (x *corpusIndex) extractRaces(c *Corpus) {
 	winOf := make([]int32, len(x.objs)) // object -> the current call's window, -1 none
 	for o := range winOf {
@@ -521,38 +604,32 @@ func (x *corpusIndex) extractRaces(c *Corpus) {
 	handles := make([][]raceEntry, len(x.objs))
 	var wins []raceWindow
 	var objs []int32
-	var locks []string
-	for row := range x.execs {
-		e := &x.execs[row]
+	var locks []int32
+	for row := range x.runs {
+		l := &x.runs[row].Log
 		objs = objs[:0]
 		locks = locks[:0]
-		n := x.accOff[row]
-		for j := range e.Calls {
-			call := &e.Calls[j]
-			m := x.method[x.callKey[x.callOff[row]+j]]
+		for j := range l.Spans {
+			span := &l.Spans[j]
 			wins = wins[:0]
-			for a := range call.Accesses {
-				acc := &call.Accesses[a]
-				o := x.accObj[n]
-				n++
+			for _, k := range x.spanAccesses(row, j) {
+				acc := &l.Accesses[k]
+				o := x.objRank[acc.Obj]
+				held := l.Lockset(acc.Lockset)
 				wi := winOf[o]
 				if wi < 0 {
 					wi = int32(len(wins))
 					winOf[o] = wi
-					var held []string
-					locks, held = cloneLocks(locks, acc.Locks)
-					wins = append(wins, raceWindow{
-						accessWindow: accessWindow[string]{thread: call.Thread, start: acc.At, end: acc.At, locks: held},
-						m:            m,
-						o:            o,
-					})
+					w := raceWindow{accessWindow: accessWindow{thread: span.Thread, start: acc.At, end: acc.At}, m: span.Fn, o: o}
+					locks, w.locks = cloneLocks(locks, held)
+					wins = append(wins, w)
 				} else {
 					w := &wins[wi]
 					w.start = min(w.start, acc.At)
 					w.end = max(w.end, acc.At)
-					w.locks = intersectInPlace(w.locks, acc.Locks)
+					w.locks = intersectInPlace(w.locks, held)
 				}
-				if acc.Kind == trace.Write {
+				if acc.Kind == uint8(trace.Write) {
 					wins[wi].hasWrite = true
 				}
 			}
@@ -583,14 +660,14 @@ func (x *corpusIndex) extractRaces(c *Corpus) {
 					c.SetOcc(row, h, Occurrence{Start: start, End: end, Thread: NoThread})
 				}
 			}
-			// Truncate the bucket for reuse by the next execution.
+			// Truncate the bucket for reuse by the next run.
 			buckets[o] = ws[:0]
 		}
 	}
 }
 
-// raceHandle returns the handle of the race between methods m1 <= m2 on
-// object o, registering the predicate when it is new.
+// raceHandle returns the handle of the race between functions m1 <= m2
+// on object o, registering the predicate when it is new.
 func (x *corpusIndex) raceHandle(c *Corpus, handles [][]raceEntry, m1, m2, o int32) Handle {
 	list := handles[o]
 	i, found := slices.BinarySearchFunc(list, raceEntry{m1: m1, m2: m2}, func(p, q raceEntry) int {
@@ -599,7 +676,7 @@ func (x *corpusIndex) raceHandle(c *Corpus, handles [][]raceEntry, m1, m2, o int
 	if found {
 		return list[i].h
 	}
-	n1, n2, obj := x.methods[m1], x.methods[m2], x.objs[o]
+	n1, n2, obj := x.syms.Funcs[m1], x.syms.Funcs[m2], x.objs[o]
 	id := raceID(n1, n2, obj)
 	h, ok := c.HandleOf(id)
 	if !ok {
@@ -619,7 +696,7 @@ func (x *corpusIndex) raceHandle(c *Corpus, handles [][]raceEntry, m1, m2, o int
 // races reports whether two calls' access windows on one object race:
 // different threads, at least one write, strictly interleaved windows
 // (each starts before the other ends), and no lock held across both.
-func races[L comparable](a, b *accessWindow[L]) bool {
+func races(a, b *accessWindow) bool {
 	return a.thread != b.thread && (a.hasWrite || b.hasWrite) &&
 		a.start < b.end && b.start < a.end && !sharesLock(a.locks, b.locks)
 }
@@ -627,7 +704,7 @@ func races[L comparable](a, b *accessWindow[L]) bool {
 // cloneLocks copies locks onto the end of buf and returns the grown
 // buffer and the copy. The copy's capacity ends at its length, so
 // intersectInPlace never writes into a neighbouring window's lockset.
-func cloneLocks[L comparable](buf, locks []L) (grown, clone []L) {
+func cloneLocks(buf, locks []int32) (grown, clone []int32) {
 	n := len(buf)
 	buf = append(buf, locks...)
 	return buf, buf[n:len(buf):len(buf)]
@@ -635,26 +712,21 @@ func cloneLocks[L comparable](buf, locks []L) (grown, clone []L) {
 
 // intersectInPlace filters a down to the elements also present in b,
 // reusing a's backing (a is always a cloneLocks copy here).
-func intersectInPlace[L comparable](a, b []L) []L {
+func intersectInPlace(a, b []int32) []int32 {
 	n := 0
 	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				a[n] = x
-				n++
-				break
-			}
+		if slices.Contains(b, x) {
+			a[n] = x
+			n++
 		}
 	}
 	return a[:n]
 }
 
-func sharesLock[L comparable](a, b []L) bool {
+func sharesLock(a, b []int32) bool {
 	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
+		if slices.Contains(b, x) {
+			return true
 		}
 	}
 	return false
@@ -682,8 +754,8 @@ func dedupe(ms ...string) []string {
 }
 
 // extractOrder finds instance pairs (A, B) that are strictly ordered
-// A-then-B in every successful execution and emits the predicate "B
-// starts before A ends" wherever the order flips.
+// A-then-B in every successful run and emits the predicate "B starts
+// before A ends" wherever the order flips.
 //
 // Two restrictions keep the predicate set meaningful:
 //
@@ -702,9 +774,9 @@ func (x *corpusIndex) extractOrder(c *Corpus) {
 	}
 	// The baseline keys, in key order: present in every success and a
 	// leaf in all of them.
-	slot := make([]int32, len(x.keys))
+	slot := make([]int32, len(x.keyFn))
 	var keys []int32
-	for k := range x.keys {
+	for k := range x.keyFn {
 		slot[k] = -1
 		if x.stats[k].present == x.succs && !x.nonLeaf[k] {
 			slot[k] = int32(len(keys))
@@ -715,22 +787,22 @@ func (x *corpusIndex) extractOrder(c *Corpus) {
 	if nk == 0 {
 		return
 	}
-	// Execution i's last call of baseline key s is its Calls[rows[i*nk+s]]
+	// Run i's last span of baseline key s is its Spans[rows[i*nk+s]]
 	// (-1: none).
-	rows := make([]int32, len(x.execs)*nk)
+	rows := make([]int32, len(x.runs)*nk)
 	for i := range rows {
 		rows[i] = -1
 	}
-	for i := range x.execs {
-		for j := range x.execs[i].Calls {
+	for i := range x.runs {
+		for j := range x.runs[i].Log.Spans {
 			if s := slot[x.callKey[x.callOff[i]+j]]; s >= 0 {
 				rows[i*nk+int(s)] = int32(j)
 			}
 		}
 	}
-	call := func(i, s int) *trace.MethodCall {
+	call := func(i, s int) *trace.Span {
 		if j := rows[i*nk+s]; j >= 0 {
-			return &x.execs[i].Calls[j]
+			return &x.runs[i].Log.Spans[j]
 		}
 		return nil
 	}
@@ -742,31 +814,28 @@ func (x *corpusIndex) extractOrder(c *Corpus) {
 			ordered[a*nk+b] = a != b
 		}
 	}
-	profiles := make([]accessProfile[int32], nk)
+	profiles := make([]accessProfile, nk)
 	// A success's baseline calls' starts and ends, by slot.
 	start := make([]trace.Time, nk)
 	end := make([]trace.Time, nk)
-	for i := range x.execs {
-		if x.execs[i].Failed() {
+	for i := range x.runs {
+		if x.runs[i].Failed() {
 			continue
 		}
-		off := x.accOff[i]
-		for j, c := range x.execs[i].Calls {
-			if s := slot[x.callKey[x.callOff[i]+j]]; s >= 0 && rows[i*nk+int(s)] == int32(j) {
-				for k, acc := range c.Accesses {
-					profiles[s].add(x.accObj[off+k], acc.Kind == trace.Write)
-				}
-			}
-			off += len(c.Accesses)
-		}
+		l := &x.runs[i].Log
 		for s := range nk {
-			if c := call(i, s); c != nil {
-				start[s], end[s] = c.Start, c.End
+			j := rows[i*nk+s]
+			if j < 0 {
+				// A key missing from a success is ordered against none.
+				for t := range nk {
+					ordered[s*nk+t], ordered[t*nk+s] = false, false
+				}
 				continue
 			}
-			// A key missing from a success is ordered against none.
-			for t := range nk {
-				ordered[s*nk+t], ordered[t*nk+s] = false, false
+			start[s], end[s] = l.Spans[j].Start, l.Spans[j].End
+			for _, k := range x.spanAccesses(i, int(j)) {
+				acc := &l.Accesses[k]
+				profiles[s].add(x.objRank[acc.Obj], acc.Kind == uint8(trace.Write))
 			}
 		}
 		for a := range nk {
@@ -784,13 +853,13 @@ func (x *corpusIndex) extractOrder(c *Corpus) {
 				continue
 			}
 			h := Handle(-1)
-			for i := range x.execs {
+			for i := range x.runs {
 				ca, cb := call(i, a), call(i, b)
 				if ca == nil || cb == nil || ca.End <= cb.Start {
 					continue
 				}
 				if h < 0 {
-					h = c.AddPred(orderPredicate(x.keys[keys[a]], x.keys[keys[b]]))
+					h = c.AddPred(orderPredicate(x.key(keys[a]), x.key(keys[b])))
 				}
 				c.SetOcc(i, h, Occurrence{Start: cb.Start, End: ca.End, Thread: NoThread})
 			}
@@ -816,28 +885,27 @@ func orderPredicate(ka, kb instKey) Predicate {
 	}
 }
 
-// accessProfile records the objects an instance touches, sorted, each
-// with whether any of its accesses writes. O is an object name for the
-// monitors and an interned object id for extraction.
-type accessProfile[O cmp.Ordered] []profileEntry[O]
+// accessProfile records the objects (name ranks) an instance touches,
+// sorted, each with whether any of its accesses writes.
+type accessProfile []profileEntry
 
-type profileEntry[O cmp.Ordered] struct {
-	obj   O
+type profileEntry struct {
+	obj   int32
 	write bool
 }
 
 // add records one access to obj.
-func (p *accessProfile[O]) add(obj O, write bool) {
-	i, found := slices.BinarySearchFunc(*p, obj, func(e profileEntry[O], o O) int { return cmp.Compare(e.obj, o) })
+func (p *accessProfile) add(obj int32, write bool) {
+	i, found := slices.BinarySearchFunc(*p, obj, func(e profileEntry, o int32) int { return cmp.Compare(e.obj, o) })
 	if !found {
-		*p = slices.Insert(*p, i, profileEntry[O]{obj: obj})
+		*p = slices.Insert(*p, i, profileEntry{obj: obj})
 	}
 	(*p)[i].write = (*p)[i].write || write
 }
 
 // conflicting reports whether two profiles touch a common object with
 // at least one write.
-func conflicting[O cmp.Ordered](a, b accessProfile[O]) bool {
+func conflicting(a, b accessProfile) bool {
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch d := cmp.Compare(a[i].obj, b[j].obj); {
 		case d < 0:
@@ -860,11 +928,10 @@ func conflicting[O cmp.Ordered](a, b accessProfile[O]) bool {
 // writer; without a common parent the violation cannot be safely
 // repaired at method granularity and the intervention is marked unsafe.
 
-// atomAccess is one object access in an execution's per-object access
-// sequence: its time and kind, and its call's thread and index (in the
-// execution's calls, or the run log's spans). ref is the reader's:
-// extraction's interned key of the call, or the monitors' index of the
-// access in the run log.
+// atomAccess is one object access in a run's per-object access
+// sequence: its time and kind, and its span's thread and index. ref is
+// the reader's: extraction's key of the span, or the monitors' index of
+// the access in the log.
 type atomAccess struct {
 	at     trace.Time
 	thread trace.ThreadID
@@ -885,35 +952,34 @@ type atomCandidate struct {
 
 // extractAtomicity collects the candidate pairs from the successes
 // onto per-key lists sorted by (B, object), then emits wherever a
-// remote write slips between a candidate pair in a failed execution. A
-// successful execution never emits: a violation there makes the pair
-// violated in a success.
+// remote write slips between a candidate pair in a failed run. A
+// successful run never emits: a violation there makes the pair violated
+// in a success.
 func (x *corpusIndex) extractAtomicity(c *Corpus) {
 	byObj := make([][]atomAccess, len(x.objs))
-	cands := make([][]atomCandidate, len(x.keys))
+	cands := make([][]atomCandidate, len(x.keyFn))
 	var objs []int32
 	find := func(a, b *atomAccess, o int32) (int, bool) {
 		return slices.BinarySearchFunc(cands[a.ref], atomCandidate{b: b.ref, o: o}, func(p, q atomCandidate) int {
 			return cmp.Or(cmp.Compare(p.b, q.b), cmp.Compare(p.o, q.o))
 		})
 	}
-	// scan reports the candidate pairs of execution row, object by
-	// object in name order.
+	// scan reports the candidate pairs of run row, object by object in
+	// name order. Each object's sequence is built span by span, each
+	// span's accesses in log order, as the reference reads an
+	// Execution's calls.
 	scan := func(row int, record func(a, b *atomAccess, o int32, violated bool)) {
-		e := &x.execs[row]
+		l := &x.runs[row].Log
 		objs = objs[:0]
-		n := x.accOff[row]
-		for j := range e.Calls {
-			call := &e.Calls[j]
+		for j := range l.Spans {
 			key := x.callKey[x.callOff[row]+j]
-			for k := range call.Accesses {
-				o := x.accObj[n]
-				n++
+			for _, k := range x.spanAccesses(row, j) {
+				acc := &l.Accesses[k]
+				o := x.objRank[acc.Obj]
 				if len(byObj[o]) == 0 {
 					objs = append(objs, o)
 				}
-				acc := &call.Accesses[k]
-				byObj[o] = append(byObj[o], atomAccess{at: acc.At, thread: call.Thread, kind: acc.Kind, span: int32(j), ref: key})
+				byObj[o] = append(byObj[o], atomAccess{at: acc.At, thread: l.Spans[j].Thread, kind: trace.AccessKind(acc.Kind), span: int32(j), ref: key})
 			}
 		}
 		slices.Sort(objs)
@@ -924,8 +990,8 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 			byObj[o] = accs[:0]
 		}
 	}
-	for row := range x.execs {
-		if x.execs[row].Failed() {
+	for row := range x.runs {
+		if x.runs[row].Failed() {
 			continue
 		}
 		scan(row, func(a, b *atomAccess, o int32, violated bool) {
@@ -936,8 +1002,8 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 			cands[a.ref][i].violated = cands[a.ref][i].violated || violated
 		})
 	}
-	for row := range x.execs {
-		if !x.execs[row].Failed() {
+	for row := range x.runs {
+		if !x.runs[row].Failed() {
 			continue
 		}
 		scan(row, func(a, b *atomAccess, o int32, violated bool) {
@@ -950,42 +1016,43 @@ func (x *corpusIndex) extractAtomicity(c *Corpus) {
 			}
 			cd := &cands[a.ref][i]
 			if cd.h < 0 {
-				cd.h = x.atomHandle(c, &x.execs[row], x.keys[a.ref], x.keys[b.ref], x.objs[o])
+				cd.h = x.atomHandle(c, &x.runs[row].Log, a.ref, b.ref, x.objs[o])
 			}
 			c.SetOcc(row, cd.h, Occurrence{Start: a.at, End: b.at, Thread: NoThread})
 		})
 	}
 }
 
-// atomHandle returns the handle of the atomicity violation of ka then
-// kb on obj, registering the predicate when it is new; its repair locks
-// the pair's common parent in e.
-func (x *corpusIndex) atomHandle(c *Corpus, e *trace.Execution, ka, kb instKey, obj trace.ObjectID) Handle {
-	id := atomID(ka, kb, obj)
+// atomHandle returns the handle of the atomicity violation of key ka
+// then key kb on obj, registering the predicate when it is new; its
+// repair locks the pair's common parent in l.
+func (x *corpusIndex) atomHandle(c *Corpus, l *trace.RunLog, ka, kb int32, obj trace.ObjectID) Handle {
+	a, b := x.key(ka), x.key(kb)
+	id := atomID(a, b, obj)
 	if h, ok := c.HandleOf(id); ok {
 		return h
 	}
 	repair := Intervention{Kind: IvNone}
-	if parent := commonParent(e, ka, kb); parent != "" {
+	if parent := commonParent(l, x.keyFn[ka], a.inst, x.keyFn[kb], b.inst); parent >= 0 {
 		repair = Intervention{
 			Kind:    IvLockMethods,
-			Methods: []string{parent},
+			Methods: []string{x.syms.Funcs[l.Spans[parent].Fn]},
 			Safe:    true,
 		}
 	}
 	return c.AddPred(Predicate{
 		ID: id, Kind: KindAtomicityViolation,
-		Methods: dedupe(ka.m, kb.m), Object: obj, Stamp: ByStart,
+		Methods: dedupe(a.m, b.m), Object: obj, Stamp: ByStart,
 		Repair: repair,
 		Desc: fmt.Sprintf("atomicity of %s then %s on %s violated by a remote write",
-			ka, kb, obj),
+			a, b, obj),
 	})
 }
 
 // sortAccesses orders one object's accesses by time. The sort is
 // unstable: equal-time accesses end in an order fixed by the input
-// order, which every caller builds the same way (calls in trace order,
-// each call's accesses in order), so extraction and the monitors see
+// order, which every caller builds the same way (spans in log order,
+// each span's accesses in order), so extraction and the monitors see
 // the same sequence.
 func sortAccesses(accs []atomAccess) {
 	slices.SortFunc(accs, func(x, y atomAccess) int { return cmp.Compare(x.at, y.at) })
@@ -1020,26 +1087,34 @@ func atomID(ka, kb instKey, obj trace.ObjectID) ID {
 }
 
 // commonParent returns the innermost span of the pair's thread that
-// encloses both instances, or "".
-func commonParent(e *trace.Execution, a, b instKey) string {
-	ca, cb := e.Call(a.m, a.inst), e.Call(b.m, b.inst)
-	if ca == nil || cb == nil || ca.Thread != cb.Thread {
-		return ""
+// encloses both instances' first spans (function fa's instance ia, fb's
+// ib), or -1.
+func commonParent(l *trace.RunLog, fa int32, ia int, fb int32, ib int) int {
+	ca, cb := firstSpan(l, fa, ia), firstSpan(l, fb, ib)
+	if ca < 0 || cb < 0 || l.Spans[ca].Thread != l.Spans[cb].Thread {
+		return -1
 	}
-	var best *trace.MethodCall
-	for i := range e.Calls {
-		p := &e.Calls[i]
-		if p.Thread != ca.Thread || p == ca || p == cb {
+	sa, sb := &l.Spans[ca], &l.Spans[cb]
+	best := -1
+	for i := range l.Spans {
+		p := &l.Spans[i]
+		if p.Thread != sa.Thread || i == ca || i == cb {
 			continue
 		}
-		if p.Start <= ca.Start && p.End >= cb.End {
-			if best == nil || p.Start > best.Start {
-				best = p
-			}
+		if p.Start <= sa.Start && p.End >= sb.End && (best < 0 || p.Start > l.Spans[best].Start) {
+			best = i
 		}
 	}
-	if best == nil {
-		return ""
+	return best
+}
+
+// firstSpan returns the index of function fn's first span with the
+// given instance, or -1.
+func firstSpan(l *trace.RunLog, fn int32, inst int) int {
+	for i := range l.Spans {
+		if l.Spans[i].Fn == fn && l.Spans[i].Instance == inst {
+			return i
+		}
 	}
-	return best.Method
+	return -1
 }

@@ -1,6 +1,8 @@
 package predicate
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -508,5 +510,31 @@ func TestStampPolicy(t *testing.T) {
 	o := Occurrence{Start: 3, End: 9}
 	if o.StampTime(ByStart) != 3 || o.StampTime(ByEnd) != 9 {
 		t.Fatal("stamp policy wrong")
+	}
+}
+
+// TestExtractAllocsIgnoreInstanceNumbers pins that no table is sized or
+// indexed by a number a trace supplies: a one-call set whose instance is
+// 4e9 interns and extracts with the bytes of one whose instance is 0.
+func TestExtractAllocsIgnoreInstanceNumbers(t *testing.T) {
+	bytesFor := func(inst int) uint64 {
+		set := &trace.Set{Executions: []trace.Execution{{
+			ID: "e", Outcome: trace.Failure, FailureSig: "boom",
+			Calls: []trace.MethodCall{{Method: "M", Instance: inst, Start: 1, End: 2, Exception: "Boom"}},
+		}}}
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Extract(set, Config{})
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	small, huge := bytesFor(0), bytesFor(4_000_000_000)
+	if huge > small+1024 || huge > 64<<10 {
+		t.Fatalf("extracting a one-call set allocates %d B with instance 4e9, %d B with instance 0", huge, small)
 	}
 }

@@ -27,38 +27,29 @@ import (
 // predicate or is a later compound.
 //
 // A replay is read from the simulator's logs (trace.RunLog), by the
-// symbol ids of the program the monitors are compiled for: the corpus's
-// method and object names are resolved to the program's function and
-// object ids once, at compile time, so a watched name the program lacks
-// never occurs in a replay. Baselines, and executions given to Eval,
-// are interned into the same log form, so each occurrence rule is read
-// one way.
+// symbol ids of the program the monitors are compiled for, and the
+// baselines are read from logs too (the corpus's own, Corpus.Logs), by
+// the ids of their LogSet. The corpus's method and object names are
+// resolved once, at compile time, to watched slots, and each symbol
+// table maps its ids to those slots: a watched name the program lacks
+// never occurs in a replay.
 //
 // Compiled monitors are read-only. EvalLog is safe for concurrent use:
-// each call takes a scratch of its own. Eval reuses one scratch and is
-// not.
+// each call takes a scratch of its own.
 type Monitors struct {
 	ids    []ID
 	mons   []monitor
 	margin trace.Time
 
-	// The symbol space: the program's function and object ids, then
-	// names only baselines use.
-	fns  symtab[string]
-	objs symtab[trace.ObjectID]
-	// watchFn[f] is the slot of function id f among the methods whose
-	// calls some monitor reads, and watchObj[o] the slot of object id o
-	// among the objects whose accesses some monitor reads; -1, or an id
-	// past the end, is unwatched.
+	// watchFn[f] is the slot of the program's function id f among the
+	// methods whose calls some monitor reads, and watchObj[o] the slot of
+	// its object id o among the objects whose accesses some monitor
+	// reads; -1 is unwatched, and ids that share a name share a slot.
 	watchFn, watchObj []int32
 	nFns, nObjs       int
-	// learnsAccesses reports that some order or atomicity monitor
-	// learns from the baselines' accesses.
-	learnsAccesses bool
 
 	mu    sync.Mutex
 	spare []*scratch
-	own   *scratch // Eval's
 }
 
 // monitor is one predicate's compiled occurrence test.
@@ -67,11 +58,9 @@ type monitor struct {
 	never bool // no replay can make the predicate occur
 	// ka and kb are the predicate's instances: the call's (per-call
 	// kinds), the ordered pair (order), the span pair (atomicity); race
-	// uses only their methods. fa and fb are their methods' function
-	// ids, a and b those methods' watched slots (per-call kinds and
-	// order), and o the object's watched slot (race and atomicity).
+	// uses only their methods. a and b are those methods' watched slots,
+	// and o the object's (race and atomicity).
 	ka, kb  instKey
-	fa, fb  int32
 	a, b    int32
 	o       int32
 	obj     trace.ObjectID
@@ -80,7 +69,7 @@ type monitor struct {
 
 	// Compile-time baseline facts: order's access profiles of ka and kb,
 	// and whether atomicity's pair was a candidate in some baseline.
-	prof [2]accessProfile[int32]
+	prof [2]accessProfile
 	cand bool
 }
 
@@ -90,68 +79,69 @@ type scratch struct {
 	hit   []bool
 	calls [][]int32
 	accs  [][]atomAccess
-	wins  []monWindow
-	winOf []int32 // span -> its window in wins, -1 none
-	locks []int32 // backs the windows' locksets
-
-	// An interned execution: the log, each span's first access (the
-	// interned log keeps a call's accesses together), and the lock
-	// names' ids.
-	log      trace.RunLog
-	accStart []int32
-	lockID   map[string]int
+	// fnSlot is the watch table of the indexed log's function ids.
+	fnSlot []int32
+	wins   []monWindow
+	winOf  []int32 // span -> its window in wins, -1 none
+	locks  []int32 // backs the windows' locksets
+	// A baseline's accesses grouped by span (groupBySpan).
+	accStart, accOrder []int32
 }
 
-// monWindow is a race monitor's access window, with its span's function.
+// monWindow is a race monitor's access window, with its span's method
+// slot.
 type monWindow struct {
-	accessWindow[int32]
+	accessWindow
 	fn, span int32
 }
 
 // CompileMonitors compiles one monitor per corpus predicate against the
 // success baselines, resolving names to the ids of syms, the symbol
-// tables of the program whose run logs EvalLog will read (zero Symbols
-// for monitors that read only Executions, through Eval). Every baseline
-// must be a successful execution.
-func CompileMonitors(c *Corpus, syms trace.Symbols, baselines []trace.Execution, cfg Config) (*Monitors, error) {
+// tables of the program whose run logs EvalLog will read. Every
+// baseline must be a successful run.
+func CompileMonitors(c *Corpus, syms trace.Symbols, baselines *trace.LogSet, cfg Config) (*Monitors, error) {
 	ms := &Monitors{
 		ids:    c.IDs(),
 		mons:   make([]monitor, len(c.Preds)),
 		margin: cfg.DurationMargin,
-		fns:    newSymtab(syms.Funcs),
-		objs:   newSymtab(syms.Objects),
 	}
-	fnSlot, objSlot := map[int32]int{}, map[int32]int{}
+	fnSlot, objSlot := map[string]int32{}, map[trace.ObjectID]int32{}
+	learnsAccesses := false
 	for i := range c.Preds {
 		m := &ms.mons[i]
 		switch m.never = !m.compile(c, i); {
 		case m.never, m.kind == KindCompound, m.kind == KindFailure:
 		default:
-			m.fa, m.fb = ms.fns.intern(m.ka.m), ms.fns.intern(m.kb.m)
+			m.a, m.b = slotOf(fnSlot, m.ka.m), slotOf(fnSlot, m.kb.m)
 			switch m.kind {
 			case KindDataRace, KindAtomicityViolation:
-				m.o = int32(intern(objSlot, ms.objs.intern(m.obj)))
-			default: // per-call kinds (fb is fa), order
-				m.a, m.b = int32(intern(fnSlot, m.fa)), int32(intern(fnSlot, m.fb))
+				m.o = slotOf(objSlot, m.obj)
 			}
+			learnsAccesses = learnsAccesses || m.kind == KindOrderViolation || m.kind == KindAtomicityViolation
 		}
 	}
-	ms.watchFn, ms.nFns = ms.fns.watch(fnSlot), len(fnSlot)
-	ms.watchObj, ms.nObjs = ms.objs.watch(objSlot), len(objSlot)
-	for i := range ms.mons {
-		m := &ms.mons[i]
-		ms.learnsAccesses = ms.learnsAccesses || !m.never && (m.kind == KindOrderViolation || m.kind == KindAtomicityViolation)
+	ms.nFns, ms.nObjs = len(fnSlot), len(objSlot)
+	ms.watchFn, ms.watchObj = watchTable(syms.Funcs, fnSlot), watchTable(syms.Objects, objSlot)
+	bFn, bObj := watchTable(baselines.Syms.Funcs, fnSlot), watchTable(baselines.Syms.Objects, objSlot)
+	var rank []int32
+	if learnsAccesses {
+		rank, _ = objectRanks(baselines.Syms.Objects)
 	}
 	sc := ms.newScratch()
-	for bi := range baselines {
-		e := &baselines[bi]
-		if e.Failed() {
-			return nil, fmt.Errorf("predicate: extractor baseline %q is a failed execution", e.ID)
+	for bi := range baselines.Runs {
+		r := &baselines.Runs[bi]
+		if r.Failed() {
+			return nil, fmt.Errorf("predicate: extractor baseline %q is a failed execution", r.ID)
 		}
-		ms.intern(sc, e, true)
-		ms.index(sc, &sc.log)
+		l := &r.Log
+		ms.index(sc, l, bFn, bObj)
+		if learnsAccesses {
+			sc.accStart = resize(sc.accStart, len(l.Spans)+1)
+			sc.accOrder = resize(sc.accOrder, len(l.Accesses))
+			groupBySpan(l, sc.accStart, sc.accOrder)
+		}
 		for i := range ms.mons {
-			ms.mons[i].learn(sc, &sc.log)
+			ms.mons[i].learn(sc, l, rank)
 		}
 	}
 	ms.spare = append(ms.spare, sc)
@@ -165,9 +155,48 @@ func CompileMonitors(c *Corpus, syms trace.Symbols, baselines []trace.Execution,
 		case m.st != nil && m.st.present == 0:
 			m.st = nil
 		}
-		m.prof = [2]accessProfile[int32]{}
+		m.prof = [2]accessProfile{}
 	}
 	return ms, nil
+}
+
+// slotOf returns name's slot in slots, giving it the next one when it is
+// new.
+func slotOf[K comparable](slots map[K]int32, name K) int32 {
+	s, ok := slots[name]
+	if !ok {
+		s = int32(len(slots))
+		slots[name] = s
+	}
+	return s
+}
+
+// watchTable maps each id of a symbol table to its name's slot, or -1.
+func watchTable[K comparable](names []K, slots map[K]int32) []int32 {
+	w := make([]int32, len(names))
+	for i, n := range names {
+		w[i] = -1
+		if s, ok := slots[n]; ok {
+			w[i] = s
+		}
+	}
+	return w
+}
+
+// watched returns id's slot in the watch table w, or -1.
+func watched(w []int32, id int32) int32 {
+	if id < 0 || int(id) >= len(w) {
+		return -1
+	}
+	return w[id]
+}
+
+// resize returns buf with length n, reusing its backing when it fits.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // compile reads the i-th corpus predicate's fields into m and reports
@@ -214,9 +243,9 @@ func (m *monitor) compile(c *Corpus, i int) bool {
 // learn folds one indexed baseline into the monitor's baseline facts:
 // per-call success stats; for order, ka once and ending before kb once
 // starts, both leaf spans, in every baseline (extractOrder's keys and
-// ordering); for atomicity, a candidate in some baseline and
-// violated in none. l is an interned execution.
-func (m *monitor) learn(sc *scratch, l *trace.RunLog) {
+// ordering), with the accesses of both (by the object name ranks rank);
+// for atomicity, a candidate in some baseline and violated in none.
+func (m *monitor) learn(sc *scratch, l *trace.RunLog, rank []int32) {
 	switch {
 	case m.never:
 	case m.st != nil:
@@ -230,14 +259,15 @@ func (m *monitor) learn(sc *scratch, l *trace.RunLog) {
 		cb, nb := findCall(l, sc.calls[m.b], m.kb.inst)
 		if m.never = na != 1 || nb != 1 || l.Spans[ca].End > l.Spans[cb].Start || enclosesSpan(l, ca) || enclosesSpan(l, cb); !m.never {
 			for i, j := range [2]int32{ca, cb} {
-				for _, a := range l.Accesses[sc.accStart[j]:sc.accStart[j+1]] {
-					m.prof[i].add(a.Obj, a.Kind == uint8(trace.Write))
+				for _, k := range sc.accOrder[sc.accStart[j]:sc.accStart[j+1]] {
+					a := &l.Accesses[k]
+					m.prof[i].add(rank[a.Obj], a.Kind == uint8(trace.Write))
 				}
 			}
 		}
 	case m.kind == KindAtomicityViolation:
 		atomPairs(sc.accs[m.o], func(a, b *atomAccess, violated bool) {
-			if m.isPair(l, a, b) {
+			if m.isPair(sc, l, a, b) {
 				m.cand = true
 				m.never = m.never || violated
 			}
@@ -268,18 +298,6 @@ func (ms *Monitors) EvalLog(l *trace.RunLog, use func(hit []bool)) {
 	ms.mu.Unlock()
 }
 
-// Eval is EvalLog over an assembled execution, interned into the log
-// form: a name the monitors have not seen is no watched method or
-// object. It returns the occurrence bits, indexed like IDs, in a slice
-// the next Eval reuses.
-func (ms *Monitors) Eval(e *trace.Execution) []bool {
-	if ms.own == nil {
-		ms.own = ms.newScratch()
-	}
-	ms.intern(ms.own, e, false)
-	return ms.eval(ms.own, &ms.own.log)
-}
-
 func (ms *Monitors) newScratch() *scratch {
 	return &scratch{
 		hit:   make([]bool, len(ms.mons)),
@@ -289,7 +307,7 @@ func (ms *Monitors) newScratch() *scratch {
 }
 
 func (ms *Monitors) eval(sc *scratch, l *trace.RunLog) []bool {
-	ms.index(sc, l)
+	ms.index(sc, l, ms.watchFn, ms.watchObj)
 	for i := range ms.mons {
 		if m := &ms.mons[i]; m.kind != KindCompound {
 			sc.hit[i] = !m.never && ms.occurs(sc, l, m)
@@ -320,7 +338,7 @@ func (ms *Monitors) occurs(sc *scratch, l *trace.RunLog, m *monitor) bool {
 	case KindAtomicityViolation:
 		found := false
 		atomPairs(sc.accs[m.o], func(a, b *atomAccess, violated bool) {
-			found = found || violated && m.isPair(l, a, b)
+			found = found || violated && m.isPair(sc, l, a, b)
 		})
 		return found
 	}
@@ -334,11 +352,13 @@ func (ms *Monitors) occurs(sc *scratch, l *trace.RunLog, m *monitor) bool {
 }
 
 // index buckets l's spans by watched method and its accesses by watched
-// object, each in log order, with no map probe: the ids index the watch
-// tables. Each object's accesses end in the order sortAccesses leaves
-// them (a simulator's log is in time order already; an interned
-// execution lists each call's accesses in turn, as extraction does).
-func (ms *Monitors) index(sc *scratch, l *trace.RunLog) {
+// object, each in log order, with no map probe: fnW and objW, the watch
+// tables of l's symbols, map its ids to slots. Each object's accesses
+// end in the order sortAccesses leaves them (a simulator's log is in
+// time order already; an interned log lists each call's accesses in
+// turn, as extraction reads them).
+func (ms *Monitors) index(sc *scratch, l *trace.RunLog, fnW, objW []int32) {
+	sc.fnSlot = fnW
 	for i := range sc.calls {
 		sc.calls[i] = sc.calls[i][:0]
 	}
@@ -346,8 +366,8 @@ func (ms *Monitors) index(sc *scratch, l *trace.RunLog) {
 		sc.accs[i] = sc.accs[i][:0]
 	}
 	for j := range l.Spans {
-		if f := l.Spans[j].Fn; f >= 0 && int(f) < len(ms.watchFn) && ms.watchFn[f] >= 0 {
-			sc.calls[ms.watchFn[f]] = append(sc.calls[ms.watchFn[f]], int32(j))
+		if s := watched(fnW, l.Spans[j].Fn); s >= 0 {
+			sc.calls[s] = append(sc.calls[s], int32(j))
 		}
 	}
 	if ms.nObjs == 0 {
@@ -355,15 +375,11 @@ func (ms *Monitors) index(sc *scratch, l *trace.RunLog) {
 	}
 	for k := range l.Accesses {
 		a := &l.Accesses[k]
-		if a.Obj < 0 || int(a.Obj) >= len(ms.watchObj) || ms.watchObj[a.Obj] < 0 {
+		w := watched(objW, a.Obj)
+		if w < 0 {
 			continue
 		}
-		kind := trace.Read
-		if a.Kind == uint8(trace.Write) {
-			kind = trace.Write
-		}
-		w := ms.watchObj[a.Obj]
-		sc.accs[w] = append(sc.accs[w], atomAccess{at: a.At, thread: l.Spans[a.Span].Thread, kind: kind, span: a.Span, ref: int32(k)})
+		sc.accs[w] = append(sc.accs[w], atomAccess{at: a.At, thread: l.Spans[a.Span].Thread, kind: trace.AccessKind(a.Kind), span: a.Span, ref: int32(k)})
 	}
 	for _, accs := range sc.accs {
 		sortAccesses(accs)
@@ -384,14 +400,14 @@ func (sc *scratch) race(l *trace.RunLog, m *monitor) bool {
 	w := sc.wins[:0]
 	for x := range sc.accs[m.o] {
 		acc := &sc.accs[m.o][x]
-		fn := l.Spans[acc.span].Fn
-		if fn != m.fa && fn != m.fb {
+		fn := watched(sc.fnSlot, l.Spans[acc.span].Fn)
+		if fn != m.a && fn != m.b {
 			continue
 		}
 		held := l.Lockset(l.Accesses[acc.ref].Lockset)
 		if wi := sc.winOf[acc.span]; wi < 0 {
 			sc.winOf[acc.span] = int32(len(w))
-			win := monWindow{accessWindow: accessWindow[int32]{thread: acc.thread, start: acc.at, end: acc.at}, fn: fn, span: acc.span}
+			win := monWindow{accessWindow: accessWindow{thread: acc.thread, start: acc.at, end: acc.at}, fn: fn, span: acc.span}
 			sc.locks, win.locks = cloneLocks(sc.locks, held)
 			w = append(w, win)
 		} else {
@@ -410,7 +426,7 @@ func (sc *scratch) race(l *trace.RunLog, m *monitor) bool {
 	for x := range w {
 		for y := x + 1; y < len(w); y++ {
 			// Pairs of m1 with m2 calls (or two calls of m1 when equal).
-			if (m.fa == m.fb || w[x].fn != w[y].fn) && races(&w[x].accessWindow, &w[y].accessWindow) {
+			if (m.a == m.b || w[x].fn != w[y].fn) && races(&w[x].accessWindow, &w[y].accessWindow) {
 				return true
 			}
 		}
@@ -420,9 +436,9 @@ func (sc *scratch) race(l *trace.RunLog, m *monitor) bool {
 
 // isPair reports whether a and b are accesses of the atomicity pair's
 // first and second instance.
-func (m *monitor) isPair(l *trace.RunLog, a, b *atomAccess) bool {
+func (m *monitor) isPair(sc *scratch, l *trace.RunLog, a, b *atomAccess) bool {
 	sa, sb := &l.Spans[a.span], &l.Spans[b.span]
-	return sa.Fn == m.fa && sa.Instance == m.ka.inst && sb.Fn == m.fb && sb.Instance == m.kb.inst
+	return watched(sc.fnSlot, sa.Fn) == m.a && sa.Instance == m.ka.inst && watched(sc.fnSlot, sb.Fn) == m.b && sb.Instance == m.kb.inst
 }
 
 // findCall returns the last of calls (span indices) with the given
@@ -467,116 +483,8 @@ func strictlyEncloses(l *trace.RunLog, p, c int32) bool {
 		(sp.Start < sc.Start || sp.End > sc.End)
 }
 
-// intern writes e into sc.log in the log form: its calls in order as
-// spans, each call's accesses in order after the previous call's, and
-// each access's locks as a lockset of its own. Names resolve to the
-// monitors' ids, and a name they lack is -1. Only whether a call threw
-// is kept of its exception, and only whether an access writes of its
-// kind. A baseline (at compile time) gives a name the monitors lack a
-// new id instead, and keeps only what learning reads: no locksets
-// (races are judged on replays alone), and accesses only when an order
-// or atomicity monitor learns from them.
-func (ms *Monitors) intern(sc *scratch, e *trace.Execution, baseline bool) {
-	if sc.lockID == nil {
-		sc.lockID = map[string]int{}
-	}
-	l := &sc.log
-	l.Spans, l.Accesses, l.LockIDs, l.LockEnd = l.Spans[:0], l.Accesses[:0], l.LockIDs[:0], l.LockEnd[:0]
-	sc.accStart = sc.accStart[:0]
-	for j := range e.Calls {
-		call := &e.Calls[j]
-		span := trace.Span{
-			Fn: ms.fns.resolve(call.Method, baseline), Exc: -1, Instance: call.Instance,
-			Thread: call.Thread, Start: call.Start, End: call.End, Return: call.Return,
-		}
-		if call.Failed() {
-			span.Exc = 0
-		}
-		l.Spans = append(l.Spans, span)
-		sc.accStart = append(sc.accStart, int32(len(l.Accesses)))
-		for k := 0; k < len(call.Accesses) && (!baseline || ms.learnsAccesses); k++ {
-			acc := &call.Accesses[k]
-			a := trace.SpanAccess{Span: int32(j), Obj: ms.objs.resolve(acc.Object, baseline), Lockset: -1, At: acc.At}
-			if acc.Kind == trace.Write {
-				a.Kind = uint8(trace.Write)
-			}
-			if len(acc.Locks) > 0 && !baseline {
-				for _, mu := range acc.Locks {
-					l.LockIDs = append(l.LockIDs, int32(intern(sc.lockID, mu)))
-				}
-				l.LockEnd = append(l.LockEnd, int32(len(l.LockIDs)))
-				a.Lockset = int32(len(l.LockEnd) - 1)
-			}
-			l.Accesses = append(l.Accesses, a)
-		}
-	}
-	sc.accStart = append(sc.accStart, int32(len(l.Accesses)))
-}
-
-// symtab numbers names: the program's ids first, in its order (a name
-// it repeats keeps its first id), then names it lacks as they come.
-type symtab[K comparable] struct {
-	id    map[K]int32
-	names []K // id -> name
-}
-
-func newSymtab[K comparable](prog []K) symtab[K] {
-	t := symtab[K]{id: make(map[K]int32, len(prog)), names: append([]K(nil), prog...)}
-	for i, k := range prog {
-		if _, ok := t.id[k]; !ok {
-			t.id[k] = int32(i)
-		}
-	}
-	return t
-}
-
-// intern returns k's id, giving it the next one when it is new.
-func (t *symtab[K]) intern(k K) int32 {
-	if i, ok := t.id[k]; ok {
-		return i
-	}
-	i := int32(len(t.names))
-	t.id[k] = i
-	t.names = append(t.names, k)
-	return i
-}
-
-// resolve is intern when extend is set, and otherwise k's id or -1.
-func (t *symtab[K]) resolve(k K, extend bool) int32 {
-	if extend {
-		return t.intern(k)
-	}
-	if i, ok := t.id[k]; ok {
-		return i
-	}
-	return -1
-}
-
-// watch returns, for every id, the slot its name's id has in slots, or
-// -1: ids that share a name share its slot.
-func (t *symtab[K]) watch(slots map[int32]int) []int32 {
-	w := make([]int32, len(t.names))
-	for i, k := range t.names {
-		w[i] = -1
-		if s, ok := slots[t.id[k]]; ok {
-			w[i] = int32(s)
-		}
-	}
-	return w
-}
-
 // lastInst parses the instance number after the last '#' of an ID.
 func lastInst(id string) int {
 	inst, _ := strconv.Atoi(id[strings.LastIndexByte(id, '#')+1:])
 	return inst
-}
-
-// intern returns k's dense slot in idx, adding the next one when k is new.
-func intern[K comparable](idx map[K]int, k K) int {
-	s, ok := idx[k]
-	if !ok {
-		s = len(idx)
-		idx[k] = s
-	}
-	return s
 }

@@ -31,16 +31,37 @@ func referenceBits(c *Corpus, baselines, replays []trace.Execution, cfg Config) 
 	return bits
 }
 
+// compileOn interns baselines and replays into one log corpus, compiles
+// c's monitors against the baselines' logs, and returns them with the
+// replays' logs, in the ids the monitors read.
+func compileOn(t testing.TB, c *Corpus, baselines, replays []trace.Execution, cfg Config) (*Monitors, []trace.RunLog) {
+	t.Helper()
+	ls := trace.Intern(&trace.Set{Executions: slices.Concat(baselines, replays)})
+	ms, err := CompileMonitors(c, ls.Syms, &trace.LogSet{Syms: ls.Syms, Runs: ls.Runs[:len(baselines)]}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := make([]trace.RunLog, len(replays))
+	for r := range replays {
+		logs[r] = ls.Runs[len(baselines)+r].Log
+	}
+	return ms, logs
+}
+
+// evalLog returns a copy of the monitors' occurrence bits for one log.
+func evalLog(ms *Monitors, l *trace.RunLog) []bool {
+	var out []bool
+	ms.EvalLog(l, func(hit []bool) { out = slices.Clone(hit) })
+	return out
+}
+
 // evalMatches compiles c's monitors against baselines, requires every
 // replay's bits to equal the reference, and returns whether id occurred
 // in each replay.
 func evalMatches(t *testing.T, c *Corpus, baselines, replays []trace.Execution, id ID) []bool {
 	t.Helper()
 	cfg := Config{DurationMargin: 4}
-	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, logs := compileOn(t, c, baselines, replays, cfg)
 	h, ok := c.HandleOf(id)
 	if !ok {
 		t.Fatalf("corpus lacks %s; have %v", id, c.IDs())
@@ -48,7 +69,7 @@ func evalMatches(t *testing.T, c *Corpus, baselines, replays []trace.Execution, 
 	want := referenceBits(c, baselines, replays, cfg)
 	var out []bool
 	for r := range replays {
-		got := ms.Eval(&replays[r])
+		got := evalLog(ms, &logs[r])
 		for i, p := range c.Preds {
 			if got[i] != want[r][i] {
 				t.Fatalf("replay %d: %s monitor says %v, reference %v", r, p.ID, got[i], want[r][i])
@@ -164,7 +185,8 @@ func TestMonitorsAtomicityBaselineFacts(t *testing.T) {
 func TestMonitorsRejectFailedBaselines(t *testing.T) {
 	set := benchSet(9, 10) // every third execution fails
 	c := Extract(set, Config{DurationMargin: 4})
-	if _, err := CompileMonitors(c, trace.Symbols{}, set.Executions, Config{DurationMargin: 4}); err == nil {
+	ls := trace.Intern(set)
+	if _, err := CompileMonitors(c, ls.Syms, ls, Config{DurationMargin: 4}); err == nil {
 		t.Fatal("failed baseline accepted")
 	}
 }
@@ -184,11 +206,8 @@ func TestMonitorsIgnoreMismatchedIDs(t *testing.T) {
 	}
 	replay := raceExec("r", trace.Failure, true, nil)
 	replay.Calls[0].Exception = "Boom" // Reader fails and races, as the fields say
-	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, Config{DurationMargin: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := ms.Eval(&replay)
+	ms, logs := compileOn(t, c, baselines, []trace.Execution{replay}, Config{DurationMargin: 4})
+	hit := evalLog(ms, &logs[0])
 	for _, p := range mismatched {
 		if h, _ := c.HandleOf(p.ID); hit[h] {
 			t.Errorf("%s occurred", p.ID)
@@ -232,13 +251,13 @@ func splitBench(t *testing.T, cfg Config) (c *Corpus, baselines, replays []trace
 	return c, baselines, replays
 }
 
-// requireBits compares one round's monitor answers with the reference
-// and counts the predicate bits that were set.
-func requireBits(t *testing.T, c *Corpus, ms *Monitors, baselines, round []trace.Execution, cfg Config) (set int) {
+// requireBits compares one round's monitor answers, over the round's
+// logs, with the reference and counts the predicate bits that were set.
+func requireBits(t *testing.T, c *Corpus, ms *Monitors, baselines, round []trace.Execution, logs []trace.RunLog, cfg Config) (set int) {
 	t.Helper()
 	want := referenceBits(c, baselines, round, cfg)
 	for r := range round {
-		got := ms.Eval(&round[r])
+		got := evalLog(ms, &logs[r])
 		for i, p := range c.Preds {
 			if got[i] != want[r][i] {
 				t.Fatalf("replay %s: %s monitor says %v, reference %v", round[r].ID, p.ID, got[i], want[r][i])
@@ -259,15 +278,12 @@ func requireBits(t *testing.T, c *Corpus, ms *Monitors, baselines, round []trace
 func TestExtractorSubsetReplays(t *testing.T) {
 	cfg := Config{DurationMargin: 4}
 	c, baselines, replays := splitBench(t, cfg)
-	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, logs := compileOn(t, c, baselines, replays, cfg)
 	if !slices.Equal(ms.IDs(), c.IDs()) {
 		t.Fatalf("monitors watch %v, corpus has %v", ms.IDs(), c.IDs())
 	}
 	for cut := 1; cut <= len(replays); cut++ {
-		if requireBits(t, c, ms, baselines, replays[:cut], cfg) == 0 {
+		if requireBits(t, c, ms, baselines, replays[:cut], logs[:cut], cfg) == 0 {
 			t.Fatalf("cut %d: no predicate occurred in any replay", cut)
 		}
 	}
@@ -281,22 +297,20 @@ func TestExtractorSubsetReplays(t *testing.T) {
 func TestExtractReplaysMatchesExtract(t *testing.T) {
 	cfg := Config{DurationMargin: 4}
 	c, baselines, replays := splitBench(t, cfg)
-	ms, err := CompileMonitors(c, trace.Symbols{}, baselines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, logs := compileOn(t, c, baselines, replays, cfg)
 	compound := c.Preds[len(c.Preds)-1].ID
 	h, _ := c.HandleOf(compound)
 	cuts := []int{len(replays), 3, len(replays) / 2, len(replays), 1, len(replays)}
 	sawCompound := false
 	for round, cut := range cuts {
-		sub := slices.Clone(replays[:cut])
+		sub, subLogs := slices.Clone(replays[:cut]), slices.Clone(logs[:cut])
 		if round%2 == 1 {
 			slices.Reverse(sub)
+			slices.Reverse(subLogs)
 		}
-		requireBits(t, c, ms, baselines, sub, cfg)
-		for r := range sub {
-			sawCompound = sawCompound || ms.Eval(&sub[r])[h]
+		requireBits(t, c, ms, baselines, sub, subLogs, cfg)
+		for r := range subLogs {
+			sawCompound = sawCompound || evalLog(ms, &subLogs[r])[h]
 		}
 	}
 	if !sawCompound {

@@ -278,7 +278,17 @@ type Corpus struct {
 	// effectPruned counts predicates removed by DropPure (the
 	// effect-guided pruning pass); see EffectPruned.
 	effectPruned int
+
+	// logs is the corpus the predicates were extracted from (nil for a
+	// corpus built otherwise); see Logs.
+	logs *trace.LogSet
 }
+
+// Logs returns the runs, in log form, that ExtractLogs (or Extract)
+// read to build the corpus, row for row; nil for a corpus built
+// otherwise. The replay monitors learn their baselines from its
+// successful runs.
+func (c *Corpus) Logs() *trace.LogSet { return c.logs }
 
 // NewCorpus returns an empty corpus.
 func NewCorpus() *Corpus {

@@ -17,11 +17,11 @@ import (
 func collectSmall(t *testing.T) *trace.Set {
 	t.Helper()
 	study := casestudy.ByName("npgsql")
-	set, _, err := casestudy.Collect(t.Context(), study, casestudy.CollectConfig{Successes: 5, Failures: 5, SeedCap: 20000})
+	logs, _, err := casestudy.Collect(t.Context(), study, casestudy.CollectConfig{Successes: 5, Failures: 5, SeedCap: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return set
+	return logs.Set()
 }
 
 func testStore(t *testing.T, s CorpusStore) {

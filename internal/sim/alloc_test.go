@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The replay allocation contract. Both tests run on a machine the test
-// owns (pp.run(m, ...)), not the pool: sync.Pool drops items at random
+// The replay allocation contract. The tests run on a machine the test
+// owns (pp.runIf(m, ...)), not the pool: sync.Pool drops items at random
 // under -race, and a dropped machine would re-grow its logs.
 
 // TestVerdictOnlyRunAllocs pins that a run whose trace nobody keeps
@@ -66,9 +66,9 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 		// it on its second sighting, and the third takes it from the
 		// cache).
 		for i := 0; i < 3; i++ {
-			pp.run(m, seed, Budget{}, nil, never)
+			pp.runIf(m, seed, Budget{}, never)
 		}
-		exec, _ := pp.run(m, seed, Budget{}, nil, nil)
+		exec := pp.run(m, seed, Budget{}, nil)
 		switch prog {
 		case p:
 			both := 0
@@ -87,7 +87,7 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 				t.Fatalf("randloop did not take the seed's vector from the cache (cached %v, eager %v)", ok, m.fast.eager)
 			}
 		}
-		if n := testing.AllocsPerRun(100, func() { pp.run(m, seed, Budget{}, nil, never) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { pp.runIf(m, seed, Budget{}, never) }); n != 0 {
 			t.Fatalf("%s: verdict-only run allocates %v times, want 0", prog.Name, n)
 		}
 	}

@@ -24,12 +24,12 @@ func BenchmarkSimulateStudies(b *testing.B) {
 	never := func(sim.Verdict) bool { return false }
 	for _, s := range casestudy.All() {
 		b.Run(s.Name, func(b *testing.B) {
-			set, failSeeds, err := casestudy.Collect(context.Background(), s,
+			logs, failSeeds, err := casestudy.Collect(context.Background(), s,
 				casestudy.CollectConfig{Successes: 50, Failures: 50, SeedCap: 4000, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			corpus := predicate.Extract(set, s.Config())
+			corpus := predicate.ExtractLogs(logs, s.Config())
 			dag, _, err := acdag.Build(corpus, statdebug.FullyDiscriminative(corpus), acdag.BuildOptions{})
 			if err != nil {
 				b.Fatal(err)

@@ -171,18 +171,22 @@ func (p *Program) ensureCompiled() (*compiled, error) {
 }
 
 // Symbols returns the program's symbol tables, which name the ids in
-// the logs Observe hands out: a span's Fn indexes Funcs (in name order)
-// and an access's Obj indexes Objects (the globals, then the arrays).
+// the logs Observe and RunIf hand out: a span's Fn indexes Funcs (in
+// name order), an access's Obj indexes Objects (the globals, then the
+// arrays), a span's Exc indexes Exceptions, and an unplanned run's
+// mutex ids index Mutexes.
 func (p *Program) Symbols() (trace.Symbols, error) {
 	c, err := p.ensureCompiled()
 	if err != nil {
 		return trace.Symbols{}, err
 	}
-	fns := make([]string, len(c.funcs))
-	for i := range c.funcs {
-		fns[i] = c.funcs[i].name
-	}
-	return trace.Symbols{Funcs: fns, Objects: slices.Clone(c.objects)}, nil
+	syms := &c.base.syms
+	return trace.Symbols{
+		Funcs:      slices.Clone(syms.Funcs),
+		Objects:    slices.Clone(syms.Objects),
+		Exceptions: slices.Clone(syms.Exceptions),
+		Mutexes:    slices.Clone(syms.Mutexes),
+	}, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -475,6 +479,9 @@ type Prepared struct {
 	// sets are kept rank-sorted so access locksets come out name-sorted
 	// without per-access sorting.
 	mutexRank []int32
+	// syms names the ids of this plan's runs: the program's tables, with
+	// the plan's mutexes past the program's.
+	syms trace.Symbols
 }
 
 // instrAt returns the instruction at pc, in the shared code or the
@@ -522,6 +529,11 @@ func newBasePrepared(p *Program, c *compiled) *Prepared {
 	for i := range c.funcs {
 		pp.fns[i] = fnPlan{entry: c.funcs[i].entry, inj: -1}
 	}
+	fns := make([]string, len(c.funcs))
+	for i := range c.funcs {
+		fns[i] = c.funcs[i].name
+	}
+	pp.syms = trace.Symbols{Funcs: fns, Objects: c.objects, Exceptions: c.strs, Mutexes: c.mutexNames}
 	return pp
 }
 
@@ -649,6 +661,8 @@ func Prepare(p *Program, plan Plan) (*Prepared, error) {
 		pp.mutexRank = mutexRanks(pp.mutexNames)
 	}
 	pp.nMutexes = len(pp.mutexNames)
+	pp.syms = c.base.syms
+	pp.syms.Mutexes = pp.mutexNames
 	var release []int32
 	if nLocks > 0 {
 		release = make([]int32, 0, nLocks)

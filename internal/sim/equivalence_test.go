@@ -672,7 +672,7 @@ func assertStdlibParity(t *testing.T, m *machine, p *Program, plan Plan, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := pp.run(m, seed, Budget{MaxSteps: maxSteps}, nil, nil)
+	got := pp.run(m, seed, Budget{MaxSteps: maxSteps}, nil)
 	wj, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
@@ -740,13 +740,13 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 			endings["crash"]++
 		}
 		var seen Verdict
-		exec, v := pp.RunIf(seed, maxSteps, func(v Verdict) bool { seen = v; return false })
-		if v != wantV || seen != wantV || exec.ID != "" || exec.Calls != nil {
-			t.Fatalf("%s seed %d: verdict-only run = %+v (keep saw %+v, trace %q), assembled trace says %+v",
-				p.Name, seed, v, seen, exec.ID, wantV)
+		run, v := pp.RunIf(seed, maxSteps, func(v Verdict) bool { seen = v; return false })
+		if v != wantV || seen != wantV || run.ID != "" || run.Log.Spans != nil {
+			t.Fatalf("%s seed %d: verdict-only run = %+v (keep saw %+v, run %q), assembled trace says %+v",
+				p.Name, seed, v, seen, run.ID, wantV)
 		}
 		kept, v := pp.RunIf(seed, maxSteps, func(Verdict) bool { return true })
-		if v != wantV || !reflect.DeepEqual(kept, want) {
+		if v != wantV || !reflect.DeepEqual(kept.Execution(&pp.syms), want) {
 			t.Fatalf("%s seed %d: kept RunIf differs from Run", p.Name, seed)
 		}
 		v, err = pp.Observe(seed, Budget{MaxSteps: maxSteps}, nil)

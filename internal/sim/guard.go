@@ -67,7 +67,7 @@ func (e *BudgetError) Error() string {
 // error is nil, a *ReplayPanicError, or a *BudgetError; the execution
 // is valid only when the error is nil.
 func (pp *Prepared) RunGuarded(seed int64, b Budget) (exec trace.Execution, err error) {
-	if _, err = pp.guarded(seed, b, func(m *machine, _ Verdict) { exec = m.buildExecution(seed) }); err != nil {
+	if _, err = pp.guarded(seed, b, func(m *machine, _ Verdict) { exec = m.execution(seed) }); err != nil {
 		return trace.Execution{}, err
 	}
 	return exec, nil

@@ -13,14 +13,14 @@ import (
 // machine is the mutable state of one compiled execution: slot slices
 // instead of string-keyed maps, a flat control stack instead of frame
 // objects, and append-only span/access logs, which a caller reads as
-// they are (Observe hands out a trace.RunLog over them) or has
-// distributed into an assembled trace at the end of the run. The logs
-// are symbol-indexed (function, object, exception, lockset and mutex
-// ids, no names) and hold no pointers, so the loop pays no GC write
-// barriers for them. Machines are pooled and reset between runs, so
-// steady-state replay allocates only the buffers that escape into an
-// assembled trace.Execution, and a run whose trace is not assembled
-// allocates nothing.
+// they are (Observe hands out a trace.RunLog over them), keeps as an
+// owned copy (RunIf) or has assembled into a trace.Execution at the end
+// of the run (Run). The logs are symbol-indexed (function, object,
+// exception, lockset and mutex ids, no names) and hold no pointers, so
+// the loop pays no GC write barriers for them, and the collector never
+// scans a kept copy. Machines are pooled and reset between runs, so a
+// run allocates only what escapes it (a kept copy, an assembled trace),
+// and a run that keeps nothing allocates nothing.
 //
 // The span log is in canonical order (trace.Canonicalize's: start, then
 // thread, then method) once the run settles, so neither form needs a
@@ -107,8 +107,7 @@ type machine struct {
 
 	// The span and access logs: spans by function index (pp.c.funcs),
 	// accesses by object index (pp.c.objects) and tagged with their
-	// span, so the per-span access slices of an assembled trace can be
-	// carved from one exact-size arena.
+	// span.
 	spans []trace.Span
 	accs  []trace.SpanAccess
 	// The lockset log: lockset i holds the mutex slots
@@ -137,9 +136,6 @@ type machine struct {
 	// whatever the value, so it is taken only when a later draw reads
 	// the stream.
 	pending int
-
-	accCount []int32
-	accOff   []int32
 
 	failed  bool
 	failSig string
@@ -244,8 +240,12 @@ func (m *machine) newThread() int32 {
 	return int32(id)
 }
 
+// execID names a run: one allocation for any seed.
 func execID(name string, seed int64) string {
-	return name + "/seed=" + strconv.FormatInt(seed, 10)
+	var buf [64]byte
+	b := append(buf[:0], name...)
+	b = append(b, "/seed="...)
+	return string(strconv.AppendInt(b, seed, 10))
 }
 
 // Verdict is what a finished run decides before any trace exists:
@@ -260,16 +260,20 @@ type Verdict struct {
 // trace is byte-identical to the interpreter's for the same
 // (program, seed, plan) triple. maxSteps <= 0 means DefaultMaxSteps.
 func (pp *Prepared) Run(seed int64, maxSteps int) trace.Execution {
-	exec, _ := pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil, nil)
-	return exec
+	return pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil)
 }
 
-// RunIf is Run for callers that read only some traces: the trace is
-// assembled only when keep accepts the run's verdict (nil keep accepts
-// every run). A rejected run returns the zero Execution and its verdict
-// alone. An assembled trace is byte-identical to Run's.
-func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (trace.Execution, Verdict) {
-	return pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil, keep)
+// RunIf is Run for callers that keep only some runs, and keep them in
+// log form: when keep accepts the run's verdict (nil keep accepts every
+// run), it returns the run's header and an owned copy of its logs, in
+// the ids of the program's Symbols (a plan's own mutexes numbered past
+// the program's); a rejected run returns the zero LogRun and its
+// verdict alone. An unplanned kept run allocates its ID and its log
+// copy, whatever its length, and a rejected one nothing. The kept run's
+// Execution (trace.LogRun.Execution, named by the program's Symbols for
+// an unplanned run) is byte-identical to Run's.
+func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (trace.LogRun, Verdict) {
+	return pp.runIf(nil, seed, Budget{MaxSteps: maxSteps}, keep)
 }
 
 // simulate is the one compiled run path: reset m, loop, settle the
@@ -309,24 +313,30 @@ func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machin
 	return v
 }
 
-// run is simulate that assembles the trace only if keep (nil = always)
-// accepts the verdict. Trace assembly costs from half as much as the
-// simulation loop to as much again (the six case studies' collection
-// runs), so callers that need only the verdict skip a good part of a
-// run's cost. final, when non-nil, receives the FinalState snapshot; it
-// covers the compiled symbol tables' names — declared plus
-// op-referenced shared state, excluding plan-added injection slots —
-// matching the interpreter's captureFinal exactly.
-func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState, keep func(Verdict) bool) (exec trace.Execution, v Verdict) {
-	v = pp.simulate(m, seed, b, func(m *machine, v Verdict) {
-		if keep == nil || keep(v) {
-			exec = m.buildExecution(seed)
-		}
+// run is simulate that assembles the trace. final, when non-nil,
+// receives the FinalState snapshot; it covers the compiled symbol
+// tables' names — declared plus op-referenced shared state, excluding
+// plan-added injection slots — matching the interpreter's captureFinal
+// exactly.
+func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState) (exec trace.Execution) {
+	pp.simulate(m, seed, b, func(m *machine, v Verdict) {
+		exec = m.execution(seed)
 		if final != nil {
 			m.snapshot(final)
 		}
 	})
-	return exec, v
+	return exec
+}
+
+// runIf is simulate that copies the logs out only if keep (nil =
+// always) accepts the verdict.
+func (pp *Prepared) runIf(m *machine, seed int64, b Budget, keep func(Verdict) bool) (run trace.LogRun, v Verdict) {
+	v = pp.simulate(m, seed, b, func(m *machine, v Verdict) {
+		if keep == nil || keep(v) {
+			run = m.logRun(seed, m.runLog().Clone())
+		}
+	})
+	return run, v
 }
 
 // snapshot fills final with the run's globals and arrays by name.
@@ -950,95 +960,26 @@ func (m *machine) finalizeOpenSpans() {
 	}
 }
 
-// buildExecution assembles the returned trace in canonical order (the
-// settled span log's): one exact-size Calls slice, in span-log order, one exact-size Access
-// arena carved into per-span subslices, and one arena of lockset names
-// carved into each lockset's slice, shared by the accesses that held
-// it; method, object, exception and mutex names come from the symbol
-// tables. A whole replay costs a handful of allocations.
-func (m *machine) buildExecution(seed int64) trace.Execution {
-	pp, c := m.pp, m.pp.c
-	exec := trace.Execution{ID: execID(c.name, seed), Seed: seed}
+// logRun returns the run's header over the logs l, with the spans of
+// the plan's injected methods listed.
+func (m *machine) logRun(seed int64, l trace.RunLog) trace.LogRun {
+	r := trace.LogRun{ID: execID(m.pp.c.name, seed), Seed: seed, Log: l}
 	if m.failed {
-		exec.Outcome = trace.Failure
-		exec.FailureSig = m.failSig
-	} else {
-		exec.Outcome = trace.Success
+		r.Outcome, r.FailureSig = trace.Failure, m.failSig
 	}
-
-	var locks []string
-	if len(m.lsSlots) > 0 {
-		locks = make([]string, len(m.lsSlots))
-		for i, mu := range m.lsSlots {
-			locks[i] = pp.mutexNames[mu]
-		}
-	}
-	lockset := func(id int32) []string {
-		var start int32
-		if id > 0 {
-			start = m.lsEnd[id-1]
-		}
-		end := m.lsEnd[id]
-		return locks[start:end:end]
-	}
-
-	nSpans := len(m.spans)
-	if cap(m.accCount) < nSpans {
-		m.accCount = make([]int32, nSpans)
-		m.accOff = make([]int32, nSpans)
-	}
-	m.accCount = m.accCount[:nSpans]
-	m.accOff = m.accOff[:nSpans]
-	for i := range m.accCount {
-		m.accCount[i] = 0
-	}
-	for i := range m.accs {
-		m.accCount[m.accs[i].Span]++
-	}
-	var total int32
-	for i, n := range m.accCount {
-		m.accOff[i] = total
-		total += n
-	}
-	var arena []trace.Access
-	if total > 0 {
-		arena = make([]trace.Access, total)
-		fill := m.accOff
-		// fill doubles as the running cursor; restore it from counts
-		// when slicing below (off = cursor - count after the pass).
-		// Fields are set one by one on the zeroed arena: a composite
-		// literal would be copied in whole, under a bulk write barrier.
-		for i := range m.accs {
-			a := &m.accs[i]
-			acc := &arena[fill[a.Span]]
-			acc.Object = c.objects[a.Obj]
-			acc.Kind = trace.AccessKind(a.Kind)
-			acc.At = a.At
-			if a.Lockset >= 0 {
-				acc.Locks = lockset(a.Lockset)
+	if len(m.pp.inj) > 0 {
+		for i := range m.spans {
+			if m.pp.fns[m.spans[i].Fn].inj >= 0 {
+				r.Injected = append(r.Injected, int32(i))
 			}
-			fill[a.Span]++
 		}
 	}
+	return r
+}
 
-	calls := make([]trace.MethodCall, nSpans)
-	for i := range calls {
-		s := &m.spans[i]
-		call := &calls[i]
-		call.Method = c.funcs[s.Fn].name
-		call.Instance = s.Instance
-		call.Thread = s.Thread
-		call.Start, call.End = s.Start, s.End
-		call.Return = s.Return
-		call.Injected = pp.fns[s.Fn].inj >= 0
-		if s.Exc >= 0 {
-			call.Exception = c.strs[s.Exc]
-		}
-		if n := m.accCount[i]; n > 0 {
-			end := m.accOff[i] // cursor == original offset + count
-			call.Accesses = arena[end-n : end : end]
-		}
-	}
-	exec.Calls = calls
-	return exec
+// execution assembles the run's trace from its logs
+// (trace.LogRun.Execution), named by the Prepared's symbols.
+func (m *machine) execution(seed int64) trace.Execution {
+	r := m.logRun(seed, *m.runLog())
+	return r.Execution(&m.pp.syms)
 }

@@ -49,10 +49,11 @@ func referenceBits(c *predicate.Corpus, baselines, replays []trace.Execution, cf
 }
 
 // checkBundle replays the group's seeds as the executor does and
-// requires its observations to match the reference: Observed holds
-// every corpus predicate but F and the group that occurs, and Failed is
-// the replay's verdict under the executor's failure signature. It
-// returns how many predicates the bundle observed.
+// requires its observations to match the reference over the corpus's
+// success baselines: Observed holds every corpus predicate but F and the
+// group that occurs, and Failed is the replay's verdict under the
+// executor's failure signature. It returns how many predicates the
+// bundle observed.
 func checkBundle(t *testing.T, x *inject.Executor, group []predicate.ID, obs []core.Observation) int {
 	t.Helper()
 	plan, err := inject.PlanFor(x.Corpus, group)
@@ -72,7 +73,7 @@ func checkBundle(t *testing.T, x *inject.Executor, group []predicate.ID, obs []c
 	if len(obs) != len(replays) {
 		t.Fatalf("group %v: %d observations for %d replays", group, len(obs), len(replays))
 	}
-	bits := referenceBits(x.Corpus, x.Baselines, replays, x.Cfg)
+	bits := referenceBits(x.Corpus, x.Corpus.Logs().Successes().Set().Executions, replays, x.Cfg)
 	n := 0
 	for r, e := range replays {
 		want := map[predicate.ID]bool{}
@@ -96,16 +97,6 @@ func sortedIDs(m map[predicate.ID]bool) []predicate.ID {
 	ids := slices.Collect(maps.Keys(m))
 	slices.Sort(ids)
 	return ids
-}
-
-func successes(set *trace.Set) []trace.Execution {
-	var out []trace.Execution
-	for _, e := range set.Executions {
-		if !e.Failed() {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // recorder keeps every bundle the executor answers.
@@ -135,6 +126,8 @@ func (r *recorder) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 // TestObserveMatchesExtractStudies checks every bundle InterveneBatch
 // answers while AID, AID-P and AID-P-B discover the six studies' causes
 // at 50+50 and 10+40, with 0 and 2 compounds, against the reference.
+// The corpus is extracted from the collection's logs, and the executor's
+// monitors learn their baselines from them.
 func TestObserveMatchesExtractStudies(t *testing.T) {
 	ctx := context.Background()
 	for _, s := range casestudy.All() {
@@ -144,13 +137,13 @@ func TestObserveMatchesExtractStudies(t *testing.T) {
 			bundles, observed := 0, 0
 			for _, size := range [][2]int{{50, 50}, {10, 40}} {
 				rc := casestudy.CollectConfig{Successes: size[0], Failures: size[1], SeedCap: 4000}
-				set, failSeeds, err := casestudy.Collect(ctx, s, rc)
+				logs, failSeeds, err := casestudy.Collect(ctx, s, rc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, compounds := range []int{0, 2} {
 					cfg := s.Config()
-					corpus := predicate.Extract(set, cfg)
+					corpus := predicate.ExtractLogs(logs, cfg)
 					if compounds > 0 {
 						statdebug.GenerateCompounds(corpus, compounds)
 					}
@@ -159,7 +152,7 @@ func TestObserveMatchesExtractStudies(t *testing.T) {
 						t.Fatal(err)
 					}
 					rec := &recorder{Executor: &inject.Executor{
-						Prog: s.Program, Corpus: corpus, Baselines: successes(set),
+						Prog: s.Program, Corpus: corpus,
 						Seeds: failSeeds[:5], Cfg: cfg,
 						FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: 1,
 					}}
@@ -184,11 +177,12 @@ func TestObserveMatchesExtractStudies(t *testing.T) {
 // TestMonitorsMatchExtractProperty compiles monitors for random
 // programs' corpora and checks them against the reference on replays
 // under random seeds and plans, from the equivalence generator (run in
-// a two-worker harness). Each replay is evaluated twice, from the
-// machine's logs (sim.Observe) as the executor reads it and as an
-// assembled execution, and both must match. Every predicate kind must
-// occur in some replay, or the generated set no longer exercises its
-// monitor.
+// a two-worker harness). The monitors learn from the corpus's own
+// success logs, interned from its set, and from other baselines'
+// logs, each in symbols of their own; each replay is evaluated from the
+// machine's logs (sim.Observe), as the executor reads it. Every
+// predicate kind must occur in some replay, or the generated set no
+// longer exercises its monitor.
 func TestMonitorsMatchExtractProperty(t *testing.T) {
 	const n = 400
 	r := rand.New(rand.NewSource(20261017))
@@ -236,25 +230,22 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 		// Monitors against the corpus's own baselines, as the executor
 		// compiles them, and against other ones, where the baseline facts
 		// compiled into the monitors decide what can occur.
-		for _, base := range [][]trace.Execution{baselines, run(nil, trace.Success, seedRange(5, 12)...)} {
+		other := run(nil, trace.Success, seedRange(5, 12)...)
+		for b, base := range []*trace.LogSet{corpus.Logs().Successes(), trace.Intern(&trace.Set{Executions: other})} {
 			ms, err := predicate.CompileMonitors(corpus, syms, base, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referenceBits(corpus, base, replays, cfg)
+			want := referenceBits(corpus, [][]trace.Execution{baselines, other}[b], replays, cfg)
 			for k := range replays {
-				check := func(form string, got []bool) {
-					for j, pr := range corpus.Preds {
-						if got[j] != want[k][j] {
-							t.Fatalf("program %d, replay %d (%s): %s monitor says %v, reference %v", i, k, form, pr.ID, got[j], want[k][j])
-						}
-					}
-				}
-				check("execution", ms.Eval(&replays[k]))
 				rl := replayLogs[k]
 				if _, err := rl.pp.Observe(rl.seed, sim.Budget{MaxSteps: 2000}, func(_ sim.Verdict, l *trace.RunLog) {
 					ms.EvalLog(l, func(hit []bool) {
-						check("log", hit)
+						for j, pr := range corpus.Preds {
+							if hit[j] != want[k][j] {
+								t.Fatalf("program %d, replay %d: %s monitor says %v, reference %v", i, k, pr.ID, hit[j], want[k][j])
+							}
+						}
 						for j, pr := range corpus.Preds {
 							if hit[j] {
 								seen[pr.Kind]++
@@ -286,7 +277,8 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 // generator's programs, run in the two-worker harness: unplanned and
 // planned runs, labelled by their own outcome and by a random one, with
 // and without a duration margin, a side-effect-free oracle and a
-// pure-method oracle.
+// pure-method oracle. Each corpus is extracted twice, from the runs'
+// logs (sim.Prepared.RunIf) and from their materialized set.
 func TestExtractMatchesReferenceGenerated(t *testing.T) {
 	const n = 200
 	r := rand.New(rand.NewSource(20261018))
@@ -299,28 +291,35 @@ func TestExtractMatchesReferenceGenerated(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p := sim.GenProgram(r, i)
 		harness(r, p)
-		var rows []trace.Execution
+		// The planned runs' symbols name the plan's mutexes too, past the
+		// program's, which are all the unplanned runs use.
+		rows := &trace.LogSet{}
 		for _, plan := range []sim.Plan{nil, sim.GenPlan(r, p)} {
 			pp, err := sim.Prepare(p, plan)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rows.Syms = sim.PreparedSymbols(pp)
 			for seed := int64(1); seed <= 12; seed++ {
-				rows = append(rows, pp.Run(seed, 2000))
+				run, _ := pp.RunIf(seed, 2000, nil)
+				rows.Runs = append(rows.Runs, run)
 			}
 		}
-		relabelled := slices.Clone(rows)
-		for k := range relabelled {
-			relabelled[k].Outcome = trace.Outcome(r.Intn(2))
+		relabelled := &trace.LogSet{Syms: rows.Syms, Runs: slices.Clone(rows.Runs)}
+		for k := range relabelled.Runs {
+			relabelled.Runs[k].Outcome = trace.Outcome(r.Intn(2))
 		}
-		for _, execs := range [][]trace.Execution{rows, relabelled} {
-			set := &trace.Set{Executions: execs}
+		for _, logs := range []*trace.LogSet{rows, relabelled} {
+			set := logs.Set()
 			for _, cfg := range []predicate.Config{with, {}} {
+				if err := extractref.CompareLogs(logs, cfg); err != nil {
+					t.Fatalf("program %d, from the logs: %v", i, err)
+				}
 				if err := extractref.Compare(set, cfg); err != nil {
-					t.Fatalf("program %d: %v", i, err)
+					t.Fatalf("program %d, from the set: %v", i, err)
 				}
 			}
-			preds += predicate.Extract(set, with).NumPreds()
+			preds += predicate.ExtractLogs(logs, with).NumPreds()
 		}
 	}
 	t.Logf("%d predicates over %d programs", preds, n)
@@ -395,28 +394,30 @@ func addCompounds(r *rand.Rand, c *predicate.Corpus) {
 	}
 }
 
-// TestObserveEdgeCases covers the monitors' corner cases through the
-// executor: no baselines at all, a failed baseline (rejected), and
-// compounds whose member is not a corpus predicate or is a compound
-// later in corpus order (both never occur, as extraction with compounds
-// materialized in corpus order says), beside one that nests an earlier
-// compound (it occurs).
+// TestObserveEdgeCases covers the monitors' corner cases: no baselines
+// at all, a failed baseline and Executor.Baselines that name other runs
+// than the corpus's successes (both rejected), and compounds whose
+// member is not a corpus predicate or is a compound later in corpus
+// order (both never occur, as extraction with compounds materialized in
+// corpus order says), beside one that nests an earlier compound (it
+// occurs).
 func TestObserveEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	s := casestudy.ByName("npgsql")
 	rc := casestudy.CollectConfig{Successes: 20, Failures: 20, SeedCap: 4000}
-	set, failSeeds, err := casestudy.Collect(ctx, s, rc)
+	logs, failSeeds, err := casestudy.Collect(ctx, s, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := logs.Set()
 	cfg := s.Config()
-	executor := func(c *predicate.Corpus, baselines []trace.Execution) *inject.Executor {
+	executor := func(c *predicate.Corpus) *inject.Executor {
 		return &inject.Executor{
-			Prog: s.Program, Corpus: c, Baselines: baselines, Seeds: failSeeds[:5],
+			Prog: s.Program, Corpus: c, Seeds: failSeeds[:5],
 			Cfg: cfg, FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: 1,
 		}
 	}
-	corpus := predicate.Extract(set, cfg)
+	corpus := predicate.ExtractLogs(logs, cfg)
 	dag, _, err := acdag.Build(corpus, statdebug.FullyDiscriminative(corpus), acdag.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -434,34 +435,83 @@ func TestObserveEdgeCases(t *testing.T) {
 		checkBundle(t, x, group, obs)
 		return obs
 	}
+	var succ []trace.Execution
+	var bad trace.Execution
+	for _, e := range set.Executions {
+		if e.Failed() {
+			bad = e
+		} else {
+			succ = append(succ, e)
+		}
+	}
 
 	t.Run("empty baselines", func(t *testing.T) {
-		intervene(executor(corpus, nil))
+		syms, err := s.Program.Symbols()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := predicate.CompileMonitors(corpus, syms, &trace.LogSet{Syms: logs.Syms}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := inject.PlanFor(corpus, group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := sim.Prepare(s.Program, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range failSeeds[:5] {
+			replay, err := pp.RunGuarded(seed, sim.Budget{MaxSteps: s.MaxSteps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceBits(corpus, nil, []trace.Execution{replay}, cfg)[0]
+			if _, err := pp.Observe(seed, sim.Budget{MaxSteps: s.MaxSteps}, func(_ sim.Verdict, l *trace.RunLog) {
+				ms.EvalLog(l, func(hit []bool) {
+					if !slices.Equal(hit, want) {
+						t.Fatalf("seed %d: monitors without baselines say %v, reference %v", seed, hit, want)
+					}
+				})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 
 	t.Run("failed baseline", func(t *testing.T) {
-		var bad trace.Execution
-		for _, e := range set.Executions {
-			if e.Failed() {
-				bad = e
-				break
-			}
-		}
-		_, err := executor(corpus, append(successes(set), bad)).Intervene(ctx, group)
-		want := fmt.Sprintf("inject: predicate: extractor baseline %q is a failed execution", bad.ID)
+		bl := trace.Intern(&trace.Set{Executions: append(slices.Clone(succ), bad)})
+		_, err := predicate.CompileMonitors(corpus, logs.Syms, bl, cfg)
+		want := fmt.Sprintf("predicate: extractor baseline %q is a failed execution", bad.ID)
 		if err == nil || err.Error() != want {
-			t.Fatalf("err = %v, want %q", err, want)
+			t.Fatalf("CompileMonitors err = %v, want %q", err, want)
 		}
+		x := executor(corpus)
+		x.Baselines = append(slices.Clone(succ), bad)
+		_, err = x.Intervene(ctx, group)
+		want = fmt.Sprintf("inject: Baselines hold %d executions, the corpus %d successful runs", len(succ)+1, len(succ))
+		if err == nil || err.Error() != want {
+			t.Fatalf("executor err = %v, want %q", err, want)
+		}
+		x = executor(corpus)
+		x.Baselines = append([]trace.Execution{bad}, succ[1:]...)
+		if _, err = x.Intervene(ctx, group); err == nil {
+			t.Fatal("Baselines naming a failed run accepted")
+		}
+		x = executor(corpus)
+		x.Baselines = succ
+		intervene(x)
 	})
 
 	t.Run("compounds", func(t *testing.T) {
 		// Two predicates that co-occur in the first replay of the group.
-		ids := sortedIDs(intervene(executor(corpus, successes(set)))[0].Observed)
+		ids := sortedIDs(intervene(executor(corpus))[0].Observed)
 		if len(ids) < 2 {
 			t.Fatalf("replay observed %v: need two predicates", ids)
 		}
 		a, b := ids[0], ids[1]
-		c := predicate.Extract(set, cfg)
+		c := predicate.ExtractLogs(logs, cfg)
 		inner, err := c.CompoundAnd(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -472,7 +522,7 @@ func TestObserveEdgeCases(t *testing.T) {
 		for _, p := range []predicate.Predicate{unknown, later, inner, nested} {
 			c.MaterializeCompound(p)
 		}
-		obs := intervene(executor(c, successes(set)))
+		obs := intervene(executor(c))
 		if !obs[0].Observed[inner.ID] || !obs[0].Observed[nested.ID] {
 			t.Fatalf("first replay observed %v: want %s and and(nested)", sortedIDs(obs[0].Observed), inner.ID)
 		}

@@ -43,8 +43,7 @@ func Run(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
 	if err != nil {
 		return trace.Execution{}, err
 	}
-	exec, _ := pp.run(nil, seed, Budget{MaxSteps: opts.MaxSteps}, opts.Final, nil)
-	return exec, nil
+	return pp.run(nil, seed, Budget{MaxSteps: opts.MaxSteps}, opts.Final), nil
 }
 
 // MustRun is Run but panics on static program errors; for workloads

@@ -2,7 +2,8 @@
 // case-study corpora so the mutation space starts at real execution
 // records. The target locks in the line-diagnostic error contract of
 // the PR 3 decoder: Decode either succeeds — in which case the decoded
-// set must re-encode and re-decode to the same corpus — or fails with
+// set must re-encode and re-decode to the same corpus, and encode the
+// same after interning into log form and back — or fails with
 // an error that names the offending line; it must never panic.
 //
 // The external test package breaks the would-be import cycle
@@ -44,6 +45,10 @@ func seedCorpora(f *testing.F) {
 	f.Add("null\n")                   // JSON null record
 	f.Add("[1,2,3]\n")                // wrong JSON shape
 	f.Add("{\"id\":\"x\",\"outcome\":99,\"calls\":[{\"start\":-5,\"end\":-9}]}\n")
+	// What the log form holds beside its records: empty and null calls,
+	// injected calls, and access kinds that are neither read nor write.
+	f.Add("{\"id\":\"a\",\"calls\":[]}\n{\"id\":\"b\",\"calls\":null}\n")
+	f.Add("{\"id\":\"c\",\"calls\":[{\"method\":\"M\",\"injected\":true,\"accesses\":[{\"object\":\"o\",\"kind\":7},{\"object\":\"o\",\"kind\":-1,\"locks\":[\"a\",\"a\"]}]},{\"method\":\"M\",\"instance\":4000000000}]}\n")
 }
 
 func FuzzDecode(f *testing.F) {
@@ -63,10 +68,17 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// Success: the decoded set must survive an encode/decode round
-		// trip with identical structure.
-		var buf bytes.Buffer
+		// trip with identical structure, and interning into log form and
+		// back must encode byte-identically.
+		var buf, interned bytes.Buffer
 		if err := trace.Encode(&buf, set); err != nil {
 			t.Fatalf("re-encode of decoded corpus failed: %v", err)
+		}
+		if err := trace.Encode(&interned, trace.Intern(set).Set()); err != nil {
+			t.Fatalf("encode of the interned corpus failed: %v", err)
+		}
+		if !bytes.Equal(interned.Bytes(), buf.Bytes()) {
+			t.Fatalf("interning changed the corpus:\n%s\nbecame\n%s", buf.Bytes(), interned.Bytes())
 		}
 		again, err := trace.Decode(bytes.NewReader(buf.Bytes()))
 		if err != nil {

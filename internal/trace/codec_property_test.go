@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -52,7 +53,8 @@ func randomExecution(rng *rand.Rand, id int) Execution {
 	return e
 }
 
-// Property: Encode/Decode round-trips arbitrary execution sets exactly.
+// Property: Encode/Decode round-trips arbitrary execution sets exactly,
+// and so does Intern then LogSet.Set.
 func TestCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	prop := func() bool {
@@ -65,8 +67,15 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if err := Encode(&buf, s); err != nil {
 			return false
 		}
+		want := slices.Clone(buf.Bytes())
 		got, err := Decode(&buf)
 		if err != nil {
+			return false
+		}
+		// Interned into log form and materialized back, the set encodes
+		// byte-identically.
+		var again bytes.Buffer
+		if err := Encode(&again, Intern(s).Set()); err != nil || !bytes.Equal(again.Bytes(), want) {
 			return false
 		}
 		if len(s.Executions) == 0 {

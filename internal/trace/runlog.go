@@ -1,5 +1,7 @@
 package trace
 
+import "slices"
+
 // RunLog is a read-only view of one simulated run's logs, in the
 // symbol-indexed form the simulator records them: what an Execution
 // holds, before any name is resolved. Spans are in canonical order with
@@ -11,7 +13,9 @@ type RunLog struct {
 	Spans    []Span
 	Accesses []SpanAccess
 	// Lockset i holds the mutex ids LockIDs[LockEnd[i-1]:LockEnd[i]]
-	// (from 0 for i = 0). Mutex ids are only comparable within a run.
+	// (from 0 for i = 0). Mutex ids name Symbols.Mutexes; a replay under
+	// a plan numbers the plan's own mutexes past the program's, so ids
+	// are only comparable across runs of one plan.
 	LockIDs []int32
 	LockEnd []int32
 }
@@ -57,10 +61,23 @@ func (l *RunLog) Lockset(id int32) []int32 {
 	return l.LockIDs[start:l.LockEnd[id]]
 }
 
-// Symbols names a program's symbol ids: Span.Fn indexes Funcs and
-// SpanAccess.Obj indexes Objects. Two ids may share an object name (a
-// global and an array of one name are one object in an Execution).
+// Clone returns an owned copy of the logs.
+func (l *RunLog) Clone() RunLog {
+	return RunLog{
+		Spans:    slices.Clone(l.Spans),
+		Accesses: slices.Clone(l.Accesses),
+		LockIDs:  slices.Clone(l.LockIDs),
+		LockEnd:  slices.Clone(l.LockEnd),
+	}
+}
+
+// Symbols names a program's symbol ids: Span.Fn indexes Funcs,
+// SpanAccess.Obj indexes Objects, Span.Exc indexes Exceptions and the
+// mutex ids of a lockset index Mutexes. Two ids may share an object name
+// (a global and an array of one name are one object in an Execution).
 type Symbols struct {
-	Funcs   []string
-	Objects []ObjectID
+	Funcs      []string
+	Objects    []ObjectID
+	Exceptions []string
+	Mutexes    []string
 }

@@ -374,8 +374,27 @@ func (p *Pipeline) coreOptions() (core.Options, error) {
 	return opts, nil
 }
 
-// Collect runs the source's collection under the pipeline's quotas.
+// Collect runs the source's collection under the pipeline's quotas and
+// returns the corpus with Set filled: a simulator-backed source's logs
+// are materialized into it, and the later stages read Set, so edits to
+// it reach them.
 func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error) {
+	tr, err := p.collect(ctx, src)
+	if err != nil {
+		return nil, err
+	}
+	if tr.logs != nil {
+		if tr.Set == nil {
+			tr.Set = tr.logs.Set()
+		}
+		tr.logs = nil
+	}
+	return tr, nil
+}
+
+// collect is Collect without the interchange form: the source's logs,
+// when it keeps them, stay the corpus.
+func (p *Pipeline) collect(ctx context.Context, src TraceSource) (*Traces, error) {
 	tr, err := src.Collect(ctx, CollectSpec{
 		Successes: p.successes,
 		Failures:  p.failures,
@@ -386,16 +405,22 @@ func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error
 	if err != nil {
 		return nil, err
 	}
-	succ, fail := tr.Set.Counts()
+	succ, fail := tr.counts()
 	p.emit(TracesCollected{Source: src.Label(), Successes: succ, Failures: fail})
 	return tr, nil
 }
 
 // Extract evaluates the predicate vocabulary over the corpus,
-// materializing compound predicates when configured.
+// materializing compound predicates when configured. It reads the
+// collected logs when the source kept them, and otherwise interns Set
+// into log form once (trace.Intern).
 func (p *Pipeline) Extract(tr *Traces) *Corpus {
 	an := p.applyEffects(tr)
-	corpus := predicate.Extract(tr.Set, tr.Config)
+	logs := tr.logs
+	if logs == nil {
+		logs = trace.Intern(tr.Set)
+	}
+	corpus := predicate.ExtractLogs(logs, tr.Config)
 	if p.compounds > 0 {
 		statdebug.GenerateCompounds(corpus, p.compounds)
 	}
@@ -491,7 +516,6 @@ func (p *Pipeline) executor(tr *Traces, corpus *Corpus) (*inject.Executor, error
 	return &inject.Executor{
 		Prog:       tr.Program,
 		Corpus:     corpus,
-		Baselines:  baselineSuccesses(tr.Set),
 		Seeds:      replay,
 		Cfg:        tr.Config,
 		FailureSig: tr.FailureSig,
@@ -641,7 +665,7 @@ func (p *Pipeline) Explain(corpus *Corpus, res *Result) string {
 // case studies — to the pre-facade runner kept as a test oracle in
 // internal/oracle/caserun.
 func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
-	tr, err := p.Collect(ctx, src)
+	tr, err := p.collect(ctx, src)
 	if err != nil {
 		return nil, err
 	}
@@ -736,16 +760,6 @@ func idStrings(ids []PredicateID) []string {
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = string(id)
-	}
-	return out
-}
-
-func baselineSuccesses(set *trace.Set) []trace.Execution {
-	var out []trace.Execution
-	for i := range set.Executions {
-		if !set.Executions[i].Failed() {
-			out = append(out, set.Executions[i])
-		}
 	}
 	return out
 }

@@ -43,7 +43,10 @@ type CollectSpec struct {
 // Traces is a collected corpus plus the context later pipeline stages
 // need.
 type Traces struct {
-	// Set is the trace corpus.
+	// Set is the trace corpus in its interchange form. Sources that read
+	// a file or a store fill it. The simulator-backed sources (FromStudy,
+	// FromProgram) keep their runs' logs instead, and Pipeline.Collect
+	// and WriteTraces build Set from them; Pipeline.Run never does.
 	Set *TraceSet
 	// FailSeeds are the scheduler seeds that produced the collected
 	// failures, in collection order; interventions replay a prefix.
@@ -63,6 +66,18 @@ type Traces struct {
 	Source      string
 	Issue       string
 	Description string
+
+	// logs is the corpus in log form, as a simulator-backed source
+	// collected it (nil for a source that hands over Set).
+	logs *trace.LogSet
+}
+
+// counts returns the corpus's (#successes, #failures).
+func (tr *Traces) counts() (succ, fail int) {
+	if tr.logs != nil {
+		return tr.logs.Counts()
+	}
+	return tr.Set.Counts()
 }
 
 // observeCollect adapts the spec's observer to casestudy.Collect's
@@ -101,12 +116,12 @@ func (s *StudySource) Collect(ctx context.Context, spec CollectSpec) (*Traces, e
 		SeedCap: spec.SeedCap, Workers: spec.Workers,
 		OnCollect: spec.observeCollect(),
 	}
-	set, failSeeds, err := casestudy.Collect(ctx, s.study, rc)
+	logs, failSeeds, err := casestudy.Collect(ctx, s.study, rc)
 	if err != nil {
 		return nil, err
 	}
 	return &Traces{
-		Set:         set,
+		logs:        logs,
 		FailSeeds:   failSeeds,
 		Program:     s.study.Program,
 		Config:      s.study.Config(),
@@ -178,12 +193,12 @@ func (s *ProgramSource) Collect(ctx context.Context, spec CollectSpec) (*Traces,
 		SeedCap: spec.SeedCap, Workers: spec.Workers,
 		OnCollect: spec.observeCollect(),
 	}
-	set, failSeeds, err := casestudy.Collect(ctx, s.asStudy(), rc)
+	logs, failSeeds, err := casestudy.Collect(ctx, s.asStudy(), rc)
 	if err != nil {
 		return nil, err
 	}
 	return &Traces{
-		Set:        set,
+		logs:       logs,
 		FailSeeds:  failSeeds,
 		Program:    s.Program,
 		Config:     s.config(),
@@ -300,12 +315,16 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 }
 
 // WriteTraces saves a collected corpus as JSON lines — the format
-// FromTraceFile loads and cmd/aid's -save-traces emits. The round trip
-// is lossless: a pipeline over the reloaded corpus produces the same
-// report as one over the live corpus.
+// FromTraceFile loads and cmd/aid's -save-traces emits — building
+// tr.Set from the collected logs when it is absent. The round trip is
+// lossless: a pipeline over the reloaded corpus produces the same report
+// as one over the live corpus.
 func WriteTraces(path string, tr *Traces) error {
-	if tr == nil || tr.Set == nil {
+	if tr == nil || tr.Set == nil && tr.logs == nil {
 		return fmt.Errorf("aid: no traces to write")
+	}
+	if tr.Set == nil {
+		tr.Set = tr.logs.Set()
 	}
 	return trace.WriteFile(path, tr.Set)
 }
