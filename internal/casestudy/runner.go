@@ -103,12 +103,15 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.LogSet, []
 	if err != nil {
 		return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
 	}
-	set := &trace.LogSet{Syms: syms}
+	set := &trace.LogSet{Syms: syms, Runs: make([]trace.LogRun, 0, cc.Successes+cc.Failures)}
 	var failSeeds []int64
 	succ, fail := 0, 0
 	ours := func(v sim.Verdict) bool { return s.FailureSig == "" || v.Sig == s.FailureSig }
 	chunk := int64(par.Workers(cc.Workers) * collectChunk)
 	var seeds []int64
+	// kept[i] is the chunk's i-th run when kept (reused across chunks:
+	// every run writes its slot).
+	kept := make([]trace.LogRun, chunk)
 	for base := int64(1); base <= int64(cc.SeedCap); base += chunk {
 		if succ >= cc.Successes && fail >= cc.Failures {
 			break
@@ -128,19 +131,20 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.LogSet, []
 			}
 			return wantSucc
 		}
-		runs, err := par.Map(ctx, len(seeds), cc.Workers, func(i int) (collected, error) {
-			run, v := pp.RunIf(seeds[i], s.MaxSteps, keep)
-			return collected{run, v}, nil
+		verdicts, err := par.Map(ctx, len(seeds), cc.Workers, func(i int) (sim.Verdict, error) {
+			var v sim.Verdict
+			kept[i], v = pp.RunIf(seeds[i], s.MaxSteps, keep)
+			return v, nil
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
 		}
-		for i, r := range runs {
+		for i, v := range verdicts {
 			if succ >= cc.Successes && fail >= cc.Failures {
 				break
 			}
-			if r.v.Failed {
-				if !ours(r.v) || fail >= cc.Failures {
+			if v.Failed {
+				if !ours(v) || fail >= cc.Failures {
 					continue
 				}
 				fail++
@@ -151,7 +155,7 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.LogSet, []
 				}
 				succ++
 			}
-			set.Runs = append(set.Runs, r.run)
+			set.Runs = append(set.Runs, kept[i])
 		}
 		if cc.OnCollect != nil {
 			cc.OnCollect(succ, fail, hi)
@@ -162,13 +166,6 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.LogSet, []
 			s.Name, succ, fail, cc.SeedCap, cc.Successes, cc.Failures)
 	}
 	return set, failSeeds, nil
-}
-
-// collected is one collection run: its logs, when kept, and its
-// verdict.
-type collected struct {
-	run trace.LogRun
-	v   sim.Verdict
 }
 
 // allMemo builds the six studies once per process. Safe to share: a

@@ -183,19 +183,21 @@ func (x *corpusIndex) numberKeys(nCalls int) {
 	nf := len(x.syms.Funcs)
 	calls := make([]int, nf) // function -> calls, then its key base
 	width := make([]int, nf) // function -> highest instance + 1
-	for i := range x.runs {
-		for _, s := range x.runs[i].Log.Spans {
-			calls[s.Fn]++
-		}
-	}
 	dense := true
 	for i := range x.runs {
-		for _, s := range x.runs[i].Log.Spans {
-			if s.Instance < 0 || s.Instance >= calls[s.Fn] {
+		spans := x.runs[i].Log.Spans
+		for j := range spans {
+			s := &spans[j]
+			calls[s.Fn]++
+			if s.Instance < 0 || s.Instance >= nCalls {
 				dense = false
+				continue
 			}
 			width[s.Fn] = max(width[s.Fn], s.Instance+1)
 		}
+	}
+	for f := range nf {
+		dense = dense && width[f] <= calls[f]
 	}
 	x.callKey = make([]int32, nCalls)
 	if dense {
@@ -212,8 +214,9 @@ func (x *corpusIndex) numberKeys(nCalls int) {
 			}
 		}
 		for i := range x.runs {
-			for j, s := range x.runs[i].Log.Spans {
-				x.callKey[x.callOff[i]+j] = int32(base[s.Fn] + s.Instance)
+			spans := x.runs[i].Log.Spans
+			for j := range spans {
+				x.callKey[x.callOff[i]+j] = int32(base[spans[j].Fn] + spans[j].Instance)
 			}
 		}
 		return
@@ -225,8 +228,9 @@ func (x *corpusIndex) numberKeys(nCalls int) {
 	}
 	all := make([]keyed, 0, nCalls)
 	for i := range x.runs {
-		for j, s := range x.runs[i].Log.Spans {
-			all = append(all, keyed{s.Fn, s.Instance, int32(x.callOff[i] + j)})
+		spans := x.runs[i].Log.Spans
+		for j := range spans {
+			all = append(all, keyed{spans[j].Fn, spans[j].Instance, int32(x.callOff[i] + j)})
 		}
 	}
 	slices.SortFunc(all, func(p, q keyed) int { return cmp.Or(cmp.Compare(p.fn, q.fn), cmp.Compare(p.inst, q.inst)) })
@@ -558,13 +562,38 @@ func (st *succStats) usableRet() (int64, bool) {
 // thread, the time interval from its first to its last access, whether
 // any access is a write, and the set of mutex ids held by every access
 // (a race needs one unprotected conflicting pair, so only locks held
-// across the whole window rule a pair out).
+// across the whole window rule a pair out). The set is locks[lo:hi] of
+// the pass's lock buffer, so a window holds no pointer and moves without
+// write barriers.
 type accessWindow struct {
 	thread   trace.ThreadID
 	start    trace.Time
 	end      trace.Time
 	hasWrite bool
-	locks    []int32 // intersection of the window's access locksets
+	lo, hi   int32
+}
+
+// open starts w with its first access, copying held onto the lock
+// buffer, and returns the grown buffer.
+func (w *accessWindow) open(locks, held []int32, thread trace.ThreadID, at trace.Time) []int32 {
+	*w = accessWindow{thread: thread, start: at, end: at, lo: int32(len(locks))}
+	locks = append(locks, held...)
+	w.hi = int32(len(locks))
+	return locks
+}
+
+// extend widens w to a further access, keeping the locks that access
+// also held.
+func (w *accessWindow) extend(locks, held []int32, at trace.Time) {
+	w.start, w.end = min(w.start, at), max(w.end, at)
+	n := w.lo
+	for _, mu := range locks[w.lo:w.hi] {
+		if slices.Contains(held, mu) {
+			locks[n] = mu
+			n++
+		}
+	}
+	w.hi = n
 }
 
 // raceWindow is extractRaces's access window, with its object's rank
@@ -620,14 +649,10 @@ func (x *corpusIndex) extractRaces(c *Corpus) {
 				if wi < 0 {
 					wi = int32(len(wins))
 					winOf[o] = wi
-					w := raceWindow{accessWindow: accessWindow{thread: span.Thread, start: acc.At, end: acc.At}, m: span.Fn, o: o}
-					locks, w.locks = cloneLocks(locks, held)
-					wins = append(wins, w)
+					wins = append(wins, raceWindow{m: span.Fn, o: o})
+					locks = wins[wi].open(locks, held, span.Thread, acc.At)
 				} else {
-					w := &wins[wi]
-					w.start = min(w.start, acc.At)
-					w.end = max(w.end, acc.At)
-					w.locks = intersectInPlace(w.locks, held)
+					wins[wi].extend(locks, held, acc.At)
 				}
 				if acc.Kind == uint8(trace.Write) {
 					wins[wi].hasWrite = true
@@ -647,7 +672,7 @@ func (x *corpusIndex) extractRaces(c *Corpus) {
 			for p := 0; p < len(ws); p++ {
 				for q := p + 1; q < len(ws); q++ {
 					a, b := &ws[p], &ws[q]
-					if !races(&a.accessWindow, &b.accessWindow) {
+					if !races(&a.accessWindow, &b.accessWindow, locks) {
 						continue
 					}
 					h := x.raceHandle(c, handles, min(a.m, b.m), max(a.m, b.m), o)
@@ -695,41 +720,18 @@ func (x *corpusIndex) raceHandle(c *Corpus, handles [][]raceEntry, m1, m2, o int
 
 // races reports whether two calls' access windows on one object race:
 // different threads, at least one write, strictly interleaved windows
-// (each starts before the other ends), and no lock held across both.
-func races(a, b *accessWindow) bool {
-	return a.thread != b.thread && (a.hasWrite || b.hasWrite) &&
-		a.start < b.end && b.start < a.end && !sharesLock(a.locks, b.locks)
-}
-
-// cloneLocks copies locks onto the end of buf and returns the grown
-// buffer and the copy. The copy's capacity ends at its length, so
-// intersectInPlace never writes into a neighbouring window's lockset.
-func cloneLocks(buf, locks []int32) (grown, clone []int32) {
-	n := len(buf)
-	buf = append(buf, locks...)
-	return buf, buf[n:len(buf):len(buf)]
-}
-
-// intersectInPlace filters a down to the elements also present in b,
-// reusing a's backing (a is always a cloneLocks copy here).
-func intersectInPlace(a, b []int32) []int32 {
-	n := 0
-	for _, x := range a {
-		if slices.Contains(b, x) {
-			a[n] = x
-			n++
+// (each starts before the other ends), and no lock held across both;
+// locks is the windows' lock buffer.
+func races(a, b *accessWindow, locks []int32) bool {
+	if a.thread == b.thread || !a.hasWrite && !b.hasWrite || a.start >= b.end || b.start >= a.end {
+		return false
+	}
+	for _, mu := range locks[a.lo:a.hi] {
+		if slices.Contains(locks[b.lo:b.hi], mu) {
+			return false
 		}
 	}
-	return a[:n]
-}
-
-func sharesLock(a, b []int32) bool {
-	for _, x := range a {
-		if slices.Contains(b, x) {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // raceID names the data race between methods m1 <= m2 on obj.
@@ -737,20 +739,12 @@ func raceID(m1, m2 string, obj trace.ObjectID) ID {
 	return ID("race:" + m1 + "|" + m2 + "@" + string(obj))
 }
 
-func dedupe(ms ...string) []string {
-	var out []string
-	for _, m := range ms {
-		dup := false
-		for _, o := range out {
-			if o == m {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, m)
-		}
+// dedupe returns methods a and b, once each.
+func dedupe(a, b string) []string {
+	if a == b {
+		return []string{a}
 	}
-	return out
+	return []string{a, b}
 }
 
 // extractOrder finds instance pairs (A, B) that are strictly ordered

@@ -515,7 +515,8 @@ func TestStampPolicy(t *testing.T) {
 
 // TestExtractAllocsIgnoreInstanceNumbers pins that no table is sized or
 // indexed by a number a trace supplies: a one-call set whose instance is
-// 4e9 interns and extracts with the bytes of one whose instance is 0.
+// 4e9 (or the largest int, or -1) interns and extracts with the bytes of
+// one whose instance is 0.
 func TestExtractAllocsIgnoreInstanceNumbers(t *testing.T) {
 	bytesFor := func(inst int) uint64 {
 		set := &trace.Set{Executions: []trace.Execution{{
@@ -533,8 +534,10 @@ func TestExtractAllocsIgnoreInstanceNumbers(t *testing.T) {
 		}
 		return best
 	}
-	small, huge := bytesFor(0), bytesFor(4_000_000_000)
-	if huge > small+1024 || huge > 64<<10 {
-		t.Fatalf("extracting a one-call set allocates %d B with instance 4e9, %d B with instance 0", huge, small)
+	small := bytesFor(0)
+	for _, inst := range []int{4_000_000_000, math.MaxInt, -1} {
+		if huge := bytesFor(inst); huge > small+1024 || huge > 64<<10 {
+			t.Fatalf("extracting a one-call set allocates %d B with instance %d, %d B with instance 0", huge, inst, small)
+		}
 	}
 }

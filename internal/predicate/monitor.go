@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -106,7 +107,7 @@ func CompileMonitors(c *Corpus, syms trace.Symbols, baselines *trace.LogSet, cfg
 		margin: cfg.DurationMargin,
 	}
 	fnSlot, objSlot := map[string]int32{}, map[trace.ObjectID]int32{}
-	learnsAccesses := false
+	learnsOrder, learnsAtomicity := false, false
 	for i := range c.Preds {
 		m := &ms.mons[i]
 		switch m.never = !m.compile(c, i); {
@@ -117,14 +118,21 @@ func CompileMonitors(c *Corpus, syms trace.Symbols, baselines *trace.LogSet, cfg
 			case KindDataRace, KindAtomicityViolation:
 				m.o = slotOf(objSlot, m.obj)
 			}
-			learnsAccesses = learnsAccesses || m.kind == KindOrderViolation || m.kind == KindAtomicityViolation
+			learnsOrder = learnsOrder || m.kind == KindOrderViolation
+			learnsAtomicity = learnsAtomicity || m.kind == KindAtomicityViolation
 		}
 	}
 	ms.nFns, ms.nObjs = len(fnSlot), len(objSlot)
 	ms.watchFn, ms.watchObj = watchTable(syms.Funcs, fnSlot), watchTable(syms.Objects, objSlot)
-	bFn, bObj := watchTable(baselines.Syms.Funcs, fnSlot), watchTable(baselines.Syms.Objects, objSlot)
-	var rank []int32
-	if learnsAccesses {
+	// Baselines are indexed by their own symbols; only atomicity learns
+	// from the per-object sequences, and only order from the accesses by
+	// span.
+	bFn := watchTable(baselines.Syms.Funcs, fnSlot)
+	var bObj, rank []int32
+	if learnsAtomicity {
+		bObj = watchTable(baselines.Syms.Objects, objSlot)
+	}
+	if learnsOrder {
 		rank, _ = objectRanks(baselines.Syms.Objects)
 	}
 	sc := ms.newScratch()
@@ -135,9 +143,9 @@ func CompileMonitors(c *Corpus, syms trace.Symbols, baselines *trace.LogSet, cfg
 		}
 		l := &r.Log
 		ms.index(sc, l, bFn, bObj)
-		if learnsAccesses {
-			sc.accStart = resize(sc.accStart, len(l.Spans)+1)
-			sc.accOrder = resize(sc.accOrder, len(l.Accesses))
+		if learnsOrder {
+			sc.accStart = slices.Grow(sc.accStart[:0], len(l.Spans)+1)[:len(l.Spans)+1]
+			sc.accOrder = slices.Grow(sc.accOrder[:0], len(l.Accesses))[:len(l.Accesses)]
 			groupBySpan(l, sc.accStart, sc.accOrder)
 		}
 		for i := range ms.mons {
@@ -189,14 +197,6 @@ func watched(w []int32, id int32) int32 {
 		return -1
 	}
 	return w[id]
-}
-
-// resize returns buf with length n, reusing its backing when it fits.
-func resize(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }
 
 // compile reads the i-th corpus predicate's fields into m and reports
@@ -370,7 +370,7 @@ func (ms *Monitors) index(sc *scratch, l *trace.RunLog, fnW, objW []int32) {
 			sc.calls[s] = append(sc.calls[s], int32(j))
 		}
 	}
-	if ms.nObjs == 0 {
+	if ms.nObjs == 0 || objW == nil {
 		return
 	}
 	for k := range l.Accesses {
@@ -407,13 +407,10 @@ func (sc *scratch) race(l *trace.RunLog, m *monitor) bool {
 		held := l.Lockset(l.Accesses[acc.ref].Lockset)
 		if wi := sc.winOf[acc.span]; wi < 0 {
 			sc.winOf[acc.span] = int32(len(w))
-			win := monWindow{accessWindow: accessWindow{thread: acc.thread, start: acc.at, end: acc.at}, fn: fn, span: acc.span}
-			sc.locks, win.locks = cloneLocks(sc.locks, held)
-			w = append(w, win)
+			w = append(w, monWindow{fn: fn, span: acc.span})
+			sc.locks = w[len(w)-1].open(sc.locks, held, acc.thread, acc.at)
 		} else {
-			win := &w[wi]
-			win.start, win.end = min(win.start, acc.at), max(win.end, acc.at)
-			win.locks = intersectInPlace(win.locks, held)
+			w[wi].extend(sc.locks, held, acc.at)
 		}
 		if acc.kind == trace.Write {
 			w[sc.winOf[acc.span]].hasWrite = true
@@ -426,7 +423,7 @@ func (sc *scratch) race(l *trace.RunLog, m *monitor) bool {
 	for x := range w {
 		for y := x + 1; y < len(w); y++ {
 			// Pairs of m1 with m2 calls (or two calls of m1 when equal).
-			if (m.a == m.b || w[x].fn != w[y].fn) && races(&w[x].accessWindow, &w[y].accessWindow) {
+			if (m.a == m.b || w[x].fn != w[y].fn) && races(&w[x].accessWindow, &w[y].accessWindow, sc.locks) {
 				return true
 			}
 		}

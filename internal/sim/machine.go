@@ -333,7 +333,8 @@ func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState) (ex
 func (pp *Prepared) runIf(m *machine, seed int64, b Budget, keep func(Verdict) bool) (run trace.LogRun, v Verdict) {
 	v = pp.simulate(m, seed, b, func(m *machine, v Verdict) {
 		if keep == nil || keep(v) {
-			run = m.logRun(seed, m.runLog().Clone())
+			l := m.logs()
+			run = m.logRun(seed, l.Clone())
 		}
 	})
 	return run, v
@@ -352,9 +353,15 @@ func (m *machine) snapshot(final *FinalState) {
 	}
 }
 
-// runLog is the read-only view of the machine's logs.
+// logs returns a view of the machine's logs.
+func (m *machine) logs() trace.RunLog {
+	return trace.RunLog{Spans: m.spans, Accesses: m.accs, LockIDs: m.lsSlots, LockEnd: m.lsEnd}
+}
+
+// runLog is the read-only view of the machine's logs that Observe hands
+// out.
 func (m *machine) runLog() *trace.RunLog {
-	m.view = trace.RunLog{Spans: m.spans, Accesses: m.accs, LockIDs: m.lsSlots, LockEnd: m.lsEnd}
+	m.view = m.logs()
 	return &m.view
 }
 
@@ -980,6 +987,6 @@ func (m *machine) logRun(seed int64, l trace.RunLog) trace.LogRun {
 // execution assembles the run's trace from its logs
 // (trace.LogRun.Execution), named by the Prepared's symbols.
 func (m *machine) execution(seed int64) trace.Execution {
-	r := m.logRun(seed, *m.runLog())
+	r := m.logRun(seed, m.logs())
 	return r.Execution(&m.pp.syms)
 }

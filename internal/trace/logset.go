@@ -57,7 +57,8 @@ func (s *LogSet) Counts() (succ, fail int) {
 // Successes returns the successful runs, in order, as a LogSet over the
 // same symbols; the logs are shared, not copied.
 func (s *LogSet) Successes() *LogSet {
-	out := &LogSet{Syms: s.Syms}
+	succ, _ := s.Counts()
+	out := &LogSet{Syms: s.Syms, Runs: make([]LogRun, 0, succ)}
 	for i := range s.Runs {
 		if !s.Runs[i].Failed() {
 			out.Runs = append(out.Runs, s.Runs[i])
