@@ -167,16 +167,16 @@ func (r *LogRun) Execution(syms *Symbols) Execution {
 // previous call's in order, and each access's locks form a lockset of
 // their own. Funcs are the set's method names in name order; objects,
 // exception kinds and mutexes are numbered as first seen. Every table is
-// sized by what the set holds, none by a number a trace supplies.
+// sized by what the set holds, none by a number a trace supplies. A
+// name costs one map probe where it occurs, or none when it repeats the
+// previous call's method or the previous access's object.
 func Intern(s *Set) *LogSet {
-	fnIdx := make(map[string]int32)
 	var nSpans, nAccs, nLockIDs, nLocksets int
 	for i := range s.Executions {
 		e := &s.Executions[i]
 		nSpans += len(e.Calls)
 		for j := range e.Calls {
 			c := &e.Calls[j]
-			fnIdx[c.Method] = 0
 			nAccs += len(c.Accesses)
 			for k := range c.Accesses {
 				if n := len(c.Accesses[k].Locks); n > 0 {
@@ -187,14 +187,7 @@ func Intern(s *Set) *LogSet {
 		}
 	}
 	ls := &LogSet{Runs: make([]LogRun, len(s.Executions))}
-	ls.Syms.Funcs = make([]string, 0, len(fnIdx))
-	for m := range fnIdx {
-		ls.Syms.Funcs = append(ls.Syms.Funcs, m)
-	}
-	slices.Sort(ls.Syms.Funcs)
-	for i, m := range ls.Syms.Funcs {
-		fnIdx[m] = int32(i)
-	}
+	fnIdx := make(map[string]int32)
 	objIdx := make(map[ObjectID]int32)
 	excIdx := make(map[string]int32)
 	muIdx := make(map[string]int32)
@@ -202,6 +195,12 @@ func Intern(s *Set) *LogSet {
 	accs := make([]SpanAccess, nAccs)
 	lockIDs := make([]int32, nLockIDs)
 	lockEnd := make([]int32, nLocksets)
+	// Methods are numbered as first seen here and renumbered in name
+	// order below.
+	var fns []string
+	var lastFn string
+	var lastObj ObjectID
+	fn, obj := int32(-1), int32(-1)
 	var f, a, li, le int
 	for i := range s.Executions {
 		e := &s.Executions[i]
@@ -212,7 +211,10 @@ func Intern(s *Set) *LogSet {
 			c := &e.Calls[j]
 			sp := &spans[f]
 			f++
-			sp.Fn = fnIdx[c.Method]
+			if fn < 0 || c.Method != lastFn {
+				fn, lastFn = internName(fnIdx, &fns, c.Method), c.Method
+			}
+			sp.Fn = fn
 			sp.Exc = -1
 			if c.Exception != "" {
 				sp.Exc = internName(excIdx, &ls.Syms.Exceptions, c.Exception)
@@ -226,7 +228,10 @@ func Intern(s *Set) *LogSet {
 				acc := &c.Accesses[k]
 				sa := &accs[a]
 				sa.Span = int32(j)
-				sa.Obj = internName(objIdx, &ls.Syms.Objects, acc.Object)
+				if obj < 0 || acc.Object != lastObj {
+					obj, lastObj = internName(objIdx, &ls.Syms.Objects, acc.Object), acc.Object
+				}
+				sa.Obj = obj
 				sa.Lockset = -1
 				sa.At = acc.At
 				switch acc.Kind {
@@ -254,6 +259,18 @@ func Intern(s *Set) *LogSet {
 		r.Log.Accesses = accs[a0:a:a]
 		r.Log.LockIDs = lockIDs[li0:li:li]
 		r.Log.LockEnd = lockEnd[le0:le:le]
+	}
+	// Name order: rank[id] is first-seen method id's place among the
+	// sorted names.
+	ls.Syms.Funcs = slices.Clone(fns)
+	slices.Sort(ls.Syms.Funcs)
+	rank := make([]int32, len(fns))
+	for id, m := range fns {
+		r, _ := slices.BinarySearch(ls.Syms.Funcs, m)
+		rank[id] = int32(r)
+	}
+	for k := range spans {
+		spans[k].Fn = rank[spans[k].Fn]
 	}
 	return ls
 }
