@@ -26,8 +26,8 @@ func (e *echoIntervener) Intervene(context.Context, []predicate.ID) ([]core.Obse
 
 func someObs() []core.Observation {
 	return []core.Observation{
-		{Failed: true, Observed: map[predicate.ID]bool{"P1": true}},
-		{Observed: map[predicate.ID]bool{"P2": true}},
+		{Failed: true, Observed: core.PredSetOf("P1")},
+		{Observed: core.PredSetOf("P2")},
 	}
 }
 

@@ -33,14 +33,20 @@ import (
 // observed.
 type Observation struct {
 	Failed bool
-	// Observed reports predicate occurrence; absent IDs did not occur.
-	Observed map[predicate.ID]bool
+	// Observed holds the predicates that occurred. Its zero value marks
+	// a missed run, one that produced no observation (see Missed).
+	Observed PredSet
 	// Confidence is the posterior of the round verdict this observation
 	// supports, attached by the adaptive trial oracle (see
 	// RobustIntervener); zero for plain interveners, whose observations
 	// carry no uncertainty estimate.
 	Confidence float64
 }
+
+// Missed reports that the run produced no observation: its replay was
+// lost (quarantined, crashed or over budget), so it is evidence of
+// nothing, not a run that observed no predicates.
+func (o Observation) Missed() bool { return o.Observed.t == nil }
 
 // Intervener re-executes the application with the given predicates
 // forced to their values in successful executions ("repaired"). Because
@@ -217,6 +223,11 @@ type discoverer struct {
 	aliveBuf      []int
 	intervenedSet *acdag.NodeSet
 	obsMasks      []*acdag.NodeSet
+	// nodesOf caches, per predicate table the observations were drawn
+	// from, each entry's DAG node index (-1 when the predicate is not a
+	// node): one table per intervener, plus one per observation that a
+	// memo import decoded.
+	nodesOf map[*PredTable][]int32
 }
 
 // Discover runs causal path discovery (Algorithm 3) on the AC-DAG.
@@ -431,9 +442,9 @@ func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 	// Definition 2, second rule: a non-intervened predicate that does
 	// not precede any intervened one is pruned on a counterfactual
 	// violation with F in any intervening run. The per-candidate loop is
-	// bitset-only: observations are interned to node sets once per round
-	// (the ID-map edge), and the protection test is one word-parallel
-	// row intersection.
+	// bitset-only: each observation's bits are carried onto node sets
+	// once per round through its table's node translation, and the
+	// protection test is one word-parallel row intersection.
 	if d.opts.PredicatePruning {
 		for len(d.obsMasks) < len(obs) {
 			d.obsMasks = append(d.obsMasks, d.dag.NewNodeSet())
@@ -441,11 +452,12 @@ func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 		masks := d.obsMasks[:len(obs)]
 		for k, o := range obs {
 			m := masks[k].Clear()
-			for id, v := range o.Observed {
-				if v {
-					m.Add(id)
+			nodes := d.tableNodes(o.Observed.t)
+			o.Observed.bits.ForEach(func(i int) {
+				if j := nodes[i]; j >= 0 {
+					m.AddIndex(int(j))
 				}
-			}
+			})
 		}
 		for _, q := range d.aliveByRank() {
 			if intervened.HasIndex(q) {
@@ -469,6 +481,29 @@ func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 		d.opts.OnRound(round, meta)
 	}
 	return stopped, nil
+}
+
+// tableNodes returns the DAG node index of each entry of t (-1 for a
+// predicate that is not a node), built on first sight of the table.
+func (d *discoverer) tableNodes(t *PredTable) []int32 {
+	if t == nil {
+		return nil
+	}
+	nodes, ok := d.nodesOf[t]
+	if !ok {
+		nodes = make([]int32, len(t.ids))
+		for i, id := range t.ids {
+			nodes[i] = -1
+			if j, ok := d.dag.IndexOf(id); ok {
+				nodes[i] = int32(j)
+			}
+		}
+		if d.nodesOf == nil {
+			d.nodesOf = map[*PredTable][]int32{}
+		}
+		d.nodesOf[t] = nodes
+	}
+	return nodes
 }
 
 func (d *discoverer) markSpurious(i int) {

@@ -42,13 +42,13 @@ func (w *truthWorld) Intervene(_ context.Context, preds []predicate.ID) ([]Obser
 		fired[id] = v
 		return v
 	}
-	obs := Observation{Observed: make(map[predicate.ID]bool)}
+	var ids []predicate.ID
 	for id := range w.parent {
 		if eval(id) {
-			obs.Observed[id] = true
+			ids = append(ids, id)
 		}
 	}
-	obs.Failed = eval(w.last) && !forced[w.last]
+	obs := Observation{Observed: PredSetOf(ids...), Failed: eval(w.last) && !forced[w.last]}
 	return []Observation{obs}, nil
 }
 

@@ -415,16 +415,16 @@ func filterToVerdict(all []Observation, verdictFailed, sprt bool) []Observation 
 	out := make([]Observation, 0, len(all))
 	nonEmptyFails := 0
 	for _, o := range all {
-		if o.Failed && len(o.Observed) > 0 {
+		if o.Failed && o.Observed.Len() > 0 {
 			nonEmptyFails++
 		}
 	}
 	for _, o := range all {
 		if verdictFailed {
-			if !o.Failed && len(o.Observed) > 0 {
+			if !o.Failed && o.Observed.Len() > 0 {
 				continue
 			}
-			if sprt && o.Failed && len(o.Observed) == 0 && nonEmptyFails > 0 {
+			if sprt && o.Failed && o.Observed.Len() == 0 && nonEmptyFails > 0 {
 				continue
 			}
 		} else if o.Failed {

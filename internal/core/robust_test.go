@@ -13,19 +13,11 @@ import (
 // obsFail and obsClean build one-run observation slices for scripted
 // interveners.
 func obsFail(ids ...predicate.ID) []Observation {
-	o := Observation{Failed: true, Observed: map[predicate.ID]bool{}}
-	for _, id := range ids {
-		o.Observed[id] = true
-	}
-	return []Observation{o}
+	return []Observation{{Failed: true, Observed: PredSetOf(ids...)}}
 }
 
 func obsClean(ids ...predicate.ID) []Observation {
-	o := Observation{Observed: map[predicate.ID]bool{}}
-	for _, id := range ids {
-		o.Observed[id] = true
-	}
-	return []Observation{o}
+	return []Observation{{Observed: PredSetOf(ids...)}}
 }
 
 // scriptedIntervener replays a fixed per-call script; past the end it

@@ -6,8 +6,7 @@
 // decisions only about the intervened group — a negative test (failure
 // persists) clears the whole group, a positive test (failure stops) is
 // narrowed by binary splitting. Its upper bound is O(D log N) tests for
-// D causal predicates among N (§2); when D ≥ N/log N a linear scan is
-// preferable, which Linear provides.
+// D causal predicates among N (§2).
 package grouptest
 
 import (
@@ -35,8 +34,7 @@ type Result struct {
 
 // tester is the shared scheduling core of the strategies: every group
 // test flows through it, so counting, defensive copying, and error
-// wrapping behave identically across Adaptive, Halving, NonAdaptive and
-// Linear.
+// wrapping behave identically across Adaptive and Halving.
 type tester struct {
 	oracle Oracle
 	res    *Result
@@ -150,93 +148,6 @@ func halve(pool []predicate.ID, tst *tester) error {
 		pool = rest
 	}
 	return nil
-}
-
-// NonAdaptive identifies a single defective item with a predetermined
-// bit-mask design — the non-adaptive variant §2 contrasts with AID's
-// adaptive scheme. Test i contains every item whose index has bit i
-// set; the pattern of positive outcomes spells the defective's index,
-// confirmed by one verification test. All ⌈log₂N⌉ tests are fixed in
-// advance, so they could run in parallel — but the design only decodes
-// a single defective: with none it reports an empty result, and with
-// several the decode fails verification and an error is returned
-// (adaptive testing is required then).
-func NonAdaptive(items []predicate.ID, oracle Oracle) (*Result, error) {
-	res := &Result{}
-	n := len(items)
-	if n == 0 {
-		return res, nil
-	}
-	tst := &tester{oracle: oracle, res: res}
-	idx := 0
-	for b := 0; 1<<b < n; b++ {
-		var group []predicate.ID
-		for i, it := range items {
-			if i&(1<<b) != 0 {
-				group = append(group, it)
-			}
-		}
-		positive, err := tst.test(group)
-		if err != nil {
-			return nil, err
-		}
-		if positive {
-			idx |= 1 << b
-		}
-	}
-	if idx >= n {
-		return nil, fmt.Errorf("grouptest: non-adaptive decode out of range (multiple defectives?)")
-	}
-	// Verification: the decoded candidate must itself test positive;
-	// for a defect-free pool the all-negative pattern decodes to index
-	// 0, which verification then clears.
-	positive, err := tst.test([]predicate.ID{items[idx]})
-	if err != nil {
-		return nil, err
-	}
-	if !positive {
-		if idx == 0 {
-			res.Spurious = append(res.Spurious, items...)
-			return res, nil
-		}
-		return nil, fmt.Errorf("grouptest: non-adaptive decode failed verification (multiple defectives?)")
-	}
-	res.Causes = append(res.Causes, items[idx])
-	for i, it := range items {
-		if i != idx {
-			res.Spurious = append(res.Spurious, it)
-		}
-	}
-	return res, nil
-}
-
-// Linear tests the items one at a time — the preferable strategy when
-// D ≥ N/log N (§2).
-func Linear(items []predicate.ID, oracle Oracle) (*Result, error) {
-	res := &Result{}
-	tst := &tester{oracle: oracle, res: res}
-	for _, it := range items {
-		stopped, err := tst.test([]predicate.ID{it})
-		if err != nil {
-			return nil, err
-		}
-		if stopped {
-			res.Causes = append(res.Causes, it)
-		} else {
-			res.Spurious = append(res.Spurious, it)
-		}
-	}
-	return res, nil
-}
-
-// Auto picks Linear when the expected defective count d makes group
-// testing unattractive (d ≥ n/log₂ n) and Adaptive otherwise.
-func Auto(items []predicate.ID, expectedDefectives int, oracle Oracle, seed int64) (*Result, error) {
-	n := len(items)
-	if n > 1 && float64(expectedDefectives) >= float64(n)/math.Log2(float64(n)) {
-		return Linear(items, oracle)
-	}
-	return Adaptive(items, oracle, seed)
 }
 
 // UpperBound returns the classic adaptive group-testing bound

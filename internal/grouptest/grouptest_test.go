@@ -142,46 +142,6 @@ func TestAdaptiveProperty(t *testing.T) {
 	}
 }
 
-func TestLinear(t *testing.T) {
-	items := ids(6)
-	causal := map[predicate.ID]bool{"p002": true, "p004": true}
-	calls := 0
-	res, err := Linear(items, setOracle(causal, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tests != 6 || calls != 6 {
-		t.Fatalf("linear tests = %d", res.Tests)
-	}
-	if len(res.Causes) != 2 || len(res.Spurious) != 4 {
-		t.Fatalf("result = %+v", res)
-	}
-	boom := errors.New("x")
-	if _, err := Linear(items, func([]predicate.ID) (bool, error) { return false, boom }); !errors.Is(err, boom) {
-		t.Fatal("linear error not propagated")
-	}
-}
-
-func TestAutoSwitchesStrategy(t *testing.T) {
-	items := ids(64) // n/log2(n) = 64/6 ≈ 10.7
-	// Many defectives: linear (test count = n exactly).
-	res, err := Auto(items, 12, setOracle(map[predicate.ID]bool{"p000": true}, nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tests != len(items) {
-		t.Fatalf("Auto with many defectives should be linear, tests = %d", res.Tests)
-	}
-	// Few defectives: adaptive (far fewer than n tests for a singleton).
-	res, err = Auto(items, 1, setOracle(map[predicate.ID]bool{"p000": true}, nil), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tests >= len(items) {
-		t.Fatalf("Auto with few defectives should group-test, tests = %d", res.Tests)
-	}
-}
-
 func TestHalvingFindsCauses(t *testing.T) {
 	items := ids(24)
 	causal := map[predicate.ID]bool{"p004": true, "p019": true}
@@ -200,58 +160,6 @@ func TestHalvingFindsCauses(t *testing.T) {
 	boom := errors.New("x")
 	if _, err := Halving(items, func([]predicate.ID) (bool, error) { return false, boom }, 1); !errors.Is(err, boom) {
 		t.Fatal("Halving error not propagated")
-	}
-}
-
-func TestNonAdaptiveSingleDefective(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16, 33} {
-		items := ids(n)
-		for _, d := range []int{0, n / 2, n - 1} {
-			causal := map[predicate.ID]bool{items[d]: true}
-			calls := 0
-			res, err := NonAdaptive(items, setOracle(causal, &calls))
-			if err != nil {
-				t.Fatalf("n=%d d=%d: %v", n, d, err)
-			}
-			if len(res.Causes) != 1 || res.Causes[0] != items[d] {
-				t.Fatalf("n=%d d=%d: causes = %v", n, d, res.Causes)
-			}
-			bits := 0
-			for 1<<bits < n {
-				bits++
-			}
-			if res.Tests > bits+1 {
-				t.Fatalf("n=%d: %d tests, want <= %d", n, res.Tests, bits+1)
-			}
-		}
-	}
-}
-
-func TestNonAdaptiveNoDefectives(t *testing.T) {
-	items := ids(9)
-	res, err := NonAdaptive(items, setOracle(nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Causes) != 0 || len(res.Spurious) != 9 {
-		t.Fatalf("result = %+v", res)
-	}
-}
-
-func TestNonAdaptiveMultipleDefectivesDetected(t *testing.T) {
-	items := ids(16)
-	// Indices 3 (0011) and 12 (1100) OR to 15 — out of... in range but
-	// not defective: verification must reject.
-	causal := map[predicate.ID]bool{items[3]: true, items[12]: true}
-	if _, err := NonAdaptive(items, setOracle(causal, nil)); err == nil {
-		t.Fatal("multiple defectives decoded without error")
-	}
-}
-
-func TestNonAdaptiveEmpty(t *testing.T) {
-	res, err := NonAdaptive(nil, setOracle(nil, nil))
-	if err != nil || res.Tests != 0 {
-		t.Fatalf("empty pool: %v %+v", err, res)
 	}
 }
 

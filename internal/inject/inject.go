@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"aid/internal/bitvec"
 	"aid/internal/core"
 	"aid/internal/par"
 	"aid/internal/predicate"
@@ -156,6 +157,9 @@ type Executor struct {
 	// (compiled monitors are safe for concurrent use). They are compiled
 	// on first use, so Prog and Corpus must not change afterwards.
 	monitors *predicate.Monitors
+	// table is the observation table over the monitors' IDs, built with
+	// them: every replay's observed set is a bitset over it.
+	table *core.PredTable
 
 	// qmu guards the quarantine. It is separate from mu because replays
 	// consult it concurrently from the worker pool, outside the
@@ -263,33 +267,34 @@ func (e *Executor) prepare(group []predicate.ID) (*sim.Prepared, error) {
 	return pp, nil
 }
 
-// compiled returns the executor's monitors, compiling them against the
-// program's symbol tables and the corpus's success logs on first use.
-func (e *Executor) compiled() (*predicate.Monitors, error) {
+// compiled returns the executor's monitors and their observation
+// table, compiling them against the program's symbol tables and the
+// corpus's success logs on first use.
+func (e *Executor) compiled() (*predicate.Monitors, *core.PredTable, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.monitors == nil {
 		syms, err := e.Prog.Symbols()
 		if err != nil {
-			return nil, fmt.Errorf("inject: re-execution: %w", err)
+			return nil, nil, fmt.Errorf("inject: re-execution: %w", err)
 		}
 		logs := e.Corpus.Logs()
 		if logs == nil {
-			return nil, fmt.Errorf("inject: the corpus carries no run logs to learn baselines from")
+			return nil, nil, fmt.Errorf("inject: the corpus carries no run logs to learn baselines from")
 		}
 		base := logs.Successes()
 		if e.Baselines != nil {
 			if err := sameRuns(e.Baselines, base); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		ms, err := predicate.CompileMonitors(e.Corpus, syms, base, e.Cfg)
 		if err != nil {
-			return nil, fmt.Errorf("inject: %w", err)
+			return nil, nil, fmt.Errorf("inject: %w", err)
 		}
-		e.monitors = ms
+		e.monitors, e.table = ms, core.NewPredTable(ms.IDs())
 	}
-	return e.monitors, nil
+	return e.monitors, e.table, nil
 }
 
 // sameRuns checks that baselines name exactly succ's runs, by ID and in
@@ -374,7 +379,7 @@ func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.
 	if err != nil {
 		return nil, err
 	}
-	ms, err := e.compiled()
+	ms, table, err := e.compiled()
 	if err != nil {
 		return nil, err
 	}
@@ -384,10 +389,10 @@ func (e *Executor) Intervene(ctx context.Context, preds []predicate.ID) ([]core.
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("inject: re-execution: %w", err)
 			}
-			obs[i] = e.replay(ms, pp, preds, seed)
+			obs[i] = e.replay(ms, table, pp, preds, seed)
 		}
 	} else if _, err := par.Map(ctx, len(obs), e.Workers, func(i int) (struct{}, error) {
-		obs[i] = e.replay(ms, pp, preds, e.Seeds[i])
+		obs[i] = e.replay(ms, table, pp, preds, e.Seeds[i])
 		return struct{}{}, nil
 	}); err != nil {
 		return nil, fmt.Errorf("inject: re-execution: %w", err)
@@ -417,15 +422,15 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 // replay runs one guarded replay of the group's plan and observes it
 // inside the replay, from the machine's logs, before the machine goes
 // back to the pool. It is safe to run concurrently. The zero
-// Observation (nil Observed) is a missed run: the (plan, seed) pair was
-// quarantined before, or is now, because its replay panicked or blew
-// the wall budget.
-func (e *Executor) replay(ms *predicate.Monitors, pp *sim.Prepared, preds []predicate.ID, seed int64) (obs core.Observation) {
+// Observation (core.Observation.Missed) is a missed run: the (plan,
+// seed) pair was quarantined before, or is now, because its replay
+// panicked or blew the wall budget.
+func (e *Executor) replay(ms *predicate.Monitors, table *core.PredTable, pp *sim.Prepared, preds []predicate.ID, seed int64) (obs core.Observation) {
 	if e.isQuarantined(preds, seed) {
 		return obs
 	}
 	_, err := e.runOne(pp, preds, seed, func(v sim.Verdict, l *trace.RunLog) {
-		ms.EvalLog(l, func(hit []bool) { obs = e.observation(ms.IDs(), v, hit, preds) })
+		ms.EvalLog(l, func(hit []bool) { obs = e.observation(table, ms.IDs(), v, hit, preds) })
 	})
 	if err != nil {
 		e.addQuarantine(preds, seed, err)
@@ -435,27 +440,20 @@ func (e *Executor) replay(ms *predicate.Monitors, pp *sim.Prepared, preds []pred
 }
 
 // observation turns one replay's verdict and occurrence bits into its
-// observation. Observed spans every corpus predicate but F and the
-// intervened group: an intervened predicate is repaired by construction
-// (¬C(r_C) in Definition 2), though injections can perturb timing
-// enough to re-trigger it, so it is pinned to false. The map escapes
-// into the scheduler memo.
-func (e *Executor) observation(ids []predicate.ID, v sim.Verdict, hit []bool, preds []predicate.ID) core.Observation {
-	cnt := 0
-	for j := range hit {
-		hit[j] = hit[j] && ids[j] != predicate.FailureID && !containsID(preds, ids[j])
-		if hit[j] {
-			cnt++
-		}
-	}
-	// Counted first so the escaping map is allocated at its final size.
-	obs := core.Observation{Failed: e.persists(v), Observed: make(map[predicate.ID]bool, cnt)}
+// observation, copying the monitors' hits (indexed like ids and the
+// table) into a bitset. Observed spans every corpus predicate but F and
+// the intervened group: an intervened predicate is repaired by
+// construction (¬C(r_C) in Definition 2), though injections can perturb
+// timing enough to re-trigger it, so it is pinned to false. The bitset
+// escapes into the scheduler memo.
+func (e *Executor) observation(table *core.PredTable, ids []predicate.ID, v sim.Verdict, hit []bool, preds []predicate.ID) core.Observation {
+	bits := bitvec.New(len(hit))
 	for j, ok := range hit {
-		if ok {
-			obs.Observed[ids[j]] = true
+		if ok && ids[j] != predicate.FailureID && !containsID(preds, ids[j]) {
+			bits.SetInCap(j)
 		}
 	}
-	return obs
+	return core.Observation{Failed: e.persists(v), Observed: table.Set(bits)}
 }
 
 // tally counts one group's replays, in seed order, and drops its missed
@@ -465,7 +463,7 @@ func (e *Executor) tally(obs []core.Observation, preds []predicate.ID) ([]core.O
 	defer e.mu.Unlock()
 	out := obs[:0]
 	for _, o := range obs {
-		if o.Observed == nil {
+		if o.Missed() {
 			e.Missed++
 			continue
 		}

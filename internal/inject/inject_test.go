@@ -221,7 +221,7 @@ func TestExecutorStopsFailureOnCausalIntervention(t *testing.T) {
 		}
 		// The slow predicate keeps firing (the sleep still happens):
 		// exactly what interventional pruning feeds on.
-		if corpus.Pred("slow:Slow#0") != nil && !o.Observed["slow:Slow#0"] {
+		if corpus.Pred("slow:Slow#0") != nil && !o.Observed.Has("slow:Slow#0") {
 			t.Fatal("slow:Slow#0 should still be observed while the failure stops")
 		}
 	}
@@ -244,7 +244,7 @@ func TestExecutorKeepsFailureOnSpuriousIntervention(t *testing.T) {
 		if o.Failed {
 			anyFailed = true
 		}
-		if o.Observed["slow:Slow#0"] {
+		if o.Observed.Has("slow:Slow#0") {
 			t.Fatal("intervened predicate must be pinned to false")
 		}
 	}

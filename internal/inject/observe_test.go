@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"aid/internal/bitvec"
 	"aid/internal/core"
 	"aid/internal/predicate"
 	"aid/internal/sim"
@@ -19,7 +20,7 @@ var (
 // monitors and grown their scratch, an Intervene round at pool width 1
 // allocates what preparing the group's plan does (the plan and its
 // splice) and what escapes into the scheduler memo (the observation
-// slice and one Observed map per replay), and nothing else. Replays are
+// slice and one Observed bitset per replay), and nothing else. Replays are
 // observed from the machine's logs, so none assembles a trace; one that
 // did would add its calls slice and access arena per replay.
 //
@@ -39,7 +40,7 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	}
 	observed := 0
 	for _, o := range obs {
-		observed += len(o.Observed)
+		observed += o.Observed.Len()
 	}
 	if len(obs) != len(exec.Seeds) || observed == 0 {
 		t.Fatalf("%d observations of %d replays observed %d predicates: the bound would only count the slice", len(obs), len(exec.Seeds), observed)
@@ -64,16 +65,17 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 	})
 	escaping := testing.AllocsPerRun(20, func() {
 		out := make([]core.Observation, len(obs))
-		for i, o := range obs {
-			m := make(map[predicate.ID]bool, len(o.Observed))
-			for id := range o.Observed {
-				m[id] = true
-			}
-			out[i] = core.Observation{Observed: m}
+		for i := range obs {
+			out[i] = core.Observation{Observed: exec.table.Set(bitvec.New(len(exec.monitors.IDs())))}
 		}
 		observeSink = out
 	})
 	t.Logf("a round allocates %.0f times: the plan %.0f, the memo %.0f", round, prepare, escaping)
+	// The memo's share is one object per replay plus the slice, however
+	// many predicates a replay observes.
+	if want := float64(1 + len(obs)); escaping != want {
+		t.Fatalf("the memo's observations take %.0f allocations, want %.0f: the slice and one bitset per replay", escaping, want)
+	}
 	if prepare == 0 || round > prepare+escaping {
 		t.Fatalf("an Intervene round allocates %.0f times, want at most the plan's %.0f plus the %.0f escaping into the memo", round, prepare, escaping)
 	}

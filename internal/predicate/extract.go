@@ -92,7 +92,7 @@ func ExtractLogs(ls *trace.LogSet, cfg Config) *Corpus {
 		c.AddRow(r.ID, r.Failed())
 	}
 	x := newCorpusIndex(ls)
-	c.AddPred(FailurePredicate())
+	c.addPred(FailurePredicate(), c.nFail)
 	stampFailures(ls.Runs, c)
 	x.extractPerCall(c, cfg)
 	x.extractRaces(c)
@@ -483,6 +483,17 @@ func (x *corpusIndex) extractPerCall(c *Corpus, cfg Config) {
 	for i := range handles {
 		handles[i] = -1
 	}
+	// left[k] counts key k's calls not yet swept: a bound on the rows a
+	// (k, kind) predicate first seen now can still occur in, which sizes
+	// its occurrence slice. Every kind but fails: holds only in failed
+	// runs (a success call lies within its own baseline), so those take
+	// the failed runs' count.
+	left := make([]callsLeft, len(x.keyFn))
+	for i := range x.runs {
+		for f := x.callOff[i]; f < x.callOff[i]+len(x.runs[i].Log.Spans); f++ {
+			left[x.callKey[f]].add(x.runs[i].Failed(), 1)
+		}
+	}
 	for i := range x.runs {
 		spans := x.runs[i].Log.Spans
 		for j := range spans {
@@ -506,12 +517,27 @@ func (x *corpusIndex) extractPerCall(c *Corpus, cfg Config) {
 						if span.Exc >= 0 {
 							exc = x.syms.Exceptions[span.Exc]
 						}
-						*h = c.AddPred(perCallPredicate(id, kind, key, exc, st, cfg))
+						rows := left[k].failed
+						if kind == KindMethodFails {
+							rows = left[k].all
+						}
+						*h = c.addPred(perCallPredicate(id, kind, key, exc, st, cfg), int(rows))
 					}
 				}
 				c.SetOcc(i, *h, Occurrence{Start: span.Start, End: span.End, Thread: span.Thread})
 			}
+			left[k].add(x.runs[i].Failed(), -1)
 		}
+	}
+}
+
+// callsLeft counts one key's calls, in all runs and in failed runs.
+type callsLeft struct{ all, failed int32 }
+
+func (l *callsLeft) add(failed bool, n int32) {
+	l.all += n
+	if failed {
+		l.failed += n
 	}
 }
 

@@ -296,15 +296,26 @@ func NewCorpus() *Corpus {
 }
 
 // AddPred registers a predicate and returns its handle; re-adding an
-// existing ID returns the existing handle.
-func (c *Corpus) AddPred(p Predicate) Handle {
+// existing ID returns the existing handle. The column's row bitmap is
+// sized for the rows registered so far (ExtractLogs registers every row
+// before its first predicate), so recording occurrences in those rows
+// never grows it.
+func (c *Corpus) AddPred(p Predicate) Handle { return c.addPred(p, 0) }
+
+// addPred is AddPred with room for occCap occurrences, for extraction
+// passes that know a bound on the rows a new predicate can occur in.
+func (c *Corpus) addPred(p Predicate, occCap int) Handle {
 	if h, ok := c.byID[p.ID]; ok {
 		return h
 	}
 	h := Handle(len(c.Preds))
 	c.byID[p.ID] = h
 	c.Preds = append(c.Preds, p)
-	c.cols = append(c.cols, column{last: -1})
+	col := column{rows: bitvec.New(len(c.execIDs)), last: -1}
+	if occCap > 0 {
+		col.occs = make([]Occurrence, 0, occCap)
+	}
+	c.cols = append(c.cols, col)
 	return h
 }
 

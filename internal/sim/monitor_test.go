@@ -82,8 +82,8 @@ func checkBundle(t *testing.T, x *inject.Executor, group []predicate.ID, obs []c
 				want[p.ID] = true
 			}
 		}
-		if !maps.Equal(obs[r].Observed, want) {
-			t.Fatalf("group %v, seed %d: Observed %v, reference %v", group, x.Seeds[r], sortedIDs(obs[r].Observed), sortedIDs(want))
+		if got := slices.Collect(obs[r].Observed.All()); !slices.Equal(got, sortedIDs(want)) {
+			t.Fatalf("group %v, seed %d: Observed %v, reference %v", group, x.Seeds[r], got, sortedIDs(want))
 		}
 		if failed := e.Failed() && (x.FailureSig == "" || e.FailureSig == x.FailureSig); obs[r].Failed != failed {
 			t.Fatalf("group %v, seed %d: Failed %v, replay verdict %v", group, x.Seeds[r], obs[r].Failed, failed)
@@ -506,7 +506,7 @@ func TestObserveEdgeCases(t *testing.T) {
 
 	t.Run("compounds", func(t *testing.T) {
 		// Two predicates that co-occur in the first replay of the group.
-		ids := sortedIDs(intervene(executor(corpus))[0].Observed)
+		ids := slices.Collect(intervene(executor(corpus))[0].Observed.All())
 		if len(ids) < 2 {
 			t.Fatalf("replay observed %v: need two predicates", ids)
 		}
@@ -523,12 +523,12 @@ func TestObserveEdgeCases(t *testing.T) {
 			c.MaterializeCompound(p)
 		}
 		obs := intervene(executor(c))
-		if !obs[0].Observed[inner.ID] || !obs[0].Observed[nested.ID] {
-			t.Fatalf("first replay observed %v: want %s and and(nested)", sortedIDs(obs[0].Observed), inner.ID)
+		if !obs[0].Observed.Has(inner.ID) || !obs[0].Observed.Has(nested.ID) {
+			t.Fatalf("first replay observed %v: want %s and and(nested)", obs[0].Observed, inner.ID)
 		}
 		for _, o := range obs {
-			if o.Observed[unknown.ID] || o.Observed[later.ID] {
-				t.Fatalf("a compound with an unknown or later member occurred: %v", sortedIDs(o.Observed))
+			if o.Observed.Has(unknown.ID) || o.Observed.Has(later.ID) {
+				t.Fatalf("a compound with an unknown or later member occurred: %v", o.Observed)
 			}
 		}
 	})

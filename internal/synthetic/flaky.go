@@ -3,7 +3,6 @@ package synthetic
 import (
 	"context"
 	"math/rand"
-	"sort"
 
 	"aid/internal/core"
 	"aid/internal/predicate"
@@ -56,34 +55,22 @@ func (f *FlakyWorld) Intervene(ctx context.Context, preds []predicate.ID) ([]cor
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	obs := core.Observation{Observed: make(map[predicate.ID]bool)}
+	w := f.World
+	w.ensureEval()
 	if f.rng.Float64() >= f.ManifestProb {
 		// The buggy interleaving did not recur: a clean run with no
 		// discriminative predicates and no failure.
-		return []core.Observation{obs}, nil
+		return []core.Observation{{Observed: w.table.Set(nil)}}, nil
 	}
-	forced := make(map[predicate.ID]bool, len(preds))
-	for _, p := range preds {
-		forced[p] = true
-	}
-	causal := make(map[predicate.ID]bool, len(f.World.Path))
-	for _, c := range f.World.Path {
-		causal[c] = true
-	}
-	fired, wouldFail := f.World.Fire(forced)
-	// Draw flicker decisions in sorted ID order: iterating the map
-	// directly would pair RNG draws with predicates in Go's random map
-	// order, making the noise irreproducible despite the seed.
-	ids := make([]predicate.ID, 0, len(fired))
-	for id := range fired {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if causal[id] || f.rng.Float64() >= f.SymptomNoise {
-			obs.Observed[id] = true
+	fired := w.fire(preds)
+	failed := fired.Has(w.lastIdx)
+	// Flicker decisions are drawn in sorted ID order, one draw per fired
+	// spurious predicate, so the noise is a function of the seed alone,
+	// whatever order the world lists its predicates in.
+	for _, i := range w.table.IDOrder() {
+		if fired.Has(int(i)) && !w.onPath.Has(int(i)) && f.rng.Float64() < f.SymptomNoise {
+			fired.Unset(int(i))
 		}
 	}
-	obs.Failed = wouldFail
-	return []core.Observation{obs}, nil
+	return []core.Observation{{Failed: failed, Observed: w.table.Set(fired)}}, nil
 }

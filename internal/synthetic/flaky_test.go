@@ -3,6 +3,7 @@ package synthetic
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"aid/internal/core"
@@ -35,11 +36,11 @@ func TestFlakyWorldObservationSemantics(t *testing.T) {
 			manifested++
 			// Causal predicates never flicker when the trigger recurs.
 			for _, c := range inst.World.Path {
-				if !o.Observed[c] {
+				if !o.Observed.Has(c) {
 					t.Fatalf("causal predicate %s flickered in a failing run", c)
 				}
 			}
-		} else if len(o.Observed) == 0 {
+		} else if o.Observed.Len() == 0 {
 			clean++
 		} else {
 			t.Fatal("non-manifesting run observed predicates without failing")
@@ -59,7 +60,7 @@ func TestFlakyWorldSymptomFlicker(t *testing.T) {
 	flickered := false
 	for _, o := range runs(t, f, nil, 200) {
 		for _, p := range inst.World.Preds {
-			if !o.Observed[p] {
+			if !o.Observed.Has(p) {
 				flickered = true
 			}
 		}
@@ -144,7 +145,7 @@ func TestFlakyWorldDegeneratesToDeterministic(t *testing.T) {
 	if flakyObs[0].Failed != detObs[0].Failed {
 		t.Fatal("degenerate flaky world disagrees on failure")
 	}
-	if !reflect.DeepEqual(flakyObs[0].Observed, detObs[0].Observed) {
+	if !slices.Equal(slices.Collect(flakyObs[0].Observed.All()), slices.Collect(detObs[0].Observed.All())) {
 		t.Fatal("degenerate flaky world disagrees on observations")
 	}
 }

@@ -68,29 +68,27 @@ func TestWorldFireSemantics(t *testing.T) {
 		t.Fatal("un-intervened world must fail")
 	}
 	for _, p := range w.Preds {
-		if !fired[p] {
+		if !fired.Has(p) {
 			t.Fatalf("%s did not fire in failing run", p)
 		}
 	}
 	// Forcing the root cause silences the whole chain.
-	forced := map[predicate.ID]bool{w.Path[0]: true}
-	fired, failed = w.Fire(forced)
+	fired, failed = w.Fire([]predicate.ID{w.Path[0]})
 	if failed {
 		t.Fatal("forcing the root cause must stop the failure")
 	}
 	for _, c := range w.Path {
-		if fired[c] {
+		if fired.Has(c) {
 			t.Fatalf("causal predicate %s fired despite root intervention", c)
 		}
 	}
 	// Forcing the last causal predicate stops the failure but upstream
 	// causes still fire.
-	forced = map[predicate.ID]bool{w.Last(): true}
-	fired, failed = w.Fire(forced)
+	fired, failed = w.Fire([]predicate.ID{w.Last()})
 	if failed {
 		t.Fatal("forcing the last cause must stop the failure")
 	}
-	if len(w.Path) > 1 && !fired[w.Path[0]] {
+	if len(w.Path) > 1 && !fired.Has(w.Path[0]) {
 		t.Fatal("upstream cause should still fire")
 	}
 }

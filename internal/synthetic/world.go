@@ -21,6 +21,7 @@ import (
 	"sort"
 
 	"aid/internal/acdag"
+	"aid/internal/bitvec"
 	"aid/internal/core"
 	"aid/internal/predicate"
 )
@@ -50,6 +51,11 @@ type World struct {
 	evalOrder []int32
 	parentIdx []int32
 	lastIdx   int
+	// table is the observation table over Preds (entry i is Preds[i]),
+	// so a fired set is the evaluation's bits as they stand; onPath
+	// marks the causal chain's indices.
+	table  *core.PredTable
+	onPath bitvec.Vec
 }
 
 // DAG returns (building lazily) the world's AC-DAG including F.
@@ -109,34 +115,49 @@ func (w *World) ensureEval() {
 		}
 	}
 	w.lastIdx = w.evalIdx[w.Last()]
+	w.table = core.NewPredTable(w.Preds)
+	w.onPath = bitvec.New(n)
+	for _, c := range w.Path {
+		w.onPath.SetInCap(w.evalIdx[c])
+	}
 }
 
-// Fire evaluates the ground truth under an intervention: a predicate
-// fires iff it is not forced and its parent fires (the trigger always
-// fires). It returns the fired set and whether the failure occurs.
-func (w *World) Fire(forced map[predicate.ID]bool) (map[predicate.ID]bool, bool) {
+// Fire evaluates the ground truth under an intervention on forced: a
+// predicate fires iff it is not forced and its parent fires (the
+// trigger always fires). IDs that name no predicate of the world are
+// ignored. It returns the fired set and whether the failure occurs.
+func (w *World) Fire(forced []predicate.ID) (core.PredSet, bool) {
 	w.ensureEval()
-	state := make([]bool, len(w.Preds))
-	count := 0
+	fired := w.fire(forced)
+	return w.table.Set(fired), fired.Has(w.lastIdx)
+}
+
+// fire returns the fired bits over Preds' indices. One vector serves as
+// both the forced marks and the result: the pass visits parents before
+// children, so a predicate's bit still holds its forced mark when the
+// pass reaches it, and its parent's bit already holds whether the
+// parent fired.
+func (w *World) fire(forced []predicate.ID) bitvec.Vec {
+	bits := bitvec.New(len(w.Preds))
+	for _, p := range forced {
+		if i, ok := w.evalIdx[p]; ok {
+			bits.SetInCap(i)
+		}
+	}
 	for _, i := range w.evalOrder {
-		v := !forced[w.Preds[i]]
+		v := !bits.Has(int(i))
 		if v {
 			if p := w.parentIdx[i]; p >= 0 {
-				v = state[p]
+				v = bits.Has(int(p))
 			}
 		}
-		state[i] = v
 		if v {
-			count++
+			bits.SetInCap(int(i))
+		} else {
+			bits.Unset(int(i))
 		}
 	}
-	fired := make(map[predicate.ID]bool, count)
-	for i, id := range w.Preds {
-		if state[i] {
-			fired[id] = true
-		}
-	}
-	return fired, state[w.lastIdx]
+	return bits
 }
 
 // Intervene implements core.Intervener: one deterministic observation
@@ -145,14 +166,12 @@ func (w *World) Intervene(ctx context.Context, preds []predicate.ID) ([]core.Obs
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	forced := make(map[predicate.ID]bool, len(preds))
 	for _, p := range preds {
 		if p == predicate.FailureID {
 			return nil, fmt.Errorf("synthetic: cannot intervene on the failure predicate")
 		}
-		forced[p] = true
 	}
-	fired, failed := w.Fire(forced)
+	fired, failed := w.Fire(preds)
 	return []core.Observation{{Failed: failed, Observed: fired}}, nil
 }
 
@@ -175,6 +194,9 @@ func (w *World) Validate() error {
 	}
 	set := make(map[predicate.ID]bool, len(w.Preds))
 	for _, p := range w.Preds {
+		if set[p] {
+			return fmt.Errorf("synthetic: predicate %s listed twice", p)
+		}
 		set[p] = true
 	}
 	for i, c := range w.Path {
