@@ -109,11 +109,14 @@ func TestPredSetJSONMatchesMap(t *testing.T) {
 			m[id] = true
 		}
 		check(PredSetOf(ids...), m)
-		// The same IDs as a producer sets them: a subset of a table.
+		// The same IDs as a producer sets them: a subset of a table
+		// that lists them in an order of its own.
 		if len(ids) == 0 {
 			continue
 		}
-		table := NewPredTable(mapKeys(m))
+		keys := mapKeys(m)
+		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		table := NewPredTable(keys)
 		bits := bitvec.New(len(table.ids))
 		sub := map[predicate.ID]bool{}
 		for i, id := range table.ids {
