@@ -656,29 +656,53 @@ func (d *DAG) Ancestors(id predicate.ID) []predicate.ID {
 	return out
 }
 
-// levelsDense computes topological levels restricted to the alive mask:
-// level(P) = length of the longest precedence chain ending at P among
-// alive nodes. The returned slice is indexed by dense node index; only
-// alive entries are meaningful. Nodes at the same level are mutually
-// unordered — the junctions of Algorithm 2. The longest-chain DP runs
-// over the DAG's topological order, which orders every subset too, so
-// a node's alive ancestors have their levels before it.
+// levelsAmong is the one levels DP. It writes into lvls the level
+// within alive — the length of the longest precedence chain of alive
+// nodes ending at the node — of every member of need, and reads and
+// writes no other entry. need must hold every alive ancestor of each of
+// its members. Then it holds everything a member's level depends on: the
+// relation is closed, so a chain of alive nodes ending at a member runs
+// through the member's alive ancestors alone, and the DAG's topological
+// order, which orders every subset too, reaches each of them before the
+// member.
+func (d *DAG) levelsAmong(need, alive bitset, lvls []int) {
+	for _, i := range d.topo {
+		if !need.Has(i) {
+			continue
+		}
+		lvl := 0
+		d.pred[i].ForEachAnd(alive, func(a int) { lvl = max(lvl, lvls[a]+1) })
+		lvls[i] = lvl
+	}
+}
+
+// levelsDense computes topological levels restricted to the alive mask
+// into a fresh slice indexed by dense node index; only alive entries are
+// meaningful. Nodes at the same level are mutually unordered — the
+// junctions of Algorithm 2.
 func (d *DAG) levelsDense(alive bitset) []int {
 	lvls := make([]int, len(d.nodes))
-	for _, i := range d.topo {
-		if alive.Has(i) {
-			lvls[i] = d.levelOf(i, alive, lvls)
-		}
-	}
+	d.levelsAmong(alive, alive, lvls)
 	return lvls
 }
 
-// levelOf is node i's level within alive, from its alive ancestors'
-// levels in lvls.
-func (d *DAG) levelOf(i int, alive bitset, lvls []int) int {
-	lvl := 0
-	d.pred[i].ForEachAnd(alive, func(a int) { lvl = max(lvl, lvls[a]+1) })
-	return lvl
+// LevelsAmong writes into lvls, which must have Len() entries, the level
+// within alive (nil = all nodes) of every alive member and of every
+// alive ancestor of a member, and leaves every other entry as it was.
+// It is the query a GIWP round asks about its pool: the work is the
+// pool's alive ancestry, however large the alive set. need is scratch
+// the call overwrites. Given a non-nil alive set, the call allocates
+// nothing, and it retains nothing.
+func (d *DAG) LevelsAmong(members []int, alive, need *NodeSet, lvls []int) {
+	mask := d.maskFor(alive)
+	nb := need.bits
+	nb.ClearFrom(0)
+	for _, m := range members {
+		nb.SetInCap(m)
+		nb.OrWith(d.pred[m])
+	}
+	nb.AndWith(mask)
+	d.levelsAmong(nb, mask, lvls)
 }
 
 // LevelsIndex is levelsDense over a node set (nil = all nodes): the
@@ -761,7 +785,7 @@ func (d *DAG) FrontierIndex(alive, exclude *NodeSet) []int {
 		excl = exclude.bits
 	}
 	var out []int
-	need := bitvec.New(len(d.nodes)) // the candidates' alive ancestors
+	need := bitvec.New(len(d.nodes)) // the candidates and their alive ancestors
 	aliveMask.ForEach(func(i int) {
 		if excl.Has(i) {
 			return
@@ -773,6 +797,7 @@ func (d *DAG) FrontierIndex(alive, exclude *NodeSet) []int {
 			}
 		}
 		out = append(out, i)
+		need.SetInCap(i)
 		for w := range row {
 			need[w] |= row[w] & aliveMask[w]
 		}
@@ -781,14 +806,10 @@ func (d *DAG) FrontierIndex(alive, exclude *NodeSet) []int {
 		return out
 	}
 	lvls := make([]int, len(d.nodes))
-	for _, i := range d.topo {
-		if need.Has(i) {
-			lvls[i] = d.levelOf(i, aliveMask, lvls)
-		}
-	}
+	d.levelsAmong(need, aliveMask, lvls)
 	minLevel, k := -1, 0
 	for _, i := range out {
-		switch l := d.levelOf(i, aliveMask, lvls); {
+		switch l := lvls[i]; {
 		case minLevel == -1 || l < minLevel:
 			minLevel, k = l, 0
 			out[k], k = i, k+1

@@ -128,19 +128,89 @@ func randomSet(r *rand.Rand, d *DAG, p float64) *NodeSet {
 	return s
 }
 
+// ancestryOf is the member set's alive ancestry: every alive member and
+// every alive ancestor of a member, computed from the ancestor rows
+// alone.
+func ancestryOf(d *DAG, members []int, alive bitset) bitset {
+	out := make(bitset, len(alive))
+	for _, m := range members {
+		for a := range d.nodes {
+			if (a == m || d.pred[m].Has(a)) && alive.Has(a) {
+				out.SetInCap(a)
+			}
+		}
+	}
+	return out
+}
+
+// levelScratch is one lvls buffer shared by every LevelsAmong check of
+// the differential, sized for its largest DAG: entries from earlier
+// DAGs and calls stay in it, so a call that read an entry outside its
+// members' alive ancestry would read a stale level.
+var levelScratch = make([]int, 128)
+
+// checkLevelsAmong compares LevelsAmong over members with the reference
+// levels want (within alive) on the members' alive ancestry, and
+// requires every other entry of the shared scratch to be left as it
+// was. Entries outside the ancestry are first set to a level no DAG
+// here reaches, so reading one would show in the result.
+func checkLevelsAmong(t *testing.T, d *DAG, members []int, alive *NodeSet, need *NodeSet, want []int, what string) {
+	t.Helper()
+	lvls := levelScratch[:len(d.nodes)]
+	anc := ancestryOf(d, members, d.maskFor(alive))
+	for i := range lvls {
+		if !anc.Has(i) {
+			lvls[i] = 1000 + i
+		}
+	}
+	d.LevelsAmong(members, alive, need, lvls)
+	for i := range lvls {
+		switch {
+		case anc.Has(i) && lvls[i] != want[i]:
+			t.Fatalf("%s: LevelsAmong(%v)[%s] = %d, reference %d", what, members, d.nodes[i], lvls[i], want[i])
+		case !anc.Has(i) && lvls[i] != 1000+i:
+			t.Fatalf("%s: LevelsAmong(%v) wrote %s, outside the members' alive ancestry", what, members, d.nodes[i])
+		}
+	}
+}
+
 // TestLevelsMatchSortedReference pins the level kernels to the
 // sort-based reference on random closed DAGs: LevelsIndex, LevelsWithin,
-// TopoOrderWithin (ID-ordered and shuffled) and FrontierIndex, over all
-// nodes and over random alive sets with random exclude sets, and along
-// the walks branch pruning takes, where exclude is the walked chain
-// plus F and alive loses nodes between rounds.
+// TopoOrderWithin (ID-ordered and shuffled), FrontierIndex and
+// LevelsAmong, over all nodes and over random alive sets with random
+// exclude sets, and along the walks branch pruning takes, where exclude
+// is the walked chain plus F and alive loses nodes between rounds.
+// LevelsAmong takes member sets closed under alive ancestors, arbitrary
+// ones (alive or not) and a GIWP pool (alive members in ID order), into
+// one scratch buffer reused across every call.
 func TestLevelsMatchSortedReference(t *testing.T) {
 	r := rand.New(rand.NewSource(20261018))
-	frontiers, junctions := 0, 0
+	frontiers, junctions, amongs := 0, 0, 0
+	var need *NodeSet // LevelsAmong's scratch, reused across one DAG's checks
 	check := func(d *DAG, alive, exclude *NodeSet, trial int) []int {
 		t.Helper()
 		mask := d.maskFor(alive)
 		want := refLevels(d, mask)
+		if need == nil || need.d != d {
+			need = d.NewNodeSet()
+		}
+		var closed, arbitrary, pool []int
+		ancestryOf(d, randomSet(r, d, 0.15).members(), mask).ForEach(func(i int) { closed = append(closed, i) })
+		arbitrary = randomSet(r, d, 0.25).members()
+		r.Shuffle(len(arbitrary), func(i, j int) { arbitrary[i], arbitrary[j] = arbitrary[j], arbitrary[i] })
+		mask.ForEach(func(i int) {
+			if r.Intn(3) == 0 {
+				pool = append(pool, i)
+			}
+		})
+		slices.SortFunc(pool, func(a, b int) int { return d.idRank[a] - d.idRank[b] })
+		for _, m := range []struct {
+			name    string
+			members []int
+		}{{"closed", closed}, {"arbitrary", arbitrary}, {"pool", pool}, {"empty", nil}} {
+			checkLevelsAmong(t, d, m.members, alive, need, want, fmt.Sprintf("trial %d, %s members", trial, m.name))
+			amongs++
+		}
 		got := d.LevelsIndex(alive)
 		mask.ForEach(func(i int) {
 			if got[i] != want[i] {
@@ -197,5 +267,32 @@ func TestLevelsMatchSortedReference(t *testing.T) {
 	if junctions < frontiers/10 {
 		t.Fatalf("%d of %d frontiers were junctions: the walks barely branch", junctions, frontiers)
 	}
-	t.Logf("%d frontiers, %d junctions", frontiers, junctions)
+	t.Logf("%d frontiers, %d junctions, %d LevelsAmong calls", frontiers, junctions, amongs)
+}
+
+// members returns the set's dense indices in ascending order.
+func (s *NodeSet) members() []int {
+	var out []int
+	s.ForEachIndex(func(i int) { out = append(out, i) })
+	return out
+}
+
+// TestLevelsAmongAllocs pins a steady-state GIWP levels call, a pool's
+// levels within the alive set into the round's scratch, to zero
+// allocations.
+func TestLevelsAmongAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	d := randomDAG(t, r, 90, 0.1)
+	alive := randomSet(r, d, 0.4)
+	alive.Add(predicate.FailureID)
+	var pool []int
+	alive.ForEachIndex(func(i int) {
+		if d.nodes[i] != predicate.FailureID && len(pool) < 8 {
+			pool = append(pool, i)
+		}
+	})
+	need, lvls := d.NewNodeSet(), make([]int, d.Len())
+	if n := testing.AllocsPerRun(100, func() { d.LevelsAmong(pool, alive, need, lvls) }); n != 0 {
+		t.Fatalf("LevelsAmong allocates %v times per call, want 0", n)
+	}
 }

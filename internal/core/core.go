@@ -26,6 +26,7 @@ import (
 
 	"aid/internal/acdag"
 	"aid/internal/predicate"
+	"aid/internal/rngfast"
 )
 
 // Observation is the outcome of one application execution under an
@@ -219,10 +220,12 @@ type discoverer struct {
 	// discovery loop allocates only what escapes into the Result:
 	// aliveBuf backs the pruning loops' alive snapshots, intervenedSet
 	// and obsMasks the per-round node sets of the counterfactual pruning
-	// rule.
+	// rule, and levels and levelNeed a GIWP round's pool levels.
 	aliveBuf      []int
 	intervenedSet *acdag.NodeSet
 	obsMasks      []*acdag.NodeSet
+	levels        []int
+	levelNeed     *acdag.NodeSet
 	// nodesOf caches, per predicate table the observations were drawn
 	// from, each entry's DAG node index (-1 when the predicate is not a
 	// node): one table per intervener, plus one per observation that a
@@ -250,7 +253,7 @@ func Discover(ctx context.Context, dag *acdag.DAG, iv Intervener, opts Options) 
 		dag:       dag,
 		sched:     sched,
 		opts:      opts,
-		rng:       rand.New(rand.NewSource(opts.Seed)),
+		rng:       rngfast.New(opts.Seed),
 		fIdx:      fIdx,
 		alive:     dag.NewNodeSet(),
 		aliveAndF: dag.NewNodeSet(predicate.FailureID),
@@ -259,6 +262,8 @@ func Discover(ctx context.Context, dag *acdag.DAG, iv Intervener, opts Options) 
 
 		byRank:        make([]int, dag.Len()),
 		intervenedSet: dag.NewNodeSet(),
+		levels:        make([]int, dag.Len()),
+		levelNeed:     dag.NewNodeSet(),
 	}
 	// IDRank is a permutation of the dense indices, so inverting it
 	// yields the indices in ID order.
@@ -579,8 +584,10 @@ func (d *discoverer) giwp(pool []int, positive bool) (causes, spurious []int, er
 			causes = append(causes, pool[0])
 			return causes, spurious, nil
 		}
-		levels := d.dag.LevelsIndex(d.aliveAndF)
-		ordered := d.topoOrderPool(pool, levels)
+		// Only the pool's levels are read, and they depend only on its
+		// alive ancestry.
+		d.dag.LevelsAmong(pool, d.aliveAndF, d.levelNeed, d.levels)
+		ordered := d.topoOrderPool(pool, d.levels)
 		half := ordered[:(len(ordered)+1)/2] // first ⌈n/2⌉ in topo order
 		stopped, err := d.intervene(half, "giwp")
 		if err != nil {

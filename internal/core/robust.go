@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"aid/internal/predicate"
+	"aid/internal/rngfast"
 )
 
 // RobustConfig configures a RobustIntervener. The zero value selects
@@ -205,7 +206,7 @@ func NewRobustIntervener(inner Intervener, cfg RobustConfig) *RobustIntervener {
 	return &RobustIntervener{
 		inner: inner,
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rngfast.New(cfg.Seed),
 	}
 }
 

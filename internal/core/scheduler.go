@@ -184,6 +184,12 @@ type Scheduler struct {
 	// contract), so they need no lock.
 	verdicts    map[string]*verdictRec
 	verdictKeys []string
+
+	// keyIDs and keyBuf are the decision thread's scratch for canonical
+	// keys (see the concurrency contract): a memo hit looks its key up
+	// from them and allocates nothing.
+	keyIDs []predicate.ID
+	keyBuf []byte
 }
 
 // NewScheduler builds a scheduler over the intervener. The same
@@ -252,6 +258,14 @@ func (s *Scheduler) Stats() SchedulerStats {
 // order-insensitive (predicate.GroupKey).
 func canonKey(preds []predicate.ID) string { return predicate.GroupKey(preds) }
 
+// keyBytes is canonKey's bytes, built in the decision thread's scratch
+// and valid until its next call.
+func (s *Scheduler) keyBytes(preds []predicate.ID) []byte {
+	s.keyIDs = append(s.keyIDs[:0], preds...)
+	s.keyBuf = predicate.AppendGroupKey(s.keyBuf[:0], s.keyIDs)
+	return s.keyBuf
+}
+
 // Outcome returns the observations for the requested group: the
 // memoized outcome when there is one, otherwise a fresh Intervene call
 // on the calling goroutine.
@@ -259,10 +273,10 @@ func (s *Scheduler) Outcome(ctx context.Context, req Request) ([]Observation, Ro
 	if s.robust && req.Escalation > 0 {
 		return s.escalatedOutcome(ctx, req)
 	}
-	key := canonKey(req.Preds)
+	kb := s.keyBytes(req.Preds)
 	s.mu.Lock()
 	s.stats.Requests++
-	if e, hit := s.cache[key]; hit {
+	if e, hit := s.cache[string(kb)]; hit {
 		s.stats.CacheHits++
 		s.mu.Unlock()
 		return e.obs, e.meta(true), nil
@@ -271,6 +285,7 @@ func (s *Scheduler) Outcome(ctx context.Context, req Request) ([]Observation, Ro
 	s.stats.Batches++
 	e := &outcomeEntry{batch: s.stats.Batches}
 	s.mu.Unlock()
+	key := string(kb) // the key the miss inserts under
 
 	obs, err := s.iv.Intervene(ctx, req.Preds)
 	if err != nil {
@@ -307,7 +322,7 @@ func (s *Scheduler) Outcome(ctx context.Context, req Request) ([]Observation, Ro
 // the known-positive invariant repair, where the recorded verdicts are
 // exactly what is under suspicion.
 func (s *Scheduler) escalatedOutcome(ctx context.Context, req Request) ([]Observation, RoundMeta, error) {
-	key := canonKey(req.Preds)
+	key := string(s.keyBytes(req.Preds))
 	s.mu.Lock()
 	s.stats.Requests++
 	s.stats.Executions++

@@ -12,10 +12,10 @@ package grouptest
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"aid/internal/predicate"
+	"aid/internal/rngfast"
 )
 
 // Oracle answers one group test: stopped is true iff the failure
@@ -56,7 +56,7 @@ func (t *tester) test(group []predicate.ID) (bool, error) {
 func shuffledPool(items []predicate.ID, seed int64) []predicate.ID {
 	pool := append([]predicate.ID(nil), items...)
 	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngfast.New(seed)
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	return pool
 }

@@ -27,6 +27,7 @@ package predicate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -686,25 +687,30 @@ func (c *Corpus) MaterializeCompound(p Predicate) {
 // IDs sorted and NUL-joined, insensitive to order and duplicates-free
 // only if the input is. It is the cache key shared by the intervention
 // scheduler (core) and the group-testing oracle cache (grouptest) —
-// one implementation so the two layers can never diverge. Singleton
-// groups (the bulk of confirmation rounds) skip the sort and join.
+// one implementation, AppendGroupKey's, so the two layers can never
+// diverge. Singleton groups (the bulk of confirmation rounds) skip the
+// sort and join.
 func GroupKey(ids []ID) string {
 	if len(ids) == 1 {
 		return string(ids[0])
 	}
-	sorted := append([]ID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	n := 0
-	for _, id := range sorted {
+	for _, id := range ids {
 		n += len(id) + 1
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, id := range sorted {
+	return string(AppendGroupKey(make([]byte, 0, n), slices.Clone(ids)))
+}
+
+// AppendGroupKey appends GroupKey(ids)'s bytes to dst and returns the
+// extended buffer, sorting ids in place: the form for a caller that owns
+// scratch for both and looks the key up before it keeps it.
+func AppendGroupKey(dst []byte, ids []ID) []byte {
+	slices.Sort(ids)
+	for i, id := range ids {
 		if i > 0 {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		}
-		b.WriteString(string(id))
+		dst = append(dst, id...)
 	}
-	return b.String()
+	return dst
 }

@@ -1,4 +1,40 @@
-package sim
+// Package rngfast is a bit-exact, lazily seeded stand-in for
+// math/rand's default source. The simulator's scheduler draws from it,
+// and so does every consumer whose pinned output depends on a seeded
+// stream: discovery's tie breaking, the TAGT shuffle and synthetic
+// generation.
+//
+// Every historical trace (and the interpreter oracle) was produced by
+// rand.New(rand.NewSource(seed)), and the Fig. 8 tables, reports and
+// memos pin the same streams. The stdlib seeds that source with ~1800
+// sequential Lehmer-LCG steps into a 607-word vector, which costs more
+// than the whole simulation of a short replay, or than the few dozen
+// values a discovery run draws.
+//
+// Source reproduces rngSource's stream bit-for-bit but seeds in O(1)
+// sequential depth: word i of the seeded vector is computed from
+// x_n = 48271^n·x0 mod 2^31-1 at its three positions, using a
+// precomputed power table, XORed with the stdlib's additive-Fibonacci
+// cooked constant. The cooked table is not duplicated from the
+// standard library: it is recovered once at init by seeding a real
+// rngSource and XOR-ing out the algebraically known LCG part, then the
+// whole construction is verified output-for-output against math/rand.
+// If recovery or verification fails on some future Go runtime, every
+// constructor falls back to the stock source — slower, never wrong.
+//
+// Seeding is lazy. Draw k (k = 1, 2, ...) adds the word at tap
+// position 607-k to the one at feed position 334-k (mod 607) and stores
+// the sum at the feed position, so for k <= 607 its value is the seeded
+// feed word plus the seeded tap word (k <= 273) or draw k-273's value:
+// two to four seeded words, computed directly. Seed therefore computes
+// nothing, and a skipped draw costs a counter increment. Most streams
+// read a few values and stay lazy to the end, and never allocate the
+// vector. A stream that reads many takes the whole vector once it
+// reaches draw 608, computed, or, for a source built by NewCached, from
+// the seed cache once it has computed lazyReads values; it replays the
+// draws taken so far into the vector and steps through it as the
+// stdlib does.
+package rngfast
 
 import (
 	"math/rand"
@@ -7,36 +43,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 )
-
-// The scheduler draws from math/rand's default source, and the trace
-// contract pins its exact stream: every historical trace (and the
-// interpreter oracle) was produced by rand.New(rand.NewSource(seed)).
-// The stdlib seeds that source with ~1800 sequential Lehmer-LCG steps
-// into a 607-word vector, which would cost more than the whole
-// simulation of a short replay.
-//
-// fastSource reproduces rngSource's stream bit-for-bit but seeds in
-// O(1) sequential depth: word i of the seeded vector is computed from
-// x_n = 48271^n·x0 mod 2^31-1 at its three positions, using a
-// precomputed power table, XORed with the stdlib's additive-Fibonacci
-// cooked constant. The cooked table is not duplicated from the
-// standard library: it is recovered once at init by seeding a real
-// rngSource and XOR-ing out the algebraically known LCG part, then the
-// whole construction is verified output-for-output against math/rand.
-// If recovery or verification fails on some future Go runtime, every
-// consumer falls back to the stock source — slower, never wrong.
-//
-// Seeding is lazy. Draw k (k = 1, 2, ...) adds the word at tap
-// position 607-k to the one at feed position 334-k (mod 607) and stores
-// the sum at the feed position, so for k <= 607 its value is the seeded
-// feed word plus the seeded tap word (k <= 273) or draw k-273's value:
-// two to four seeded words, computed directly. Seed therefore computes
-// nothing, and a skipped draw costs a counter increment. Most runs read
-// a few values and stay lazy to the end. A run that reads many takes
-// the whole vector, from the seed cache below, once it has computed
-// lazyReads values, or computed, once it reaches draw 608; it replays
-// the draws taken so far into the vector and steps through it as the
-// stdlib does.
 
 const (
 	rngLen  = 607
@@ -121,17 +127,17 @@ func recoverCooked() bool {
 
 // verifyFastSource checks the reconstruction against math/rand across
 // seed normalization edge cases and feed/tap wraparound, on the lazy
-// seeding path the machines take, with bulk skips between draws, and
-// across the switch to the computed whole vector at draw 608.
+// seeding path, with bulk skips between draws, and across the switch to
+// the computed whole vector at draw 608.
 func verifyFastSource() bool {
 	seeds := []int64{0, 1, 2, 42, -7, lcgM, lcgM + 1, 1 << 40, -1 << 35}
-	var fs fastSource
+	var fs Source
 	for _, seed := range seeds {
 		want := rand.NewSource(seed)
 		fs.Seed(seed)
 		for i := 0; i < 2*rngLen; i++ {
 			n := i % 3
-			fs.skip(n)
+			fs.Skip(n)
 			for ; n > 0; n-- {
 				want.Int63()
 			}
@@ -156,12 +162,18 @@ func init() {
 }
 
 // seedVecCache memoizes seeded vectors (they depend only on the seed)
-// for runs that read many values: a lazy read costs two to four seeded
-// words, while a cached vector is one copy, after which each draw is
-// one add. A seed is admitted only once such a run has seen it twice
-// (seedSeenOnce), so single-use collection-sweep seeds never pay for a
-// whole vector. The cache is generational: at the cap it is cleared
-// wholesale and hot seeds simply re-enter.
+// for the simulator's runs that read many values: a lazy read costs two
+// to four seeded words, while a cached vector is one copy, after which
+// each draw is one add. A seed is admitted only once such a run has seen
+// it twice (seedSeenOnce), so single-use collection-sweep seeds never
+// pay for a whole vector. The cache is generational: at the cap it is
+// cleared wholesale and hot seeds simply re-enter.
+//
+// Only sources built by NewCached read or fill it. A replay seed recurs
+// across a study's replays, so its vector is worth keeping; a discovery
+// or generation seed drives one stream, and admitting those (the four
+// Fig. 8 approaches share one seed per instance, so every seed would be
+// seen twice) would fill the cache with vectors nobody reads again.
 var (
 	seedVecCache  sync.Map // int64 -> *[rngLen]uint64
 	seedVecCount  atomic.Int64
@@ -169,41 +181,50 @@ var (
 	seedSeenOnce  [1024]atomic.Int64 // stores seed+1; 0 = empty
 )
 
-// lazyReads is how many values a run computes from seeded words before
-// it asks the cache for the whole vector.
+// lazyReads is how many values a cached source computes from seeded
+// words before it asks the cache for the whole vector.
 const lazyReads = 16
 
-// fastSource is a bit-exact stand-in for math/rand's rngSource with
+// Source is a bit-exact stand-in for math/rand's rngSource with
 // O(1)-depth, lazy seeding. It is not safe for concurrent use (like the
-// stdlib source); each machine owns one.
-type fastSource struct {
+// stdlib source).
+type Source struct {
 	seed int64
 	x0   uint64 // normalized seed
 	// While the source is lazy, n counts the draws taken and left the
 	// values to compute before the cache is asked (once) for the whole
-	// vector. Once eager, vec holds the stdlib's state.
-	n, left   int
-	eager     bool
+	// vector; left is negative when the cache is not to be asked.
+	n, left int
+	eager   bool
+	// cached marks a source built by NewCached, which consults the seed
+	// cache.
+	cached    bool
 	tap, feed int
-	vec       [rngLen]uint64
+	// vec holds the stdlib's state once the source is eager. It is
+	// allocated on the first switch and kept across Seed calls.
+	vec *[rngLen]uint64
 }
 
-func (s *fastSource) Seed(seed int64) {
+// Seed restarts the stream at seed, as rand.NewSource(seed) starts it.
+func (s *Source) Seed(seed int64) {
 	s.seed = seed
 	s.x0 = lcgSeedBase(seed)
-	s.n, s.left = 0, lazyReads
+	s.n, s.left = 0, -1
+	if s.cached {
+		s.left = lazyReads
+	}
 	s.eager = false
 }
 
 // seedWord computes word i of the seeded vector.
-func (s *fastSource) seedWord(i int) uint64 {
+func (s *Source) seedWord(i int) uint64 {
 	return lcgWord(s.x0, i) ^ rngCookedRec[i]
 }
 
 // drawValue is the value of draw k, 1 <= k <= rngLen, from seeded
 // words alone: no feed position is written twice in the first rngLen
 // draws, and the tap word of draw k > rngTap is draw k-rngTap's value.
-func (s *fastSource) drawValue(k int) uint64 {
+func (s *Source) drawValue(k int) uint64 {
 	var v uint64
 	for ; k > rngTap; k -= rngTap {
 		v += s.seedWord((rngLen - rngTap - k + rngLen) % rngLen)
@@ -213,7 +234,7 @@ func (s *fastSource) drawValue(k int) uint64 {
 
 // cachedVec returns the seed's memoized vector, admitting it on its
 // second sighting, or nil.
-func (s *fastSource) cachedVec() *[rngLen]uint64 {
+func (s *Source) cachedVec() *[rngLen]uint64 {
 	if v, ok := seedVecCache.Load(s.seed); ok {
 		return v.(*[rngLen]uint64)
 	}
@@ -238,9 +259,12 @@ func (s *fastSource) cachedVec() *[rngLen]uint64 {
 
 // seedAll turns the source eager: it seeds vec, from vec0 when
 // non-nil, and replays the n draws taken so far into it.
-func (s *fastSource) seedAll(vec0 *[rngLen]uint64) {
+func (s *Source) seedAll(vec0 *[rngLen]uint64) {
+	if s.vec == nil {
+		s.vec = new([rngLen]uint64)
+	}
 	if vec0 != nil {
-		s.vec = *vec0
+		*s.vec = *vec0
 	} else {
 		for i := range s.vec {
 			s.vec[i] = s.seedWord(i)
@@ -255,7 +279,7 @@ func (s *fastSource) seedAll(vec0 *[rngLen]uint64) {
 
 // next is one step of the stdlib's additive lagged Fibonacci generator
 // over vec.
-func (s *fastSource) next() uint64 {
+func (s *Source) next() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
@@ -264,12 +288,13 @@ func (s *fastSource) next() uint64 {
 	if s.feed < 0 {
 		s.feed += rngLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	vec := s.vec
+	x := vec[s.feed] + vec[s.tap]
+	vec[s.feed] = x
 	return x
 }
 
-func (s *fastSource) uint64() uint64 {
+func (s *Source) uint64() uint64 {
 	if !s.eager {
 		switch {
 		case s.n == rngLen:
@@ -291,11 +316,17 @@ func (s *fastSource) uint64() uint64 {
 	return s.next()
 }
 
-func (s *fastSource) Int63() int64   { return int64(s.uint64() & rngMask) }
-func (s *fastSource) Uint64() uint64 { return s.uint64() }
+// Int63 returns the stream's next value, as rngSource.Int63 does.
+func (s *Source) Int63() int64 { return int64(s.uint64() & rngMask) }
 
-// skip advances the stream by n values without returning them.
-func (s *fastSource) skip(n int) {
+// Uint64 returns the stream's next value, as rngSource.Uint64 does.
+func (s *Source) Uint64() uint64 { return s.uint64() }
+
+// Eager reports that the source holds the whole seeded vector.
+func (s *Source) Eager() bool { return s.eager }
+
+// Skip advances the stream by n values without returning them.
+func (s *Source) Skip(n int) {
 	if !s.eager {
 		k := min(n, rngLen-s.n)
 		s.n += k
@@ -306,11 +337,11 @@ func (s *fastSource) skip(n int) {
 	}
 }
 
-// int31n is math/rand's Rand.Int31n over s, inlined for the machine's
+// Int31n is math/rand's Rand.Int31n over s, inlined for the simulator's
 // scheduler draw among two or more runnable threads: the same draws and
 // the same result, without the interface call per draw. n must be
 // positive.
-func (s *fastSource) int31n(n int32) int32 {
+func (s *Source) Int31n(n int32) int32 {
 	if n&(n-1) == 0 {
 		return int32(s.Int63()>>32) & (n - 1)
 	}
@@ -322,11 +353,27 @@ func (s *fastSource) int31n(n int32) int32 {
 	return v % n
 }
 
-// newSchedulerSource returns the fastest available source that is
-// bit-identical to rand.NewSource.
-func newSchedulerSource() rand.Source {
+// NewCached returns the fastest available source that is bit-identical
+// to rand.NewSource, for a simulator machine that reseeds it once per
+// run: a run that reads more than lazyReads values takes its seed's
+// vector from the seed cache once the seed has been seen twice. Seed it
+// before drawing.
+func NewCached() rand.Source {
 	if fastRngOK {
-		return &fastSource{}
+		return &Source{cached: true}
 	}
 	return rand.NewSource(0)
+}
+
+// New returns rand.New(rand.NewSource(seed))'s generator without the
+// stdlib's seeding cost: the same stream, computed lazily, allocating
+// the seeded vector only if it reaches draw 608. It never reads or
+// fills the seed cache.
+func New(seed int64) *rand.Rand {
+	if !fastRngOK {
+		return rand.New(rand.NewSource(seed))
+	}
+	s := &Source{}
+	s.Seed(seed)
+	return rand.New(s)
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"aid/internal/rngfast"
 )
 
 // The replay allocation contract. The tests run on a machine the test
@@ -14,10 +16,10 @@ import (
 // TestVerdictOnlyRunAllocs pins that a run whose trace nobody keeps
 // allocates nothing once the machine has grown: its span, access and
 // lockset logs hold ids, not names, so changing the held set costs no
-// name slice. A second program's runs read more than lazyReads
-// scheduler values, so each takes the seed's vector from the
-// seed-state cache and replays the draws already taken; that path
-// allocates nothing either.
+// name slice. A second program's runs read more than 16 scheduler
+// values, so each takes the seed's vector from the seed-state cache
+// and replays the draws already taken; that path allocates nothing
+// either.
 func TestVerdictOnlyRunAllocs(t *testing.T) {
 	p := NewProgram("twolocks", "Main")
 	p.Globals["g"] = 0
@@ -60,11 +62,10 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := newMachine(newSchedulerSource())
+		m := newMachine(rngfast.NewCached())
 		// Warm up: grow the logs, and let the seed-state cache admit
-		// the seed (a run that reads more than lazyReads values admits
-		// it on its second sighting, and the third takes it from the
-		// cache).
+		// the seed (a run that reads more than 16 values admits it on
+		// its second sighting, and the third takes it from the cache).
 		for i := 0; i < 3; i++ {
 			pp.runIf(m, seed, Budget{}, never)
 		}
@@ -83,8 +84,10 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 				t.Fatalf("twolocks did not run as intended: %+v", exec.Calls)
 			}
 		case q:
-			if _, ok := seedVecCache.Load(int64(seed)); m.fast != nil && (!ok || !m.fast.eager) {
-				t.Fatalf("randloop did not take the seed's vector from the cache (cached %v, eager %v)", ok, m.fast.eager)
+			// A randloop run reads fewer than 608 values, so only the
+			// cache can have turned the source eager.
+			if m.fast != nil && !m.fast.Eager() {
+				t.Fatal("randloop did not take the seed's vector from the cache")
 			}
 		}
 		if n := testing.AllocsPerRun(100, func() { pp.runIf(m, seed, Budget{}, never) }); n != 0 {

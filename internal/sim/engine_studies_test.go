@@ -69,7 +69,7 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 }
 
 // TestStdlibSourceStudies runs the six studies on the fallback the
-// scheduler takes when fastSource fails verification, a machine seeded
+// scheduler takes when rngfast.Source fails verification, a machine seeded
 // from rand.NewSource: TestCompiledEngineEquivalence's plans and seeds,
 // and each study's 40-seed collection sweep, must give the traces the
 // fast source gives, byte for byte.

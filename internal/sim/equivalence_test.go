@@ -660,7 +660,7 @@ func TestEquivalenceProperty(t *testing.T) {
 }
 
 // assertStdlibParity runs p on m, a compiled machine seeded from
-// rand.NewSource (the fallback newSchedulerSource takes when fastSource
+// rand.NewSource (the fallback rngfast.NewCached takes when its source
 // fails verification), and requires the interpreter oracle's trace.
 func assertStdlibParity(t *testing.T, m *machine, p *Program, plan Plan, seed int64, maxSteps int) {
 	t.Helper()
@@ -687,7 +687,7 @@ func assertStdlibParity(t *testing.T, m *machine, p *Program, plan Plan, seed in
 }
 
 // TestStdlibSourceMatchesInterpreter exercises the fallback
-// newSchedulerSource takes when fastSource fails verification: one
+// rngfast.NewCached takes when its source fails verification: one
 // compiled machine seeded from rand.NewSource runs the property
 // generator's programs, seeds and plans, and every trace must be
 // byte-identical to the interpreter oracle's.

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 
+	"aid/internal/rngfast"
 	"aid/internal/trace"
 )
 
@@ -15,7 +16,7 @@ var (
 )
 
 // RunStdlibSource is Run on a machine whose scheduler draws from
-// rand.NewSource: the fallback newSchedulerSource takes when fastSource
+// rand.NewSource: the fallback rngfast.NewCached takes when its source
 // fails verification.
 func RunStdlibSource(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
 	pp, err := Prepare(p, opts.Plan)
@@ -35,7 +36,7 @@ func PreparedSymbols(pp *Prepared) trace.Symbols { return pp.syms }
 type Machine = machine
 
 // NewMachine returns a machine on the fast scheduler source.
-func NewMachine() *Machine { return newMachine(newSchedulerSource()) }
+func NewMachine() *Machine { return newMachine(rngfast.NewCached()) }
 
 // RunIfOn is RunIf on machine m.
 func (pp *Prepared) RunIfOn(m *Machine, seed int64, maxSteps int, keep func(Verdict) bool) (trace.LogRun, Verdict) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"aid/internal/rngfast"
 	"aid/internal/trace"
 )
 
@@ -90,11 +91,11 @@ type mthread struct {
 
 type machine struct {
 	pp *Prepared
-	// fast is src when it is the bit-exact fastSource: the scheduler
-	// draws from it directly. rng wraps src for the stdlib fallback's
-	// draws and for opRandom.
+	// fast is src when it is the bit-exact rngfast.Source: the
+	// scheduler draws from it directly. rng wraps src for the stdlib
+	// fallback's draws and for opRandom.
 	src  rand.Source
-	fast *fastSource
+	fast *rngfast.Source
 	rng  *rand.Rand
 	now  trace.Time
 
@@ -146,12 +147,12 @@ type machine struct {
 	wallDeadline time.Time
 }
 
-var machinePool = sync.Pool{New: func() any { return newMachine(newSchedulerSource()) }}
+var machinePool = sync.Pool{New: func() any { return newMachine(rngfast.NewCached()) }}
 
 // newMachine returns a machine whose scheduler draws from src.
 func newMachine(src rand.Source) *machine {
 	m := &machine{src: src, rng: rand.New(src)}
-	m.fast, _ = src.(*fastSource)
+	m.fast, _ = src.(*rngfast.Source)
 	return m
 }
 
@@ -434,7 +435,7 @@ func (m *machine) loop(maxSteps int) {
 				m.drawPending()
 			}
 			if m.fast != nil {
-				ti = m.runnable[m.fast.int31n(int32(len(m.runnable)))]
+				ti = m.runnable[m.fast.Int31n(int32(len(m.runnable)))]
 			} else {
 				ti = m.runnable[m.rng.Intn(len(m.runnable))]
 			}
@@ -479,7 +480,7 @@ func (m *machine) rebuild() {
 // value it would have read had every step drawn.
 func (m *machine) drawPending() {
 	if m.fast != nil {
-		m.fast.skip(m.pending)
+		m.fast.Skip(m.pending)
 	} else {
 		for ; m.pending > 0; m.pending-- {
 			m.src.Int63()

@@ -6,6 +6,7 @@ import (
 
 	"aid/internal/core"
 	"aid/internal/predicate"
+	"aid/internal/rngfast"
 )
 
 // FlakyWorld wraps a World with runtime nondeterminism, modeling the
@@ -44,7 +45,7 @@ func NewFlakyWorld(w *World, manifestProb, symptomNoise float64, seed int64) *Fl
 		World:        w,
 		ManifestProb: manifestProb,
 		SymptomNoise: symptomNoise,
-		rng:          rand.New(rand.NewSource(seed)),
+		rng:          rngfast.New(seed),
 	}
 }
 

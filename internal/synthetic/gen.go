@@ -3,9 +3,10 @@ package synthetic
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"strconv"
 
 	"aid/internal/predicate"
+	"aid/internal/rngfast"
 )
 
 // Params configures one generated application.
@@ -43,33 +44,55 @@ func Generate(p Params) (*Instance, error) {
 	if p.MaxThreads < 1 {
 		return nil, fmt.Errorf("synthetic: MaxThreads must be >= 1, got %d", p.MaxThreads)
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	rng := rngfast.New(p.Seed)
 
 	phases := 1 + rng.Intn(4)                          // J ∈ [1,4]
 	branchLen := func() int { return 1 + rng.Intn(4) } // n ∈ [1,4]
 
-	type branch struct {
-		preds []predicate.ID
-	}
-	w := &World{Parent: make(map[predicate.ID]predicate.ID)}
-	var perPhase [][]branch
-	maxBranches := 0
-	for j := 0; j < phases; j++ {
+	// The skeleton's shape first: lens[j][b] is the length of phase j's
+	// branch b. A branch's bound is redrawn at every step, so its length
+	// is known only once its loop ends; drawing the shape before naming
+	// anything sizes every slice and the parent map exactly.
+	lens := make([][]int, phases)
+	maxBranches, n, edges := 0, 0, 0
+	for j := range lens {
 		nb := 1 + rng.Intn(p.MaxThreads)
-		if nb > maxBranches {
-			maxBranches = nb
-		}
-		var bs []branch
-		for b := 0; b < nb; b++ {
-			var br branch
+		maxBranches = max(maxBranches, nb)
+		lens[j] = make([]int, nb)
+		for b := range lens[j] {
 			for k := 0; k < branchLen(); k++ {
-				id := predicate.ID(fmt.Sprintf("J%d.B%d.P%d", j, b, k))
-				br.preds = append(br.preds, id)
-				w.Preds = append(w.Preds, id)
+				lens[j][b]++
 			}
-			bs = append(bs, br)
+			n += lens[j][b]
+			edges += lens[j][b] - 1 // the branch's chain
 		}
-		perPhase = append(perPhase, bs)
+		if j > 0 {
+			edges += len(lens[j-1]) * nb // the phase bipartite
+		}
+	}
+	lastPhase := len(lens[phases-1])
+	edges += lastPhase // last-phase leaves reach F
+	maxLate := p.LateSymptoms
+	if maxLate < 0 {
+		maxLate = 2
+	}
+
+	w := &World{
+		Preds:  make([]predicate.ID, 0, n+maxLate),
+		Edges:  make([][2]predicate.ID, 0, edges+maxLate*lastPhase),
+		Parent: make(map[predicate.ID]predicate.ID, n+maxLate),
+	}
+	// perPhase[j][b] is phase j's branch b, a run of w.Preds.
+	perPhase := make([][][]predicate.ID, phases)
+	for j, ls := range lens {
+		perPhase[j] = make([][]predicate.ID, len(ls))
+		for b, l := range ls {
+			start := len(w.Preds)
+			for k := range l {
+				w.Preds = append(w.Preds, predicate.ID("J"+strconv.Itoa(j)+".B"+strconv.Itoa(b)+".P"+strconv.Itoa(k)))
+			}
+			perPhase[j][b] = w.Preds[start:len(w.Preds):len(w.Preds)]
+		}
 	}
 
 	// AC-DAG edges: chains within branches; full bipartite between the
@@ -77,32 +100,32 @@ func Generate(p Params) (*Instance, error) {
 	// reach F.
 	for j, bs := range perPhase {
 		for _, br := range bs {
-			for k := 1; k < len(br.preds); k++ {
-				w.Edges = append(w.Edges, [2]predicate.ID{br.preds[k-1], br.preds[k]})
+			for k := 1; k < len(br); k++ {
+				w.Edges = append(w.Edges, [2]predicate.ID{br[k-1], br[k]})
 			}
 			if j > 0 {
 				for _, prev := range perPhase[j-1] {
-					leaf := prev.preds[len(prev.preds)-1]
-					w.Edges = append(w.Edges, [2]predicate.ID{leaf, br.preds[0]})
+					w.Edges = append(w.Edges, [2]predicate.ID{prev[len(prev)-1], br[0]})
 				}
 			}
 			if j == phases-1 {
-				leaf := br.preds[len(br.preds)-1]
-				w.Edges = append(w.Edges, [2]predicate.ID{leaf, predicate.FailureID})
+				w.Edges = append(w.Edges, [2]predicate.ID{br[len(br)-1], predicate.FailureID})
 			}
 		}
 	}
 
 	// The causal route: one branch per phase; its concatenated
-	// predicates are the candidate slots for the D causal predicates.
+	// predicates are the candidate slots for the D causal predicates,
+	// and routePhase holds each slot's phase.
 	var route []predicate.ID
-	routeBranch := make([]int, phases)
+	var routePhase []int
 	for j, bs := range perPhase {
-		pick := rng.Intn(len(bs))
-		routeBranch[j] = pick
-		route = append(route, bs[pick].preds...)
+		pick := bs[rng.Intn(len(bs))]
+		route = append(route, pick...)
+		for range pick {
+			routePhase = append(routePhase, j)
+		}
 	}
-	n := len(w.Preds)
 	maxD := int(float64(n) / math.Max(1, math.Log2(float64(n))))
 	if maxD < 1 {
 		maxD = 1
@@ -118,8 +141,10 @@ func Generate(p Params) (*Instance, error) {
 	slots = append(slots, len(route)-1)
 	sortInts(slots)
 	causal := make(map[predicate.ID]bool, d)
+	pathPhase := make([]int, 0, d)
 	for _, s := range slots {
 		w.Path = append(w.Path, route[s])
+		pathPhase = append(pathPhase, routePhase[s])
 		causal[route[s]] = true
 	}
 
@@ -136,25 +161,24 @@ func Generate(p Params) (*Instance, error) {
 	// roots hang off the trigger, or — for occasional side-effect
 	// branches — off a causal predicate from an earlier phase.
 	for j, bs := range perPhase {
-		for bi, br := range bs {
-			for k, id := range br.preds {
+		for _, br := range bs {
+			for k, id := range br {
 				if causal[id] {
 					continue
 				}
 				var parent predicate.ID
 				if k > 0 {
-					parent = br.preds[k-1]
+					parent = br[k-1]
 				} else {
 					parent = "" // trigger
 					if j > 0 && rng.Intn(3) == 0 {
 						// Side-effect branch: caused by an earlier
 						// causal predicate (which precedes this branch
 						// root in the AC-DAG via the phase bipartite).
-						if c := lastCausalBefore(w.Path, j); c != "" {
+						if c := lastCausalBefore(w.Path, pathPhase, j); c != "" {
 							parent = c
 						}
 					}
-					_ = bi
 				}
 				w.Parent[id] = parent
 			}
@@ -168,12 +192,11 @@ func Generate(p Params) (*Instance, error) {
 		late = rng.Intn(3)
 	}
 	for i := 0; i < late; i++ {
-		id := predicate.ID(fmt.Sprintf("LATE.P%d", i))
+		id := predicate.ID("LATE.P" + strconv.Itoa(i))
 		w.Preds = append(w.Preds, id)
 		w.Parent[id] = ""
 		for _, br := range perPhase[phases-1] {
-			leaf := br.preds[len(br.preds)-1]
-			w.Edges = append(w.Edges, [2]predicate.ID{leaf, id})
+			w.Edges = append(w.Edges, [2]predicate.ID{br[len(br)-1], id})
 		}
 	}
 
@@ -191,16 +214,11 @@ func Generate(p Params) (*Instance, error) {
 }
 
 // lastCausalBefore returns the latest causal predicate located in a
-// phase strictly before j, or "". Causal IDs encode their phase as
-// "J<phase>.".
-func lastCausalBefore(path []predicate.ID, j int) predicate.ID {
+// phase strictly before j, or ""; phase[i] is path[i]'s phase.
+func lastCausalBefore(path []predicate.ID, phase []int, j int) predicate.ID {
 	var best predicate.ID
-	for _, c := range path {
-		var phase int
-		if _, err := fmt.Sscanf(string(c), "J%d.", &phase); err != nil {
-			continue
-		}
-		if phase < j {
+	for i, c := range path {
+		if phase[i] < j {
 			best = c
 		}
 	}
