@@ -1,8 +1,8 @@
 // Package rngfast is a bit-exact, lazily seeded stand-in for
 // math/rand's default source. The simulator's scheduler draws from it,
 // and so does every consumer whose pinned output depends on a seeded
-// stream: discovery's tie breaking, the TAGT shuffle and synthetic
-// generation.
+// stream: discovery's tie breaking, the TAGT shuffle, synthetic
+// generation, the adaptive trial oracle and flaky worlds' noise.
 //
 // Every historical trace (and the interpreter oracle) was produced by
 // rand.New(rand.NewSource(seed)), and the Fig. 8 tables, reports and
@@ -75,7 +75,7 @@ var lcgPow [3 * rngLen]uint64
 var rngCookedRec [rngLen]uint64
 
 // fastRngOK reports whether recovery and verification succeeded and
-// fastSource may be used.
+// Source may be used.
 var fastRngOK bool
 
 // stdSourceLayout mirrors math/rand.rngSource for the one-time cooked
