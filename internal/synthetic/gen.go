@@ -52,7 +52,8 @@ func Generate(p Params) (*Instance, error) {
 	// The skeleton's shape first: lens[j][b] is the length of phase j's
 	// branch b. A branch's bound is redrawn at every step, so its length
 	// is known only once its loop ends; drawing the shape before naming
-	// anything sizes every slice and the parent map exactly.
+	// anything sizes every slice and the parent map up front (for the
+	// most late symptoms the parameters allow).
 	lens := make([][]int, phases)
 	maxBranches, n, edges := 0, 0, 0
 	for j := range lens {
