@@ -14,12 +14,13 @@
 // Discover, Explain) are individually callable and composable
 // end-to-end via Run. Inputs arrive through the TraceSource interface —
 // FromStudy (the paper's six case studies), FromProgram (a seed sweep
-// over any simulated program), or FromTraceFile (an offline JSON-lines
-// corpus round-tripping WriteTraces). Every stage honors its
-// context.Context and aborts within one task-drain when cancelled;
-// WithObserver streams typed per-phase progress events; Run returns the
-// JSON-serializable Report shared by the CLI, the examples, and future
-// service endpoints. See the package example for the complete loop.
+// over any simulated program), FromTraceFile (an offline JSON-lines
+// corpus round-tripping WriteTraces), or FromStoredCorpus (such a
+// corpus kept in log form, as the daemon stores uploads). Every stage
+// honors its context.Context and aborts within one task-drain when
+// cancelled; WithObserver streams typed per-phase progress events; Run
+// returns the JSON-serializable Report shared by the CLI, the examples,
+// and future service endpoints. See the package example for the complete loop.
 //
 // The algorithms live under internal/:
 //

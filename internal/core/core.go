@@ -218,18 +218,21 @@ type discoverer struct {
 	byRank []int
 	// Per-round scratch, reused across rounds so the steady-state
 	// discovery loop allocates only what escapes into the Result:
-	// aliveBuf backs the pruning loops' alive snapshots, intervenedSet
-	// and obsMasks the per-round node sets of the counterfactual pruning
-	// rule, and levels and levelNeed a GIWP round's pool levels.
+	// aliveBuf backs the pruning loops' alive snapshots, prunedBuf a
+	// round's pruned nodes until Round.Pruned is made at their count,
+	// intervenedSet and obsMasks the per-round node sets of the
+	// counterfactual pruning rule, and levels and levelNeed a GIWP
+	// round's pool levels.
 	aliveBuf      []int
+	prunedBuf     []int
 	intervenedSet *acdag.NodeSet
 	obsMasks      []*acdag.NodeSet
 	levels        []int
 	levelNeed     *acdag.NodeSet
 	// nodesOf caches, per predicate table the observations were drawn
 	// from, each entry's DAG node index (-1 when the predicate is not a
-	// node): one table per intervener, plus one per observation that a
-	// memo import decoded.
+	// node): one table per intervener, plus one per imported memo
+	// (ShareMemoTable).
 	nodesOf map[*PredTable][]int32
 }
 
@@ -425,8 +428,10 @@ func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 			break
 		}
 	}
+	// The round keeps preds: the scheduler copies what it memoizes, and
+	// neither interveners nor OnRound callbacks modify a request's group.
 	round := Round{
-		Intervened: append([]predicate.ID(nil), preds...),
+		Intervened: preds,
 		Stopped:    stopped,
 		Phase:      phase,
 	}
@@ -434,13 +439,14 @@ func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 	for _, i := range group {
 		intervened.AddIndex(i)
 	}
+	pruned := d.prunedBuf[:0]
 	// Definition 2, first rule: intervened predicates are spurious if
 	// some intervening run still failed.
 	if !stopped {
 		for _, i := range group {
 			if d.alive.HasIndex(i) {
 				d.markSpurious(i)
-				round.Pruned = append(round.Pruned, d.dag.IDAt(i))
+				pruned = append(pruned, i)
 			}
 		}
 	}
@@ -475,11 +481,15 @@ func (d *discoverer) intervene(group []int, phase string) (bool, error) {
 			for k, o := range obs {
 				if (masks[k].HasIndex(q) && !o.Failed) || (!masks[k].HasIndex(q) && o.Failed) {
 					d.markSpurious(q)
-					round.Pruned = append(round.Pruned, d.dag.IDAt(q))
+					pruned = append(pruned, q)
 					break
 				}
 			}
 		}
+	}
+	d.prunedBuf = pruned
+	if len(pruned) > 0 {
+		round.Pruned = d.idsOf(pruned)
 	}
 	d.log = append(d.log, round)
 	if d.opts.OnRound != nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
+	"aid/internal/bitvec"
 	"aid/internal/predicate"
 )
 
@@ -79,4 +81,53 @@ func (s *Scheduler) ImportMemo(entries []MemoEntry) int {
 		n++
 	}
 	return n
+}
+
+// ShareMemoTable rehomes, in place, every observation of entries onto
+// one PredTable over the union of their IDs, with their bits carved
+// from one array. A decoded memo gives each observation a table of its
+// own (PredSet.UnmarshalJSON), ID strings included; after rehoming it
+// holds one table and one bit per table entry per observation, as a
+// live scheduler's memo does. Sets keep their members and missed runs
+// stay missed, so the entries encode as before.
+func ShareMemoTable(entries []MemoEntry) {
+	seen := map[predicate.ID]struct{}{}
+	nObs := 0
+	for _, me := range entries {
+		for _, o := range me.Obs {
+			if o.Missed() {
+				continue
+			}
+			nObs++
+			for id := range o.Observed.All() {
+				seen[id] = struct{}{}
+			}
+		}
+	}
+	if nObs == 0 {
+		return
+	}
+	ids := make([]predicate.ID, 0, len(seen))
+	for id := range seen {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	table := NewPredTable(ids)
+	words := len(bitvec.New(len(ids)))
+	arena := make([]uint64, nObs*words)
+	for _, me := range entries {
+		for k := range me.Obs {
+			o := &me.Obs[k]
+			if o.Missed() {
+				continue
+			}
+			bits := bitvec.Vec(arena[:words:words])
+			arena = arena[words:]
+			for id := range o.Observed.All() {
+				i, _ := slices.BinarySearch(ids, id)
+				bits.SetInCap(i)
+			}
+			o.Observed = table.Set(bits)
+		}
+	}
 }

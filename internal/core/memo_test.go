@@ -144,3 +144,42 @@ func TestMemoExportSkipsFailedOutcomes(t *testing.T) {
 		t.Fatalf("exported %d entries after success, want 1", len(got))
 	}
 }
+
+// TestShareMemoTable: rehoming decoded observations onto one table
+// keeps each set's members, keeps missed runs missed and empty sets
+// empty, and leaves the JSON unchanged.
+func TestShareMemoTable(t *testing.T) {
+	data := []byte(`[{"preds":["A"],"obs":[{"Failed":true,"Observed":{"B":true,"C":true},"Confidence":0},` +
+		`{"Failed":false,"Observed":null,"Confidence":0}]},` +
+		`{"preds":["B"],"obs":[{"Failed":false,"Observed":{},"Confidence":0},` +
+		`{"Failed":true,"Observed":{"A":true,"D":true},"Confidence":0}]}]`)
+	var entries []MemoEntry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	ShareMemoTable(entries)
+	table := entries[0].Obs[0].Observed.Table()
+	if table == nil || len(table.ids) != 4 {
+		t.Fatalf("shared table %v, want one over A, B, C, D", table)
+	}
+	for i, me := range entries {
+		for k, o := range me.Obs {
+			if got := o.Observed.Table(); got != table && !(i == 0 && k == 1) {
+				t.Errorf("entry %d observation %d: table %p, want %p", i, k, got, table)
+			}
+		}
+	}
+	if !entries[0].Obs[1].Missed() {
+		t.Error("a missed run is no longer missed")
+	}
+	if n := entries[1].Obs[0].Observed.Len(); n != 0 {
+		t.Errorf("an empty set has %d members", n)
+	}
+	again, err := json.Marshal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(data) {
+		t.Errorf("JSON after rehoming:\n%s\nwant\n%s", again, data)
+	}
+}

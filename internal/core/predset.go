@@ -77,6 +77,9 @@ func PredSetOf(ids ...predicate.ID) PredSet {
 	return NewPredTable(uniq).Set(bitvec.Ones(len(uniq)))
 }
 
+// Table returns the table the set is drawn over (nil for a missed run).
+func (s PredSet) Table() *PredTable { return s.t }
+
 // Has reports whether id is in the set.
 func (s PredSet) Has(id predicate.ID) bool {
 	if s.t == nil {

@@ -396,10 +396,10 @@ func TestHTTPSessionSpecTooLarge(t *testing.T) {
 // an untyped I/O-ish error.
 type failStore struct{}
 
-func (failStore) Put(tenant, name string, set *trace.Set) error {
+func (failStore) Put(tenant, name string, logs *trace.LogSet) error {
 	return fmt.Errorf("failStore: disk on fire")
 }
-func (failStore) Get(tenant, name string) (*trace.Set, error) {
+func (failStore) Get(tenant, name string) (*trace.LogSet, error) {
 	return nil, fmt.Errorf("failStore: disk on fire")
 }
 func (failStore) List(tenant string) ([]CorpusInfo, error) {

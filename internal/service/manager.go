@@ -12,7 +12,6 @@ import (
 
 	"aid"
 	"aid/internal/durable"
-	"aid/internal/trace"
 )
 
 // Config configures a Manager. Zero fields take the documented
@@ -269,15 +268,15 @@ func (m *Manager) Ingest(tenant, name string, r io.Reader) (CorpusInfo, error) {
 	if err := validateKey(tenant, name); err != nil {
 		return CorpusInfo{}, err
 	}
-	set, err := DecodeCorpus(tenant, name, r)
+	logs, err := DecodeCorpus(tenant, name, r)
 	if err != nil {
 		return CorpusInfo{}, err
 	}
-	if err := m.store.Put(tenant, name, set); err != nil {
+	if err := m.store.Put(tenant, name, logs); err != nil {
 		return CorpusInfo{}, err
 	}
 	m.invalidateMemos(tenant, name)
-	return corpusInfo(tenant, name, set), nil
+	return corpusInfo(tenant, name, logs), nil
 }
 
 // DeleteCorpus removes a tenant's corpus and, like Ingest, drops the
@@ -653,11 +652,11 @@ func (m *Manager) resolveSource(tenant string, spec SessionSpec) (aid.TraceSourc
 	if spec.Corpus == "" {
 		return aid.FromStudy(study), nil
 	}
-	set, err := m.store.Get(tenant, spec.Corpus)
+	logs, err := m.store.Get(tenant, spec.Corpus)
 	if err != nil {
 		return nil, err
 	}
-	return &setSource{set: set, study: study}, nil
+	return aid.FromStoredCorpus(logs, study), nil
 }
 
 // Session returns a session by id.
@@ -755,50 +754,4 @@ func (m *Manager) Close() {
 	// No compaction on the fatal path — the append log is already
 	// durable per its sync policy; just flush and release the handle.
 	m.closePersist()
-}
-
-// setSource adapts a stored corpus plus a case study's program to the
-// TraceSource interface — the in-store twin of aid.TraceFileSource
-// .ForStudy, field for field, so a session over an ingested corpus is
-// byte-identical to an offline run over the same file.
-type setSource struct {
-	set   *trace.Set
-	study *aid.CaseStudy
-}
-
-// Label implements aid.TraceSource.
-func (s *setSource) Label() string { return s.study.Name }
-
-// Collect implements aid.TraceSource, mirroring TraceFileSource.Collect
-// over the already-decoded set: the spec quotas are ignored (the corpus
-// is the corpus) and FailSeeds are recovered in storage order, so the
-// intervention phase replays exactly the seeds a live collection would
-// have.
-func (s *setSource) Collect(ctx context.Context, spec aid.CollectSpec) (*aid.Traces, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var failSeeds []int64
-	for i := range s.set.Executions {
-		e := &s.set.Executions[i]
-		if e.Failed() && (s.study.FailureSig == "" || e.FailureSig == s.study.FailureSig) {
-			failSeeds = append(failSeeds, e.Seed)
-		}
-	}
-	tr := &aid.Traces{
-		Set:         s.set,
-		FailSeeds:   failSeeds,
-		Program:     s.study.Program,
-		Config:      s.study.Config(),
-		FailureSig:  s.study.FailureSig,
-		MaxSteps:    s.study.MaxSteps,
-		Source:      s.study.Name,
-		Issue:       s.study.Issue,
-		Description: s.study.Description,
-	}
-	if spec.Observer != nil {
-		succ, fail := s.set.Counts()
-		spec.Observer.OnEvent(aid.CollectProgress{Successes: succ, Failures: fail})
-	}
-	return tr, nil
 }

@@ -87,14 +87,16 @@ func (p *persistor) errors() int {
 	return p.errs
 }
 
-// fingerprintSet hashes a corpus's canonical encoding. Two sets
-// fingerprint equal exactly when their JSON-lines encodings are
-// byte-identical — the same equivalence the Rebind contract needs.
-func fingerprintSet(set *trace.Set) string {
+// fingerprintLogs hashes a corpus's canonical encoding: the JSON lines
+// of the set the logs intern, which are the bytes of the set they were
+// interned from. Two corpora fingerprint equal exactly when their
+// JSON-lines encodings are byte-identical — the same equivalence the
+// Rebind contract needs.
+func fingerprintLogs(logs *trace.LogSet) string {
 	h := sha256.New()
 	// Encode into a hash never fails; a marshal failure would have
 	// failed ingest long before.
-	_ = trace.Encode(h, set)
+	_ = trace.Encode(h, logs.Set())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -104,11 +106,11 @@ func (m *Manager) corpusFingerprint(tenant, corpus string) (string, error) {
 	if corpus == "" {
 		return "", nil
 	}
-	set, err := m.store.Get(tenant, corpus)
+	logs, err := m.store.Get(tenant, corpus)
 	if err != nil {
 		return "", err
 	}
-	return fingerprintSet(set), nil
+	return fingerprintLogs(logs), nil
 }
 
 // openPersist opens (or creates) the memo log and restores tenant memos

@@ -261,7 +261,7 @@ func TestManagerRestartFingerprintInvalidation(t *testing.T) {
 
 	// While the daemon is down, the corpus file changes under the same
 	// name (an out-of-band re-ingest).
-	set, err := DecodeCorpus("acme", "c", bytes.NewReader(c2))
+	logs, err := DecodeCorpus("acme", "c", bytes.NewReader(c2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestManagerRestartFingerprintInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store2.Put("acme", "c", set); err != nil {
+	if err := store2.Put("acme", "c", logs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -374,7 +374,7 @@ func TestManagerPersistDirUnusable(t *testing.T) {
 // leaving no partial file behind either way.
 func TestFileStorePutRetriesTransientSyncFaults(t *testing.T) {
 	corpus, _ := persistFixture(t, "npgsql", 4, 4)
-	set, err := DecodeCorpus("acme", "c", bytes.NewReader(corpus))
+	logs, err := DecodeCorpus("acme", "c", bytes.NewReader(corpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,15 +386,15 @@ func TestFileStorePutRetriesTransientSyncFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Put("acme", "c", set); err != nil {
+	if err := store.Put("acme", "c", logs); err != nil {
 		t.Fatalf("transient sync faults not retried: %v", err)
 	}
 	got, err := store.Get("acme", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Executions) != len(set.Executions) {
-		t.Fatalf("round trip lost executions: %d != %d", len(got.Executions), len(set.Executions))
+	if len(got.Runs) != len(logs.Runs) {
+		t.Fatalf("round trip lost executions: %d != %d", len(got.Runs), len(logs.Runs))
 	}
 
 	// A fault outliving every retry fails the Put; the corpus must not
@@ -405,7 +405,7 @@ func TestFileStorePutRetriesTransientSyncFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ferr *chaos.FaultError
-	if err := store2.Put("acme", "c", set); !errors.As(err, &ferr) {
+	if err := store2.Put("acme", "c", logs); !errors.As(err, &ferr) {
 		t.Fatalf("persistent sync fault not surfaced: %v", err)
 	}
 	var nf *NotFoundError
@@ -475,10 +475,10 @@ func TestCrashMatrixDaemonRecovery(t *testing.T) {
 		}
 
 		// The corpus is whole or absent — never torn (atomic rename).
-		switch set, err := store.Get("acme", "c"); {
+		switch logs, err := store.Get("acme", "c"); {
 		case err == nil:
 			var buf bytes.Buffer
-			if eerr := trace.Encode(&buf, set); eerr != nil || !bytes.Equal(buf.Bytes(), corpus) {
+			if eerr := trace.Encode(&buf, logs.Set()); eerr != nil || !bytes.Equal(buf.Bytes(), corpus) {
 				t.Fatalf("crash at op %d: corpus served torn (encode err %v)", k, eerr)
 			}
 		default:

@@ -6,7 +6,7 @@
 //
 // The layering mirrors the facade it serves: corpora live behind the
 // pluggable CorpusStore interface (in-memory and JSON-lines-file
-// backends ship; anything that can round-trip a trace.Set can back the
+// backends ship; anything that can round-trip a corpus can back the
 // daemon), sessions are aid.Pipeline runs with their Observer events
 // captured for streaming, and per-tenant SharedSchedulers carry
 // intervention outcomes across sessions debugging the same target.
@@ -35,6 +35,9 @@ type CorpusInfo struct {
 	Executions int `json:"executions"`
 	Successes  int `json:"successes"`
 	Failures   int `json:"failures"`
+	// Bytes is the resident size of the stored corpus in log form
+	// (trace.LogSet.Bytes).
+	Bytes int64 `json:"bytes"`
 }
 
 // CorpusStore is the pluggable storage behind the daemon's per-tenant
@@ -42,14 +45,16 @@ type CorpusInfo struct {
 // session engine, so corpora can live in memory, on disk, or behind a
 // future remote backend without the manager changing.
 //
-// Implementations must be safe for concurrent use. Get returns the set
-// for shared read-only use: callers (pipeline stages) never mutate a
-// collected corpus, so implementations may return a shared instance.
+// Corpora are held in log form (trace.LogSet), interned once when they
+// are stored, so no session converts them again. Implementations must
+// be safe for concurrent use. Get returns the corpus for shared
+// read-only use: callers (pipeline stages) never mutate a collected
+// corpus, so implementations may return a shared instance.
 type CorpusStore interface {
 	// Put stores (or replaces) a tenant's corpus under name.
-	Put(tenant, name string, set *trace.Set) error
+	Put(tenant, name string, logs *trace.LogSet) error
 	// Get returns the named corpus or a NotFoundError.
-	Get(tenant, name string) (*trace.Set, error)
+	Get(tenant, name string) (*trace.LogSet, error)
 	// List returns the tenant's corpora sorted by name.
 	List(tenant string) ([]CorpusInfo, error)
 	// Delete removes the named corpus (a no-op when absent).
@@ -107,14 +112,15 @@ func ValidateName(kind, name string) error {
 	return nil
 }
 
-func corpusInfo(tenant, name string, set *trace.Set) CorpusInfo {
-	succ, fail := set.Counts()
+func corpusInfo(tenant, name string, logs *trace.LogSet) CorpusInfo {
+	succ, fail := logs.Counts()
 	return CorpusInfo{
 		Tenant:     tenant,
 		Name:       name,
-		Executions: len(set.Executions),
+		Executions: len(logs.Runs),
 		Successes:  succ,
 		Failures:   fail,
+		Bytes:      logs.Bytes(),
 	}
 }
 
@@ -124,16 +130,16 @@ func corpusInfo(tenant, name string, set *trace.Set) CorpusInfo {
 // lifetime and are shared across sessions without copies.
 type MemStore struct {
 	mu      sync.RWMutex
-	tenants map[string]map[string]*trace.Set
+	tenants map[string]map[string]*trace.LogSet
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{tenants: map[string]map[string]*trace.Set{}}
+	return &MemStore{tenants: map[string]map[string]*trace.LogSet{}}
 }
 
 // Put implements CorpusStore.
-func (s *MemStore) Put(tenant, name string, set *trace.Set) error {
+func (s *MemStore) Put(tenant, name string, logs *trace.LogSet) error {
 	if err := validateKey(tenant, name); err != nil {
 		return err
 	}
@@ -141,25 +147,25 @@ func (s *MemStore) Put(tenant, name string, set *trace.Set) error {
 	defer s.mu.Unlock()
 	t := s.tenants[tenant]
 	if t == nil {
-		t = map[string]*trace.Set{}
+		t = map[string]*trace.LogSet{}
 		s.tenants[tenant] = t
 	}
-	t[name] = set
+	t[name] = logs
 	return nil
 }
 
 // Get implements CorpusStore.
-func (s *MemStore) Get(tenant, name string) (*trace.Set, error) {
+func (s *MemStore) Get(tenant, name string) (*trace.LogSet, error) {
 	if err := validateKey(tenant, name); err != nil {
 		return nil, err
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	set := s.tenants[tenant][name]
-	if set == nil {
+	logs := s.tenants[tenant][name]
+	if logs == nil {
 		return nil, &NotFoundError{Tenant: tenant, Name: name}
 	}
-	return set, nil
+	return logs, nil
 }
 
 // List implements CorpusStore.
@@ -170,8 +176,8 @@ func (s *MemStore) List(tenant string) ([]CorpusInfo, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []CorpusInfo
-	for name, set := range s.tenants[tenant] {
-		out = append(out, corpusInfo(tenant, name, set))
+	for name, logs := range s.tenants[tenant] {
+		out = append(out, corpusInfo(tenant, name, logs))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -194,9 +200,10 @@ func (s *MemStore) Delete(tenant, name string) error {
 // <root>/<tenant>/<name>.jsonl — the same on-disk format as
 // aid.WriteTraces / cmd/aid -save-traces, so a corpus saved by the CLI
 // can be dropped into a daemon's data directory (and vice versa) and
-// the pipeline over either is byte-identical. Reads are cached: the
-// decoded set is retained until the corpus is replaced or deleted, so
-// repeated sessions over one corpus decode it once.
+// the pipeline over either is byte-identical. Reads are cached: a file
+// is decoded and interned once, and its log form is retained until the
+// corpus is replaced or deleted, so repeated sessions over one corpus
+// read the same logs.
 //
 // Writes are crash-consistent: each Put goes through the durable
 // layer's write-tmp-fsync-rename-fsync(dir) discipline (with a bounded
@@ -209,7 +216,7 @@ type FileStore struct {
 	fsync bool
 
 	mu    sync.Mutex
-	cache map[string]*trace.Set // key: tenant + "/" + name
+	cache map[string]*trace.LogSet // key: tenant + "/" + name
 }
 
 // putRetries and putRetrySeed bound the transient-I/O retry of a Put:
@@ -235,7 +242,7 @@ func NewFileStoreFS(dir string, fsys durable.FS, fsync bool) (*FileStore, error)
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: file store root: %w", err)
 	}
-	return &FileStore{root: dir, fs: fsys, fsync: fsync, cache: map[string]*trace.Set{}}, nil
+	return &FileStore{root: dir, fs: fsys, fsync: fsync, cache: map[string]*trace.LogSet{}}, nil
 }
 
 func (s *FileStore) path(tenant, name string) string {
@@ -243,7 +250,7 @@ func (s *FileStore) path(tenant, name string) string {
 }
 
 // Put implements CorpusStore.
-func (s *FileStore) Put(tenant, name string, set *trace.Set) error {
+func (s *FileStore) Put(tenant, name string, logs *trace.LogSet) error {
 	if err := validateKey(tenant, name); err != nil {
 		return err
 	}
@@ -257,8 +264,10 @@ func (s *FileStore) Put(tenant, name string, set *trace.Set) error {
 	// expected — and the committed corpus actually survives the crash.
 	// The bounded retry rides out transient faults (a flaky fsync);
 	// WriteFileAtomic cleans up its tmp file per attempt, so retries
-	// start clean.
+	// start clean. The file holds the set the logs intern, which encodes
+	// byte-identically to the set they were interned from.
 	dst := s.path(tenant, name)
+	set := logs.Set()
 	err := durable.Retry(putRetries, putRetrySeed, 0, 0, func() error {
 		return durable.WriteFileAtomic(s.fs, dst, s.fsync, func(w io.Writer) error {
 			return trace.Encode(w, set)
@@ -267,19 +276,19 @@ func (s *FileStore) Put(tenant, name string, set *trace.Set) error {
 	if err != nil {
 		return fmt.Errorf("service: file store put %s/%s: %w", tenant, name, err)
 	}
-	s.cache[tenant+"/"+name] = set
+	s.cache[tenant+"/"+name] = logs
 	return nil
 }
 
 // Get implements CorpusStore.
-func (s *FileStore) Get(tenant, name string) (*trace.Set, error) {
+func (s *FileStore) Get(tenant, name string) (*trace.LogSet, error) {
 	if err := validateKey(tenant, name); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if set := s.cache[tenant+"/"+name]; set != nil {
-		return set, nil
+	if logs := s.cache[tenant+"/"+name]; logs != nil {
+		return logs, nil
 	}
 	path := s.path(tenant, name)
 	f, err := s.fs.OpenFile(path, os.O_RDONLY, 0)
@@ -297,8 +306,9 @@ func (s *FileStore) Get(tenant, name string) (*trace.Set, error) {
 	if cerr != nil {
 		return nil, fmt.Errorf("service: file store get: %w", cerr)
 	}
-	s.cache[tenant+"/"+name] = set
-	return set, nil
+	logs := trace.Intern(set)
+	s.cache[tenant+"/"+name] = logs
+	return logs, nil
 }
 
 // List implements CorpusStore.
@@ -319,11 +329,11 @@ func (s *FileStore) List(tenant string) ([]CorpusInfo, error) {
 			continue
 		}
 		name := strings.TrimSuffix(e.Name(), ".jsonl")
-		set, err := s.Get(tenant, name)
+		logs, err := s.Get(tenant, name)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, corpusInfo(tenant, name, set))
+		out = append(out, corpusInfo(tenant, name, logs))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -352,9 +362,11 @@ func validateKey(tenant, name string) error {
 }
 
 // DecodeCorpus decodes a JSON-lines corpus from r (the HTTP ingest
-// body), rejecting empty corpora with a diagnostic naming the tenant
-// and corpus rather than letting a later session fail obscurely.
-func DecodeCorpus(tenant, name string, r io.Reader) (*trace.Set, error) {
+// body) and interns it into the log form the store keeps, rejecting
+// empty corpora with a diagnostic naming the tenant and corpus rather
+// than letting a later session fail obscurely. The decoded set is
+// garbage once it is interned.
+func DecodeCorpus(tenant, name string, r io.Reader) (*trace.LogSet, error) {
 	set, err := trace.Decode(r)
 	if err != nil {
 		// The body is client input: decode failures are validation
@@ -365,5 +377,5 @@ func DecodeCorpus(tenant, name string, r io.Reader) (*trace.Set, error) {
 	if len(set.Executions) == 0 {
 		return nil, validationf("service: corpus %s/%s contains no executions (empty or whitespace-only body)", tenant, name)
 	}
-	return set, nil
+	return trace.Intern(set), nil
 }

@@ -14,31 +14,31 @@ import (
 
 // collectSmall collects a small corpus from a built-in study for store
 // tests.
-func collectSmall(t *testing.T) *trace.Set {
+func collectSmall(t *testing.T) *trace.LogSet {
 	t.Helper()
 	study := casestudy.ByName("npgsql")
 	logs, _, err := casestudy.Collect(t.Context(), study, casestudy.CollectConfig{Successes: 5, Failures: 5, SeedCap: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return logs.Set()
+	return logs
 }
 
 func testStore(t *testing.T, s CorpusStore) {
-	set := collectSmall(t)
+	logs := collectSmall(t)
 
 	if _, err := s.Get("acme", "missing"); !isNotFound(err) {
 		t.Fatalf("Get missing: want NotFoundError, got %v", err)
 	}
-	if err := s.Put("acme", "run1", set); err != nil {
+	if err := s.Put("acme", "run1", logs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Get("acme", "run1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Executions) != len(set.Executions) {
-		t.Fatalf("round trip lost executions: %d != %d", len(got.Executions), len(set.Executions))
+	if len(got.Runs) != len(logs.Runs) {
+		t.Fatalf("round trip lost executions: %d != %d", len(got.Runs), len(logs.Runs))
 	}
 	// Tenant isolation: the same name under another tenant is absent.
 	if _, err := s.Get("globex", "run1"); !isNotFound(err) {
@@ -48,12 +48,15 @@ func testStore(t *testing.T, s CorpusStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].Name != "run1" || infos[0].Executions != len(set.Executions) {
+	if len(infos) != 1 || infos[0].Name != "run1" || infos[0].Executions != len(logs.Runs) {
 		t.Fatalf("List: %+v", infos)
 	}
-	succ, fail := set.Counts()
+	succ, fail := logs.Counts()
 	if infos[0].Successes != succ || infos[0].Failures != fail {
 		t.Fatalf("List counts: %+v want %d/%d", infos[0], succ, fail)
+	}
+	if infos[0].Bytes != got.Bytes() || infos[0].Bytes <= 0 {
+		t.Fatalf("List bytes: %+v want %d", infos[0], got.Bytes())
 	}
 	if err := s.Delete("acme", "run1"); err != nil {
 		t.Fatal(err)
@@ -62,10 +65,10 @@ func testStore(t *testing.T, s CorpusStore) {
 		t.Fatalf("Get after Delete: want NotFoundError, got %v", err)
 	}
 	// Invalid names are rejected, not used as paths/keys.
-	if err := s.Put("../evil", "x", set); err == nil {
+	if err := s.Put("../evil", "x", logs); err == nil {
 		t.Error("tenant path traversal accepted")
 	}
-	if err := s.Put("acme", "a/b", set); err == nil {
+	if err := s.Put("acme", "a/b", logs); err == nil {
 		t.Error("corpus name with separator accepted")
 	}
 }
@@ -91,7 +94,8 @@ func TestFileStore(t *testing.T) {
 // corpus, and a Put round-trips through a fresh store instance.
 func TestFileStoreCLIInterop(t *testing.T) {
 	root := t.TempDir()
-	set := collectSmall(t)
+	logs := collectSmall(t)
+	set := logs.Set()
 
 	// Drop a CLI-written file in; the store must pick it up.
 	if err := os.MkdirAll(filepath.Join(root, "acme"), 0o755); err != nil {
@@ -108,12 +112,12 @@ func TestFileStoreCLIInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Executions) != len(set.Executions) {
-		t.Fatalf("dropped file lost executions: %d != %d", len(got.Executions), len(set.Executions))
+	if len(got.Runs) != len(set.Executions) {
+		t.Fatalf("dropped file lost executions: %d != %d", len(got.Runs), len(set.Executions))
 	}
 
 	// Put persists across store instances (i.e. daemon restarts).
-	if err := s.Put("acme", "saved", set); err != nil {
+	if err := s.Put("acme", "saved", logs); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := NewFileStore(root)
@@ -128,7 +132,7 @@ func TestFileStoreCLIInterop(t *testing.T) {
 // TestDecodeCorpus covers ingest decoding, including the empty-body
 // diagnostic.
 func TestDecodeCorpus(t *testing.T) {
-	set := collectSmall(t)
+	set := collectSmall(t).Set()
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, set); err != nil {
 		t.Fatal(err)
@@ -137,7 +141,7 @@ func TestDecodeCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Executions) != len(set.Executions) {
+	if len(got.Runs) != len(set.Executions) {
 		t.Fatalf("decode lost executions")
 	}
 	if _, err := DecodeCorpus("acme", "empty", strings.NewReader("")); err == nil {

@@ -1,6 +1,9 @@
 package trace
 
-import "slices"
+import (
+	"slices"
+	"unsafe"
+)
 
 // LogSet is a corpus in log form: every run's header and owned RunLog,
 // over one Symbols. Collection keeps the simulator's runs this way, and
@@ -52,6 +55,39 @@ func (s *LogSet) Counts() (succ, fail int) {
 		}
 	}
 	return succ, fail
+}
+
+// Bytes returns the resident size of the corpus in log form: the
+// backing arrays of its runs, logs and symbol tables, by capacity, and
+// the bytes of every run ID, failure signature and symbol name. Intern
+// carves every run's logs from one array per kind, so a set it built
+// counts each array once.
+func (s *LogSet) Bytes() int64 {
+	n := sliceBytes(s.Runs)
+	for _, names := range [][]string{s.Syms.Funcs, s.Syms.Exceptions, s.Syms.Mutexes} {
+		n += sliceBytes(names)
+		for _, name := range names {
+			n += int64(len(name))
+		}
+	}
+	n += sliceBytes(s.Syms.Objects)
+	for _, name := range s.Syms.Objects {
+		n += int64(len(name))
+	}
+	for i := range s.Runs {
+		r := &s.Runs[i]
+		n += int64(len(r.ID) + len(r.FailureSig))
+		n += sliceBytes(r.Log.Spans) + sliceBytes(r.Log.Accesses)
+		n += sliceBytes(r.Log.LockIDs) + sliceBytes(r.Log.LockEnd)
+		n += sliceBytes(r.Injected) + sliceBytes(r.kinds)
+	}
+	return n
+}
+
+// sliceBytes returns the size of s's backing array.
+func sliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }
 
 // Successes returns the successful runs, in order, as a LogSet over the

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"aid"
@@ -46,6 +47,28 @@ func memoExport(t *testing.T, study string, imported []byte) []byte {
 	return data
 }
 
+var seedOneExports struct {
+	sync.Mutex
+	data map[string][]byte
+}
+
+// seedOneExport is memoExport(t, study, nil), run once per study and
+// test binary.
+func seedOneExport(t *testing.T, study string) []byte {
+	t.Helper()
+	seedOneExports.Lock()
+	defer seedOneExports.Unlock()
+	if data, ok := seedOneExports.data[study]; ok {
+		return data
+	}
+	data := memoExport(t, study, nil)
+	if seedOneExports.data == nil {
+		seedOneExports.data = map[string][]byte{}
+	}
+	seedOneExports.data[study] = data
+	return data
+}
+
 func memoDigest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return fmt.Sprintf("%d %s", len(data), hex.EncodeToString(sum[:]))
@@ -79,7 +102,7 @@ func TestMemoExportGolden(t *testing.T) {
 	}
 	var lines []string
 	for _, s := range aid.CaseStudies() {
-		data := memoExport(t, s.Name, nil)
+		data := seedOneExport(t, s.Name)
 		if len(data) == 0 {
 			t.Fatalf("%s: empty memo export", s.Name)
 		}
@@ -126,6 +149,29 @@ func TestMemoFixtureRoundTrip(t *testing.T) {
 	}
 	if served := memoExport(t, memoFixtureStudy, fixture); !bytes.Equal(served, fixture) {
 		t.Fatalf("re-export after a run served from the memo drifted: %s, fixture %s", memoDigest(served), memoDigest(fixture))
+	}
+}
+
+// TestImportMemoSharesOneTable: every observation of a restored memo
+// is drawn over one predicate table, whatever tables its decoding made,
+// and the staged entries re-export the imported bytes.
+func TestImportMemoSharesOneTable(t *testing.T) {
+	for _, s := range aid.CaseStudies() {
+		data := seedOneExport(t, s.Name)
+		shared := aid.NewSharedScheduler()
+		if _, err := shared.ImportMemo(data); err != nil {
+			t.Fatal(err)
+		}
+		if n := aid.StagedMemoTables(shared); n != 1 {
+			t.Errorf("%s: imported observations use %d tables, want 1", s.Name, n)
+		}
+		again, err := shared.ExportMemo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Errorf("%s: re-export drifted: %s, imported %s", s.Name, memoDigest(again), memoDigest(data))
+		}
 	}
 }
 

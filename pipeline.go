@@ -193,18 +193,20 @@ func (s *SharedScheduler) ExportMemo() ([]byte, error) {
 }
 
 // ImportMemo restores a snapshot produced by ExportMemo, returning how
-// many entries it carried. Before the first run it stages the entries
-// and applies them when the scheduler is first bound; afterwards the
-// entries merge into the live cache, existing keys winning. The sharing
-// contract extends across the round trip: import only snapshots
-// exported for the same (program, corpus, seeds, config) tuple —
-// the daemon guarantees it by persisting memos under the session
-// fingerprint and corpus fingerprint they were derived over.
+// many entries it carried. The snapshot's observations share one
+// predicate table (core.ShareMemoTable). Before the first run it stages
+// the entries and applies them when the scheduler is first bound;
+// afterwards the entries merge into the live cache, existing keys
+// winning. The sharing contract extends across the round trip: import
+// only snapshots exported for the same (program, corpus, seeds, config)
+// tuple — the daemon guarantees it by persisting memos under the
+// session fingerprint and corpus fingerprint they were derived over.
 func (s *SharedScheduler) ImportMemo(data []byte) (int, error) {
 	var entries []core.MemoEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
 		return 0, fmt.Errorf("aid: import memo: %w", err)
 	}
+	core.ShareMemoTable(entries)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sched != nil {
@@ -375,8 +377,8 @@ func (p *Pipeline) coreOptions() (core.Options, error) {
 }
 
 // Collect runs the source's collection under the pipeline's quotas and
-// returns the corpus with Set filled: a simulator-backed source's logs
-// are materialized into it, and the later stages read Set, so edits to
+// returns the corpus with Set filled: the logs of a source that keeps
+// them (simulator-backed or stored) are materialized into it, and the later stages read Set, so edits to
 // it reach them.
 func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error) {
 	tr, err := p.collect(ctx, src)

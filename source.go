@@ -14,11 +14,12 @@ import (
 // under interventions (nil for purely offline corpora), the extraction
 // configuration, and the failure signature under debugging.
 //
-// Three implementations ship with the package: FromStudy (the built-in
-// case studies), FromProgram (a simulator sweep over any Program), and
+// Four implementations ship with the package: FromStudy (the built-in
+// case studies), FromProgram (a simulator sweep over any Program),
 // FromTraceFile (a JSON-lines corpus saved by WriteTraces — offline
-// debugging). Custom sources only need to honor ctx and the spec's
-// corpus quotas.
+// debugging), and FromStoredCorpus (such a corpus kept in log form, as
+// the daemon stores uploads). Custom sources only need to honor ctx and
+// the spec's corpus quotas.
 type TraceSource interface {
 	// Label names the source for reports and events.
 	Label() string
@@ -44,9 +45,10 @@ type CollectSpec struct {
 // need.
 type Traces struct {
 	// Set is the trace corpus in its interchange form. Sources that read
-	// a file or a store fill it. The simulator-backed sources (FromStudy,
-	// FromProgram) keep their runs' logs instead, and Pipeline.Collect
-	// and WriteTraces build Set from them; Pipeline.Run never does.
+	// a file fill it. The simulator-backed sources (FromStudy,
+	// FromProgram) and FromStoredCorpus keep the runs' logs instead, and
+	// Pipeline.Collect and WriteTraces build Set from them; Pipeline.Run
+	// never does.
 	Set *TraceSet
 	// FailSeeds are the scheduler seeds that produced the collected
 	// failures, in collection order; interventions replay a prefix.
@@ -68,7 +70,8 @@ type Traces struct {
 	Description string
 
 	// logs is the corpus in log form, as a simulator-backed source
-	// collected it (nil for a source that hands over Set).
+	// collected it or a stored corpus holds it (nil for a source that
+	// hands over Set).
 	logs *trace.LogSet
 }
 
@@ -120,17 +123,23 @@ func (s *StudySource) Collect(ctx context.Context, spec CollectSpec) (*Traces, e
 	if err != nil {
 		return nil, err
 	}
+	return studyTraces(s.study, logs, failSeeds), nil
+}
+
+// studyTraces attaches a case study's program, failure signature, step
+// budget, extraction configuration and labels to a corpus in log form.
+func studyTraces(st *CaseStudy, logs *trace.LogSet, failSeeds []int64) *Traces {
 	return &Traces{
 		logs:        logs,
 		FailSeeds:   failSeeds,
-		Program:     s.study.Program,
-		Config:      s.study.Config(),
-		FailureSig:  s.study.FailureSig,
-		MaxSteps:    s.study.MaxSteps,
-		Source:      s.study.Name,
-		Issue:       s.study.Issue,
-		Description: s.study.Description,
-	}, nil
+		Program:     st.Program,
+		Config:      st.Config(),
+		FailureSig:  st.FailureSig,
+		MaxSteps:    st.MaxSteps,
+		Source:      st.Name,
+		Issue:       st.Issue,
+		Description: st.Description,
+	}
 }
 
 // ---- Arbitrary-program source ----
@@ -312,6 +321,51 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 		spec.Observer.OnEvent(CollectProgress{Successes: succ, Failures: fail})
 	}
 	return tr, nil
+}
+
+// ---- Stored-corpus source (the daemon's corpora) ----
+
+// StoredCorpusSource hands the pipeline a corpus already in log form,
+// as the daemon stores an uploaded trace file: decoded and interned
+// once (trace.Intern), then shared by every session over it. It is
+// TraceFileSource.ForStudy over that file without reading it again, and
+// the pipeline extracts from the stored logs without interning them, so
+// its report is byte-identical to the file's.
+type StoredCorpusSource struct {
+	logs  *trace.LogSet
+	study *CaseStudy
+}
+
+// FromStoredCorpus adapts a corpus in log form, with a case study's
+// program, failure signature, step budget, extraction configuration and
+// labels attached, to the TraceSource interface. Pipelines read logs
+// and never modify it.
+func FromStoredCorpus(logs *trace.LogSet, st *CaseStudy) *StoredCorpusSource {
+	return &StoredCorpusSource{logs: logs, study: st}
+}
+
+// Label implements TraceSource.
+func (s *StoredCorpusSource) Label() string { return s.study.Name }
+
+// Collect implements TraceSource as TraceFileSource.Collect does over a
+// file: the spec's quotas are ignored, and FailSeeds are recovered from
+// the stored runs in storage order.
+func (s *StoredCorpusSource) Collect(ctx context.Context, spec CollectSpec) (*Traces, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	var failSeeds []int64
+	for i := range s.logs.Runs {
+		r := &s.logs.Runs[i]
+		if r.Failed() && (s.study.FailureSig == "" || r.FailureSig == s.study.FailureSig) {
+			failSeeds = append(failSeeds, r.Seed)
+		}
+	}
+	if spec.Observer != nil {
+		succ, fail := s.logs.Counts()
+		spec.Observer.OnEvent(CollectProgress{Successes: succ, Failures: fail})
+	}
+	return studyTraces(s.study, s.logs, failSeeds), nil
 }
 
 // WriteTraces saves a collected corpus as JSON lines — the format
