@@ -70,6 +70,15 @@ func collectAndRun(t *testing.T, p *aid.Pipeline, src aid.TraceSource) (*aid.Tra
 	return tr, corpus, rep
 }
 
+// failingSeeds is an executor that replays every failing seed of the
+// corpus, each run judged failed only under the study's signature.
+func failingSeeds(s *aid.CaseStudy, tr *aid.Traces, corpus *predicate.Corpus) *inject.Executor {
+	return &inject.Executor{
+		Prog: s.Program, Corpus: corpus, Seeds: tr.FailSeeds,
+		Cfg: s.Config(), FailureSig: s.FailureSig, MaxSteps: s.MaxSteps, Workers: 1,
+	}
+}
+
 // TestRootCausePathRepairsEveryFailingSeed is the strongest end-to-end
 // property: for each case study, every predicate on AID's discovered
 // causal path, when repaired on its own, must prevent the failure on
@@ -83,20 +92,17 @@ func TestRootCausePathRepairsEveryFailingSeed(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			tr, corpus, rep := collectAndRun(t, aid.New(aid.WithCorpusSize(25, 25)), aid.FromStudy(s))
+			x := failingSeeds(s, tr, corpus)
 			for _, cause := range rep.Result.Path {
 				if cause == aid.FailureID {
 					continue
 				}
-				plan, err := inject.PlanFor(corpus, []predicate.ID{cause})
+				persists, err := x.Persists(t.Context(), []predicate.ID{cause})
 				if err != nil {
-					t.Fatalf("plan for %s: %v", cause, err)
+					t.Fatalf("repairing %s: %v", cause, err)
 				}
-				for _, seed := range tr.FailSeeds {
-					exec := sim.MustRun(s.Program, seed, sim.RunOptions{Plan: plan, MaxSteps: s.MaxSteps})
-					if exec.Failed() && exec.FailureSig == s.FailureSig {
-						t.Fatalf("repairing %s did not prevent the failure on seed %d",
-							cause, seed)
-					}
+				if persists {
+					t.Fatalf("repairing %s did not prevent the failure on every failing seed", cause)
 				}
 			}
 		})
@@ -123,17 +129,9 @@ func TestSpuriousPredicatesDoNotRepair(t *testing.T) {
 				if p == nil || p.Repair.Kind == predicate.IvNone || !p.Repair.Safe {
 					continue
 				}
-				plan, err := inject.PlanFor(corpus, []predicate.ID{spur})
+				stillFails, err := failingSeeds(s, tr, corpus).Persists(t.Context(), []predicate.ID{spur})
 				if err != nil {
-					t.Fatalf("plan for %s: %v", spur, err)
-				}
-				stillFails := false
-				for _, seed := range tr.FailSeeds {
-					exec := sim.MustRun(s.Program, seed, sim.RunOptions{Plan: plan, MaxSteps: s.MaxSteps})
-					if exec.Failed() && exec.FailureSig == s.FailureSig {
-						stillFails = true
-						break
-					}
+					t.Fatalf("repairing %s: %v", spur, err)
 				}
 				if !stillFails {
 					t.Errorf("repairing spurious %s prevented the failure on every seed", spur)
@@ -385,11 +383,18 @@ func twoBugProgram() *sim.Program {
 // discoverSignatures runs seeds 1..seeds and returns the distinct
 // failure signatures observed, most frequent first.
 func discoverSignatures(p *sim.Program, seeds int) []string {
+	pp, err := sim.Prepare(p, nil)
+	if err != nil {
+		panic(err)
+	}
 	counts := make(map[string]int)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		exec := sim.MustRun(p, seed, sim.RunOptions{})
-		if exec.Failed() {
-			counts[exec.FailureSig]++
+		v, err := pp.Observe(seed, sim.Budget{}, nil)
+		if err != nil {
+			panic(err)
+		}
+		if v.Failed {
+			counts[v.Sig]++
 		}
 	}
 	sigs := make([]string, 0, len(counts))

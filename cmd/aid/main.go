@@ -142,7 +142,8 @@ func main() {
 }
 
 // inspect runs the early pipeline stages only and prints/saves the
-// requested views.
+// requested views: it collects, saves the traces when asked, and
+// extracts and ranks only for -sd or -dot.
 func inspect(ctx context.Context, pipeline *aid.Pipeline, source aid.TraceSource, dot, sd bool, top int, savePath string) error {
 	traces, err := pipeline.Collect(ctx, source)
 	if err != nil {
@@ -153,6 +154,9 @@ func inspect(ctx context.Context, pipeline *aid.Pipeline, source aid.TraceSource
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "saved %d executions to %s\n", len(traces.Set.Executions), savePath)
+	}
+	if !sd && !dot {
+		return nil
 	}
 	corpus := pipeline.Extract(traces)
 	ranking := pipeline.Rank(corpus)

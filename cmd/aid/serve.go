@@ -53,7 +53,7 @@ func runServe(args []string) {
 		resultCache  = fs.Int("result-cache", 0, "finished-session results served whole on a repeat spec, per tenant (LRU; 0 = off)")
 		maxCorpus    = fs.Int64("max-corpus-bytes", 64<<20, "corpus ingest body cap in bytes (413 beyond it)")
 		persist      = fs.String("persist", "", "state directory for the durable scheduler-memo cache; empty = memos die with the process")
-		fsyncMode    = fs.String("fsync", "always", "memo-log fsync policy: always, batch, or none")
+		fsyncMode    = fs.String("fsync", "always", "memo-log fsync policy: always (every append), batch (only when a log is compacted or closed), or none")
 	)
 	fs.Parse(args)
 

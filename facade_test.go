@@ -3,6 +3,7 @@ package aid_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"aid"
@@ -200,5 +201,41 @@ func TestPipelineVariants(t *testing.T) {
 	pipeline := aid.New(aid.WithCorpusSize(20, 20), aid.WithVariant("nope"))
 	if _, err := pipeline.Run(ctx, aid.FromStudy(study)); err == nil {
 		t.Error("unknown variant accepted")
+	}
+}
+
+// TestPipelineCorpusSizeLimits: a negative quota is an error, not a
+// panic, and collection's buffers grow with the runs it keeps, not with
+// the quotas or the pool width a caller asks for.
+func TestPipelineCorpusSizeLimits(t *testing.T) {
+	ctx := context.Background()
+	npgsql := aid.FromStudy(aid.CaseStudyByName("npgsql"))
+	for _, size := range [][2]int{{-100, 1}, {1, -1}} {
+		if _, err := aid.New(aid.WithCorpusSize(size[0], size[1])).Run(ctx, npgsql); err == nil {
+			t.Errorf("corpus size %d+%d accepted", size[0], size[1])
+		}
+	}
+	allocated := func(opts ...aid.Option) (uint64, error) {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := aid.New(opts...).Collect(ctx, npgsql)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	if n, err := allocated(aid.WithCorpusSize(2_000_000, 1), aid.WithSeedCap(50)); err == nil || n > 8<<20 {
+		t.Errorf("2,000,000+1 within 50 seeds: %d bytes allocated (err %v), want a failure within 8 MB", n, err)
+	}
+	narrow, err := allocated(aid.WithCorpusSize(5, 5), aid.WithSeedCap(40), aid.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := allocated(aid.WithCorpusSize(5, 5), aid.WithSeedCap(40), aid.WithWorkers(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("5+5 within 40 seeds: %d bytes at 1 worker, %d at 20000", narrow, wide)
+	if wide > narrow+1<<20 {
+		t.Errorf("20000 workers allocate %d bytes, 1 worker %d: more than 1 MB apart", wide, narrow)
 	}
 }

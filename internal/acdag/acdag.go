@@ -90,21 +90,8 @@ func (s *NodeSet) AddIndex(i int) *NodeSet {
 	return s
 }
 
-// Remove deletes the node with the given ID.
-func (s *NodeSet) Remove(id predicate.ID) {
-	if i, ok := s.d.idx[id]; ok {
-		s.bits.Unset(i)
-	}
-}
-
 // RemoveIndex deletes the node at the given dense index.
 func (s *NodeSet) RemoveIndex(i int) { s.bits.Unset(i) }
-
-// Has reports membership by ID.
-func (s *NodeSet) Has(id predicate.ID) bool {
-	i, ok := s.d.idx[id]
-	return ok && s.bits.Has(i)
-}
 
 // HasIndex reports membership by dense index.
 func (s *NodeSet) HasIndex(i int) bool { return s.bits.Has(i) }
@@ -152,13 +139,11 @@ func (d *DAG) maskFor(s *NodeSet) bitset {
 	return s.bits
 }
 
-// BuildOptions configures DAG construction from a corpus.
-type BuildOptions struct {
-	// IncludeUnsafe keeps predicates whose intervention is unsafe or
-	// missing. By default they are excluded, as the paper requires every
-	// AC-DAG node to be safely intervenable (§3.3).
-	IncludeUnsafe bool
-}
+// BuildOptions configures DAG construction from a corpus. It has no
+// fields: predicates whose intervention is unsafe or missing are always
+// excluded, as the paper requires every AC-DAG node to be safely
+// intervenable (§3.3).
+type BuildOptions struct{}
 
 // BuildReport records what construction excluded and why.
 type BuildReport struct {
@@ -200,7 +185,7 @@ func Build(c *predicate.Corpus, candidates []predicate.ID, opts BuildOptions) (*
 			return nil, nil, fmt.Errorf("acdag: predicate %q not in corpus", id)
 		}
 		p := c.PredAt(h)
-		if id != predicate.FailureID && !opts.IncludeUnsafe &&
+		if id != predicate.FailureID &&
 			(p.Repair.Kind == predicate.IvNone || !p.Repair.Safe) {
 			report.Unsafe = append(report.Unsafe, id)
 			continue
@@ -322,7 +307,7 @@ func BuildRowOracle(lookup func(predicate.ID) *predicate.Predicate, failLogs []m
 		if p == nil {
 			return nil, nil, fmt.Errorf("acdag: predicate %q not in corpus", id)
 		}
-		if id != predicate.FailureID && !opts.IncludeUnsafe &&
+		if id != predicate.FailureID &&
 			(p.Repair.Kind == predicate.IvNone || !p.Repair.Safe) {
 			report.Unsafe = append(report.Unsafe, id)
 			continue
@@ -601,12 +586,6 @@ func (d *DAG) Nodes() []predicate.ID {
 // Len returns the number of nodes.
 func (d *DAG) Len() int { return len(d.nodes) }
 
-// Has reports whether the node exists.
-func (d *DAG) Has(id predicate.ID) bool {
-	_, ok := d.idx[id]
-	return ok
-}
-
 // IndexOf returns the node's dense index.
 func (d *DAG) IndexOf(id predicate.ID) (int, bool) {
 	i, ok := d.idx[id]
@@ -716,18 +695,6 @@ func (d *DAG) LevelsIndex(alive *NodeSet) []int {
 	}
 	return d.levelsDense(alive.bits)
 }
-
-// LevelsWithin computes topological levels restricted to the alive set
-// (nil = all nodes), keyed by ID — the edge form of levelsDense.
-func (d *DAG) LevelsWithin(alive *NodeSet) map[predicate.ID]int {
-	lvls := d.LevelsIndex(alive)
-	levels := make(map[predicate.ID]int)
-	d.maskFor(alive).ForEach(func(i int) { levels[d.nodes[i]] = lvls[i] })
-	return levels
-}
-
-// Levels is LevelsWithin over all nodes.
-func (d *DAG) Levels() map[predicate.ID]int { return d.LevelsWithin(nil) }
 
 // TopoOrder returns the nodes sorted by level; ties are shuffled with
 // rng (GIWP resolves ties randomly) or sorted by ID when rng is nil.
@@ -871,31 +838,6 @@ func (d *DAG) BranchesIndex(junction []int, alive *NodeSet) [][]int {
 		}
 		bits.ForEach(func(q int) { branch = append(branch, q) })
 		out[k] = branch
-	}
-	return out
-}
-
-// Branches is BranchesIndex at the ID edge, keyed by junction member.
-// Unknown members map to a branch containing only themselves.
-func (d *DAG) Branches(junction []predicate.ID, alive *NodeSet) map[predicate.ID][]predicate.ID {
-	out := make(map[predicate.ID][]predicate.ID, len(junction))
-	var known []int
-	var knownIDs []predicate.ID
-	for _, p := range junction {
-		if i, ok := d.idx[p]; ok {
-			known = append(known, i)
-			knownIDs = append(knownIDs, p)
-		} else {
-			out[p] = []predicate.ID{p}
-		}
-	}
-	dense := d.BranchesIndex(known, alive)
-	for k, branch := range dense {
-		ids := make([]predicate.ID, len(branch))
-		for x, q := range branch {
-			ids[x] = d.nodes[q]
-		}
-		out[knownIDs[k]] = ids
 	}
 	return out
 }

@@ -57,17 +57,3 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkLevels measures topological-level computation, the inner
 // loop of branch pruning.
-func BenchmarkLevels(b *testing.B) {
-	c, ids := benchCorpus(90, 10)
-	d, _, err := Build(c, ids, BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if levels := d.Levels(); len(levels) == 0 {
-			b.Fatal("no levels")
-		}
-	}
-}

@@ -87,19 +87,6 @@ func (v Vec) Count() int {
 	return n
 }
 
-// CountAnd returns |v ∩ o| without materializing the intersection.
-func (v Vec) CountAnd(o Vec) int {
-	n := len(v)
-	if len(o) < n {
-		n = len(o)
-	}
-	c := 0
-	for w := 0; w < n; w++ {
-		c += bits.OnesCount64(v[w] & o[w])
-	}
-	return c
-}
-
 // Rank returns the number of set elements strictly below i.
 func (v Vec) Rank(i int) int {
 	w := i >> 6

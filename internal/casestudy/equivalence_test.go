@@ -12,15 +12,24 @@ import (
 )
 
 // assembleAllSweep is Collect's reference: a sequential seed sweep that
-// assembles every run's trace and applies the quota rules to each in
-// seed order.
+// keeps every run, assembles its trace and applies the quota rules to
+// each in seed order.
 func assembleAllSweep(t *testing.T, s *Study, rc CollectConfig) (*trace.Set, []int64) {
 	t.Helper()
+	pp, err := sim.Prepare(s.Program, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms, err := s.Program.Symbols()
+	if err != nil {
+		t.Fatal(err)
+	}
 	set := &trace.Set{}
 	var failSeeds []int64
 	succ, fail := 0, 0
 	for seed := int64(1); seed <= int64(rc.SeedCap) && (succ < rc.Successes || fail < rc.Failures); seed++ {
-		exec := sim.MustRun(s.Program, seed, sim.RunOptions{MaxSteps: s.MaxSteps})
+		run, _ := pp.RunIf(seed, s.MaxSteps, nil)
+		exec := run.Execution(&syms)
 		switch {
 		case exec.Failed() && exec.FailureSig == s.FailureSig && fail < rc.Failures:
 			fail++

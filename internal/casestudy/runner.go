@@ -103,11 +103,16 @@ func Collect(ctx context.Context, s *Study, cc CollectConfig) (*trace.LogSet, []
 	if err != nil {
 		return nil, nil, fmt.Errorf("casestudy %s: %w", s.Name, err)
 	}
-	set := &trace.LogSet{Syms: syms, Runs: make([]trace.LogRun, 0, cc.Successes+cc.Failures)}
+	set := &trace.LogSet{Syms: syms}
 	var failSeeds []int64
 	succ, fail := 0, 0
 	ours := func(v sim.Verdict) bool { return s.FailureSig == "" || v.Sig == s.FailureSig }
-	chunk := int64(par.Workers(cc.Workers) * collectChunk)
+	// A chunk holds collectChunk seeds per worker, and never more than
+	// the cap: no buffer here is sized by a requested number alone.
+	chunk := max(int64(cc.SeedCap), 0)
+	if w := int64(par.Workers(cc.Workers)); w <= chunk/collectChunk {
+		chunk = w * collectChunk
+	}
 	var seeds []int64
 	// kept[i] is the chunk's i-th run when kept (reused across chunks:
 	// every run writes its slot).

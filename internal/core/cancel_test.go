@@ -16,7 +16,7 @@ func TestDiscoverContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	calls := 0
-	iv := IntervenerFunc(func(ivCtx context.Context, preds []predicate.ID) ([]Observation, error) {
+	iv := intervenerFunc(func(ivCtx context.Context, preds []predicate.ID) ([]Observation, error) {
 		calls++
 		cancel()
 		return w.Intervene(ivCtx, preds)
@@ -36,7 +36,7 @@ func TestDiscoverPreCancelled(t *testing.T) {
 	d, _ := paperWorld(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	iv := IntervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
+	iv := intervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
 		t.Error("intervener called under a cancelled context")
 		return nil, nil
 	})

@@ -68,14 +68,6 @@ type Intervener interface {
 	Intervene(ctx context.Context, preds []predicate.ID) ([]Observation, error)
 }
 
-// IntervenerFunc adapts a function to the Intervener interface.
-type IntervenerFunc func(ctx context.Context, preds []predicate.ID) ([]Observation, error)
-
-// Intervene calls f.
-func (f IntervenerFunc) Intervene(ctx context.Context, preds []predicate.ID) ([]Observation, error) {
-	return f(ctx, preds)
-}
-
 // Options selects the AID variant.
 type Options struct {
 	// BranchPruning enables Algorithm 2 before the group-intervention

@@ -11,6 +11,13 @@ import (
 	"aid/internal/predicate"
 )
 
+// intervenerFunc adapts a function to the Intervener interface.
+type intervenerFunc func(ctx context.Context, preds []predicate.ID) ([]Observation, error)
+
+func (f intervenerFunc) Intervene(ctx context.Context, preds []predicate.ID) ([]Observation, error) {
+	return f(ctx, preds)
+}
+
 // truthWorld is a ground-truth causal model for testing: every
 // predicate fires iff its parent fires and it is not intervened; the
 // failure occurs iff the last predicate of the causal path fires.
@@ -270,7 +277,7 @@ func TestDiscoverErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Discover(context.Background(), d, IntervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
+	if _, err := Discover(context.Background(), d, intervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
 		return nil, nil
 	}), AIDOptions(1)); err == nil {
 		t.Fatal("DAG without F accepted")
@@ -281,12 +288,12 @@ func TestDiscoverErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantErr := errors.New("boom")
-	if _, err := Discover(context.Background(), dF, IntervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
+	if _, err := Discover(context.Background(), dF, intervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
 		return nil, wantErr
 	}), AIDOptions(1)); err == nil || !errors.Is(err, wantErr) {
 		t.Fatalf("intervener error not propagated: %v", err)
 	}
-	if _, err := Discover(context.Background(), dF, IntervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
+	if _, err := Discover(context.Background(), dF, intervenerFunc(func(context.Context, []predicate.ID) ([]Observation, error) {
 		return []Observation{}, nil
 	}), AIDOptions(1)); err == nil {
 		t.Fatal("empty observations accepted")

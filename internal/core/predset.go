@@ -22,7 +22,7 @@ import (
 type PredTable struct {
 	ids []predicate.ID
 	// order holds the indices of ids sorted by ID: the order sets
-	// iterate and encode in, and the search order of Has.
+	// iterate and encode in.
 	order []int32
 }
 
@@ -78,18 +78,9 @@ func PredSetOf(ids ...predicate.ID) PredSet {
 }
 
 // Table returns the table the set is drawn over (nil for a missed run).
+// Only tests call it: aid's TestImportMemoSharesOneTable checks that a
+// restored memo's observations share one table.
 func (s PredSet) Table() *PredTable { return s.t }
-
-// Has reports whether id is in the set.
-func (s PredSet) Has(id predicate.ID) bool {
-	if s.t == nil {
-		return false
-	}
-	k, ok := slices.BinarySearchFunc(s.t.order, id, func(i int32, id predicate.ID) int {
-		return strings.Compare(string(s.t.ids[i]), string(id))
-	})
-	return ok && s.bits.Has(int(s.t.order[k]))
-}
 
 // Len returns the number of IDs in the set.
 func (s PredSet) Len() int { return s.bits.Count() }

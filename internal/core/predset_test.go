@@ -126,11 +126,6 @@ func TestPredSetJSONMatchesMap(t *testing.T) {
 			}
 		}
 		set := table.Set(bits)
-		for _, id := range table.ids {
-			if set.Has(id) != sub[id] {
-				t.Fatalf("Has(%q) = %v in %v", id, set.Has(id), set)
-			}
-		}
 		check(set, sub)
 	}
 }
@@ -146,7 +141,7 @@ func TestPredSetMissedRun(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"a":true,"b":false,"a":true}`), &s); err != nil {
 		t.Fatal(err)
 	}
-	if s.t == nil || s.Len() != 1 || !s.Has("a") || s.Has("b") {
+	if s.t == nil || !slices.Equal(slices.Collect(s.All()), []predicate.ID{"a"}) {
 		t.Fatalf("decoded %v", s)
 	}
 	if err := json.Unmarshal([]byte(`null`), &s); err != nil || s.t != nil {

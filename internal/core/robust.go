@@ -210,9 +210,6 @@ func NewRobustIntervener(inner Intervener, cfg RobustConfig) *RobustIntervener {
 	}
 }
 
-// Inner returns the wrapped intervener.
-func (r *RobustIntervener) Inner() Intervener { return r.inner }
-
 // Stats returns a snapshot of the accumulated accounting.
 func (r *RobustIntervener) Stats() RobustStats {
 	r.mu.Lock()

@@ -19,8 +19,8 @@ const (
 	// Append survives an immediate crash. The default — one fsync per
 	// daemon session is cheap next to the replays the record saves.
 	SyncAlways SyncPolicy = iota
-	// SyncBatch fsyncs only at flush points (Flush, Compact, Close):
-	// appends between a flush and a crash may be lost, never torn-read
+	// SyncBatch fsyncs only when the log is compacted or closed: appends
+	// since the last compaction may be lost in a crash, never torn-read
 	// — recovery drops the unsynced tail cleanly.
 	SyncBatch
 	// SyncNone never fsyncs (tests and benchmarks); crash durability is
@@ -249,14 +249,8 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// Flush fsyncs pending appends (a no-op under SyncAlways, which has
-// none, and under SyncNone, which never syncs).
-func (l *Log) Flush() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushLocked()
-}
-
+// flushLocked fsyncs pending appends (a no-op under SyncAlways, which
+// has none, and under SyncNone, which never syncs).
 func (l *Log) flushLocked() error {
 	if l.f == nil || !l.dirty || l.policy == SyncNone {
 		return nil

@@ -57,11 +57,11 @@ func isolated(orig *sim.Program, fn string) *sim.Program {
 // and a bounded hang still yields a valid snapshot.
 func finalState(t *testing.T, p *sim.Program, seed int64, plan sim.Plan) sim.FinalState {
 	t.Helper()
-	var fs sim.FinalState
-	if _, err := sim.Run(p, seed, sim.RunOptions{Plan: plan, MaxSteps: 5000, Final: &fs}); err != nil {
+	pp, err := sim.Prepare(p, plan)
+	if err != nil {
 		t.Fatalf("%s: %v", p.Name, err)
 	}
-	return fs
+	return pp.FinalState(seed, 5000)
 }
 
 func soundnessPrograms() []*sim.Program {

@@ -1,4 +1,4 @@
-package sim_test
+package inject
 
 import (
 	"context"
@@ -6,7 +6,6 @@ import (
 
 	"aid/internal/acdag"
 	"aid/internal/casestudy"
-	"aid/internal/inject"
 	"aid/internal/predicate"
 	"aid/internal/sim"
 	"aid/internal/statdebug"
@@ -40,7 +39,7 @@ func BenchmarkSimulateStudies(b *testing.B) {
 					pool = append(pool, id)
 				}
 			}
-			plan, err := inject.PlanFor(corpus, pool)
+			plan, err := planFor(corpus, pool, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -24,18 +24,11 @@ import (
 	"aid/internal/trace"
 )
 
-// PlanFor builds the sim.Plan that simultaneously repairs the given
-// predicates. Predicates must exist in the corpus and carry a usable
-// repair (Kind != IvNone). Every recipe composes into one plan in
-// place: copying the plan per predicate was quadratic on TAGT's
-// whole-pool groups. The map is made with room for one entry per
-// predicate: a recipe touches one or two methods and a large group's
-// predicates share methods, so it seldom grows while recipes fold in.
-func PlanFor(c *predicate.Corpus, preds []predicate.ID) (sim.Plan, error) {
-	return planFor(c, preds, len(preds))
-}
-
-// planFor is PlanFor with room for hint methods in the plan map.
+// planFor builds the sim.Plan that simultaneously repairs the given
+// predicates, in a map with room for hint methods. Predicates must
+// exist in the corpus and carry a usable repair (Kind != IvNone). Every
+// recipe composes into one plan in place: copying the plan per
+// predicate was quadratic on TAGT's whole-pool groups.
 func planFor(c *predicate.Corpus, preds []predicate.ID, hint int) (sim.Plan, error) {
 	plan := make(sim.Plan, hint)
 	for _, id := range preds {

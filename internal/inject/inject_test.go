@@ -29,7 +29,7 @@ func TestPlanForLockMethods(t *testing.T) {
 			Kind: predicate.IvLockMethods, Methods: []string{"A", "B"}, Safe: true,
 		},
 	})
-	plan, err := PlanFor(c, []predicate.ID{"race:A|B@x"})
+	plan, err := planFor(c, []predicate.ID{"race:A|B@x"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPlanForReturnInterventions(t *testing.T) {
 		predicate.Predicate{ID: "fails:P#0", Repair: predicate.Intervention{
 			Kind: predicate.IvCatchException, Methods: []string{"P"}, Value: 3, Safe: true}},
 	)
-	plan, err := PlanFor(c, []predicate.ID{"slow:M#0", "slow:V#0", "ret:N#0", "fast:O#0", "fails:P#0"})
+	plan, err := planFor(c, []predicate.ID{"slow:M#0", "slow:V#0", "ret:N#0", "fast:O#0", "fails:P#0"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestPlanForEnforceOrder(t *testing.T) {
 			Kind: predicate.IvEnforceOrder, Methods: []string{"A", "B"}, Safe: true,
 		},
 	})
-	plan, err := PlanFor(c, []predicate.ID{"order:A#0<B#0"})
+	plan, err := planFor(c, []predicate.ID{"order:A#0<B#0"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPlanForEnforceOrder(t *testing.T) {
 		ID:     "order:bad",
 		Repair: predicate.Intervention{Kind: predicate.IvEnforceOrder, Methods: []string{"A"}},
 	})
-	if _, err := PlanFor(bad, []predicate.ID{"order:bad"}); err == nil {
+	if _, err := planFor(bad, []predicate.ID{"order:bad"}, 0); err == nil {
 		t.Fatal("1-method order intervention accepted")
 	}
 }
@@ -116,7 +116,7 @@ func TestPlanForGroup(t *testing.T) {
 			},
 		},
 	})
-	plan, err := PlanFor(c, []predicate.ID{"and(a,b)"})
+	plan, err := planFor(c, []predicate.ID{"and(a,b)"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestPlanForErrors(t *testing.T) {
 	c := corpusWith(predicate.Predicate{
 		ID: "atom:x", Repair: predicate.Intervention{Kind: predicate.IvNone},
 	})
-	if _, err := PlanFor(c, []predicate.ID{"ghost"}); err == nil {
+	if _, err := planFor(c, []predicate.ID{"ghost"}, 0); err == nil {
 		t.Fatal("unknown predicate accepted")
 	}
-	if _, err := PlanFor(c, []predicate.ID{"atom:x"}); err == nil {
+	if _, err := planFor(c, []predicate.ID{"atom:x"}, 0); err == nil {
 		t.Fatal("IvNone accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestPlanForMergesSameMethod(t *testing.T) {
 		predicate.Predicate{ID: "race2", Repair: predicate.Intervention{
 			Kind: predicate.IvLockMethods, Methods: []string{"M"}, Safe: true}},
 	)
-	plan, err := PlanFor(c, []predicate.ID{"race1", "race2"})
+	plan, err := planFor(c, []predicate.ID{"race1", "race2"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +177,19 @@ func executorFixture(t *testing.T) (*sim.Program, *predicate.Corpus, *Executor) 
 		sim.If{Cond: sim.Cond{A: sim.V("c"), Op: sim.EQ, B: sim.Lit(1)},
 			Then: []sim.Op{sim.Throw{Kind: "Corrupt"}}},
 	)
+	pp, err := sim.Prepare(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms, err := p.Symbols()
+	if err != nil {
+		t.Fatal(err)
+	}
 	set := &trace.Set{}
 	var failSeeds []int64
 	for seed := int64(1); seed <= 60; seed++ {
-		e := sim.MustRun(p, seed, sim.RunOptions{})
+		run, _ := pp.RunIf(seed, 0, nil)
+		e := run.Execution(&syms)
 		set.Executions = append(set.Executions, e)
 		if e.Failed() {
 			failSeeds = append(failSeeds, seed)
@@ -221,7 +230,7 @@ func TestExecutorStopsFailureOnCausalIntervention(t *testing.T) {
 		}
 		// The slow predicate keeps firing (the sleep still happens):
 		// exactly what interventional pruning feeds on.
-		if corpus.Pred("slow:Slow#0") != nil && !o.Observed.Has("slow:Slow#0") {
+		if corpus.Pred("slow:Slow#0") != nil && !observed(o, "slow:Slow#0") {
 			t.Fatal("slow:Slow#0 should still be observed while the failure stops")
 		}
 	}
@@ -244,7 +253,7 @@ func TestExecutorKeepsFailureOnSpuriousIntervention(t *testing.T) {
 		if o.Failed {
 			anyFailed = true
 		}
-		if o.Observed.Has("slow:Slow#0") {
+		if observed(o, "slow:Slow#0") {
 			t.Fatal("intervened predicate must be pinned to false")
 		}
 	}

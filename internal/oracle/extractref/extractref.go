@@ -965,6 +965,32 @@ func commonParent(e *trace.Execution, a, b instKey) string {
 	return best.Method
 }
 
+// ReplayBits is the replay monitors' reference: bits[r][i] reports
+// whether c's i-th predicate occurs in replays[r]'s row of Extract over
+// baselines ++ replays, each replay marked failed, with c's compounds
+// materialized there in corpus order.
+func ReplayBits(c *predicate.Corpus, baselines, replays []trace.Execution, cfg predicate.Config) [][]bool {
+	set := &trace.Set{Executions: append(slices.Clone(baselines), replays...)}
+	for i := len(baselines); i < len(set.Executions); i++ {
+		set.Executions[i].Outcome = trace.Failure
+	}
+	ref := Extract(set, cfg)
+	for _, p := range c.Preds {
+		if p.Kind == predicate.KindCompound {
+			ref.MaterializeCompound(p)
+		}
+	}
+	bits := make([][]bool, len(replays))
+	for r := range replays {
+		occ := ref.Log(len(baselines) + r).OccMap()
+		for _, p := range c.Preds {
+			_, ok := occ[p.ID]
+			bits[r] = append(bits[r], ok)
+		}
+	}
+	return bits
+}
+
 // Compare extracts s with predicate.Extract and with this reference and
 // returns an error showing where their corpus-codec encodings first
 // differ, or nil when they are byte-identical.

@@ -157,10 +157,10 @@ func randomSet(r *rand.Rand) *trace.Set {
 			Thread:   trace.ThreadID(r.Intn(3)),
 			Start:    start,
 			End:      end,
-			Return:   trace.IntValue(int64(r.Intn(3))),
+			Return:   trace.Value{Int: int64(r.Intn(3))},
 		}
 		if r.Intn(3) == 0 {
-			tmpl[i].Return = trace.VoidValue()
+			tmpl[i].Return = trace.Value{Void: true}
 		}
 		tmpl[i].Accesses = accesses(start, end)
 	}
@@ -182,7 +182,7 @@ func randomSet(r *rand.Rand) *trace.Set {
 				c.Instance = insts[r.Intn(len(insts))]
 			}
 			if r.Intn(6) == 0 {
-				c.Return = trace.IntValue(int64(r.Intn(3)))
+				c.Return = trace.Value{Int: int64(r.Intn(3))}
 			}
 			if r.Intn(10) == 0 {
 				c.Exception = "Boom"

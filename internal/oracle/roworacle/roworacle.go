@@ -13,7 +13,6 @@
 package roworacle
 
 import (
-	"math"
 	"sort"
 
 	"aid/internal/acdag"
@@ -160,20 +159,6 @@ func Scores(c *Corpus) []statdebug.Score {
 	return out
 }
 
-// Discriminative mirrors statdebug.Discriminative on the row path.
-func Discriminative(c *Corpus, minPrecision, minRecall float64) []predicate.ID {
-	var out []predicate.ID
-	for _, s := range Scores(c) {
-		if s.Pred == predicate.FailureID {
-			continue
-		}
-		if s.Precision >= minPrecision && s.Recall >= minRecall && s.Occurrences > 0 {
-			out = append(out, s.Pred)
-		}
-	}
-	return out
-}
-
 // FullyDiscriminative mirrors statdebug.FullyDiscriminative on the row
 // path (including its per-call partition allocations).
 func FullyDiscriminative(c *Corpus) []predicate.ID {
@@ -290,43 +275,6 @@ func materializeCompound(c *Corpus, p predicate.Predicate) {
 			l.Occ[p.ID] = window
 		}
 	}
-}
-
-// EntropyGain mirrors statdebug.EntropyGain on the row path.
-func EntropyGain(c *Corpus, id predicate.ID) float64 {
-	var n, fail, occ, occFail float64
-	for i := range c.Logs {
-		n++
-		l := &c.Logs[i]
-		if l.Failed {
-			fail++
-		}
-		if l.Has(id) {
-			occ++
-			if l.Failed {
-				occFail++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	h := entropy(fail / n)
-	var cond float64
-	if occ > 0 {
-		cond += occ / n * entropy(occFail/occ)
-	}
-	if occ < n {
-		cond += (n - occ) / n * entropy((fail-occFail)/(n-occ))
-	}
-	return h - cond
-}
-
-func entropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }
 
 // Build runs the row-oriented AC-DAG construction (acdag.BuildRowOracle)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"aid/internal/oracle/canon"
 	"aid/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func benchSet(execs, callsPerExec int) *trace.Set {
 				Thread: trace.ThreadID(c % 3),
 				Start:  t,
 				End:    t + dur,
-				Return: trace.IntValue(int64(c % 10)),
+				Return: trace.Value{Int: int64(c % 10)},
 				Accesses: []trace.Access{
 					{Object: trace.ObjectID(fmt.Sprintf("obj%d", c%5)), Kind: trace.Read, At: t + 1},
 					{Object: trace.ObjectID(fmt.Sprintf("obj%d", c%5)), Kind: trace.Write, At: t + dur - 1},
@@ -44,7 +45,7 @@ func benchSet(execs, callsPerExec int) *trace.Set {
 			exec.Calls = append(exec.Calls, call)
 			t += dur / 2 // overlapping spans stress the race detector
 		}
-		s.Add(exec)
+		canon.Add(s, exec)
 	}
 	return s
 }

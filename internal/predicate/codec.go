@@ -7,10 +7,10 @@ import (
 	"io"
 )
 
-// The on-disk corpus format is a single JSON document holding the
-// predicate definitions (including repair recipes) and the per-execution
-// logs, so a corpus collected on one machine can be debugged offline —
-// the paper's separation of logging from analysis.
+// The corpus encoding is a single JSON document holding the predicate
+// definitions (including repair recipes) and the per-execution logs. The
+// extraction differential (internal/oracle/extractref) compares corpora
+// by it, byte for byte.
 
 type corpusFile struct {
 	Preds []Predicate   `json:"predicates"`
@@ -26,8 +26,7 @@ type execLogFile struct {
 // Encode writes the corpus as JSON. Rows are materialized back to the
 // row-oriented edge form (ID-keyed occurrence maps) in one
 // column-major pass — O(total occurrences), not O(rows × predicates) —
-// so the columnar in-memory layout never leaks to disk and the format
-// is unchanged.
+// so the encoding does not depend on the columnar in-memory layout.
 func (c *Corpus) Encode(w io.Writer) error {
 	f := corpusFile{Preds: c.Preds}
 	occs := make([]map[ID]Occurrence, c.NumLogs())
@@ -54,26 +53,4 @@ func (c *Corpus) Encode(w io.Writer) error {
 		return fmt.Errorf("predicate: encode corpus: %w", err)
 	}
 	return bw.Flush()
-}
-
-// DecodeCorpus reads a corpus written by Encode, streaming each log
-// into the columnar store.
-func DecodeCorpus(r io.Reader) (*Corpus, error) {
-	var f corpusFile
-	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("predicate: decode corpus: %w", err)
-	}
-	c := NewCorpus()
-	for _, p := range f.Preds {
-		c.AddPred(p)
-	}
-	for _, l := range f.Logs {
-		for id := range l.Occ {
-			if c.Pred(id) == nil {
-				return nil, fmt.Errorf("predicate: log %q references unknown predicate %q", l.ExecID, id)
-			}
-		}
-		c.AddLog(l.ExecID, l.Failed, l.Occ)
-	}
-	return c, nil
 }

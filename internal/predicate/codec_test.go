@@ -2,8 +2,8 @@ package predicate
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"aid/internal/trace"
@@ -33,61 +33,45 @@ func corpusFixture() *Corpus {
 	return c
 }
 
-func TestCorpusCodecRoundTrip(t *testing.T) {
-	c := corpusFixture()
+// encoded returns c's encoding read back into the file form.
+func encoded(t *testing.T, c *Corpus) corpusFile {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeCorpus(&buf)
-	if err != nil {
+	var f corpusFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+func TestCorpusCodecRoundTrip(t *testing.T) {
+	c := corpusFixture()
+	got := encoded(t, c)
 	if !reflect.DeepEqual(got.Preds, c.Preds) {
 		t.Fatalf("predicates mismatch:\n got %+v\nwant %+v", got.Preds, c.Preds)
 	}
-	if got.NumLogs() != c.NumLogs() {
+	if len(got.Logs) != c.NumLogs() {
 		t.Fatalf("log count mismatch")
 	}
-	for i := 0; i < c.NumLogs(); i++ {
-		if got.Log(i).ExecID() != c.Log(i).ExecID() || got.Log(i).Failed() != c.Log(i).Failed() {
+	for i, l := range got.Logs {
+		if l.ExecID != c.Log(i).ExecID() || l.Failed != c.Log(i).Failed() {
 			t.Fatalf("log %d header mismatch", i)
 		}
-		if !reflect.DeepEqual(got.Log(i).OccMap(), c.Log(i).OccMap()) {
+		if !reflect.DeepEqual(l.Occ, c.Log(i).OccMap()) {
 			t.Fatalf("log %d occurrences mismatch", i)
 		}
-	}
-	// Index rebuilt: lookups work on the decoded corpus.
-	if got.Pred("race:A|B@x") == nil || !got.Pred("race:A|B@x").Repair.Safe {
-		t.Fatal("decoded corpus lost predicate index or repair")
-	}
-}
-
-func TestCorpusDecodeRejectsDanglingReference(t *testing.T) {
-	raw := `{"predicates":[{"ID":"p","Kind":5}],"logs":[{"execId":"f","failed":true,"occurrences":{"ghost":{"start":1,"end":2,"thread":-1}}}]}`
-	if _, err := DecodeCorpus(strings.NewReader(raw)); err == nil {
-		t.Fatal("dangling occurrence reference accepted")
-	}
-	if _, err := DecodeCorpus(strings.NewReader("{broken")); err == nil {
-		t.Fatal("corrupt JSON accepted")
 	}
 }
 
 func TestCorpusCodecPreservesThreads(t *testing.T) {
-	c := corpusFixture()
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCorpus(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	occ, _ := got.Log(1).Occ("ret:C#1")
-	if occ.Thread != trace.ThreadID(2) {
+	got := encoded(t, corpusFixture())
+	if occ := got.Logs[1].Occ["ret:C#1"]; occ.Thread != trace.ThreadID(2) {
 		t.Fatalf("thread attribution lost: %+v", occ)
 	}
-	if f, _ := got.Log(1).Occ(FailureID); f.Thread != NoThread {
+	if f := got.Logs[1].Occ[FailureID]; f.Thread != NoThread {
 		t.Fatal("NoThread sentinel lost")
 	}
 }

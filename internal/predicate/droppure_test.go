@@ -37,7 +37,7 @@ func TestDropPure(t *testing.T) {
 	}
 	// The handle index is rebuilt: occurrence counts for survivors stay
 	// reachable through the byID map.
-	if occ, inFail, failed := c.Counts("keep-mixed"); occ != 1 || inFail != 1 || failed != 1 {
+	if occ, inFail, failed := c.counts("keep-mixed"); occ != 1 || inFail != 1 || failed != 1 {
 		t.Fatalf("Counts(keep-mixed) = (%d,%d,%d) after compaction", occ, inFail, failed)
 	}
 	// A second drop accumulates into the same counter.

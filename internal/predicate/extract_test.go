@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"aid/internal/oracle/canon"
 	"aid/internal/trace"
 )
 
@@ -14,13 +15,13 @@ import (
 func buildSet(execs ...trace.Execution) *trace.Set {
 	s := &trace.Set{}
 	for _, e := range execs {
-		s.Add(e)
+		canon.Add(s, e)
 	}
 	return s
 }
 
 func call(m string, th trace.ThreadID, start, end trace.Time) trace.MethodCall {
-	return trace.MethodCall{Method: m, Thread: th, Start: start, End: end, Return: trace.VoidValue()}
+	return trace.MethodCall{Method: m, Thread: th, Start: start, End: end, Return: trace.Value{Void: true}}
 }
 
 func TestFailurePredicateOccursOnlyInFailures(t *testing.T) {
@@ -32,10 +33,10 @@ func TestFailurePredicateOccursOnlyInFailures(t *testing.T) {
 	if c.Pred(FailureID) == nil {
 		t.Fatal("failure predicate missing")
 	}
-	if c.Log(0).Has(FailureID) {
+	if c.Log(0).has(FailureID) {
 		t.Fatal("failure predicate occurred in success")
 	}
-	occ, ok := c.Log(1).Occ(FailureID)
+	occ, ok := c.Log(1).occ(FailureID)
 	if !ok {
 		t.Fatal("failure predicate missing in failed run")
 	}
@@ -65,7 +66,7 @@ func TestMethodFailsExtraction(t *testing.T) {
 	if p.Repair.Safe {
 		t.Fatal("catch repair should be unsafe without SideEffectFree")
 	}
-	if !c.Log(1).Has(p.ID) || c.Log(0).Has(p.ID) {
+	if !c.Log(1).has(p.ID) || c.Log(0).has(p.ID) {
 		t.Fatal("fails occurrence wrong")
 	}
 
@@ -93,7 +94,7 @@ func TestTooSlowTooFastBaselines(t *testing.T) {
 	if slow.Repair.Kind != IvPrematureReturn || !slow.Repair.Void {
 		t.Fatalf("slow repair = %+v, want premature void return", slow.Repair)
 	}
-	if !c.Log(2).Has(slow.ID) || c.Log(0).Has(slow.ID) || c.Log(1).Has(slow.ID) {
+	if !c.Log(2).has(slow.ID) || c.Log(0).has(slow.ID) || c.Log(1).has(slow.ID) {
 		t.Fatal("slow occurrence wrong")
 	}
 	fast := c.Pred("fast:Task#0")
@@ -103,11 +104,11 @@ func TestTooSlowTooFastBaselines(t *testing.T) {
 	if fast.Repair.Kind != IvDelayReturn || fast.Repair.Delay != 10 {
 		t.Fatalf("fast repair = %+v, want delay 10", fast.Repair)
 	}
-	if !c.Log(3).Has(fast.ID) {
+	if !c.Log(3).has(fast.ID) {
 		t.Fatal("fast occurrence missing")
 	}
 	// Durations inside the success envelope trigger nothing.
-	if c.Log(0).Has(slow.ID) || c.Log(0).Has(fast.ID) {
+	if c.Log(0).has(slow.ID) || c.Log(0).has(fast.ID) {
 		t.Fatal("baseline runs should have no duration predicates")
 	}
 }
@@ -130,7 +131,7 @@ func TestStartsLateExtraction(t *testing.T) {
 	if p.Repair.Kind != IvNone {
 		t.Fatal("starts-late must be diagnostic only (no repair)")
 	}
-	if !c.Log(2).Has(p.ID) || c.Log(0).Has(p.ID) || c.Log(1).Has(p.ID) {
+	if !c.Log(2).has(p.ID) || c.Log(0).has(p.ID) || c.Log(1).has(p.ID) {
 		t.Fatal("starts-late occurrence wrong")
 	}
 	// Within the margin: no predicate.
@@ -145,11 +146,11 @@ func TestStartsLateExtraction(t *testing.T) {
 
 func TestWrongReturnExtraction(t *testing.T) {
 	ok1 := call("Get", 0, 0, 10)
-	ok1.Return = trace.IntValue(50)
+	ok1.Return = trace.Value{Int: 50}
 	ok2 := call("Get", 0, 0, 10)
-	ok2.Return = trace.IntValue(50)
+	ok2.Return = trace.Value{Int: 50}
 	bad := call("Get", 0, 0, 10)
-	bad.Return = trace.IntValue(-1)
+	bad.Return = trace.Value{Int: -1}
 	s := buildSet(
 		trace.Execution{ID: "s1", Outcome: trace.Success, Calls: []trace.MethodCall{ok1}},
 		trace.Execution{ID: "s2", Outcome: trace.Success, Calls: []trace.MethodCall{ok2}},
@@ -163,18 +164,18 @@ func TestWrongReturnExtraction(t *testing.T) {
 	if p.Repair.Kind != IvOverrideReturn || p.Repair.Value != 50 || !p.Repair.Safe {
 		t.Fatalf("repair = %+v, want safe override to 50", p.Repair)
 	}
-	if !c.Log(2).Has(p.ID) {
+	if !c.Log(2).has(p.ID) {
 		t.Fatal("occurrence missing in failed run")
 	}
 }
 
 func TestWrongReturnSkippedOnInconsistentBaseline(t *testing.T) {
 	ok1 := call("Get", 0, 0, 10)
-	ok1.Return = trace.IntValue(1)
+	ok1.Return = trace.Value{Int: 1}
 	ok2 := call("Get", 0, 0, 10)
-	ok2.Return = trace.IntValue(2)
+	ok2.Return = trace.Value{Int: 2}
 	bad := call("Get", 0, 0, 10)
-	bad.Return = trace.IntValue(-1)
+	bad.Return = trace.Value{Int: -1}
 	s := buildSet(
 		trace.Execution{ID: "s1", Outcome: trace.Success, Calls: []trace.MethodCall{ok1}},
 		trace.Execution{ID: "s2", Outcome: trace.Success, Calls: []trace.MethodCall{ok2}},
@@ -220,10 +221,10 @@ func TestRaceExtraction(t *testing.T) {
 	if p.Repair.Kind != IvLockMethods || !p.Repair.Safe {
 		t.Fatalf("repair = %+v, want safe lock", p.Repair)
 	}
-	if c.Log(0).Has(p.ID) || !c.Log(1).Has(p.ID) {
+	if c.Log(0).has(p.ID) || !c.Log(1).has(p.ID) {
 		t.Fatal("race occurrence wrong")
 	}
-	occ, _ := c.Log(1).Occ(p.ID)
+	occ, _ := c.Log(1).occ(p.ID)
 	if occ.Start != 7 || occ.End != 7 {
 		t.Fatalf("race window = [%d,%d], want access-window overlap [7,7]", occ.Start, occ.End)
 	}
@@ -292,7 +293,7 @@ func TestRaceLostUpdateInterleaving(t *testing.T) {
 	if p == nil {
 		t.Fatalf("lost-update race not detected; have %v", c.IDs())
 	}
-	if c.Log(0).Has(p.ID) {
+	if c.Log(0).has(p.ID) {
 		t.Fatal("sequential RMW sections flagged as racing")
 	}
 }
@@ -333,7 +334,7 @@ func TestOrderViolationExtraction(t *testing.T) {
 	if p.Repair.Kind != IvEnforceOrder || len(p.Repair.Methods) != 2 {
 		t.Fatalf("repair = %+v", p.Repair)
 	}
-	if c.Log(0).Has(p.ID) || !c.Log(2).Has(p.ID) {
+	if c.Log(0).has(p.ID) || !c.Log(2).has(p.ID) {
 		t.Fatal("order occurrence wrong")
 	}
 }
@@ -383,7 +384,7 @@ func TestAtomicityViolationExtraction(t *testing.T) {
 	if len(p.Repair.Methods) != 1 || p.Repair.Methods[0] != "Parent" {
 		t.Fatalf("repair methods = %v, want [Parent]", p.Repair.Methods)
 	}
-	if c.Log(0).Has(p.ID) || !c.Log(1).Has(p.ID) {
+	if c.Log(0).has(p.ID) || !c.Log(1).has(p.ID) {
 		t.Fatal("atomicity occurrence wrong")
 	}
 }
@@ -455,13 +456,13 @@ func TestCompoundMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.MaterializeCompound(comp)
-	if !c.Log(1).Has(comp.ID) {
+	if !c.Log(1).has(comp.ID) {
 		t.Fatal("compound should occur where both members occur")
 	}
-	if c.Log(2).Has(comp.ID) {
+	if c.Log(2).has(comp.ID) {
 		t.Fatal("compound should not occur where one member is absent")
 	}
-	occ, _ := c.Log(1).Occ(comp.ID)
+	occ, _ := c.Log(1).occ(comp.ID)
 	if occ.Start != 0 || occ.End != 50 {
 		t.Fatalf("compound window = [%d,%d], want [0,50]", occ.Start, occ.End)
 	}
@@ -482,7 +483,7 @@ func TestCorpusCountsAndDrop(t *testing.T) {
 	c.AddPred(Predicate{ID: "ghost"})
 	c.AddLog("s", false, map[ID]Occurrence{"p": {}})
 	c.AddLog("f", true, map[ID]Occurrence{"p": {}})
-	occ, inFail, failed := c.Counts("p")
+	occ, inFail, failed := c.counts("p")
 	if occ != 2 || inFail != 1 || failed != 1 {
 		t.Fatalf("Counts = (%d,%d,%d)", occ, inFail, failed)
 	}
@@ -492,8 +493,8 @@ func TestCorpusCountsAndDrop(t *testing.T) {
 	if c.Pred("ghost") != nil || c.Pred("p") == nil {
 		t.Fatal("drop removed wrong predicate")
 	}
-	if len(c.FailedLogs()) != 1 || len(c.SuccessLogs()) != 1 {
-		t.Fatal("log partitions wrong")
+	if c.NumLogs() != 2 || c.FailedCount() != 1 {
+		t.Fatal("rows wrong")
 	}
 }
 

@@ -25,7 +25,7 @@ func referenceBits(c *Corpus, baselines, replays []trace.Execution, cfg Config) 
 	bits := make([][]bool, len(replays))
 	for r := range replays {
 		for _, p := range c.Preds {
-			bits[r] = append(bits[r], ref.Log(len(baselines)+r).Has(p.ID))
+			bits[r] = append(bits[r], ref.Log(len(baselines)+r).has(p.ID))
 		}
 	}
 	return bits
@@ -239,7 +239,7 @@ func splitBench(t *testing.T, cfg Config) (c *Corpus, baselines, replays []trace
 	c = Extract(set, cfg)
 	var members []ID
 	for _, p := range c.Preds {
-		if _, inF, _ := c.Counts(p.ID); p.Kind != KindFailure && inF > 0 && len(members) < 2 {
+		if _, inF, _ := c.counts(p.ID); p.Kind != KindFailure && inF > 0 && len(members) < 2 {
 			members = append(members, p.ID)
 		}
 	}

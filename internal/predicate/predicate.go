@@ -218,32 +218,14 @@ type ExecLog struct {
 	row int32
 }
 
-// Row returns the view's execution-row index.
-func (l ExecLog) Row() int { return int(l.row) }
-
 // ExecID returns the execution's identifier.
 func (l ExecLog) ExecID() string { return l.c.execIDs[l.row] }
 
 // Failed reports whether the execution failed.
 func (l ExecLog) Failed() bool { return l.c.failedRows.Has(int(l.row)) }
 
-// Has reports whether the predicate occurred in this execution.
-func (l ExecLog) Has(id ID) bool {
-	h, ok := l.c.byID[id]
-	return ok && l.c.cols[h].rows.Has(int(l.row))
-}
-
-// Occ returns the predicate's occurrence window in this execution.
-func (l ExecLog) Occ(id ID) (Occurrence, bool) {
-	h, ok := l.c.byID[id]
-	if !ok {
-		return Occurrence{}, false
-	}
-	return l.c.OccAt(int(l.row), h)
-}
-
 // OccMap materializes the row as an ID-keyed occurrence map — the
-// row-oriented edge representation used by the on-disk codec and tests.
+// row-oriented edge representation the oracles and tests read.
 func (l ExecLog) OccMap() map[ID]Occurrence {
 	out := make(map[ID]Occurrence)
 	row := int(l.row)
@@ -269,12 +251,6 @@ type Corpus struct {
 	execIDs    []string
 	failedRows bitvec.Vec
 	nFail      int
-
-	// partFail and partSucc are the cached partition views returned by
-	// FailedLogs/SuccessLogs, maintained on ingest (a row's outcome
-	// never changes after AddRow).
-	partFail []ExecLog
-	partSucc []ExecLog
 
 	// effectPruned counts predicates removed by DropPure (the
 	// effect-guided pruning pass); see EffectPruned.
@@ -318,12 +294,6 @@ func (c *Corpus) addPred(p Predicate, occCap int) Handle {
 	}
 	c.cols = append(c.cols, col)
 	return h
-}
-
-// Has reports whether a predicate with the given ID is registered.
-func (c *Corpus) Has(id ID) bool {
-	_, ok := c.byID[id]
-	return ok
 }
 
 // HandleOf interns an ID: it returns the predicate's dense handle.
@@ -370,13 +340,9 @@ func (c *Corpus) Log(i int) ExecLog { return ExecLog{c: c, row: int32(i)} }
 func (c *Corpus) AddRow(execID string, failed bool) int {
 	row := len(c.execIDs)
 	c.execIDs = append(c.execIDs, execID)
-	view := ExecLog{c: c, row: int32(row)}
 	if failed {
 		c.failedRows.Set(row)
 		c.nFail++
-		c.partFail = append(c.partFail, view)
-	} else {
-		c.partSucc = append(c.partSucc, view)
 	}
 	return row
 }
@@ -454,18 +420,6 @@ func (c *Corpus) CountsAt(h Handle) (occurred, occurredInFailed int) {
 	return len(col.occs), int(col.failCnt)
 }
 
-// Counts returns (#executions where id occurred, #failed executions
-// where id occurred, #failed executions). Counts are maintained on
-// ingest; this is O(1).
-func (c *Corpus) Counts(id ID) (occurred, occurredInFailed, failed int) {
-	h, ok := c.byID[id]
-	if !ok {
-		return 0, 0, c.nFail
-	}
-	occurred, occurredInFailed = c.CountsAt(h)
-	return occurred, occurredInFailed, c.nFail
-}
-
 // FailedOccurrences returns the predicate's occurrence windows at the
 // failed rows, aligned with the failed-row order (length = #failed rows
 // where it occurred; for counterfactual predicates that is every failed
@@ -482,15 +436,6 @@ func (c *Corpus) FailedOccurrences(h Handle) []Occurrence {
 	})
 	return out
 }
-
-// FailedLogs returns the cached view slice of failed execution rows.
-// The slice is maintained on ingest and shared: callers must not
-// mutate it or assume it stable across a later AddRow.
-func (c *Corpus) FailedLogs() []ExecLog { return c.partFail }
-
-// SuccessLogs returns the cached view slice of successful execution
-// rows, under the same sharing contract as FailedLogs.
-func (c *Corpus) SuccessLogs() []ExecLog { return c.partSucc }
 
 // DropUnobserved removes predicates that never occur in any row,
 // compacting handles. Returns the number removed.

@@ -322,9 +322,6 @@ func (s *Source) Int63() int64 { return int64(s.uint64() & rngMask) }
 // Uint64 returns the stream's next value, as rngSource.Uint64 does.
 func (s *Source) Uint64() uint64 { return s.uint64() }
 
-// Eager reports that the source holds the whole seeded vector.
-func (s *Source) Eager() bool { return s.eager }
-
 // Skip advances the stream by n values without returning them.
 func (s *Source) Skip(n int) {
 	if !s.eager {

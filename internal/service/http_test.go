@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -270,8 +272,8 @@ func TestHTTPSaturation429(t *testing.T) {
 		t.Fatalf("light tenant during flood: HTTP %d, want 202", lresp.StatusCode)
 	}
 
-	m.Cancel(s1.ID())
-	m.Cancel(s2.ID())
+	m.Cancel(s1.id)
+	m.Cancel(s2.id)
 }
 
 // TestHTTPErrors pins the error mapping: unknown session → 404, unknown
@@ -314,7 +316,7 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-src.entered
-	cresp, err := http.Post(srv.URL+"/v1/sessions/"+s.ID()+"/cancel", "", nil)
+	cresp, err := http.Post(srv.URL+"/v1/sessions/"+s.id+"/cancel", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +329,7 @@ func TestHTTPErrors(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled session did not finish")
 	}
-	rresp, err := http.Get(srv.URL + "/v1/sessions/" + s.ID() + "/report")
+	rresp, err := http.Get(srv.URL + "/v1/sessions/" + s.id + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +337,57 @@ func TestHTTPErrors(t *testing.T) {
 	if rresp.StatusCode != http.StatusConflict {
 		t.Errorf("report of cancelled session: HTTP %d, want 409", rresp.StatusCode)
 	}
-	status := decodeBody[SessionStatus](t, mustGet(t, srv.URL+"/v1/sessions/"+s.ID()))
+	status := decodeBody[SessionStatus](t, mustGet(t, srv.URL+"/v1/sessions/"+s.id))
 	if status.State != StateCancelled {
 		t.Errorf("state %s, want cancelled", status.State)
+	}
+}
+
+// TestHTTPInvalidSpecs: a spec the pipeline cannot run is refused at
+// admission with 400, before anything is collected — negative numbers,
+// a timeout past time.Duration's range, an unknown variant — and a
+// session wider than the budget runs at the budget's width, the weight
+// it was admitted at, reporting what a one-worker run reports.
+func TestHTTPInvalidSpecs(t *testing.T) {
+	m, srv := newTestServer(t, Config{SessionBudget: 2, TenantCap: 4})
+	for name, spec := range map[string]SessionSpec{
+		"negative successes": {Study: "npgsql", Successes: -100, Failures: 1},
+		"negative seed cap":  {Study: "npgsql", SeedCap: -1},
+		"negative workers":   {Study: "npgsql", Workers: -2},
+		"negative timeout":   {Study: "npgsql", TimeoutMS: -1},
+		"timeout overflow":   {Study: "npgsql", TimeoutMS: math.MaxInt64},
+		"unknown variant":    {Study: "npgsql", Variant: "bogus"},
+	} {
+		if _, err := m.Start("acme", spec); !errors.As(err, new(*ValidationError)) {
+			t.Errorf("%s: Start = %v, want a ValidationError", name, err)
+		}
+		resp := postJSON(t, srv.URL+"/v1/tenants/acme/sessions", spec)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	wide := SessionSpec{Study: "npgsql", Successes: 5, Failures: 5, SeedCap: 40, Workers: 100_000_000}
+	if w := m.width(wide); w != 2 {
+		t.Fatalf("a %d-worker session runs %d wide, want the budget's 2", wide.Workers, w)
+	}
+	resp := postJSON(t, srv.URL+"/v1/tenants/acme/sessions", wide)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("wide session: HTTP %d, want 202", resp.StatusCode)
+	}
+	s, _ := m.Session(decodeBody[SessionStatus](t, resp).ID)
+	<-s.Done()
+	_, got, err := s.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := aid.New(aid.WithCorpusSize(5, 5), aid.WithSeedCap(40), aid.WithWorkers(1)).Run(t.Context(), aid.FromStudy(aid.CaseStudyByName("npgsql")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if js, err := want.JSON(); err != nil || !bytes.Equal(got, js) {
+		t.Fatalf("wide session's report differs from a one-worker run (%v)", err)
 	}
 }
 
@@ -450,7 +500,7 @@ func TestHTTPStreamFollowsLiveSession(t *testing.T) {
 	<-src.entered
 
 	// Attach while the session is still collecting.
-	resp := mustGet(t, srv.URL+"/v1/sessions/"+s.ID()+"/events")
+	resp := mustGet(t, srv.URL+"/v1/sessions/"+s.id+"/events")
 	defer resp.Body.Close()
 	lines := make(chan string, 64)
 	go func() {
@@ -471,7 +521,7 @@ func TestHTTPStreamFollowsLiveSession(t *testing.T) {
 		// Still following: good.
 	}
 
-	m.Cancel(s.ID())
+	m.Cancel(s.id)
 	var last string
 	deadline := time.After(10 * time.Second)
 	for {

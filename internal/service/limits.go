@@ -147,35 +147,12 @@ func (l *Limiter) Acquire(ctx context.Context, tenant string, weight int) (relea
 	}
 }
 
-// TryAcquire is Acquire without waiting: it claims capacity only when
-// available immediately, reporting saturation otherwise. Used by
-// callers that must not block (the admission decision itself never
-// does; sessions queue via Acquire on their own goroutine).
-func (l *Limiter) TryAcquire(tenant string, weight int) (release func(), err error) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > l.budget {
-		weight = l.budget
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.ring) == 0 && l.free >= weight {
-		l.free -= weight
-		return func() { l.release(weight) }, nil
-	}
-	return nil, &SaturatedError{Tenant: tenant, RetryAfter: l.retry}
-}
-
 // Waiting returns the tenant's current queue length.
 func (l *Limiter) Waiting(tenant string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.q[tenant])
 }
-
-// RetryAfter returns the limiter's saturation backoff hint.
-func (l *Limiter) RetryAfter() time.Duration { return l.retry }
 
 // release returns weight units and hands them to waiters.
 func (l *Limiter) release(weight int) {

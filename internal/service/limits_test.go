@@ -198,8 +198,10 @@ func TestLimiterCancelWhileWaiting(t *testing.T) {
 		t.Errorf("cancelled waiter still queued")
 	}
 	release()
-	// Capacity must be whole again.
-	r, err := l.TryAcquire("a", 1)
+	// Capacity must be whole again: the grant is immediate.
+	tctx, stop := context.WithTimeout(ctx, time.Second)
+	defer stop()
+	r, err := l.Acquire(tctx, "a", 1)
 	if err != nil {
 		t.Fatalf("capacity lost after cancellation: %v", err)
 	}
@@ -215,7 +217,9 @@ func TestLimiterWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, err := l.TryAcquire("a", 1); err == nil {
+	tctx, stop := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer stop()
+	if r, err := l.Acquire(tctx, "a", 1); err == nil {
 		r()
 		t.Fatal("budget should be exhausted by the clamped wide acquire")
 	}

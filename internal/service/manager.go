@@ -20,9 +20,9 @@ type Config struct {
 	// Store backs the per-tenant corpora (default: a fresh MemStore).
 	Store CorpusStore
 	// SessionBudget is the global weight budget of concurrently running
-	// sessions (default 4). A session weighs max(1, its Workers
-	// option), so one wide session and several narrow ones draw the
-	// same accounting.
+	// sessions (default 4). A session weighs its Workers option, at
+	// least 1 and at most the budget, and runs at that width, so one
+	// wide session and several narrow ones draw the same accounting.
 	SessionBudget int
 	// TenantCap bounds each tenant's non-terminal (queued + running)
 	// sessions; admission beyond it fails with SaturatedError — the
@@ -249,12 +249,6 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Store returns the corpus store.
-func (m *Manager) Store() CorpusStore { return m.store }
-
-// RetryAfter returns the saturation backoff hint.
-func (m *Manager) RetryAfter() time.Duration { return m.cfg.RetryAfter }
-
 // MaxCorpusBytes returns the HTTP ingest body cap.
 func (m *Manager) MaxCorpusBytes() int64 { return m.cfg.MaxCorpusBytes }
 
@@ -328,6 +322,9 @@ func (m *Manager) Corpora(tenant string) ([]CorpusInfo, error) {
 // session is observable immediately (status, events, cancel).
 func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	if err := ValidateName("tenant", tenant); err != nil {
+		return nil, err
+	}
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	source, err := m.resolveSource(tenant, spec)
@@ -443,11 +440,7 @@ func (m *Manager) run(ctx context.Context, s *Session, source aid.TraceSource, s
 		return
 	}
 
-	weight := s.spec.Workers
-	if weight < 1 {
-		weight = 1
-	}
-	release, err := m.limiter.Acquire(ctx, s.tenant, weight)
+	release, err := m.limiter.Acquire(ctx, s.tenant, m.width(s.spec))
 	if err != nil {
 		m.finish(s, nil, err)
 		return
@@ -471,6 +464,12 @@ func (m *Manager) run(ctx context.Context, s *Session, source aid.TraceSource, s
 	// regardless of how the session ended). Still inside the session's
 	// wg scope, so Shutdown's compaction never races an append.
 	m.persistSession(s, shared)
+}
+
+// width is the session's pool width and limiter weight: its Workers
+// option, at least 1 and at most the session budget.
+func (m *Manager) width(sp SessionSpec) int {
+	return min(max(sp.Workers, 1), m.cfg.SessionBudget)
 }
 
 // runPipeline executes the session's pipeline run, containing panics to
@@ -500,7 +499,7 @@ func (m *Manager) runPipeline(ctx context.Context, s *Session, source aid.TraceS
 		opts = append(opts, aid.WithCompounds(sp.Compounds))
 	}
 	if sp.Workers > 0 {
-		opts = append(opts, aid.WithWorkers(sp.Workers))
+		opts = append(opts, aid.WithWorkers(m.width(sp)))
 	}
 	if sp.Variant != "" {
 		opts = append(opts, aid.WithVariant(aid.Variant(sp.Variant)))

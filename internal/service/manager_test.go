@@ -23,6 +23,14 @@ type blockingSource struct {
 	once    sync.Once
 }
 
+// errOf returns the session's terminal error (nil for done or
+// non-terminal).
+func errOf(s *Session) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
 func newBlockingSource() *blockingSource {
 	return &blockingSource{release: make(chan struct{}), entered: make(chan struct{})}
 }
@@ -52,10 +60,10 @@ func waitState(t *testing.T, s *Session, want SessionState) {
 	select {
 	case <-s.Done():
 	case <-time.After(30 * time.Second):
-		t.Fatalf("session %s stuck in %s", s.ID(), s.State())
+		t.Fatalf("session %s stuck in %s", s.id, s.State())
 	}
 	if got := s.State(); got != want {
-		t.Fatalf("session %s state %s, want %s (err: %v)", s.ID(), got, want, s.Err())
+		t.Fatalf("session %s state %s, want %s (err: %v)", s.id, got, want, errOf(s))
 	}
 }
 
@@ -152,19 +160,19 @@ func TestManagerByteIdenticalPin(t *testing.T) {
 		waitState(t, s, StateDone)
 		_, js, err := s.Report()
 		if err != nil {
-			t.Fatalf("session %s: %v", s.ID(), err)
+			t.Fatalf("session %s: %v", s.id, err)
 		}
 		want := baseline[jobs[i].study]
 		if jobs[i].corpus != "" {
 			want = corpusBaseline
 		}
 		if !bytes.Equal(js, want) {
-			t.Errorf("session %s (%+v): daemon report differs from embedded run", s.ID(), jobs[i])
+			t.Errorf("session %s (%+v): daemon report differs from embedded run", s.id, jobs[i])
 		}
 		st := s.Status()
 		cacheHits += st.SchedulerCacheHits
 		if st.Events == 0 {
-			t.Errorf("session %s captured no events", s.ID())
+			t.Errorf("session %s captured no events", s.id)
 		}
 	}
 	// t1/t2 each ran the npgsql spec twice: the shared scheduler memo
@@ -187,7 +195,7 @@ func TestManagerCancelReturnsPromptly(t *testing.T) {
 	}
 	<-src.entered
 	start := time.Now()
-	if !m.Cancel(s.ID()) {
+	if !m.Cancel(s.id) {
 		t.Fatal("Cancel: unknown session")
 	}
 	select {
@@ -199,7 +207,7 @@ func TestManagerCancelReturnsPromptly(t *testing.T) {
 		t.Errorf("cancel took %s", d)
 	}
 	if s.State() != StateCancelled {
-		t.Errorf("state %s, want cancelled (err %v)", s.State(), s.Err())
+		t.Errorf("state %s, want cancelled (err %v)", s.State(), errOf(s))
 	}
 	if _, _, complete := s.Events(0); !complete {
 		t.Error("event stream of a terminal session is not complete")
@@ -220,7 +228,7 @@ func TestManagerTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, StateFailed)
-	if err := s.Err(); !errors.Is(err, context.DeadlineExceeded) {
+	if err := errOf(s); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("want DeadlineExceeded, got %v", err)
 	}
 }
@@ -241,8 +249,8 @@ func TestManagerPanicContainment(t *testing.T) {
 	}
 	waitState(t, bad, StateFailed)
 	var pe *SessionPanicError
-	if !errors.As(bad.Err(), &pe) || pe.Value != "session gone rogue" {
-		t.Errorf("want SessionPanicError(session gone rogue), got %v", bad.Err())
+	if !errors.As(errOf(bad), &pe) || pe.Value != "session gone rogue" {
+		t.Errorf("want SessionPanicError(session gone rogue), got %v", errOf(bad))
 	}
 	waitState(t, good, StateDone)
 	if _, _, err := good.Report(); err != nil {
@@ -289,15 +297,15 @@ func TestManagerSaturation(t *testing.T) {
 		t.Fatalf("light tenant refused during flood saturation: %v", err)
 	}
 	// Finish the flood; capacity must come back.
-	m.Cancel(s1.ID())
-	m.Cancel(s2.ID())
+	m.Cancel(s1.id)
+	m.Cancel(s2.id)
 	waitState(t, s1, StateCancelled)
 	waitState(t, s2, StateCancelled)
 	again, err := m.Start("flood", SessionSpec{Study: "npgsql", Successes: 5, Failures: 5})
 	if err != nil {
 		t.Fatalf("tenant stuck saturated after sessions finished: %v", err)
 	}
-	m.Cancel(light.ID())
+	m.Cancel(light.id)
 	waitState(t, light, StateCancelled)
 	waitState(t, again, StateDone)
 }
@@ -334,7 +342,7 @@ func TestManagerShutdownNoGoroutineLeak(t *testing.T) {
 	}
 	for _, s := range sessions {
 		if !s.State().Terminal() {
-			t.Errorf("session %s not terminal after Shutdown: %s", s.ID(), s.State())
+			t.Errorf("session %s not terminal after Shutdown: %s", s.id, s.State())
 		}
 	}
 	// Draining managers admit nothing.
@@ -366,7 +374,7 @@ func TestManagerCleanDrain(t *testing.T) {
 		t.Fatalf("clean drain: %v", err)
 	}
 	if s.State() != StateDone {
-		t.Errorf("session %s after clean drain, want done (err %v)", s.State(), s.Err())
+		t.Errorf("session %s after clean drain, want done (err %v)", s.State(), errOf(s))
 	}
 }
 
@@ -506,9 +514,9 @@ func TestManagerSessionRetention(t *testing.T) {
 		t.Fatalf("retained %d terminal sessions, want 2", len(retained))
 	}
 	if retained[0] != done[3] || retained[1] != done[4] {
-		t.Errorf("retention kept the wrong sessions: %s %s", retained[0].ID(), retained[1].ID())
+		t.Errorf("retention kept the wrong sessions: %s %s", retained[0].id, retained[1].id)
 	}
-	if _, ok := m.Session(done[0].ID()); ok {
+	if _, ok := m.Session(done[0].id); ok {
 		t.Error("evicted session still resolves")
 	}
 	if st := m.Stats(); st.Sessions[StateFailed] != 2 {
@@ -529,10 +537,10 @@ func TestManagerSessionRetention(t *testing.T) {
 		}
 		waitState(t, s, StateFailed)
 	}
-	if _, ok := m.Session(live.ID()); !ok {
+	if _, ok := m.Session(live.id); !ok {
 		t.Error("live session was evicted by terminal churn")
 	}
-	m.Cancel(live.ID())
+	m.Cancel(live.id)
 	waitState(t, live, StateCancelled)
 }
 

@@ -211,7 +211,7 @@ func BenchmarkServeSession(b *testing.B) {
 	}
 	<-warm.Done()
 	if warm.State() != StateDone {
-		b.Fatalf("warmup session %s: %v", warm.State(), warm.Err())
+		b.Fatalf("warmup session %s: %v", warm.State(), errOf(warm))
 	}
 
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -60,6 +61,23 @@ type SessionSpec struct {
 	// (custom workloads, fault injection); not reachable over HTTP.
 	// Sessions with a custom source never share a scheduler.
 	Source aid.TraceSource `json:"-"`
+}
+
+// validate rejects a spec the pipeline cannot run: a negative count,
+// pool width or timeout, a timeout past time.Duration's range, or an
+// unknown variant. The seed may be any value.
+func (sp SessionSpec) validate() error {
+	if min(sp.Successes, sp.Failures, sp.SeedCap, sp.Replays, sp.Compounds, sp.Workers) < 0 || sp.TimeoutMS < 0 {
+		return validationf("service: successes, failures, seedCap, replays, compounds, workers and timeoutMs must not be negative")
+	}
+	if sp.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
+		return validationf("service: timeoutMs %d is out of range", sp.TimeoutMS)
+	}
+	switch aid.Variant(sp.Variant) {
+	case "", aid.VariantAID, aid.VariantAIDP, aid.VariantAIDPB:
+		return nil
+	}
+	return validationf("service: unknown variant %q", sp.Variant)
 }
 
 // shareKey fingerprints everything that determines intervention
@@ -132,12 +150,6 @@ type Session struct {
 	log eventLog
 }
 
-// ID returns the session id.
-func (s *Session) ID() string { return s.id }
-
-// Tenant returns the owning tenant.
-func (s *Session) Tenant() string { return s.tenant }
-
 // Done returns a channel closed when the session reaches a terminal
 // state.
 func (s *Session) Done() <-chan struct{} { return s.done }
@@ -147,13 +159,6 @@ func (s *Session) State() SessionState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state
-}
-
-// Err returns the terminal error (nil for done or non-terminal).
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Report returns the completed report and its canonical JSON encoding,

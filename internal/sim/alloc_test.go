@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -69,7 +70,8 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			pp.runIf(m, seed, Budget{}, never)
 		}
-		exec := pp.run(m, seed, Budget{}, nil)
+		run, _ := pp.runIf(m, seed, Budget{}, nil)
+		exec := run.Execution(&pp.syms)
 		switch prog {
 		case p:
 			both := 0
@@ -85,8 +87,9 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 			}
 		case q:
 			// A randloop run reads fewer than 608 values, so only the
-			// cache can have turned the source eager.
-			if m.fast != nil && !m.fast.Eager() {
+			// cache can have turned the source eager (the source's own
+			// flag, read by reflection: nothing outside tests asks).
+			if m.fast != nil && !reflect.ValueOf(m.fast).Elem().FieldByName("eager").Bool() {
 				t.Fatal("randloop did not take the seed's vector from the cache")
 			}
 		}
@@ -102,8 +105,8 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 // whether the program's other bodies hold 10 or 10,000 instructions
 // writing as many globals.
 func TestPrepareAllocs(t *testing.T) {
-	// A fresh plan value per Prepare, as inject.PlanFor builds one per
-	// group.
+	// A fresh plan value per Prepare, as inject's executor builds one
+	// per group.
 	const n = 200
 	plans := make([]Plan, n)
 	for i := range plans {

@@ -459,8 +459,8 @@ type fnPlan struct {
 // replays pay nothing for instrumentation and preparing one allocates
 // in proportion to the plan.
 //
-// A Prepared is immutable and safe for concurrent use; Run draws its
-// mutable machine state from a pool.
+// A Prepared is immutable and safe for concurrent use; each run draws
+// its mutable machine state from a pool.
 type Prepared struct {
 	prog *Program
 	c    *compiled

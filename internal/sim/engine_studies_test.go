@@ -65,7 +65,7 @@ func assertStudiesMatch(t *testing.T, ref, got runner) {
 // JSON traces across seeds, uninstrumented and under injection plans
 // that exercise every intervention mechanism on real study methods.
 func TestCompiledEngineEquivalence(t *testing.T) {
-	assertStudiesMatch(t, sim.RunInterpreted, sim.Run)
+	assertStudiesMatch(t, sim.RunInterpreted, sim.KeptTrace)
 }
 
 // TestStdlibSourceStudies runs the six studies on the fallback the
@@ -74,11 +74,11 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 // and each study's 40-seed collection sweep, must give the traces the
 // fast source gives, byte for byte.
 func TestStdlibSourceStudies(t *testing.T) {
-	assertStudiesMatch(t, sim.Run, sim.RunStdlibSource)
+	assertStudiesMatch(t, sim.KeptTrace, sim.RunStdlibSource)
 	for _, s := range casestudy.All() {
 		for seed := int64(1); seed <= 40; seed++ {
 			opts := sim.RunOptions{MaxSteps: s.MaxSteps}
-			want, err := sim.Run(s.Program, seed, opts)
+			want, err := sim.KeptTrace(s.Program, seed, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,25 +97,24 @@ func TestStdlibSourceStudies(t *testing.T) {
 
 // TestCollectCorpusEngineEquivalence pins a full collection sweep: the
 // corpus the pipeline actually consumes is identical whichever engine
-// produced it. The Set is recycled between studies via the trace
-// package's arena reset hook.
+// produced it.
 func TestCollectCorpusEngineEquivalence(t *testing.T) {
 	var interp, compiled trace.Set
 	for _, s := range casestudy.All() {
-		interp.Reset()
-		compiled.Reset()
+		interp.Executions = interp.Executions[:0]
+		compiled.Executions = compiled.Executions[:0]
 		for seed := int64(1); seed <= 40; seed++ {
 			opts := sim.RunOptions{MaxSteps: s.MaxSteps}
 			wi, err := sim.RunInterpreted(s.Program, seed, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			interp.Add(wi)
-			ci, err := sim.Run(s.Program, seed, opts)
+			interp.Executions = append(interp.Executions, wi)
+			ci, err := sim.KeptTrace(s.Program, seed, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled.Add(ci)
+			compiled.Executions = append(compiled.Executions, ci)
 		}
 		wj, _ := json.Marshal(&interp)
 		gj, _ := json.Marshal(&compiled)

@@ -20,24 +20,26 @@ import (
 // timestamps and the scheduler's RNG draws are step counters.
 
 // assertEngineParity runs p under both engines for each seed and fails
-// on the first byte difference, and requires the compiled run's logs
-// to describe the interpreter's trace.
+// on the first byte difference between the interpreter's trace and the
+// kept run's, and requires the logs Observe hands out to be the ones
+// RunIf keeps.
 func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxSteps int) {
 	t.Helper()
+	pp, err := Prepare(p, plan)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
 	for _, seed := range seeds {
 		want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
 		if err != nil {
 			t.Fatalf("%s seed %d: interpreter: %v", p.Name, seed, err)
 		}
-		got, err := Run(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
-		if err != nil {
-			t.Fatalf("%s seed %d: compiled: %v", p.Name, seed, err)
-		}
+		kept, _ := pp.RunIf(seed, maxSteps, nil)
 		wj, err := json.Marshal(want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gj, err := json.Marshal(got)
+		gj, err := json.Marshal(kept.Execution(&pp.syms))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,52 +47,13 @@ func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxS
 			t.Fatalf("%s seed %d: engines diverge\ninterpreter: %s\ncompiled:    %s",
 				p.Name, seed, wj, gj)
 		}
-		assertLogMatches(t, p, plan, seed, maxSteps, want)
-	}
-}
-
-// assertLogMatches requires the logs Observe hands out for (p, plan,
-// seed) to hold what the trace want holds: the same spans in the same
-// order, with the same methods, instance numbers, threads, windows,
-// returns and failures, and each span's accesses, logged in strictly
-// increasing time, with the same objects, kinds, times and lockset
-// sizes.
-func assertLogMatches(t *testing.T, p *Program, plan Plan, seed int64, maxSteps int, want trace.Execution) {
-	t.Helper()
-	pp, err := Prepare(p, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syms, err := p.Symbols()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = pp.Observe(seed, Budget{MaxSteps: maxSteps}, func(_ Verdict, l *trace.RunLog) {
-		if len(l.Spans) != len(want.Calls) {
-			t.Fatalf("%s seed %d: %d logged spans, %d calls", p.Name, seed, len(l.Spans), len(want.Calls))
+		var observed trace.RunLog
+		if _, err := pp.Observe(seed, Budget{MaxSteps: maxSteps}, func(_ Verdict, l *trace.RunLog) { observed = l.Clone() }); err != nil {
+			t.Fatal(err)
 		}
-		next := make([]int, len(want.Calls)) // per span, its call's next access
-		for k, a := range l.Accesses {
-			c := &want.Calls[a.Span]
-			if k > 0 && a.At <= l.Accesses[k-1].At || next[a.Span] == len(c.Accesses) {
-				t.Fatalf("%s seed %d: logged access %d %+v out of order or extra", p.Name, seed, k, a)
-			}
-			w := &c.Accesses[next[a.Span]]
-			next[a.Span]++
-			if syms.Objects[a.Obj] != w.Object || trace.AccessKind(a.Kind) != w.Kind || a.At != w.At || len(l.Lockset(a.Lockset)) != len(w.Locks) {
-				t.Fatalf("%s seed %d: logged access %+v, traced %+v", p.Name, seed, a, *w)
-			}
+		if !sameLogs(observed, kept.Log) {
+			t.Fatalf("%s seed %d: Observe's logs differ from the kept run's", p.Name, seed)
 		}
-		for i, s := range l.Spans {
-			c := &want.Calls[i]
-			if syms.Funcs[s.Fn] != c.Method || s.Instance != c.Instance || s.Thread != c.Thread || s.Start != c.Start ||
-				s.End != c.End || s.Return != c.Return || s.Failed() != c.Failed() || next[i] != len(c.Accesses) {
-				t.Fatalf("%s seed %d: logged span %d %+v, traced %+v", p.Name, seed, i, s, *c)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -551,7 +514,7 @@ func TestEquivalenceScheduling(t *testing.T) {
 				for _, b := range budgets {
 					assertEngineParity(t, p, []int64{seed}, plan, b)
 					assertStdlibParity(t, std, p, plan, seed, b)
-					exec := pp.Run(seed, b)
+					exec := mustKeptTrace(p, seed, RunOptions{Plan: plan, MaxSteps: b})
 					switch {
 					case !exec.Failed():
 						endings["success"]++
@@ -672,7 +635,8 @@ func assertStdlibParity(t *testing.T, m *machine, p *Program, plan Plan, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pp.run(m, seed, Budget{MaxSteps: maxSteps}, nil)
+	run, _ := pp.runIf(m, seed, Budget{MaxSteps: maxSteps}, nil)
+	got := run.Execution(&pp.syms)
 	wj, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
@@ -713,10 +677,11 @@ func TestStdlibSourceMatchesInterpreter(t *testing.T) {
 // TestVerdictEquivalenceProperty pins conditional assembly: over the
 // property generator's programs, seeds and plans, a run that skips
 // trace assembly must decide the same (failed, sig) verdict as the
-// assembled trace's Outcome and FailureSig — for every ending (success,
-// uncaught exception, Fail, deadlock, hang), unguarded and guarded —
-// and a kept run must return exactly Run's trace. Panics and blown
-// wall budgets must surface as the same errors RunGuarded reports.
+// interpreter oracle's Outcome and FailureSig — for every ending
+// (success, uncaught exception, Fail, deadlock, hang), unguarded and
+// guarded — and a kept run must return exactly the oracle's trace.
+// Panics and blown wall budgets must surface as errors, with no
+// verdict.
 func TestVerdictEquivalenceProperty(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -729,7 +694,10 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := pp.Run(seed, maxSteps)
+		want, err := runInterpreted(p, seed, RunOptions{Plan: plan, MaxSteps: maxSteps})
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantV := Verdict{Failed: want.Outcome == trace.Failure, Sig: want.FailureSig}
 		switch {
 		case !wantV.Failed:
@@ -742,12 +710,12 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 		var seen Verdict
 		run, v := pp.RunIf(seed, maxSteps, func(v Verdict) bool { seen = v; return false })
 		if v != wantV || seen != wantV || run.ID != "" || run.Log.Spans != nil {
-			t.Fatalf("%s seed %d: verdict-only run = %+v (keep saw %+v, run %q), assembled trace says %+v",
+			t.Fatalf("%s seed %d: verdict-only run = %+v (keep saw %+v, run %q), the oracle's trace says %+v",
 				p.Name, seed, v, seen, run.ID, wantV)
 		}
 		kept, v := pp.RunIf(seed, maxSteps, func(Verdict) bool { return true })
 		if v != wantV || !reflect.DeepEqual(kept.Execution(&pp.syms), want) {
-			t.Fatalf("%s seed %d: kept RunIf differs from Run", p.Name, seed)
+			t.Fatalf("%s seed %d: kept RunIf differs from the oracle", p.Name, seed)
 		}
 		v, err = pp.Observe(seed, Budget{MaxSteps: maxSteps}, nil)
 		if err != nil || v != wantV {
@@ -774,8 +742,8 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 		}
 	}
 
-	// Guarded failures: the verdict-only path reports what RunGuarded
-	// reports, with no verdict.
+	// Guarded failures: the verdict-only path reports the guard's
+	// errors, with no verdict.
 	panicky, err := Prepare(guardPanicProgram(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -7,15 +7,39 @@ import (
 	"aid/internal/trace"
 )
 
-// The equivalence generator and the interpreter oracle, for the
-// differential tests in package sim_test: they stay test-only.
+// The equivalence generator, the interpreter oracle and the compiled
+// runs they are compared with, for the differential tests in package
+// sim_test: they stay test-only.
 var (
 	GenProgram     = genProgram
 	GenPlan        = genPlan
 	RunInterpreted = runInterpreted
+	KeptTrace      = keptTrace
 )
 
-// RunStdlibSource is Run on a machine whose scheduler draws from
+// keptTrace is the trace collection keeps of p's run under seed and
+// opts: RunIf's kept logs named by the prepared program's symbols
+// (trace.LogRun.Execution), what -save-traces writes. opts.Final is the
+// interpreter's alone; Prepared.FinalState reads the compiled state.
+func keptTrace(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
+	pp, err := Prepare(p, opts.Plan)
+	if err != nil {
+		return trace.Execution{}, err
+	}
+	run, _ := pp.RunIf(seed, opts.MaxSteps, nil)
+	return run.Execution(&pp.syms), nil
+}
+
+// mustKeptTrace is keptTrace for programs and plans known to be valid.
+func mustKeptTrace(p *Program, seed int64, opts RunOptions) trace.Execution {
+	e, err := keptTrace(p, seed, opts)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// RunStdlibSource is keptTrace on a machine whose scheduler draws from
 // rand.NewSource: the fallback rngfast.NewCached takes when its source
 // fails verification.
 func RunStdlibSource(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
@@ -23,7 +47,8 @@ func RunStdlibSource(p *Program, seed int64, opts RunOptions) (trace.Execution, 
 	if err != nil {
 		return trace.Execution{}, err
 	}
-	return pp.run(newMachine(rand.NewSource(0)), seed, Budget{MaxSteps: opts.MaxSteps}, opts.Final), nil
+	run, _ := pp.runIf(newMachine(rand.NewSource(0)), seed, Budget{MaxSteps: opts.MaxSteps}, nil)
+	return run.Execution(&pp.syms), nil
 }
 
 // PreparedSymbols returns the symbols that name pp's runs: the

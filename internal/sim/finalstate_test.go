@@ -3,8 +3,6 @@ package sim
 import (
 	"reflect"
 	"testing"
-
-	"aid/internal/trace"
 )
 
 // finalStateProgram exercises every shared-state op kind: declared and
@@ -43,10 +41,12 @@ func TestFinalStateEngineEquivalence(t *testing.T) {
 	}
 	for _, seed := range []int64{1, 3, 11} {
 		for pi, plan := range plans {
-			var compiled, interpreted FinalState
-			if _, err := Run(p, seed, RunOptions{Plan: plan, Final: &compiled}); err != nil {
-				t.Fatalf("compiled seed %d plan %d: %v", seed, pi, err)
+			pp, err := Prepare(p, plan)
+			if err != nil {
+				t.Fatalf("plan %d: %v", pi, err)
 			}
+			compiled := pp.FinalState(seed, 0)
+			var interpreted FinalState
 			if _, err := runInterpreted(p, seed, RunOptions{Plan: plan, Final: &interpreted}); err != nil {
 				t.Fatalf("interpreted seed %d plan %d: %v", seed, pi, err)
 			}
@@ -67,10 +67,11 @@ func TestFinalStateEngineEquivalence(t *testing.T) {
 // TestFinalStateValues pins the snapshot contents for the deterministic
 // single-threaded program above.
 func TestFinalStateValues(t *testing.T) {
-	var fs FinalState
-	if _, err := Run(finalStateProgram(), 1, RunOptions{Final: &fs}); err != nil {
+	pp, err := Prepare(finalStateProgram(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	fs := pp.FinalState(1, 0)
 	wantGlobals := map[string]int64{
 		"declared":     3, // overwritten with len(buf) at the end
 		"derived":      6, // 5+1
@@ -94,21 +95,21 @@ func TestFinalStateEmptyArrayNil(t *testing.T) {
 	p := NewProgram("empty", "Main")
 	p.Arrays["empty"] = nil
 	p.AddFunc("Main", ArrayLen{Arr: "empty", Dst: "n"})
-	engines := []struct {
-		name string
-		run  func(*Program, int64, RunOptions) (trace.Execution, error)
-	}{{"compiled", Run}, {"interpreter", runInterpreted}}
-	for _, eng := range engines {
-		var fs FinalState
-		if _, err := eng.run(p, 1, RunOptions{Final: &fs}); err != nil {
-			t.Fatal(err)
-		}
+	pp, err := Prepare(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var interpreted FinalState
+	if _, err := runInterpreted(p, 1, RunOptions{Final: &interpreted}); err != nil {
+		t.Fatal(err)
+	}
+	for name, fs := range map[string]FinalState{"compiled": pp.FinalState(1, 0), "interpreter": interpreted} {
 		v, ok := fs.Arrays["empty"]
 		if !ok {
-			t.Fatalf("%s: empty array missing from snapshot", eng.name)
+			t.Fatalf("%s: empty array missing from snapshot", name)
 		}
 		if v != nil {
-			t.Errorf("%s: empty array = %v, want nil", eng.name, v)
+			t.Errorf("%s: empty array = %v, want nil", name, v)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"errors"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"aid/internal/trace"
 )
 
 // panicOp is a test-only operation whose execution panics, standing in
@@ -53,17 +55,17 @@ func guardSpinProgram() *Program {
 	return p
 }
 
-// TestRunGuardedRecoversPanic checks a panic inside a replay surfaces
-// as a *ReplayPanicError instead of crashing the process, and that the
-// prepared program stays usable afterwards (the panicked machine is
-// abandoned, not pooled).
+// TestRunGuardedRecoversPanic checks a panic inside an observed replay
+// surfaces as a *ReplayPanicError instead of crashing the process, and
+// that the prepared program stays usable afterwards (the panicked
+// machine is abandoned, not pooled).
 func TestRunGuardedRecoversPanic(t *testing.T) {
 	pp, err := Prepare(guardPanicProgram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		_, err := pp.RunGuarded(seed, Budget{})
+		_, err := pp.Observe(seed, Budget{}, nil)
 		var pe *ReplayPanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("seed %d: got %T (%v), want *ReplayPanicError", seed, err, err)
@@ -77,14 +79,14 @@ func TestRunGuardedRecoversPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.RunGuarded(1, Budget{}); err != nil {
+	if _, err := clean.Observe(1, Budget{}, nil); err != nil {
 		t.Fatalf("clean replay after panics: %v", err)
 	}
 }
 
-// TestRunGuardedWallBudget checks a replay exceeding its wall-clock
-// budget aborts with a *BudgetError rather than hanging or forging a
-// trace.
+// TestRunGuardedWallBudget checks an observed replay exceeding its
+// wall-clock budget aborts with a *BudgetError rather than hanging or
+// forging a verdict.
 func TestRunGuardedWallBudget(t *testing.T) {
 	pp, err := Prepare(guardSpinProgram(), nil)
 	if err != nil {
@@ -92,7 +94,7 @@ func TestRunGuardedWallBudget(t *testing.T) {
 	}
 	// A 1ns budget is already expired at the first check; the spin
 	// program's >100k steps guarantee the checkpoint is reached.
-	_, err = pp.RunGuarded(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond})
+	_, err = pp.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, nil)
 	var be *BudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("got %T (%v), want *BudgetError", err, err)
@@ -101,28 +103,36 @@ func TestRunGuardedWallBudget(t *testing.T) {
 		t.Fatalf("budget error reports seed %d budget %v", be.Seed, be.Budget)
 	}
 	// An ample budget lets the same replay finish normally.
-	if _, err := pp.RunGuarded(1, Budget{MaxSteps: 1 << 20, WallClock: time.Minute}); err != nil {
+	if _, err := pp.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Minute}, nil); err != nil {
 		t.Fatalf("replay under ample budget: %v", err)
 	}
 }
 
+// sameLogs reports whether a and b hold the same records; a nil and an
+// empty slice are the same.
+func sameLogs(a, b trace.RunLog) bool {
+	return slices.Equal(a.Spans, b.Spans) && slices.Equal(a.Accesses, b.Accesses) &&
+		slices.Equal(a.LockIDs, b.LockIDs) && slices.Equal(a.LockEnd, b.LockEnd)
+}
+
 // TestRunGuardedZeroBudgetByteIdentical pins the containment wrapper's
-// transparency: with no wall budget and no panic, RunGuarded returns
-// exactly Run's execution, so the deterministic pipeline can route
-// every replay through the guard.
+// transparency: with no wall budget and no panic, Observe sees exactly
+// the verdict and logs RunIf keeps, so the deterministic pipeline can
+// route every replay through the guard.
 func TestRunGuardedZeroBudgetByteIdentical(t *testing.T) {
 	pp, err := Prepare(batchProgram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		want := pp.Run(seed, 0)
-		got, err := pp.RunGuarded(seed, Budget{})
+		want, wantV := pp.RunIf(seed, 0, nil)
+		var got trace.RunLog
+		v, err := pp.Observe(seed, Budget{}, func(_ Verdict, l *trace.RunLog) { got = l.Clone() })
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: guarded execution differs from Run", seed)
+		if v != wantV || !sameLogs(got, want.Log) {
+			t.Fatalf("seed %d: guarded run differs from the kept run", seed)
 		}
 	}
 }

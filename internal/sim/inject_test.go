@@ -12,14 +12,14 @@ func TestInjectGlobalLockRepairsRace(t *testing.T) {
 	// and the counter is always 2 for every seed.
 	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}}}
 	for seed := int64(0); seed < 100; seed++ {
-		e := MustRun(racyProgram(), seed, RunOptions{Plan: plan})
+		e := mustKeptTrace(racyProgram(), seed, RunOptions{Plan: plan})
 		if e.Failed() {
 			t.Fatalf("seed %d failed: %s", seed, e.FailureSig)
 		}
 		if got := e.Call("Main", 0).Return.Int; got != 2 {
 			t.Fatalf("seed %d: counter = %d under lock injection, want 2", seed, got)
 		}
-		for _, c := range e.CallsOf("Worker") {
+		for _, c := range callsOf(&e, "Worker") {
 			if !c.Injected {
 				t.Fatal("Worker span not marked Injected")
 			}
@@ -35,8 +35,8 @@ func TestInjectGlobalLockSerializesAccesses(t *testing.T) {
 	// interleave.
 	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}}}
 	for seed := int64(0); seed < 50; seed++ {
-		e := MustRun(racyProgram(), seed, RunOptions{Plan: plan})
-		ws := e.CallsOf("Worker")
+		e := mustKeptTrace(racyProgram(), seed, RunOptions{Plan: plan})
+		ws := callsOf(&e, "Worker")
 		if len(ws) != 2 {
 			t.Fatalf("want 2 Worker spans, got %d", len(ws))
 		}
@@ -72,8 +72,8 @@ func TestInjectDelayStart(t *testing.T) {
 	p := NewProgram("delay", "Main")
 	p.AddFunc("Fast", ReturnVoid{})
 	p.AddFunc("Main", Call{Fn: "Fast"})
-	base := MustRun(p, 1, RunOptions{})
-	injected := MustRun(p, 1, RunOptions{Plan: Plan{"Fast": {DelayStart: 50}}})
+	base := mustKeptTrace(p, 1, RunOptions{})
+	injected := mustKeptTrace(p, 1, RunOptions{Plan: Plan{"Fast": {DelayStart: 50}}})
 	if injected.Call("Fast", 0).Duration() < base.Call("Fast", 0).Duration()+50 {
 		t.Fatalf("DelayStart did not lengthen span: base=%d injected=%d",
 			base.Call("Fast", 0).Duration(), injected.Call("Fast", 0).Duration())
@@ -84,7 +84,7 @@ func TestInjectDelayReturn(t *testing.T) {
 	p := NewProgram("delayret", "Main")
 	p.AddFunc("Fast", Assign{Dst: "x", Src: Lit(1)}, Return{Val: V("x")})
 	p.AddFunc("Main", Call{Fn: "Fast", Dst: "r"}, Return{Val: V("r")})
-	e := MustRun(p, 1, RunOptions{Plan: Plan{"Fast": {DelayReturn: 80}}})
+	e := mustKeptTrace(p, 1, RunOptions{Plan: Plan{"Fast": {DelayReturn: 80}}})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -107,7 +107,7 @@ func TestInjectForceReturn(t *testing.T) {
 	)
 	p.AddFunc("Main", Call{Fn: "Slow", Dst: "r"}, Return{Val: V("r")})
 	want := int64(42)
-	e := MustRun(p, 1, RunOptions{Plan: Plan{"Slow": {ForceReturn: &want}}})
+	e := mustKeptTrace(p, 1, RunOptions{Plan: Plan{"Slow": {ForceReturn: &want}}})
 	span := e.Call("Slow", 0)
 	if span.Return.Int != 42 {
 		t.Fatalf("forced return = %v, want 42", span.Return)
@@ -131,7 +131,7 @@ func TestInjectForceReturnVoid(t *testing.T) {
 	p.Globals["touched"] = 0
 	p.AddFunc("Slow", Sleep{Ticks: Lit(100)}, WriteGlobal{Var: "touched", Src: Lit(1)})
 	p.AddFunc("Main", Call{Fn: "Slow"})
-	e := MustRun(p, 1, RunOptions{Plan: Plan{"Slow": {ForceReturnVoid: true}}})
+	e := mustKeptTrace(p, 1, RunOptions{Plan: Plan{"Slow": {ForceReturnVoid: true}}})
 	if d := e.Call("Slow", 0).Duration(); d > 10 {
 		t.Fatalf("void premature return took %d ticks", d)
 	}
@@ -146,7 +146,7 @@ func TestInjectOverrideReturn(t *testing.T) {
 	)
 	p.AddFunc("Main", Call{Fn: "Compute", Dst: "r"}, Return{Val: V("r")})
 	want := int64(50)
-	e := MustRun(p, 1, RunOptions{Plan: Plan{"Compute": {OverrideReturn: &want}}})
+	e := mustKeptTrace(p, 1, RunOptions{Plan: Plan{"Compute": {OverrideReturn: &want}}})
 	if got := e.Call("Main", 0).Return.Int; got != 50 {
 		t.Fatalf("override saw %d, want 50", got)
 	}
@@ -167,10 +167,10 @@ func TestInjectCatchExceptions(t *testing.T) {
 	p.AddFunc("Risky", Throw{Kind: "Boom"})
 	p.AddFunc("Main", Call{Fn: "Risky", Dst: "r"}, Return{Val: V("r")})
 	// Without injection the program crashes.
-	if e := MustRun(p, 1, RunOptions{}); !e.Failed() {
+	if e := mustKeptTrace(p, 1, RunOptions{}); !e.Failed() {
 		t.Fatal("baseline should crash")
 	}
-	e := MustRun(p, 1, RunOptions{Plan: Plan{"Risky": {CatchExceptions: true, CatchValue: 9}}})
+	e := mustKeptTrace(p, 1, RunOptions{Plan: Plan{"Risky": {CatchExceptions: true, CatchValue: 9}}})
 	if e.Failed() {
 		t.Fatalf("catch injection did not absorb: %s", e.FailureSig)
 	}
@@ -202,7 +202,7 @@ func TestInjectOrderEnforcement(t *testing.T) {
 	)
 	failures := 0
 	for seed := int64(0); seed < 100; seed++ {
-		if e := MustRun(p, seed, RunOptions{}); e.Failed() {
+		if e := mustKeptTrace(p, seed, RunOptions{}); e.Failed() {
 			failures++
 		}
 	}
@@ -214,7 +214,7 @@ func TestInjectOrderEnforcement(t *testing.T) {
 		"Second": {WaitBefore: []Signal{{Var: "firstDone", Val: 1}}},
 	}
 	for seed := int64(0); seed < 100; seed++ {
-		if e := MustRun(p, seed, RunOptions{Plan: plan}); e.Failed() {
+		if e := mustKeptTrace(p, seed, RunOptions{Plan: plan}); e.Failed() {
 			t.Fatalf("seed %d still fails under order enforcement: %s", seed, e.FailureSig)
 		}
 	}
@@ -296,8 +296,8 @@ func TestMethodInjectionEmpty(t *testing.T) {
 
 func TestInjectedRunsStayDeterministic(t *testing.T) {
 	plan := Plan{"Worker": {GlobalLocks: []string{"inj"}, DelayStart: 3}}
-	a := MustRun(racyProgram(), 9, RunOptions{Plan: plan})
-	b := MustRun(racyProgram(), 9, RunOptions{Plan: plan})
+	a := mustKeptTrace(racyProgram(), 9, RunOptions{Plan: plan})
+	b := mustKeptTrace(racyProgram(), 9, RunOptions{Plan: plan})
 	if a.ID != b.ID || len(a.Calls) != len(b.Calls) {
 		t.Fatal("injected runs differ across identical invocations")
 	}

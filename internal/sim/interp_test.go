@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"aid/internal/oracle/canon"
 	"aid/internal/trace"
 )
 
@@ -116,9 +117,20 @@ func (c Cond) eval(a, b int64) bool {
 	return false
 }
 
-// runInterpreted runs the program on the tree-walking interpreter. It
-// takes the same options as Run and must produce the identical trace
-// and final state.
+// RunOptions configures one run of the interpreter oracle, and of
+// keptTrace in the tests that compare the two.
+type RunOptions struct {
+	// MaxSteps bounds the scheduler steps; zero means DefaultMaxSteps.
+	MaxSteps int
+	// Plan is the fault-injection plan (nil for an uninstrumented run).
+	Plan Plan
+	// Final, when non-nil, receives the interpreter's FinalState.
+	Final *FinalState
+}
+
+// runInterpreted runs the program on the tree-walking interpreter. The
+// compiled machine must produce the identical trace (keptTrace) and
+// final state (Prepared.FinalState).
 func runInterpreted(p *Program, seed int64, opts RunOptions) (trace.Execution, error) {
 	if err := p.Validate(); err != nil {
 		return trace.Execution{}, err
@@ -179,7 +191,7 @@ func runInterpreted(p *Program, seed int64, opts RunOptions) (trace.Execution, e
 	} else {
 		w.exec.Outcome = trace.Success
 	}
-	w.exec.Canonicalize()
+	canon.Canonicalize(&w.exec)
 	if opts.Final != nil {
 		w.captureFinal(opts.Final)
 	}
@@ -265,7 +277,7 @@ func (w *world) pushCall(th *thread, fn string, dst string) {
 		Method: fn,
 		Thread: th.id,
 		Start:  w.now,
-		Return: trace.VoidValue(),
+		Return: trace.Value{Void: true},
 	}
 	fr := &frame{kind: frameCall, fn: f, span: span, dst: dst}
 
@@ -312,7 +324,7 @@ func (w *world) pushCall(th *thread, fn string, dst string) {
 // signals. The caller has already popped the frame.
 func (w *world) finalizeCall(th *thread, fr *frame, ret trace.Value, exc string) {
 	if fr.override != nil && exc == "" {
-		ret = trace.IntValue(*fr.override)
+		ret = trace.Value{Int: *fr.override}
 	}
 	fr.span.End = w.now
 	fr.span.Return = ret
@@ -439,7 +451,7 @@ func (w *world) frameEnd(th *thread, fr *frame) {
 	case frameCall:
 		// Implicit void return.
 		th.mode = modeReturn
-		th.retVal = trace.VoidValue()
+		th.retVal = trace.Value{Void: true}
 	default:
 		th.popFrame()
 	}
@@ -492,7 +504,7 @@ func (w *world) unwindThrow(th *thread) {
 		// Injected try-catch: the span completes as if the body
 		// succeeded, repairing the "method fails" predicate.
 		th.popFrame()
-		w.finalizeCall(th, fr, trace.IntValue(fr.catchValue), "")
+		w.finalizeCall(th, fr, trace.Value{Int: fr.catchValue}, "")
 		th.exc = ""
 		th.mode = modeRun
 		if len(th.frames) == 0 {
@@ -500,7 +512,7 @@ func (w *world) unwindThrow(th *thread) {
 		}
 	case fr.kind == frameCall:
 		th.popFrame()
-		w.finalizeCall(th, fr, trace.VoidValue(), th.exc)
+		w.finalizeCall(th, fr, trace.Value{Void: true}, th.exc)
 		if len(th.frames) == 0 {
 			th.mode = modeRun
 			th.done = true
@@ -625,10 +637,10 @@ func (w *world) exec1(th *thread, fr *frame, op Op) {
 		w.pushCall(th, o.Fn, o.Dst)
 	case Return:
 		th.mode = modeReturn
-		th.retVal = trace.IntValue(w.eval(th, o.Val))
+		th.retVal = trace.Value{Int: w.eval(th, o.Val)}
 	case ReturnVoid:
 		th.mode = modeReturn
-		th.retVal = trace.VoidValue()
+		th.retVal = trace.Value{Void: true}
 	case Throw:
 		fr.pc++
 		w.throw(th, o.Kind)

@@ -14,22 +14,21 @@ import (
 // machine is the mutable state of one compiled execution: slot slices
 // instead of string-keyed maps, a flat control stack instead of frame
 // objects, and append-only span/access logs, which a caller reads as
-// they are (Observe hands out a trace.RunLog over them), keeps as an
-// owned copy (RunIf) or has assembled into a trace.Execution at the end
-// of the run (Run). The logs are symbol-indexed (function, object,
+// they are (Observe hands out a trace.RunLog over them) or keeps as an
+// owned copy (RunIf). The logs are symbol-indexed (function, object,
 // exception, lockset and mutex ids, no names) and hold no pointers, so
 // the loop pays no GC write barriers for them, and the collector never
 // scans a kept copy. Machines are pooled and reset between runs, so a
-// run allocates only what escapes it (a kept copy, an assembled trace),
-// and a run that keeps nothing allocates nothing.
+// run allocates only what escapes it (a kept copy), and a run that
+// keeps nothing allocates nothing.
 //
-// The span log is in canonical order (trace.Canonicalize's: start, then
-// thread, then method) once the run settles, so neither form needs a
-// sort. Every step runs at a later tick than the one before, opens at
-// most one span and records at most one access, so spans open in start
-// order and accesses are logged in time order with distinct times; the
-// one tie is at tick 0, between the entry span and a span its first
-// step opens (see settleTick0). Instance numbers come from a
+// The span log is in canonical order (start, then thread, then method;
+// internal/oracle/canon holds the definition) once the run settles, so
+// no reader sorts it. Every step runs at a later tick than the one
+// before, opens at most one span and records at most one access, so
+// spans open in start order and accesses are logged in time order with
+// distinct times; the one tie is at tick 0, between the entry span and
+// a span its first step opens (see settleTick0). Instance numbers come from a
 // per-function counter as each call opens.
 
 const (
@@ -257,22 +256,17 @@ type Verdict struct {
 	Sig    string
 }
 
-// Run executes the prepared program once under the given seed; the
-// trace is byte-identical to the interpreter's for the same
-// (program, seed, plan) triple. maxSteps <= 0 means DefaultMaxSteps.
-func (pp *Prepared) Run(seed int64, maxSteps int) trace.Execution {
-	return pp.run(nil, seed, Budget{MaxSteps: maxSteps}, nil)
-}
-
-// RunIf is Run for callers that keep only some runs, and keep them in
-// log form: when keep accepts the run's verdict (nil keep accepts every
-// run), it returns the run's header and an owned copy of its logs, in
-// the ids of the program's Symbols (a plan's own mutexes numbered past
-// the program's); a rejected run returns the zero LogRun and its
-// verdict alone. An unplanned kept run allocates its ID and its log
-// copy, whatever its length, and a rejected one nothing. The kept run's
-// Execution (trace.LogRun.Execution, named by the program's Symbols for
-// an unplanned run) is byte-identical to Run's.
+// RunIf executes the prepared program once under the given seed and
+// keeps the run, in log form, if keep accepts its verdict (nil keep
+// accepts every run): it returns the run's header and an owned copy of
+// its logs, in the ids of the program's Symbols (a plan's own mutexes
+// numbered past the program's); a rejected run returns the zero LogRun
+// and its verdict alone. An unplanned kept run allocates its ID and its
+// log copy, whatever its length, and a rejected one nothing. A kept
+// run's trace.LogRun.Execution, named by the program's Symbols for an
+// unplanned run, is byte-identical to the interpreter's trace for the
+// same (program, seed, plan) triple. maxSteps <= 0 means
+// DefaultMaxSteps.
 func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (trace.LogRun, Verdict) {
 	return pp.runIf(nil, seed, Budget{MaxSteps: maxSteps}, keep)
 }
@@ -282,11 +276,10 @@ func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (tr
 // verdict to done (when non-nil) before the machine goes back to the
 // pool. A nil m takes a machine from the pool and returns it
 // afterwards; a caller-supplied machine (a test's, seeded from another
-// source) stays the caller's. A run that neither assembles a trace nor
-// reads its logs allocates nothing. A non-zero b.WallClock arms the
-// loop's wall-clock check (SigBudget). A panic escapes before the
-// machine is pooled, so a possibly-corrupt machine is left to the
-// collector.
+// source) stays the caller's. A run whose done copies nothing out
+// allocates nothing. A non-zero b.WallClock arms the loop's wall-clock
+// check (SigBudget). A panic escapes before the machine is pooled, so a
+// possibly-corrupt machine is left to the collector.
 func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machine, Verdict)) Verdict {
 	maxSteps := b.MaxSteps
 	if maxSteps <= 0 {
@@ -314,21 +307,6 @@ func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machin
 	return v
 }
 
-// run is simulate that assembles the trace. final, when non-nil,
-// receives the FinalState snapshot; it covers the compiled symbol
-// tables' names — declared plus op-referenced shared state, excluding
-// plan-added injection slots — matching the interpreter's captureFinal
-// exactly.
-func (pp *Prepared) run(m *machine, seed int64, b Budget, final *FinalState) (exec trace.Execution) {
-	pp.simulate(m, seed, b, func(m *machine, v Verdict) {
-		exec = m.execution(seed)
-		if final != nil {
-			m.snapshot(final)
-		}
-	})
-	return exec
-}
-
 // runIf is simulate that copies the logs out only if keep (nil =
 // always) accepts the verdict.
 func (pp *Prepared) runIf(m *machine, seed int64, b Budget, keep func(Verdict) bool) (run trace.LogRun, v Verdict) {
@@ -339,19 +317,6 @@ func (pp *Prepared) runIf(m *machine, seed int64, b Budget, keep func(Verdict) b
 		}
 	})
 	return run, v
-}
-
-// snapshot fills final with the run's globals and arrays by name.
-func (m *machine) snapshot(final *FinalState) {
-	c := m.pp.c
-	final.Globals = make(map[string]int64, len(c.globalNames))
-	for i, n := range c.globalNames {
-		final.Globals[n] = m.globals[i]
-	}
-	final.Arrays = make(map[string][]int64, len(c.arrayNames))
-	for i, n := range c.arrayNames {
-		final.Arrays[n] = append([]int64(nil), m.arrays[i]...)
-	}
 }
 
 // logs returns a view of the machine's logs.
@@ -370,7 +335,7 @@ func (m *machine) runLog() *trace.RunLog {
 // order. The entry span (thread 0) and the span its first step opens,
 // on thread 0 for a call or a new thread for a spawn, both start at
 // tick 0. Canonical order puts the lower (thread, method) first and, on
-// a self-call, the callee: Canonicalize's stable sort keeps the
+// a self-call, the callee: the canonical sort is stable and keeps the
 // completion order, and the callee completes first. Instance numbers
 // follow that order. Function indices are in name order, so comparing
 // them compares names. The accesses of the two spans follow them.
@@ -402,7 +367,7 @@ func (m *machine) loop(maxSteps int) {
 			m.fail(SigHang)
 			break
 		}
-		// Wall-clock budget (RunGuarded only): sampled every 1024 steps
+		// Wall-clock budget (Observe only): sampled every 1024 steps
 		// so the common unguarded path pays one branch on a zero value.
 		if steps&1023 == 1023 && !m.wallDeadline.IsZero() && time.Now().After(m.wallDeadline) {
 			m.fail(SigBudget)
@@ -983,11 +948,4 @@ func (m *machine) logRun(seed int64, l trace.RunLog) trace.LogRun {
 		}
 	}
 	return r
-}
-
-// execution assembles the run's trace from its logs
-// (trace.LogRun.Execution), named by the Prepared's symbols.
-func (m *machine) execution(seed int64) trace.Execution {
-	r := m.logRun(seed, m.logs())
-	return r.Execution(&m.pp.syms)
 }

@@ -15,7 +15,7 @@ func TestReadClock(t *testing.T) {
 		Arith{Dst: "d", A: V("t1"), Op: OpSub, B: V("t0")},
 		Return{Val: V("d")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -51,7 +51,7 @@ func TestMultiLockInjectionNoDeadlock(t *testing.T) {
 	// Merge normalizes order; construct directly to test the runtime's
 	// sorted acquisition as well.
 	for seed := int64(0); seed < 60; seed++ {
-		e := MustRun(p, seed, RunOptions{Plan: plan})
+		e := mustKeptTrace(p, seed, RunOptions{Plan: plan})
 		if e.Failed() {
 			t.Fatalf("seed %d: %s", seed, e.FailureSig)
 		}
@@ -84,7 +84,7 @@ func TestMultiWaitInjection(t *testing.T) {
 		}},
 	}
 	for seed := int64(0); seed < 30; seed++ {
-		e := MustRun(p, seed, RunOptions{Plan: plan})
+		e := mustKeptTrace(p, seed, RunOptions{Plan: plan})
 		if e.Failed() {
 			t.Fatalf("seed %d: %s", seed, e.FailureSig)
 		}
@@ -113,7 +113,7 @@ func TestNestedTryCatch(t *testing.T) {
 		},
 		Return{Val: V("caught")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -139,7 +139,7 @@ func TestExceptionInWhileBody(t *testing.T) {
 		},
 		Return{Val: V("i")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -158,7 +158,7 @@ func TestArrayResizeShrink(t *testing.T) {
 		Arith{Dst: "out", A: V("x"), Op: OpMul, B: V("n")},
 		Return{Val: V("out")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if got := e.Call("Main", 0).Return.Int; got != 4 { // 2 * 2
 		t.Fatalf("after shrink = %d, want 4", got)
 	}
@@ -169,7 +169,7 @@ func TestArrayResizeShrink(t *testing.T) {
 		ArrayResize{Arr: "a", Len: Lit(2)},
 		ArrayRead{Arr: "a", Index: Lit(3), Dst: "x"},
 	)
-	if e := MustRun(p2, 1, RunOptions{}); !e.Failed() {
+	if e := mustKeptTrace(p2, 1, RunOptions{}); !e.Failed() {
 		t.Fatal("read past shrunken array succeeded")
 	}
 }
@@ -177,7 +177,7 @@ func TestArrayResizeShrink(t *testing.T) {
 func TestJoinInvalidThreadThrows(t *testing.T) {
 	p := NewProgram("badjoin", "Main")
 	p.AddFunc("Main", Assign{Dst: "t", Src: Lit(99)}, Join{Thread: V("t")})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != UncaughtSig(ExcSync) {
 		t.Fatalf("outcome = %v/%s", e.Outcome, e.FailureSig)
 	}
@@ -191,7 +191,7 @@ func TestNegativeSleepAndRandom(t *testing.T) {
 		Random{Dst: "r", N: V("n")},
 		Return{Val: V("r")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("negative sleep/random crashed: %s", e.FailureSig)
 	}
@@ -203,7 +203,7 @@ func TestNegativeSleepAndRandom(t *testing.T) {
 func TestTraceTypesExposed(t *testing.T) {
 	// Compile-time sanity that the sim package exposes trace types in
 	// its API (spans, seeds) as documented.
-	var e trace.Execution = MustRun(sequentialProgram(), 9, RunOptions{})
+	var e trace.Execution = mustKeptTrace(sequentialProgram(), 9, RunOptions{})
 	if e.Seed != 9 {
 		t.Fatalf("seed = %d", e.Seed)
 	}

@@ -23,7 +23,7 @@ type Func struct {
 // functions, with Entry as the main thread's body.
 //
 // A Program must be fully constructed before its first run: the first
-// Run/Prepare compiles it to bytecode and caches the compilation, so
+// Prepare compiles it to bytecode and caches the compilation, so
 // later mutations (AddFunc, Globals edits) would not be picked up.
 type Program struct {
 	Name  string

@@ -24,8 +24,19 @@ func sequentialProgram() *Program {
 	return p
 }
 
+// callsOf returns e's spans of the named method in start order.
+func callsOf(e *trace.Execution, method string) []*trace.MethodCall {
+	var out []*trace.MethodCall
+	for i := range e.Calls {
+		if e.Calls[i].Method == method {
+			out = append(out, &e.Calls[i])
+		}
+	}
+	return out
+}
+
 func TestSequentialRun(t *testing.T) {
-	e := MustRun(sequentialProgram(), 1, RunOptions{})
+	e := mustKeptTrace(sequentialProgram(), 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("sequential run failed: %s", e.FailureSig)
 	}
@@ -50,13 +61,13 @@ func TestSequentialRun(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	p := racyProgram()
-	a := MustRun(p, 42, RunOptions{})
-	b := MustRun(p, 42, RunOptions{})
+	a := mustKeptTrace(p, 42, RunOptions{})
+	b := mustKeptTrace(p, 42, RunOptions{})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different traces")
 	}
 	// Different seeds usually differ in span timings.
-	c := MustRun(p, 43, RunOptions{})
+	c := mustKeptTrace(p, 43, RunOptions{})
 	if reflect.DeepEqual(a.Calls, c.Calls) {
 		t.Log("seeds 42 and 43 coincided; not fatal but suspicious")
 	}
@@ -74,7 +85,7 @@ func TestArithOps(t *testing.T) {
 		WriteGlobal{Var: "r", Src: V("r")},
 		Return{Val: V("d")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -86,7 +97,7 @@ func TestArithOps(t *testing.T) {
 func TestDivideByZeroThrows(t *testing.T) {
 	p := NewProgram("div0", "Main")
 	p.AddFunc("Main", Arith{Dst: "x", A: Lit(1), Op: OpDiv, B: Lit(0)})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != UncaughtSig("DivideByZero") {
 		t.Fatalf("outcome = %v/%s, want unhandled DivideByZero", e.Outcome, e.FailureSig)
 	}
@@ -106,7 +117,7 @@ func TestIfElse(t *testing.T) {
 		Arith{Dst: "out", A: V("out"), Op: OpAdd, B: V("z")},
 		Return{Val: V("out")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if got := e.Call("Main", 0).Return.Int; got != 12 {
 		t.Fatalf("if/else result = %d, want 12", got)
 	}
@@ -123,7 +134,7 @@ func TestWhileLoop(t *testing.T) {
 		}},
 		Return{Val: V("sum")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if got := e.Call("Main", 0).Return.Int; got != 10 {
 		t.Fatalf("sum 0..4 = %d, want 10", got)
 	}
@@ -139,8 +150,8 @@ func TestLoopInstancesNumbered(t *testing.T) {
 			Arith{Dst: "i", A: V("i"), Op: OpAdd, B: Lit(1)},
 		}},
 	)
-	e := MustRun(p, 1, RunOptions{})
-	calls := e.CallsOf("Body")
+	e := mustKeptTrace(p, 1, RunOptions{})
+	calls := callsOf(&e, "Body")
 	if len(calls) != 3 {
 		t.Fatalf("Body called %d times, want 3", len(calls))
 	}
@@ -168,7 +179,7 @@ func TestArrays(t *testing.T) {
 		Arith{Dst: "out", A: V("out"), Op: OpAdd, B: V("z")},
 		Return{Val: V("out")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -182,7 +193,7 @@ func TestArrayOutOfRange(t *testing.T) {
 	p := NewProgram("oob", "Main")
 	p.Arrays["a"] = []int64{1}
 	p.AddFunc("Main", ArrayRead{Arr: "a", Index: Lit(5), Dst: "x"})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != UncaughtSig(ExcIndexOutOfRange) {
 		t.Fatalf("outcome = %v/%s, want unhandled IndexOutOfRange", e.Outcome, e.FailureSig)
 	}
@@ -202,7 +213,7 @@ func TestTryCatch(t *testing.T) {
 		},
 		Return{Val: V("caught")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -219,7 +230,7 @@ func TestTryCatchWrongKindPropagates(t *testing.T) {
 	p.AddFunc("Main",
 		Try{Body: []Op{Throw{Kind: "A"}}, CatchKind: "B", Handler: []Op{Nop{}}},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != UncaughtSig("A") {
 		t.Fatalf("outcome = %v/%s, want unhandled A", e.Outcome, e.FailureSig)
 	}
@@ -232,7 +243,7 @@ func TestTryCatchStar(t *testing.T) {
 			Handler: []Op{Assign{Dst: "ok", Src: Lit(1)}}},
 		Return{Val: V("ok")},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if e.Failed() || e.Call("Main", 0).Return.Int != 1 {
 		t.Fatal("catch-all handler did not absorb exception")
 	}
@@ -252,7 +263,7 @@ func TestSpawnJoinAndSharing(t *testing.T) {
 		ReadGlobal{Var: "g", Dst: "r"},
 		Return{Val: V("r")},
 	)
-	e := MustRun(p, 7, RunOptions{})
+	e := mustKeptTrace(p, 7, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -291,7 +302,7 @@ func TestLocksMutualExclusion(t *testing.T) {
 		Return{Val: V("r")},
 	)
 	for seed := int64(0); seed < 10; seed++ {
-		e := MustRun(p, seed, RunOptions{})
+		e := mustKeptTrace(p, seed, RunOptions{})
 		if e.Failed() {
 			t.Fatalf("seed %d failed: %s", seed, e.FailureSig)
 		}
@@ -326,7 +337,7 @@ func racyProgram() *Program {
 func TestRaceManifestsIntermittently(t *testing.T) {
 	lost, ok := 0, 0
 	for seed := int64(0); seed < 200; seed++ {
-		e := MustRun(racyProgram(), seed, RunOptions{})
+		e := mustKeptTrace(racyProgram(), seed, RunOptions{})
 		switch e.Call("Main", 0).Return.Int {
 		case 1:
 			lost++
@@ -353,7 +364,7 @@ func TestDeadlockDetection(t *testing.T) {
 	)
 	deadlocked := 0
 	for seed := int64(0); seed < 50; seed++ {
-		e := MustRun(p, seed, RunOptions{})
+		e := mustKeptTrace(p, seed, RunOptions{})
 		if e.Failed() && e.FailureSig == SigDeadlock {
 			deadlocked++
 		}
@@ -366,7 +377,7 @@ func TestDeadlockDetection(t *testing.T) {
 func TestSelfLockDeadlocks(t *testing.T) {
 	p := NewProgram("selflock", "Main")
 	p.AddFunc("Main", Lock{Mu: "m"}, Lock{Mu: "m"})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != SigDeadlock {
 		t.Fatalf("outcome = %v/%s, want deadlock", e.Outcome, e.FailureSig)
 	}
@@ -375,7 +386,7 @@ func TestSelfLockDeadlocks(t *testing.T) {
 func TestUnlockWithoutLockThrows(t *testing.T) {
 	p := NewProgram("badunlock", "Main")
 	p.AddFunc("Main", Unlock{Mu: "m"})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != UncaughtSig(ExcSync) {
 		t.Fatalf("outcome = %v/%s, want unhandled SyncError", e.Outcome, e.FailureSig)
 	}
@@ -387,7 +398,7 @@ func TestHangDetection(t *testing.T) {
 		Assign{Dst: "i", Src: Lit(0)},
 		While{Cond: Cond{A: V("i"), Op: EQ, B: Lit(0)}, Body: []Op{Nop{}}},
 	)
-	e := MustRun(p, 1, RunOptions{MaxSteps: 500})
+	e := mustKeptTrace(p, 1, RunOptions{MaxSteps: 500})
 	if !e.Failed() || e.FailureSig != SigHang {
 		t.Fatalf("outcome = %v/%s, want hang", e.Outcome, e.FailureSig)
 	}
@@ -403,7 +414,7 @@ func TestWaitUntilBlocksAndWakes(t *testing.T) {
 		ReadGlobal{Var: "flag", Dst: "r"},
 		Return{Val: V("r")},
 	)
-	e := MustRun(p, 3, RunOptions{})
+	e := mustKeptTrace(p, 3, RunOptions{})
 	if e.Failed() {
 		t.Fatalf("failed: %s", e.FailureSig)
 	}
@@ -416,7 +427,7 @@ func TestWaitUntilNeverSatisfiedDeadlocks(t *testing.T) {
 	p := NewProgram("waitnever", "Main")
 	p.Globals["flag"] = 0
 	p.AddFunc("Main", WaitUntil{Var: "flag", Val: Lit(1)})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != SigDeadlock {
 		t.Fatalf("outcome = %v/%s, want deadlock", e.Outcome, e.FailureSig)
 	}
@@ -426,7 +437,7 @@ func TestSleepDurationsReflectInSpans(t *testing.T) {
 	p := NewProgram("sleep", "Main")
 	p.AddFunc("Slow", Sleep{Ticks: Lit(100)})
 	p.AddFunc("Main", Call{Fn: "Slow"})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if d := e.Call("Slow", 0).Duration(); d < 100 {
 		t.Fatalf("Slow duration = %d, want >= 100", d)
 	}
@@ -439,14 +450,14 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 		WriteGlobal{Var: "out", Src: V("r")},
 		Return{Val: V("r")},
 	)
-	a := MustRun(p, 5, RunOptions{})
-	b := MustRun(p, 5, RunOptions{})
+	a := mustKeptTrace(p, 5, RunOptions{})
+	b := mustKeptTrace(p, 5, RunOptions{})
 	if a.Call("Main", 0).Return.Int != b.Call("Main", 0).Return.Int {
 		t.Fatal("Random not deterministic per seed")
 	}
 	vals := map[int64]bool{}
 	for seed := int64(0); seed < 20; seed++ {
-		e := MustRun(p, seed, RunOptions{})
+		e := mustKeptTrace(p, seed, RunOptions{})
 		vals[e.Call("Main", 0).Return.Int] = true
 	}
 	if len(vals) < 2 {
@@ -457,7 +468,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 func TestFailOp(t *testing.T) {
 	p := NewProgram("failop", "Main")
 	p.AddFunc("Main", Fail{Sig: "corruption"})
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	if !e.Failed() || e.FailureSig != "corruption" {
 		t.Fatalf("outcome = %v/%s, want corruption", e.Outcome, e.FailureSig)
 	}
@@ -478,8 +489,8 @@ func TestValidateErrors(t *testing.T) {
 	if err := p2.Validate(); err == nil {
 		t.Fatal("undefined spawn target inside If not rejected")
 	}
-	if _, err := Run(p2, 1, RunOptions{}); err == nil {
-		t.Fatal("Run should surface validation errors")
+	if _, err := Prepare(p2, nil); err == nil {
+		t.Fatal("Prepare should surface validation errors")
 	}
 }
 
@@ -492,7 +503,7 @@ func TestAccessLocksets(t *testing.T) {
 		Unlock{Mu: "m"},
 		WriteGlobal{Var: "g", Src: Lit(2)},
 	)
-	e := MustRun(p, 1, RunOptions{})
+	e := mustKeptTrace(p, 1, RunOptions{})
 	acc := e.Call("Main", 0).Accesses
 	if len(acc) != 2 {
 		t.Fatalf("got %d accesses, want 2", len(acc))

@@ -18,7 +18,6 @@
 package statdebug
 
 import (
-	"math"
 	"sort"
 
 	"aid/internal/bitvec"
@@ -82,21 +81,6 @@ func Scores(c *predicate.Corpus) []Score {
 		}
 		return out[i].Pred < out[j].Pred
 	})
-	return out
-}
-
-// Discriminative returns predicates meeting the precision and recall
-// thresholds, excluding the failure predicate itself.
-func Discriminative(c *predicate.Corpus, minPrecision, minRecall float64) []predicate.ID {
-	var out []predicate.ID
-	for _, s := range Scores(c) {
-		if s.Pred == predicate.FailureID {
-			continue
-		}
-		if s.Precision >= minPrecision && s.Recall >= minRecall && s.Occurrences > 0 {
-			out = append(out, s.Pred)
-		}
-	}
 	return out
 }
 
@@ -190,33 +174,4 @@ func GenerateCompounds(c *predicate.Corpus, maxCompounds int) []predicate.Predic
 		}
 	}
 	return out
-}
-
-// EntropyGain ranks a predicate by the information its occurrence gives
-// about the outcome (a HOLMES/CBI-style metric); exposed for analysis
-// tooling and tests of ranking alternatives. Reads the maintained
-// counters — O(1).
-func EntropyGain(c *predicate.Corpus, id predicate.ID) float64 {
-	n := float64(c.NumLogs())
-	if n == 0 {
-		return 0
-	}
-	occI, occFailI, failI := c.Counts(id)
-	occ, occFail, fail := float64(occI), float64(occFailI), float64(failI)
-	h := entropy(fail / n)
-	var cond float64
-	if occ > 0 {
-		cond += occ / n * entropy(occFail/occ)
-	}
-	if occ < n {
-		cond += (n - occ) / n * entropy((fail-occFail)/(n-occ))
-	}
-	return h - cond
-}
-
-func entropy(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
 }

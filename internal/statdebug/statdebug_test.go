@@ -91,28 +91,6 @@ func TestFullyDiscriminativeExcludesInvariants(t *testing.T) {
 	}
 }
 
-func TestDiscriminativeThresholds(t *testing.T) {
-	outcomes := []bool{false, false, true, true}
-	c := corpus(outcomes, map[predicate.ID][]bool{
-		"perfect": {false, false, true, true},
-		"partial": {false, true, true, true}, // P=2/3
-		"weak":    {false, false, true, false},
-	})
-	got := Discriminative(c, 0.5, 1)
-	want := map[predicate.ID]bool{"perfect": true, "partial": true}
-	if len(got) != 2 {
-		t.Fatalf("Discriminative = %v", got)
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Fatalf("unexpected discriminative predicate %s", id)
-		}
-	}
-	if got := Discriminative(c, 1, 1); len(got) != 1 || got[0] != "perfect" {
-		t.Fatalf("strict Discriminative = %v", got)
-	}
-}
-
 func TestGenerateCompounds(t *testing.T) {
 	// a and b each occur in one success, but never together outside
 	// failures; their conjunction is fully discriminative.
@@ -158,24 +136,5 @@ func TestGenerateCompoundsRespectsCap(t *testing.T) {
 	comps := GenerateCompounds(c, 2)
 	if len(comps) != 2 {
 		t.Fatalf("generated %d compounds, want cap 2", len(comps))
-	}
-}
-
-func TestEntropyGain(t *testing.T) {
-	outcomes := []bool{false, false, true, true}
-	c := corpus(outcomes, map[predicate.ID][]bool{
-		"perfect": {false, false, true, true},
-		"useless": {true, false, true, false},
-	})
-	gPerfect := EntropyGain(c, "perfect")
-	gUseless := EntropyGain(c, "useless")
-	if math.Abs(gPerfect-1) > 1e-12 {
-		t.Fatalf("perfect predicate gain = %v, want 1 bit", gPerfect)
-	}
-	if gUseless > 1e-12 {
-		t.Fatalf("useless predicate gain = %v, want 0", gUseless)
-	}
-	if g := EntropyGain(predicate.NewCorpus(), "x"); g != 0 {
-		t.Fatalf("empty corpus gain = %v", g)
 	}
 }

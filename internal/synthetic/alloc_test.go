@@ -54,7 +54,7 @@ func TestInterveneAllocsIndependentOfSize(t *testing.T) {
 			}
 			interveneSink = obs
 		})
-		if obs := interveneSink[0]; obs.Failed || obs.Observed.Has(w.Preds[1]) || !obs.Observed.Has(w.Preds[0]) {
+		if obs := interveneSink[0]; obs.Failed || has(obs.Observed, w.Preds[1]) || !has(obs.Observed, w.Preds[0]) {
 			t.Fatalf("n=%d: forcing the last cause gave %+v", n, obs)
 		}
 	}

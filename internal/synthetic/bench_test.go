@@ -3,8 +3,6 @@ package synthetic
 import (
 	"context"
 	"testing"
-
-	"aid/internal/grouptest"
 )
 
 // BenchmarkGenerate measures world generation at the paper's largest
@@ -50,12 +48,12 @@ func BenchmarkTAGTOnWorld(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var res *grouptest.Result
+	var n int
 	for i := 0; i < b.N; i++ {
-		res, err = grouptest.Halving(inst.World.SortedPreds(), inst.World.Oracle, int64(i))
+		n, err = RunInstance(context.Background(), inst, TAGT, int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.Tests), "interventions")
+	b.ReportMetric(float64(n), "interventions")
 }

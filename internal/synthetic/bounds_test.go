@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"aid/internal/oracle/chains"
 	"aid/internal/theory"
 )
 
@@ -74,10 +75,10 @@ func TestSearchSpaceShrinksWithStructure(t *testing.T) {
 		if inst.N < 4 || inst.Branches < 2 {
 			continue // chains: spaces coincide
 		}
-		chains := theory.CountChains(dag)
+		cpd := chains.Count(dag)
 		gt := theory.GTSpace(inst.N)
-		if chains.Cmp(gt) >= 0 {
-			t.Errorf("seed %d: CPD space %s not below GT space %s", seed, chains, gt)
+		if cpd.Cmp(gt) >= 0 {
+			t.Errorf("seed %d: CPD space %s not below GT space %s", seed, cpd, gt)
 		}
 		// The planted path must be a chain of the DAG.
 		for i := 0; i+1 < len(inst.World.Path); i++ {

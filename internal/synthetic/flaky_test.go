@@ -36,7 +36,7 @@ func TestFlakyWorldObservationSemantics(t *testing.T) {
 			manifested++
 			// Causal predicates never flicker when the trigger recurs.
 			for _, c := range inst.World.Path {
-				if !o.Observed.Has(c) {
+				if !has(o.Observed, c) {
 					t.Fatalf("causal predicate %s flickered in a failing run", c)
 				}
 			}
@@ -60,7 +60,7 @@ func TestFlakyWorldSymptomFlicker(t *testing.T) {
 	flickered := false
 	for _, o := range runs(t, f, nil, 200) {
 		for _, p := range inst.World.Preds {
-			if !o.Observed.Has(p) {
+			if !has(o.Observed, p) {
 				flickered = true
 			}
 		}

@@ -3,12 +3,18 @@ package synthetic
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"aid/internal/core"
 	"aid/internal/predicate"
 )
+
+// has reports whether s holds id.
+func has(s core.PredSet, id predicate.ID) bool {
+	return slices.Contains(slices.Collect(s.All()), id)
+}
 
 func mustGen(t *testing.T, maxT int, seed int64) *Instance {
 	t.Helper()
@@ -68,7 +74,7 @@ func TestWorldFireSemantics(t *testing.T) {
 		t.Fatal("un-intervened world must fail")
 	}
 	for _, p := range w.Preds {
-		if !fired.Has(p) {
+		if !has(fired, p) {
 			t.Fatalf("%s did not fire in failing run", p)
 		}
 	}
@@ -78,7 +84,7 @@ func TestWorldFireSemantics(t *testing.T) {
 		t.Fatal("forcing the root cause must stop the failure")
 	}
 	for _, c := range w.Path {
-		if fired.Has(c) {
+		if has(fired, c) {
 			t.Fatalf("causal predicate %s fired despite root intervention", c)
 		}
 	}
@@ -88,7 +94,7 @@ func TestWorldFireSemantics(t *testing.T) {
 	if failed {
 		t.Fatal("forcing the last cause must stop the failure")
 	}
-	if len(w.Path) > 1 && !fired.Has(w.Path[0]) {
+	if len(w.Path) > 1 && !has(fired, w.Path[0]) {
 		t.Fatal("upstream cause should still fire")
 	}
 }
@@ -225,7 +231,9 @@ func TestLateSymptomsDiscardedWithoutIntervention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dag.Has("LATE.P0") || !dag.Has("LATE.P1") {
+	_, p0 := dag.IndexOf("LATE.P0")
+	_, p1 := dag.IndexOf("LATE.P1")
+	if !p0 || !p1 {
 		t.Fatal("late symptoms missing from DAG")
 	}
 	if dag.Precedes("LATE.P0", predicate.FailureID) {

@@ -175,16 +175,6 @@ func (w *World) Intervene(ctx context.Context, preds []predicate.ID) ([]core.Obs
 	return []core.Observation{{Failed: failed, Observed: fired}}, nil
 }
 
-// Oracle adapts the world to grouptest.Oracle semantics: true iff the
-// failure stops under the group intervention.
-func (w *World) Oracle(group []predicate.ID) (bool, error) {
-	obs, err := w.Intervene(context.Background(), group)
-	if err != nil {
-		return false, err
-	}
-	return !obs[0].Failed, nil
-}
-
 // Validate checks internal consistency: the causal chain is parented
 // correctly, every parent precedes its child in the AC-DAG, and the
 // path reaches F.

@@ -8,9 +8,6 @@ package theory
 import (
 	"math"
 	"math/big"
-
-	"aid/internal/acdag"
-	"aid/internal/predicate"
 )
 
 // LogChoose returns log₂ C(n, d) (0 for degenerate inputs).
@@ -110,36 +107,6 @@ func SymmetricCPDSpace(j, b, n int) *big.Int {
 
 // SymmetricGTSpace is GT's search space on the same DAG: 2^(J·B·n).
 func SymmetricGTSpace(j, b, n int) *big.Int { return GTSpace(j * b * n) }
-
-// CountChains returns the CPD search space of an arbitrary AC-DAG: the
-// number of totally-ordered subsets (chains) of its predicate nodes,
-// including the empty set. The failure predicate is excluded — it
-// terminates every solution and contributes no choice.
-//
-// Each non-empty chain is counted once at its maximum element:
-// chainsEndingAt(v) = 1 + Σ_{u ≺ v} chainsEndingAt(u).
-func CountChains(d *acdag.DAG) *big.Int {
-	nodes := d.Nodes()
-	ending := make(map[predicate.ID]*big.Int, len(nodes))
-	// Process in topological order so predecessors are done first.
-	order := d.TopoOrder(nil)
-	total := big.NewInt(1) // the empty solution
-	for _, v := range order {
-		if v == predicate.FailureID {
-			continue
-		}
-		cnt := big.NewInt(1)
-		for _, u := range d.Ancestors(v) {
-			if u == predicate.FailureID {
-				continue
-			}
-			cnt.Add(cnt, ending[u])
-		}
-		ending[v] = cnt
-		total.Add(total, cnt)
-	}
-	return total
-}
 
 // Fig6Row is one row of the paper's Fig. 6 comparison table, computed
 // numerically for concrete parameters.

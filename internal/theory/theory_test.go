@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"aid/internal/acdag"
+	"aid/internal/oracle/chains"
 	"aid/internal/predicate"
 )
 
@@ -174,7 +175,7 @@ func TestCountChainsMatchesClosedForm(t *testing.T) {
 		{1, 2, 3}, {2, 2, 2}, {1, 3, 2}, {3, 1, 2}, {2, 3, 1},
 	} {
 		d := symmetricDAG(t, tc.j, tc.b, tc.n)
-		got := CountChains(d)
+		got := chains.Count(d)
 		want := SymmetricCPDSpace(tc.j, tc.b, tc.n)
 		if got.Cmp(want) != 0 {
 			t.Errorf("J=%d B=%d n=%d: CountChains = %s, closed form = %s",
@@ -191,7 +192,7 @@ func TestCountChainsSimpleChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := CountChains(d); got.Cmp(big.NewInt(8)) != 0 {
+	if got := chains.Count(d); got.Cmp(big.NewInt(8)) != 0 {
 		t.Fatalf("chain of 3: CountChains = %s, want 8", got)
 	}
 }

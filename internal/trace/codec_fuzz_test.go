@@ -24,13 +24,18 @@ import (
 // each) plus assorted malformed corpora.
 func seedCorpora(f *testing.F) {
 	for _, s := range casestudy.All() {
+		pp, err := sim.Prepare(s.Program, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		syms, err := s.Program.Symbols()
+		if err != nil {
+			f.Fatal(err)
+		}
 		var set trace.Set
 		for seed := int64(1); seed <= 2; seed++ {
-			e, err := sim.Run(s.Program, seed, sim.RunOptions{MaxSteps: s.MaxSteps})
-			if err != nil {
-				f.Fatalf("%s seed %d: %v", s.Name, seed, err)
-			}
-			set.Add(e)
+			run, _ := pp.RunIf(seed, s.MaxSteps, nil)
+			set.Executions = append(set.Executions, run.Execution(&syms))
 		}
 		var buf bytes.Buffer
 		if err := trace.Encode(&buf, &set); err != nil {

@@ -11,12 +11,7 @@
 // which plays the role of the paper's computer clock.
 package trace
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-	"strings"
-)
+import "fmt"
 
 // ThreadID identifies a simulated thread within one execution.
 type ThreadID int
@@ -63,12 +58,6 @@ type Value struct {
 	Void bool  `json:"void,omitempty"`
 	Int  int64 `json:"int"`
 }
-
-// VoidValue is the return value of methods that return nothing.
-func VoidValue() Value { return Value{Void: true} }
-
-// IntValue wraps an integer return value.
-func IntValue(v int64) Value { return Value{Int: v} }
 
 // Equal reports whether two return values are identical.
 func (v Value) Equal(o Value) bool { return v.Void == o.Void && v.Int == o.Int }
@@ -149,74 +138,6 @@ type Execution struct {
 // Failed reports whether the execution's outcome is Failure.
 func (e *Execution) Failed() bool { return e.Outcome == Failure }
 
-// compareCallsByStart is the canonical span order. The generic stable
-// sort boxes nothing (sort.Stable's interface conversion escapes;
-// sort.SliceStable adds a reflect-based swapper).
-func compareCallsByStart(a, b MethodCall) int {
-	switch {
-	case a.Start != b.Start:
-		return cmp.Compare(a.Start, b.Start)
-	case a.Thread != b.Thread:
-		return cmp.Compare(a.Thread, b.Thread)
-	default:
-		return strings.Compare(a.Method, b.Method)
-	}
-}
-
-// SortCalls orders spans by start time, breaking ties by thread then
-// method name so traces are canonical and diffable.
-func (e *Execution) SortCalls() {
-	slices.SortStableFunc(e.Calls, compareCallsByStart)
-}
-
-// Canonicalize puts the execution in canonical form: spans sorted and
-// instance numbers assigned, so canonical traces are comparable
-// byte-for-byte. Set.Add and the sim interpreter funnel through it; the
-// compiled sim engine records spans in this order and numbers them as
-// it runs, and the engine equivalence tests hold it to this definition.
-func (e *Execution) Canonicalize() {
-	e.SortCalls()
-	e.NumberInstances()
-}
-
-// NumberInstances assigns Instance indices to calls: the k-th start of a
-// method within the execution gets instance k. Calls must be sorted.
-func (e *Execution) NumberInstances() {
-	// A linear-scan counter over a stack array instead of a map:
-	// programs have a handful of distinct methods, and the array only
-	// spills to the heap past 32 of them.
-	type methodCount struct {
-		method string
-		next   int
-	}
-	var scratch [32]methodCount
-	seen := scratch[:0]
-outer:
-	for i := range e.Calls {
-		m := e.Calls[i].Method
-		for j := range seen {
-			if seen[j].method == m {
-				e.Calls[i].Instance = seen[j].next
-				seen[j].next++
-				continue outer
-			}
-		}
-		e.Calls[i].Instance = 0
-		seen = append(seen, methodCount{m, 1})
-	}
-}
-
-// CallsOf returns all spans of the named method in start order.
-func (e *Execution) CallsOf(method string) []*MethodCall {
-	var out []*MethodCall
-	for i := range e.Calls {
-		if e.Calls[i].Method == method {
-			out = append(out, &e.Calls[i])
-		}
-	}
-	return out
-}
-
 // Call returns the span of the given method instance, or nil.
 func (e *Execution) Call(method string, instance int) *MethodCall {
 	for i := range e.Calls {
@@ -233,27 +154,11 @@ type Set struct {
 	Executions []Execution `json:"executions"`
 }
 
-// Add appends an execution, canonicalizing its call order and instance
-// numbering.
-func (s *Set) Add(e Execution) {
-	e.Canonicalize()
-	s.Executions = append(s.Executions, e)
-}
-
-// Reset clears the corpus for reuse, keeping the Executions capacity
-// (arena hook, like Execution.Reset).
-func (s *Set) Reset() { s.Executions = s.Executions[:0] }
-
 // Successes returns the successful executions.
-func (s *Set) Successes() []*Execution { return s.byOutcome(Success) }
-
-// Failures returns the failed executions.
-func (s *Set) Failures() []*Execution { return s.byOutcome(Failure) }
-
-func (s *Set) byOutcome(o Outcome) []*Execution {
+func (s *Set) Successes() []*Execution {
 	var out []*Execution
 	for i := range s.Executions {
-		if s.Executions[i].Outcome == o {
+		if !s.Executions[i].Failed() {
 			out = append(out, &s.Executions[i])
 		}
 	}

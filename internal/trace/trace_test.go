@@ -28,20 +28,21 @@ func TestMethodCallDurationAndFailed(t *testing.T) {
 }
 
 func TestValueEqualAndString(t *testing.T) {
-	if !IntValue(5).Equal(IntValue(5)) {
-		t.Error("IntValue(5) != IntValue(5)")
+	five, six, zero, void := Value{Int: 5}, Value{Int: 6}, Value{}, Value{Void: true}
+	if !five.Equal(five) {
+		t.Error("5 != 5")
 	}
-	if IntValue(5).Equal(IntValue(6)) {
-		t.Error("IntValue(5) == IntValue(6)")
+	if five.Equal(six) {
+		t.Error("5 == 6")
 	}
-	if IntValue(0).Equal(VoidValue()) {
-		t.Error("IntValue(0) == VoidValue()")
+	if zero.Equal(void) {
+		t.Error("0 == void")
 	}
-	if got := VoidValue().String(); got != "void" {
-		t.Errorf("VoidValue().String() = %q", got)
+	if got := void.String(); got != "void" {
+		t.Errorf("void.String() = %q", got)
 	}
-	if got := IntValue(-3).String(); got != "-3" {
-		t.Errorf("IntValue(-3).String() = %q", got)
+	if got := (Value{Int: -3}).String(); got != "-3" {
+		t.Errorf("Value{Int: -3}.String() = %q", got)
 	}
 }
 
@@ -57,47 +58,13 @@ func TestOutcomeString(t *testing.T) {
 	}
 }
 
-func TestSortCallsAndInstances(t *testing.T) {
-	e := Execution{Calls: []MethodCall{
-		span("B", 2, 20, 30),
-		span("A", 1, 0, 10),
-		span("A", 3, 15, 18),
-		span("A", 2, 0, 5), // same start as A/1: thread breaks tie
-	}}
-	e.SortCalls()
-	e.NumberInstances()
-	got := make([]string, 0, 4)
-	for _, c := range e.Calls {
-		got = append(got, c.Method)
-	}
-	want := []string{"A", "A", "A", "B"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sorted methods = %v, want %v", got, want)
-	}
-	if e.Calls[0].Thread != 1 || e.Calls[1].Thread != 2 {
-		t.Fatalf("tie-break by thread failed: %+v", e.Calls[:2])
-	}
-	// Instances number per-method in start order.
-	if e.Calls[0].Instance != 0 || e.Calls[1].Instance != 1 || e.Calls[2].Instance != 2 {
-		t.Fatalf("instances of A = %d,%d,%d, want 0,1,2",
-			e.Calls[0].Instance, e.Calls[1].Instance, e.Calls[2].Instance)
-	}
-	if e.Calls[3].Instance != 0 {
-		t.Fatalf("instance of B = %d, want 0", e.Calls[3].Instance)
-	}
-}
-
 func TestExecutionQueries(t *testing.T) {
 	e := Execution{Calls: []MethodCall{
 		span("A", 1, 0, 10),
 		span("B", 2, 5, 8),
 		span("A", 1, 20, 30),
 	}}
-	e.SortCalls()
-	e.NumberInstances()
-	if got := len(e.CallsOf("A")); got != 2 {
-		t.Fatalf("CallsOf(A) = %d spans, want 2", got)
-	}
+	e.Calls[2].Instance = 1
 	if c := e.Call("A", 1); c == nil || c.Start != 20 {
 		t.Fatalf("Call(A,1) = %+v, want span starting at 20", c)
 	}
@@ -107,11 +74,12 @@ func TestExecutionQueries(t *testing.T) {
 }
 
 func TestSetOutcomesAndSignatures(t *testing.T) {
-	s := &Set{}
-	s.Add(Execution{ID: "s1", Outcome: Success})
-	s.Add(Execution{ID: "f1", Outcome: Failure, FailureSig: "crash@Foo"})
-	s.Add(Execution{ID: "f2", Outcome: Failure, FailureSig: "hang@Bar"})
-	s.Add(Execution{ID: "f3", Outcome: Failure, FailureSig: "crash@Foo"})
+	s := &Set{Executions: []Execution{
+		{ID: "s1", Outcome: Success},
+		{ID: "f1", Outcome: Failure, FailureSig: "crash@Foo"},
+		{ID: "f2", Outcome: Failure, FailureSig: "hang@Bar"},
+		{ID: "f3", Outcome: Failure, FailureSig: "crash@Foo"},
+	}}
 
 	succ, fail := s.Counts()
 	if succ != 1 || fail != 3 {
@@ -120,23 +88,17 @@ func TestSetOutcomesAndSignatures(t *testing.T) {
 	if got := len(s.Successes()); got != 1 {
 		t.Fatalf("Successes = %d", got)
 	}
-	if got := len(s.Failures()); got != 3 {
-		t.Fatalf("Failures = %d", got)
-	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	s := &Set{}
-	e := Execution{
+	s := &Set{Executions: []Execution{{
 		ID: "run-1", Seed: 42, Outcome: Failure, FailureSig: "crash",
 		Calls: []MethodCall{{
 			Method: "GetOrAdd", Thread: 2, Start: 3, End: 9,
 			Accesses: []Access{{Object: "_nextSlot", Kind: Write, At: 5, Locks: []string{"pool"}}},
-			Return:   IntValue(7),
+			Return:   Value{Int: 7},
 		}},
-	}
-	s.Add(e)
-	s.Add(Execution{ID: "run-2", Seed: 43, Outcome: Success})
+	}, {ID: "run-2", Seed: 43, Outcome: Success}}}
 
 	var buf bytes.Buffer
 	if err := Encode(&buf, s); err != nil {
@@ -154,8 +116,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "traces.jsonl")
-	s := &Set{}
-	s.Add(Execution{ID: "a", Outcome: Success})
+	s := &Set{Executions: []Execution{{ID: "a", Outcome: Success}}}
 	if err := WriteFile(path, s); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}

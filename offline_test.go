@@ -37,10 +37,6 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The offline report's Study field names the file, not the study;
-	// normalize the labels before comparing.
-	offline.Study, offline.Issue, offline.Description = live.Study, live.Issue, live.Description
-
 	liveJSON, err := live.JSON()
 	if err != nil {
 		t.Fatal(err)

@@ -241,7 +241,8 @@ func WithSharedScheduler(s *SharedScheduler) Option {
 type Option func(*Pipeline)
 
 // WithCorpusSize sets the target numbers of successful and failed
-// executions to collect (the paper uses 50/50, the default).
+// executions to collect (the paper uses 50/50, the default). A negative
+// number makes Collect and Run fail.
 func WithCorpusSize(successes, failures int) Option {
 	return func(p *Pipeline) { p.successes, p.failures = successes, failures }
 }
@@ -397,6 +398,9 @@ func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error
 // collect is Collect without the interchange form: the source's logs,
 // when it keeps them, stay the corpus.
 func (p *Pipeline) collect(ctx context.Context, src TraceSource) (*Traces, error) {
+	if p.successes < 0 || p.failures < 0 {
+		return nil, fmt.Errorf("aid: corpus size %d+%d: quotas must not be negative", p.successes, p.failures)
+	}
 	tr, err := src.Collect(ctx, CollectSpec{
 		Successes: p.successes,
 		Failures:  p.failures,
