@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"aid"
-	"aid/internal/durable"
 	"aid/internal/service"
 )
 
@@ -52,16 +51,10 @@ func runServe(args []string) {
 		memoCap      = fs.Int("memo-cap", 32, "cross-session scheduler memos retained per tenant (LRU)")
 		resultCache  = fs.Int("result-cache", 0, "finished-session results served whole on a repeat spec, per tenant (LRU; 0 = off)")
 		maxCorpus    = fs.Int64("max-corpus-bytes", 64<<20, "corpus ingest body cap in bytes (413 beyond it)")
-		persist      = fs.String("persist", "", "state directory for the durable scheduler-memo cache; empty = memos die with the process")
-		fsyncMode    = fs.String("fsync", "always", "memo-log fsync policy: always (every append), batch (only when a log is compacted or closed), or none")
+		persist      = fs.String("persist", "", "state directory keeping each scheduler memo in one checksummed file; empty = memos die with the process")
 	)
 	fs.Parse(args)
 
-	policy, err := durable.ParseSyncPolicy(*fsyncMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "aid serve:", err)
-		os.Exit(1)
-	}
 	cfg := service.Config{
 		SessionBudget:  *budget,
 		TenantCap:      *tenantCap,
@@ -72,7 +65,6 @@ func runServe(args []string) {
 		ResultCacheCap: *resultCache,
 		MaxCorpusBytes: *maxCorpus,
 		PersistDir:     *persist,
-		Fsync:          policy,
 		// Recovery is warm-start degradation by design; log what it kept
 		// and dropped so an operator sees lost cache warmth at startup.
 		Observer: aid.ObserverFunc(func(e aid.Event) {

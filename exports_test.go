@@ -24,7 +24,6 @@ var interfaceMethods = map[string]string{
 	"core.PredSet.String":               "fmt.Stringer",
 	"core.PredSet.UnmarshalJSON":        "json.Unmarshaler",
 	"core.RobustIntervener.LastInfo":    "core.TrialIntervener",
-	"durable.SyncPolicy.String":         "fmt.Stringer",
 	"effects.Contradiction.String":      "fmt.Stringer",
 	"effects.Effect.String":             "fmt.Stringer",
 	"effects.Level.String":              "fmt.Stringer",

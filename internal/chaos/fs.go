@@ -54,7 +54,7 @@ func (e *FaultError) Error() string {
 // FaultFS is the injectable VFS of the disk-fault harness: it wraps a
 // durable.FS (normally durable.OS() over a temp dir) and injects
 // deterministic faults per FaultFSConfig. Mutating operations — Write,
-// Sync, Truncate, Rename, Remove, MkdirAll, SyncDir — advance the op
+// Sync, Rename, Remove, MkdirAll, SyncDir — advance the op
 // counter; reads don't, so a crash point k always lands on the same
 // state-changing operation regardless of read interleaving.
 type FaultFS struct {
@@ -223,32 +223,18 @@ func (ff *faultFile) Sync() error {
 	return ff.f.Sync()
 }
 
-func (ff *faultFile) Truncate(size int64) error {
-	if _, err := ff.fs.step("truncate", true); err != nil {
-		return err
-	}
-	return ff.f.Truncate(size)
-}
-
-func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
-	if _, err := ff.fs.step("seek", false); err != nil {
-		return 0, err
-	}
-	return ff.f.Seek(offset, whence)
-}
-
-// FlipBit flips one bit of the file at path — the harness's bit-rot
-// fault. byteOffset counts from the start; bit is 0–7.
+// FlipBit flips one bit of the file at path in place — the harness's
+// bit-rot fault. byteOffset counts from the start; bit is 0–7.
 func FlipBit(fsys durable.FS, path string, byteOffset int64, bit uint8) error {
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0)
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("chaos: flip bit: %w", err)
 	}
-	defer func() {
-		cerr := f.Close()
-		_ = cerr
-	}()
 	data, err := io.ReadAll(f)
+	cerr := f.Close()
+	if err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return fmt.Errorf("chaos: flip bit: %w", err)
 	}
@@ -256,10 +242,17 @@ func FlipBit(fsys durable.FS, path string, byteOffset int64, bit uint8) error {
 		return fmt.Errorf("chaos: flip bit: offset %d out of range (file is %d bytes)", byteOffset, len(data))
 	}
 	data[byteOffset] ^= 1 << (bit % 8)
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	// Without O_TRUNC the write lands over the old bytes from offset 0.
+	f, err = fsys.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
 		return fmt.Errorf("chaos: flip bit: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	_, err = f.Write(data)
+	cerr = f.Close()
+	if err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("chaos: flip bit: %w", err)
 	}
 	return nil

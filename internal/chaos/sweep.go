@@ -32,13 +32,6 @@ type SweepConfig struct {
 	Oracle core.RobustConfig
 }
 
-// zeroNoise reports the config injects nothing: the sweep then pins the
-// noiseless path rather than measuring convergence under faults.
-func (c SweepConfig) zeroNoise() bool {
-	return (c.Manifest <= 0 || c.Manifest >= 1) &&
-		c.Flip == 0 && c.Drop == 0 && c.ErrorRate == 0 && c.PanicRate == 0
-}
-
 // oracleConfig derives the trial-oracle parameters from the injected
 // fault rates: the oracle is told the true per-run evidence quality it
 // faces, which is the fair calibration (a deployment would estimate

@@ -14,9 +14,9 @@ import (
 // crash-consistently: the content goes to a temporary sibling first,
 // is fsynced, renamed over path, and the parent directory is fsynced —
 // so a reader (or a post-crash recovery) sees either the complete old
-// file or the complete new one, never a torn mix. sync=false skips both
-// fsyncs (tests and SyncNone callers); atomicity via rename remains.
-func WriteFileAtomic(fsys FS, path string, sync bool, write func(io.Writer) error) error {
+// file or the complete new one, never a torn mix. The temporary file
+// is path + ".tmp", so callers must not write one path concurrently.
+func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	err := func() error {
 		f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -31,10 +31,7 @@ func WriteFileAtomic(fsys FS, path string, sync bool, write func(io.Writer) erro
 			if err := bw.Flush(); err != nil {
 				return err
 			}
-			if sync {
-				return f.Sync()
-			}
-			return nil
+			return f.Sync()
 		}()
 		cerr := f.Close()
 		if werr != nil {
@@ -50,10 +47,8 @@ func WriteFileAtomic(fsys FS, path string, sync bool, write func(io.Writer) erro
 		fsys.Remove(tmp) // best-effort
 		return fmt.Errorf("durable: commit %s: %w", path, err)
 	}
-	if sync {
-		if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-			return fmt.Errorf("durable: commit %s: %w", path, err)
-		}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("durable: commit %s: %w", path, err)
 	}
 	return nil
 }

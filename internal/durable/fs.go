@@ -1,20 +1,13 @@
 // Package durable is the crash-consistency layer under the daemon's
-// persistent state: an append-only record log with checksummed,
-// length-framed records and never-fail recovery, atomic
-// write-tmp-rename-fsync(dir) file replacement, and a seeded-backoff
-// retry helper for transient I/O faults.
+// persistent state: atomic write-tmp-fsync-rename-fsync(dir) file
+// replacement, and a seeded-backoff retry helper for transient I/O
+// faults. Every file the daemon writes, corpus or memo, goes through
+// the same two.
 //
 // Everything goes through the FS seam so the disk-fault harness
 // (internal/chaos.FaultFS) can inject short writes, fsync errors, and
 // crash-at-write-point faults under the exact production code path; the
 // OS implementation is a thin veneer over package os.
-//
-// The layer's one design rule is warm-start degradation: persisted
-// state is a cache of expensive replays, so recovery truncates a torn
-// tail and discards a corrupt prefix — it reports what it dropped, but
-// it never refuses to start. Only real I/O failures (an unopenable
-// file) surface as errors, and the caller treats those as "persistence
-// unavailable", not "daemon down".
 package durable
 
 import (
@@ -49,10 +42,6 @@ type File interface {
 	io.Closer
 	// Sync flushes the file's data to stable storage.
 	Sync() error
-	// Truncate cuts the file to size (recovery's torn-tail repair).
-	Truncate(size int64) error
-	// Seek repositions the read/write offset.
-	Seek(offset int64, whence int) (int64, error)
 }
 
 // osFS is the production FS over package os.

@@ -7,11 +7,10 @@ import (
 	"time"
 )
 
-// SaturatedError reports that a tenant's admission queue is full: the
-// daemon is at its global session budget and the tenant already has
-// QueueCap sessions waiting. The HTTP layer maps it to 429 with a
-// Retry-After header — admission is refused at the door, never queued
-// unboundedly.
+// SaturatedError reports that a tenant already has Config.TenantCap
+// sessions queued or running. Manager.Start refuses the session and the
+// HTTP layer maps the refusal to 429 with a Retry-After header —
+// admission is refused at the door, never queued unboundedly.
 type SaturatedError struct {
 	// Tenant is the refused tenant.
 	Tenant string
@@ -37,12 +36,11 @@ func (e *SaturatedError) Error() string {
 //
 // Each acquisition carries a weight (a session's worker demand) against
 // the global budget, so one wide session and several narrow ones are
-// accounted the same way. Waiting is bounded: at most QueueCap waiters
-// per tenant; beyond that Acquire fails fast with SaturatedError.
+// accounted the same way. The limiter does not bound its queues:
+// Manager.Start caps each tenant's queued plus running sessions before
+// any of them reaches Acquire.
 type Limiter struct {
-	budget   int
-	queueCap int
-	retry    time.Duration
+	budget int
 
 	mu   sync.Mutex
 	free int
@@ -64,33 +62,17 @@ type waiter struct {
 }
 
 // NewLimiter builds a limiter with the given global weight budget,
-// per-tenant waiting cap, and Retry-After hint. budget and queueCap
-// are clamped to at least 1.
-func NewLimiter(budget, queueCap int, retry time.Duration) *Limiter {
-	if budget < 1 {
-		budget = 1
-	}
-	if queueCap < 1 {
-		queueCap = 1
-	}
-	if retry <= 0 {
-		retry = time.Second
-	}
-	return &Limiter{
-		budget:   budget,
-		queueCap: queueCap,
-		retry:    retry,
-		free:     budget,
-		q:        map[string][]*waiter{},
-	}
+// clamped to at least 1.
+func NewLimiter(budget int) *Limiter {
+	budget = max(budget, 1)
+	return &Limiter{budget: budget, free: budget, q: map[string][]*waiter{}}
 }
 
 // Acquire claims weight units of the global budget for tenant, waiting
 // fairly behind other tenants when saturated. It returns a release
-// function, or SaturatedError when the tenant's queue is full, or
-// ctx.Err() when ctx dies while waiting. Weights above the global
-// budget are clamped so an oversized request degrades to an exclusive
-// session instead of deadlocking.
+// function, or ctx.Err() when ctx dies while waiting. Weights above the
+// global budget are clamped so an oversized request degrades to an
+// exclusive session instead of deadlocking.
 func (l *Limiter) Acquire(ctx context.Context, tenant string, weight int) (release func(), err error) {
 	if weight < 1 {
 		weight = 1
@@ -106,10 +88,6 @@ func (l *Limiter) Acquire(ctx context.Context, tenant string, weight int) (relea
 		l.free -= weight
 		l.mu.Unlock()
 		return func() { l.release(weight) }, nil
-	}
-	if len(l.q[tenant]) >= l.queueCap {
-		l.mu.Unlock()
-		return nil, &SaturatedError{Tenant: tenant, RetryAfter: l.retry}
 	}
 	w := &waiter{tenant: tenant, weight: weight, ready: make(chan struct{})}
 	if len(l.q[tenant]) == 0 {

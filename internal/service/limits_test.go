@@ -11,7 +11,7 @@ import (
 // TestLimiterBudget: acquisitions beyond the budget wait; release hands
 // the slot over.
 func TestLimiterBudget(t *testing.T) {
-	l := NewLimiter(2, 4, time.Second)
+	l := NewLimiter(2)
 	ctx := context.Background()
 	r1, err := l.Acquire(ctx, "a", 1)
 	if err != nil {
@@ -46,69 +46,11 @@ func TestLimiterBudget(t *testing.T) {
 	r2()
 }
 
-// TestLimiterSaturation: the per-tenant queue cap fails fast with
-// SaturatedError carrying the retry hint.
-func TestLimiterSaturation(t *testing.T) {
-	l := NewLimiter(1, 2, 7*time.Second)
-	ctx := context.Background()
-	release, err := l.Acquire(ctx, "a", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	var wg sync.WaitGroup
-	cancels := make([]context.CancelFunc, 0, 2)
-	for range 2 {
-		wctx, cancel := context.WithCancel(ctx)
-		cancels = append(cancels, cancel)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if r, err := l.Acquire(wctx, "a", 1); err == nil {
-				r()
-			}
-		}()
-	}
-	// Wait until both waiters are queued.
-	for i := 0; l.Waiting("a") < 2; i++ {
-		if i > 200 {
-			t.Fatal("waiters never queued")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	_, err = l.Acquire(ctx, "a", 1)
-	var sat *SaturatedError
-	if !errors.As(err, &sat) {
-		t.Fatalf("want SaturatedError, got %v", err)
-	}
-	if sat.Tenant != "a" || sat.RetryAfter != 7*time.Second {
-		t.Errorf("bad saturation: %+v", sat)
-	}
-	// Another tenant still has queue room.
-	done := make(chan struct{})
-	go func() {
-		if r, err := l.Acquire(ctx, "b", 1); err == nil {
-			r()
-		}
-		close(done)
-	}()
-	for _, c := range cancels {
-		c()
-	}
-	wg.Wait()
-	release()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("tenant b starved")
-	}
-}
-
 // TestLimiterFairness: with a flooding tenant holding a deep queue, a
 // light tenant's single waiter is granted on the next rotation, not
 // after the flood drains.
 func TestLimiterFairness(t *testing.T) {
-	l := NewLimiter(1, 16, time.Second)
+	l := NewLimiter(1)
 	ctx := context.Background()
 	release, err := l.Acquire(ctx, "flood", 1)
 	if err != nil {
@@ -172,7 +114,7 @@ func TestLimiterFairness(t *testing.T) {
 // TestLimiterCancelWhileWaiting: a cancelled waiter leaves the queue and
 // the capacity flows to the next waiter.
 func TestLimiterCancelWhileWaiting(t *testing.T) {
-	l := NewLimiter(1, 4, time.Second)
+	l := NewLimiter(1)
 	ctx := context.Background()
 	release, err := l.Acquire(ctx, "a", 1)
 	if err != nil {
@@ -211,7 +153,7 @@ func TestLimiterCancelWhileWaiting(t *testing.T) {
 // TestLimiterWeights: weights above the budget clamp (no deadlock), and
 // a wide waiter blocks narrow ones from slipping past it forever.
 func TestLimiterWeights(t *testing.T) {
-	l := NewLimiter(4, 8, time.Second)
+	l := NewLimiter(4)
 	ctx := context.Background()
 	release, err := l.Acquire(ctx, "a", 99) // clamps to 4
 	if err != nil {

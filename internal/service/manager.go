@@ -64,14 +64,13 @@ type Config struct {
 	// library: Manager.Ingest itself reads whatever it is handed.
 	MaxCorpusBytes int64
 	// PersistDir, when set, makes tenant scheduler memos survive
-	// restarts: they are journaled to an append-only checksummed log
-	// under this directory, restored (with corpus-fingerprint
-	// validation) at construction, and compacted at graceful shutdown.
+	// restarts: each is kept in one checksummed file under this
+	// directory, rewritten atomically when a session taught it new
+	// outcomes, removed when the memo is evicted or invalidated, and
+	// restored (with corpus-fingerprint validation) at construction.
 	// Empty disables persistence entirely — the daemon then behaves
 	// byte-identically to one without the feature.
 	PersistDir string
-	// Fsync is the memo log's sync policy (default durable.SyncAlways).
-	Fsync durable.SyncPolicy
 	// PersistFS overrides the filesystem under PersistDir (default the
 	// real one) — the disk-fault harness's hook.
 	PersistFS durable.FS
@@ -154,7 +153,7 @@ type ManagerStats struct {
 	// persistence off).
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
 	// PersistErrors counts persistence-layer failures since startup
-	// (memo appends, compactions). Sessions never fail on them; they
+	// (memo file writes and removals). Sessions never fail on them; they
 	// only cost future warmth — but they surface here, never silently.
 	PersistErrors int `json:"persistErrors,omitempty"`
 }
@@ -170,6 +169,11 @@ type tenantMemo struct {
 	fp      string // corpus content fingerprint ("" when corpus is "")
 	lastUse int64
 	sched   *aid.SharedScheduler
+	// written is the scheduler's execution count when the memo's file
+	// was last written, and onDisk that the file holds this memo. Both
+	// are guarded by the persistor's io lock, not m.mu.
+	written int
+	onDisk  bool
 }
 
 // cachedResult is one entry of the tenant's opt-in session result cache
@@ -219,7 +223,7 @@ type Manager struct {
 	draining    bool
 	saturations int
 
-	// persist is the memo log handle (nil = persistence off); recovery
+	// persist writes the memo files (nil = persistence off); recovery
 	// the startup recovery outcome (nil = persistence off).
 	persist  *persistor
 	recovery *RecoveryStats
@@ -234,7 +238,7 @@ func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:        cfg,
 		store:      cfg.Store,
-		limiter:    NewLimiter(cfg.SessionBudget, cfg.TenantCap, cfg.RetryAfter),
+		limiter:    NewLimiter(cfg.SessionBudget),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sessions:   map[string]*Session{},
@@ -242,8 +246,9 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.PersistDir != "" {
 		// Recovery runs before any session can exist, so it may populate
-		// m.tenants without the lock. Never fatal: an unusable log leaves
-		// persistence disabled with the error on the stats endpoint.
+		// m.tenants without the lock. Never fatal: an unusable state
+		// directory leaves persistence disabled with the error on the
+		// stats endpoint.
 		m.openPersist()
 	}
 	return m
@@ -287,27 +292,28 @@ func (m *Manager) DeleteCorpus(tenant, name string) error {
 }
 
 // invalidateMemos drops the tenant's scheduler memos fingerprinted over
-// the named corpus. Sessions already running keep the memo they bound
-// at admission — they also hold the corpus instance it was built over,
-// so their outcomes stay consistent; only sessions admitted after the
-// change see (and repopulate) a fresh memo.
+// the named corpus, and their files. Sessions already running keep the
+// memo they bound at admission — they also hold the corpus instance it
+// was built over, so their outcomes stay consistent; only sessions
+// admitted after the change see (and repopulate) a fresh memo.
 func (m *Manager) invalidateMemos(tenant, corpus string) {
+	var dropped []droppedMemo
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := m.tenants[tenant]
-	if ts == nil {
-		return
-	}
-	for key, memo := range ts.shared {
-		if memo.corpus == corpus {
-			delete(ts.shared, key)
+	if ts := m.tenants[tenant]; ts != nil {
+		for key, memo := range ts.shared {
+			if memo.corpus == corpus {
+				delete(ts.shared, key)
+				dropped = append(dropped, droppedMemo{key, memo})
+			}
+		}
+		for key, c := range ts.results {
+			if c.corpus == corpus {
+				delete(ts.results, key)
+			}
 		}
 	}
-	for key, c := range ts.results {
-		if c.corpus == corpus {
-			delete(ts.results, key)
-		}
-	}
+	m.mu.Unlock()
+	m.removeMemoFiles(tenant, dropped)
 }
 
 // Corpora lists the tenant's stored corpora.
@@ -367,6 +373,7 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	}
 	var shared *aid.SharedScheduler
 	var cached *cachedResult
+	var evicted []droppedMemo
 	if key := spec.shareKey(); key != "" {
 		// Result cache first (opt-in): an identical completed session's
 		// outcome serves this one whole — no pipeline, no scheduler, so
@@ -397,8 +404,8 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 			memo.lastUse = m.memoTick
 			shared = memo.sched
 			// LRU-bound the memo map: beyond the cap, the stalest
-			// fingerprint's memo is dropped (a later session over it just
-			// rebuilds from scratch).
+			// fingerprint's memo is dropped with its file (a later
+			// session over it just rebuilds from scratch).
 			for len(ts.shared) > m.cfg.TenantMemoCap {
 				var lruKey string
 				var lruTick int64
@@ -407,6 +414,7 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 						lruKey, lruTick = k, cand.lastUse
 					}
 				}
+				evicted = append(evicted, droppedMemo{lruKey, ts.shared[lruKey]})
 				delete(ts.shared, lruKey)
 			}
 		}
@@ -415,6 +423,7 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	m.order = append(m.order, id)
 	m.wg.Add(1)
 	m.mu.Unlock()
+	m.removeMemoFiles(tenant, evicted)
 
 	go m.run(ctx, s, source, shared, cached)
 	return s, nil
@@ -445,7 +454,6 @@ func (m *Manager) run(ctx context.Context, s *Session, source aid.TraceSource, s
 		m.finish(s, nil, err)
 		return
 	}
-	defer release()
 
 	s.mu.Lock()
 	s.state = StateRunning
@@ -458,11 +466,13 @@ func (m *Manager) run(ctx context.Context, s *Session, source aid.TraceSource, s
 	// discovery slot, so a sibling session's concurrent rounds are never
 	// folded in.
 	rep, err := m.runPipeline(ctx, s, source, shared)
+	release()
 	m.finish(s, rep, err)
-	// Journal the memo after the outcome is recorded (even for failed or
-	// cancelled sessions — completed intervention outcomes stay valid
-	// regardless of how the session ended). Still inside the session's
-	// wg scope, so Shutdown's compaction never races an append.
+	// Write the memo after the outcome is recorded and the budget slot
+	// freed (even for failed or cancelled sessions — completed
+	// intervention outcomes stay valid regardless of how the session
+	// ended). Still inside the session's wg scope, so Shutdown and
+	// Close return only after every write.
 	m.persistSession(s, shared)
 }
 
@@ -734,12 +744,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	// Graceful-drain snapshot: every session has journaled its memo (the
-	// appends happen inside the session wg scope), so compacting now
-	// leaves one atomic, fsynced record per live memo — the next start
-	// is fully warm without replaying the whole append history.
-	m.compactPersist()
-	m.closePersist()
 	return err
 }
 
@@ -750,7 +754,4 @@ func (m *Manager) Close() {
 	m.mu.Unlock()
 	m.baseCancel()
 	m.wg.Wait()
-	// No compaction on the fatal path — the append log is already
-	// durable per its sync policy; just flush and release the handle.
-	m.closePersist()
 }

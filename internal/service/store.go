@@ -211,38 +211,46 @@ func (s *MemStore) Delete(tenant, name string) error {
 // leaves either the complete old corpus or the complete new one — a
 // torn file is never visible under the committed name.
 type FileStore struct {
-	root  string
-	fs    durable.FS
-	fsync bool
+	root string
+	fs   durable.FS
 
 	mu    sync.Mutex
 	cache map[string]*trace.LogSet // key: tenant + "/" + name
 }
 
-// putRetries and putRetrySeed bound the transient-I/O retry of a Put:
-// three attempts with the seeded-jitter backoff (deterministic delays,
-// worst case well under a second) — a disk that stays broken longer is
-// not transient.
+// writeRetries and writeRetrySeed bound the transient-I/O retry of a
+// file write: three attempts with the seeded-jitter backoff
+// (deterministic delays, worst case well under a second) — a disk that
+// stays broken longer is not transient.
 const (
-	putRetries   = 3
-	putRetrySeed = 1
+	writeRetries   = 3
+	writeRetrySeed = 1
 )
 
-// NewFileStore opens (creating if needed) a file store rooted at dir,
-// with full fsync durability over the real filesystem.
+// writeFile replaces the file at path with what write produces, the one
+// way the daemon writes a file, corpus or memo: durable.WriteFileAtomic
+// (write tmp, fsync, rename, fsync dir), retried on transient faults.
+// WriteFileAtomic cleans up its tmp file per attempt, so retries start
+// clean. Callers serialize writes to one path, which share its tmp name.
+func writeFile(fsys durable.FS, path string, write func(io.Writer) error) error {
+	return durable.Retry(writeRetries, writeRetrySeed, 0, 0, func() error {
+		return durable.WriteFileAtomic(fsys, path, write)
+	})
+}
+
+// NewFileStore opens (creating if needed) a file store rooted at dir
+// over the real filesystem.
 func NewFileStore(dir string) (*FileStore, error) {
-	return NewFileStoreFS(dir, durable.OS(), true)
+	return NewFileStoreFS(dir, durable.OS())
 }
 
 // NewFileStoreFS is NewFileStore over an explicit filesystem — the
-// disk-fault harness's hook — with fsyncs optional (fsync=false keeps
-// rename atomicity but skips fsync, for tests where durability across
-// a real power cut is moot).
-func NewFileStoreFS(dir string, fsys durable.FS, fsync bool) (*FileStore, error) {
+// disk-fault harness's hook.
+func NewFileStoreFS(dir string, fsys durable.FS) (*FileStore, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: file store root: %w", err)
 	}
-	return &FileStore{root: dir, fs: fsys, fsync: fsync, cache: map[string]*trace.LogSet{}}, nil
+	return &FileStore{root: dir, fs: fsys, cache: map[string]*trace.LogSet{}}, nil
 }
 
 func (s *FileStore) path(tenant, name string) string {
@@ -259,19 +267,14 @@ func (s *FileStore) Put(tenant, name string, logs *trace.LogSet) error {
 	if err := s.fs.MkdirAll(filepath.Join(s.root, tenant), 0o755); err != nil {
 		return fmt.Errorf("service: file store tenant dir: %w", err)
 	}
-	// Atomic replace (write tmp, fsync, rename, fsync dir) so a crashed
-	// Put never leaves a truncated corpus where a complete one was
-	// expected — and the committed corpus actually survives the crash.
-	// The bounded retry rides out transient faults (a flaky fsync);
-	// WriteFileAtomic cleans up its tmp file per attempt, so retries
-	// start clean. The file holds the set the logs intern, which encodes
+	// Atomic replace, so a crashed Put never leaves a truncated corpus
+	// where a complete one was expected — and the committed corpus
+	// actually survives the crash. s.mu makes this the path's one
+	// writer. The file holds the set the logs intern, which encodes
 	// byte-identically to the set they were interned from.
-	dst := s.path(tenant, name)
 	set := logs.Set()
-	err := durable.Retry(putRetries, putRetrySeed, 0, 0, func() error {
-		return durable.WriteFileAtomic(s.fs, dst, s.fsync, func(w io.Writer) error {
-			return trace.Encode(w, set)
-		})
+	err := writeFile(s.fs, s.path(tenant, name), func(w io.Writer) error {
+		return trace.Encode(w, set)
 	})
 	if err != nil {
 		return fmt.Errorf("service: file store put %s/%s: %w", tenant, name, err)

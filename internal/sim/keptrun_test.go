@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
 	"aid/internal/casestudy"
@@ -45,5 +46,45 @@ func TestKeptRunAllocs(t *testing.T) {
 	}
 	if len(lengths) < 10 {
 		t.Fatalf("kept runs' logs take only %d lengths; the pin shows little", len(lengths))
+	}
+}
+
+// TestKeptRunCopiesMatchAcrossMachines: a kept run copied from a fresh
+// machine and from one reused across programs and seeds is the same
+// value under reflect.DeepEqual, empty logs included: a reused machine's
+// empty lockset log has capacity left by an earlier run that held a
+// mutex, a fresh one's has none.
+func TestKeptRunCopiesMatchAcrossMachines(t *testing.T) {
+	locking := sim.NewProgram("locking", "Main")
+	locking.Globals["g"] = 0
+	locking.AddFunc("Main", sim.Lock{Mu: "m"}, sim.WriteGlobal{Var: "g", Src: sim.Lit(1)}, sim.Unlock{Mu: "m"})
+	programs := []*sim.Program{locking}
+	for _, s := range casestudy.All() {
+		programs = append(programs, s.Program)
+	}
+	keep := func(sim.Verdict) bool { return true }
+	pooled := sim.NewMachine()
+	afterLocks := 0 // lockless runs right after a run that held a mutex
+	prevLocked := false
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, p := range programs {
+			pp, err := sim.Prepare(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := pp.RunIfOn(sim.NewMachine(), seed, 2000, keep)
+			reused, _ := pp.RunIfOn(pooled, seed, 2000, keep)
+			if !reflect.DeepEqual(fresh, reused) {
+				t.Fatalf("%s seed %d: kept copies from a fresh and a reused machine differ", p.Name, seed)
+			}
+			locked := len(fresh.Log.LockIDs) > 0
+			if prevLocked && !locked {
+				afterLocks++
+			}
+			prevLocked = locked
+		}
+	}
+	if afterLocks == 0 {
+		t.Fatal("no lockless run followed one that held a mutex; the comparison shows little")
 	}
 }

@@ -61,14 +61,24 @@ func (l *RunLog) Lockset(id int32) []int32 {
 	return l.LockIDs[start:l.LockEnd[id]]
 }
 
-// Clone returns an owned copy of the logs.
+// Clone returns an owned copy of the logs. An empty log is nil in the
+// copy, whether the machine that recorded it was fresh or reused, so
+// two copies of one run are equal under reflect.DeepEqual.
 func (l *RunLog) Clone() RunLog {
 	return RunLog{
-		Spans:    slices.Clone(l.Spans),
-		Accesses: slices.Clone(l.Accesses),
-		LockIDs:  slices.Clone(l.LockIDs),
-		LockEnd:  slices.Clone(l.LockEnd),
+		Spans:    cloneOrNil(l.Spans),
+		Accesses: cloneOrNil(l.Accesses),
+		LockIDs:  cloneOrNil(l.LockIDs),
+		LockEnd:  cloneOrNil(l.LockEnd),
 	}
+}
+
+// cloneOrNil is slices.Clone with nil for an empty slice.
+func cloneOrNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // Symbols names a program's symbol ids: Span.Fn indexes Funcs,

@@ -126,7 +126,7 @@ func TestMemoExportGolden(t *testing.T) {
 }
 
 // TestMemoFixtureRoundTrip loads a memo export written by an earlier
-// build and re-exports it, both staged (imported, never bound) and
+// build and re-exports it, both imported into a fresh scheduler and
 // after the same study's seed-1 run has been served from it: every
 // outcome the run needs is already in the memo, so the scheduler must
 // export the fixture's bytes unchanged.
@@ -135,17 +135,17 @@ func TestMemoFixtureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged := aid.NewSharedScheduler()
-	n, err := staged.ImportMemo(fixture)
+	imported := aid.NewSharedScheduler()
+	n, err := imported.ImportMemo(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := staged.ExportMemo()
+	again, err := imported.ExportMemo()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again, fixture) {
-		t.Fatalf("staged re-export of %d entries drifted: %s, fixture %s", n, memoDigest(again), memoDigest(fixture))
+		t.Fatalf("re-export of %d entries drifted: %s, fixture %s", n, memoDigest(again), memoDigest(fixture))
 	}
 	if served := memoExport(t, memoFixtureStudy, fixture); !bytes.Equal(served, fixture) {
 		t.Fatalf("re-export after a run served from the memo drifted: %s, fixture %s", memoDigest(served), memoDigest(fixture))
@@ -154,7 +154,7 @@ func TestMemoFixtureRoundTrip(t *testing.T) {
 
 // TestImportMemoSharesOneTable: every observation of a restored memo
 // is drawn over one predicate table, whatever tables its decoding made,
-// and the staged entries re-export the imported bytes.
+// and the imported entries re-export the imported bytes.
 func TestImportMemoSharesOneTable(t *testing.T) {
 	for _, s := range aid.CaseStudies() {
 		data := seedOneExport(t, s.Name)
@@ -162,7 +162,7 @@ func TestImportMemoSharesOneTable(t *testing.T) {
 		if _, err := shared.ImportMemo(data); err != nil {
 			t.Fatal(err)
 		}
-		if n := aid.StagedMemoTables(shared); n != 1 {
+		if n := aid.MemoTables(shared); n != 1 {
 			t.Errorf("%s: imported observations use %d tables, want 1", s.Name, n)
 		}
 		again, err := shared.ExportMemo()

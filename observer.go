@@ -271,15 +271,16 @@ type StateRecovered struct {
 	// Memos counts persisted memo snapshots restored; MemoEntries the
 	// individual intervention outcomes they carried.
 	Memos, MemoEntries int
-	// RecordsKept and RecordsDropped are the durable log's recovery
-	// counts: records read intact vs. lost to a torn tail or corruption.
+	// RecordsKept and RecordsDropped count memo files, one per persisted
+	// memo: read intact vs. dropped because their checksum or schema
+	// failed. A dropped file costs only its own memo.
 	RecordsKept, RecordsDropped int
-	// Invalidated counts memo records discarded because the corpus they
-	// were derived over changed (fingerprint mismatch) or vanished —
+	// Invalidated counts intact memo files discarded because the corpus
+	// they were derived over changed (fingerprint mismatch) or vanished —
 	// persisted answers are never trusted stale.
 	Invalidated int
-	// ColdStart reports the cache was unusable (unrecognized or corrupt
-	// beyond its header) and the daemon started from empty state.
+	// ColdStart reports that memo files were found but none was intact,
+	// so the daemon started from empty state.
 	ColdStart bool
 }
 

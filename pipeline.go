@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"time"
 
 	"aid/internal/acdag"
@@ -122,45 +121,33 @@ type SharedScheduler struct {
 	// ctx-aware so a cancelled run never blocks on a sibling's rounds.
 	sem chan struct{}
 
-	mu    sync.Mutex
+	// sched is built unbound and keeps only outcomes between runs;
+	// acquire binds a run's executor to it.
 	sched *core.Scheduler
-	// pending stages memo entries imported before the first run binds an
-	// intervener (restoring persisted state happens at daemon startup,
-	// when no executor exists yet); acquire applies them to the fresh
-	// scheduler.
-	pending []core.MemoEntry
 }
 
 // NewSharedScheduler returns an empty cross-run memo.
 func NewSharedScheduler() *SharedScheduler {
-	return &SharedScheduler{sem: make(chan struct{}, 1)}
+	return &SharedScheduler{
+		sem:   make(chan struct{}, 1),
+		sched: core.NewScheduler(nil, core.SchedulerConfig{}),
+	}
 }
 
 // acquire claims the single discovery slot, honoring ctx while waiting,
-// and binds the run's executor: the scheduler is built on first use
-// and rebound afterwards. release unbinds the executor before it frees
-// the slot, so a memo held between runs keeps only its outcomes, not
-// the last run's corpus, baselines, monitors and program.
+// and binds the run's executor to the scheduler. release unbinds the
+// executor before it frees the slot, so a memo held between runs keeps
+// only its outcomes, not the last run's corpus, baselines, monitors and
+// program.
 func (s *SharedScheduler) acquire(ctx context.Context, iv core.Intervener) (sched *core.Scheduler, release func(), err error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, nil, ctx.Err()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sched == nil {
-		s.sched = core.NewScheduler(iv, core.SchedulerConfig{})
-		if len(s.pending) > 0 {
-			s.sched.ImportMemo(s.pending)
-			s.pending = nil
-		}
-	} else {
-		s.sched.Rebind(iv)
-	}
-	sched = s.sched
-	return sched, func() {
-		sched.Rebind(nil)
+	s.sched.Rebind(iv)
+	return s.sched, func() {
+		s.sched.Rebind(nil)
 		<-s.sem
 	}, nil
 }
@@ -170,18 +157,9 @@ func (s *SharedScheduler) acquire(ctx context.Context, iv core.Intervener) (sche
 // nil error) mean there is nothing worth persisting. Safe to call at
 // any time — including mid-run, where it snapshots whatever outcomes
 // have completed — because the underlying cache is lock-guarded; the
-// daemon calls it after each session and again at graceful shutdown.
+// daemon calls it after a session that executed interventions.
 func (s *SharedScheduler) ExportMemo() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var entries []core.MemoEntry
-	if s.sched != nil {
-		entries = s.sched.ExportMemo()
-	} else {
-		// Imported but never bound: re-export the staged entries so a
-		// compaction cannot drop state that was merely unused.
-		entries = s.pending
-	}
+	entries := s.sched.ExportMemo()
 	if len(entries) == 0 {
 		return nil, nil
 	}
@@ -193,40 +171,28 @@ func (s *SharedScheduler) ExportMemo() ([]byte, error) {
 }
 
 // ImportMemo restores a snapshot produced by ExportMemo, returning how
-// many entries it carried. The snapshot's observations share one
-// predicate table (core.ShareMemoTable). Before the first run it stages
-// the entries and applies them when the scheduler is first bound;
-// afterwards the entries merge into the live cache, existing keys
-// winning. The sharing contract extends across the round trip: import
-// only snapshots exported for the same (program, corpus, seeds, config)
-// tuple — the daemon guarantees it by persisting memos under the
-// session fingerprint and corpus fingerprint they were derived over.
+// many entries it restored. The snapshot's observations share one
+// predicate table (core.ShareMemoTable), and its entries merge into the
+// cache, existing keys winning. The sharing contract extends across the
+// round trip: import only snapshots exported for the same (program,
+// corpus, seeds, config) tuple — the daemon guarantees it by persisting
+// memos under the session fingerprint and corpus fingerprint they were
+// derived over.
 func (s *SharedScheduler) ImportMemo(data []byte) (int, error) {
 	var entries []core.MemoEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
 		return 0, fmt.Errorf("aid: import memo: %w", err)
 	}
 	core.ShareMemoTable(entries)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sched != nil {
-		return s.sched.ImportMemo(entries), nil
-	}
-	s.pending = append(s.pending, entries...)
-	return len(entries), nil
+	return s.sched.ImportMemo(entries), nil
 }
 
 // Stats snapshots the accumulated scheduler accounting (zero before the
-// first run). The daemon's session status endpoint reports the
-// per-session delta of CacheHits/Requests from here.
+// first run; imports count nothing). The daemon's session status
+// endpoint reports the per-session delta of CacheHits/Requests from
+// here.
 func (s *SharedScheduler) Stats() SchedulerStats {
-	s.mu.Lock()
-	sched := s.sched
-	s.mu.Unlock()
-	if sched == nil {
-		return SchedulerStats{}
-	}
-	return sched.Stats()
+	return s.sched.Stats()
 }
 
 // WithSharedScheduler attaches a cross-run intervention memo; see
