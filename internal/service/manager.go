@@ -12,6 +12,7 @@ import (
 
 	"aid"
 	"aid/internal/durable"
+	"aid/internal/trace"
 )
 
 // Config configures a Manager. Zero fields take the documented
@@ -202,6 +203,20 @@ type tenantState struct {
 	results map[string]*cachedResult
 }
 
+// corpusState is what the manager knows of one tenant corpus name: gen
+// counts the replacements and deletions that invalidated its memos,
+// and fp is the fingerprint of the corpus stored at gen ("" until a
+// session with persistence on hashes it). A session remembers the gen
+// it resolved, and binds, creates or caches shared state only while
+// the gen is current, so a corpus replaced while a session resolves or
+// runs leaves nothing of the old one behind. An entry stays for the
+// manager's lifetime, one per corpus name a tenant ever stored: a
+// generation must never repeat.
+type corpusState struct {
+	gen uint64
+	fp  string
+}
+
 // Manager owns the daemon's sessions: admission, execution, streaming
 // state, per-tenant scheduler sharing, and drain. It is safe for
 // concurrent use; every HTTP handler is a thin translation over it.
@@ -220,6 +235,7 @@ type Manager struct {
 	memoTick    int64
 	terminal    int // terminal sessions currently retained
 	tenants     map[string]*tenantState
+	corpora     map[string]*corpusState // key: tenant + "/" + corpus
 	draining    bool
 	saturations int
 
@@ -243,6 +259,7 @@ func NewManager(cfg Config) *Manager {
 		baseCancel: cancel,
 		sessions:   map[string]*Session{},
 		tenants:    map[string]*tenantState{},
+		corpora:    map[string]*corpusState{},
 	}
 	if cfg.PersistDir != "" {
 		// Recovery runs before any session can exist, so it may populate
@@ -292,13 +309,19 @@ func (m *Manager) DeleteCorpus(tenant, name string) error {
 }
 
 // invalidateMemos drops the tenant's scheduler memos fingerprinted over
-// the named corpus, and their files. Sessions already running keep the
-// memo they bound at admission — they also hold the corpus instance it
-// was built over, so their outcomes stay consistent; only sessions
-// admitted after the change see (and repopulate) a fresh memo.
+// the named corpus, and their files, and starts the corpus's next
+// generation. Sessions already running keep the memo they bound at
+// admission — they also hold the corpus instance it was built over, so
+// their outcomes stay consistent — but they cache no result, and a
+// session admitted while the corpus was being replaced binds no memo;
+// only sessions admitted after the change see (and repopulate) a fresh
+// memo.
 func (m *Manager) invalidateMemos(tenant, corpus string) {
 	var dropped []droppedMemo
 	m.mu.Lock()
+	cs := m.corpusLocked(tenant, corpus)
+	cs.gen++
+	cs.fp = ""
 	if ts := m.tenants[tenant]; ts != nil {
 		for key, memo := range ts.shared {
 			if memo.corpus == corpus {
@@ -314,6 +337,28 @@ func (m *Manager) invalidateMemos(tenant, corpus string) {
 	}
 	m.mu.Unlock()
 	m.removeMemoFiles(tenant, dropped)
+}
+
+// corpusLocked returns the state of a tenant corpus name, creating it
+// (m.mu held).
+func (m *Manager) corpusLocked(tenant, corpus string) *corpusState {
+	cs := m.corpora[tenant+"/"+corpus]
+	if cs == nil {
+		cs = &corpusState{}
+		m.corpora[tenant+"/"+corpus] = cs
+	}
+	return cs
+}
+
+// currentLocked reports whether the stored corpus a session resolved is
+// still the tenant's, which holds for a session over no stored corpus
+// (m.mu held).
+func (m *Manager) currentLocked(s *Session) bool {
+	var gen uint64
+	if cs := m.corpora[s.tenant+"/"+s.spec.Corpus]; cs != nil {
+		gen = cs.gen
+	}
+	return s.spec.Corpus == "" || gen == s.gen
 }
 
 // Corpora lists the tenant's stored corpora.
@@ -333,9 +378,26 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	source, err := m.resolveSource(tenant, spec)
+	// Read the corpus's generation before resolving it: a replacement
+	// that lands from here on changes it, and the session then leaves no
+	// shared state (currentLocked).
+	key := spec.shareKey()
+	var corpus corpusState
+	if spec.Corpus != "" {
+		m.mu.Lock()
+		if cs := m.corpora[tenant+"/"+spec.Corpus]; cs != nil {
+			corpus = *cs
+		}
+		m.mu.Unlock()
+	}
+	source, logs, err := m.resolveSource(tenant, spec)
 	if err != nil {
 		return nil, err
+	}
+	if m.persist != nil && key != "" && logs != nil && corpus.fp == "" {
+		// Persisted outcomes are only ever revived for this fingerprint:
+		// hash the logs the session replays, outside the lock.
+		corpus.fp = fingerprintLogs(logs)
 	}
 
 	m.mu.Lock()
@@ -366,6 +428,7 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 		id:      id,
 		tenant:  tenant,
 		spec:    spec,
+		gen:     corpus.gen,
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		state:   StateQueued,
@@ -374,7 +437,10 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	var shared *aid.SharedScheduler
 	var cached *cachedResult
 	var evicted []droppedMemo
-	if key := spec.shareKey(); key != "" {
+	if key != "" && m.currentLocked(s) {
+		if corpus.fp != "" {
+			m.corpusLocked(tenant, spec.Corpus).fp = corpus.fp
+		}
 		// Result cache first (opt-in): an identical completed session's
 		// outcome serves this one whole — no pipeline, no scheduler, so
 		// the memo binding below is skipped too.
@@ -389,16 +455,7 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 			m.memoTick++
 			memo := ts.shared[key]
 			if memo == nil {
-				memo = &tenantMemo{corpus: spec.Corpus, sched: aid.NewSharedScheduler()}
-				if m.persist != nil {
-					// Stamp the corpus content hash now, against the exact set
-					// the session will replay over (resolveSource just fetched
-					// it, so the store serves the cached instance): persisted
-					// outcomes are only ever revived for this fingerprint.
-					if fp, err := m.corpusFingerprint(tenant, spec.Corpus); err == nil {
-						memo.fp = fp
-					}
-				}
+				memo = &tenantMemo{corpus: spec.Corpus, fp: corpus.fp, sched: aid.NewSharedScheduler()}
 				ts.shared[key] = memo
 			}
 			memo.lastUse = m.memoTick
@@ -564,7 +621,7 @@ func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 	if ts != nil {
 		ts.active--
 	}
-	if cacheRep != nil && ts != nil {
+	if cacheRep != nil && ts != nil && m.currentLocked(s) {
 		if key := s.spec.shareKey(); key != "" {
 			m.storeResultLocked(ts, key, s, cacheRep, cacheJS)
 		}
@@ -649,23 +706,24 @@ func (m *Manager) pruneLocked() {
 	m.order = kept
 }
 
-// resolveSource validates the spec and builds its trace source.
-func (m *Manager) resolveSource(tenant string, spec SessionSpec) (aid.TraceSource, error) {
+// resolveSource validates the spec and builds its trace source, with
+// the stored corpus it reads (nil for a source that reads none).
+func (m *Manager) resolveSource(tenant string, spec SessionSpec) (aid.TraceSource, *trace.LogSet, error) {
 	if spec.Source != nil {
-		return spec.Source, nil
+		return spec.Source, nil, nil
 	}
 	study := aid.CaseStudyByName(spec.Study)
 	if study == nil {
-		return nil, &UnknownStudyError{Study: spec.Study}
+		return nil, nil, &UnknownStudyError{Study: spec.Study}
 	}
 	if spec.Corpus == "" {
-		return aid.FromStudy(study), nil
+		return aid.FromStudy(study), nil, nil
 	}
 	logs, err := m.store.Get(tenant, spec.Corpus)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return aid.FromStoredCorpus(logs, study), nil
+	return aid.FromStoredCorpus(logs, study), logs, nil
 }
 
 // Session returns a session by id.

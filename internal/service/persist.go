@@ -150,21 +150,21 @@ func (p *persistor) remove(path string) {
 	}
 }
 
-// fingerprintLogs hashes a corpus's canonical encoding: the JSON lines
-// of the set the logs intern, which are the bytes of the set they were
-// interned from. Two corpora fingerprint equal exactly when their
-// JSON-lines encodings are byte-identical — the same equivalence the
-// Rebind contract needs.
+// fingerprintLogs hashes a corpus's canonical encoding: the logs' JSON
+// lines, which are the bytes of the corpus they were decoded from. Two
+// corpora fingerprint equal exactly when their JSON-lines encodings are
+// byte-identical — the same equivalence the Rebind contract needs.
 func fingerprintLogs(logs *trace.LogSet) string {
 	h := sha256.New()
-	// Encode into a hash never fails; a marshal failure would have
-	// failed ingest long before.
-	_ = trace.Encode(h, logs.Set())
+	// Writing into a hash never fails.
+	_ = trace.EncodeLogs(h, logs)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // corpusFingerprint resolves and hashes a tenant's stored corpus (""
 // for live-collection memos, which no corpus change can invalidate).
+// Recovery calls it before any session runs; a session hashes the logs
+// it resolved instead (Manager.Start).
 func (m *Manager) corpusFingerprint(tenant, corpus string) (string, error) {
 	if corpus == "" {
 		return "", nil

@@ -16,7 +16,9 @@ import (
 // cannot poison, corpus replacement invalidates exactly the entries
 // computed over it, and the cache is LRU-bounded at the cap.
 func TestManagerResultCache(t *testing.T) {
-	study := aid.CaseStudyByName("npgsql")
+	// kafka's reports differ between the two corpus sizes, so serving
+	// the stale result shows in the bytes.
+	study := aid.CaseStudyByName("kafka")
 	collect := func(succ, fail int) []byte {
 		t.Helper()
 		tr, err := aid.New(aid.WithCorpusSize(succ, fail)).Collect(t.Context(), aid.FromStudy(study))
@@ -48,6 +50,9 @@ func TestManagerResultCache(t *testing.T) {
 		return js
 	}
 	b1, b2 := baseline(c1), baseline(c2)
+	if bytes.Equal(b1, b2) {
+		t.Fatal("the two corpora give one report: a stale cached result would pass for a fresh one")
+	}
 
 	m := NewManager(Config{SessionBudget: 2, TenantCap: 8, ResultCacheCap: 1})
 	defer m.Close()
@@ -70,7 +75,7 @@ func TestManagerResultCache(t *testing.T) {
 		}
 		return s, s.Status(), js
 	}
-	specA := SessionSpec{Study: "npgsql", Corpus: "c"}
+	specA := SessionSpec{Study: "kafka", Corpus: "c"}
 
 	ingest(c1)
 	s1, st1, js1 := run(specA)
@@ -127,7 +132,7 @@ func TestManagerResultCache(t *testing.T) {
 	}
 
 	// NoShare opts out of the cache like it opts out of the memo.
-	_, stNS, _ := run(SessionSpec{Study: "npgsql", Corpus: "c", NoShare: true})
+	_, stNS, _ := run(SessionSpec{Study: "kafka", Corpus: "c", NoShare: true})
 	if stNS.ResultCacheHit {
 		t.Errorf("NoShare session served from the result cache: %+v", stNS)
 	}
@@ -148,7 +153,7 @@ func TestManagerResultCache(t *testing.T) {
 	}
 
 	// LRU bound (cap 1): caching a different spec evicts specA's entry.
-	specB := SessionSpec{Study: "npgsql", Corpus: "c", Replays: 2}
+	specB := SessionSpec{Study: "kafka", Corpus: "c", Replays: 2}
 	if _, stB, _ := run(specB); stB.ResultCacheHit {
 		t.Fatalf("first specB session claims a result-cache hit: %+v", stB)
 	}

@@ -131,6 +131,9 @@ type Session struct {
 	id     string
 	tenant string
 	spec   SessionSpec
+	// gen is the generation of the spec's stored corpus the session
+	// resolved (corpusState).
+	gen uint64
 
 	cancel func()        // cancels the session context
 	done   chan struct{} // closed when the session reaches a terminal state

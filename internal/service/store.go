@@ -45,11 +45,12 @@ type CorpusInfo struct {
 // session engine, so corpora can live in memory, on disk, or behind a
 // future remote backend without the manager changing.
 //
-// Corpora are held in log form (trace.LogSet), interned once when they
-// are stored, so no session converts them again. Implementations must
-// be safe for concurrent use. Get returns the corpus for shared
-// read-only use: callers (pipeline stages) never mutate a collected
-// corpus, so implementations may return a shared instance.
+// Corpora are held in log form (trace.LogSet), decoded straight into
+// it when they are stored, so no session converts them again.
+// Implementations must be safe for concurrent use. Get returns the
+// corpus for shared read-only use: callers (pipeline stages) never
+// mutate a collected corpus, so implementations may return a shared
+// instance.
 type CorpusStore interface {
 	// Put stores (or replaces) a tenant's corpus under name.
 	Put(tenant, name string, logs *trace.LogSet) error
@@ -201,7 +202,7 @@ func (s *MemStore) Delete(tenant, name string) error {
 // aid.WriteTraces / cmd/aid -save-traces, so a corpus saved by the CLI
 // can be dropped into a daemon's data directory (and vice versa) and
 // the pipeline over either is byte-identical. Reads are cached: a file
-// is decoded and interned once, and its log form is retained until the
+// is decoded into log form once, and the logs are retained until the
 // corpus is replaced or deleted, so repeated sessions over one corpus
 // read the same logs.
 //
@@ -270,11 +271,10 @@ func (s *FileStore) Put(tenant, name string, logs *trace.LogSet) error {
 	// Atomic replace, so a crashed Put never leaves a truncated corpus
 	// where a complete one was expected — and the committed corpus
 	// actually survives the crash. s.mu makes this the path's one
-	// writer. The file holds the set the logs intern, which encodes
-	// byte-identically to the set they were interned from.
-	set := logs.Set()
+	// writer. The file holds the logs' JSON lines, the bytes of the
+	// corpus they were decoded from.
 	err := writeFile(s.fs, s.path(tenant, name), func(w io.Writer) error {
-		return trace.Encode(w, set)
+		return trace.EncodeLogs(w, logs)
 	})
 	if err != nil {
 		return fmt.Errorf("service: file store put %s/%s: %w", tenant, name, err)
@@ -301,7 +301,7 @@ func (s *FileStore) Get(tenant, name string) (*trace.LogSet, error) {
 		}
 		return nil, fmt.Errorf("service: file store get: %w", err)
 	}
-	set, err := trace.DecodeNamed(f, path)
+	logs, err := trace.DecodeLogs(f, path)
 	cerr := f.Close()
 	if err != nil {
 		return nil, err
@@ -309,7 +309,11 @@ func (s *FileStore) Get(tenant, name string) (*trace.LogSet, error) {
 	if cerr != nil {
 		return nil, fmt.Errorf("service: file store get: %w", cerr)
 	}
-	logs := trace.Intern(set)
+	// As at ingest: a session over an empty corpus would fail late and
+	// obscurely.
+	if len(logs.Runs) == 0 {
+		return nil, fmt.Errorf("service: corpus file %s contains no executions (empty or whitespace-only file)", path)
+	}
 	s.cache[tenant+"/"+name] = logs
 	return logs, nil
 }
@@ -365,20 +369,19 @@ func validateKey(tenant, name string) error {
 }
 
 // DecodeCorpus decodes a JSON-lines corpus from r (the HTTP ingest
-// body) and interns it into the log form the store keeps, rejecting
-// empty corpora with a diagnostic naming the tenant and corpus rather
-// than letting a later session fail obscurely. The decoded set is
-// garbage once it is interned.
+// body) into the log form the store keeps, rejecting empty corpora
+// with a diagnostic naming the tenant and corpus rather than letting a
+// later session fail obscurely.
 func DecodeCorpus(tenant, name string, r io.Reader) (*trace.LogSet, error) {
-	set, err := trace.Decode(r)
+	logs, err := trace.DecodeLogs(r, "")
 	if err != nil {
 		// The body is client input: decode failures are validation
 		// errors (the chain keeps the cause, so an http.MaxBytesError
 		// from a capped ingest body stays matchable for the 413 path).
 		return nil, &ValidationError{Err: err}
 	}
-	if len(set.Executions) == 0 {
+	if len(logs.Runs) == 0 {
 		return nil, validationf("service: corpus %s/%s contains no executions (empty or whitespace-only body)", tenant, name)
 	}
-	return trace.Intern(set), nil
+	return logs, nil
 }

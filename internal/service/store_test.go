@@ -95,13 +95,12 @@ func TestFileStore(t *testing.T) {
 func TestFileStoreCLIInterop(t *testing.T) {
 	root := t.TempDir()
 	logs := collectSmall(t)
-	set := logs.Set()
 
 	// Drop a CLI-written file in; the store must pick it up.
 	if err := os.MkdirAll(filepath.Join(root, "acme"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteFile(filepath.Join(root, "acme", "dropped.jsonl"), set); err != nil {
+	if err := trace.WriteFile(filepath.Join(root, "acme", "dropped.jsonl"), logs); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewFileStore(root)
@@ -112,8 +111,8 @@ func TestFileStoreCLIInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Runs) != len(set.Executions) {
-		t.Fatalf("dropped file lost executions: %d != %d", len(got.Runs), len(set.Executions))
+	if len(got.Runs) != len(logs.Runs) {
+		t.Fatalf("dropped file lost executions: %d != %d", len(got.Runs), len(logs.Runs))
 	}
 
 	// Put persists across store instances (i.e. daemon restarts).
@@ -129,19 +128,45 @@ func TestFileStoreCLIInterop(t *testing.T) {
 	}
 }
 
+// TestFileStoreEmptyCorpusFile: a corpus file holding no execution (a
+// file of blank lines dropped into the data directory) is refused when
+// it is read, naming the file, as an empty upload is refused at ingest;
+// listing the tenant's corpora fails on it the same way.
+func TestFileStoreEmptyCorpusFile(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "acme"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "acme", "c.jsonl")
+	if err := os.WriteFile(path, []byte("\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFileStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Get("acme", "c")
+	if err == nil || !strings.Contains(err.Error(), "contains no executions") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Get of an empty corpus file: %v, want a diagnostic naming %s", err, path)
+	}
+	if infos, err := s.List("acme"); err == nil {
+		t.Fatalf("List over an empty corpus file succeeded: %+v", infos)
+	}
+}
+
 // TestDecodeCorpus covers ingest decoding, including the empty-body
 // diagnostic.
 func TestDecodeCorpus(t *testing.T) {
-	set := collectSmall(t).Set()
+	logs := collectSmall(t)
 	var buf bytes.Buffer
-	if err := trace.Encode(&buf, set); err != nil {
+	if err := trace.EncodeLogs(&buf, logs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeCorpus("acme", "run1", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Runs) != len(set.Executions) {
+	if len(got.Runs) != len(logs.Runs) {
 		t.Fatalf("decode lost executions")
 	}
 	if _, err := DecodeCorpus("acme", "empty", strings.NewReader("")); err == nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"aid"
+	"aid/internal/oracle/tracejson"
 	"aid/internal/trace"
 )
 
@@ -136,7 +137,8 @@ func TestStoredCorpusReports(t *testing.T) {
 }
 
 // TestStoredCorpusFingerprint: a stored corpus fingerprints as the
-// SHA-256 of the JSON lines of the set its upload decodes to, so memos
+// SHA-256 of the JSON lines encoding/json writes for the set its upload
+// decodes to (the reflective codec kept as an oracle), so memos
 // persisted over decoded sets still revive.
 func TestStoredCorpusFingerprint(t *testing.T) {
 	bodies := studyCorpora(t)
@@ -148,12 +150,12 @@ func TestStoredCorpusFingerprint(t *testing.T) {
 		m := NewManager(Config{Store: store})
 		defer m.Close()
 		for _, name := range storedStudies {
-			set, err := trace.Decode(bytes.NewReader(bodies[name]))
+			set, err := tracejson.Decode(bytes.NewReader(bodies[name]))
 			if err != nil {
 				t.Fatal(err)
 			}
 			h := sha256.New()
-			if err := trace.Encode(h, set); err != nil {
+			if err := tracejson.Encode(h, set); err != nil {
 				t.Fatal(err)
 			}
 			want := hex.EncodeToString(h.Sum(nil))
@@ -187,7 +189,7 @@ func TestStoredCorpusSharedLogs(t *testing.T) {
 	}
 	p := aid.New()
 	for i := range 2 {
-		src, err := m.resolveSource("acme", SessionSpec{Study: "npgsql", Corpus: "c"})
+		src, _, err := m.resolveSource("acme", SessionSpec{Study: "npgsql", Corpus: "c"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,27 +1,31 @@
-// Fuzz coverage for the JSON-lines trace codec, seeded from the six
-// case-study corpora so the mutation space starts at real execution
-// records. The target locks in the line-diagnostic error contract of
-// the PR 3 decoder: Decode either succeeds — in which case the decoded
-// set must re-encode and re-decode to the same corpus, and encode the
-// same after interning into log form and back — or fails with
-// an error that names the offending line; it must never panic.
+// Differential fuzzing of the JSON-lines corpus codec against the
+// reflective encoding/json codec kept in internal/oracle/tracejson. On
+// every input, DecodeLogs must give the oracle's verdict, failing on
+// the same line, and on success the LogSet trace.Intern builds from
+// the oracle's set; EncodeLogs must write the oracle's bytes for it.
+// The seeds start the mutation space at real execution records (the
+// six case studies' corpora) and at each corner of encoding/json's
+// rules the reader reproduces.
 //
 // The external test package breaks the would-be import cycle
-// (casestudy imports trace).
+// (casestudy and the oracle import trace).
 package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"aid/internal/casestudy"
+	"aid/internal/oracle/tracejson"
 	"aid/internal/sim"
 	"aid/internal/trace"
 )
 
 // seedCorpora encodes two executions of every case study (one line
-// each) plus assorted malformed corpora.
+// each), assorted malformed corpora, the records of oracleCases short
+// enough for the mutator, and each study's 3+3 corpus.
 func seedCorpora(f *testing.F) {
 	for _, s := range casestudy.All() {
 		pp, err := sim.Prepare(s.Program, nil)
@@ -38,7 +42,7 @@ func seedCorpora(f *testing.F) {
 			set.Executions = append(set.Executions, run.Execution(&syms))
 		}
 		var buf bytes.Buffer
-		if err := trace.Encode(&buf, &set); err != nil {
+		if err := tracejson.Encode(&buf, &set); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.String())
@@ -54,50 +58,77 @@ func seedCorpora(f *testing.F) {
 	// injected calls, and access kinds that are neither read nor write.
 	f.Add("{\"id\":\"a\",\"calls\":[]}\n{\"id\":\"b\",\"calls\":null}\n")
 	f.Add("{\"id\":\"c\",\"calls\":[{\"method\":\"M\",\"injected\":true,\"accesses\":[{\"object\":\"o\",\"kind\":7},{\"object\":\"o\",\"kind\":-1,\"locks\":[\"a\",\"a\"]}]},{\"method\":\"M\",\"instance\":4000000000}]}\n")
+	for _, c := range oracleCases {
+		if len(c.input) <= 1<<10 {
+			f.Add(c.input)
+		}
+	}
+	for _, s := range casestudy.All() {
+		logs, _, err := casestudy.Collect(f.Context(), s, casestudy.CollectConfig{Successes: 3, Failures: 3, SeedCap: 20000})
+		if err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tracejson.Encode(&buf, logs.Set()); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
 }
 
 func FuzzDecode(f *testing.F) {
 	seedCorpora(f)
 	f.Fuzz(func(t *testing.T, input string) {
-		set, err := trace.Decode(strings.NewReader(input))
-		if err != nil {
-			// The diagnostic contract: errors are attributed to the
-			// trace layer and name the offending line.
-			msg := err.Error()
-			if !strings.HasPrefix(msg, "trace: ") {
-				t.Fatalf("error not attributed to the codec: %q", msg)
-			}
-			if !strings.Contains(msg, "line ") {
-				t.Fatalf("error lacks a line diagnostic: %q", msg)
-			}
-			return
-		}
-		// Success: the decoded set must survive an encode/decode round
-		// trip with identical structure, and interning into log form and
-		// back must encode byte-identically.
-		var buf, interned bytes.Buffer
-		if err := trace.Encode(&buf, set); err != nil {
-			t.Fatalf("re-encode of decoded corpus failed: %v", err)
-		}
-		if err := trace.Encode(&interned, trace.Intern(set).Set()); err != nil {
-			t.Fatalf("encode of the interned corpus failed: %v", err)
-		}
-		if !bytes.Equal(interned.Bytes(), buf.Bytes()) {
-			t.Fatalf("interning changed the corpus:\n%s\nbecame\n%s", buf.Bytes(), interned.Bytes())
-		}
-		again, err := trace.Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded corpus failed: %v", err)
-		}
-		if len(again.Executions) != len(set.Executions) {
-			t.Fatalf("round trip changed execution count: %d -> %d",
-				len(set.Executions), len(again.Executions))
-		}
-		for i := range set.Executions {
-			a, b := &set.Executions[i], &again.Executions[i]
-			if a.ID != b.ID || a.Outcome != b.Outcome || len(a.Calls) != len(b.Calls) {
-				t.Fatalf("round trip changed execution %d", i)
-			}
-		}
+		matchOracle(t, []byte(input))
 	})
+}
+
+// matchOracle decodes input with DecodeLogs and with the oracle and
+// fails unless both accept it, to the same logs and the same bytes
+// written back, or both reject it on the same line. It reports whether
+// the input was accepted.
+func matchOracle(t *testing.T, input []byte) bool {
+	t.Helper()
+	want, werr := tracejson.Decode(bytes.NewReader(input))
+	got, gerr := trace.DecodeLogs(bytes.NewReader(input), "")
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("verdicts differ on %q:\noracle: %v\nreader: %v", clip(input), werr, gerr)
+	}
+	if werr != nil {
+		if w, g := errLine(werr), errLine(gerr); w != g || !strings.HasPrefix(g, "trace: line ") {
+			t.Fatalf("failing lines differ on %q:\noracle: %v\nreader: %v", clip(input), werr, gerr)
+		}
+		return false
+	}
+	if logs := trace.Intern(want); !reflect.DeepEqual(got, logs) || got.Bytes() != logs.Bytes() {
+		t.Fatalf("decoded logs differ from the interned oracle set on %q:\nreader: %+v\noracle: %+v", clip(input), got, logs)
+	}
+	var enc, ref bytes.Buffer
+	if err := trace.EncodeLogs(&enc, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracejson.Encode(&ref, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Bytes(), ref.Bytes()) {
+		t.Fatalf("written bytes differ on %q:\nwriter: %q\noracle: %q", clip(input), clip(enc.Bytes()), clip(ref.Bytes()))
+	}
+	return true
+}
+
+// errLine returns an error's "trace: line <n>:" prefix.
+func errLine(err error) string {
+	parts := strings.SplitN(err.Error(), ": ", 3)
+	if len(parts) < 2 {
+		return err.Error()
+	}
+	return parts[0] + ": " + parts[1] + ":"
+}
+
+// clip shortens an input for a failure message.
+func clip(b []byte) []byte {
+	if len(b) > 300 {
+		return b[:300]
+	}
+	return b
 }

@@ -53,8 +53,9 @@ func randomExecution(rng *rand.Rand, id int) Execution {
 	return e
 }
 
-// Property: Encode/Decode round-trips arbitrary execution sets exactly,
-// and so does Intern then LogSet.Set.
+// Property: Encode then DecodeLogs round-trips arbitrary execution sets
+// exactly: the decoded logs are the interned set, they materialize back
+// to it, and they encode to the same bytes.
 func TestCodecRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	prop := func() bool {
@@ -68,20 +69,18 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			return false
 		}
 		want := slices.Clone(buf.Bytes())
-		got, err := Decode(&buf)
-		if err != nil {
+		got, err := DecodeLogs(&buf, "")
+		if err != nil || !reflect.DeepEqual(got, Intern(s)) {
 			return false
 		}
-		// Interned into log form and materialized back, the set encodes
-		// byte-identically.
 		var again bytes.Buffer
-		if err := Encode(&again, Intern(s).Set()); err != nil || !bytes.Equal(again.Bytes(), want) {
+		if err := EncodeLogs(&again, got); err != nil || !bytes.Equal(again.Bytes(), want) {
 			return false
 		}
 		if len(s.Executions) == 0 {
-			return len(got.Executions) == 0
+			return len(got.Runs) == 0
 		}
-		return reflect.DeepEqual(got, s)
+		return reflect.DeepEqual(got.Set(), s)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -104,12 +104,15 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := Encode(&buf, s); err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeLogs(&buf, "")
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("DecodeLogs: %v", err)
 	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+	if !reflect.DeepEqual(got, Intern(s)) {
+		t.Fatalf("decoded logs differ from the interned set:\n got %+v\nwant %+v", got, Intern(s))
+	}
+	if !reflect.DeepEqual(got.Set(), s) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Set(), s)
 	}
 }
 
@@ -117,14 +120,14 @@ func TestCodecFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "traces.jsonl")
 	s := &Set{Executions: []Execution{{ID: "a", Outcome: Success}}}
-	if err := WriteFile(path, s); err != nil {
+	if err := WriteFile(path, Intern(s)); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	if len(got.Executions) != 1 || got.Executions[0].ID != "a" {
+	if len(got.Runs) != 1 || got.Runs[0].ID != "a" {
 		t.Fatalf("ReadFile = %+v", got)
 	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.jsonl")); err == nil {
@@ -133,8 +136,8 @@ func TestCodecFiles(t *testing.T) {
 }
 
 func TestDecodeCorrupt(t *testing.T) {
-	if _, err := Decode(bytes.NewBufferString("{not json")); err == nil {
-		t.Fatal("Decode of corrupt input succeeded")
+	if _, err := DecodeLogs(bytes.NewBufferString("{not json"), ""); err == nil {
+		t.Fatal("DecodeLogs of corrupt input succeeded")
 	}
 }
 
@@ -162,18 +165,18 @@ func TestDecodeDiagnostics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := Decode(bytes.NewBufferString(tc.input))
+			got, err := DecodeLogs(bytes.NewBufferString(tc.input), "")
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("Decode: %v", err)
+					t.Fatalf("DecodeLogs: %v", err)
 				}
-				if len(got.Executions) != tc.wantLen {
-					t.Fatalf("decoded %d executions, want %d", len(got.Executions), tc.wantLen)
+				if len(got.Runs) != tc.wantLen {
+					t.Fatalf("decoded %d executions, want %d", len(got.Runs), tc.wantLen)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("Decode succeeded, want error containing %q", tc.wantErr)
+				t.Fatalf("DecodeLogs succeeded, want error containing %q", tc.wantErr)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not name the offending line (%q)", err, tc.wantErr)

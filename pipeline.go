@@ -345,8 +345,8 @@ func (p *Pipeline) coreOptions() (core.Options, error) {
 
 // Collect runs the source's collection under the pipeline's quotas and
 // returns the corpus with Set filled: the logs of a source that keeps
-// them (simulator-backed or stored) are materialized into it, and the later stages read Set, so edits to
-// it reach them.
+// them (every built-in source) are materialized into it, and the later
+// stages read Set, so edits to it reach them.
 func (p *Pipeline) Collect(ctx context.Context, src TraceSource) (*Traces, error) {
 	tr, err := p.collect(ctx, src)
 	if err != nil {

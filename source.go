@@ -44,11 +44,11 @@ type CollectSpec struct {
 // Traces is a collected corpus plus the context later pipeline stages
 // need.
 type Traces struct {
-	// Set is the trace corpus in its interchange form. Sources that read
-	// a file fill it. The simulator-backed sources (FromStudy,
-	// FromProgram) and FromStoredCorpus keep the runs' logs instead, and
-	// Pipeline.Collect and WriteTraces build Set from them; Pipeline.Run
-	// never does.
+	// Set is the trace corpus in its interchange form, which custom
+	// sources fill. The built-in sources keep the runs' logs instead:
+	// FromStudy and FromProgram collect them, FromTraceFile decodes
+	// them, and FromStoredCorpus holds them. Pipeline.Collect builds Set
+	// from them; Pipeline.Run never does.
 	Set *TraceSet
 	// FailSeeds are the scheduler seeds that produced the collected
 	// failures, in collection order; interventions replay a prefix.
@@ -69,9 +69,8 @@ type Traces struct {
 	Issue       string
 	Description string
 
-	// logs is the corpus in log form, as a simulator-backed source
-	// collected it or a stored corpus holds it (nil for a source that
-	// hands over Set).
+	// logs is the corpus in log form, as a built-in source collected,
+	// decoded or holds it (nil for a source that hands over Set).
 	logs *trace.LogSet
 }
 
@@ -263,16 +262,16 @@ func (s *TraceFileSource) ForStudy(st *CaseStudy) *TraceFileSource {
 // Label implements TraceSource.
 func (s *TraceFileSource) Label() string { return s.Path }
 
-// Collect implements TraceSource by loading the saved corpus. The
-// spec's quotas are ignored — the file is the corpus; FailSeeds are
-// recovered from the stored executions in file order, so a pipeline
-// over a saved corpus replays exactly the seeds a live collection
-// would have.
+// Collect implements TraceSource by loading the saved corpus, decoded
+// straight into log form. The spec's quotas are ignored — the file is
+// the corpus; FailSeeds are recovered from the stored executions in
+// file order, so a pipeline over a saved corpus replays exactly the
+// seeds a live collection would have.
 func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Traces, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	set, err := trace.ReadFile(s.Path)
+	logs, err := trace.ReadFile(s.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -280,15 +279,8 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 	// with the file named instead of letting statistical debugging or
 	// the AC-DAG builder report a confusing zero-trace condition (or
 	// divide by zero) much later.
-	if len(set.Executions) == 0 {
+	if len(logs.Runs) == 0 {
 		return nil, fmt.Errorf("aid: trace file %s contains no executions (empty or whitespace-only corpus)", s.Path)
-	}
-	var failSeeds []int64
-	for i := range set.Executions {
-		e := &set.Executions[i]
-		if e.Failed() && (s.FailureSig == "" || e.FailureSig == s.FailureSig) {
-			failSeeds = append(failSeeds, e.Seed)
-		}
 	}
 	cfg := ExtractConfig{DurationMargin: 4}
 	if s.Config != nil {
@@ -303,8 +295,8 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 		}
 	}
 	tr := &Traces{
-		Set:        set,
-		FailSeeds:  failSeeds,
+		logs:       logs,
+		FailSeeds:  failSeeds(logs, s.FailureSig),
 		Program:    s.Program,
 		Config:     cfg,
 		FailureSig: s.FailureSig,
@@ -317,7 +309,7 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 		tr.Description = s.study.Description
 	}
 	if spec.Observer != nil {
-		succ, fail := set.Counts()
+		succ, fail := logs.Counts()
 		spec.Observer.OnEvent(CollectProgress{Successes: succ, Failures: fail})
 	}
 	return tr, nil
@@ -326,10 +318,9 @@ func (s *TraceFileSource) Collect(ctx context.Context, spec CollectSpec) (*Trace
 // ---- Stored-corpus source (the daemon's corpora) ----
 
 // StoredCorpusSource hands the pipeline a corpus already in log form,
-// as the daemon stores an uploaded trace file: decoded and interned
-// once (trace.Intern), then shared by every session over it. It is
-// TraceFileSource.ForStudy over that file without reading it again, and
-// the pipeline extracts from the stored logs without interning them, so
+// as the daemon stores an uploaded trace file: decoded once
+// (trace.DecodeLogs), then shared by every session over it. It is
+// TraceFileSource.ForStudy over that file without reading it again, so
 // its report is byte-identical to the file's.
 type StoredCorpusSource struct {
 	logs  *trace.LogSet
@@ -354,31 +345,38 @@ func (s *StoredCorpusSource) Collect(ctx context.Context, spec CollectSpec) (*Tr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var failSeeds []int64
-	for i := range s.logs.Runs {
-		r := &s.logs.Runs[i]
-		if r.Failed() && (s.study.FailureSig == "" || r.FailureSig == s.study.FailureSig) {
-			failSeeds = append(failSeeds, r.Seed)
-		}
-	}
 	if spec.Observer != nil {
 		succ, fail := s.logs.Counts()
 		spec.Observer.OnEvent(CollectProgress{Successes: succ, Failures: fail})
 	}
-	return studyTraces(s.study, s.logs, failSeeds), nil
+	return studyTraces(s.study, s.logs, failSeeds(s.logs, s.study.FailureSig)), nil
+}
+
+// failSeeds returns the seeds of a stored corpus's failures of
+// signature sig ("" = any), in storage order.
+func failSeeds(logs *trace.LogSet, sig string) []int64 {
+	var seeds []int64
+	for i := range logs.Runs {
+		r := &logs.Runs[i]
+		if r.Failed() && (sig == "" || r.FailureSig == sig) {
+			seeds = append(seeds, r.Seed)
+		}
+	}
+	return seeds
 }
 
 // WriteTraces saves a collected corpus as JSON lines — the format
-// FromTraceFile loads and cmd/aid's -save-traces emits — building
-// tr.Set from the collected logs when it is absent. The round trip is
-// lossless: a pipeline over the reloaded corpus produces the same report
-// as one over the live corpus.
+// FromTraceFile loads and cmd/aid's -save-traces emits: the logs the
+// source kept, or else Set, which the pipeline reads the same way. The
+// round trip is lossless: a pipeline over the reloaded corpus produces
+// the same report as one over the live corpus.
 func WriteTraces(path string, tr *Traces) error {
 	if tr == nil || tr.Set == nil && tr.logs == nil {
 		return fmt.Errorf("aid: no traces to write")
 	}
-	if tr.Set == nil {
-		tr.Set = tr.logs.Set()
+	logs := tr.logs
+	if logs == nil {
+		logs = trace.Intern(tr.Set)
 	}
-	return trace.WriteFile(path, tr.Set)
+	return trace.WriteFile(path, logs)
 }
