@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"aid"
 )
@@ -39,6 +40,8 @@ func main() {
 		runServe(os.Args[2:])
 		return
 	}
+	// A one-shot run serves no profile; see runServe.
+	runtime.MemProfileRate = 0
 	var (
 		name       = flag.String("case", "npgsql", "case study: npgsql, kafka, cosmosdb, network, buildandtest, healthtelemetry")
 		successes  = flag.Int("successes", 50, "successful executions to collect")

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // maxSpecBytes caps a session-spec body: a spec is a few hundred bytes
@@ -31,7 +31,8 @@ const maxSpecBytes = 1 << 20
 //	POST   /v1/sessions/{id}/cancel                 cancel
 //
 // Admission failures map to HTTP statuses at this layer only — the
-// manager speaks typed errors: SaturatedError → 429 with Retry-After,
+// manager speaks typed errors: SaturatedError → 429 with Retry-After
+// (so does an events request past the session's follower cap),
 // DrainingError → 503, NotFoundError/unknown session → 404,
 // UnknownStudyError and ValidationError → 400, an ingest body over the
 // configured cap or a session spec over maxSpecBytes → 413. Untyped
@@ -158,6 +159,12 @@ func NewHandler(m *Manager) http.Handler {
 			}
 			from = n
 		}
+		unfollow, ok := s.follow()
+		if !ok {
+			tooManyRequests(w, fmt.Errorf("service: session %s already has %d event-stream followers; retry after %s", s.id, maxFollowers, retryAfter))
+			return
+		}
+		defer unfollow()
 		streamEvents(w, r, s, from)
 	})
 
@@ -222,6 +229,13 @@ func writeJSONError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// tooManyRequests writes a 429 asking the client to come back after
+// retryAfter.
+func tooManyRequests(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
+	writeJSONError(w, http.StatusTooManyRequests, err)
+}
+
 // writeError maps the manager's typed errors to HTTP statuses. Client
 // faults all carry a type (saturation, not-found, unknown study,
 // draining, oversized body, validation); anything untyped is a server
@@ -236,8 +250,7 @@ func writeError(w http.ResponseWriter, m *Manager, err error) {
 	var invalid *ValidationError
 	switch {
 	case errors.As(err, &sat):
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(sat.RetryAfter.Seconds()))))
-		writeJSONError(w, http.StatusTooManyRequests, err)
+		tooManyRequests(w, err)
 	case errors.As(err, &nf):
 		writeJSONError(w, http.StatusNotFound, err)
 	case errors.As(err, &study):

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,7 +70,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err := aid.WriteTraces(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	baselineRep, err := aid.New(aid.WithCorpusSize(succ, fail)).Run(t.Context(), aid.FromTraceFile(path).ForStudy(study))
+	baselineRep, err := aid.New(aid.WithCorpusSize(succ, fail), aid.WithBaseline(false)).Run(t.Context(), aid.FromTraceFile(path).ForStudy(study))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), baseline) {
 		t.Error("daemon report JSON differs from embedded run")
 	}
+	assertNoTAGT(t, "report", got.Bytes())
 	textResp := mustGet(t, srv.URL+"/v1/sessions/"+status.ID+"/report?format=text")
 	defer textResp.Body.Close()
 	var text bytes.Buffer
@@ -180,6 +182,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if want := baselineRep.FormatFull(); text.String() != want {
 		t.Error("?format=text differs from Report.FormatFull")
 	}
+	assertNoTAGT(t, "text report", text.Bytes())
 
 	// Resumed streams replay from the cursor.
 	resume := mustGet(t, srv.URL+"/v1/sessions/"+status.ID+"/events?from=1")
@@ -235,7 +238,7 @@ func mustGet(t *testing.T, url string) *http.Response {
 // TestHTTPSaturation429: admission beyond the tenant cap maps to HTTP
 // 429 with a Retry-After header; other tenants are still served.
 func TestHTTPSaturation429(t *testing.T) {
-	m, srv := newTestServer(t, Config{SessionBudget: 1, TenantCap: 2, RetryAfter: 2 * time.Second})
+	m, srv := newTestServer(t, Config{SessionBudget: 1, TenantCap: 2})
 
 	// Fill the flood tenant's cap with blocked sessions (library-level:
 	// blocking sources are a test hook, not an HTTP feature).
@@ -255,8 +258,8 @@ func TestHTTPSaturation429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated start: HTTP %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After %q, want 2", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After %q, want 1", ra)
 	}
 	var errBody struct {
 		Error string `json:"error"`
@@ -300,13 +303,16 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown study: HTTP %d, want 400", resp.StatusCode)
 	}
-	resp, err := http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(`{"bogus": true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown spec field: HTTP %d, want 400", resp.StatusCode)
+	// A spec cannot ask for the TAGT baseline: sessions run without it.
+	for _, body := range []string{`{"bogus": true}`, `{"study": "npgsql", "baseline": true}`} {
+		resp, err := http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown spec field in %s: HTTP %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	// Cancel flow: a running session turns cancelled, its report 409s.
@@ -382,7 +388,7 @@ func TestHTTPInvalidSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := aid.New(aid.WithCorpusSize(5, 5), aid.WithSeedCap(40), aid.WithWorkers(1)).Run(t.Context(), aid.FromStudy(aid.CaseStudyByName("npgsql")))
+	want, err := aid.New(aid.WithCorpusSize(5, 5), aid.WithSeedCap(40), aid.WithWorkers(1), aid.WithBaseline(false)).Run(t.Context(), aid.FromStudy(aid.CaseStudyByName("npgsql")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,4 +547,71 @@ func TestHTTPStreamFollowsLiveSession(t *testing.T) {
 			t.Fatal("stream never completed after cancel")
 		}
 	}
+}
+
+// TestHTTPEventFollowerCap: a session takes at most maxFollowers
+// event-stream followers at once. The next one is refused with 429 and
+// Retry-After, and a follower that hangs up frees its slot.
+func TestHTTPEventFollowerCap(t *testing.T) {
+	m, srv := newTestServer(t, Config{SessionBudget: 1, TenantCap: 2})
+	src := newBlockingSource()
+	s, err := m.Start("acme", SessionSpec{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-src.entered
+
+	// follow opens a stream on the blocked session; hangUp closes it.
+	follow := func() (code int, retryAfter string, hangUp func()) {
+		ctx, cancel := context.WithCancel(t.Context())
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/sessions/"+s.id+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Retry-After"), func() {
+			cancel()
+			resp.Body.Close()
+		}
+	}
+	var hangUps []func()
+	t.Cleanup(func() {
+		for _, h := range hangUps {
+			h()
+		}
+	})
+	for i := range maxFollowers {
+		code, _, hangUp := follow()
+		hangUps = append(hangUps, hangUp)
+		if code != http.StatusOK {
+			t.Fatalf("follower %d: HTTP %d, want 200", i+1, code)
+		}
+	}
+	code, ra, hangUp := follow()
+	hangUp()
+	if code != http.StatusTooManyRequests || ra != "1" {
+		t.Fatalf("follower %d: HTTP %d, Retry-After %q; want 429, 1", maxFollowers+1, code, ra)
+	}
+
+	// The server frees a slot once it sees the hang-up.
+	hangUps[0]()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		code, _, hangUp := follow()
+		if code == http.StatusOK {
+			hangUps[0] = hangUp
+			break
+		}
+		hangUp()
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("follower after a hang-up: HTTP %d", code)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a hung-up follower's slot was never freed")
+		}
+	}
+	m.Cancel(s.id)
 }

@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// retryAfter is the backoff a 429 asks for, in its Retry-After header
+// and its error text.
+const retryAfter = time.Second
+
 // SaturatedError reports that a tenant already has Config.TenantCap
 // sessions queued or running. Manager.Start refuses the session and the
 // HTTP layer maps the refusal to 429 with a Retry-After header —
@@ -14,12 +18,12 @@ import (
 type SaturatedError struct {
 	// Tenant is the refused tenant.
 	Tenant string
-	// RetryAfter is the suggested backoff before resubmitting.
-	RetryAfter time.Duration
+	// Cap is the tenant's cap on queued plus running sessions.
+	Cap int
 }
 
 func (e *SaturatedError) Error() string {
-	return fmt.Sprintf("service: tenant %q is saturated (queue full); retry after %s", e.Tenant, e.RetryAfter)
+	return fmt.Sprintf("service: tenant %q is at its cap of %d queued or running sessions; retry after %s", e.Tenant, e.Cap, retryAfter)
 }
 
 // Limiter is the daemon's admission control: a weighted semaphore over

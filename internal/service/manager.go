@@ -33,9 +33,6 @@ type Config struct {
 	// wait included (default 5m). SessionSpec.TimeoutMS overrides per
 	// session.
 	SessionTimeout time.Duration
-	// RetryAfter is the backoff hint attached to SaturatedError and the
-	// HTTP Retry-After header (default 1s).
-	RetryAfter time.Duration
 	// RetainSessions bounds how many terminal sessions the manager
 	// retains for status/report queries (default 256). Beyond it the
 	// oldest terminal sessions are evicted — their status and report
@@ -93,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionTimeout <= 0 {
 		c.SessionTimeout = 5 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.RetainSessions < 1 {
 		c.RetainSessions = 256
@@ -413,7 +407,7 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	if ts.active >= m.cfg.TenantCap {
 		m.saturations++
 		m.mu.Unlock()
-		return nil, &SaturatedError{Tenant: tenant, RetryAfter: m.cfg.RetryAfter}
+		return nil, &SaturatedError{Tenant: tenant, Cap: m.cfg.TenantCap}
 	}
 	ts.active++
 	m.seq++
@@ -542,13 +536,16 @@ func (m *Manager) width(sp SessionSpec) int {
 // runPipeline executes the session's pipeline run, containing panics to
 // the session (the PR 6 containment discipline at session granularity:
 // a crashing session must not take sibling sessions or the daemon down).
+// Sessions run without the TAGT baseline: the paper's comparison belongs
+// to the Fig. 7 CLI and the benchmarks, and its replays would otherwise
+// take the session budget from the next session.
 func (m *Manager) runPipeline(ctx context.Context, s *Session, source aid.TraceSource, shared *aid.SharedScheduler) (rep *aid.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			rep, err = nil, &SessionPanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	opts := []aid.Option{aid.WithObserver(aid.ObserverFunc(s.observe))}
+	opts := []aid.Option{aid.WithObserver(aid.ObserverFunc(s.observe)), aid.WithBaseline(false)}
 	sp := s.spec
 	if sp.Successes > 0 || sp.Failures > 0 {
 		opts = append(opts, aid.WithCorpusSize(sp.Successes, sp.Failures))

@@ -55,6 +55,18 @@ func (panicSource) Collect(ctx context.Context, spec aid.CollectSpec) (*aid.Trac
 	panic("session gone rogue")
 }
 
+// assertNoTAGT fails unless a daemon report leaves out the TAGT
+// baseline: sessions run without it, so neither of its JSON keys nor
+// its part of the text summary may appear.
+func assertNoTAGT(t *testing.T, label string, report []byte) {
+	t.Helper()
+	for _, key := range []string{`"tagtInterventions"`, `"tagtWorstCase"`, "TAGT"} {
+		if bytes.Contains(report, []byte(key)) {
+			t.Errorf("%s: daemon report carries %s", label, key)
+		}
+	}
+}
+
 func waitState(t *testing.T, s *Session, want SessionState) {
 	t.Helper()
 	select {
@@ -82,7 +94,7 @@ func TestManagerByteIdenticalPin(t *testing.T) {
 	// Embedded baselines, one per study.
 	baseline := map[string][]byte{}
 	for _, name := range studies {
-		p := aid.New(aid.WithCorpusSize(succ, fail))
+		p := aid.New(aid.WithCorpusSize(succ, fail), aid.WithBaseline(false))
 		rep, err := p.Run(t.Context(), aid.FromStudy(aid.CaseStudyByName(name)))
 		if err != nil {
 			t.Fatalf("baseline %s: %v", name, err)
@@ -107,7 +119,7 @@ func TestManagerByteIdenticalPin(t *testing.T) {
 	if err := aid.WriteTraces(corpusPath, tr); err != nil {
 		t.Fatal(err)
 	}
-	corpusRep, err := aid.New(aid.WithCorpusSize(succ, fail)).
+	corpusRep, err := aid.New(aid.WithCorpusSize(succ, fail), aid.WithBaseline(false)).
 		Run(t.Context(), aid.FromTraceFile(corpusPath).ForStudy(aid.CaseStudyByName("npgsql")))
 	if err != nil {
 		t.Fatal(err)
@@ -169,6 +181,7 @@ func TestManagerByteIdenticalPin(t *testing.T) {
 		if !bytes.Equal(js, want) {
 			t.Errorf("session %s (%+v): daemon report differs from embedded run", s.id, jobs[i])
 		}
+		assertNoTAGT(t, s.id, js)
 		st := s.Status()
 		cacheHits += st.SchedulerCacheHits
 		if st.Events == 0 {
@@ -268,7 +281,7 @@ func TestManagerPanicContainment(t *testing.T) {
 // with SaturatedError while other tenants stay admissible, and capacity
 // returns once sessions finish.
 func TestManagerSaturation(t *testing.T) {
-	m := NewManager(Config{SessionBudget: 1, TenantCap: 2, RetryAfter: 3 * time.Second})
+	m := NewManager(Config{SessionBudget: 1, TenantCap: 2})
 	defer m.Close()
 	src1, src2 := newBlockingSource(), newBlockingSource()
 	s1, err := m.Start("flood", SessionSpec{Source: src1})
@@ -284,8 +297,8 @@ func TestManagerSaturation(t *testing.T) {
 	if !errors.As(err, &sat) {
 		t.Fatalf("want SaturatedError, got %v", err)
 	}
-	if sat.RetryAfter != 3*time.Second {
-		t.Errorf("RetryAfter %s", sat.RetryAfter)
+	if want := `service: tenant "flood" is at its cap of 2 queued or running sessions; retry after 1s`; sat.Error() != want {
+		t.Errorf("saturation error %q, want %q", sat.Error(), want)
 	}
 	if m.Stats().Saturations != 1 {
 		t.Errorf("saturation not counted: %+v", m.Stats())
@@ -406,7 +419,7 @@ func TestManagerMemoInvalidation(t *testing.T) {
 		if err := os.WriteFile(path, corpus, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := aid.New().Run(t.Context(), aid.FromTraceFile(path).ForStudy(study))
+		rep, err := aid.New(aid.WithBaseline(false)).Run(t.Context(), aid.FromTraceFile(path).ForStudy(study))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func persistFixture(t *testing.T, study string, succ, fail int) (corpus, baselin
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := aid.New().Run(t.Context(), aid.FromTraceFile(path).ForStudy(cs))
+	rep, err := aid.New(aid.WithBaseline(false)).Run(t.Context(), aid.FromTraceFile(path).ForStudy(cs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestManagerResultCache(t *testing.T) {
 		if err := os.WriteFile(path, corpus, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := aid.New().Run(t.Context(), aid.FromTraceFile(path).ForStudy(study))
+		rep, err := aid.New(aid.WithBaseline(false)).Run(t.Context(), aid.FromTraceFile(path).ForStudy(study))
 		if err != nil {
 			t.Fatal(err)
 		}

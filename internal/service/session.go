@@ -149,8 +149,31 @@ type Session struct {
 	schedReq  int
 	schedHit  int
 	fromCache bool
+	followers int
 
 	log eventLog
+}
+
+// maxFollowers caps a session's concurrent event-stream followers. Each
+// holds a goroutine and a connection until the session ends or its
+// client hangs up, and bodies are untimed by design, so without the cap
+// clients could pile followers onto one long session.
+const maxFollowers = 8
+
+// follow claims one of the session's follower slots, false when all
+// maxFollowers are taken; unfollow frees it.
+func (s *Session) follow() (unfollow func(), ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.followers >= maxFollowers {
+		return nil, false
+	}
+	s.followers++
+	return func() {
+		s.mu.Lock()
+		s.followers--
+		s.mu.Unlock()
+	}, true
 }
 
 // Done returns a channel closed when the session reaches a terminal

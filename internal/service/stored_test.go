@@ -93,7 +93,7 @@ func TestStoredCorpusReports(t *testing.T) {
 		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := aid.New().Run(t.Context(), aid.FromTraceFile(path).ForStudy(aid.CaseStudyByName(name)))
+		rep, err := aid.New(aid.WithBaseline(false)).Run(t.Context(), aid.FromTraceFile(path).ForStudy(aid.CaseStudyByName(name)))
 		if err != nil {
 			t.Fatal(err)
 		}

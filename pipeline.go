@@ -48,6 +48,7 @@ type Pipeline struct {
 	workers   int
 	observer  Observer
 	effects   bool
+	baseline  bool
 	noise     *NoiseTolerance
 	shared    *SharedScheduler
 }
@@ -275,8 +276,20 @@ func WithEffectAnalysis(on bool) Option {
 	return func(p *Pipeline) { p.effects = on }
 }
 
+// WithBaseline turns the TAGT baseline in Run on or off (default on).
+// With it on, Run also searches the candidate pool by traditional
+// adaptive group testing and reports its cost beside AID's, the
+// paper's Fig. 7 comparison. With it off, Run skips that search and
+// its replays, and the Report leaves out its two TAGT figures; every
+// other field is byte-identical. aid serve runs its sessions with it
+// off.
+func WithBaseline(on bool) Option {
+	return func(p *Pipeline) { p.baseline = on }
+}
+
 // New builds a Pipeline with the paper's defaults: a 50+50 corpus
-// within 4000 seeds, 5 replays per round, seed 1, the full AID variant.
+// within 4000 seeds, 5 replays per round, seed 1, the full AID variant,
+// and the TAGT baseline on.
 func New(opts ...Option) *Pipeline {
 	p := &Pipeline{
 		successes: 50,
@@ -285,6 +298,7 @@ func New(opts ...Option) *Pipeline {
 		replays:   5,
 		seed:      1,
 		variant:   VariantAID,
+		baseline:  true,
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -632,10 +646,10 @@ func (p *Pipeline) Explain(corpus *Corpus, res *Result) string {
 
 // Run executes the pipeline end-to-end: collect, extract, rank, build
 // the AC-DAG, discover the causal path, run the TAGT baseline on the
-// same candidate pool, and assemble the serializable Report. The
-// output is bit-identical for any worker count, and — for the built-in
-// case studies — to the pre-facade runner kept as a test oracle in
-// internal/oracle/caserun.
+// same candidate pool (unless WithBaseline(false)), and assemble the
+// serializable Report. The output is bit-identical for any worker
+// count, and — for the built-in case studies — to the pre-facade
+// runner kept as a test oracle in internal/oracle/caserun.
 func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 	tr, err := p.collect(ctx, src)
 	if err != nil {
@@ -653,13 +667,6 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		return nil, err
 	}
 
-	// TAGT runs on the same safely-intervenable candidate pool with the
-	// same intervention oracle, but no DAG knowledge. Its oracle needs
-	// one bit per group — does the failure persist? — so it asks the
-	// verdict-only query: no trace is assembled or re-extracted, and a
-	// group stops replaying at its first persisting seed. The test
-	// oracle internal/oracle/caserun keeps the Intervene-derived oracle
-	// as the reference.
 	var pool []PredicateID
 	noPath := 0
 	for _, id := range dag.Nodes() {
@@ -671,16 +678,27 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 			noPath++
 		}
 	}
-	oracle := func(group []predicate.ID) (bool, error) {
-		persists, err := exec.Persists(ctx, group)
-		return !persists, err
-	}
-	tagtRes, err := grouptest.Adaptive(pool, oracle, p.seed)
-	if err != nil {
-		return nil, fmt.Errorf("aid: %s: TAGT: %w", src.Label(), err)
+	pathLen := len(aidRes.Path) - 1 // excluding F
+	tagtTests, tagtBound := 0, 0
+	if p.baseline {
+		// TAGT runs on the same safely-intervenable candidate pool with
+		// the same intervention oracle, but no DAG knowledge. Its oracle
+		// needs one bit per group — does the failure persist? — so it
+		// asks the verdict-only query: no trace is assembled or
+		// re-extracted, and a group stops replaying at its first
+		// persisting seed. The test oracle internal/oracle/caserun keeps
+		// the Intervene-derived oracle as the reference.
+		oracle := func(group []predicate.ID) (bool, error) {
+			persists, err := exec.Persists(ctx, group)
+			return !persists, err
+		}
+		tagtRes, err := grouptest.Adaptive(pool, oracle, p.seed)
+		if err != nil {
+			return nil, fmt.Errorf("aid: %s: TAGT: %w", src.Label(), err)
+		}
+		tagtTests, tagtBound = tagtRes.Tests, grouptest.UpperBound(len(pool), pathLen)
 	}
 
-	pathLen := len(aidRes.Path) - 1 // excluding F
 	s1, s2 := aidRes.PruningStats()
 	report := &Report{
 		Study:             tr.Source,
@@ -692,8 +710,8 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		NoPathToF:         noPath,
 		CausalPathLen:     pathLen,
 		AIDInterventions:  aidRes.Interventions(),
-		TAGTInterventions: tagtRes.Tests,
-		TAGTWorstCase:     grouptest.UpperBound(len(pool), pathLen),
+		TAGTInterventions: tagtTests,
+		TAGTWorstCase:     tagtBound,
 		RootCause:         string(aidRes.RootCause()),
 		Path:              idStrings(aidRes.Path),
 		Explanation:       make([]string, len(aidRes.Path)),
@@ -703,6 +721,7 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		PruningS2:         s2,
 		Robustness:        robustness,
 		Result:            aidRes,
+		noBaseline:        !p.baseline,
 	}
 	for i, id := range aidRes.Path {
 		desc := string(id)

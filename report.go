@@ -7,10 +7,13 @@ import (
 )
 
 // Report is the stable, JSON-serializable outcome of one pipeline run:
-// one row of the paper's Fig. 7 plus the causal path, the explanation,
-// and the intervention log. It is the shared currency of the CLI
-// (-json), the examples, and future service endpoints; predicate IDs
-// are plain strings so consumers need no internal types.
+// the causal path, the explanation, and the intervention log, plus the
+// counts of the paper's Fig. 7. It is one row of Fig. 7 only when the
+// run measured the TAGT baseline (WithBaseline, on by default); a
+// report of a run without it leaves the two TAGT figures out of its
+// JSON and its summary. It is the shared currency of the CLI (-json),
+// the examples, and the daemon's report endpoint; predicate IDs are
+// plain strings so consumers need no internal types.
 type Report struct {
 	// Study, Issue and Description identify the debugged application.
 	Study       string `json:"study"`
@@ -35,6 +38,8 @@ type Report struct {
 	// TAGTInterventions is the measured TAGT cost on the same pool.
 	TAGTInterventions int `json:"tagtInterventions"`
 	// TAGTWorstCase is the paper's D·⌈log₂N⌉ worst case (Fig. 7 col 6).
+	// Both TAGT keys are written whenever the baseline ran, zeros
+	// included, and never when it did not.
 	TAGTWorstCase int `json:"tagtWorstCase"`
 
 	// RootCause is C0 ("" when no cause was confirmed).
@@ -60,6 +65,37 @@ type Report struct {
 	// Result is the full in-memory discovery result for programmatic
 	// consumers; it is not serialized.
 	Result *Result `json:"-"`
+
+	// noBaseline marks a report whose run skipped the TAGT baseline.
+	// Only Run sets it, so the zero value means the baseline ran: a
+	// hand-built or decoded report writes both TAGT keys.
+	noBaseline bool
+}
+
+// reportFields is Report without its methods, so encoding/json writes
+// its fields without calling MarshalJSON again.
+type reportFields Report
+
+// encoded is what encoding/json writes for the report: its fields in
+// declaration order, without the two TAGT keys when the run skipped the
+// baseline.
+func (r *Report) encoded() any {
+	if !r.noBaseline {
+		return (*reportFields)(r)
+	}
+	// A field at the outer level hides the embedded field of the same
+	// JSON name, and a nil pointer with omitempty writes nothing.
+	return &struct {
+		*reportFields
+		TAGTInterventions *int `json:"tagtInterventions,omitempty"`
+		TAGTWorstCase     *int `json:"tagtWorstCase,omitempty"`
+	}{reportFields: (*reportFields)(r)}
+}
+
+// MarshalJSON encodes the report's fields, leaving out the two TAGT
+// keys when the run skipped the baseline.
+func (r Report) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.encoded())
 }
 
 // RobustnessReport is the serializable accounting of a noise-tolerant
@@ -176,8 +212,10 @@ func (r *Report) Detach() *Report {
 }
 
 // JSON serializes the report with indentation (the -json CLI output).
+// It encodes the fields itself: through MarshalJSON, encoding/json
+// would scan the encoded bytes once more before indenting them.
 func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return json.MarshalIndent(r.encoded(), "", "  ")
 }
 
 // Format renders the human-readable summary block the CLI prints — the
@@ -192,8 +230,12 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "AC-DAG:          %d nodes, %d without a path to F\n", r.DAGNodes, r.NoPathToF)
 	fmt.Fprintf(&b, "root cause:      %s\n", r.RootCause)
 	fmt.Fprintf(&b, "causal path:     %d predicates\n", r.CausalPathLen)
-	fmt.Fprintf(&b, "interventions:   AID %d, TAGT %d (worst-case bound %d)\n",
-		r.AIDInterventions, r.TAGTInterventions, r.TAGTWorstCase)
+	if r.noBaseline {
+		fmt.Fprintf(&b, "interventions:   AID %d\n", r.AIDInterventions)
+	} else {
+		fmt.Fprintf(&b, "interventions:   AID %d, TAGT %d (worst-case bound %d)\n",
+			r.AIDInterventions, r.TAGTInterventions, r.TAGTWorstCase)
+	}
 	fmt.Fprintf(&b, "pruning rates:   S1=%.1f discarded/round, S2=%.1f discarded/cause (§6)\n",
 		r.PruningS1, r.PruningS2)
 	return b.String()
@@ -249,7 +291,8 @@ func (r *Report) FormatExplanation() string {
 	return b.String()
 }
 
-// FormatFigure7 renders reports as the paper's Fig. 7 table. The Issue
+// FormatFigure7 renders reports as the paper's Fig. 7 table, whose TAGT
+// columns are measured only by runs with the baseline on. The Issue
 // column is as wide as its widest label, header included.
 func FormatFigure7(reports []*Report) string {
 	issueW := len("Issue")
