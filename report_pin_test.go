@@ -17,19 +17,29 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite the testdata goldens from the current tree")
 
 // TestCaseStudyReportGoldens pins the full JSON report of every case
-// study, byte for byte, against goldens captured from the PR 9 tree.
-// The memory-discipline work (overlay corpus reuse, scratch kernels)
-// must be invisible in the output: any drift here means an
-// optimization changed behavior, not just allocation counts.
+// study, and the event stream its run emitted (MarshalEvent lines),
+// byte for byte. The memory-discipline work (overlay corpus reuse,
+// scratch kernels) must be invisible in the output: any drift here
+// means an optimization changed behavior, not just allocation counts.
 //
 // Settings mirror benchOpts (trimmed 30+30 corpus, 5 replays) so the
 // pin exercises the same configuration the Figure 7 benchmarks and the
-// allocs/op gate measure.
+// allocs/op gate measure. The run uses one worker because the number
+// of CollectProgress events follows the pool width; the report does
+// not.
 func TestCaseStudyReportGoldens(t *testing.T) {
 	for _, s := range aid.CaseStudies() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			pipeline := aid.New(aid.WithCorpusSize(30, 30), aid.WithReplays(5))
+			var events []byte
+			obs := aid.ObserverFunc(func(e aid.Event) {
+				line, err := aid.MarshalEvent(e)
+				if err != nil {
+					t.Error(err)
+				}
+				events = append(append(events, line...), '\n')
+			})
+			pipeline := aid.New(aid.WithCorpusSize(30, 30), aid.WithReplays(5), aid.WithWorkers(1), aid.WithObserver(obs))
 			rep, err := pipeline.Run(context.Background(), aid.FromStudy(s))
 			if err != nil {
 				t.Fatal(err)
@@ -38,25 +48,32 @@ func TestCaseStudyReportGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "reports", s.Name+".json")
-			if *updateGoldens {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to regenerate): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("report for %s drifted from the pinned PR 9 baseline:\n got %d bytes\nwant %d bytes\nfirst divergence at byte %d",
-					s.Name, len(got), len(want), firstDiff(got, want))
-			}
+			checkGolden(t, filepath.Join("testdata", "reports", s.Name+".json"), got)
+			checkGolden(t, filepath.Join("testdata", "events", s.Name+".jsonl"), events)
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path byte for byte,
+// or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGoldens {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s drifted from its golden:\n got %d bytes\nwant %d bytes\nfirst divergence at byte %d",
+			path, len(got), len(want), firstDiff(got, want))
 	}
 }
 
