@@ -389,7 +389,7 @@ func discoverSignatures(p *sim.Program, seeds int) []string {
 	}
 	counts := make(map[string]int)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		v, err := pp.Observe(seed, sim.Budget{}, nil)
+		v, err := pp.Observe(seed, 0, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -3,6 +3,7 @@ package aid
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 )
 
 // This file is the Observer event stream's wire format: each Event
@@ -16,47 +17,45 @@ import (
 
 // Wire names of the Event types, stable across releases.
 const (
-	EventCollectProgress       = "collect-progress"
-	EventTracesCollected       = "traces-collected"
-	EventEffectsAnalyzed       = "effects-analyzed"
-	EventPredicatesExtracted   = "predicates-extracted"
-	EventRanked                = "ranked"
-	EventDAGBuilt              = "dag-built"
-	EventRoundDone             = "round-done"
-	EventContradictionDetected = "contradiction-detected"
-	EventSchedulerUsage        = "scheduler-usage"
-	EventCauseConfirmed        = "cause-confirmed"
-	EventDiscoveryDone         = "discovery-done"
-	EventStateRecovered        = "state-recovered"
+	EventCollectProgress     = "collect-progress"
+	EventTracesCollected     = "traces-collected"
+	EventEffectsAnalyzed     = "effects-analyzed"
+	EventPredicatesExtracted = "predicates-extracted"
+	EventRanked              = "ranked"
+	EventDAGBuilt            = "dag-built"
+	EventRoundDone           = "round-done"
+	EventSchedulerUsage      = "scheduler-usage"
+	EventCauseConfirmed      = "cause-confirmed"
+	EventDiscoveryDone       = "discovery-done"
+	EventStateRecovered      = "state-recovered"
 )
+
+// eventTypes is the one table of the Event types and their wire names;
+// EventType and UnmarshalEvent both read it.
+var eventTypes = []struct {
+	name string
+	typ  reflect.Type
+}{
+	{EventCollectProgress, reflect.TypeFor[CollectProgress]()},
+	{EventTracesCollected, reflect.TypeFor[TracesCollected]()},
+	{EventEffectsAnalyzed, reflect.TypeFor[EffectsAnalyzed]()},
+	{EventPredicatesExtracted, reflect.TypeFor[PredicatesExtracted]()},
+	{EventRanked, reflect.TypeFor[Ranked]()},
+	{EventDAGBuilt, reflect.TypeFor[DAGBuilt]()},
+	{EventRoundDone, reflect.TypeFor[RoundDone]()},
+	{EventSchedulerUsage, reflect.TypeFor[SchedulerUsage]()},
+	{EventCauseConfirmed, reflect.TypeFor[CauseConfirmed]()},
+	{EventDiscoveryDone, reflect.TypeFor[DiscoveryDone]()},
+	{EventStateRecovered, reflect.TypeFor[StateRecovered]()},
+}
 
 // EventType returns e's stable wire name ("" for an unknown type).
 func EventType(e Event) string {
-	switch e.(type) {
-	case CollectProgress:
-		return EventCollectProgress
-	case TracesCollected:
-		return EventTracesCollected
-	case EffectsAnalyzed:
-		return EventEffectsAnalyzed
-	case PredicatesExtracted:
-		return EventPredicatesExtracted
-	case Ranked:
-		return EventRanked
-	case DAGBuilt:
-		return EventDAGBuilt
-	case RoundDone:
-		return EventRoundDone
-	case ContradictionDetected:
-		return EventContradictionDetected
-	case SchedulerUsage:
-		return EventSchedulerUsage
-	case CauseConfirmed:
-		return EventCauseConfirmed
-	case DiscoveryDone:
-		return EventDiscoveryDone
-	case StateRecovered:
-		return EventStateRecovered
+	t := reflect.TypeOf(e)
+	for _, et := range eventTypes {
+		if et.typ == t {
+			return et.name
+		}
 	}
 	return ""
 }
@@ -88,65 +87,17 @@ func UnmarshalEvent(data []byte) (Event, error) {
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("aid: malformed event envelope: %w", err)
 	}
-	var e Event
-	switch env.Type {
-	case EventCollectProgress:
-		e = &CollectProgress{}
-	case EventTracesCollected:
-		e = &TracesCollected{}
-	case EventEffectsAnalyzed:
-		e = &EffectsAnalyzed{}
-	case EventPredicatesExtracted:
-		e = &PredicatesExtracted{}
-	case EventRanked:
-		e = &Ranked{}
-	case EventDAGBuilt:
-		e = &DAGBuilt{}
-	case EventRoundDone:
-		e = &RoundDone{}
-	case EventContradictionDetected:
-		e = &ContradictionDetected{}
-	case EventSchedulerUsage:
-		e = &SchedulerUsage{}
-	case EventCauseConfirmed:
-		e = &CauseConfirmed{}
-	case EventDiscoveryDone:
-		e = &DiscoveryDone{}
-	case EventStateRecovered:
-		e = &StateRecovered{}
-	default:
-		return nil, fmt.Errorf("aid: unknown event type %q", env.Type)
-	}
-	if err := json.Unmarshal(env.Event, e); err != nil {
-		return nil, fmt.Errorf("aid: malformed %s event: %w", env.Type, err)
-	}
-	// Events travel by value everywhere else in the API; return the
-	// concrete value, not the pointer used for decoding.
-	switch v := e.(type) {
-	case *CollectProgress:
-		return *v, nil
-	case *TracesCollected:
-		return *v, nil
-	case *EffectsAnalyzed:
-		return *v, nil
-	case *PredicatesExtracted:
-		return *v, nil
-	case *Ranked:
-		return *v, nil
-	case *DAGBuilt:
-		return *v, nil
-	case *RoundDone:
-		return *v, nil
-	case *ContradictionDetected:
-		return *v, nil
-	case *SchedulerUsage:
-		return *v, nil
-	case *CauseConfirmed:
-		return *v, nil
-	case *DiscoveryDone:
-		return *v, nil
-	case *StateRecovered:
-		return *v, nil
+	for _, et := range eventTypes {
+		if et.name != env.Type {
+			continue
+		}
+		v := reflect.New(et.typ)
+		if err := json.Unmarshal(env.Event, v.Interface()); err != nil {
+			return nil, fmt.Errorf("aid: malformed %s event: %w", env.Type, err)
+		}
+		// Events travel by value everywhere else in the API; return the
+		// concrete value, not the pointer used for decoding.
+		return v.Elem().Interface().(Event), nil
 	}
 	return nil, fmt.Errorf("aid: unknown event type %q", env.Type)
 }

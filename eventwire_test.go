@@ -2,16 +2,18 @@ package aid_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"aid"
 )
 
-// TestEventWireRoundTrip round-trips every event type through the JSON
-// envelope codec: the decoded value must be the same concrete type with
-// the same fields — and therefore the same String rendering — so a
-// daemon client sees exactly what an embedded observer would.
+// TestEventWireRoundTrip round-trips one event of every entry of the
+// event table through the JSON envelope codec: the decoded value must be
+// the same concrete type with the same fields — and therefore the same
+// String rendering — so a daemon client sees exactly what an embedded
+// observer would.
 func TestEventWireRoundTrip(t *testing.T) {
 	events := []aid.Event{
 		aid.CollectProgress{Successes: 3, Failures: 2, SeedsSwept: 4096},
@@ -21,11 +23,17 @@ func TestEventWireRoundTrip(t *testing.T) {
 		aid.Ranked{FullyDiscriminative: 7},
 		aid.DAGBuilt{Nodes: 9, Unsafe: 2},
 		aid.RoundDone{Index: 4, Round: aid.Round{Phase: "branch", Intervened: []aid.PredicateID{"p1", "p2"}, Stopped: true, Confirmed: "p1"}, Batch: 2, CacheHit: true, Trials: 6, Confidence: 0.97},
-		aid.ContradictionDetected{Stopped: []aid.PredicateID{"a"}, Persisted: []aid.PredicateID{"a", "b"}, Resolved: true},
 		aid.SchedulerUsage{Requests: 12, CacheHits: 5, Executions: 7},
 		aid.CauseConfirmed{ID: "p1"},
 		aid.DiscoveryDone{RootCause: "p1", PathLen: 3, Interventions: 11},
 		aid.StateRecovered{Corpora: 2, Memos: 3, MemoEntries: 17, RecordsKept: 5, RecordsDropped: 1, Invalidated: 1},
+	}
+	var names []string
+	for _, e := range events {
+		names = append(names, aid.EventType(e))
+	}
+	if want := aid.EventWireNames(); !slices.Equal(names, want) {
+		t.Fatalf("the samples cover wire names %q, the event table holds %q", names, want)
 	}
 	for _, want := range events {
 		line, err := aid.MarshalEvent(want)
@@ -45,22 +53,28 @@ func TestEventWireRoundTrip(t *testing.T) {
 		if got.String() != want.String() {
 			t.Errorf("round trip %T changed String: %q != %q", want, got.String(), want.String())
 		}
-		if aid.EventType(want) == "" {
-			t.Errorf("EventType(%T) is empty", want)
-		}
 	}
 }
 
-// TestEventWireErrors covers the codec's failure modes.
+// TestEventWireErrors covers the codec's failure modes and pins their
+// texts.
 func TestEventWireErrors(t *testing.T) {
-	if _, err := aid.UnmarshalEvent([]byte(`{"type":"nope","event":{}}`)); err == nil {
-		t.Error("unknown type should fail")
+	for _, tc := range []struct {
+		line, want string
+	}{
+		{`{"type":"nope","event":{}}`, `aid: unknown event type "nope"`},
+		{`not json`, "aid: malformed event envelope: "},
+		{`{"type":"ranked","event":[1,2]}`, "aid: malformed ranked event: "},
+	} {
+		_, err := aid.UnmarshalEvent([]byte(tc.line))
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("UnmarshalEvent(%s) = %v, want an error starting %q", tc.line, err, tc.want)
+		}
 	}
-	if _, err := aid.UnmarshalEvent([]byte(`not json`)); err == nil {
-		t.Error("malformed envelope should fail")
-	}
-	if _, err := aid.UnmarshalEvent([]byte(`{"type":"ranked","event":[1,2]}`)); err == nil {
-		t.Error("malformed body should fail")
+	// Events travel by value: a pointer to one is not a wire type.
+	_, err := aid.MarshalEvent(&aid.Ranked{})
+	if want := "aid: cannot marshal unknown event type *aid.Ranked"; err == nil || err.Error() != want {
+		t.Errorf("MarshalEvent(*Ranked) = %v, want %q", err, want)
 	}
 }
 

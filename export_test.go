@@ -15,3 +15,13 @@ func MemoTables(s *SharedScheduler) int {
 	}
 	return len(tables)
 }
+
+// EventWireNames returns the wire names of the event table, in table
+// order.
+func EventWireNames() []string {
+	names := make([]string, len(eventTypes))
+	for i, et := range eventTypes {
+		names[i] = et.name
+	}
+	return names
+}

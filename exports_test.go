@@ -44,7 +44,6 @@ var interfaceMethods = map[string]string{
 	"service.UnknownStudyError.Error":   "error",
 	"service.ValidationError.Error":     "error",
 	"service.ValidationError.Unwrap":    "interface{ Unwrap() error }",
-	"sim.BudgetError.Error":             "error",
 	"sim.Expr.String":                   "fmt.Stringer",
 	"sim.ReplayPanicError.Error":        "error",
 	"synthetic.FlakyWorld.Intervene":    "core.Intervener",

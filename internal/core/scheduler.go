@@ -103,27 +103,6 @@ type SchedulerConfig struct {
 	// It is the uncached reference in cached-vs-uncached equivalence
 	// tests.
 	NoCache bool
-	// OnContradiction, when non-nil in robust mode, is invoked for each
-	// detected contradiction after its repair completed. Purely
-	// observational.
-	OnContradiction func(ContradictionEvent)
-}
-
-// ContradictionEvent describes one detected monotonicity violation: a
-// group whose intervention stopped the failure while a superset's
-// intervention let it persist. Under a truthful oracle that is
-// impossible (forcing more predicates to their passing values cannot
-// un-stop the failure), so one of the two verdicts is noise.
-type ContradictionEvent struct {
-	// Stopped is the subset group whose recorded verdict was "failure
-	// stopped"; Persisted is the superset whose verdict was "failure
-	// persisted".
-	Stopped, Persisted []predicate.ID
-	// Resolved reports that the escalated retests restored consistency.
-	// When false, the persisted verdict was trusted (a failing run is
-	// the stronger evidence under missed-manifestation noise) and the
-	// stopped verdict was struck from the index.
-	Resolved bool
 }
 
 // outcomeEntry is one cached group outcome.
@@ -167,11 +146,10 @@ type verdictRec struct {
 // and ExportMemo may be read from other goroutines while a run is in
 // progress; the cache holds only completed outcomes.
 type Scheduler struct {
-	iv       Intervener
-	tiv      TrialIntervener // iv's trial oracle; nil outside robust mode
-	noCache  bool
-	robust   bool
-	onContra func(ContradictionEvent)
+	iv      Intervener
+	tiv     TrialIntervener // iv's trial oracle; nil outside robust mode
+	noCache bool
+	robust  bool
 
 	mu    sync.Mutex
 	cache map[string]*outcomeEntry
@@ -207,10 +185,9 @@ type Scheduler struct {
 // invalidation plus an escalated retest instead of silent trust.
 func NewScheduler(iv Intervener, cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
-		iv:       iv,
-		noCache:  cfg.NoCache,
-		onContra: cfg.OnContradiction,
-		cache:    map[string]*outcomeEntry{},
+		iv:      iv,
+		noCache: cfg.NoCache,
+		cache:   map[string]*outcomeEntry{},
 	}
 	s.tiv, s.robust = iv.(TrialIntervener)
 	if s.robust {
@@ -402,18 +379,12 @@ func (s *Scheduler) vetOutcome(ctx context.Context, preds []predicate.ID, key st
 	// The original violation was stopped(S) ⊆ persisted(P); after the
 	// retests, consistency holds unless that same orientation recurs.
 	var still bool
-	var ev ContradictionEvent
 	if stopped {
 		// Current group was the stopped subset.
 		still = curStopped && !otherStopped
-		ev = ContradictionEvent{Stopped: append([]predicate.ID(nil), preds...),
-			Persisted: append([]predicate.ID(nil), conflict.ids...)}
 	} else {
 		still = otherStopped && !curStopped
-		ev = ContradictionEvent{Stopped: append([]predicate.ID(nil), conflict.ids...),
-			Persisted: append([]predicate.ID(nil), preds...)}
 	}
-	ev.Resolved = !still
 	if still {
 		// Unresolved even escalated: trust the persisted side — under
 		// missed-manifestation noise a failing run is the stronger
@@ -437,9 +408,6 @@ func (s *Scheduler) vetOutcome(ctx context.Context, preds []predicate.ID, key st
 		s.stats.Repaired++
 		s.mu.Unlock()
 		s.recordVerdict(key, preds, curStopped)
-	}
-	if s.onContra != nil {
-		s.onContra(ev)
 	}
 	info.Trials += curInfo.Trials + otherInfo.Trials
 	info.Retries += curInfo.Retries + otherInfo.Retries

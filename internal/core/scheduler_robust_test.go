@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -62,16 +61,13 @@ func (w *liarsWorld) Intervene(_ context.Context, preds []predicate.ID) ([]Obser
 // detects a monotonicity violation — a recorded "stopped" subset
 // against a fresh "persisted" superset — and repairs it: escalated
 // retests of both sides correct the lying verdict, update the cache,
-// and fire a Resolved contradiction event.
+// and count the contradiction as repaired.
 func TestSchedulerContradictionRepaired(t *testing.T) {
 	w := &liarsWorld{script: map[string][]bool{
 		"a":   {true, false}, // lies "stopped" once; truth is persisted
 		"a,b": {false},
 	}}
-	var events []ContradictionEvent
-	s := NewScheduler(w, SchedulerConfig{
-		OnContradiction: func(ev ContradictionEvent) { events = append(events, ev) },
-	})
+	s := NewScheduler(w, SchedulerConfig{})
 
 	obs1, _, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"a"}})
 	if err != nil {
@@ -95,16 +91,6 @@ func TestSchedulerContradictionRepaired(t *testing.T) {
 	if st.Contradictions != 1 || st.Repaired != 1 || st.Escalated != 2 {
 		t.Fatalf("stats = %+v, want 1 contradiction repaired via 2 escalated retests", st)
 	}
-	if len(events) != 1 {
-		t.Fatalf("got %d contradiction events, want 1", len(events))
-	}
-	ev := events[0]
-	if !ev.Resolved {
-		t.Fatalf("event not resolved: %+v", ev)
-	}
-	if !reflect.DeepEqual(ev.Stopped, []predicate.ID{"a"}) || !reflect.DeepEqual(ev.Persisted, []predicate.ID{"a", "b"}) {
-		t.Fatalf("event sides wrong: %+v", ev)
-	}
 
 	// The repair rewrote {a}'s cached outcome: a re-request is served
 	// from cache with the corrected (persisted) verdict.
@@ -123,16 +109,13 @@ func TestSchedulerContradictionRepaired(t *testing.T) {
 // TestSchedulerContradictionUnresolved checks an escalated retest that
 // upholds both conflicting verdicts resolves the deadlock by trusting
 // the persisted side: the stopped verdict is struck from the index and
-// cache, and the event reports Resolved == false.
+// cache, and the contradiction is not counted as repaired.
 func TestSchedulerContradictionUnresolved(t *testing.T) {
 	w := &liarsWorld{script: map[string][]bool{
 		"a":   {true},  // sticks to "stopped" even escalated
 		"a,b": {false}, // sticks to "persisted"
 	}}
-	var events []ContradictionEvent
-	s := NewScheduler(w, SchedulerConfig{
-		OnContradiction: func(ev ContradictionEvent) { events = append(events, ev) },
-	})
+	s := NewScheduler(w, SchedulerConfig{})
 	if _, _, err := s.Outcome(context.Background(), Request{Preds: []predicate.ID{"a"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +129,6 @@ func TestSchedulerContradictionUnresolved(t *testing.T) {
 	st := s.Stats()
 	if st.Contradictions != 1 || st.Repaired != 0 {
 		t.Fatalf("stats = %+v, want 1 unrepaired contradiction", st)
-	}
-	if len(events) != 1 || events[0].Resolved {
-		t.Fatalf("events = %+v, want one unresolved", events)
 	}
 
 	// The struck verdict's cache entry is gone: a re-request must ask

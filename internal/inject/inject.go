@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"aid/internal/bitvec"
 	"aid/internal/core"
@@ -124,10 +123,6 @@ type Executor struct {
 	FailureSig string
 	// MaxSteps bounds each re-execution (0 = sim default).
 	MaxSteps int
-	// WallBudget bounds each re-execution's real elapsed time (0 =
-	// unbounded). A replay that exceeds it is quarantined and counted
-	// as a missed run, like a panicking one.
-	WallBudget time.Duration
 	// Workers is the pool width for replaying Seeds concurrently within
 	// one intervention round; <= 0 means GOMAXPROCS. Replays are
 	// consumed in seed order, so observations are identical for any
@@ -138,8 +133,8 @@ type Executor struct {
 	// at once.
 	RunsUsed int
 	// Missed counts replays that produced no observation because their
-	// (plan, seed) pair panicked, blew the wall budget, or was already
-	// quarantined. Guarded by mu, like RunsUsed.
+	// (plan, seed) pair panicked or was already quarantined. Guarded by
+	// mu, like RunsUsed.
 	Missed int
 
 	// mu serializes the executor's mutable state: the run counters and
@@ -154,33 +149,13 @@ type Executor struct {
 	// them: every replay's observed set is a bitset over it.
 	table *core.PredTable
 
-	// qmu guards the quarantine. It is separate from mu because replays
-	// consult it concurrently from the worker pool, outside the
-	// observation lock.
+	// qmu guards the quarantine: the (plan, seed) pairs whose replay
+	// panicked, which later rounds skip (counted as missed runs) instead
+	// of crashing again. It is separate from mu because replays consult
+	// it concurrently from the worker pool, outside the observation
+	// lock.
 	qmu         sync.Mutex
 	quarantined map[string]bool
-	quarantine  []QuarantinedReplay
-}
-
-// QuarantinedReplay records one (plan, seed) pair removed from service:
-// its replay panicked or exceeded the wall budget, and later rounds
-// skip it (counted as a missed run) instead of crashing again.
-type QuarantinedReplay struct {
-	// Group is the forced-predicate group whose plan crashed.
-	Group []predicate.ID
-	// Seed is the scheduler seed of the crashing replay.
-	Seed int64
-	// Err is the contained failure (*sim.ReplayPanicError or
-	// *sim.BudgetError).
-	Err error
-}
-
-// Quarantined returns the quarantined (plan, seed) pairs in detection
-// order.
-func (e *Executor) Quarantined() []QuarantinedReplay {
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
-	return append([]QuarantinedReplay(nil), e.quarantine...)
 }
 
 // quarantineKey identifies a (plan, seed) pair: group membership
@@ -197,27 +172,18 @@ func (e *Executor) isQuarantined(group []predicate.ID, seed int64) bool {
 	return len(e.quarantined) > 0 && e.quarantined[quarantineKey(group, seed)]
 }
 
-func (e *Executor) addQuarantine(group []predicate.ID, seed int64, err error) {
+func (e *Executor) addQuarantine(group []predicate.ID, seed int64) {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
 	if e.quarantined == nil {
 		e.quarantined = map[string]bool{}
 	}
-	key := quarantineKey(group, seed)
-	if e.quarantined[key] {
-		return
-	}
-	e.quarantined[key] = true
-	e.quarantine = append(e.quarantine, QuarantinedReplay{
-		Group: append([]predicate.ID(nil), group...),
-		Seed:  seed,
-		Err:   err,
-	})
+	e.quarantined[quarantineKey(group, seed)] = true
 }
 
 // replayHook, when non-nil, runs at the start of every guarded replay,
-// inside the recover scope — tests use it to inject panics and stalls
-// at exact (group, seed) coordinates.
+// inside the recover scope — tests use it to inject panics at exact
+// (group, seed) coordinates.
 var replayHook func(group []predicate.ID, seed int64)
 
 // runOne executes one guarded replay, handing its verdict and logs to
@@ -235,7 +201,7 @@ func (e *Executor) runOne(pp *sim.Prepared, group []predicate.ID, seed int64, ob
 	if h := replayHook; h != nil {
 		h(group, seed)
 	}
-	return pp.Observe(seed, sim.Budget{MaxSteps: e.MaxSteps, WallClock: e.WallBudget}, observe)
+	return pp.Observe(seed, e.MaxSteps, observe)
 }
 
 // persists reports whether a replay verdict is a persistence of the
@@ -313,7 +279,7 @@ func sameRuns(baselines []trace.Execution, succ *trace.LogSet) error {
 // the failure persists. Guard, quarantine and failure-signature rules
 // are Intervene's, and so is the error when every replay is
 // quarantined. Replays run sequentially at every pool width, so the
-// verdict, the quarantine list and RunsUsed do not depend on Workers.
+// verdict, the quarantine and RunsUsed do not depend on Workers.
 // Cancelling ctx stops before the next replay with ctx's error.
 func (e *Executor) Persists(ctx context.Context, group []predicate.ID) (bool, error) {
 	pp, err := e.prepare(group)
@@ -331,7 +297,7 @@ func (e *Executor) Persists(ctx context.Context, group []predicate.ID) (bool, er
 		}
 		v, err := e.runOne(pp, group, seed, nil)
 		if err != nil {
-			e.addQuarantine(group, seed, err)
+			e.addQuarantine(group, seed)
 			e.count(&e.Missed)
 			continue
 		}
@@ -417,7 +383,7 @@ func (e *Executor) InterveneBatch(ctx context.Context, groups [][]predicate.ID) 
 // back to the pool. It is safe to run concurrently. The zero
 // Observation (core.Observation.Missed) is a missed run: the (plan,
 // seed) pair was quarantined before, or is now, because its replay
-// panicked or blew the wall budget.
+// panicked.
 func (e *Executor) replay(ms *predicate.Monitors, table *core.PredTable, pp *sim.Prepared, preds []predicate.ID, seed int64) (obs core.Observation) {
 	if e.isQuarantined(preds, seed) {
 		return obs
@@ -426,7 +392,7 @@ func (e *Executor) replay(ms *predicate.Monitors, table *core.PredTable, pp *sim
 		ms.EvalLog(l, func(hit []bool) { obs = e.observation(table, ms.IDs(), v, hit, preds) })
 	})
 	if err != nil {
-		e.addQuarantine(preds, seed, err)
+		e.addQuarantine(preds, seed)
 		return core.Observation{}
 	}
 	return obs
@@ -466,8 +432,8 @@ func (e *Executor) tally(obs []core.Observation, preds []predicate.ID) ([]core.O
 	if len(out) == 0 {
 		// Every replay of the group is quarantined: there is no evidence
 		// to observe, and retrying cannot produce any. The round fails
-		// (the robust layer reports it; discovery returns its partial
-		// result) rather than fabricating an outcome.
+		// (core.Discover returns its partial result with the error)
+		// rather than fabricating an outcome.
 		return nil, fmt.Errorf("inject: every replay of group %v is quarantined", preds)
 	}
 	return out, nil

@@ -247,7 +247,7 @@ func TestObserveEdgeCases(t *testing.T) {
 		for _, seed := range failSeeds[:5] {
 			run, _ := pp.RunIf(seed, s.MaxSteps, nil)
 			want := extractref.ReplayBits(corpus, nil, []trace.Execution{run.Execution(&rsyms)}, cfg)[0]
-			if _, err := pp.Observe(seed, sim.Budget{MaxSteps: s.MaxSteps}, func(_ sim.Verdict, l *trace.RunLog) {
+			if _, err := pp.Observe(seed, s.MaxSteps, func(_ sim.Verdict, l *trace.RunLog) {
 				ms.EvalLog(l, func(hit []bool) {
 					if !slices.Equal(hit, want) {
 						t.Fatalf("seed %d: monitors without baselines say %v, reference %v", seed, hit, want)

@@ -2,11 +2,9 @@ package inject
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"aid/internal/predicate"
-	"aid/internal/sim"
 )
 
 // The fixture's two single-predicate groups: overriding Check's return
@@ -68,18 +66,16 @@ func TestPersistsQuarantinesCrashingReplay(t *testing.T) {
 		if exec.Missed != 1 || exec.RunsUsed != tc.runs {
 			t.Fatalf("%v: Missed = %d, RunsUsed = %d; want 1, %d", tc.group, exec.Missed, exec.RunsUsed, tc.runs)
 		}
-		q := exec.Quarantined()
-		var pe *sim.ReplayPanicError
-		if len(q) != 1 || q[0].Seed != crashSeed || !errors.As(q[0].Err, &pe) {
-			t.Fatalf("%v: quarantine = %v, want seed %d with a replay panic", tc.group, q, crashSeed)
+		if len(exec.quarantined) != 1 || !exec.isQuarantined(tc.group, crashSeed) {
+			t.Fatalf("%v: quarantine = %v, want only seed %d", tc.group, exec.quarantined, crashSeed)
 		}
 		// The quarantined pair is skipped, not re-run, next time.
 		if _, err := exec.Persists(context.Background(), tc.group); err != nil {
 			t.Fatal(err)
 		}
-		if len(exec.Quarantined()) != 1 || exec.Missed != 2 || crashes != 1 {
+		if len(exec.quarantined) != 1 || exec.Missed != 2 || crashes != 1 {
 			t.Fatalf("%v: re-query grew quarantine to %d, Missed %d, re-ran the pair %d times",
-				tc.group, len(exec.Quarantined()), exec.Missed, crashes-1)
+				tc.group, len(exec.quarantined), exec.Missed, crashes-1)
 		}
 	}
 }
@@ -95,7 +91,7 @@ func TestPersistsAllReplaysQuarantined(t *testing.T) {
 	if err == nil || want == nil || err.Error() != want.Error() {
 		t.Fatalf("Persists error %v, Intervene error %v; want the same error", err, want)
 	}
-	if got := len(exec.Quarantined()); got != len(exec.Seeds) || exec.Missed != len(exec.Seeds) {
+	if got := len(exec.quarantined); got != len(exec.Seeds) || exec.Missed != len(exec.Seeds) {
 		t.Fatalf("quarantine has %d entries, Missed %d; want %d", got, exec.Missed, len(exec.Seeds))
 	}
 }

@@ -2,12 +2,10 @@ package inject
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
 	"aid/internal/predicate"
-	"aid/internal/sim"
 )
 
 // withReplayHook installs a test replay hook for the test's duration.
@@ -23,8 +21,10 @@ func withReplayHook(t *testing.T, h func(group []predicate.ID, seed int64)) {
 func TestExecutorQuarantinesCrashingReplay(t *testing.T) {
 	_, _, exec := executorFixture(t)
 	crashSeed := exec.Seeds[1]
+	crashes := 0
 	withReplayHook(t, func(group []predicate.ID, seed int64) {
 		if seed == crashSeed {
+			crashes++
 			panic(fmt.Sprintf("injected crash at seed %d", seed))
 		}
 	})
@@ -45,26 +45,17 @@ func TestExecutorQuarantinesCrashingReplay(t *testing.T) {
 	if exec.Missed != 1 {
 		t.Fatalf("Missed = %d, want 1", exec.Missed)
 	}
-	q := exec.Quarantined()
-	if len(q) != 1 {
-		t.Fatalf("quarantine has %d entries, want 1: %v", len(q), q)
-	}
-	if q[0].Seed != crashSeed {
-		t.Fatalf("quarantined seed %d, want %d", q[0].Seed, crashSeed)
-	}
-	var pe *sim.ReplayPanicError
-	if !errors.As(q[0].Err, &pe) {
-		t.Fatalf("quarantine error is %T, want *sim.ReplayPanicError", q[0].Err)
+	if len(exec.quarantined) != 1 || !exec.isQuarantined(group, crashSeed) {
+		t.Fatalf("quarantine = %v, want only the pair (%v, %d)", exec.quarantined, group, crashSeed)
 	}
 
 	// A second intervention on the same group skips the quarantined pair
-	// without re-running it (the hook would panic again — contained, but
-	// the quarantine entry must not duplicate).
+	// without re-running it (the hook would panic again).
 	if _, err := exec.Intervene(context.Background(), group); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(exec.Quarantined()); got != 1 {
-		t.Fatalf("quarantine grew to %d entries on re-intervention, want 1", got)
+	if len(exec.quarantined) != 1 || crashes != 1 {
+		t.Fatalf("re-intervention grew the quarantine to %d pairs and re-ran the pair %d times", len(exec.quarantined), crashes-1)
 	}
 	if exec.Missed != 2 {
 		t.Fatalf("Missed = %d after second intervention, want 2", exec.Missed)
@@ -82,7 +73,7 @@ func TestExecutorAllReplaysQuarantined(t *testing.T) {
 	if _, err := exec.Intervene(context.Background(), []predicate.ID{"ret:Check#0"}); err == nil {
 		t.Fatal("want error when every replay of the group is quarantined")
 	}
-	if got, want := len(exec.Quarantined()), len(exec.Seeds); got != want {
+	if got, want := len(exec.quarantined), len(exec.Seeds); got != want {
 		t.Fatalf("quarantine has %d entries, want %d", got, want)
 	}
 }
@@ -108,7 +99,7 @@ func TestExecutorQuarantineIsPerGroup(t *testing.T) {
 	if len(obs) != len(exec.Seeds) {
 		t.Fatalf("other group lost replays: got %d observations, want %d", len(obs), len(exec.Seeds))
 	}
-	if got := len(exec.Quarantined()); got != 1 {
+	if got := len(exec.quarantined); got != 1 {
 		t.Fatalf("quarantine has %d entries, want 1", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -86,6 +87,15 @@ func NewHandler(m *Manager) http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			writeError(w, m, validationf("service: bad session spec: %w", err))
+			return
+		}
+		// The body is one spec: a second value or stray bytes after it
+		// make it malformed, not a spec with a tail to ignore.
+		if _, err := dec.Token(); err != io.EOF {
+			if err == nil {
+				err = errors.New("a second JSON value")
+			}
+			writeError(w, m, validationf("service: bad session spec: trailing data: %w", err))
 			return
 		}
 		s, err := m.Start(r.PathValue("tenant"), spec)

@@ -351,9 +351,10 @@ func TestHTTPErrors(t *testing.T) {
 
 // TestHTTPInvalidSpecs: a spec the pipeline cannot run is refused at
 // admission with 400, before anything is collected — negative numbers,
-// a timeout past time.Duration's range, an unknown variant — and a
-// session wider than the budget runs at the budget's width, the weight
-// it was admitted at, reporting what a one-worker run reports.
+// a timeout past time.Duration's range, an unknown variant, a body
+// holding more than the spec — and a session wider than the budget
+// runs at the budget's width, the weight it was admitted at, reporting
+// what a one-worker run reports.
 func TestHTTPInvalidSpecs(t *testing.T) {
 	m, srv := newTestServer(t, Config{SessionBudget: 2, TenantCap: 4})
 	for name, spec := range map[string]SessionSpec{
@@ -372,6 +373,22 @@ func TestHTTPInvalidSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
 		}
+	}
+	for name, body := range map[string]string{
+		"trailing bytes": `{"study":"npgsql","successes":5,"failures":5} trailing`,
+		"two specs":      `{"study":"npgsql","successes":5,"failures":5}{"study":"kafka"}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/tenants/acme/sessions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := len(m.Sessions("acme")); n != 0 {
+		t.Fatalf("refused specs started %d sessions", n)
 	}
 
 	wide := SessionSpec{Study: "npgsql", Successes: 5, Failures: 5, SeedCap: 40, Workers: 100_000_000}

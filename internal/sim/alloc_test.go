@@ -68,9 +68,9 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 		// the seed (a run that reads more than 16 values admits it on
 		// its second sighting, and the third takes it from the cache).
 		for i := 0; i < 3; i++ {
-			pp.runIf(m, seed, Budget{}, never)
+			pp.runIf(m, seed, 0, never)
 		}
-		run, _ := pp.runIf(m, seed, Budget{}, nil)
+		run, _ := pp.runIf(m, seed, 0, nil)
 		exec := run.Execution(&pp.syms)
 		switch prog {
 		case p:
@@ -93,7 +93,7 @@ func TestVerdictOnlyRunAllocs(t *testing.T) {
 				t.Fatal("randloop did not take the seed's vector from the cache")
 			}
 		}
-		if n := testing.AllocsPerRun(100, func() { pp.runIf(m, seed, Budget{}, never) }); n != 0 {
+		if n := testing.AllocsPerRun(100, func() { pp.runIf(m, seed, 0, never) }); n != 0 {
 			t.Fatalf("%s: verdict-only run allocates %v times, want 0", prog.Name, n)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"aid/internal/trace"
 )
@@ -48,7 +47,7 @@ func assertEngineParity(t *testing.T, p *Program, seeds []int64, plan Plan, maxS
 				p.Name, seed, wj, gj)
 		}
 		var observed trace.RunLog
-		if _, err := pp.Observe(seed, Budget{MaxSteps: maxSteps}, func(_ Verdict, l *trace.RunLog) { observed = l.Clone() }); err != nil {
+		if _, err := pp.Observe(seed, maxSteps, func(_ Verdict, l *trace.RunLog) { observed = l.Clone() }); err != nil {
 			t.Fatal(err)
 		}
 		if !sameLogs(observed, kept.Log) {
@@ -635,7 +634,7 @@ func assertStdlibParity(t *testing.T, m *machine, p *Program, plan Plan, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _ := pp.runIf(m, seed, Budget{MaxSteps: maxSteps}, nil)
+	run, _ := pp.runIf(m, seed, maxSteps, nil)
 	got := run.Execution(&pp.syms)
 	wj, err := json.Marshal(want)
 	if err != nil {
@@ -680,8 +679,7 @@ func TestStdlibSourceMatchesInterpreter(t *testing.T) {
 // interpreter oracle's Outcome and FailureSig — for every ending
 // (success, uncaught exception, Fail, deadlock, hang), unguarded and
 // guarded — and a kept run must return exactly the oracle's trace.
-// Panics and blown wall budgets must surface as errors, with no
-// verdict.
+// A panic must surface as an error, with no verdict.
 func TestVerdictEquivalenceProperty(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -717,7 +715,7 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 		if v != wantV || !reflect.DeepEqual(kept.Execution(&pp.syms), want) {
 			t.Fatalf("%s seed %d: kept RunIf differs from the oracle", p.Name, seed)
 		}
-		v, err = pp.Observe(seed, Budget{MaxSteps: maxSteps}, nil)
+		v, err = pp.Observe(seed, maxSteps, nil)
 		if err != nil || v != wantV {
 			t.Fatalf("%s seed %d: guarded verdict-only run = %+v, %v; want %+v", p.Name, seed, v, err, wantV)
 		}
@@ -742,32 +740,15 @@ func TestVerdictEquivalenceProperty(t *testing.T) {
 		}
 	}
 
-	// Guarded failures: the verdict-only path reports the guard's
-	// errors, with no verdict.
+	// A guarded failure: the verdict-only path reports the guard's
+	// error, with no verdict.
 	panicky, err := Prepare(guardPanicProgram(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := panicky.Observe(4, Budget{}, nil)
+	v, err := panicky.Observe(4, 0, nil)
 	var pe *ReplayPanicError
 	if !errors.As(err, &pe) || pe.Seed != 4 || v != (Verdict{}) {
 		t.Fatalf("panicking verdict-only run: %+v, %T %v", v, err, err)
-	}
-	spin, err := Prepare(guardSpinProgram(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err = spin.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, nil)
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Seed != 1 || v != (Verdict{}) {
-		t.Fatalf("over-budget verdict-only run: %+v, %T %v", v, err, err)
-	}
-	// observe is never called on a blown budget: there is nothing to
-	// read.
-	_, err = spin.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, func(Verdict, *trace.RunLog) {
-		t.Fatal("observe called for an over-budget run")
-	})
-	if !errors.As(err, &be) {
-		t.Fatalf("over-budget observed run: %T %v", err, err)
 	}
 }

@@ -47,7 +47,7 @@ func RunStdlibSource(p *Program, seed int64, opts RunOptions) (trace.Execution, 
 	if err != nil {
 		return trace.Execution{}, err
 	}
-	run, _ := pp.runIf(newMachine(rand.NewSource(0)), seed, Budget{MaxSteps: opts.MaxSteps}, nil)
+	run, _ := pp.runIf(newMachine(rand.NewSource(0)), seed, opts.MaxSteps, nil)
 	return run.Execution(&pp.syms), nil
 }
 
@@ -65,5 +65,5 @@ func NewMachine() *Machine { return newMachine(rngfast.NewCached()) }
 
 // RunIfOn is RunIf on machine m.
 func (pp *Prepared) RunIfOn(m *Machine, seed int64, maxSteps int, keep func(Verdict) bool) (trace.LogRun, Verdict) {
-	return pp.runIf(m, seed, Budget{MaxSteps: maxSteps}, keep)
+	return pp.runIf(m, seed, maxSteps, keep)
 }

@@ -27,7 +27,7 @@ type FinalState struct {
 // matching the interpreter's exactly. maxSteps <= 0 means
 // DefaultMaxSteps.
 func (pp *Prepared) FinalState(seed int64, maxSteps int) (final FinalState) {
-	pp.simulate(nil, seed, Budget{MaxSteps: maxSteps}, func(m *machine, _ Verdict) { m.snapshot(&final) })
+	pp.simulate(nil, seed, maxSteps, func(m *machine, _ Verdict) { m.snapshot(&final) })
 	return final
 }
 

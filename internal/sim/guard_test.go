@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-	"time"
 
 	"aid/internal/trace"
 )
@@ -42,19 +41,6 @@ func guardPanicProgram() *Program {
 	return p
 }
 
-// guardSpinProgram burns well past the wall-budget check interval
-// (1024 steps) in a tight loop before finishing cleanly.
-func guardSpinProgram() *Program {
-	p := NewProgram("guard-spin", "Main")
-	p.AddFunc("Main",
-		Assign{Dst: "i", Src: Lit(0)},
-		While{Cond: Cond{A: V("i"), Op: LT, B: Lit(100000)}, Body: []Op{
-			Arith{Dst: "i", A: V("i"), Op: OpAdd, B: Lit(1)},
-		}},
-	)
-	return p
-}
-
 // TestRunGuardedRecoversPanic checks a panic inside an observed replay
 // surfaces as a *ReplayPanicError instead of crashing the process, and
 // that the prepared program stays usable afterwards (the panicked
@@ -65,7 +51,7 @@ func TestRunGuardedRecoversPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		_, err := pp.Observe(seed, Budget{}, nil)
+		_, err := pp.Observe(seed, 0, nil)
 		var pe *ReplayPanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("seed %d: got %T (%v), want *ReplayPanicError", seed, err, err)
@@ -79,32 +65,8 @@ func TestRunGuardedRecoversPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.Observe(1, Budget{}, nil); err != nil {
+	if _, err := clean.Observe(1, 0, nil); err != nil {
 		t.Fatalf("clean replay after panics: %v", err)
-	}
-}
-
-// TestRunGuardedWallBudget checks an observed replay exceeding its
-// wall-clock budget aborts with a *BudgetError rather than hanging or
-// forging a verdict.
-func TestRunGuardedWallBudget(t *testing.T) {
-	pp, err := Prepare(guardSpinProgram(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 1ns budget is already expired at the first check; the spin
-	// program's >100k steps guarantee the checkpoint is reached.
-	_, err = pp.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Nanosecond}, nil)
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("got %T (%v), want *BudgetError", err, err)
-	}
-	if be.Seed != 1 || be.Budget != time.Nanosecond {
-		t.Fatalf("budget error reports seed %d budget %v", be.Seed, be.Budget)
-	}
-	// An ample budget lets the same replay finish normally.
-	if _, err := pp.Observe(1, Budget{MaxSteps: 1 << 20, WallClock: time.Minute}, nil); err != nil {
-		t.Fatalf("replay under ample budget: %v", err)
 	}
 }
 
@@ -116,9 +78,9 @@ func sameLogs(a, b trace.RunLog) bool {
 }
 
 // TestRunGuardedZeroBudgetByteIdentical pins the containment wrapper's
-// transparency: with no wall budget and no panic, Observe sees exactly
-// the verdict and logs RunIf keeps, so the deterministic pipeline can
-// route every replay through the guard.
+// transparency: with no panic, Observe sees exactly the verdict and
+// logs RunIf keeps, so the deterministic pipeline can route every
+// replay through the guard.
 func TestRunGuardedZeroBudgetByteIdentical(t *testing.T) {
 	pp, err := Prepare(batchProgram(), nil)
 	if err != nil {
@@ -127,7 +89,7 @@ func TestRunGuardedZeroBudgetByteIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		want, wantV := pp.RunIf(seed, 0, nil)
 		var got trace.RunLog
-		v, err := pp.Observe(seed, Budget{}, func(_ Verdict, l *trace.RunLog) { got = l.Clone() })
+		v, err := pp.Observe(seed, 0, func(_ Verdict, l *trace.RunLog) { got = l.Clone() })
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

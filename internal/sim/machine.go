@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strconv"
 	"sync"
-	"time"
 
 	"aid/internal/rngfast"
 	"aid/internal/trace"
@@ -139,11 +138,6 @@ type machine struct {
 
 	failed  bool
 	failSig string
-
-	// wallDeadline, when non-zero, aborts the run with SigBudget once
-	// real time passes it (set only by guarded runs with a wall budget;
-	// the check in loop samples the clock every 1024 steps).
-	wallDeadline time.Time
 }
 
 var machinePool = sync.Pool{New: func() any { return newMachine(rngfast.NewCached()) }}
@@ -164,7 +158,6 @@ func (m *machine) reset(pp *Prepared, seed int64) {
 	m.pending = 0
 	m.failed = false
 	m.failSig = ""
-	m.wallDeadline = time.Time{}
 	m.threads = m.threads[:0]
 	m.spans = m.spans[:0]
 	m.accs = m.accs[:0]
@@ -268,7 +261,7 @@ type Verdict struct {
 // same (program, seed, plan) triple. maxSteps <= 0 means
 // DefaultMaxSteps.
 func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (trace.LogRun, Verdict) {
-	return pp.runIf(nil, seed, Budget{MaxSteps: maxSteps}, keep)
+	return pp.runIf(nil, seed, maxSteps, keep)
 }
 
 // simulate is the one compiled run path: reset m, loop, settle the
@@ -277,11 +270,10 @@ func (pp *Prepared) RunIf(seed int64, maxSteps int, keep func(Verdict) bool) (tr
 // pool. A nil m takes a machine from the pool and returns it
 // afterwards; a caller-supplied machine (a test's, seeded from another
 // source) stays the caller's. A run whose done copies nothing out
-// allocates nothing. A non-zero b.WallClock arms the loop's wall-clock
-// check (SigBudget). A panic escapes before the machine is pooled, so a
-// possibly-corrupt machine is left to the collector.
-func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machine, Verdict)) Verdict {
-	maxSteps := b.MaxSteps
+// allocates nothing. maxSteps <= 0 means DefaultMaxSteps. A panic
+// escapes before the machine is pooled, so a possibly-corrupt machine is
+// left to the collector.
+func (pp *Prepared) simulate(m *machine, seed int64, maxSteps int, done func(*machine, Verdict)) Verdict {
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
@@ -290,9 +282,6 @@ func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machin
 		m = machinePool.Get().(*machine)
 	}
 	m.reset(pp, seed)
-	if b.WallClock > 0 {
-		m.wallDeadline = time.Now().Add(b.WallClock)
-	}
 	m.pushCall(m.newThread(), pp.c.entryFn, -1, -1)
 	m.loop(maxSteps)
 	m.settleTick0()
@@ -309,8 +298,8 @@ func (pp *Prepared) simulate(m *machine, seed int64, b Budget, done func(*machin
 
 // runIf is simulate that copies the logs out only if keep (nil =
 // always) accepts the verdict.
-func (pp *Prepared) runIf(m *machine, seed int64, b Budget, keep func(Verdict) bool) (run trace.LogRun, v Verdict) {
-	v = pp.simulate(m, seed, b, func(m *machine, v Verdict) {
+func (pp *Prepared) runIf(m *machine, seed int64, maxSteps int, keep func(Verdict) bool) (run trace.LogRun, v Verdict) {
+	v = pp.simulate(m, seed, maxSteps, func(m *machine, v Verdict) {
 		if keep == nil || keep(v) {
 			l := m.logs()
 			run = m.logRun(seed, l.Clone())
@@ -365,12 +354,6 @@ func (m *machine) loop(maxSteps int) {
 		}
 		if steps >= maxSteps {
 			m.fail(SigHang)
-			break
-		}
-		// Wall-clock budget (Observe only): sampled every 1024 steps
-		// so the common unguarded path pays one branch on a zero value.
-		if steps&1023 == 1023 && !m.wallDeadline.IsZero() && time.Now().After(m.wallDeadline) {
-			m.fail(SigBudget)
 			break
 		}
 		if m.dirty || m.now >= m.wake {

@@ -85,7 +85,7 @@ func TestMonitorsMatchExtractProperty(t *testing.T) {
 			want := extractref.ReplayBits(corpus, [][]trace.Execution{baselines, other}[b], replays, cfg)
 			for k := range replays {
 				rl := replayLogs[k]
-				if _, err := rl.pp.Observe(rl.seed, sim.Budget{MaxSteps: 2000}, func(_ sim.Verdict, l *trace.RunLog) {
+				if _, err := rl.pp.Observe(rl.seed, 2000, func(_ sim.Verdict, l *trace.RunLog) {
 					ms.EvalLog(l, func(hit []bool) {
 						for j, pr := range corpus.Preds {
 							if hit[j] != want[k][j] {

@@ -43,9 +43,8 @@ func (os Observers) OnEvent(e Event) {
 
 // Event is a typed pipeline progress event. The concrete types are
 // CollectProgress, TracesCollected, EffectsAnalyzed,
-// PredicatesExtracted, Ranked, DAGBuilt, RoundDone,
-// ContradictionDetected, SchedulerUsage, CauseConfirmed,
-// DiscoveryDone, and StateRecovered.
+// PredicatesExtracted, Ranked, DAGBuilt, RoundDone, SchedulerUsage,
+// CauseConfirmed, DiscoveryDone, and StateRecovered.
 type Event interface {
 	// String renders the event as a one-line log message.
 	String() string
@@ -159,16 +158,14 @@ type RoundDone struct {
 	// CacheHit reports the outcome was served from the scheduler's memo
 	// cache without starting new replays.
 	CacheHit bool
-	// Trials and Retries report the adaptive trial oracle's cost for
-	// the round (zero outside noise-tolerant mode; see
-	// WithNoiseTolerance).
+	// Trials, Retries, Confidence and Contradiction carry the core
+	// scheduler's trial-oracle provenance for the round
+	// (core.RoundMeta). A Pipeline's executor replays deterministically
+	// and never runs under the trial oracle, so they are zero on every
+	// Pipeline run; they stay for the event wire format.
 	Trials, Retries int
-	// Confidence is the round verdict's posterior under the configured
-	// noise bounds (zero outside noise-tolerant mode).
-	Confidence float64
-	// Contradiction reports the round's outcome initially contradicted
-	// a recorded verdict and went through escalated repair.
-	Contradiction bool
+	Confidence      float64
+	Contradiction   bool
 }
 
 func (e RoundDone) String() string {
@@ -192,29 +189,6 @@ func (e RoundDone) String() string {
 	}
 	return fmt.Sprintf("round %d [%s, batch %d]: intervened on %d predicates -> %s (%d pruned)%s",
 		e.Index, e.Round.Phase, e.Batch, len(e.Round.Intervened), verdict, len(e.Round.Pruned), suffix)
-}
-
-// ContradictionDetected reports the robust scheduler caught a
-// monotonicity violation between two round verdicts — intervening on a
-// subset stopped the failure while a superset let it persist — and ran
-// escalated retests to repair it. Emitted only in noise-tolerant mode.
-type ContradictionDetected struct {
-	// Stopped is the subset group whose verdict was "failure stopped";
-	// Persisted is the superset whose verdict was "failure persisted".
-	Stopped, Persisted []PredicateID
-	// Resolved reports the escalated retests restored consistency; when
-	// false the persisted verdict was trusted and the stopped verdict
-	// discarded.
-	Resolved bool
-}
-
-func (e ContradictionDetected) String() string {
-	state := "repaired"
-	if !e.Resolved {
-		state = "unresolved; trusting persisted side"
-	}
-	return fmt.Sprintf("contradiction: stopped(%d preds) ⊆ persisted(%d preds) — %s",
-		len(e.Stopped), len(e.Persisted), state)
 }
 
 // SchedulerUsage reports how much of a run's intervention work the
@@ -299,15 +273,14 @@ func (e StateRecovered) String() string {
 	return s
 }
 
-func (CollectProgress) event()       {}
-func (TracesCollected) event()       {}
-func (EffectsAnalyzed) event()       {}
-func (PredicatesExtracted) event()   {}
-func (Ranked) event()                {}
-func (DAGBuilt) event()              {}
-func (RoundDone) event()             {}
-func (ContradictionDetected) event() {}
-func (SchedulerUsage) event()        {}
-func (CauseConfirmed) event()        {}
-func (DiscoveryDone) event()         {}
-func (StateRecovered) event()        {}
+func (CollectProgress) event()     {}
+func (TracesCollected) event()     {}
+func (EffectsAnalyzed) event()     {}
+func (PredicatesExtracted) event() {}
+func (Ranked) event()              {}
+func (DAGBuilt) event()            {}
+func (RoundDone) event()           {}
+func (SchedulerUsage) event()      {}
+func (CauseConfirmed) event()      {}
+func (DiscoveryDone) event()       {}
+func (StateRecovered) event()      {}

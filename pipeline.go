@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"aid/internal/acdag"
 	"aid/internal/core"
@@ -49,54 +48,7 @@ type Pipeline struct {
 	observer  Observer
 	effects   bool
 	baseline  bool
-	noise     *NoiseTolerance
 	shared    *SharedScheduler
-}
-
-// NoiseTolerance configures the robustness layer: an adaptive trial
-// oracle that repeats each intervention round until its verdict reaches
-// a confidence bound, a scheduler that detects and repairs
-// contradictory verdicts, and fault containment (panic recovery,
-// transient-error retry, replay quarantine) below it. The zero value
-// uses the defaults documented on each field.
-type NoiseTolerance struct {
-	// MaxTrials caps the repeated trials of one intervention round
-	// (default 12).
-	MaxTrials int
-	// Confidence is the verdict posterior at which a round's sequential
-	// test stops early (default 0.99).
-	Confidence float64
-	// ManifestFloor is the assumed minimum per-trial probability that a
-	// truly persisting failure manifests as a failing run (default 0.5).
-	// Lower floors demand more failure-free trials before "stopped" is
-	// accepted.
-	ManifestFloor float64
-	// FlipCeiling is the assumed maximum per-trial probability that a
-	// run's failure verdict is forged (a monitoring glitch). Zero keeps
-	// the paper's single-counter-example rule: one failing run decides
-	// "persisted" on its own.
-	FlipCeiling float64
-	// RetryLimit bounds retries of one trial after transient intervener
-	// errors or recovered panics (default 3).
-	RetryLimit int
-	// BackoffBase and BackoffMax shape the seeded-jitter exponential
-	// backoff between retries (defaults 2ms and 100ms).
-	BackoffBase, BackoffMax time.Duration
-	// WallBudget bounds each replay's real elapsed time; a replay
-	// exceeding it is contained and quarantined rather than hanging the
-	// round (0 = unbounded).
-	WallBudget time.Duration
-}
-
-// WithNoiseTolerance turns on noise-tolerant discovery. The
-// deterministic simulator never needs it; it exists for flaky or
-// fault-prone interveners (external runners, chaos testing) where a
-// single run's verdict cannot be trusted. The pipeline then wraps the
-// executor in the adaptive trial oracle, runs the scheduler in robust
-// mode (guarded memoization plus contradiction repair), and attaches a
-// RobustnessReport to the Report.
-func WithNoiseTolerance(nt NoiseTolerance) Option {
-	return func(p *Pipeline) { p.noise = &nt }
 }
 
 // SharedScheduler is a cross-run intervention memo: runs that attach
@@ -197,9 +149,7 @@ func (s *SharedScheduler) Stats() SchedulerStats {
 }
 
 // WithSharedScheduler attaches a cross-run intervention memo; see
-// SharedScheduler for the sharing contract. Noise-tolerant runs ignore
-// it: their robust scheduler carries per-run verdict state that must
-// not leak across sessions.
+// SharedScheduler for the sharing contract.
 func WithSharedScheduler(s *SharedScheduler) Option {
 	return func(p *Pipeline) { p.shared = s }
 }
@@ -513,24 +463,20 @@ func (p *Pipeline) executor(tr *Traces, corpus *Corpus) (*inject.Executor, error
 // discover is the shared body of Discover and Run: it builds the
 // executor, runs core discovery, and emits DiscoveryDone. The executor
 // is returned so Run can reuse it (and its quarantine) as the TAGT
-// oracle; the RobustnessReport is nil outside noise-tolerant mode.
-func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag *DAG) (*Result, *inject.Executor, *RobustnessReport, error) {
+// oracle.
+func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag *DAG) (*Result, *inject.Executor, error) {
 	exec, err := p.executor(tr, corpus)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	opts, err := p.coreOptions()
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
-	var iv core.Intervener = exec
-	var robust *core.RobustIntervener
-	var sched *core.Scheduler
-	minConf := 0.0
 	var sharedSched *core.Scheduler
 	var sharedPre SchedulerStats
-	if p.noise == nil && p.shared != nil {
+	if p.shared != nil {
 		// Cross-run memo sharing: claim the shared scheduler's single
 		// discovery slot (ctx-aware, so cancellation never blocks on a
 		// sibling run's rounds), bound to this run's executor, and
@@ -538,7 +484,7 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 		var release func()
 		sharedSched, release, err = p.shared.acquire(ctx, exec)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		defer release()
 		// Snapshot the memo accounting while holding the slot: sibling
@@ -547,69 +493,10 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 		sharedPre = sharedSched.Stats()
 		opts.Scheduler = sharedSched
 	}
-	if p.noise != nil {
-		exec.WallBudget = p.noise.WallBudget
-		robust = core.NewRobustIntervener(exec, core.RobustConfig{
-			MaxTrials:     p.noise.MaxTrials,
-			Confidence:    p.noise.Confidence,
-			ManifestFloor: p.noise.ManifestFloor,
-			FlipCeiling:   p.noise.FlipCeiling,
-			RetryLimit:    p.noise.RetryLimit,
-			BackoffBase:   p.noise.BackoffBase,
-			BackoffMax:    p.noise.BackoffMax,
-			Seed:          p.seed,
-		})
-		sched = core.NewScheduler(robust, core.SchedulerConfig{
-			OnContradiction: func(ev core.ContradictionEvent) {
-				p.emit(ContradictionDetected{
-					Stopped:   ev.Stopped,
-					Persisted: ev.Persisted,
-					Resolved:  ev.Resolved,
-				})
-			},
-		})
-		opts.Scheduler = sched
-		iv = robust
-		// The causal path is only as certain as its least-certain round:
-		// track the weakest verdict posterior for the report.
-		prev := opts.OnRound
-		opts.OnRound = func(r core.Round, m core.RoundMeta) {
-			if m.Trials > 0 && m.Confidence > 0 && (minConf == 0 || m.Confidence < minConf) {
-				minConf = m.Confidence
-			}
-			if prev != nil {
-				prev(r, m)
-			}
-		}
-	}
 
-	res, err := core.Discover(ctx, dag, iv, opts)
+	res, err := core.Discover(ctx, dag, exec, opts)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("aid: %s: %w", tr.Source, err)
-	}
-	var robustness *RobustnessReport
-	if p.noise != nil {
-		rs := robust.Stats()
-		ss := sched.Stats()
-		robustness = &RobustnessReport{
-			Trials:          rs.Trials,
-			Retries:         rs.Retries,
-			RecoveredPanics: rs.Recovered,
-			SuspectRuns:     rs.Suspect,
-			UndecidedRounds: rs.Undecided,
-			Contradictions:  ss.Contradictions,
-			Repaired:        ss.Repaired,
-			Escalated:       ss.Escalated,
-			MissedRuns:      exec.Missed,
-			CauseConfidence: minConf,
-		}
-		for _, q := range exec.Quarantined() {
-			rq := ReportQuarantine{Seed: q.Seed, Error: q.Err.Error()}
-			for _, id := range q.Group {
-				rq.Group = append(rq.Group, string(id))
-			}
-			robustness.Quarantined = append(robustness.Quarantined, rq)
-		}
+		return nil, nil, fmt.Errorf("aid: %s: %w", tr.Source, err)
 	}
 	if sharedSched != nil {
 		// Still inside the discovery slot (released when this function
@@ -626,7 +513,7 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 		PathLen:       len(res.Path) - 1,
 		Interventions: res.Interventions(),
 	})
-	return res, exec, robustness, nil
+	return res, exec, nil
 }
 
 // Discover runs the causality-guided intervention phase (Algorithms
@@ -634,7 +521,7 @@ func (p *Pipeline) discover(ctx context.Context, tr *Traces, corpus *Corpus, dag
 // fault-injection plans. Cancelling ctx aborts before the next round
 // (and mid-round, within one replay task-drain) with ctx's error.
 func (p *Pipeline) Discover(ctx context.Context, tr *Traces, corpus *Corpus, dag *DAG) (*Result, error) {
-	res, _, _, err := p.discover(ctx, tr, corpus, dag)
+	res, _, err := p.discover(ctx, tr, corpus, dag)
 	return res, err
 }
 
@@ -662,7 +549,7 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		return nil, err
 	}
 
-	aidRes, exec, robustness, err := p.discover(ctx, tr, corpus, dag)
+	aidRes, exec, err := p.discover(ctx, tr, corpus, dag)
 	if err != nil {
 		return nil, err
 	}
@@ -719,7 +606,6 @@ func (p *Pipeline) Run(ctx context.Context, src TraceSource) (*Report, error) {
 		Rounds:            make([]ReportRound, len(aidRes.Rounds)), // never nil: no rounds serialize as []
 		PruningS1:         s1,
 		PruningS2:         s2,
-		Robustness:        robustness,
 		Result:            aidRes,
 		noBaseline:        !p.baseline,
 	}

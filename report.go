@@ -57,11 +57,6 @@ type Report struct {
 	PruningS1 float64 `json:"pruningS1"`
 	PruningS2 float64 `json:"pruningS2"`
 
-	// Robustness accounts for the noise-tolerance layer's work when the
-	// pipeline ran with WithNoiseTolerance; nil on deterministic runs,
-	// which keeps their JSON byte-identical to earlier releases.
-	Robustness *RobustnessReport `json:"robustness,omitempty"`
-
 	// Result is the full in-memory discovery result for programmatic
 	// consumers; it is not serialized.
 	Result *Result `json:"-"`
@@ -96,69 +91,6 @@ func (r *Report) encoded() any {
 // keys when the run skipped the baseline.
 func (r Report) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.encoded())
-}
-
-// RobustnessReport is the serializable accounting of a noise-tolerant
-// run: what the adaptive trial oracle, the contradiction repair, and
-// the fault-contained replay layer spent and survived.
-type RobustnessReport struct {
-	// Trials counts underlying replay bundles that produced
-	// observations; Retries counts transient-error retries on top.
-	Trials  int `json:"trials"`
-	Retries int `json:"retries"`
-	// RecoveredPanics counts intervener panics recovered into retries.
-	RecoveredPanics int `json:"recoveredPanics"`
-	// SuspectRuns counts observations discarded as inconsistent with
-	// the round's accepted verdict.
-	SuspectRuns int `json:"suspectRuns"`
-	// UndecidedRounds counts rounds that hit the trial cap without
-	// reaching the confidence bound and fell back to majority vote.
-	UndecidedRounds int `json:"undecidedRounds"`
-	// Contradictions counts detected monotonicity violations; Repaired
-	// counts those whose escalated retests restored consistency;
-	// Escalated counts escalated retests run.
-	Contradictions int `json:"contradictions"`
-	Repaired       int `json:"repaired"`
-	Escalated      int `json:"escalated"`
-	// MissedRuns counts replays that produced no observation because
-	// their (plan, seed) pair was quarantined after crashing or
-	// exhausting its budget.
-	MissedRuns int `json:"missedRuns"`
-	// Quarantined lists the quarantined replays in detection order.
-	Quarantined []ReportQuarantine `json:"quarantined,omitempty"`
-	// CauseConfidence is the weakest per-round verdict posterior along
-	// the run (0 when no round needed more than deterministic
-	// evidence): the confidence of the final causal path is bounded by
-	// its least-certain round.
-	CauseConfidence float64 `json:"causeConfidence"`
-}
-
-// ReportQuarantine is one quarantined (plan, seed) replay.
-type ReportQuarantine struct {
-	// Group is the forced-predicate group whose plan crashed.
-	Group []string `json:"group"`
-	// Seed is the scheduler seed of the crashing replay.
-	Seed int64 `json:"seed"`
-	// Error describes the contained failure.
-	Error string `json:"error"`
-}
-
-// FormatRobustness renders the robustness accounting block ("" for
-// deterministic runs).
-func (r *Report) FormatRobustness() string {
-	rb := r.Robustness
-	if rb == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trial oracle:    %d trials, %d retries, %d recovered panics, %d suspect runs, %d undecided rounds\n",
-		rb.Trials, rb.Retries, rb.RecoveredPanics, rb.SuspectRuns, rb.UndecidedRounds)
-	fmt.Fprintf(&b, "contradictions:  %d detected, %d repaired (%d escalated retests)\n",
-		rb.Contradictions, rb.Repaired, rb.Escalated)
-	fmt.Fprintf(&b, "quarantine:      %d replays quarantined, %d runs missed\n",
-		len(rb.Quarantined), rb.MissedRuns)
-	fmt.Fprintf(&b, "cause confidence: %.4f\n", rb.CauseConfidence)
-	return b.String()
 }
 
 // ReportRound is one serializable intervention round.
@@ -197,17 +129,6 @@ func (r *Report) Detach() *Report {
 			out.Rounds[i] = rd
 		}
 	}
-	if r.Robustness != nil {
-		rb := *r.Robustness
-		if rb.Quarantined != nil {
-			rb.Quarantined = make([]ReportQuarantine, len(r.Robustness.Quarantined))
-			for i, q := range r.Robustness.Quarantined {
-				q.Group = append([]string(nil), q.Group...)
-				rb.Quarantined[i] = q
-			}
-		}
-		out.Robustness = &rb
-	}
 	return &out
 }
 
@@ -242,9 +163,8 @@ func (r *Report) Format() string {
 }
 
 // FormatFull renders the complete human-readable report: the summary
-// block, the narrative, the intervention round log, and — for
-// noise-tolerant runs — the robustness accounting. It is the one text
-// rendering shared by the CLI's verbose output and the daemon's
+// block, the narrative and the intervention round log. It is the one
+// text rendering shared by the CLI's verbose output and the daemon's
 // ?format=text report endpoint.
 func (r *Report) FormatFull() string {
 	var b strings.Builder
@@ -253,10 +173,6 @@ func (r *Report) FormatFull() string {
 	b.WriteString(r.Narrative)
 	b.WriteString("\n\nintervention rounds:\n")
 	b.WriteString(r.FormatRounds())
-	if rb := r.FormatRobustness(); rb != "" {
-		b.WriteString("\nrobustness:\n")
-		b.WriteString(rb)
-	}
 	return b.String()
 }
 
