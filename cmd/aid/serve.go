@@ -77,7 +77,6 @@ func runServe(args []string) {
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight sessions on shutdown")
 		retain       = fs.Int("retain-sessions", 256, "terminal sessions retained for status/report queries")
 		memoCap      = fs.Int("memo-cap", 32, "cross-session scheduler memos retained per tenant (LRU)")
-		resultCache  = fs.Int("result-cache", 0, "finished-session results served whole on a repeat spec, per tenant (LRU; 0 = off)")
 		maxCorpus    = fs.Int64("max-corpus-bytes", 64<<20, "corpus ingest body cap in bytes (413 beyond it)")
 		persist      = fs.String("persist", "", "state directory keeping each scheduler memo in one checksummed file; empty = memos die with the process")
 		debugAddr    = fs.String("debug-addr", "", "listen address of a separate listener serving net/http/pprof under /debug/pprof/; empty = none")
@@ -99,7 +98,6 @@ func runServe(args []string) {
 		SessionTimeout: *timeout,
 		RetainSessions: *retain,
 		TenantMemoCap:  *memoCap,
-		ResultCacheCap: *resultCache,
 		MaxCorpusBytes: *maxCorpus,
 		PersistDir:     *persist,
 		// Recovery is warm-start degradation by design; log what it kept

@@ -418,65 +418,6 @@ func main() {
 		run.Figures = append(run.Figures, bestFig)
 	}
 
-	// Warm-session record: the daemon's steady-state serve path — a
-	// repeat session against a warmed result cache (admission, cached
-	// serve, event replay, report detach, terminal bookkeeping), the
-	// per-session twin of BenchmarkServeSession. Costs are per session.
-	{
-		const warmSessions = 100
-		name := "Serve/warm-session"
-		fmt.Fprintf(os.Stderr, "benchjson: %s...\n", name)
-		mgr := service.NewManager(service.Config{SessionBudget: 2, TenantCap: 8, ResultCacheCap: 4})
-		spec := service.SessionSpec{Study: "npgsql", Successes: *successes, Failures: *failures}
-		session := func() (service.SessionStatus, error) {
-			s, err := mgr.Start("bench", spec)
-			if err != nil {
-				return service.SessionStatus{}, err
-			}
-			<-s.Done()
-			if _, _, err := s.Report(); err != nil {
-				return service.SessionStatus{}, err
-			}
-			return s.Status(), nil
-		}
-		if _, err := session(); err != nil { // populate the cache
-			fatal(err)
-		}
-		var metrics map[string]float64
-		fig, err := measure(*repeat, func() error {
-			hits := 0
-			for i := 0; i < warmSessions; i++ {
-				st, err := session()
-				if err != nil {
-					return err
-				}
-				if st.ResultCacheHit {
-					hits++
-				}
-			}
-			m := map[string]float64{
-				"sessions":          warmSessions,
-				"result-cache-hits": float64(hits),
-			}
-			checkMetrics(name, metrics, m)
-			metrics = m
-			return nil
-		})
-		if err != nil {
-			fatal(err)
-		}
-		mgr.Close()
-		if metrics["result-cache-hits"] != warmSessions {
-			fatal(fmt.Errorf("%s: only %.0f/%d sessions served from the result cache", name, metrics["result-cache-hits"], warmSessions))
-		}
-		fig.Name = name
-		fig.NsPerOp /= warmSessions
-		fig.AllocsPerOp /= warmSessions
-		fig.BytesPerOp /= warmSessions
-		fig.Metrics = metrics
-		run.Figures = append(run.Figures, fig)
-	}
-
 	if err := finish(*out, &Doc{Baseline: prevRun, Current: run}, *check, *tolerance, *baseline, os.Stderr); err != nil {
 		fatal(err)
 	}

@@ -20,22 +20,32 @@
 // honors its context.Context and aborts within one task-drain when
 // cancelled; WithObserver streams typed per-phase progress events; Run
 // returns the JSON-serializable Report shared by the CLI, the examples,
-// and future service endpoints. See the package example for the complete loop.
+// and the aid serve daemon. See the package example for the complete
+// loop.
 //
 // The algorithms live under internal/:
 //
 //	trace      execution-trace model (spans, accesses, codec)
 //	sim        deterministic concurrency simulator + fault injection
+//	rngfast    a bit-exact, lazily seeded stand-in for math/rand's source
 //	par        shared worker-pool engine (deterministic ordered fan-out)
+//	bitvec     packed bit vectors (corpus columns, DAG rows, pools)
 //	predicate  predicate vocabulary and extraction from traces
+//	effects    static side-effect analysis (safe and pure methods)
 //	statdebug  statistical debugging (precision/recall, SD baseline)
 //	acdag      the approximate causal DAG (AC-DAG) of §4
 //	core       Algorithms 1–3: GIWP, Branch-Prune, Causal-Path-Discovery
 //	grouptest  the TAGT baseline
 //	inject     predicate repairs → simulator injection plans
+//	explain    the narrative from root cause to failure (§7.1)
 //	theory     §6 bounds and search-space analysis
 //	synthetic  the Fig. 8 synthetic benchmark
 //	casestudy  the six Fig. 7 case studies
+//	chaos      seeded fault injection into the intervention oracle
+//	service    the multi-tenant daemon behind aid serve
+//	durable    atomic file replacement and retry for the daemon's state
+//	oracle/…   test-only reference implementations (canon, caserun,
+//	           chains, extractref, roworacle, tracejson)
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory
 // and the cancellation/determinism contracts, and EXPERIMENTS.md for

@@ -6,10 +6,10 @@ import (
 	"iter"
 	"slices"
 	"strings"
-	"unicode/utf8"
 
 	"aid/internal/bitvec"
 	"aid/internal/predicate"
+	"aid/internal/trace"
 )
 
 // PredTable is a read-only list of predicate IDs that observation sets
@@ -125,7 +125,7 @@ func (s PredSet) MarshalJSON() ([]byte, error) {
 		if len(b) > 1 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, string(id))
+		b = trace.AppendJSONString(b, string(id), false)
 		b = append(b, ":true"...)
 	}
 	return append(b, '}'), nil
@@ -151,60 +151,4 @@ func (s *PredSet) UnmarshalJSON(data []byte) error {
 	}
 	*s = PredSetOf(ids...)
 	return nil
-}
-
-// appendJSONString appends src as a JSON string the way encoding/json
-// writes a map key with HTML escaping off: quotes, backslashes and
-// control characters escaped, invalid UTF-8 replaced by \ufffd, and
-// U+2028 and U+2029 escaped.
-func appendJSONString(dst []byte, src string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(src); {
-		if b := src[i]; b < utf8.RuneSelf {
-			if b >= 0x20 && b != '"' && b != '\\' {
-				i++
-				continue
-			}
-			dst = append(dst, src[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(src[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, src[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, src[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, src[start:]...)
-	return append(dst, '"')
 }

@@ -27,11 +27,6 @@ type Config struct {
 	// methods cannot host a root cause and are dropped before ranking
 	// (Corpus.DropPure). Nil disables effect-guided pruning.
 	PureMethods func(method string) bool
-	// keepUnobserved, when set, retains predicates with no occurrences
-	// in any row. By default Extract compacts them away with
-	// Corpus.DropUnobserved; only tests that inspect the raw vocabulary
-	// set this.
-	keepUnobserved bool
 }
 
 func (c Config) sideEffectFree(m string) bool {
@@ -100,9 +95,7 @@ func ExtractLogs(ls *trace.LogSet, cfg Config) *Corpus {
 	x.extractAtomicity(c)
 
 	c.DropPure(cfg.PureMethods)
-	if !cfg.keepUnobserved {
-		c.DropUnobserved()
-	}
+	c.DropUnobserved()
 	return c
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,19 +43,6 @@ type Config struct {
 	// (default 32). Beyond it the least-recently-used memo is dropped;
 	// a session over the dropped fingerprint simply starts a fresh memo.
 	TenantMemoCap int
-	// ResultCacheCap, when > 0, turns on the per-tenant session result
-	// cache: a completed successful session's detached report, canonical
-	// JSON, and event stream are retained under its share key, and a
-	// later session with an identical spec is served from the cache
-	// without running a pipeline (its status shows resultCacheHit, and
-	// its scheduler counters are zero — it never touched the scheduler).
-	// The cap bounds cached results per tenant, LRU-evicted. Off by
-	// default (0): repeat sessions then re-run and are answered from the
-	// scheduler memo instead, which re-verifies every outcome. Cached
-	// results follow the memos' invalidation: replacing or deleting the
-	// corpus they were computed over drops them. In-memory only — never
-	// persisted.
-	ResultCacheCap int
 	// MaxCorpusBytes caps an HTTP corpus ingest body (default 64 MiB);
 	// larger bodies are refused with 413. It guards the daemon, not the
 	// library: Manager.Ingest itself reads whatever it is handed.
@@ -171,39 +157,21 @@ type tenantMemo struct {
 	onDisk  bool
 }
 
-// cachedResult is one entry of the tenant's opt-in session result cache
-// (Config.ResultCacheCap): a completed session's detached report, its
-// canonical JSON, and the serialized event stream, plus the same
-// corpus/recency bookkeeping as tenantMemo so it is invalidated by
-// corpus replacement and LRU-bounded. Everything held is immutable —
-// the report is detached (and re-detached per serve), the JSON and
-// event lines are shared read-only.
-type cachedResult struct {
-	corpus   string
-	report   *aid.Report
-	reportJS []byte
-	events   []json.RawMessage
-	lastUse  int64
-}
-
 // tenantState is the manager's per-tenant state: the live-session count
-// backing the admission cap, the cross-session scheduler memos keyed by
-// session fingerprint, and (when Config.ResultCacheCap > 0) completed
-// session results under the same keys. results is nil until first use —
-// the recovery path builds tenantStates without it.
+// backing the admission cap, and the cross-session scheduler memos keyed
+// by session fingerprint.
 type tenantState struct {
-	active  int
-	shared  map[string]*tenantMemo
-	results map[string]*cachedResult
+	active int
+	shared map[string]*tenantMemo
 }
 
 // corpusState is what the manager knows of one tenant corpus name: gen
 // counts the replacements and deletions that invalidated its memos,
 // and fp is the fingerprint of the corpus stored at gen ("" until a
 // session with persistence on hashes it). A session remembers the gen
-// it resolved, and binds, creates or caches shared state only while
-// the gen is current, so a corpus replaced while a session resolves or
-// runs leaves nothing of the old one behind. An entry stays for the
+// it resolved, and binds or creates shared state only while the gen is
+// current, so a corpus replaced while a session resolves or runs
+// leaves nothing of the old one behind. An entry stays for the
 // manager's lifetime, one per corpus name a tenant ever stored: a
 // generation must never repeat.
 type corpusState struct {
@@ -304,12 +272,11 @@ func (m *Manager) DeleteCorpus(tenant, name string) error {
 
 // invalidateMemos drops the tenant's scheduler memos fingerprinted over
 // the named corpus, and their files, and starts the corpus's next
-// generation. Sessions already running keep the memo they bound at
-// admission — they also hold the corpus instance it was built over, so
-// their outcomes stay consistent — but they cache no result, and a
-// session admitted while the corpus was being replaced binds no memo;
-// only sessions admitted after the change see (and repopulate) a fresh
-// memo.
+// generation. Sessions already admitted keep the memo they bound — they
+// also hold the corpus instance it was built over, so their outcomes
+// stay consistent — and a session admitted while the corpus was being
+// replaced binds no memo; only sessions admitted after the change see
+// (and repopulate) a fresh memo.
 func (m *Manager) invalidateMemos(tenant, corpus string) {
 	var dropped []droppedMemo
 	m.mu.Lock()
@@ -321,11 +288,6 @@ func (m *Manager) invalidateMemos(tenant, corpus string) {
 			if memo.corpus == corpus {
 				delete(ts.shared, key)
 				dropped = append(dropped, droppedMemo{key, memo})
-			}
-		}
-		for key, c := range ts.results {
-			if c.corpus == corpus {
-				delete(ts.results, key)
 			}
 		}
 	}
@@ -429,45 +391,32 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 		created: time.Now(),
 	}
 	var shared *aid.SharedScheduler
-	var cached *cachedResult
 	var evicted []droppedMemo
 	if key != "" && m.currentLocked(s) {
 		if corpus.fp != "" {
 			m.corpusLocked(tenant, spec.Corpus).fp = corpus.fp
 		}
-		// Result cache first (opt-in): an identical completed session's
-		// outcome serves this one whole — no pipeline, no scheduler, so
-		// the memo binding below is skipped too.
-		if m.cfg.ResultCacheCap > 0 {
-			if c := ts.results[key]; c != nil {
-				m.memoTick++
-				c.lastUse = m.memoTick
-				cached = c
-			}
+		m.memoTick++
+		memo := ts.shared[key]
+		if memo == nil {
+			memo = &tenantMemo{corpus: spec.Corpus, fp: corpus.fp, sched: aid.NewSharedScheduler()}
+			ts.shared[key] = memo
 		}
-		if cached == nil {
-			m.memoTick++
-			memo := ts.shared[key]
-			if memo == nil {
-				memo = &tenantMemo{corpus: spec.Corpus, fp: corpus.fp, sched: aid.NewSharedScheduler()}
-				ts.shared[key] = memo
-			}
-			memo.lastUse = m.memoTick
-			shared = memo.sched
-			// LRU-bound the memo map: beyond the cap, the stalest
-			// fingerprint's memo is dropped with its file (a later
-			// session over it just rebuilds from scratch).
-			for len(ts.shared) > m.cfg.TenantMemoCap {
-				var lruKey string
-				var lruTick int64
-				for k, cand := range ts.shared {
-					if lruKey == "" || cand.lastUse < lruTick {
-						lruKey, lruTick = k, cand.lastUse
-					}
+		memo.lastUse = m.memoTick
+		shared = memo.sched
+		// LRU-bound the memo map: beyond the cap, the stalest
+		// fingerprint's memo is dropped with its file (a later session
+		// over it just rebuilds from scratch).
+		for len(ts.shared) > m.cfg.TenantMemoCap {
+			var lruKey string
+			var lruTick int64
+			for k, cand := range ts.shared {
+				if lruKey == "" || cand.lastUse < lruTick {
+					lruKey, lruTick = k, cand.lastUse
 				}
-				evicted = append(evicted, droppedMemo{lruKey, ts.shared[lruKey]})
-				delete(ts.shared, lruKey)
 			}
+			evicted = append(evicted, droppedMemo{lruKey, ts.shared[lruKey]})
+			delete(ts.shared, lruKey)
 		}
 	}
 	m.sessions[id] = s
@@ -476,29 +425,15 @@ func (m *Manager) Start(tenant string, spec SessionSpec) (*Session, error) {
 	m.mu.Unlock()
 	m.removeMemoFiles(tenant, evicted)
 
-	go m.run(ctx, s, source, shared, cached)
+	go m.run(ctx, s, source, shared)
 	return s, nil
 }
 
 // run is a session's goroutine: wait for a budget slot, execute the
-// pipeline with panic containment, record the outcome. A session bound
-// to a cached result at admission skips all of that — no budget slot,
-// no pipeline, no scheduler, no persistence — and is answered by
-// replaying the original session's event stream and reusing its
-// detached report and canonical JSON.
-func (m *Manager) run(ctx context.Context, s *Session, source aid.TraceSource, shared *aid.SharedScheduler, cached *cachedResult) {
+// pipeline with panic containment, record the outcome.
+func (m *Manager) run(ctx context.Context, s *Session, source aid.TraceSource, shared *aid.SharedScheduler) {
 	defer m.wg.Done()
 	defer s.cancel() // release the timeout timer
-
-	if cached != nil {
-		s.mu.Lock()
-		s.state = StateRunning
-		s.started = time.Now()
-		s.mu.Unlock()
-		s.log.replay(cached.events)
-		m.finishCached(s, cached)
-		return
-	}
 
 	release, err := m.limiter.Acquire(ctx, s.tenant, m.width(s.spec))
 	if err != nil {
@@ -574,14 +509,10 @@ func (m *Manager) runPipeline(ctx context.Context, s *Session, source aid.TraceS
 	return aid.New(opts...).Run(ctx, source)
 }
 
-// finish records a session's terminal state and, with the result cache
-// on, retains a successful shareable session's outcome for later
-// identical sessions. s.done closes last, once the result is cached and
-// the tenant's active count released: a client that sees the session
-// end and repeats the spec at once must find both.
+// finish records a session's terminal state. s.done closes last, once
+// the tenant's active count is released: a client that sees the session
+// end and starts another at once must find its admission slot free.
 func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
-	var cacheRep *aid.Report
-	var cacheJS []byte
 	s.mu.Lock()
 	s.finished = time.Now()
 	switch {
@@ -605,42 +536,6 @@ func (m *Manager) finish(s *Session, rep *aid.Report, err error) {
 		s.state = StateFailed
 		s.err = err
 	}
-	if s.state == StateDone && m.cfg.ResultCacheCap > 0 {
-		// Cache a copy detached from the session's own report: a client
-		// holding the session's *Report cannot reach the cached one.
-		cacheRep = s.report.Detach()
-		cacheJS = s.reportJS
-	}
-	s.mu.Unlock()
-
-	m.mu.Lock()
-	ts := m.tenants[s.tenant]
-	if ts != nil {
-		ts.active--
-	}
-	if cacheRep != nil && ts != nil && m.currentLocked(s) {
-		if key := s.spec.shareKey(); key != "" {
-			m.storeResultLocked(ts, key, s, cacheRep, cacheJS)
-		}
-	}
-	m.terminal++
-	m.pruneLocked()
-	m.mu.Unlock()
-	close(s.done)
-}
-
-// finishCached records the terminal state of a session served from the
-// result cache: done, with a fresh detached copy of the cached report
-// and the cached canonical JSON verbatim (no re-marshal). Its scheduler
-// counters stay zero — it never touched the scheduler. Like finish, it
-// closes s.done last.
-func (m *Manager) finishCached(s *Session, cached *cachedResult) {
-	s.mu.Lock()
-	s.finished = time.Now()
-	s.state = StateDone
-	s.fromCache = true
-	s.report = cached.report.Detach()
-	s.reportJS = cached.reportJS
 	s.mu.Unlock()
 
 	m.mu.Lock()
@@ -651,33 +546,6 @@ func (m *Manager) finishCached(s *Session, cached *cachedResult) {
 	m.pruneLocked()
 	m.mu.Unlock()
 	close(s.done)
-}
-
-// storeResultLocked retains a completed session's outcome in the
-// tenant's result cache under its share key, LRU-bounding the cache at
-// Config.ResultCacheCap (m.mu held).
-func (m *Manager) storeResultLocked(ts *tenantState, key string, s *Session, rep *aid.Report, js []byte) {
-	if ts.results == nil {
-		ts.results = map[string]*cachedResult{}
-	}
-	m.memoTick++
-	ts.results[key] = &cachedResult{
-		corpus:   s.spec.Corpus,
-		report:   rep,
-		reportJS: js,
-		events:   s.log.snapshot(),
-		lastUse:  m.memoTick,
-	}
-	for len(ts.results) > m.cfg.ResultCacheCap {
-		var lruKey string
-		var lruTick int64
-		for k, c := range ts.results {
-			if lruKey == "" || c.lastUse < lruTick {
-				lruKey, lruTick = k, c.lastUse
-			}
-		}
-		delete(ts.results, lruKey)
-	}
 }
 
 // pruneLocked evicts the oldest terminal sessions beyond the retention

@@ -463,10 +463,14 @@ func TestManagerMemoInvalidation(t *testing.T) {
 	if !bytes.Equal(js, b1) {
 		t.Error("first session differs from embedded run over corpus 1")
 	}
-	// Same spec again: fully served from the memo.
-	_, st2, _ := run()
+	// Same spec again: fully served from the memo, with the first
+	// session's report bytes.
+	_, st2, js := run()
 	if st2.SchedulerCacheHits != st2.SchedulerRequests || st2.SchedulerRequests == 0 {
 		t.Fatalf("memo sharing broken: repeat session %d/%d hits", st2.SchedulerCacheHits, st2.SchedulerRequests)
+	}
+	if !bytes.Equal(js, b1) {
+		t.Error("repeat session's report differs from the first session's")
 	}
 
 	// Replace the corpus contents under the same name: the memo must go

@@ -33,9 +33,9 @@ func (s *gatedStore) Get(tenant, name string) (*trace.LogSet, error) {
 }
 
 // TestManagerReuploadDuringSession: a session over a corpus that is
-// replaced while the session is admitted or running leaves neither a
-// cached result nor a memo of the old corpus behind. The next session
-// with the same spec runs over the new corpus from scratch.
+// replaced while the session is admitted or queued leaves no memo of the
+// old corpus behind. The next session with the same spec runs over the
+// new corpus from scratch.
 func TestManagerReuploadDuringSession(t *testing.T) {
 	small, bSmall := persistFixture(t, "kafka", 5, 5)
 	large, bLarge := persistFixture(t, "kafka", 20, 20)
@@ -52,12 +52,39 @@ func TestManagerReuploadDuringSession(t *testing.T) {
 		}
 		return js
 	}
+	// want is a first session's scheduler traffic over the large corpus,
+	// and checkFresh checks that the next session after a replacement has
+	// it and the large corpus's report.
+	fresh := NewManager(Config{})
+	defer fresh.Close()
+	if _, err := fresh.Ingest("acme", "c", bytes.NewReader(large)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := fresh.Start("acme", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report(t, first)
+	want := first.Status()
+	checkFresh := func(t *testing.T, m *Manager) {
+		t.Helper()
+		next, err := m.Start("acme", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js := report(t, next)
+		if got := next.Status(); got.SchedulerCacheHits != want.SchedulerCacheHits || got.SchedulerRequests != want.SchedulerRequests || !bytes.Equal(js, bLarge) {
+			t.Errorf("the next session bound a memo of the replaced corpus: %d of %d requests from the memo, a first session has %d of %d",
+				got.SchedulerCacheHits, got.SchedulerRequests, want.SchedulerCacheHits, want.SchedulerRequests)
+		}
+	}
 
-	// The session is admitted over the small corpus and queued behind a
-	// blocker in the only budget slot; the corpus is replaced before it
-	// runs. Its result must not be cached for the new corpus.
-	t.Run("result", func(t *testing.T) {
-		m := NewManager(Config{SessionBudget: 1, TenantCap: 8, ResultCacheCap: 4})
+	// The session is admitted over the small corpus, binding its memo,
+	// and queued behind a blocker in the only budget slot; the corpus is
+	// replaced before it runs. It still replays the small corpus, and
+	// the memo it bound is not the next session's.
+	t.Run("queued", func(t *testing.T) {
+		m := NewManager(Config{SessionBudget: 1, TenantCap: 8})
 		defer m.Close()
 		if _, err := m.Ingest("acme", "c", bytes.NewReader(small)); err != nil {
 			t.Fatal(err)
@@ -78,13 +105,7 @@ func TestManagerReuploadDuringSession(t *testing.T) {
 		if !bytes.Equal(report(t, stale), bSmall) {
 			t.Error("the session admitted over the small corpus did not replay it")
 		}
-		next, err := m.Start("acme", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if js := report(t, next); next.Status().ResultCacheHit || !bytes.Equal(js, bLarge) {
-			t.Errorf("the next session was served the replaced corpus's result (cache hit %v)", next.Status().ResultCacheHit)
-		}
+		checkFresh(t, m)
 	})
 
 	// The upload lands between the session's resolve and its admission.
@@ -92,18 +113,6 @@ func TestManagerReuploadDuringSession(t *testing.T) {
 	// resolved: the next session's scheduler traffic is a first
 	// session's over the new corpus.
 	t.Run("memo", func(t *testing.T) {
-		fresh := NewManager(Config{})
-		defer fresh.Close()
-		if _, err := fresh.Ingest("acme", "c", bytes.NewReader(large)); err != nil {
-			t.Fatal(err)
-		}
-		first, err := fresh.Start("acme", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		report(t, first)
-		want := first.Status()
-
 		store := &gatedStore{CorpusStore: NewMemStore()}
 		m := NewManager(Config{Store: store, SessionBudget: 2, TenantCap: 8})
 		defer m.Close()
@@ -134,14 +143,6 @@ func TestManagerReuploadDuringSession(t *testing.T) {
 		if !bytes.Equal(report(t, stale), bSmall) {
 			t.Error("the session that resolved the small corpus did not replay it")
 		}
-		next, err := m.Start("acme", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		js := report(t, next)
-		if got := next.Status(); got.SchedulerCacheHits != want.SchedulerCacheHits || got.SchedulerRequests != want.SchedulerRequests || !bytes.Equal(js, bLarge) {
-			t.Errorf("the next session bound a memo of the replaced corpus: %d of %d requests from the memo, a first session has %d of %d",
-				got.SchedulerCacheHits, got.SchedulerRequests, want.SchedulerCacheHits, want.SchedulerRequests)
-		}
+		checkFresh(t, m)
 	})
 }

@@ -112,11 +112,6 @@ type SessionStatus struct {
 	// non-shared sessions.
 	SchedulerRequests  int `json:"schedulerRequests"`
 	SchedulerCacheHits int `json:"schedulerCacheHits"`
-	// ResultCacheHit reports the session was served whole from the
-	// tenant's result cache (Config.ResultCacheCap): no pipeline ran;
-	// the report, its JSON, and the event stream are a replay of the
-	// original session's. The scheduler counters above are then zero.
-	ResultCacheHit bool `json:"resultCacheHit,omitempty"`
 	// Created/Started/Finished are RFC3339Nano wall-clock marks; empty
 	// until reached.
 	Created  string `json:"created,omitempty"`
@@ -148,7 +143,6 @@ type Session struct {
 	finished  time.Time
 	schedReq  int
 	schedHit  int
-	fromCache bool
 	followers int
 
 	log eventLog
@@ -219,7 +213,6 @@ func (s *Session) Status() SessionStatus {
 		Events:             s.log.len(),
 		SchedulerRequests:  s.schedReq,
 		SchedulerCacheHits: s.schedHit,
-		ResultCacheHit:     s.fromCache,
 		Created:            stamp(s.created),
 		Started:            stamp(s.started),
 		Finished:           stamp(s.finished),
@@ -290,27 +283,6 @@ func (l *eventLog) append(line json.RawMessage) {
 		l.notify = nil
 	}
 	l.mu.Unlock()
-}
-
-// replay bulk-appends an already-serialized event stream (result-cache
-// serving). The lines are shared read-only with the originating log.
-func (l *eventLog) replay(lines []json.RawMessage) {
-	l.mu.Lock()
-	l.lines = append(l.lines, lines...)
-	if l.notify != nil {
-		close(l.notify)
-		l.notify = nil
-	}
-	l.mu.Unlock()
-}
-
-// snapshot returns the captured lines, capacity-capped so the caller's
-// retained view can never alias a later append's growth. Taken once the
-// session is terminal, so the slice is final.
-func (l *eventLog) snapshot() []json.RawMessage {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lines[:len(l.lines):len(l.lines)]
 }
 
 func (l *eventLog) len() int {

@@ -51,7 +51,7 @@ type quotedNames struct {
 func quoteNames[S ~string](names []S) quotedNames {
 	q := quotedNames{end: make([]int32, len(names))}
 	for i, name := range names {
-		q.buf = appendQuoted(q.buf, string(name))
+		q.buf = AppendJSONString(q.buf, string(name), true)
 		q.end[i] = int32(len(q.buf))
 	}
 	return q
@@ -70,14 +70,14 @@ func (q *quotedNames) at(i int32) ([]byte, bool) {
 // appendRun appends run r's record and its newline.
 func (e *encoder) appendRun(b []byte, r *LogRun) []byte {
 	b = append(b, `{"id":`...)
-	b = appendQuoted(b, r.ID)
+	b = AppendJSONString(b, r.ID, true)
 	b = append(b, `,"seed":`...)
 	b = strconv.AppendInt(b, r.Seed, 10)
 	b = append(b, `,"outcome":`...)
 	b = strconv.AppendInt(b, int64(r.Outcome), 10)
 	if r.FailureSig != "" {
 		b = append(b, `,"failureSig":`...)
-		b = appendQuoted(b, r.FailureSig)
+		b = AppendJSONString(b, r.FailureSig, true)
 	}
 	l := &r.Log
 	if l.Spans == nil {
@@ -205,17 +205,18 @@ func (e *encoder) group(r *LogRun) {
 	}
 }
 
-// appendQuoted appends s as a JSON string, escaped as encoding/json
-// escapes it by default: quote and backslash, control characters, the
-// HTML-sensitive <, > and &, U+2028 and U+2029, and each byte of
-// invalid UTF-8 as \ufffd.
-func appendQuoted(b []byte, s string) []byte {
+// AppendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it: quote and backslash, control characters, U+2028 and
+// U+2029, and each byte of invalid UTF-8 as \ufffd, plus the
+// HTML-sensitive <, > and & when escapeHTML is set (encoding/json's
+// default, which Encoder.SetEscapeHTML(false) turns off).
+func AppendJSONString(b []byte, s string, escapeHTML bool) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if c >= ' ' && c != '"' && c != '\\' && (!escapeHTML || c != '<' && c != '>' && c != '&') {
 				i++
 				continue
 			}

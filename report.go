@@ -107,31 +107,6 @@ type ReportRound struct {
 	Pruned []string `json:"pruned,omitempty"`
 }
 
-// Detach returns a deep copy of the report that shares no slice
-// storage with the original. The service's result cache copies through
-// it, so no two sessions served from one cached report share mutable
-// storage. Nil-ness of every slice is preserved, so the detached
-// report's JSON is byte-identical to the original's. The unserialized
-// Result pointer is shared, not copied: discovery results are
-// immutable once returned.
-func (r *Report) Detach() *Report {
-	if r == nil {
-		return nil
-	}
-	out := *r
-	out.Path = append([]string(nil), r.Path...)
-	out.Explanation = append([]string(nil), r.Explanation...)
-	if r.Rounds != nil {
-		out.Rounds = make([]ReportRound, len(r.Rounds))
-		for i, rd := range r.Rounds {
-			rd.Intervened = append([]string(nil), rd.Intervened...)
-			rd.Pruned = append([]string(nil), rd.Pruned...)
-			out.Rounds[i] = rd
-		}
-	}
-	return &out
-}
-
 // JSON serializes the report with indentation (the -json CLI output).
 // It encodes the fields itself: through MarshalJSON, encoding/json
 // would scan the encoded bytes once more before indenting them.
